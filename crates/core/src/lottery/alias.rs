@@ -1,5 +1,5 @@
 //! Alias-cell lottery: O(1) expected draws over a snapshot prefix table,
-//! patched incrementally through an exact stale overlay.
+//! O(log n) draws and updates over partial sums whenever it is stale.
 //!
 //! Walker's classic alias method reaches O(1) draws by scrambling client
 //! intervals across table cells, which makes the winner a different
@@ -14,28 +14,39 @@
 //! K ≥ n cells.
 //!
 //! Weights mutate between rebuilds (compensation grants and revocations,
-//! funding changes, dispatch churn), so draws consult an **exact stale
-//! overlay** first: the sorted set of slots whose current weight differs
-//! from the snapshot, with cumulative new/old sums. A draw binary-searches
-//! the overlay (O(log s) for s stale slots), wins a stale slot directly,
-//! or translates the winning value into snapshot coordinates and finishes
-//! with the O(1) cell lookup. Both paths compare exactly the same running
-//! sums as the list walk, so winners are bit-identical whenever client
-//! values are exactly representable (integral base units).
+//! funding changes, dispatch churn), so beside the snapshot the pool keeps
+//! the paper's own "tree of partial ticket sums" (Section 4.2) over the
+//! *current* slot weights — the array [`super::tree::TreeLottery`] is
+//! built on — and a count of **stale** slots: those whose current weight
+//! differs bitwise from the snapshot. The contract is
+//!
+//! * **clean snapshot** (`stale_len() == 0`): a draw is one guide-cell
+//!   lookup, O(1) expected;
+//! * **otherwise**: a draw descends the partial sums, O(log n);
+//! * **every mutation**: O(1) counter upkeep plus one O(log n) root-path
+//!   update per slot whose weight bits actually change.
+//!
+//! Which path a draw takes is observed, never an option. Both compare
+//! exactly the same running sums as the list walk, so winners are
+//! bit-identical whenever client values are exactly representable
+//! (integral base units).
 //!
 //! Staleness is *semantic*: a slot whose weight returns to its snapshot
 //! value (a compensation ticket revoked, a swap-removed equal-weight
-//! neighbour) drops out of the overlay, so steady-state dispatch over a
-//! uniform population keeps the overlay empty and draws purely O(1).
+//! neighbour) is clean again, so steady-state dispatch over a uniform
+//! population keeps the count at zero and draws purely O(1).
 //! Rebuild policy follows power-of-two weight buckets: only slots whose
 //! weight *crossed a bucket boundary* (≥ 2x drift, which stretches cell
 //! geometry) count toward the stale fraction; a full rebuild triggers when
-//! crossings exceed 1/8 of the population or the overlay outgrows
-//! O(√n), amortized O(1) per mutation by a rebuild-spacing gate.
+//! crossings exceed 1/8 of the population or the stale count outgrows
+//! O(√n), amortized O(1) per mutation by a rebuild-spacing gate. No
+//! operation's cost depends on the stale count, so that cap is only a
+//! heuristic for when a re-snapshot is likely to win back O(1) draws.
 
 use std::time::Instant;
 
 use super::index::{HashIndex, SlotIndex};
+use super::tree::SumTree;
 use super::TicketPool;
 
 /// What one full rebuild cost, for the probe bus and `lotteryctl`.
@@ -43,7 +54,7 @@ use super::TicketPool;
 pub struct RebuildStats {
     /// Entries snapshotted.
     pub clients: u32,
-    /// Stale overlay entries folded in.
+    /// Stale slots folded in.
     pub stale: u32,
     /// Wall-clock rebuild cost in nanoseconds.
     pub rebuild_ns: u64,
@@ -101,16 +112,11 @@ pub struct AliasLottery<T, I = HashIndex<T>> {
     cells: Vec<Cell>,
     cell_width: f64,
 
-    /// Stale overlay: slots whose current weight differs (bitwise) from
-    /// the snapshot, sorted ascending. Parallel arrays carry the current
-    /// ("new") and snapshot ("old") weights, the bucket-crossing flag, and
-    /// running sums (`len s + 1`, leading zero).
-    stale_slots: Vec<u32>,
-    stale_new: Vec<f64>,
-    stale_old: Vec<f64>,
-    stale_crossed: Vec<bool>,
-    stale_new_cum: Vec<f64>,
-    stale_old_cum: Vec<f64>,
+    /// Partial sums over the *current* weight of every slot (zero for
+    /// slots the pool does not occupy); descended whenever `stale > 0`.
+    sums: SumTree<f64>,
+    /// Slots whose current weight differs (bitwise) from the snapshot.
+    stale: u32,
     /// Stale slots whose weight crossed a power-of-two bucket boundary.
     crossed: u32,
 
@@ -119,7 +125,7 @@ pub struct AliasLottery<T, I = HashIndex<T>> {
     rebuilds: u64,
     /// Rebuild reports not yet drained by the caller (bounded).
     pending: Vec<RebuildStats>,
-    /// Search effort of the last `select` (overlay probes + cell scan).
+    /// Search effort of the last `select` (cell scan or descent depth).
     last_probes: u32,
 }
 
@@ -154,12 +160,8 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
             snap_prefix: vec![0.0],
             cells: Vec::new(),
             cell_width: 0.0,
-            stale_slots: Vec::new(),
-            stale_new: Vec::new(),
-            stale_old: Vec::new(),
-            stale_crossed: Vec::new(),
-            stale_new_cum: vec![0.0],
-            stale_old_cum: vec![0.0],
+            sums: SumTree::with_capacity(capacity),
+            stale: 0,
             crossed: 0,
             ops_since_rebuild: 0,
             rebuilds: 0,
@@ -168,9 +170,9 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
         }
     }
 
-    /// Stale overlay depth (slots differing from the snapshot).
+    /// Slots whose current weight differs from the snapshot.
     pub fn stale_len(&self) -> usize {
-        self.stale_slots.len()
+        self.stale as usize
     }
 
     /// Full rebuilds performed so far.
@@ -178,8 +180,8 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
         self.rebuilds
     }
 
-    /// Search effort of the last selection: overlay binary-search probes
-    /// plus guide-cell scan steps.
+    /// Search effort of the last selection: 1 + guide-cell scan steps on
+    /// a clean snapshot, 1 + partial-sum descent depth on a stale one.
     pub fn last_probes(&self) -> u32 {
         self.last_probes
     }
@@ -195,104 +197,56 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
         self.items.iter().map(|(t, w)| (t, *w))
     }
 
-    fn snap_len(&self) -> usize {
-        self.snap_w.len()
-    }
-
     /// Snapshot weight of `slot` (zero beyond the snapshot).
     fn snap_weight(&self, slot: usize) -> f64 {
         self.snap_w.get(slot).copied().unwrap_or(0.0)
     }
 
-    /// Value-axis start of `slot` in snapshot coordinates.
-    fn snap_start(&self, slot: usize) -> f64 {
-        self.snap_prefix[slot.min(self.snap_len())]
-    }
-
-    /// Value-axis start of the `k`-th stale slot in *current* coordinates:
-    /// its snapshot start shifted by the net new−old mass of the stale
-    /// slots before it. Exact for integral weights.
-    fn stale_start(&self, k: usize) -> f64 {
-        self.snap_start(self.stale_slots[k] as usize) + self.stale_new_cum[k]
-            - self.stale_old_cum[k]
-    }
-
-    /// Records that `slot`'s current weight is `new_w`, inserting,
-    /// updating, or retiring its overlay entry. `new_w` is 0 for slots the
-    /// pool no longer occupies (truncated snapshot tail).
+    /// Records that `slot`'s current weight is `new_w`: O(1) upkeep of
+    /// the stale and crossed counts from the slot's previous and new
+    /// weight, then one root-path update of the partial sums. `new_w` is 0
+    /// for slots the pool no longer occupies (truncated snapshot tail).
     fn patch(&mut self, slot: usize, new_w: f64) {
-        let old_w = self.snap_weight(slot);
-        let pos = self.stale_slots.binary_search(&(slot as u32));
-        if new_w.to_bits() == old_w.to_bits() {
-            // Back at its snapshot value: semantically clean again.
-            if let Ok(pos) = pos {
-                self.crossed -= u32::from(self.stale_crossed[pos]);
-                self.stale_slots.remove(pos);
-                self.stale_new.remove(pos);
-                self.stale_old.remove(pos);
-                self.stale_crossed.remove(pos);
-                self.recum(pos);
-            }
+        let prev_w = self.sums.leaf(slot);
+        if new_w.to_bits() == prev_w.to_bits() {
+            // An equal-weight neighbour swapped in: nothing to update.
             return;
         }
-        let crossed = bucket(new_w) != bucket(old_w);
-        match pos {
-            Ok(pos) => {
-                self.crossed -= u32::from(self.stale_crossed[pos]);
-                self.crossed += u32::from(crossed);
-                self.stale_crossed[pos] = crossed;
-                self.stale_new[pos] = new_w;
-                self.recum(pos);
-            }
-            Err(pos) => {
-                self.stale_slots.insert(pos, slot as u32);
-                self.stale_new.insert(pos, new_w);
-                self.stale_old.insert(pos, old_w);
-                self.stale_crossed.insert(pos, crossed);
-                self.crossed += u32::from(crossed);
-                self.recum(pos);
-            }
-        }
+        let snap_w = self.snap_weight(slot);
+        self.stale -= u32::from(prev_w.to_bits() != snap_w.to_bits());
+        self.stale += u32::from(new_w.to_bits() != snap_w.to_bits());
+        self.crossed -= u32::from(bucket(prev_w) != bucket(snap_w));
+        self.crossed += u32::from(bucket(new_w) != bucket(snap_w));
+        self.sums.set_leaf(slot, new_w);
     }
 
-    /// Recomputes the overlay's running sums from entry `from` on.
-    fn recum(&mut self, from: usize) {
-        self.stale_new_cum.truncate(from + 1);
-        self.stale_old_cum.truncate(from + 1);
-        for k in from..self.stale_slots.len() {
-            let n = self.stale_new_cum[k] + self.stale_new[k];
-            let o = self.stale_old_cum[k] + self.stale_old[k];
-            self.stale_new_cum.push(n);
-            self.stale_old_cum.push(o);
-        }
-    }
-
-    /// Overlay growth bound before a forced rebuild: O(√n), balancing
-    /// per-mutation overlay maintenance against amortized rebuild cost.
+    /// Stale-count bound before a forced rebuild: O(√n). Nothing costs
+    /// O(stale) any more; past this many stale slots a re-snapshot is
+    /// simply likely to buy back the O(1) draw.
     fn stale_cap(&self) -> usize {
         64usize.max(8 * (self.items.len() as f64).sqrt() as usize)
     }
 
     /// Rebuilds when bucket crossings exceed 1/8 of the population or the
-    /// overlay outgrows its cap — but no sooner than `max(16, len/4)`
+    /// stale count outgrows its cap — but no sooner than `max(16, len/4)`
     /// mutations after the previous rebuild, which keeps bulk loading
     /// amortized O(1) per insert.
     fn maybe_rebuild(&mut self) {
         self.ops_since_rebuild += 1;
         let n = self.items.len().max(1);
-        let due = (self.crossed as usize) * 8 > n || self.stale_slots.len() > self.stale_cap();
         let spaced = self.ops_since_rebuild >= 16.max(n as u64 / 4);
-        if due && spaced {
+        // `spaced` first: it is almost always false and spares the sqrt.
+        if spaced && ((self.crossed as usize) * 8 > n || self.stale as usize > self.stale_cap()) {
             self.rebuild();
         }
     }
 
-    /// Snapshots the current weights, rebuilds the guide table, and empties
-    /// the overlay. Also re-derives the running total exactly, bounding any
-    /// floating-point drift from incremental maintenance.
+    /// Snapshots the current weights, rebuilds the guide table, and zeroes
+    /// the stale counts. Also re-derives the running total exactly,
+    /// bounding any floating-point drift from incremental maintenance.
     pub fn rebuild(&mut self) {
         let start = Instant::now();
-        let stale = self.stale_slots.len() as u32;
+        let stale = self.stale;
         let n = self.items.len();
         self.snap_w.clear();
         self.snap_w.extend(self.items.iter().map(|(_, w)| *w));
@@ -305,14 +259,7 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
             self.snap_prefix.push(sum);
         }
         self.total = sum;
-        self.stale_slots.clear();
-        self.stale_new.clear();
-        self.stale_old.clear();
-        self.stale_crossed.clear();
-        self.stale_new_cum.clear();
-        self.stale_new_cum.push(0.0);
-        self.stale_old_cum.clear();
-        self.stale_old_cum.push(0.0);
+        self.stale = 0;
         self.crossed = 0;
         self.ops_since_rebuild = 0;
         if sum > 0.0 {
@@ -350,31 +297,31 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
         self.pending.push(stats);
     }
 
-    /// The guide-cell search in snapshot coordinates: the first slot whose
-    /// snapshot interval owns `x_snap`. The cell only accelerates the
-    /// start; forward/backward correction makes the result exact whatever
-    /// the cell geometry, so cells stretched by in-bucket weight drift
-    /// cost extra steps, never wrong answers.
-    fn guide(&mut self, x_snap: f64) -> Option<usize> {
-        let n = self.snap_len();
+    /// The guide-cell search: the first slot whose snapshot interval owns
+    /// `x`. The cell only accelerates the start; forward/backward
+    /// correction makes the result exact whatever the cell geometry, so
+    /// cells stretched by in-bucket weight drift cost extra steps, never
+    /// wrong answers. Never returns a zero-width slot.
+    fn guide(&mut self, x: f64) -> Option<usize> {
+        let n = self.snap_w.len();
         let snap_total = self.snap_prefix[n];
-        if !(0.0..snap_total).contains(&x_snap) || self.cells.is_empty() {
+        if !(0.0..snap_total).contains(&x) || self.cells.is_empty() {
             return None;
         }
-        let c = ((x_snap / self.cell_width) as usize).min(self.cells.len() - 1);
+        let c = ((x / self.cell_width) as usize).min(self.cells.len() - 1);
         let cell = self.cells[c];
         let mut slot = cell.slot as usize;
         // Fast path: the winning value lies inside the cell's first
         // slot's own interval. The bounds are bit-copies of the prefix
         // sums, so this is the same comparison the scans below make.
-        if cell.lo <= x_snap && x_snap < cell.hi {
+        if cell.lo <= x && x < cell.hi {
             return Some(slot);
         }
-        while slot > 0 && self.snap_prefix[slot] > x_snap {
+        while slot > 0 && self.snap_prefix[slot] > x {
             slot -= 1;
             self.last_probes += 1;
         }
-        while slot < n && self.snap_prefix[slot + 1] <= x_snap {
+        while slot < n && self.snap_prefix[slot + 1] <= x {
             slot += 1;
             self.last_probes += 1;
         }
@@ -435,54 +382,22 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
         true
     }
 
-    /// Figure 1's running-sum search, in O(log s + 1) expected: the stale
-    /// overlay locates the winning value among stale intervals exactly;
-    /// clean regions translate to snapshot coordinates (exactly, for
-    /// integral weights) and finish with the O(1) cell lookup.
+    /// Figure 1's running-sum search: one guide-cell lookup while every
+    /// slot still holds its snapshot weight (unoccupied slots a snapshot
+    /// of zero, so current and snapshot coordinates agree), a partial-sum
+    /// descent otherwise.
     fn select(&mut self, winner: f64) -> Option<&T> {
         self.last_probes = 1;
-        let s = self.stale_slots.len();
-        // Largest k with stale_start(k) <= winner (monotone in k).
-        let (mut lo, mut hi) = (0usize, s);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            self.last_probes += 1;
-            if self.stale_start(mid) <= winner {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let x_snap = if lo == 0 {
-            // Before the first stale slot: current and snapshot
-            // coordinates agree.
-            winner
+        let slot = if self.stale == 0 {
+            // Floating-point top boundary (mirrors the tree's step-back):
+            // fall back to the last slot with positive current weight.
+            self.guide(winner)
+                .or_else(|| self.items.iter().rposition(|(_, w)| *w > 0.0))
         } else {
-            let k = lo - 1;
-            if winner < self.stale_start(k) + self.stale_new[k] {
-                // The winning value lands inside a stale slot's current
-                // interval: that slot wins outright.
-                let slot = self.stale_slots[k] as usize;
-                return self.items.get(slot).map(|(t, _)| t);
-            }
-            // A clean run after stale slot k: strip the net new−old mass
-            // of every stale slot at or before it. Both cumulative sums
-            // are exact integers in the exact regime, and subtracting an
-            // integer from an f64 of larger magnitude is exact, so this
-            // translation preserves every comparison the list walk makes.
-            winner - (self.stale_new_cum[lo] - self.stale_old_cum[lo])
+            self.last_probes += self.sums.depth();
+            self.sums.select(winner)
         };
-        if let Some(slot) = self.guide(x_snap) {
-            if slot < self.items.len() {
-                return self.items.get(slot).map(|(t, _)| t);
-            }
-        }
-        // Floating-point top boundary (mirrors the tree's step-back): fall
-        // back to the last slot with positive current weight.
-        self.items
-            .iter()
-            .rposition(|(_, w)| *w > 0.0)
-            .and_then(|i| self.items.get(i).map(|(t, _)| t))
+        self.items.get(slot?).map(|(t, _)| t)
     }
 }
 
@@ -669,6 +584,78 @@ mod tests {
                 }
             }
         }
+        assert!(alias.rebuilds() > 0, "churn never triggered a rebuild");
+    }
+
+    #[test]
+    fn skewed_dispatch_churn_agrees_with_tree_and_list() {
+        // The reference benchmark's regime: unequal tickets, every pick
+        // swap-removes the winner and re-appends it, so the snapshot is
+        // stale almost always. Every winner and total must match the
+        // partial-sum tree, the whole value axis must match the list
+        // walk, and the stale counter must equal a brute-force count.
+        use crate::lottery::tree::TreeLottery;
+        const DECK: [f64; 7] = [10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0];
+        let mut rng = ParkMiller::new(1994);
+        let deal = |rng: &mut ParkMiller| DECK[rng.below(7) as usize];
+        let mut alias: AliasLottery<u32> = AliasLottery::new();
+        let mut tree: TreeLottery<u32, f64> = TreeLottery::new();
+        let mut next_id = 0u32;
+        let mut fresh = |alias: &mut AliasLottery<u32>, tree: &mut TreeLottery<u32, f64>, w| {
+            alias.insert(next_id, w);
+            tree.insert(next_id, w);
+            next_id += 1;
+        };
+        for _ in 0..1 << 14 {
+            fresh(&mut alias, &mut tree, deal(&mut rng));
+        }
+        let mut draws = [0u32; 2]; // [stale, clean]
+        for step in 0..50_000u32 {
+            let x = rng.next_f64() * alias.total();
+            let winner = *alias.select(x).unwrap();
+            assert_eq!(Some(&winner), tree.select(x), "step {step}, value {x}");
+            draws[usize::from(alias.stale_len() == 0)] += 1;
+            let w = alias.remove(&winner).unwrap();
+            assert_eq!(tree.remove(&winner), Some(w));
+            match step % 16 {
+                // A permanent removal: the pool ends short of its snapshot.
+                3 => {}
+                // Fresh entries instead: the pool outgrows its snapshot.
+                7 => (0..3).for_each(|_| fresh(&mut alias, &mut tree, deal(&mut rng))),
+                _ => {
+                    alias.insert(winner, w);
+                    tree.insert(winner, w);
+                }
+            }
+            if step % 5 == 0 {
+                let target = alias.items[rng.below(alias.items.len() as u64) as usize].0;
+                let w = deal(&mut rng);
+                assert!(alias.set_weight(&target, w) && tree.set_weight(&target, w));
+            }
+            assert_eq!(alias.total(), tree.total(), "step {step}");
+            if step % 97 == 0 {
+                let slots = alias.items.len().max(alias.snap_w.len());
+                let differing = (0..slots)
+                    .filter(|&i| {
+                        let now = alias.items.get(i).map_or(0.0, |(_, w)| *w);
+                        now.to_bits() != alias.snap_weight(i).to_bits()
+                    })
+                    .count();
+                assert_eq!(alias.stale_len(), differing, "step {step}");
+            }
+            if step % 4096 == 0 {
+                // The list walk gives slot i exactly [lo, lo + w).
+                let entries: Vec<(u32, f64)> = alias.iter().map(|(t, w)| (*t, w)).collect();
+                let mut lo = 0.0;
+                for (t, w) in entries {
+                    for x in [lo, lo + w / 2.0, lo + w - 1.0] {
+                        assert_eq!(alias.select(x), Some(&t), "step {step}, value {x}");
+                    }
+                    lo += w;
+                }
+            }
+        }
+        assert!(draws.iter().all(|&d| d > 0), "both draw paths must run");
         assert!(alias.rebuilds() > 0, "churn never triggered a rebuild");
     }
 

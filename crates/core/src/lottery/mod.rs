@@ -13,9 +13,9 @@
 //!   client counts: a tree of partial ticket sums with `O(log n)` draws and
 //!   updates, suitable as the basis of a distributed lottery scheduler.
 //! * [`alias::AliasLottery`] — beyond the paper: an order-preserving
-//!   alias-cell table with O(1) expected draws, patched incrementally
-//!   through an exact stale overlay so steady-state weight churn never
-//!   pays a full O(n) rebuild.
+//!   alias-cell table with O(1) expected draws on a clean snapshot and
+//!   O(log n) draws and updates over partial sums on a stale one, so
+//!   steady-state weight churn never pays a full O(n) rebuild.
 //!
 //! The list and tree are generic over the weight type: `u64` for exact
 //! ticket counts and `f64` for currency-valued pools (base-unit values are

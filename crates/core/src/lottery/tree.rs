@@ -7,9 +7,111 @@
 //! descend from the root comparing the winning value against the left
 //! subtree's sum; updates recompute the path from the touched leaf upward,
 //! so floating-point sums never drift.
+//!
+//! The arithmetic lives in [`SumTree`], which knows slots and weights but
+//! not clients; [`TreeLottery`] pairs it with an entry list and a reverse
+//! index, and [`super::alias::AliasLottery`] descends the same array
+//! whenever its snapshot is stale.
 
 use super::index::{HashIndex, SlotIndex};
 use super::{TicketPool, Weight};
+
+/// Partial sums over leaf slots: a 1-based implicit binary tree whose
+/// node `i` holds the sum of nodes `2i` and `2i + 1`, with slot `s` at
+/// node `capacity + s`. Unoccupied slots hold zero.
+#[derive(Debug, Clone)]
+pub(super) struct SumTree<W> {
+    /// `2 * capacity` sums; index 0 is unused.
+    tree: Vec<W>,
+    /// Number of leaf slots (a power of two).
+    capacity: usize,
+}
+
+impl<W: Weight> SumTree<W> {
+    /// An all-zero tree with room for `n` slots before regrowing.
+    pub(super) fn with_capacity(n: usize) -> Self {
+        let capacity = n.max(1).next_power_of_two();
+        Self {
+            tree: vec![W::ZERO; 2 * capacity],
+            capacity,
+        }
+    }
+
+    /// The depth of the tree: the number of comparisons per descent.
+    pub(super) fn depth(&self) -> u32 {
+        self.capacity.trailing_zeros()
+    }
+
+    /// Sum of all leaves.
+    pub(super) fn total(&self) -> W {
+        self.tree[1]
+    }
+
+    /// Weight at `slot` (zero past the capacity).
+    pub(super) fn leaf(&self, slot: usize) -> W {
+        if slot < self.capacity {
+            self.tree[self.capacity + slot]
+        } else {
+            W::ZERO
+        }
+    }
+
+    /// Sets `slot`'s weight and recomputes the sums on its root path,
+    /// doubling the capacity first if the slot lies beyond it.
+    pub(super) fn set_leaf(&mut self, slot: usize, weight: W) {
+        if slot >= self.capacity {
+            self.grow(slot + 1);
+        }
+        let mut node = self.capacity + slot;
+        self.tree[node] = weight;
+        while node > 1 {
+            node /= 2;
+            self.tree[node] = self.tree[2 * node].add(self.tree[2 * node + 1]);
+        }
+    }
+
+    fn grow(&mut self, slots: usize) {
+        let capacity = slots.next_power_of_two();
+        let mut tree = vec![W::ZERO; 2 * capacity];
+        tree[capacity..capacity + self.capacity].copy_from_slice(&self.tree[self.capacity..]);
+        for node in (1..capacity).rev() {
+            tree[node] = tree[2 * node].add(tree[2 * node + 1]);
+        }
+        self.capacity = capacity;
+        self.tree = tree;
+    }
+
+    /// The slot owning the winning value: Figure 1's running-sum search
+    /// as a root-to-leaf descent. `None` when every leaf is zero.
+    pub(super) fn select(&self, winner: W) -> Option<usize> {
+        if self.total().is_zero() {
+            return None;
+        }
+        let mut winner = winner;
+        let mut node = 1usize;
+        while node < self.capacity {
+            let left = 2 * node;
+            let left_sum = self.tree[left];
+            if winner < left_sum {
+                node = left;
+            } else {
+                winner = winner.sub(left_sum);
+                node = left + 1;
+            }
+        }
+        let slot = node - self.capacity;
+        if !self.tree[node].is_zero() {
+            return Some(slot);
+        }
+        // Floating rounding can land the descent on a zero leaf at an
+        // interval boundary; step back to the nearest positive entry.
+        let leaves = &self.tree[self.capacity..];
+        leaves[..slot]
+            .iter()
+            .rposition(|w| !w.is_zero())
+            .or_else(|| leaves.iter().position(|w| !w.is_zero()))
+    }
+}
 
 /// A partial-sum tree lottery pool.
 ///
@@ -32,10 +134,8 @@ pub struct TreeLottery<T, W, I = HashIndex<T>> {
     items: Vec<(T, W)>,
     /// Item -> leaf slot (pluggable: hash map or dense arena table).
     index: I,
-    /// 1-based implicit binary tree of `2 * capacity` sums.
-    tree: Vec<W>,
-    /// Number of leaf slots (a power of two).
-    capacity: usize,
+    /// Partial sums over the leaf slots.
+    sums: SumTree<W>,
 }
 
 impl<T, W: Weight, I: SlotIndex<T>> Default for TreeLottery<T, W, I> {
@@ -60,53 +160,21 @@ impl<T, W: Weight, I: SlotIndex<T>> TreeLottery<T, W, I> {
     /// Creates an empty pool over a chosen reverse-index type, with room
     /// for `n` entries before regrowing (see [`super::index`]).
     pub fn with_index(n: usize) -> Self {
-        let capacity = n.max(1).next_power_of_two();
         Self {
             items: Vec::new(),
             index: I::with_capacity(n),
-            tree: vec![W::ZERO; 2 * capacity],
-            capacity,
+            sums: SumTree::with_capacity(n),
         }
     }
 
     /// The depth of the sum tree: the number of comparisons per draw.
     pub fn depth(&self) -> u32 {
-        self.capacity.trailing_zeros()
+        self.sums.depth()
     }
 
     /// Iterates entries in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (&T, W)> {
         self.items.iter().map(|(t, w)| (t, *w))
-    }
-
-    /// Recomputes sums on the path from leaf `slot` to the root.
-    fn update_path(&mut self, slot: usize) {
-        let mut node = (self.capacity + slot) / 2;
-        while node >= 1 {
-            self.tree[node] = self.tree[2 * node].add(self.tree[2 * node + 1]);
-            if node == 1 {
-                break;
-            }
-            node /= 2;
-        }
-    }
-
-    fn set_leaf(&mut self, slot: usize, weight: W) {
-        self.tree[self.capacity + slot] = weight;
-        self.update_path(slot);
-    }
-
-    fn grow(&mut self) {
-        let new_capacity = self.capacity * 2;
-        let mut tree = vec![W::ZERO; 2 * new_capacity];
-        for (slot, (_, w)) in self.items.iter().enumerate() {
-            tree[new_capacity + slot] = *w;
-        }
-        for node in (1..new_capacity).rev() {
-            tree[node] = tree[2 * node].add(tree[2 * node + 1]);
-        }
-        self.capacity = new_capacity;
-        self.tree = tree;
     }
 }
 
@@ -116,22 +184,19 @@ impl<T, W: Weight, I: SlotIndex<T>> TicketPool<T, W> for TreeLottery<T, W, I> {
     }
 
     fn total(&self) -> W {
-        self.tree[1]
+        self.sums.total()
     }
 
     fn insert(&mut self, item: T, weight: W) {
         if let Some(slot) = self.index.get(&item) {
             self.items[slot].1 = weight;
-            self.set_leaf(slot, weight);
+            self.sums.set_leaf(slot, weight);
             return;
-        }
-        if self.items.len() == self.capacity {
-            self.grow();
         }
         let slot = self.items.len();
         self.index.set(&item, slot);
         self.items.push((item, weight));
-        self.set_leaf(slot, weight);
+        self.sums.set_leaf(slot, weight);
     }
 
     fn remove(&mut self, item: &T) -> Option<W> {
@@ -141,10 +206,10 @@ impl<T, W: Weight, I: SlotIndex<T>> TicketPool<T, W> for TreeLottery<T, W, I> {
             // The former last entry now occupies `slot`.
             let moved_weight = self.items[slot].1;
             self.index.set(&self.items[slot].0, slot);
-            self.set_leaf(slot, moved_weight);
+            self.sums.set_leaf(slot, moved_weight);
         }
         // Clear the vacated last leaf.
-        self.set_leaf(self.items.len(), W::ZERO);
+        self.sums.set_leaf(self.items.len(), W::ZERO);
         Some(weight)
     }
 
@@ -153,35 +218,12 @@ impl<T, W: Weight, I: SlotIndex<T>> TicketPool<T, W> for TreeLottery<T, W, I> {
             return false;
         };
         self.items[slot].1 = weight;
-        self.set_leaf(slot, weight);
+        self.sums.set_leaf(slot, weight);
         true
     }
 
     fn select(&mut self, winner: W) -> Option<&T> {
-        if self.total().is_zero() {
-            return None;
-        }
-        let mut winner = winner;
-        let mut node = 1usize;
-        while node < self.capacity {
-            let left = 2 * node;
-            let left_sum = self.tree[left];
-            if winner < left_sum {
-                node = left;
-            } else {
-                winner = winner.sub(left_sum);
-                node = left + 1;
-            }
-        }
-        let mut slot = node - self.capacity;
-        // Floating rounding can land the descent on a zero leaf at an
-        // interval boundary; step back to the nearest positive entry.
-        if slot >= self.items.len() || self.items[slot].1.is_zero() {
-            slot = self.items[..slot.min(self.items.len())]
-                .iter()
-                .rposition(|(_, w)| !w.is_zero())
-                .or_else(|| self.items.iter().position(|(_, w)| !w.is_zero()))?;
-        }
+        let slot = self.sums.select(winner)?;
         self.items.get(slot).map(|(t, _)| t)
     }
 }

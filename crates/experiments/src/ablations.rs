@@ -475,7 +475,7 @@ pub fn alias_sampler(seed: u32) {
 
     // Part 2: probe cost. Uniform-ticket populations under dispatch
     // churn (remove the winner, requeue it at the same weight): the
-    // alias overlay self-cleans, so its probe count stays flat while
+    // alias stale count self-cleans, so its probe count stays flat while
     // the tree's depth grows with lg n.
     let mut table = Table::new(&[
         "clients",

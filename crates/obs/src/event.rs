@@ -183,7 +183,7 @@ pub enum EventKind {
         structure: &'static str,
         /// Entries captured by the rebuild.
         clients: u32,
-        /// Stale overlay entries folded in (0 for list/tree).
+        /// Stale slots folded in (0 for list/tree).
         stale: u32,
         /// Wall-clock rebuild cost in nanoseconds.
         rebuild_ns: u64,

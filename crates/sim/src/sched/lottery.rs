@@ -81,9 +81,9 @@ pub enum SelectStructure {
     /// the tree drains.
     ///
     /// Exact on the same terms as the tree: the table snapshots the ready
-    /// queue's prefix sums and overlays slots whose compensated value
-    /// drifted from the snapshot, comparing exactly the running sums the
-    /// list walk compares — so for a fixed seed, alias picks reproduce
+    /// queue's prefix sums and falls back to partial sums while any
+    /// slot's compensated value differs from the snapshot, comparing
+    /// exactly the running sums the list walk compares — so for a fixed seed, alias picks reproduce
     /// the list walk's winner sequence whenever client values are exactly
     /// representable. A slot re-bucketed past a power-of-two weight
     /// boundary counts toward a stale fraction that triggers a full
@@ -569,7 +569,8 @@ impl Policy for LotteryPolicy {
                     (tid, winning)
                 };
                 // For the alias table, "levels" is the search effort of
-                // this draw: overlay probes plus guide-cell scan steps.
+                // this draw: guide-cell scan steps, or descent depth when
+                // the snapshot is stale.
                 let levels = self.alias.last_probes();
                 let winner = tid.index();
                 self.bus.emit(|| EventKind::LotteryDraw {

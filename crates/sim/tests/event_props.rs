@@ -12,6 +12,11 @@
 //! files from whatever core is compiled — run it only to re-seed the
 //! corpus after an *intentional* stream change, never to paper over a
 //! divergence.
+//!
+//! In draw events `levels` is the search effort: the entries walked for
+//! the list, the descent depth for the tree, and for the alias sampler
+//! 1 + guide-cell scan steps when its snapshot is clean, 1 + partial-sum
+//! descent depth when any slot is stale.
 
 use std::fs;
 use std::path::PathBuf;

@@ -25,11 +25,14 @@ struct Waiter {
 }
 
 struct State {
-    /// Whether the lock is currently owned.
+    /// Whether the lock is currently owned. Stays set across a handoff:
+    /// between `unlock` choosing a waiter and that waiter waking, the lock
+    /// already belongs to the chosen waiter, so nobody can barge in.
     held: bool,
     /// Blocked waiters, in arrival order.
     waiters: Vec<Waiter>,
-    /// The waiter chosen by the last handoff lottery.
+    /// The waiter the last handoff lottery gave the lock to, until it
+    /// wakes and takes its guard.
     chosen: Option<u64>,
     /// Ticket-draw source for handoff lotteries.
     rng: ParkMiller,
@@ -60,8 +63,11 @@ pub struct LotteryMutex<T> {
 }
 
 // SAFETY: `LotteryMutex` provides mutual exclusion for `data`: the `held`
-// flag guarded by `state` admits exactly one owner at a time, so `&mut T`
-// references handed out through the guard never alias.
+// flag guarded by `state` admits exactly one owner at a time — it is set
+// by the one thread that finds it clear, cleared only by an `unlock` that
+// finds no waiter, and otherwise passed still-set to exactly one chosen
+// waiter — so `&mut T` references handed out through the guard never
+// alias.
 unsafe impl<T: Send> Send for LotteryMutex<T> {}
 // SAFETY: As above; shared references to the mutex only touch `data`
 // through the exclusive guard.
@@ -105,8 +111,8 @@ impl<T> LotteryMutex<T> {
         loop {
             self.handoff.wait(&mut state);
             if state.chosen == Some(id) {
+                // `unlock` left `held` set on this thread's behalf.
                 state.chosen = None;
-                state.held = true;
                 state.acquisitions += 1;
                 drop(state);
                 return LotteryMutexGuard { mutex: self };
@@ -139,8 +145,8 @@ impl<T> LotteryMutex<T> {
     fn unlock(&self) {
         let mut state = self.state.lock();
         debug_assert!(state.held, "unlock of an unheld LotteryMutex");
-        state.held = false;
         if state.waiters.is_empty() {
+            state.held = false;
             return;
         }
         // Hold the handoff lottery: draw a winning value below the total
@@ -156,6 +162,8 @@ impl<T> LotteryMutex<T> {
                 break;
             }
         }
+        // Hand ownership over directly: `held` stays set, so the fast
+        // paths keep failing until the winner has come and gone.
         let winner = state.waiters.remove(index);
         state.chosen = Some(winner.id);
         // Wake everyone; only the chosen waiter proceeds. This is the
@@ -218,6 +226,58 @@ mod tests {
         }
         assert_eq!(*m.lock(1), 4000);
         assert_eq!(Arc::try_unwrap(m).ok().unwrap().into_inner(), 4000);
+    }
+
+    #[test]
+    fn handoff_leaves_no_window_for_barging() {
+        // The owner releases to a parked waiter and at once tries to
+        // barge back in. Whether or not the waiter has woken yet, the
+        // lock is already the waiter's.
+        let m = Arc::new(LotteryMutex::new((), 3));
+        let g = m.lock(1);
+        let (release, hold) = std::sync::mpsc::channel::<()>();
+        let waiter = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                let _g = m.lock(1);
+                hold.recv().unwrap();
+            })
+        };
+        while m.state.lock().waiters.is_empty() {
+            std::thread::yield_now();
+        }
+        drop(g);
+        assert!(m.try_lock().is_none(), "barged in during the handoff");
+        release.send(()).unwrap();
+        waiter.join().unwrap();
+        assert!(m.try_lock().is_some());
+    }
+
+    #[test]
+    fn contended_handoff_never_admits_two_owners() {
+        // Eight threads mixing blocking and non-blocking acquisition: a
+        // barging `lock`/`try_lock` during a handoff would give two
+        // guards at once and lose increments of the plain counter.
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 10_000;
+        let m = Arc::new(LotteryMutex::new(0u64, 7));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || {
+                    for i in 0..ROUNDS {
+                        let quick = if (i + t) % 2 == 0 { m.try_lock() } else { None };
+                        *quick.unwrap_or_else(|| m.lock(1 + t)) += 1;
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        // One acquisition per increment, whichever path granted it.
+        assert_eq!(m.acquisitions(), THREADS * ROUNDS);
+        assert_eq!(*m.lock(1), THREADS * ROUNDS);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, test, compile benches, lint, format,
-# and an end-to-end smoke of the observability pipeline.
+# the experiment-transcript golden gate, and end-to-end smokes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,6 +9,12 @@ cargo test -q --workspace
 cargo bench --no-run --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
+
+# Golden gate: the whole experiment transcript must reproduce the
+# committed one byte for byte.
+cargo run -q --release -p lottery-experiments --bin experiments -- all \
+  | diff - experiments_all.txt > /dev/null \
+  || { echo "verify: experiments all diverged from experiments_all.txt" >&2; exit 1; }
 
 # Observability smoke: the obs experiment must emit parseable JSONL
 # flight records and a Chrome trace (consumed here and by tests/).

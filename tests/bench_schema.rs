@@ -113,11 +113,15 @@ fn smp_scaling_summary_covers_both_variants_at_every_width() {
 #[test]
 fn alias_scale_summary_covers_structures_up_to_a_million_clients() {
     // Committed by `cargo bench --bench alias_scale`: full scheduling
-    // decisions (tree/alias) and bare structure draws (draw-tree /
-    // draw-alias) at 10^4, 10^5, and 10^6 clients, with `elements`
-    // recording the population. The alias draw must stay flat — within
-    // ~2x of its 10^4 cost at a hundred times the population — while
-    // the tree's descent grows with lg n.
+    // decisions under uniform funding (tree/alias) and under the
+    // reference benchmark's skewed ticket deck (tree-skewed /
+    // alias-skewed), and bare structure draws (draw-tree / draw-alias),
+    // at 10^4, 10^5, and 10^6 clients, with `elements` recording the
+    // population. The alias draw must stay flat — within ~2x of its 10^4
+    // cost at a hundred times the population — while the tree's descent
+    // grows with lg n; and with unequal tickets, where the snapshot is
+    // stale almost always, the alias decision must stay within 2x of
+    // the tree's.
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_alias_scale.json");
     let text = fs::read_to_string(&path).expect("BENCH_alias_scale.json committed");
     let v = json::parse(&text).unwrap();
@@ -135,10 +139,19 @@ fn alias_scale_summary_covers_structures_up_to_a_million_clients() {
         );
         r.get("median_ns").and_then(Value::as_f64).unwrap()
     };
+    let populations = [10_000u64, 100_000, 1_000_000];
     for variant in ["tree", "alias", "draw-tree", "draw-alias"] {
-        for n in [10_000u64, 100_000, 1_000_000] {
+        for n in populations {
             median(variant, n);
         }
+    }
+    for n in populations {
+        let (alias, tree) = (median("alias-skewed", n), median("tree-skewed", n));
+        assert!(
+            alias <= 2.0 * tree,
+            "skewed-ticket alias decision at {n} clients costs {alias:.0} ns, \
+             over twice the tree's {tree:.0} ns"
+        );
     }
     let alias_growth = median("draw-alias", 1_000_000) / median("draw-alias", 10_000);
     assert!(
