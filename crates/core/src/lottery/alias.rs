@@ -197,6 +197,16 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
         self.items.iter().map(|(t, w)| (t, *w))
     }
 
+    /// The entry occupying `slot`, in the order [`Self::iter`] walks.
+    pub fn at(&self, slot: usize) -> Option<&T> {
+        self.items.get(slot).map(|(t, _)| t)
+    }
+
+    /// Whether `item` is in the pool.
+    pub fn contains(&self, item: &T) -> bool {
+        self.index.get(item).is_some()
+    }
+
     /// Snapshot weight of `slot` (zero beyond the snapshot).
     fn snap_weight(&self, slot: usize) -> f64 {
         self.snap_w.get(slot).copied().unwrap_or(0.0)

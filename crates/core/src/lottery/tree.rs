@@ -176,6 +176,16 @@ impl<T, W: Weight, I: SlotIndex<T>> TreeLottery<T, W, I> {
     pub fn iter(&self) -> impl Iterator<Item = (&T, W)> {
         self.items.iter().map(|(t, w)| (t, *w))
     }
+
+    /// The entry occupying `slot`, in the order [`Self::iter`] walks.
+    pub fn at(&self, slot: usize) -> Option<&T> {
+        self.items.get(slot).map(|(t, _)| t)
+    }
+
+    /// Whether `item` is in the pool.
+    pub fn contains(&self, item: &T) -> bool {
+        self.index.get(item).is_some()
+    }
 }
 
 impl<T, W: Weight, I: SlotIndex<T>> TicketPool<T, W> for TreeLottery<T, W, I> {

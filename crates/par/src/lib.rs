@@ -15,10 +15,10 @@
 //! * **One worker** — the engine is a step-for-step port of
 //!   [`SmpKernel`] driving
 //!   [`DistributedLottery`](lottery_sim::sched::distributed::DistributedLottery)
-//!   with one shard: the same event order, the same ledger-operation
-//!   order, the same RNG discipline. The winner stream is **bit
-//!   identical** to the simulated pair (proved by
-//!   `tests/equivalence.rs`).
+//!   with one shard: the same event order and ledger-operation order
+//!   around the same [`Shard`](lottery_sim::prelude::Shard) draw. The
+//!   winner stream is **bit identical** to the simulated pair (proved
+//!   by `tests/equivalence.rs`).
 //! * **Many workers** — per-worker virtual clocks advance independently
 //!   (as real CPUs do), so cross-worker interleaving is nondeterministic
 //!   by nature. The invariants that hold regardless: ticket value is
@@ -488,6 +488,44 @@ mod tests {
         assert!(total.is_finite() && total > 0.0);
         let resident: usize = report.workers.iter().map(|w| w.resident.len()).sum();
         assert_eq!(resident, 8, "compute threads all survive");
+    }
+
+    /// Fault injection: a recorder that brings its worker down at the
+    /// first dispatch it is shown.
+    struct PanicOnDispatch;
+
+    impl lottery_obs::Recorder for PanicOnDispatch {
+        fn record(&mut self, event: &lottery_obs::Event) {
+            if matches!(event.kind, EventKind::Dispatch { .. }) {
+                panic!("injected worker fault");
+            }
+        }
+    }
+
+    #[test]
+    fn worker_panic_surfaces_instead_of_hanging() {
+        // Three workers: with two, the survivor's inbox disconnects when
+        // the panicked worker's senders drop; with three, the survivors
+        // hold each other's senders and only `done` can release them.
+        let mut k = ParKernel::with_quantum(5, 3, SimDuration::from_ms(10));
+        let spec = base_spec(&k, 100);
+        for _ in 0..6 {
+            k.spawn(WorkSpec::Compute, spec);
+        }
+        k.buses[1] = ProbeBus::with_recorder(PanicOnDispatch);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::AssertUnwindSafe(|| k.run(SimTime::from_secs(1)));
+            let _ = tx.send(std::panic::catch_unwind(run).map(|_| ()));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("ParKernel::run hung after a worker panicked");
+        let payload = outcome.expect_err("the worker's panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected worker fault")
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The per-shard worker engine.
 //!
-//! One OS thread per shard. Each worker privately owns its shard's ready
-//! queue, partial-sum tree mirror, and event queue; the only shared
+//! One OS thread per shard. Each worker privately owns its [`Shard`] (the
+//! ready set and its partial-sum tree) and event queue; the only shared
 //! mutable state is the ticket [`Ledger`] behind one
 //! [`lottery_sync::Mutex`] (the ledger's valuation cache is `Send` but
 //! not `Sync`). Cross-worker traffic — steal requests and thread
@@ -10,12 +10,14 @@
 //! shared memory, so a thread is owned by exactly one worker at every
 //! instant.
 //!
-//! The engine is a deliberate port of [`lottery_sim::smp::SmpKernel`]
-//! driving [`DistributedLottery`]: the same `(when, seq)` event queue,
-//! the same dispatch burst loop, the same ledger-operation order, and the
-//! same RNG discipline (one `next_f64` per non-degenerate draw). With one
-//! worker there is no cross-thread traffic at all, and the winner stream
-//! is bit-identical to the simulated pair — the property
+//! The lottery itself is not ported: settle, draw, and the ready set are
+//! the simulator's own [`Shard`], which [`DistributedLottery`] holds one
+//! of per CPU. Around it the worker ports [`lottery_sim::smp::SmpKernel`]'s
+//! engine — the same `(when, seq)` event queue, dispatch burst loop, and
+//! ledger-operation order — taking the ledger lock around each ledger
+//! touch, with steal traffic in place of the policy's rebalancer. With
+//! one worker there is no cross-thread traffic at all, and the
+//! winner stream is bit-identical to the simulated pair — the property
 //! `tests/equivalence.rs` proves. With several workers, virtual clocks
 //! advance independently (as real CPUs' quantum streams do), so the
 //! guarantees weaken by design from bit-equality to conservation: value
@@ -29,14 +31,11 @@ use std::time::{Duration, Instant};
 
 use lottery_core::client::ClientId;
 use lottery_core::ledger::Ledger;
-use lottery_core::lottery::index::DenseIndex;
-use lottery_core::lottery::tree::TreeLottery;
-use lottery_core::lottery::TicketPool;
 use lottery_core::rng::ParkMiller;
-use lottery_core::rng::SchedRng;
 use lottery_obs::{EventKind, ProbeBus};
 use lottery_sim::prelude::{
-    CompensationHook, EndReason, EventQueue, SimDuration, SimTime, ThreadId,
+    CompensationHook, Draw, EndReason, EventQueue, SelectStructure, Shard, SimDuration, SimTime,
+    ThreadId,
 };
 use lottery_sync::channel::{Receiver, RecvTimeoutError, Sender};
 use lottery_sync::Mutex;
@@ -54,12 +53,25 @@ pub(crate) struct Shared {
     /// critical sections: a dirty-batch settle, a compensation
     /// grant/revoke, an (de)activation, an exit teardown.
     pub ledger: Mutex<Ledger>,
-    /// Workers that have finished their window (deadline reached or ran
-    /// dry). Incremented exactly once per worker, release-ordered after
-    /// its last ledger mutation.
+    /// Workers that have finished their window (deadline reached, ran
+    /// dry, or panicked). Incremented exactly once per worker by its
+    /// [`DoneGuard`], release-ordered after its last ledger mutation.
     pub done: AtomicU32,
     /// Total worker count — `done == workers` is quiesce.
     pub workers: u32,
+}
+
+/// Counts its worker into [`Shared::done`] when dropped: by `run` at the
+/// end of the window, or by a panic's unwind — so the survivors still
+/// quiesce and `ParKernel::run` gets to join the thread and surface it.
+struct DoneGuard(Arc<Shared>);
+
+impl Drop for DoneGuard {
+    fn drop(&mut self) {
+        // Release-ordered after this worker's last ledger mutation, so a
+        // worker observing `done == workers` also observes every write.
+        self.0.done.fetch_add(1, Ordering::AcqRel);
+    }
 }
 
 /// A thread's complete migratable state. Only *ready* threads are stolen,
@@ -156,12 +168,8 @@ pub(crate) struct Worker {
     /// Owned threads, indexed by thread id.
     threads: Vec<Option<ParThread>>,
     exited: Vec<ThreadId>,
-    /// Ready queue in scan order; swap-removal mirrors the tree's slot
-    /// motion, as in the distributed policy.
-    ready: Vec<ThreadId>,
-    ready_pos: Vec<Option<u32>>,
-    /// Cached-weight mirror of `ready`.
-    tree: TreeLottery<ThreadId, f64, DenseIndex>,
+    /// The ready set and its partial-sum tree.
+    shard: Shard,
     /// Reverse map from ledger clients to owned threads.
     client_threads: Vec<Option<ThreadId>>,
     dirty_buf: Vec<ClientId>,
@@ -206,9 +214,7 @@ impl Worker {
             cpu_idle: true,
             threads: Vec::new(),
             exited: Vec::new(),
-            ready: Vec::new(),
-            ready_pos: Vec::new(),
-            tree: TreeLottery::with_index(pending.len().max(1)),
+            shard: Shard::new(SelectStructure::Tree),
             client_threads: Vec::new(),
             dirty_buf: Vec::new(),
             winners: Vec::new(),
@@ -222,26 +228,18 @@ impl Worker {
         };
         // Load the spawn-time assignment in spawn order: the tree carries
         // each client's enqueue-time value, exactly as the simulator's
-        // shard tree does until the first pick refreshes it.
+        // shard tree does until the first pick refreshes it. The first
+        // spawn kicks the idle CPU, as `SmpKernel::spawn` does; later
+        // spawns find it already kicked.
         for p in pending {
-            let tid = p.thread.tid;
-            let client = p.thread.client;
-            w.store_thread(p.thread);
-            w.map_client(client, tid);
-            w.push_ready(tid);
-            w.tree.insert(tid, p.value);
-        }
-        // The first spawn kicks the idle CPU, as `SmpKernel::spawn` does;
-        // later spawns find it already kicked.
-        if !w.ready.is_empty() {
-            w.cpu_idle = false;
-            w.events.push(SimTime::ZERO, WEvent::CpuFree);
+            w.adopt(p.thread, p.value);
         }
         w
     }
 
     /// Runs the window, then serves steal traffic until machine quiesce.
     pub(crate) fn run(mut self) -> WorkerReport {
+        let done = DoneGuard(Arc::clone(&self.shared));
         loop {
             self.drain_inbox();
             match self.events.peek_at() {
@@ -258,9 +256,7 @@ impl Worker {
             }
         }
         self.clock = self.deadline.max(self.clock);
-        // Release-order the increment after our last ledger mutation so a
-        // worker observing `done == workers` also observes every write.
-        self.shared.done.fetch_add(1, Ordering::AcqRel);
+        drop(done);
         self.serve_until_quiesce();
         // Settle our shard's pending invalidations now that no worker can
         // mutate the ledger: the reported total is exact.
@@ -279,8 +275,8 @@ impl Worker {
                 .filter_map(|slot| slot.as_ref().map(|t| t.tid))
                 .collect(),
             exited: self.exited,
-            ready: self.ready,
-            ready_total: self.tree.total(),
+            ready: self.shard.iter().collect(),
+            ready_total: self.shard.total(),
         }
     }
 
@@ -303,17 +299,18 @@ impl Worker {
             WEvent::Requeue { tid } => self.on_ready(tid, false),
             WEvent::CpuFree => {
                 self.refresh();
-                if self.ready.is_empty() {
-                    self.cpu_idle = true;
-                } else {
-                    let tid = self.draw();
-                    self.dispatch(tid);
+                let draw = self.shard.draw(&mut self.rng, |_| {
+                    unreachable!("a worker's shard is a tree")
+                });
+                match draw {
+                    Some(draw) => self.dispatch(draw),
+                    None => self.cpu_idle = true,
                 }
             }
         }
     }
 
-    /// A thread becomes ready: activate its tickets, queue it, mirror its
+    /// A thread becomes ready: activate its tickets, queue it at its
     /// value, and kick the CPU if idle — the `enqueue` + `kick_idle_cpus`
     /// sequence of the simulated pair.
     fn on_ready(&mut self, tid: ThreadId, wake: bool) {
@@ -333,8 +330,7 @@ impl Worker {
             ledger.activate_client(client).expect("client liveness");
             ledger.cached_client_value(client).unwrap_or(0.0)
         };
-        self.push_ready(tid);
-        self.tree.insert(tid, value);
+        self.shard.insert(tid, value);
         if wake {
             self.probe(self.clock, || EventKind::Wake {
                 thread: tid.index(),
@@ -346,39 +342,20 @@ impl Worker {
         }
     }
 
-    /// One lottery over the local tree; removes and returns the winner.
-    /// Same discipline as the distributed policy's `draw_from`: a winning
-    /// value is consumed from the RNG precisely when the pool has
-    /// positive value; a worthless pool degenerates to FIFO.
-    fn draw(&mut self) -> ThreadId {
-        let entries = self.ready.len() as u32;
-        let total = self.tree.total();
-        let (tid, winning) = if self.tree.is_empty() || total <= 0.0 {
-            (self.ready[0], -1.0)
-        } else {
-            let winning = self.rng.next_f64() * total;
-            let tid = self.tree.select(winning).copied().unwrap_or(self.ready[0]);
-            (tid, winning)
-        };
-        let levels = self.tree.depth();
-        let winner = tid.index();
-        self.probe(self.clock, || EventKind::LotteryDraw {
-            structure: "shard",
-            entries,
-            levels,
-            total,
-            winning,
-            winner,
-        });
+    /// Runs one quantum of the drawn winner: the distributed policy's
+    /// draw probes and compensation revoke, then the SMP kernel's dispatch
+    /// burst loop, verbatim, against the thread's [`WorkState`].
+    fn dispatch(&mut self, draw: Draw) {
+        let tid = draw.winner;
+        self.probe(self.clock, || draw.event("shard"));
         let (cpu, shard) = (self.id, self.id);
         self.probe(self.clock, || EventKind::ShardPick {
             cpu,
             shard,
             stolen: false,
         });
-        self.tree.remove(&tid);
-        self.remove_ready(tid);
-        let client = self.threads[tid.index() as usize]
+        let idx = tid.index() as usize;
+        let client = self.threads[idx]
             .as_ref()
             .expect("drawn thread is owned")
             .client;
@@ -386,16 +363,9 @@ impl Worker {
             let mut ledger = self.shared.ledger.lock();
             self.comp.on_dispatch(&mut ledger, &self.bus, tid, client);
         }
-        tid
-    }
-
-    /// Runs one quantum of `tid`: the SMP kernel's dispatch burst loop,
-    /// verbatim, against the thread's [`WorkState`].
-    fn dispatch(&mut self, tid: ThreadId) {
         let quantum = self.quantum;
         let start = self.clock;
-        let idx = tid.index() as usize;
-        let queue_depth = self.ready.len() as u32;
+        let queue_depth = self.shard.len() as u32;
         let waited = {
             let thread = self.threads[idx].as_mut().expect("dispatched thread");
             let since = thread.ready_since.take().unwrap_or(start);
@@ -446,10 +416,10 @@ impl Worker {
         self.busy += elapsed;
         self.decisions += 1;
         self.winners.push((start.as_us(), tid.index()));
-        let (used, client) = {
-            let thread = self.threads[idx].as_ref().expect("dispatched thread");
-            (thread.quantum_used, thread.client)
-        };
+        let used = self.threads[idx]
+            .as_ref()
+            .expect("dispatched thread")
+            .quantum_used;
         self.probe(end, || EventKind::QuantumEnd {
             thread: tid.index(),
             cpu: self.id,
@@ -498,85 +468,34 @@ impl Worker {
     /// Settles this shard's pending valuation invalidations into the tree
     /// under one lock acquisition — the per-decision dirty batch.
     fn refresh(&mut self) {
-        let mut dirty = std::mem::take(&mut self.dirty_buf);
-        {
-            let mut ledger = self.shared.ledger.lock();
-            ledger.drain_dirty_shard_into(self.id, &mut dirty);
-            if !dirty.is_empty() && self.bus.is_enabled() {
-                let (shard, depth) = (self.id, dirty.len() as u32);
-                self.bus.set_time_us(self.clock.as_us());
-                self.bus.emit(|| EventKind::DirtyBatch { shard, depth });
-            }
-            for &client in &dirty {
-                let Some(tid) = self
-                    .client_threads
-                    .get(client.index() as usize)
-                    .copied()
-                    .flatten()
-                else {
-                    continue;
-                };
-                if !self.is_ready(tid) {
-                    continue;
-                }
-                let value = ledger.cached_client_value(client).unwrap_or(0.0);
-                self.tree.set_weight(&tid, value);
-            }
+        let mut ledger = self.shared.ledger.lock();
+        ledger.drain_dirty_shard_into(self.id, &mut self.dirty_buf);
+        if !self.dirty_buf.is_empty() {
+            let (shard, depth) = (self.id, self.dirty_buf.len() as u32);
+            self.probe(self.clock, || EventKind::DirtyBatch { shard, depth });
         }
-        self.dirty_buf = dirty;
+        self.shard
+            .settle(&self.dirty_buf, &self.client_threads, &ledger);
     }
 
-    // ---------------------------------------------------------------
-    // Ready-queue bookkeeping (same swap-remove motion as the policy)
-    // ---------------------------------------------------------------
-
-    fn is_ready(&self, tid: ThreadId) -> bool {
-        self.ready_pos
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .is_some()
-    }
-
-    fn push_ready(&mut self, tid: ThreadId) {
-        let idx = tid.index() as usize;
-        if self.ready_pos.len() <= idx {
-            self.ready_pos.resize(idx + 1, None);
-        }
-        debug_assert!(self.ready_pos[idx].is_none(), "double enqueue of {tid}");
-        self.ready_pos[idx] = Some(self.ready.len() as u32);
-        self.ready.push(tid);
-    }
-
-    fn remove_ready(&mut self, tid: ThreadId) -> bool {
-        let idx = tid.index() as usize;
-        let Some(pos) = self.ready_pos.get(idx).copied().flatten() else {
-            return false;
-        };
-        let pos = pos as usize;
-        self.ready.swap_remove(pos);
-        self.ready_pos[idx] = None;
-        if pos < self.ready.len() {
-            let moved = self.ready[pos];
-            self.ready_pos[moved.index() as usize] = Some(pos as u32);
-        }
-        true
-    }
-
-    fn store_thread(&mut self, thread: ParThread) {
-        let idx = thread.tid.index() as usize;
+    /// Takes ownership of a ready thread worth `value`: records it and
+    /// its client, queues it, and kicks the CPU if idle.
+    fn adopt(&mut self, thread: ParThread, value: f64) {
+        let (tid, idx) = (thread.tid, thread.tid.index() as usize);
+        let slot = thread.client.index() as usize;
         if self.threads.len() <= idx {
             self.threads.resize_with(idx + 1, || None);
         }
         self.threads[idx] = Some(thread);
-    }
-
-    fn map_client(&mut self, client: ClientId, tid: ThreadId) {
-        let slot = client.index() as usize;
         if self.client_threads.len() <= slot {
             self.client_threads.resize(slot + 1, None);
         }
         self.client_threads[slot] = Some(tid);
+        self.shard.insert(tid, value);
+        if self.cpu_idle {
+            self.cpu_idle = false;
+            self.events.push(self.clock, WEvent::CpuFree);
+        }
     }
 
     // ---------------------------------------------------------------
@@ -603,7 +522,7 @@ impl Worker {
     fn handle_msg(&mut self, msg: Msg) {
         match msg {
             Msg::StealRequest { thief } => {
-                if self.steal && self.ready.len() > 1 {
+                if self.steal && self.shard.len() > 1 {
                     self.donate(thief);
                 } else {
                     self.reply(thief, Msg::StealFail);
@@ -623,9 +542,12 @@ impl Worker {
     /// migrate, so ownership moves in one message with no pending events
     /// left behind.
     fn donate(&mut self, thief: u32) {
-        let tid = *self.ready.last().expect("caller checked len > 1");
-        self.tree.remove(&tid);
-        self.remove_ready(tid);
+        let tid = self
+            .shard
+            .iter()
+            .next_back()
+            .expect("caller checked len > 1");
+        self.shard.remove(tid);
         let mut thread = self.threads[tid.index() as usize]
             .take()
             .expect("ready thread is owned");
@@ -650,22 +572,13 @@ impl Worker {
     }
 
     fn accept_migrant(&mut self, mut thread: ParThread) {
-        let tid = thread.tid;
-        let client = thread.client;
         thread.ready_since = Some(self.clock);
-        self.store_thread(thread);
-        self.map_client(client, tid);
         let value = {
             let ledger = self.shared.ledger.lock();
-            ledger.cached_client_value(client).unwrap_or(0.0)
+            ledger.cached_client_value(thread.client).unwrap_or(0.0)
         };
-        self.push_ready(tid);
-        self.tree.insert(tid, value);
+        self.adopt(thread, value);
         self.steals_in += 1;
-        if self.cpu_idle {
-            self.cpu_idle = false;
-            self.events.push(self.clock, WEvent::CpuFree);
-        }
     }
 
     /// Dry worker: ask each peer in turn for a thread, waiting briefly
@@ -691,44 +604,31 @@ impl Worker {
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            if !self.ready.is_empty() {
+            if !self.shard.is_empty() {
                 return true;
             }
         }
-        !self.ready.is_empty()
+        !self.shard.is_empty()
     }
 
     /// After finishing the window: answer steal traffic until every
     /// worker is done, so no thief blocks on a silent peer. Sends from us
-    /// stopped at `done`, so nobody waits on *us* after this returns.
+    /// stopped at `done`, so nobody waits on *us* after this returns. Our
+    /// window is over, so we donate nothing more; a migrant that raced our
+    /// quiesce is still accepted, so the thread-partition invariant holds
+    /// (it just won't run again this window).
     fn serve_until_quiesce(&mut self) {
+        self.steal = false;
         while self.shared.done.load(Ordering::Acquire) < self.shared.workers {
             match self.inbox.recv_timeout(POLL) {
-                Ok(msg) => self.handle_quiesce_msg(msg),
+                Ok(msg) => self.handle_msg(msg),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
         // Late messages posted before the last worker quiesced.
         while let Ok(msg) = self.inbox.try_recv() {
-            self.handle_quiesce_msg(msg);
-        }
-    }
-
-    fn handle_quiesce_msg(&mut self, msg: Msg) {
-        match msg {
-            // Our window is over; we donate nothing more.
-            Msg::StealRequest { thief } => self.reply(thief, Msg::StealFail),
-            Msg::StealFail => {
-                self.outstanding = self.outstanding.saturating_sub(1);
-            }
-            // A response that raced our quiesce: accept ownership so the
-            // thread-partition invariant holds (it just won't run again
-            // this window).
-            Msg::Migrate(thread) => {
-                self.outstanding = self.outstanding.saturating_sub(1);
-                self.accept_migrant(*thread);
-            }
+            self.handle_msg(msg);
         }
     }
 }

@@ -61,6 +61,7 @@ pub mod prelude {
     pub use crate::sched::fixed::FixedPriorityPolicy;
     pub use crate::sched::lottery::{FundingSpec, LotteryPolicy, SelectStructure};
     pub use crate::sched::rr::RoundRobinPolicy;
+    pub use crate::sched::shard::{Draw, Shard};
     pub use crate::sched::stride::StridePolicy;
     pub use crate::sched::timeshare::TimesharePolicy;
     pub use crate::sched::{EndReason, Policy};

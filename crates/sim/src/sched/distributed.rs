@@ -31,26 +31,26 @@
 //!   for an idle one ([`DistributedLottery::set_comp_aware_rebalance`]
 //!   exposes that ablation).
 //!
-//! With a single shard the policy is *bit-identical* to
-//! [`super::lottery::LotteryPolicy`] in tree mode: the same ledger
-//! operation sequence, the same ready/tree slot order, and the same RNG
-//! discipline (one `next_f64` per non-degenerate draw, none when the pool
-//! is worthless).
+//! Each per-CPU shard is the same [`Shard`] the uniprocessor
+//! [`super::lottery::LotteryPolicy`] holds one of — ready set, winner
+//! structure, settle, and draw are written once, there. What this policy
+//! adds around it: a home shard per thread, the ledger's *per-shard*
+//! dirty queues, the `"shard"`/`"shard-alias"` probe tags with
+//! `ShardPick`/`ShardSteal`, stealing, and rebalancing. With a single
+//! shard it is therefore *bit-identical* to `LotteryPolicy` in tree mode:
+//! the same ledger operation sequence over the same draw.
 
 use lottery_core::client::ClientId;
 use lottery_core::currency::CurrencyId;
 use lottery_core::errors::Result;
 use lottery_core::ledger::Ledger;
-use lottery_core::lottery::alias::AliasLottery;
-use lottery_core::lottery::index::DenseIndex;
-use lottery_core::lottery::tree::TreeLottery;
-use lottery_core::lottery::TicketPool;
-use lottery_core::rng::{ParkMiller, SchedRng};
+use lottery_core::rng::ParkMiller;
 use lottery_core::ticket::TicketId;
 use lottery_obs::{EventKind, ProbeBus};
 
 use super::comp::CompensationHook;
 use super::lottery::{FundingSpec, SelectStructure};
+use super::shard::Shard;
 use super::{EndReason, Policy};
 use crate::thread::ThreadId;
 use crate::time::{SimDuration, SimTime};
@@ -59,43 +59,6 @@ use crate::time::{SimDuration, SimTime};
 struct ThreadFunding {
     client: ClientId,
     ticket: TicketId,
-}
-
-/// One CPU's slice of the machine: a ready queue mirrored by a winner
-/// structure (partial-sum tree or alias table) over the cached client
-/// values of its threads.
-#[derive(Debug)]
-struct Shard {
-    /// Ready threads homed here, in scan order; removal swap-removes so
-    /// the order always mirrors the mirror structure's slot order.
-    ready: Vec<ThreadId>,
-    /// Cached-weight mirror of `ready` (tree mode — the default). Thread
-    /// ids are dense, so the slot index is a flat table, not a hash map.
-    tree: TreeLottery<ThreadId, f64, DenseIndex>,
-    /// Cached-weight mirror of `ready` (alias mode).
-    alias: AliasLottery<ThreadId, DenseIndex>,
-    /// Lotteries resolved from this shard.
-    picks: u64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self {
-            ready: Vec::new(),
-            tree: TreeLottery::with_index(1),
-            alias: AliasLottery::with_index(0),
-            picks: 0,
-        }
-    }
-
-    /// The active mirror's total under `structure`.
-    fn total(&self, structure: SelectStructure) -> f64 {
-        if structure == SelectStructure::Alias {
-            self.alias.total()
-        } else {
-            self.tree.total()
-        }
-    }
 }
 
 /// Per-shard statistics, as reported by [`DistributedLottery::shard_stats`].
@@ -129,14 +92,13 @@ pub struct DistributedLottery {
     threads: Vec<Option<ThreadFunding>>,
     /// Per-CPU shards; a thread's lotteries happen on its home shard.
     shards: Vec<Shard>,
+    /// Lotteries resolved from each shard.
+    shard_picks: Vec<u64>,
     /// Home shard per thread, indexed by thread id.
     home: Vec<u32>,
-    /// Membership index: thread id -> position in its home shard's
-    /// `ready`, `None` when not queued.
-    ready_pos: Vec<Option<u32>>,
     /// Reverse map from ledger clients to threads (flat, indexed by the
     /// client's arena slot), for routing sharded dirty notifications back
-    /// to mirror slots without hashing.
+    /// to shard slots without hashing.
     client_threads: Vec<Option<ThreadId>>,
     /// Reusable drain buffer: no allocation per pick.
     dirty_buf: Vec<ClientId>,
@@ -192,9 +154,11 @@ impl DistributedLottery {
             rng: ParkMiller::new(seed),
             quantum,
             threads: Vec::new(),
-            shards: (0..shards).map(|_| Shard::new()).collect(),
+            shards: (0..shards)
+                .map(|_| Shard::new(SelectStructure::Tree))
+                .collect(),
+            shard_picks: vec![0; shards],
             home: Vec::new(),
-            ready_pos: Vec::new(),
             client_threads: Vec::new(),
             dirty_buf: Vec::new(),
             structure: SelectStructure::Tree,
@@ -263,56 +227,24 @@ impl DistributedLottery {
     }
 
     /// Selects the per-shard winner-search structure, rebuilding every
-    /// shard's mirror from its ready queue (in queue order) with exact
-    /// values from the valuation cache. [`SelectStructure::List`] has no
-    /// distributed analogue and behaves like `Tree`. Emits one
-    /// [`EventKind::StructureRebuild`] per shard.
+    /// shard in queue order with exact values from the valuation cache.
+    /// [`SelectStructure::List`] has no distributed analogue and behaves
+    /// like `Tree`. Emits one [`EventKind::StructureRebuild`] per shard.
     pub fn set_structure(&mut self, structure: SelectStructure) {
-        let structure = if structure == SelectStructure::Alias {
+        self.structure = if structure == SelectStructure::Alias {
             SelectStructure::Alias
         } else {
             SelectStructure::Tree
         };
-        self.structure = structure;
-        for s in 0..self.shards.len() as u32 {
-            let start = std::time::Instant::now();
+        let mut shards = std::mem::take(&mut self.shards);
+        for (s, shard) in shards.iter_mut().enumerate() {
             // Every ready weight is computed fresh below; notifications
             // pending on this shard are obsolete.
-            let mut dirty = std::mem::take(&mut self.dirty_buf);
-            self.ledger.drain_dirty_shard_into(s, &mut dirty);
-            self.dirty_buf = dirty;
-            let sh = &mut self.shards[s as usize];
-            sh.tree = TreeLottery::with_index(sh.ready.len());
-            sh.alias = AliasLottery::with_index(sh.ready.len());
-            for i in 0..self.shards[s as usize].ready.len() {
-                let tid = self.shards[s as usize].ready[i];
-                let client = self.funding_info(tid).client;
-                let value = self.ledger.cached_client_value(client).unwrap_or(0.0);
-                let sh = &mut self.shards[s as usize];
-                if structure == SelectStructure::Alias {
-                    sh.alias.insert(tid, value);
-                } else {
-                    sh.tree.insert(tid, value);
-                }
-            }
-            let sh = &mut self.shards[s as usize];
-            if structure == SelectStructure::Alias {
-                sh.alias.rebuild();
-                sh.alias.take_rebuild_events();
-            }
-            let clients = sh.ready.len() as u32;
-            let rebuild_ns = start.elapsed().as_nanos() as u64;
-            self.bus.emit(|| EventKind::StructureRebuild {
-                structure: if structure == SelectStructure::Alias {
-                    "alias"
-                } else {
-                    "tree"
-                },
-                clients,
-                stale: 0,
-                rebuild_ns,
-            });
+            self.ledger
+                .drain_dirty_shard_into(s as u32, &mut self.dirty_buf);
+            shard.rebuild(self.structure, |tid| self.value_of(tid), &self.bus);
         }
+        self.shards = shards;
     }
 
     /// The active per-shard winner-search structure.
@@ -320,11 +252,11 @@ impl DistributedLottery {
         self.structure
     }
 
-    /// A shard's weight as the load balancer sees it: the ready mirror
+    /// A shard's weight as the load balancer sees it: the ready shard
     /// total, plus (in compensated mode) the `factor × funded` weight of
     /// its resting compensated threads.
     fn effective_total(&self, shard: u32) -> f64 {
-        let ready = self.shards[shard as usize].total(self.structure);
+        let ready = self.shards[shard as usize].total();
         if self.comp_aware {
             ready + self.ledger.compensation_resting_weight(shard)
         } else {
@@ -426,22 +358,22 @@ impl DistributedLottery {
         let sh = &self.shards[shard as usize];
         ShardStats {
             threads,
-            queue_depth: sh.ready.len() as u32,
-            ticket_total: sh.total(self.structure),
+            queue_depth: sh.len() as u32,
+            ticket_total: sh.total(),
             comp_weight: self.ledger.compensation_shard_weight(shard),
             resting_weight: self.ledger.compensation_resting_weight(shard),
-            picks: sh.picks,
+            picks: self.shard_picks[shard as usize],
             dirty_depth: self.ledger.dirty_shard_depth(shard) as u32,
         }
     }
 
-    /// Sum of every shard's mirror total, in base units — the
+    /// Sum of every shard's ready total, in base units — the
     /// machine-wide ready ticket value the conservation proptests check.
     pub fn ready_ticket_total(&mut self) -> f64 {
         for s in 0..self.shards.len() as u32 {
             self.refresh_shard(s);
         }
-        self.shards.iter().map(|s| s.total(self.structure)).sum()
+        self.shards.iter().map(Shard::total).sum()
     }
 
     /// Re-homes a thread to `shard`, moving its ready entry, tree leaf,
@@ -457,26 +389,12 @@ impl DistributedLottery {
         if from == shard {
             return;
         }
-        let was_ready = self.remove_ready(tid);
-        if was_ready {
-            let sh = &mut self.shards[from as usize];
-            sh.tree.remove(&tid);
-            sh.alias.remove(&tid);
-        }
+        let was_ready = self.shards[from as usize].remove(tid);
         self.home[tid.index() as usize] = shard;
         self.ledger.assign_dirty_shard(funding.client, shard);
         if was_ready {
-            self.push_ready(tid);
-            let value = self
-                .ledger
-                .cached_client_value(funding.client)
-                .unwrap_or(0.0);
-            let sh = &mut self.shards[shard as usize];
-            if self.structure == SelectStructure::Alias {
-                sh.alias.insert(tid, value);
-            } else {
-                sh.tree.insert(tid, value);
-            }
+            let value = self.value_of(tid);
+            self.shards[shard as usize].insert(tid, value);
         }
         self.migrations += 1;
         let thread = tid.index();
@@ -510,91 +428,27 @@ impl DistributedLottery {
         best
     }
 
-    /// Whether a thread is on its home shard's ready queue (`O(1)`).
-    fn is_ready(&self, tid: ThreadId) -> bool {
-        self.ready_pos
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .is_some()
-    }
-
-    /// Appends a thread to its home shard's ready queue.
-    fn push_ready(&mut self, tid: ThreadId) {
-        let idx = tid.index() as usize;
-        if self.ready_pos.len() <= idx {
-            self.ready_pos.resize(idx + 1, None);
-        }
-        debug_assert!(self.ready_pos[idx].is_none(), "double enqueue of {tid}");
-        let shard = &mut self.shards[self.home[idx] as usize];
-        self.ready_pos[idx] = Some(shard.ready.len() as u32);
-        shard.ready.push(tid);
-    }
-
-    /// Removes a thread from its home shard's ready queue in `O(1)`.
-    ///
-    /// Swap-removes — the same motion [`TreeLottery`]'s removal applies
-    /// to its leaf slots — so ready order and tree slot order stay
-    /// identical within every shard.
-    fn remove_ready(&mut self, tid: ThreadId) -> bool {
-        let idx = tid.index() as usize;
-        let Some(pos) = self.ready_pos.get(idx).copied().flatten() else {
-            return false;
-        };
-        let pos = pos as usize;
-        let shard = &mut self.shards[self.home[idx] as usize];
-        shard.ready.swap_remove(pos);
-        self.ready_pos[idx] = None;
-        if pos < shard.ready.len() {
-            let moved = shard.ready[pos];
-            self.ready_pos[moved.index() as usize] = Some(pos as u32);
-        }
-        true
-    }
-
-    /// Settles a shard's pending valuation invalidations into its mirror
-    /// structure (tree leaves or alias slots).
+    /// Settles a shard's pending valuation invalidations into its
+    /// weights, one batch per dispatch decision (ascending client-id
+    /// order).
     ///
     /// Only this shard's dirty queue is drained — invalidations homed
     /// elsewhere wait for their own shard's next pick.
     fn refresh_shard(&mut self, shard: u32) {
-        let mut dirty = std::mem::take(&mut self.dirty_buf);
-        self.ledger.drain_dirty_shard_into(shard, &mut dirty);
-        if !dirty.is_empty() {
-            // One batch per dispatch decision: the shard's queue is
-            // drained into the reusable scratch buffer above (ascending
-            // client-id order) and revalued in a single pass.
-            let depth = dirty.len() as u32;
+        self.ledger
+            .drain_dirty_shard_into(shard, &mut self.dirty_buf);
+        if !self.dirty_buf.is_empty() {
+            let depth = self.dirty_buf.len() as u32;
             self.bus.emit(|| EventKind::DirtyBatch { shard, depth });
         }
-        for &client in &dirty {
-            let Some(tid) = self
-                .client_threads
-                .get(client.index() as usize)
-                .copied()
-                .flatten()
-            else {
-                continue;
-            };
-            if !self.is_ready(tid) {
-                continue;
-            }
-            let value = self.ledger.cached_client_value(client).unwrap_or(0.0);
-            let sh = &mut self.shards[shard as usize];
-            if self.structure == SelectStructure::Alias {
-                sh.alias.set_weight(&tid, value);
-            } else {
-                sh.tree.set_weight(&tid, value);
-            }
-        }
-        self.dirty_buf = dirty;
+        self.shards[shard as usize].settle(&self.dirty_buf, &self.client_threads, &self.ledger);
     }
 
     /// The heaviest foreign shard with ready work, for stealing.
     fn steal_victim(&mut self, thief: u32) -> Option<u32> {
         let mut best: Option<(u32, f64)> = None;
         for s in 0..self.shards.len() as u32 {
-            if s == thief || self.shards[s as usize].ready.is_empty() {
+            if s == thief || self.shards[s as usize].is_empty() {
                 continue;
             }
             self.refresh_shard(s);
@@ -606,52 +460,18 @@ impl DistributedLottery {
         best.map(|(s, _)| s)
     }
 
-    /// Holds one lottery over `shard`'s tree and removes the winner.
-    ///
-    /// Mirrors [`super::lottery::LotteryPolicy`]'s tree draw exactly: a
-    /// winning value is consumed from the RNG precisely when the pool has
-    /// positive value; a worthless pool degenerates to FIFO without
-    /// drawing.
+    /// Holds one lottery over `shard` (which the caller found non-empty)
+    /// and removes the winner.
     fn draw_from(&mut self, cpu: u32, shard: u32, stolen: bool) -> ThreadId {
         self.lotteries += 1;
-        self.shards[shard as usize].picks += 1;
+        self.shard_picks[shard as usize] += 1;
+        let draw = self.shards[shard as usize]
+            .draw(&mut self.rng, |_| unreachable!("no shard is a list"))
+            .expect("the shard is not empty");
+        let tid = draw.winner;
         let alias_mode = self.structure == SelectStructure::Alias;
-        let sh = &self.shards[shard as usize];
-        let entries = sh.ready.len() as u32;
-        let total = sh.total(self.structure);
-        let empty = if alias_mode {
-            sh.alias.is_empty()
-        } else {
-            sh.tree.is_empty()
-        };
-        let (tid, winning) = if empty || total <= 0.0 {
-            (sh.ready[0], -1.0)
-        } else {
-            let winning = self.rng.next_f64() * total;
-            let sh = &mut self.shards[shard as usize];
-            let selected = if alias_mode {
-                sh.alias.select(winning).copied()
-            } else {
-                sh.tree.select(winning).copied()
-            };
-            let tid = selected.unwrap_or(self.shards[shard as usize].ready[0]);
-            (tid, winning)
-        };
-        let sh = &self.shards[shard as usize];
-        let levels = if alias_mode {
-            sh.alias.last_probes()
-        } else {
-            sh.tree.depth()
-        };
-        let winner = tid.index();
-        self.bus.emit(|| EventKind::LotteryDraw {
-            structure: if alias_mode { "shard-alias" } else { "shard" },
-            entries,
-            levels,
-            total,
-            winning,
-            winner,
-        });
+        self.bus
+            .emit(|| draw.event(if alias_mode { "shard-alias" } else { "shard" }));
         self.bus
             .emit(|| EventKind::ShardPick { cpu, shard, stolen });
         if stolen {
@@ -659,25 +479,10 @@ impl DistributedLottery {
             self.bus.emit(|| EventKind::ShardSteal {
                 cpu,
                 victim: shard,
-                thread: winner,
+                thread: tid.index(),
             });
         }
-        {
-            let sh = &mut self.shards[shard as usize];
-            sh.tree.remove(&tid);
-            sh.alias.remove(&tid);
-        }
-        self.remove_ready(tid);
-        if alias_mode {
-            for ev in self.shards[shard as usize].alias.take_rebuild_events() {
-                self.bus.emit(|| EventKind::StructureRebuild {
-                    structure: "alias",
-                    clients: ev.clients,
-                    stale: ev.stale,
-                    rebuild_ns: ev.rebuild_ns,
-                });
-            }
-        }
+        self.shards[shard as usize].emit_rebuilds(&self.bus);
         let client = self.funding_info(tid).client;
         // The winner starts its quantum: revoke any compensation ticket
         // through the shared hook (which emits the revocation event).
@@ -709,7 +514,7 @@ impl DistributedLottery {
         let mut round = 0u64;
         // Each migration strictly shrinks the heaviest shard, so the
         // total ready count bounds the rounds.
-        let max_rounds = self.shards.iter().map(|s| s.ready.len() as u64).sum();
+        let max_rounds = self.ready_len() as u64;
         loop {
             let totals: Vec<f64> = (0..self.shards.len() as u32)
                 .map(|s| self.effective_total(s))
@@ -732,7 +537,7 @@ impl DistributedLottery {
                 });
             }
             round += 1;
-            if round > max_rounds || self.shards[heavy].ready.len() <= 1 {
+            if round > max_rounds || self.shards[heavy].len() <= 1 {
                 break;
             }
             let (light, &min_total) = totals
@@ -746,11 +551,8 @@ impl DistributedLottery {
             // swap the imbalance and oscillate.
             let midpoint = (max_total - min_total) / 2.0;
             let mut choice: Option<(ThreadId, f64)> = None;
-            for &tid in &self.shards[heavy].ready {
-                let v = self
-                    .ledger
-                    .cached_client_value(self.funding_info(tid).client)
-                    .unwrap_or(0.0);
+            for tid in self.shards[heavy].iter() {
+                let v = self.value_of(tid);
                 if v <= 0.0 || v >= max_total - min_total {
                     continue;
                 }
@@ -812,11 +614,7 @@ impl Policy for DistributedLottery {
     fn on_exit(&mut self, tid: ThreadId) {
         let funding = self.funding_info(tid);
         let home = self.home[tid.index() as usize];
-        if self.remove_ready(tid) {
-            let sh = &mut self.shards[home as usize];
-            sh.tree.remove(&tid);
-            sh.alias.remove(&tid);
-        }
+        self.shards[home as usize].remove(tid);
         self.client_threads[funding.client.index() as usize] = None;
         self.ledger
             .deactivate_client(funding.client)
@@ -832,21 +630,12 @@ impl Policy for DistributedLottery {
         self.ledger
             .activate_client(funding.client)
             .expect("client liveness");
-        self.push_ready(tid);
         // Activation just invalidated the client, so this read revalues
         // precisely the changed subgraph; siblings refresh at their own
         // shard's next pick.
-        let value = self
-            .ledger
-            .cached_client_value(funding.client)
-            .unwrap_or(0.0);
+        let value = self.value_of(tid);
         let home = self.home[tid.index() as usize];
-        let sh = &mut self.shards[home as usize];
-        if self.structure == SelectStructure::Alias {
-            sh.alias.insert(tid, value);
-        } else {
-            sh.tree.insert(tid, value);
-        }
+        self.shards[home as usize].insert(tid, value);
     }
 
     /// A shard-0 lottery — the uniprocessor entry point.
@@ -859,7 +648,7 @@ impl Policy for DistributedLottery {
     fn pick_on(&mut self, cpu: u32, _now: SimTime) -> Option<ThreadId> {
         let local = cpu % self.shards.len() as u32;
         self.refresh_shard(local);
-        let (shard, stolen) = if self.shards[local as usize].ready.is_empty() {
+        let (shard, stolen) = if self.shards[local as usize].is_empty() {
             match self.steal_victim(local) {
                 Some(victim) => (victim, true),
                 None => return None,
@@ -890,7 +679,7 @@ impl Policy for DistributedLottery {
     }
 
     fn ready_len(&self) -> usize {
-        self.shards.iter().map(|s| s.ready.len()).sum()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     /// Stores the bus and forwards a clone to the ledger, so draw events

@@ -7,6 +7,12 @@
 //! each thread's value until the winner is found — exactly the prototype's
 //! procedure (Section 4.4).
 //!
+//! The ready queue, the winner structure, and the draw itself are one
+//! [`Shard`], shared with the distributed policy and the real-thread
+//! workers. This policy adds the funding book, the unsharded dirty queue
+//! it drains before a tree or alias draw, the `"list"`/`"tree"`/`"alias"`
+//! probe tags, RPC ticket transfers, and lottery-scheduled kernel mutexes.
+//!
 //! The policy implements the full mechanism set:
 //!
 //! * **currencies** — spawn threads into any currency of an arbitrary
@@ -20,24 +26,21 @@
 //!   thread's ticket in place (Section 5.2's Monte-Carlo control).
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use lottery_core::client::ClientId;
 use lottery_core::currency::CurrencyId;
 use lottery_core::errors::Result;
 use lottery_core::ledger::Ledger;
-use lottery_core::lottery::alias::AliasLottery;
-use lottery_core::lottery::index::DenseIndex;
-use lottery_core::lottery::tree::TreeLottery;
-use lottery_core::lottery::TicketPool;
 use lottery_core::mutex::{TicketMutex, WaiterFunding};
-use lottery_core::rng::{ParkMiller, SchedRng};
+use lottery_core::rng::ParkMiller;
 use lottery_core::ticket::TicketId;
 use lottery_core::transfer::{lend, Transfer, TransferTarget};
 use lottery_obs::{EventKind, ProbeBus};
 
 use super::comp::CompensationHook;
+use super::shard::Shard;
 use super::{EndReason, LockId, Policy};
+use crate::replay::structure_name;
 use crate::thread::ThreadId;
 use crate::time::{SimDuration, SimTime};
 
@@ -105,20 +108,14 @@ pub struct LotteryPolicy {
     quantum: SimDuration,
     /// Per-thread funding, indexed by thread id.
     threads: Vec<Option<ThreadFunding>>,
-    /// The ready queue, in scan order. Removal swap-removes so the order
-    /// always mirrors the tree lottery's leaf-slot order.
-    ready: Vec<ThreadId>,
-    /// Membership index: thread id -> position in `ready`, `None` when not
-    /// queued. Replaces `O(n)` ready-queue scans.
-    ready_pos: Vec<Option<u32>>,
+    /// The ready queue and its winner structure.
+    shard: Shard,
     /// Reverse map from ledger clients to threads (flat, indexed by the
     /// client's arena slot), for routing the ledger's dirty-client
     /// notifications back to structure slots without hashing.
     client_threads: Vec<Option<ThreadId>>,
     /// Reusable drain buffer: no allocation per pick.
     dirty_buf: Vec<ClientId>,
-    /// Reusable list-walk valuation buffer: no allocation per pick.
-    list_values: Vec<f64>,
     /// Outstanding RPC transfers, keyed by (client, server).
     transfers: HashMap<(ThreadId, ThreadId), Transfer>,
     /// Shared compensation grant/revoke policy (Section 4.5).
@@ -126,11 +123,6 @@ pub struct LotteryPolicy {
     /// Lotteries held (for overhead accounting).
     lotteries: u64,
     structure: SelectStructure,
-    /// Cached-weight mirror of the ready queue, used in tree mode. Thread
-    /// ids are dense, so the slot index is a flat table, not a hash map.
-    tree: TreeLottery<ThreadId, f64, DenseIndex>,
-    /// Cached-weight mirror of the ready queue, used in alias mode.
-    alias: AliasLottery<ThreadId, DenseIndex>,
     /// Kernel mutexes (Section 6.1), scheduled by handoff lotteries.
     locks: Vec<TicketMutex>,
     /// Probe bus for per-draw observability (disabled by default).
@@ -155,17 +147,13 @@ impl LotteryPolicy {
             rng: ParkMiller::new(seed),
             quantum,
             threads: Vec::new(),
-            ready: Vec::new(),
-            ready_pos: Vec::new(),
+            shard: Shard::new(SelectStructure::List),
             client_threads: Vec::new(),
             dirty_buf: Vec::new(),
-            list_values: Vec::new(),
             transfers: HashMap::new(),
             comp: CompensationHook::new(),
             lotteries: 0,
             structure: SelectStructure::List,
-            tree: TreeLottery::with_index(1),
-            alias: AliasLottery::with_index(0),
             locks: Vec::new(),
             bus: ProbeBus::disabled(),
         }
@@ -174,157 +162,23 @@ impl LotteryPolicy {
     /// Selects the winner-search structure (Section 4.2).
     ///
     /// May be called at any point, even mid-run with threads queued: the
-    /// mirror structure (partial-sum tree or alias table) is rebuilt from
-    /// the ready queue (in queue order, so slot order and scan order stay
-    /// mirrored) with exact values from the ledger's valuation cache.
+    /// shard is rebuilt in queue order with exact values from the ledger's
+    /// valuation cache.
     /// Emits a [`EventKind::StructureRebuild`] describing the rebuild.
     pub fn set_structure(&mut self, structure: SelectStructure) {
-        let start = Instant::now();
         self.structure = structure;
-        self.tree = TreeLottery::with_index(self.ready.len());
-        self.alias = AliasLottery::with_index(self.ready.len());
         if structure != SelectStructure::List {
             // Every ready weight is computed fresh below; notifications
-            // accumulated while the mirror was dormant are obsolete.
-            let mut dirty = std::mem::take(&mut self.dirty_buf);
-            self.ledger.drain_dirty_clients_into(&mut dirty);
-            self.dirty_buf = dirty;
-            for i in 0..self.ready.len() {
-                let tid = self.ready[i];
-                let client = self.funding_info(tid).client;
-                let value = self.ledger.cached_client_value(client).unwrap_or(0.0);
-                match structure {
-                    SelectStructure::Tree => self.tree.insert(tid, value),
-                    SelectStructure::Alias => self.alias.insert(tid, value),
-                    SelectStructure::List => unreachable!(),
-                }
-            }
+            // accumulated while the list ignored them are obsolete.
+            self.ledger.drain_dirty_clients_into(&mut self.dirty_buf);
         }
-        if structure == SelectStructure::Alias {
-            // Snapshot once at the end: bulk-load rebuild churn collapses
-            // into one definitive table over the final ready order.
-            self.alias.rebuild();
-            self.alias.take_rebuild_events();
-        }
-        let clients = self.ready.len() as u32;
-        let rebuild_ns = start.elapsed().as_nanos() as u64;
-        self.bus.emit(|| EventKind::StructureRebuild {
-            structure: Self::structure_tag(structure),
-            clients,
-            stale: 0,
-            rebuild_ns,
-        });
-    }
-
-    fn structure_tag(structure: SelectStructure) -> &'static str {
-        match structure {
-            SelectStructure::List => "list",
-            SelectStructure::Tree => "tree",
-            SelectStructure::Alias => "alias",
-        }
-    }
-
-    /// Forwards the alias table's accumulated rebuild reports to the
-    /// probe bus (no-ops — and never allocates — when none are pending).
-    fn emit_alias_rebuilds(&mut self) {
-        for ev in self.alias.take_rebuild_events() {
-            self.bus.emit(|| EventKind::StructureRebuild {
-                structure: "alias",
-                clients: ev.clients,
-                stale: ev.stale,
-                rebuild_ns: ev.rebuild_ns,
-            });
-        }
+        let value_of = |tid| value_in(&self.threads, &self.ledger, tid);
+        self.shard.rebuild(structure, value_of, &self.bus);
     }
 
     /// The active winner-search structure.
     pub fn structure(&self) -> SelectStructure {
         self.structure
-    }
-
-    /// Whether a thread is on the ready queue (`O(1)`).
-    fn is_ready(&self, tid: ThreadId) -> bool {
-        self.ready_pos
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .is_some()
-    }
-
-    /// Appends a thread to the ready queue, indexing its position.
-    fn push_ready(&mut self, tid: ThreadId) {
-        let idx = tid.index() as usize;
-        if self.ready_pos.len() <= idx {
-            self.ready_pos.resize(idx + 1, None);
-        }
-        debug_assert!(self.ready_pos[idx].is_none(), "double enqueue of {tid}");
-        self.ready_pos[idx] = Some(self.ready.len() as u32);
-        self.ready.push(tid);
-    }
-
-    /// Removes a thread from the ready queue in `O(1)`.
-    ///
-    /// Swap-removes — the same motion [`TreeLottery`]'s removal applies to
-    /// its leaf slots — so ready order and tree slot order stay identical
-    /// and list/tree lotteries walk clients in the same order.
-    fn remove_ready(&mut self, tid: ThreadId) -> bool {
-        let idx = tid.index() as usize;
-        let Some(pos) = self.ready_pos.get(idx).copied().flatten() else {
-            return false;
-        };
-        let pos = pos as usize;
-        self.ready.swap_remove(pos);
-        self.ready_pos[idx] = None;
-        if pos < self.ready.len() {
-            let moved = self.ready[pos];
-            self.ready_pos[moved.index() as usize] = Some(pos as u32);
-        }
-        true
-    }
-
-    /// Refreshes mirror-structure weights (tree leaves or alias slots)
-    /// for every client the ledger reports as invalidated since the last
-    /// draw.
-    ///
-    /// This is what makes tree and alias modes *exact*: any mutation
-    /// anywhere in the currency graph — a sibling blocking, a
-    /// compensation grant, an RPC transfer — queues precisely the
-    /// affected clients, and their slots are revalued (incrementally,
-    /// through the cache) before the draw.
-    fn refresh_dirty_weights(&mut self) {
-        let mut dirty = std::mem::take(&mut self.dirty_buf);
-        self.ledger.drain_dirty_clients_into(&mut dirty);
-        if !dirty.is_empty() {
-            // One batch per dispatch decision: the whole queue is drained
-            // into the reusable scratch buffer above (ascending client-id
-            // order) and revalued in a single pass.
-            let depth = dirty.len() as u32;
-            self.bus.emit(|| EventKind::DirtyBatch { shard: 0, depth });
-        }
-        for &client in &dirty {
-            let Some(tid) = self
-                .client_threads
-                .get(client.index() as usize)
-                .copied()
-                .flatten()
-            else {
-                continue;
-            };
-            if !self.is_ready(tid) {
-                continue;
-            }
-            let value = self.ledger.cached_client_value(client).unwrap_or(0.0);
-            match self.structure {
-                SelectStructure::Tree => {
-                    self.tree.set_weight(&tid, value);
-                }
-                SelectStructure::Alias => {
-                    self.alias.set_weight(&tid, value);
-                }
-                SelectStructure::List => {}
-            }
-        }
-        self.dirty_buf = dirty;
     }
 
     /// Disables compensation tickets — the Section 4.5 ablation, which
@@ -393,9 +247,7 @@ impl LotteryPolicy {
 
     /// A thread's current value in base units (including compensation).
     pub fn value_of(&self, tid: ThreadId) -> f64 {
-        self.ledger
-            .cached_client_value(self.funding_info(tid).client)
-            .unwrap_or(0.0)
+        value_in(&self.threads, &self.ledger, tid)
     }
 
     /// Read access to the underlying ledger.
@@ -435,6 +287,13 @@ impl LotteryPolicy {
             .flatten()
             .expect("thread not registered with the lottery policy")
     }
+}
+
+/// A thread's current base-unit value through the valuation cache — free
+/// of `self` so a draw can price threads while the shard is borrowed.
+fn value_in(threads: &[Option<ThreadFunding>], ledger: &Ledger, tid: ThreadId) -> f64 {
+    let funding = threads[tid.index() as usize].expect("thread is registered");
+    ledger.cached_client_value(funding.client).unwrap_or(0.0)
 }
 
 impl Policy for LotteryPolicy {
@@ -478,9 +337,7 @@ impl Policy for LotteryPolicy {
 
     fn on_exit(&mut self, tid: ThreadId) {
         let funding = self.funding_info(tid);
-        self.remove_ready(tid);
-        self.tree.remove(&tid);
-        self.alias.remove(&tid);
+        self.shard.remove(tid);
         self.client_threads[funding.client.index() as usize] = None;
         self.ledger
             .deactivate_client(funding.client)
@@ -496,151 +353,44 @@ impl Policy for LotteryPolicy {
         self.ledger
             .activate_client(funding.client)
             .expect("client liveness");
-        self.push_ready(tid);
-        if self.structure != SelectStructure::List {
-            // Exact: activation just invalidated the client (and any
-            // shared-currency siblings, refreshed at the next pick), so
-            // this read revalues precisely the changed subgraph.
-            let value = self
-                .ledger
-                .cached_client_value(funding.client)
-                .unwrap_or(0.0);
-            match self.structure {
-                SelectStructure::Tree => self.tree.insert(tid, value),
-                SelectStructure::Alias => self.alias.insert(tid, value),
-                SelectStructure::List => unreachable!(),
-            }
-        }
+        // Exact: activation just invalidated the client (and any
+        // shared-currency siblings, refreshed at the next pick), so this
+        // read revalues precisely the changed subgraph. The list stores
+        // no weights and is not valued here.
+        let value = match self.structure {
+            SelectStructure::List => 0.0,
+            _ => self.value_of(tid),
+        };
+        self.shard.insert(tid, value);
     }
 
     fn pick(&mut self, _now: SimTime) -> Option<ThreadId> {
-        if self.ready.is_empty() {
+        if self.shard.is_empty() {
             return None;
         }
         self.lotteries += 1;
-        let entries = self.ready.len() as u32;
-        let tid = match self.structure {
-            SelectStructure::Tree => {
-                // Settle pending invalidations, then an O(log n) descent
-                // over the partial-sum tree; degenerate to FIFO when every
-                // weight is zero. Spelled out (rather than `tree.draw`) so
-                // the draw can be observed; the RNG stream is
-                // bit-identical — a winning value is consumed exactly when
-                // `draw` would consume one.
-                self.refresh_dirty_weights();
-                let total = self.tree.total();
-                let (tid, winning) = if self.tree.is_empty() || total <= 0.0 {
-                    (self.ready[0], -1.0)
-                } else {
-                    let winning = self.rng.next_f64() * total;
-                    let tid = match self.tree.select(winning) {
-                        Some(&tid) => tid,
-                        None => self.ready[0],
-                    };
-                    (tid, winning)
-                };
-                let levels = self.tree.depth();
-                let winner = tid.index();
-                self.bus.emit(|| EventKind::LotteryDraw {
-                    structure: "tree",
-                    entries,
-                    levels,
-                    total,
-                    winning,
-                    winner,
-                });
-                self.tree.remove(&tid);
-                self.remove_ready(tid);
-                tid
+        if self.structure != SelectStructure::List {
+            // One batch per dispatch decision: the ledger's whole dirty
+            // queue (ascending client-id order) settles in a single pass.
+            self.ledger.drain_dirty_clients_into(&mut self.dirty_buf);
+            if !self.dirty_buf.is_empty() {
+                let depth = self.dirty_buf.len() as u32;
+                self.bus.emit(|| EventKind::DirtyBatch { shard: 0, depth });
             }
-            SelectStructure::Alias => {
-                // Same RNG discipline as the tree branch, with an O(1)
-                // expected cell lookup in place of the log-depth descent.
-                self.refresh_dirty_weights();
-                let total = self.alias.total();
-                let (tid, winning) = if self.alias.is_empty() || total <= 0.0 {
-                    (self.ready[0], -1.0)
-                } else {
-                    let winning = self.rng.next_f64() * total;
-                    let tid = match self.alias.select(winning) {
-                        Some(&tid) => tid,
-                        None => self.ready[0],
-                    };
-                    (tid, winning)
-                };
-                // For the alias table, "levels" is the search effort of
-                // this draw: guide-cell scan steps, or descent depth when
-                // the snapshot is stale.
-                let levels = self.alias.last_probes();
-                let winner = tid.index();
-                self.bus.emit(|| EventKind::LotteryDraw {
-                    structure: "alias",
-                    entries,
-                    levels,
-                    total,
-                    winning,
-                    winner,
-                });
-                self.alias.remove(&tid);
-                self.remove_ready(tid);
-                self.emit_alias_rebuilds();
-                tid
-            }
-            SelectStructure::List => {
-                // Value every ready client via the incremental cache: a
-                // warm read per client, plus revalidation of whatever the
-                // ledger invalidated since the last pick. The valuation
-                // buffer is policy-owned scratch — no per-pick allocation.
-                let mut values = std::mem::take(&mut self.list_values);
-                values.clear();
-                values.extend(self.ready.iter().map(|&t| {
-                    let client = self.threads[t.index() as usize]
-                        .expect("ready thread is registered")
-                        .client;
-                    self.ledger.cached_client_value(client).unwrap_or(0.0)
-                }));
-                let total: f64 = values.iter().sum();
-
-                let (index, winning) = if total <= 0.0 {
-                    // Every ready client is worthless (e.g. an unfunded
-                    // currency). Degenerate to FIFO so the machine still
-                    // makes progress.
-                    (0, -1.0)
-                } else {
-                    // Figure 1: draw a winning value, walk the run queue
-                    // summing client values in base units until the sum
-                    // exceeds it.
-                    let winning = self.rng.next_f64() * total;
-                    let mut sum = 0.0;
-                    let mut chosen = self.ready.len() - 1;
-                    for (i, &v) in values.iter().enumerate() {
-                        sum += v;
-                        if winning < sum {
-                            chosen = i;
-                            break;
-                        }
-                    }
-                    (chosen, winning)
-                };
-                self.list_values = values;
-
-                let tid = self.ready[index];
-                let winner = tid.index();
-                // For the list walk, "levels" is the entries scanned
-                // before the winner was found.
-                let levels = index as u32 + 1;
-                self.bus.emit(|| EventKind::LotteryDraw {
-                    structure: "list",
-                    entries,
-                    levels,
-                    total,
-                    winning,
-                    winner,
-                });
-                self.remove_ready(tid);
-                tid
-            }
-        };
+            self.shard
+                .settle(&self.dirty_buf, &self.client_threads, &self.ledger);
+        }
+        // A list values every ready client via the incremental cache: a
+        // warm read per client, plus revalidation of whatever the ledger
+        // invalidated since the last pick.
+        let value_of = |tid| value_in(&self.threads, &self.ledger, tid);
+        let draw = self
+            .shard
+            .draw(&mut self.rng, value_of)
+            .expect("the shard is not empty");
+        self.bus.emit(|| draw.event(structure_name(self.structure)));
+        self.shard.emit_rebuilds(&self.bus);
+        let tid = draw.winner;
         let funding = self.funding_info(tid);
         // The winner starts its quantum: revoke any compensation ticket
         // through the shared hook (which emits the revocation event).
@@ -702,7 +452,7 @@ impl Policy for LotteryPolicy {
     }
 
     fn ready_len(&self) -> usize {
-        self.ready.len()
+        self.shard.len()
     }
 
     /// Stores the bus and forwards a clone to the ledger, so draw events
@@ -758,12 +508,7 @@ impl Policy for LotteryPolicy {
             .release(&mut self.ledger, client, &mut self.rng)
             .expect("release by the holder");
         winner.map(|w| {
-            // Map the winning client back to its thread id.
-            self.threads
-                .iter()
-                .position(|f| f.map(|f| f.client) == Some(w))
-                .map(|i| ThreadId::from_index(i as u32))
-                .expect("winner is a registered thread")
+            self.client_threads[w.index() as usize].expect("winner is a registered thread")
         })
     }
 }

@@ -14,6 +14,9 @@
 //! * [`rr::RoundRobinPolicy`] — plain FIFO round-robin.
 //! * [`stride::StridePolicy`] — deterministic stride scheduling (the
 //!   authors' follow-up work), used as the de-randomization ablation.
+//!
+//! Both lottery policies (and the real-thread workers of `lottery-par`)
+//! keep their ready set and winner structure as one [`shard::Shard`].
 
 pub mod comp;
 pub mod distributed;
@@ -21,6 +24,7 @@ pub mod fairshare;
 pub mod fixed;
 pub mod lottery;
 pub mod rr;
+pub mod shard;
 pub mod stride;
 pub mod timeshare;
 

@@ -13,6 +13,10 @@
 //! valuation stays an integer: f64 addition over integers below 2^53 is
 //! exact, which is what makes "bit-identical" a fair demand.
 
+use lottery_core::client::ClientId;
+use lottery_core::ledger::Ledger;
+use lottery_core::rng::{ParkMiller, SchedRng};
+use lottery_core::ticket::TicketId;
 use lottery_sim::prelude::*;
 use proptest::prelude::*;
 
@@ -101,6 +105,53 @@ fn run(seed: u32, initial: SelectStructure, threads: usize, script: &[Step]) -> 
     winners
 }
 
+/// One scripted operation on a bare [`Shard`].
+#[derive(Debug, Clone)]
+enum ShardOp {
+    /// Queue thread `t` (if absent) at its current ledger value.
+    Insert { t: usize },
+    /// Dequeue thread `t` (if present).
+    Remove { t: usize },
+    /// Re-fund thread `t` to `100 * k` tickets, then settle every shard
+    /// from the ledger's dirty queue.
+    Reweigh { t: usize, k: u64 },
+    /// Hold a lottery (the winner leaves the shard).
+    Draw,
+    /// Rebuild each shard under another structure (rotated by `s`, so
+    /// the three shards still cover list, tree, and alias).
+    Rebuild { s: u8 },
+}
+
+fn shard_op_strategy() -> impl Strategy<Value = ShardOp> {
+    prop_oneof![
+        4 => (0..8usize).prop_map(|t| ShardOp::Insert { t }),
+        2 => (0..8usize).prop_map(|t| ShardOp::Remove { t }),
+        2 => (0..8usize, 1..6u64).prop_map(|(t, k)| ShardOp::Reweigh { t, k }),
+        3 => Just(ShardOp::Draw),
+        1 => (1..3u8).prop_map(|s| ShardOp::Rebuild { s }),
+    ]
+}
+
+/// A ledger with one client per thread: even threads hold base tickets
+/// (worth their face amount, an integer), odd threads hold tickets of an
+/// unbacked currency (worth nothing) — so pools of odd threads only are
+/// all-zero.
+fn shard_ledger(threads: usize) -> (Ledger, Vec<ClientId>, Vec<TicketId>) {
+    let mut ledger = Ledger::new();
+    let empty = ledger.create_currency("empty").unwrap();
+    let (mut clients, mut tickets) = (Vec::new(), Vec::new());
+    for i in 0..threads {
+        let currency = if i % 2 == 0 { ledger.base() } else { empty };
+        let client = ledger.create_client(format!("t{i}"));
+        let ticket = ledger.issue_root(currency, 100 * (i as u64 + 1)).unwrap();
+        ledger.fund_client(ticket, client).unwrap();
+        ledger.activate_client(client).unwrap();
+        clients.push(client);
+        tickets.push(ticket);
+    }
+    (ledger, clients, tickets)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -143,5 +194,88 @@ proptest! {
             .collect();
         let list = run(seed, SelectStructure::List, threads, &fixed);
         prop_assert_eq!(switching, list);
+    }
+
+    /// A list, a tree, and an alias shard driven by one script from one
+    /// seed stay indistinguishable: identical slot order after every
+    /// step, identical draws (winner, entries, total, winning value),
+    /// exactly one variate consumed per draw over a pool with value and
+    /// none over a worthless one — through mid-script rebuilds.
+    #[test]
+    fn shards_identical_across_structures(
+        seed in 1..u32::MAX,
+        threads in 2..8usize,
+        script in proptest::collection::vec(shard_op_strategy(), 1..160),
+    ) {
+        let (mut ledger, clients, tickets) = shard_ledger(threads);
+        let mut client_threads = vec![None; threads];
+        for (i, client) in clients.iter().enumerate() {
+            client_threads[client.index() as usize] = Some(ThreadId::from_index(i as u32));
+        }
+        let mut structures =
+            [SelectStructure::List, SelectStructure::Tree, SelectStructure::Alias];
+        let mut shards = structures.map(Shard::new);
+        let mut rngs = [0; 3].map(|_| ParkMiller::new(seed));
+        let bus = ProbeBus::disabled();
+        let mut dirty = Vec::new();
+        let value_of = |ledger: &Ledger, tid: ThreadId| {
+            ledger.cached_client_value(clients[tid.index() as usize]).unwrap()
+        };
+        for op in &script {
+            match *op {
+                ShardOp::Insert { t } => {
+                    let tid = ThreadId::from_index((t % threads) as u32);
+                    for shard in shards.iter_mut().filter(|s| !s.contains(tid)) {
+                        shard.insert(tid, value_of(&ledger, tid));
+                    }
+                }
+                ShardOp::Remove { t } => {
+                    let tid = ThreadId::from_index((t % threads) as u32);
+                    let removed = shards.each_mut().map(|s| s.remove(tid));
+                    prop_assert!(removed[0] == removed[1] && removed[0] == removed[2]);
+                }
+                ShardOp::Reweigh { t, k } => {
+                    ledger.set_amount(tickets[t % threads], 100 * k).unwrap();
+                    ledger.drain_dirty_clients_into(&mut dirty);
+                    for shard in &mut shards {
+                        shard.settle(&dirty, &client_threads, &ledger);
+                    }
+                }
+                ShardOp::Draw => {
+                    let head = shards[0].iter().next();
+                    let mut expect = rngs[0].clone();
+                    let draws = [0, 1, 2].map(|i| {
+                        shards[i].draw(&mut rngs[i], |tid| value_of(&ledger, tid))
+                    });
+                    prop_assert_eq!(draws[0].is_none(), head.is_none());
+                    if let Some(list) = draws[0] {
+                        if list.total > 0.0 {
+                            prop_assert_eq!(list.winning, expect.next_f64() * list.total);
+                        } else {
+                            prop_assert_eq!((Some(list.winner), list.winning), (head, -1.0));
+                        }
+                        for (draw, rng) in draws.iter().zip(&rngs) {
+                            let draw = draw.expect("all three shards hold the same threads");
+                            prop_assert_eq!(
+                                (draw.winner, draw.entries, draw.total, draw.winning),
+                                (list.winner, list.entries, list.total, list.winning)
+                            );
+                            prop_assert_eq!(rng.state(), expect.state());
+                        }
+                    }
+                }
+                ShardOp::Rebuild { s } => {
+                    for (shard, structure) in shards.iter_mut().zip(&mut structures) {
+                        *structure = structure_of(*structure as u8 + s);
+                        shard.rebuild(*structure, |tid| value_of(&ledger, tid), &bus);
+                    }
+                }
+            }
+            let order: Vec<ThreadId> = shards[0].iter().collect();
+            for shard in &shards[1..] {
+                prop_assert_eq!(shard.iter().collect::<Vec<_>>(), order.clone());
+                prop_assert_eq!(shard.len(), order.len());
+            }
+        }
     }
 }
