@@ -53,6 +53,9 @@ pub struct Ledger {
     /// Incremental valuation cache (interior mutability so reads through
     /// `&Ledger` can memoize). See [`Ledger::cached_client_value`].
     cache: RefCell<ValuationCache>,
+    /// Work stack of the activation walk, kept between walks so a
+    /// block/wake pair allocates nothing.
+    activation_work: Vec<TicketId>,
     /// Probe bus for cache/mutation observability (disabled by default:
     /// emitting through a disabled bus is a single branch).
     bus: ProbeBus,
@@ -67,12 +70,25 @@ pub struct Ledger {
 /// queue for schedulers that mirror client values into an external
 /// structure (a partial-sum tree); it is drained by
 /// [`Ledger::drain_dirty_clients`] and is independent of recomputation.
+///
+/// The books a decision *writes* — the dirty queue and the compensation
+/// book — are tables indexed by client slot, and the invalidation walk
+/// keeps its work stack here between calls, so the per-decision write
+/// path neither hashes nor allocates. The two value maps, the read side,
+/// are still hash maps.
 #[derive(Debug, Default)]
 struct ValuationCache {
     currencies: HashMap<CurrencyId, f64>,
     clients: HashMap<ClientId, f64>,
     dirty: ShardedDirtyQueue,
     comp: CompensationLedger,
+    /// Work stack of [`mark_currency`], kept between invalidations.
+    mark_work: Vec<CurrencyId>,
+    /// Scratch memo of the read-only valuation a compensation grant takes
+    /// its snapshot by: `(walk, value)` per currency slot, valid while
+    /// `walk` equals `peek_walk`.
+    peek: Vec<(u64, f64)>,
+    peek_walk: u64,
 }
 
 /// First-class compensation accounting (Sections 3.4 / 4.5), folded into
@@ -96,9 +112,14 @@ struct ValuationCache {
 ///
 /// A client granted compensation while inactive snapshots a funded value of
 /// zero; the snapshot is corrected on its next valuation after activation.
+///
+/// Entries live in a table indexed by client slot (`CompSlots`) and are
+/// changed in place; whatever sums over them — the global weight, the
+/// per-shard rebuild on a shard-count change — does so in ascending slot
+/// order, so the `f64` results are the same on every run.
 #[derive(Debug)]
 pub struct CompensationLedger {
-    entries: HashMap<ClientId, CompEntry>,
+    entries: CompSlots,
     /// Per-shard sum of `extra` over every compensated client homed there.
     extra: Vec<f64>,
     /// Per-shard sum of `funded + extra` over *inactive* compensated
@@ -124,6 +145,57 @@ impl CompEntry {
     }
 }
 
+/// The compensation book's entries, in a table indexed by client slot —
+/// client ids are arena indices, so the several touches a decision makes
+/// (grant, rest, wake, refresh, clear) hash nothing, and iteration is in
+/// ascending slot order, the same on every run.
+///
+/// A slot remembers the generation of the handle that filled it: a stale
+/// handle to a recycled slot reads as "no entry", never as its successor's.
+#[derive(Debug, Default)]
+struct CompSlots {
+    slots: Vec<Option<(u32, CompEntry)>>,
+    len: usize,
+}
+
+impl CompSlots {
+    fn get_mut(&mut self, client: ClientId) -> Option<&mut CompEntry> {
+        match self.slots.get_mut(client.index() as usize) {
+            Some(Some((generation, e))) if *generation == client.raw().generation() => Some(e),
+            _ => None,
+        }
+    }
+
+    fn get(&self, client: ClientId) -> Option<&CompEntry> {
+        match self.slots.get(client.index() as usize) {
+            Some(Some((generation, e))) if *generation == client.raw().generation() => Some(e),
+            _ => None,
+        }
+    }
+
+    /// Fills `client`'s slot, which must be vacant.
+    fn insert(&mut self, client: ClientId, e: CompEntry) {
+        let slot = client.index() as usize;
+        if slot >= self.slots.len() {
+            self.slots.resize(slot + 1, None);
+        }
+        debug_assert!(self.slots[slot].is_none());
+        self.slots[slot] = Some((client.raw().generation(), e));
+        self.len += 1;
+    }
+
+    fn remove(&mut self, client: ClientId) -> Option<CompEntry> {
+        self.get_mut(client)?;
+        self.len -= 1;
+        self.slots[client.index() as usize].take().map(|(_, e)| e)
+    }
+
+    /// Entries in ascending slot order.
+    fn iter(&self) -> impl Iterator<Item = &CompEntry> {
+        self.slots.iter().flatten().map(|(_, e)| e)
+    }
+}
+
 impl Default for CompensationLedger {
     fn default() -> Self {
         Self::new(1)
@@ -133,7 +205,7 @@ impl Default for CompensationLedger {
 impl CompensationLedger {
     fn new(shards: usize) -> Self {
         Self {
-            entries: HashMap::new(),
+            entries: CompSlots::default(),
             extra: vec![0.0; shards.max(1)],
             resting: vec![0.0; shards.max(1)],
             granted: 0,
@@ -161,39 +233,48 @@ impl CompensationLedger {
         }
     }
 
+    /// Changes an existing entry in place, taking its old weight out of
+    /// the per-shard sums and putting the new weight in.
+    fn update(&mut self, client: ClientId, change: impl FnOnce(&mut CompEntry)) {
+        let Some(e) = self.entries.get_mut(client) else {
+            return;
+        };
+        let old = *e;
+        change(e);
+        let new = *e;
+        self.remove_entry(&old);
+        self.add_entry(&new);
+    }
+
     /// Records a grant (or factor update), preserving the resting state of
     /// an existing entry.
     fn record(&mut self, client: ClientId, factor: f64, funded: f64, shard: u32, resting: bool) {
-        let resting = self.entries.get(&client).map_or(resting, |e| e.resting);
-        if let Some(old) = self.entries.remove(&client) {
-            self.remove_entry(&old);
+        if self.entries.get(client).is_some() {
+            self.update(client, |e| {
+                (e.factor, e.funded, e.shard) = (factor, funded, shard);
+            });
+        } else {
+            let e = CompEntry {
+                factor,
+                funded,
+                shard,
+                resting,
+            };
+            self.add_entry(&e);
+            self.entries.insert(client, e);
         }
-        let e = CompEntry {
-            factor,
-            funded,
-            shard,
-            resting,
-        };
-        self.add_entry(&e);
-        self.entries.insert(client, e);
         self.granted += 1;
     }
 
     /// Updates the funded-value snapshot of an existing entry.
     fn refresh_funded(&mut self, client: ClientId, funded: f64) {
-        let Some(mut e) = self.entries.remove(&client) else {
-            return;
-        };
-        self.remove_entry(&e);
-        e.funded = funded;
-        self.add_entry(&e);
-        self.entries.insert(client, e);
+        self.update(client, |e| e.funded = funded);
     }
 
     /// Clears a client's compensation (factor back to 1); counts a
     /// revocation when an entry actually existed.
     fn clear(&mut self, client: ClientId) {
-        if let Some(e) = self.entries.remove(&client) {
+        if let Some(e) = self.entries.remove(client) {
             self.remove_entry(&e);
             self.revoked += 1;
         }
@@ -201,7 +282,7 @@ impl CompensationLedger {
 
     /// Drops a destroyed client without counting a revocation.
     fn forget(&mut self, client: ClientId) {
-        if let Some(e) = self.entries.remove(&client) {
+        if let Some(e) = self.entries.remove(client) {
             self.remove_entry(&e);
         }
     }
@@ -209,36 +290,26 @@ impl CompensationLedger {
     /// Flips a client between active and resting, moving its return
     /// weight in or out of the shard's resting sum.
     fn set_resting(&mut self, client: ClientId, resting: bool) {
-        let Some(mut e) = self.entries.remove(&client) else {
-            return;
-        };
-        self.remove_entry(&e);
-        e.resting = resting;
-        self.add_entry(&e);
-        self.entries.insert(client, e);
+        self.update(client, |e| e.resting = resting);
     }
 
     /// Moves a client's compensated weight to another shard (migration and
     /// steal re-homing) so nothing is lost or double-counted.
     fn rehome(&mut self, client: ClientId, shard: u32) {
-        let Some(mut e) = self.entries.remove(&client) else {
-            return;
-        };
-        self.remove_entry(&e);
-        e.shard = shard;
-        self.add_entry(&e);
-        self.entries.insert(client, e);
+        self.update(client, |e| e.shard = shard);
     }
 
-    /// Changes the shard count and rebuilds the per-shard sums, clamping
-    /// out-of-range homes into the new range.
+    /// Changes the shard count and rebuilds the per-shard sums in
+    /// ascending slot order, clamping out-of-range homes into the new
+    /// range.
     fn set_shards(&mut self, shards: usize) {
         self.extra = vec![0.0; shards.max(1)];
         self.resting = vec![0.0; shards.max(1)];
-        let entries: Vec<CompEntry> = self.entries.values().copied().collect();
-        for e in &entries {
+        let entries = std::mem::take(&mut self.entries);
+        for e in entries.iter() {
             self.add_entry(e);
         }
+        self.entries = entries;
     }
 
     fn shard_extra(&self, shard: u32) -> f64 {
@@ -258,13 +329,14 @@ impl CompensationLedger {
             .max(0.0)
     }
 
-    /// Global compensated weight, recomputed exactly from the entries.
+    /// Global compensated weight, recomputed exactly from the entries in
+    /// ascending slot order (so two identical runs agree to the last bit).
     fn total_extra(&self) -> f64 {
-        self.entries.values().map(CompEntry::extra).sum()
+        self.entries.iter().map(CompEntry::extra).sum()
     }
 
     fn factor_of(&self, client: ClientId) -> f64 {
-        self.entries.get(&client).map_or(1.0, |e| e.factor)
+        self.entries.get(client).map_or(1.0, |e| e.factor)
     }
 }
 
@@ -505,8 +577,9 @@ fn mark_currency(
     start: CurrencyId,
 ) -> (u32, u32) {
     let (mut removed_currencies, mut removed_clients) = (0, 0);
-    let mut work = vec![start];
-    while let Some(cur) = work.pop() {
+    debug_assert!(cache.mark_work.is_empty());
+    cache.mark_work.push(start);
+    while let Some(cur) = cache.mark_work.pop() {
         if cache.currencies.remove(&cur).is_none() {
             continue;
         }
@@ -516,7 +589,7 @@ fn mark_currency(
         };
         for &t in currency.issued() {
             match tickets.get(t).map(Ticket::target) {
-                Some(FundingTarget::Currency(next)) => work.push(next),
+                Some(FundingTarget::Currency(next)) => cache.mark_work.push(next),
                 Some(FundingTarget::Client(client)) => {
                     removed_clients += u32::from(mark_client(cache, client));
                 }
@@ -567,6 +640,7 @@ impl Ledger {
             base,
             epoch: 0,
             cache: RefCell::new(ValuationCache::default()),
+            activation_work: Vec::new(),
             bus: ProbeBus::disabled(),
         }
     }
@@ -1036,10 +1110,9 @@ impl Ledger {
             return Ok(());
         }
         client.set_active(true);
-        let funding: Vec<TicketId> = client.funding().to_vec();
-        for t in funding {
-            self.activate_ticket(t);
-        }
+        self.activation_work
+            .extend(client.funding().iter().rev().copied());
+        self.propagate_activation(true);
         self.cache.get_mut().comp.set_resting(id, false);
         self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
@@ -1059,10 +1132,9 @@ impl Ledger {
             return Ok(());
         }
         client.set_active(false);
-        let funding: Vec<TicketId> = client.funding().to_vec();
-        for t in funding {
-            self.deactivate_ticket(t);
-        }
+        self.activation_work
+            .extend(client.funding().iter().rev().copied());
+        self.propagate_activation(false);
         self.cache.get_mut().comp.set_resting(id, true);
         self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
@@ -1071,72 +1143,49 @@ impl Ledger {
         Ok(())
     }
 
-    /// Activates one ticket; if its denomination's active amount crosses
-    /// zero, the activation propagates to the denomination's backing
-    /// tickets, and so on toward the base currency.
+    /// Activates one ticket, propagating toward the base currency.
     fn activate_ticket(&mut self, id: TicketId) {
-        let mut work = vec![id];
-        while let Some(tid) = work.pop() {
-            let (amount, denom, already, target) = {
-                let t = self.tickets.get(tid).expect("ticket liveness invariant");
-                (t.amount(), t.currency(), t.is_active(), t.target())
-            };
-            if already {
-                continue;
-            }
-            self.tickets
-                .get_mut(tid)
-                .expect("checked above")
-                .set_active(true);
-            self.mark_ticket_change(denom, target);
-            let crossed = self
-                .currencies
-                .get_mut(denom)
-                .expect("denomination liveness invariant")
-                .activate_amount(amount);
-            if crossed {
-                let backing = self
-                    .currencies
-                    .get(denom)
-                    .expect("checked above")
-                    .backing()
-                    .to_vec();
-                work.extend(backing);
-            }
-        }
+        self.activation_work.push(id);
+        self.propagate_activation(true);
     }
 
-    /// Deactivates one ticket with symmetric zero-crossing propagation.
+    /// Deactivates one ticket, propagating toward the base currency.
     fn deactivate_ticket(&mut self, id: TicketId) {
-        let mut work = vec![id];
+        self.activation_work.push(id);
+        self.propagate_activation(false);
+    }
+
+    /// Sets the activation of every ticket on the work stack, last pushed
+    /// first. When a denomination's active amount crosses zero, the change
+    /// propagates to the denomination's backing tickets, and so on toward
+    /// the base currency, before the next stacked ticket is looked at.
+    fn propagate_activation(&mut self, active: bool) {
+        let mut work = std::mem::take(&mut self.activation_work);
         while let Some(tid) = work.pop() {
-            let (amount, denom, active, target) = {
-                let t = self.tickets.get(tid).expect("ticket liveness invariant");
-                (t.amount(), t.currency(), t.is_active(), t.target())
-            };
-            if !active {
+            let t = self
+                .tickets
+                .get_mut(tid)
+                .expect("ticket liveness invariant");
+            if t.is_active() == active {
                 continue;
             }
-            self.tickets
-                .get_mut(tid)
-                .expect("checked above")
-                .set_active(false);
+            t.set_active(active);
+            let (amount, denom, target) = (t.amount(), t.currency(), t.target());
             self.mark_ticket_change(denom, target);
-            let crossed = self
+            let currency = self
                 .currencies
                 .get_mut(denom)
-                .expect("denomination liveness invariant")
-                .deactivate_amount(amount);
+                .expect("denomination liveness invariant");
+            let crossed = if active {
+                currency.activate_amount(amount)
+            } else {
+                currency.deactivate_amount(amount)
+            };
             if crossed {
-                let backing = self
-                    .currencies
-                    .get(denom)
-                    .expect("checked above")
-                    .backing()
-                    .to_vec();
-                work.extend(backing);
+                work.extend_from_slice(currency.backing());
             }
         }
+        self.activation_work = work;
     }
 
     // ------------------------------------------------------------------
@@ -1170,12 +1219,12 @@ impl Ledger {
         let active = client.is_active();
         if factor > 1.0 {
             // Snapshot the implicit compensation ticket's base-unit worth
-            // against the client's home shard. A throwaway valuator keeps
-            // the incremental cache (and its probe traffic) untouched; an
-            // inactive client snapshots zero and is corrected on its next
-            // valuation after activation.
+            // against the client's home shard, by a read-only walk that
+            // leaves the incremental cache (and its probe traffic)
+            // untouched; an inactive client snapshots zero and is
+            // corrected on its next valuation after activation.
             let funded = if active {
-                Valuator::new(self).client_funded_value(id)?
+                self.peek_funded_value(id)?
             } else {
                 0.0
             };
@@ -1231,7 +1280,7 @@ impl Ledger {
 
     /// Number of clients currently holding a compensation factor > 1.
     pub fn compensated_clients(&self) -> usize {
-        self.cache.borrow().comp.entries.len()
+        self.cache.borrow().comp.entries.len
     }
 
     /// Compensation grants recorded since the ledger was created.
@@ -1298,7 +1347,7 @@ impl Ledger {
     /// cache (see [`Ledger::cached_client_value`]).
     pub fn cached_currency_value(&self, currency: CurrencyId) -> Result<f64> {
         let mut cache = self.cache.borrow_mut();
-        self.compute_currency_value(&mut cache, currency)
+        self.compute_currency_value::<false>(&mut cache, currency)
     }
 
     /// Drains the queue of clients whose cached value was invalidated
@@ -1396,38 +1445,74 @@ impl Ledger {
         self.cache.borrow().currencies.len()
     }
 
-    fn compute_currency_value(
+    /// The funded value of `client` (no compensation), as
+    /// [`Valuator::client_funded_value`] computes it, by a walk that only
+    /// *peeks*: valid cache entries are read, anything else is computed
+    /// into the scratch memo, and neither the cache nor the probe stream
+    /// sees the walk.
+    fn peek_funded_value(&self, client: ClientId) -> Result<f64> {
+        let cache = &mut *self.cache.borrow_mut();
+        cache.peek_walk += 1;
+        let mut sum = 0.0;
+        for &t in self.client(client)?.funding() {
+            sum += self.compute_ticket_value::<true>(cache, t)?;
+        }
+        Ok(sum)
+    }
+
+    /// A currency's value through the cache. With `PEEK` the walk is
+    /// read-only towards the cache: a miss is memoized in the scratch memo
+    /// (so a diamond graph is still walked once) and no probe is emitted.
+    fn compute_currency_value<const PEEK: bool>(
         &self,
         cache: &mut ValuationCache,
         currency: CurrencyId,
     ) -> Result<f64> {
-        if let Some(&v) = cache.currencies.get(&currency) {
+        let hit = cache.currencies.get(&currency).copied();
+        if !PEEK {
             self.bus.emit(|| EventKind::CacheLookup {
                 kind: "currency",
-                hit: true,
+                hit: hit.is_some(),
             });
+        }
+        if let Some(v) = hit {
             return Ok(v);
         }
-        self.bus.emit(|| EventKind::CacheLookup {
-            kind: "currency",
-            hit: false,
-        });
+        let slot = currency.index() as usize;
+        if PEEK {
+            if let Some(&(walk, v)) = cache.peek.get(slot) {
+                if walk == cache.peek_walk {
+                    return Ok(v);
+                }
+            }
+        }
         let v = if currency == self.base {
             self.currency(currency)?.active_amount() as f64
         } else {
             let mut sum = 0.0;
             for &t in self.currency(currency)?.backing() {
                 if self.ticket(t)?.is_active() {
-                    sum += self.compute_ticket_value(cache, t)?;
+                    sum += self.compute_ticket_value::<PEEK>(cache, t)?;
                 }
             }
             sum
         };
-        cache.currencies.insert(currency, v);
+        if PEEK {
+            if slot >= cache.peek.len() {
+                cache.peek.resize(slot + 1, (0, 0.0));
+            }
+            cache.peek[slot] = (cache.peek_walk, v);
+        } else {
+            cache.currencies.insert(currency, v);
+        }
         Ok(v)
     }
 
-    fn compute_ticket_value(&self, cache: &mut ValuationCache, ticket: TicketId) -> Result<f64> {
+    fn compute_ticket_value<const PEEK: bool>(
+        &self,
+        cache: &mut ValuationCache,
+        ticket: TicketId,
+    ) -> Result<f64> {
         let t = self.ticket(ticket)?;
         if !t.is_active() {
             return Ok(0.0);
@@ -1441,7 +1526,7 @@ impl Ledger {
         if active == 0 {
             return Ok(0.0);
         }
-        let cv = self.compute_currency_value(cache, denom)?;
+        let cv = self.compute_currency_value::<PEEK>(cache, denom)?;
         Ok(cv * amount / active as f64)
     }
 
@@ -1461,7 +1546,7 @@ impl Ledger {
         let comp = c.compensation();
         let mut sum = 0.0;
         for &t in c.funding() {
-            sum += self.compute_ticket_value(cache, t)?;
+            sum += self.compute_ticket_value::<false>(cache, t)?;
         }
         if comp > 1.0 && c.is_active() {
             // Keep the compensation ledger's funded-value snapshot in step
@@ -2395,5 +2480,193 @@ mod comp_ledger_tests {
         assert_eq!(l.compensation_resting_weight(0), 0.0);
         assert_eq!(l.compensated_clients(), 0);
         assert_eq!(l.compensations_revoked(), 0);
+    }
+
+    #[test]
+    fn recycled_slot_starts_uncompensated() {
+        let mut l = Ledger::new();
+        l.set_dirty_shards(2);
+        let old = active_client(&mut l, 50);
+        l.assign_dirty_shard(old, 1);
+        l.set_compensation(old, 2.0).unwrap();
+        l.deactivate_client(old).unwrap();
+        assert_eq!(l.compensation_resting_weight(1), 100.0);
+        l.destroy_client_and_funding(old).unwrap();
+
+        let new = l.create_client("successor");
+        assert_eq!(new.index(), old.index(), "the arena recycles the slot");
+        assert_ne!(new, old);
+        assert_eq!(l.compensation_factor(new), 1.0);
+        assert_eq!(l.compensation_factor(old), 1.0);
+        assert_eq!(l.compensated_clients(), 0);
+        for shard in 0..2 {
+            assert_eq!(l.compensation_shard_weight(shard), 0.0);
+            assert_eq!(l.compensation_resting_weight(shard), 0.0);
+        }
+        assert!(matches!(
+            l.set_compensation(old, 2.0),
+            Err(LotteryError::StaleHandle {
+                kind: ObjectKind::Client,
+                ..
+            })
+        ));
+        // A grant to the successor is not readable through the old handle.
+        l.set_compensation(new, 3.0).unwrap();
+        assert_eq!(l.compensation_factor(new), 3.0);
+        assert_eq!(l.compensation_factor(old), 1.0);
+    }
+
+    /// A grant made while the cache is cold values the client by the
+    /// read-only walk: same value as the reference, nothing cached, no
+    /// lookup probe, and nothing remembered from one grant to the next.
+    #[test]
+    fn cold_grant_snapshots_without_touching_the_cache() {
+        use lottery_obs::{Aggregator, Shared};
+        let mut l = Ledger::new();
+        let top = l.create_currency("top").unwrap();
+        let back = l.issue_root(l.base(), 1000).unwrap();
+        l.fund_currency(back, top).unwrap();
+        // A diamond: `join` is backed through both `left` and `right`.
+        let (left, right, join) = (
+            l.create_currency("left").unwrap(),
+            l.create_currency("right").unwrap(),
+            l.create_currency("join").unwrap(),
+        );
+        for (from, to, amount) in [
+            (top, left, 1),
+            (top, right, 2),
+            (left, join, 3),
+            (right, join, 4),
+        ] {
+            let t = l.issue_root(from, amount).unwrap();
+            l.fund_currency(t, to).unwrap();
+        }
+        let c = l.create_client("c");
+        let other = l.create_client("other");
+        let t = l.issue_root(join, 3).unwrap();
+        let t_other = l.issue_root(join, 4).unwrap();
+        l.fund_client(t, c).unwrap();
+        l.fund_client(t_other, other).unwrap();
+        l.activate_client(c).unwrap();
+        l.activate_client(other).unwrap();
+        assert_eq!(l.cached_currency_entries(), 0, "nothing valued yet");
+
+        let probes = Shared::new(Aggregator::new());
+        l.set_probe_bus(ProbeBus::with_recorder(probes.clone()));
+        for (factor, amount) in [(10.0 / 3.0, 1000), (7.0 / 3.0, 700), (2.5, 1100)] {
+            // Reprice every currency between grants: a memo kept from one
+            // walk to the next would show.
+            l.set_amount(back, amount).unwrap();
+            let funded = Valuator::new(&l).client_funded_value(c).unwrap();
+            l.set_compensation(c, factor).unwrap();
+            assert_eq!(
+                l.compensation_total_weight().to_bits(),
+                (funded * (factor - 1.0)).to_bits()
+            );
+        }
+        assert_eq!(l.cached_currency_entries(), 0, "the walk filled the cache");
+        assert_eq!(
+            probes.with(|a| a.cache_hits + a.cache_misses),
+            0,
+            "the walk emitted lookups"
+        );
+        // With part of the graph cached the walk reads it, to the same value.
+        l.cached_currency_value(left).unwrap();
+        l.set_compensation(c, 1.0).unwrap();
+        let funded = Valuator::new(&l).client_funded_value(c).unwrap();
+        l.set_compensation(c, 3.0).unwrap();
+        assert_eq!(
+            l.compensation_total_weight().to_bits(),
+            (funded * 2.0).to_bits()
+        );
+    }
+
+    /// Six compensated clients whose `extra`s (thirds of sevenths of base
+    /// units) do not add exactly, so the order of summation shows in the
+    /// last bits; returns the ledger, the clients in slot order, and the
+    /// `(funded, extra)` the reference valuator gives each, in that order.
+    fn inexact_compensation_book() -> (Ledger, Vec<ClientId>, Vec<(f64, f64)>) {
+        let mut l = Ledger::new();
+        let pool = l.create_currency("pool").unwrap();
+        let back = l.issue_root(l.base(), 100).unwrap();
+        l.fund_currency(back, pool).unwrap();
+        // Three issuers share the pool 1:2:4 — values in sevenths.
+        let shares = [1u64, 2, 4, 1, 2, 4];
+        let factors = [
+            10.0 / 3.0,
+            8.0 / 3.0,
+            7.0 / 3.0,
+            4.0 / 3.0,
+            17.0 / 3.0,
+            5.0 / 3.0,
+        ];
+        let mut clients = Vec::new();
+        for (i, &share) in shares.iter().enumerate() {
+            let c = l.create_client(format!("c{i}"));
+            let t = l.issue_root(pool, share).unwrap();
+            l.fund_client(t, c).unwrap();
+            l.activate_client(c).unwrap();
+            clients.push(c);
+        }
+        // Grant in an order that is not slot order.
+        for &i in &[3usize, 0, 5, 1, 4, 2] {
+            l.set_compensation(clients[i], factors[i]).unwrap();
+        }
+        let mut v = Valuator::new(&l);
+        let book = clients
+            .iter()
+            .zip(factors)
+            .map(|(&c, f)| {
+                let funded = v.client_funded_value(c).unwrap();
+                (funded, funded * (f - 1.0))
+            })
+            .collect();
+        (l, clients, book)
+    }
+
+    #[test]
+    fn total_weight_sums_in_slot_order_bit_for_bit() {
+        let (mut l, clients, book) = inexact_compensation_book();
+        let slot_order: f64 = book.iter().map(|&(_, extra)| extra).sum();
+        let reversed: f64 = book.iter().rev().map(|&(_, extra)| extra).sum();
+        assert_ne!(
+            slot_order.to_bits(),
+            reversed.to_bits(),
+            "the book must be order-sensitive for this test to mean anything"
+        );
+        assert_eq!(
+            l.compensation_total_weight().to_bits(),
+            slot_order.to_bits()
+        );
+
+        // An independently built ledger agrees to the last bit.
+        let (twin, _, _) = inexact_compensation_book();
+        assert_eq!(
+            twin.compensation_total_weight().to_bits(),
+            l.compensation_total_weight().to_bits()
+        );
+
+        // Resharding rebuilds the per-shard sums in slot order too.
+        l.set_dirty_shards(4);
+        for (i, &c) in clients.iter().enumerate() {
+            l.assign_dirty_shard(c, i as u32 % 4);
+        }
+        l.deactivate_client(clients[1]).unwrap();
+        l.deactivate_client(clients[4]).unwrap();
+        assert_eq!(
+            l.compensation_total_weight().to_bits(),
+            slot_order.to_bits()
+        );
+        l.set_dirty_shards(1);
+        assert_eq!(
+            l.compensation_shard_weight(0).to_bits(),
+            slot_order.to_bits()
+        );
+        // Resting weight is `funded + extra` of the snapshots, slot order.
+        let resting = (book[1].0 + book[1].1) + (book[4].0 + book[4].1);
+        assert_eq!(
+            l.compensation_resting_weight(0).to_bits(),
+            resting.to_bits()
+        );
     }
 }

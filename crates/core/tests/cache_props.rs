@@ -1,7 +1,7 @@
 //! Property-based coherence tests for the ledger's incremental valuation
 //! cache.
 //!
-//! Two contracts are exercised against random mutation sequences over
+//! Three contracts are exercised against random mutation sequences over
 //! random currency graphs, with cache reads interleaved so entries are
 //! warm when mutations land:
 //!
@@ -14,6 +14,13 @@
 //!    [`Ledger::drain_dirty_clients`] (re-warming each refreshed entry,
 //!    exactly as the tree scheduler does) never goes stale. Every value
 //!    change of a warm client must be signalled.
+//! 3. **Compensation book** — a model of the book kept beside the ledger
+//!    (one funded-value snapshot and home shard per compensated client,
+//!    the snapshot taken from the reference [`Valuator`] wherever the
+//!    ledger takes or refreshes its own) predicts
+//!    [`Ledger::compensation_total_weight`] bit for bit and the per-shard
+//!    sums up to the rounding of their running `+=`/`−=`, through slot
+//!    reuse, resharding and re-homing.
 
 use lottery_core::prelude::*;
 use proptest::prelude::*;
@@ -74,6 +81,18 @@ enum Op {
     DestroyClient {
         cl: usize,
     },
+    /// Destroy a client and create one straight away: the arena hands the
+    /// newcomer the same slot under a new generation.
+    RecreateClient {
+        cl: usize,
+    },
+    SetShards {
+        shards: usize,
+    },
+    AssignShard {
+        cl: usize,
+        shard: u32,
+    },
     /// Warm a random client's cache entry mid-sequence.
     ReadClient {
         cl: usize,
@@ -107,6 +126,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..32usize, 0..32usize).prop_map(|(a, b)| Op::Merge { a, b }),
         (0..8usize, 0..4u64).prop_map(|(cl, k)| Op::SetCompensation { cl, k }),
         (0..8usize).prop_map(|cl| Op::DestroyClient { cl }),
+        (0..8usize).prop_map(|cl| Op::RecreateClient { cl }),
+        (1..5usize).prop_map(|shards| Op::SetShards { shards }),
+        (0..8usize, 0..5u32).prop_map(|(cl, shard)| Op::AssignShard { cl, shard }),
         (0..8usize).prop_map(|cl| Op::ReadClient { cl }),
         (0..8usize).prop_map(|c| Op::ReadCurrency { c }),
     ]
@@ -119,6 +141,9 @@ struct World {
     tickets: Vec<TicketId>,
     /// Client values as last seen through the dirty-drain protocol.
     mirror: HashMap<ClientId, f64>,
+    /// Model of the compensation book: per compensated client, the funded
+    /// value the ledger last snapshotted and the home shard it recorded.
+    book: HashMap<ClientId, (f64, u32)>,
 }
 
 impl World {
@@ -131,7 +156,45 @@ impl World {
             clients: Vec::new(),
             tickets: Vec::new(),
             mirror: HashMap::new(),
+            book: HashMap::new(),
         }
+    }
+
+    fn funded(&self, cl: ClientId) -> f64 {
+        Valuator::new(&self.ledger).client_funded_value(cl).unwrap()
+    }
+
+    /// A cached read of `cl`. Valuing a compensated client while it is
+    /// active refreshes the book's snapshot; on a cache hit nothing was
+    /// revalued, but then nothing has changed since the refresh either.
+    fn read_client(&mut self, cl: ClientId) -> f64 {
+        let v = self.ledger.cached_client_value(cl).unwrap();
+        if self.ledger.client(cl).unwrap().is_active() && self.book.contains_key(&cl) {
+            let funded = self.funded(cl);
+            self.book.get_mut(&cl).unwrap().0 = funded;
+        }
+        v
+    }
+
+    fn create_client(&mut self) {
+        let id = self
+            .ledger
+            .create_client(format!("cl{}", self.clients.len()));
+        self.clients.push(id);
+        // Mirror protocol: warm the entry at creation, like the
+        // scheduler does when it first enqueues a thread.
+        let v = self.read_client(id);
+        self.mirror.insert(id, v);
+    }
+
+    fn destroy_client(&mut self, cl: usize) -> ClientId {
+        let cl = self.clients.swap_remove(cl % self.clients.len());
+        self.ledger.destroy_client_and_funding(cl).unwrap();
+        self.mirror.remove(&cl);
+        self.book.remove(&cl);
+        // Its funding tickets are gone too.
+        self.tickets.retain(|&t| self.ledger.ticket(t).is_ok());
+        cl
     }
 
     fn apply(&mut self, op: &Op) {
@@ -143,16 +206,7 @@ impl World {
                     .unwrap();
                 self.currencies.push(id);
             }
-            Op::CreateClient => {
-                let id = self
-                    .ledger
-                    .create_client(format!("cl{}", self.clients.len()));
-                self.clients.push(id);
-                // Mirror protocol: warm the entry at creation, like the
-                // scheduler does when it first enqueues a thread.
-                let v = self.ledger.cached_client_value(id).unwrap();
-                self.mirror.insert(id, v);
-            }
+            Op::CreateClient => self.create_client(),
             Op::FundClient { c, amount, cl } => {
                 if self.clients.is_empty() {
                     return;
@@ -237,22 +291,60 @@ impl World {
             Op::SetCompensation { cl, k } => {
                 if let Some(&cl) = self.clients.get(cl % self.clients.len().max(1)) {
                     let factor = 1.0 + 0.5 * k as f64;
+                    let client = self.ledger.client(cl).unwrap();
+                    let (changed, active) = (client.compensation() != factor, client.is_active());
+                    // The reference snapshot is taken before the grant, on
+                    // the state the grant sees.
+                    let funded = if active { self.funded(cl) } else { 0.0 };
                     self.ledger.set_compensation(cl, factor).unwrap();
+                    if changed && factor > 1.0 {
+                        let shard = self.ledger.dirty_shard_of(cl);
+                        self.book.insert(cl, (funded, shard));
+                    } else if changed {
+                        self.book.remove(&cl);
+                    }
+                    // Checked before any read can refresh the snapshot
+                    // the grant itself recorded.
+                    assert_eq!(
+                        self.ledger.compensation_total_weight().to_bits(),
+                        self.book_total().to_bits(),
+                        "snapshot recorded by the grant to {cl:?}"
+                    );
                 }
             }
             Op::DestroyClient { cl } => {
                 if self.clients.is_empty() {
                     return;
                 }
-                let cl = self.clients.swap_remove(cl % self.clients.len());
-                self.ledger.destroy_client_and_funding(cl).unwrap();
-                self.mirror.remove(&cl);
-                // Its funding tickets are gone too.
-                self.tickets.retain(|&t| self.ledger.ticket(t).is_ok());
+                self.destroy_client(cl);
+            }
+            Op::RecreateClient { cl } => {
+                if self.clients.is_empty() {
+                    return;
+                }
+                let old = self.destroy_client(cl);
+                self.create_client();
+                let new = *self.clients.last().unwrap();
+                assert_eq!(new.index(), old.index(), "slot not recycled");
+                assert_eq!(self.ledger.compensation_factor(new), 1.0);
+                assert_eq!(self.ledger.compensation_factor(old), 1.0);
+                assert!(matches!(
+                    self.ledger.set_compensation(old, 2.0),
+                    Err(LotteryError::StaleHandle { .. })
+                ));
+            }
+            Op::SetShards { shards } => self.ledger.set_dirty_shards(shards),
+            Op::AssignShard { cl, shard } => {
+                if let Some(&cl) = self.clients.get(cl % self.clients.len().max(1)) {
+                    self.ledger.assign_dirty_shard(cl, shard);
+                    if let Some(entry) = self.book.get_mut(&cl) {
+                        entry.1 = self.ledger.dirty_shard_of(cl);
+                    }
+                }
             }
             Op::ReadClient { cl } => {
                 if let Some(&cl) = self.clients.get(cl % self.clients.len().max(1)) {
-                    self.ledger.cached_client_value(cl).unwrap();
+                    self.read_client(cl);
                 }
             }
             Op::ReadCurrency { c } => {
@@ -263,13 +355,13 @@ impl World {
     }
 
     /// Contract 1: cached reads bit-equal a fresh valuator.
-    fn check_cache_matches_fresh(&self) -> CheckResult {
-        let mut fresh = Valuator::new(&self.ledger);
-        for &cl in &self.clients {
-            let cached = self.ledger.cached_client_value(cl).unwrap();
-            let oracle = fresh.client_value(cl).unwrap();
+    fn check_cache_matches_fresh(&mut self) -> CheckResult {
+        for cl in self.clients.clone() {
+            let cached = self.read_client(cl);
+            let oracle = Valuator::new(&self.ledger).client_value(cl).unwrap();
             prop_assert_eq!(cached, oracle, "client {:?}", cl);
         }
+        let mut fresh = Valuator::new(&self.ledger);
         for &c in &self.currencies {
             let cached = self.ledger.cached_currency_value(c).unwrap();
             let oracle = fresh.currency_value(c).unwrap();
@@ -289,7 +381,7 @@ impl World {
             );
             // Re-warming here is part of the protocol: only warm entries
             // are guaranteed future notifications.
-            let v = self.ledger.cached_client_value(cl).unwrap();
+            let v = self.read_client(cl);
             self.mirror.insert(cl, v);
         }
         let mut fresh = Valuator::new(&self.ledger);
@@ -297,6 +389,69 @@ impl World {
             let mirrored = self.mirror[&cl];
             let oracle = fresh.client_value(cl).unwrap();
             prop_assert_eq!(mirrored, oracle, "mirror stale for {:?}", cl);
+        }
+        Ok(())
+    }
+
+    /// The model's entries in slot order: `(client, funded, extra, shard)`.
+    fn book_entries(&self) -> Vec<(ClientId, f64, f64, u32)> {
+        let mut entries: Vec<_> = self
+            .book
+            .iter()
+            .map(|(&cl, &(funded, shard))| {
+                let factor = self.ledger.client(cl).unwrap().compensation();
+                (cl, funded, funded * (factor - 1.0), shard)
+            })
+            .collect();
+        entries.sort_by_key(|&(cl, ..)| cl.index());
+        entries
+    }
+
+    /// What [`Ledger::compensation_total_weight`] must read, bit for bit.
+    fn book_total(&self) -> f64 {
+        self.book_entries().iter().map(|&(_, _, x, _)| x).sum()
+    }
+
+    /// Contract 3: the ledger's compensation book against the model's.
+    fn check_compensation_book(&self) -> CheckResult {
+        let l = &self.ledger;
+        prop_assert_eq!(l.compensated_clients(), self.book.len());
+        prop_assert_eq!(
+            l.compensation_total_weight().to_bits(),
+            self.book_total().to_bits()
+        );
+        let shards = l.dirty_shards();
+        let (mut extra, mut resting) = (vec![0.0; shards], vec![0.0; shards]);
+        for (cl, funded, x, shard) in self.book_entries() {
+            let client = l.client(cl).unwrap();
+            prop_assert_eq!(l.compensation_factor(cl), client.compensation());
+            let home = (shard as usize).min(shards - 1);
+            extra[home] += x;
+            if !client.is_active() {
+                resting[home] += funded + x;
+            }
+        }
+        // Maintained by running sums: equal up to their rounding.
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
+        for s in 0..shards {
+            let (e, r) = (
+                l.compensation_shard_weight(s as u32),
+                l.compensation_resting_weight(s as u32),
+            );
+            prop_assert!(
+                close(e, extra[s]),
+                "shard {} extra {} vs {}",
+                s,
+                e,
+                extra[s]
+            );
+            prop_assert!(
+                close(r, resting[s]),
+                "shard {} resting {} vs {}",
+                s,
+                r,
+                resting[s]
+            );
         }
         Ok(())
     }
@@ -314,6 +469,7 @@ proptest! {
             world.apply(op);
         }
         world.check_cache_matches_fresh()?;
+        world.check_compensation_book()?;
     }
 
     /// The cache and the dirty-notification queue stay coherent at every
@@ -328,6 +484,7 @@ proptest! {
             world.apply(op);
             world.check_cache_matches_fresh()?;
             world.drain_and_check_mirror()?;
+            world.check_compensation_book()?;
         }
     }
 }

@@ -5,8 +5,10 @@
 //! response times (Figure 7), and scheduling overhead (Section 5.6). The
 //! kernel feeds every dispatch into [`Metrics`]; the experiment harness
 //! reads these out.
-
-use std::collections::HashMap;
+//!
+//! Per-thread accounting is a table indexed by [`ThreadId::index`]: a
+//! dispatch records against the running thread three or four times, and
+//! thread ids are dense, so each record is an index, not a hash lookup.
 
 use lottery_stats::{ProgressSeries, Summary};
 
@@ -63,7 +65,10 @@ impl ThreadMetrics {
 /// Whole-kernel accounting.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    threads: HashMap<ThreadId, ThreadMetrics>,
+    /// Indexed by `ThreadId::index()` — thread ids are dense, and the
+    /// kernels touch the running thread's slot several times per dispatch.
+    /// `None` until the thread is first accounted for.
+    threads: Vec<Option<ThreadMetrics>>,
     /// Scheduling decisions made (one per dispatch).
     pub decisions: u64,
     /// Dispatches that switched to a different thread than last time.
@@ -82,17 +87,21 @@ impl Metrics {
 
     /// Accounting for one thread (creating it on first touch).
     pub(crate) fn thread_mut(&mut self, tid: ThreadId) -> &mut ThreadMetrics {
-        self.threads.entry(tid).or_default()
+        let slot = tid.index() as usize;
+        if slot >= self.threads.len() {
+            self.threads.resize_with(slot + 1, || None);
+        }
+        self.threads[slot].get_or_insert_with(ThreadMetrics::default)
     }
 
     /// Read-only per-thread metrics; `None` if the thread never ran.
     pub fn thread(&self, tid: ThreadId) -> Option<&ThreadMetrics> {
-        self.threads.get(&tid)
+        self.threads.get(tid.index() as usize)?.as_ref()
     }
 
     /// Records a run segment: `tid` consumed `ran` ending at `now`, with
     /// `cpu_total` being its lifetime CPU after the segment.
-    pub(crate) fn record_run(
+    pub fn record_run(
         &mut self,
         tid: ThreadId,
         now: SimTime,
@@ -105,7 +114,7 @@ impl Metrics {
     }
 
     /// Records a dispatch and its ready-queue wait.
-    pub(crate) fn record_dispatch(&mut self, tid: ThreadId, waited: SimDuration, switched: bool) {
+    pub fn record_dispatch(&mut self, tid: ThreadId, waited: SimDuration, switched: bool) {
         self.decisions += 1;
         if switched {
             self.context_switches += 1;
@@ -117,7 +126,7 @@ impl Metrics {
 
     /// Classifies a dispatch's ready-queue wait: preemption requeue
     /// (quantum expiry / yield) versus true wake (spawn or sleep end).
-    pub(crate) fn record_wait_kind(&mut self, tid: ThreadId, waited: SimDuration, preempted: bool) {
+    pub fn record_wait_kind(&mut self, tid: ThreadId, waited: SimDuration, preempted: bool) {
         let t = self.thread_mut(tid);
         if preempted {
             t.preempt_wait_us.record(waited.as_us() as f64);

@@ -420,3 +420,31 @@ fn replay_summary_prices_record_and_replay_for_every_structure() {
         );
     }
 }
+
+#[test]
+fn ledger_hot_summary_covers_every_group_at_both_populations() {
+    // Committed by `cargo bench --bench ledger_hot`: the block/wake pair,
+    // the compensation grant/clear and the three metrics records of a
+    // dispatch, at the desktop population and at 1e5 clients, `elements`
+    // carrying the client count. No ratio between the populations is
+    // asserted: the valuation cache's value maps are hashed at both, and
+    // what separates the rows on a given day is the host's memory latency.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_ledger_hot.json");
+    let text = fs::read_to_string(&path).expect("BENCH_ledger_hot.json committed");
+    let v = json::parse(&text).unwrap();
+    let results = v.get("results").and_then(Value::as_array).unwrap();
+    for group in ["block-wake-pair", "grant-clear", "metrics-record"] {
+        for clients in [34u64, 100_000] {
+            let id = format!("ledger-hot/{group}/{clients}");
+            let r = results
+                .iter()
+                .find(|r| r.get("id").and_then(Value::as_str) == Some(id.as_str()))
+                .unwrap_or_else(|| panic!("missing result {id}"));
+            assert_eq!(
+                r.get("elements").and_then(Value::as_f64),
+                Some(clients as f64),
+                "{id}: elements must be the client count"
+            );
+        }
+    }
+}
