@@ -31,7 +31,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use lottery_obs::{EventKind, ProbeBus};
+use lottery_obs::{Counter, EventKind, ProbeBus};
 
 use crate::arena::Arena;
 use crate::client::{Client, ClientId};
@@ -645,9 +645,9 @@ impl Ledger {
         }
     }
 
-    /// Attaches a probe bus; subsequent mutations and cache traffic emit
-    /// structured events through it. The default bus is disabled and costs
-    /// one branch per probe site.
+    /// Attaches a probe bus; subsequent mutations emit structured events
+    /// through it and valuation-cache lookups bump its counters. The
+    /// default bus is disabled and costs one branch per probe site.
     pub fn set_probe_bus(&mut self, bus: ProbeBus) {
         self.bus = bus;
     }
@@ -1445,11 +1445,17 @@ impl Ledger {
         self.cache.borrow().currencies.len()
     }
 
+    /// Number of currently valid cached client entries (for tests and
+    /// instrumentation).
+    pub fn cached_client_entries(&self) -> usize {
+        self.cache.borrow().clients.len()
+    }
+
     /// The funded value of `client` (no compensation), as
     /// [`Valuator::client_funded_value`] computes it, by a walk that only
     /// *peeks*: valid cache entries are read, anything else is computed
-    /// into the scratch memo, and neither the cache nor the probe stream
-    /// sees the walk.
+    /// into the scratch memo, and neither the cache nor the probe bus sees
+    /// the walk.
     fn peek_funded_value(&self, client: ClientId) -> Result<f64> {
         let cache = &mut *self.cache.borrow_mut();
         cache.peek_walk += 1;
@@ -1462,7 +1468,7 @@ impl Ledger {
 
     /// A currency's value through the cache. With `PEEK` the walk is
     /// read-only towards the cache: a miss is memoized in the scratch memo
-    /// (so a diamond graph is still walked once) and no probe is emitted.
+    /// (so a diamond graph is still walked once) and no lookup is counted.
     fn compute_currency_value<const PEEK: bool>(
         &self,
         cache: &mut ValuationCache,
@@ -1470,9 +1476,9 @@ impl Ledger {
     ) -> Result<f64> {
         let hit = cache.currencies.get(&currency).copied();
         if !PEEK {
-            self.bus.emit(|| EventKind::CacheLookup {
-                kind: "currency",
-                hit: hit.is_some(),
+            self.bus.count(match hit {
+                Some(_) => Counter::CurrencyHit,
+                None => Counter::CurrencyMiss,
             });
         }
         if let Some(v) = hit {
@@ -1532,16 +1538,10 @@ impl Ledger {
 
     fn compute_client_value(&self, cache: &mut ValuationCache, client: ClientId) -> Result<f64> {
         if let Some(&v) = cache.clients.get(&client) {
-            self.bus.emit(|| EventKind::CacheLookup {
-                kind: "client",
-                hit: true,
-            });
+            self.bus.count(Counter::ClientHit);
             return Ok(v);
         }
-        self.bus.emit(|| EventKind::CacheLookup {
-            kind: "client",
-            hit: false,
-        });
+        self.bus.count(Counter::ClientMiss);
         let c = self.client(client)?;
         let comp = c.compensation();
         let mut sum = 0.0;
@@ -2568,7 +2568,7 @@ mod comp_ledger_tests {
         assert_eq!(
             probes.with(|a| a.cache_hits + a.cache_misses),
             0,
-            "the walk emitted lookups"
+            "the walk counted lookups"
         );
         // With part of the graph cached the walk reads it, to the same value.
         l.cached_currency_value(left).unwrap();

@@ -21,8 +21,13 @@
 //!    [`Ledger::compensation_total_weight`] bit for bit and the per-shard
 //!    sums up to the rounding of their running `+=`/`−=`, through slot
 //!    reuse, resharding and re-homing.
+//! 4. **Counter exactness** — an [`Aggregator`] on the ledger's bus sees
+//!    every cached client read as exactly one client lookup, a miss iff
+//!    the read filled a cache entry, and sees nothing of the read-only
+//!    walk a compensation grant takes its snapshot by.
 
 use lottery_core::prelude::*;
+use lottery_obs::{Aggregator, Counter, ProbeBus, Shared};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::HashMap;
@@ -144,12 +149,16 @@ struct World {
     /// Model of the compensation book: per compensated client, the funded
     /// value the ledger last snapshotted and the home shard it recorded.
     book: HashMap<ClientId, (f64, u32)>,
+    /// Scrapes the valuation-cache counters of the ledger's bus.
+    stats: Shared<Aggregator>,
 }
 
 impl World {
     fn new() -> Self {
-        let ledger = Ledger::new();
+        let mut ledger = Ledger::new();
         let base = ledger.base();
+        let stats = Shared::new(Aggregator::new());
+        ledger.set_probe_bus(ProbeBus::with_recorder(stats.clone()));
         Self {
             ledger,
             currencies: vec![base],
@@ -157,7 +166,13 @@ impl World {
             tickets: Vec::new(),
             mirror: HashMap::new(),
             book: HashMap::new(),
+            stats,
         }
+    }
+
+    /// The four lookup counts, indexed by `Counter as usize`.
+    fn lookups(&self) -> [u64; Counter::COUNT] {
+        self.stats.with(|a| a.cache_lookups)
     }
 
     fn funded(&self, cl: ClientId) -> f64 {
@@ -168,7 +183,20 @@ impl World {
     /// active refreshes the book's snapshot; on a cache hit nothing was
     /// revalued, but then nothing has changed since the refresh either.
     fn read_client(&mut self, cl: ClientId) -> f64 {
+        let (before, entries) = (self.lookups(), self.ledger.cached_client_entries());
         let v = self.ledger.cached_client_value(cl).unwrap();
+        let after = self.lookups();
+        let moved = |c: Counter| after[c as usize] - before[c as usize];
+        assert_eq!(
+            moved(Counter::ClientHit) + moved(Counter::ClientMiss),
+            1,
+            "one read of {cl:?} is one client lookup"
+        );
+        assert_eq!(
+            moved(Counter::ClientMiss) == 1,
+            self.ledger.cached_client_entries() > entries,
+            "a miss is a read that filled an entry"
+        );
         if self.ledger.client(cl).unwrap().is_active() && self.book.contains_key(&cl) {
             let funded = self.funded(cl);
             self.book.get_mut(&cl).unwrap().0 = funded;
@@ -296,7 +324,9 @@ impl World {
                     // The reference snapshot is taken before the grant, on
                     // the state the grant sees.
                     let funded = if active { self.funded(cl) } else { 0.0 };
+                    let before = self.lookups();
                     self.ledger.set_compensation(cl, factor).unwrap();
+                    assert_eq!(self.lookups(), before, "the grant's walk only peeks");
                     if changed && factor > 1.0 {
                         let shard = self.ledger.dirty_shard_of(cl);
                         self.book.insert(cl, (funded, shard));

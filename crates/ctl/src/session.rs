@@ -1408,6 +1408,33 @@ mod tests {
     }
 
     #[test]
+    fn stat_splits_cache_lookups_and_keeps_them_across_a_trace_toggle() {
+        let mut s = Session::new();
+        eval(&mut s, "mkcur alice");
+        eval(&mut s, "mktkt a 100 base");
+        eval(&mut s, "fund a alice");
+        eval(&mut s, "fundx 50 alice c");
+        eval(&mut s, "fundx 50 alice d");
+        // Each switch values both processes through the ledger's cache.
+        eval(&mut s, "structure tree");
+        eval(&mut s, "structure alias");
+        // `trace on` swaps the ledger's bus; the counts so far carry over.
+        eval(&mut s, "trace on");
+        eval(&mut s, "structure list");
+        let stat = eval(&mut s, "stat");
+        for line in [
+            "lottery_cache_lookups_total{kind=\"client\",result=\"hit\"} 4",
+            "lottery_cache_lookups_total{kind=\"client\",result=\"miss\"} 2",
+            "lottery_cache_lookups_total{kind=\"currency\",result=\"hit\"} 1",
+            "lottery_cache_lookups_total{kind=\"currency\",result=\"miss\"} 1",
+            "lottery_cache_hits_total 5",
+            "lottery_cache_misses_total 3",
+        ] {
+            assert!(stat.contains(line), "missing {line:?} in {stat}");
+        }
+    }
+
+    #[test]
     fn stat_counts_ledger_ops() {
         let mut s = Session::new();
         eval(&mut s, "mkcur alice");

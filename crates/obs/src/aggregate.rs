@@ -1,10 +1,17 @@
 //! Counter/histogram aggregation and the Prometheus-style snapshot.
+//!
+//! Events are folded as they arrive; the bus's counter tier (the
+//! valuation-cache lookups) is scraped from the bus's [`Counters`] block
+//! whenever a reader looks through [`crate::Shared::with`], and reads as
+//! "since this aggregator was attached".
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use lottery_stats::{Histogram, Summary};
 
+use crate::bus::{Counter, Counters};
 use crate::event::{Event, EventKind};
 use crate::recorder::Recorder;
 
@@ -33,10 +40,15 @@ pub struct Aggregator {
     pub queue_depth: Summary,
     /// Per-CPU maximum observed queue depth.
     pub cpu_queue_depth_max: BTreeMap<u32, u32>,
-    /// Valuation-cache hits.
+    /// Valuation-cache hits (client and currency lookups together).
     pub cache_hits: u64,
     /// Valuation-cache misses.
     pub cache_misses: u64,
+    /// The same lookups split four ways, indexed by `Counter as usize`.
+    pub cache_lookups: [u64; Counter::COUNT],
+    /// The counter block of the bus attached to last, and what to take off
+    /// its totals so counts start at attach and survive a re-attach.
+    counters: Option<(Arc<Counters>, [u64; Counter::COUNT])>,
     /// Cached currency entries removed by invalidations.
     pub invalidated_currencies: u64,
     /// Cached client entries removed by invalidations.
@@ -111,6 +123,8 @@ impl Aggregator {
             cpu_queue_depth_max: BTreeMap::new(),
             cache_hits: 0,
             cache_misses: 0,
+            cache_lookups: [0; Counter::COUNT],
+            counters: None,
             invalidated_currencies: 0,
             invalidated_clients: 0,
             dirty_depth: Summary::new(),
@@ -244,6 +258,23 @@ impl Aggregator {
             "Partition/node-loss heals observed.",
             self.partition_heals as f64,
         );
+        let _ = writeln!(
+            out,
+            "# HELP lottery_cache_lookups_total Valuation-cache lookups by kind and result."
+        );
+        let _ = writeln!(out, "# TYPE lottery_cache_lookups_total counter");
+        for (counter, kind, result) in [
+            (Counter::ClientHit, "client", "hit"),
+            (Counter::ClientMiss, "client", "miss"),
+            (Counter::CurrencyHit, "currency", "hit"),
+            (Counter::CurrencyMiss, "currency", "miss"),
+        ] {
+            let _ = writeln!(
+                out,
+                "lottery_cache_lookups_total{{kind=\"{kind}\",result=\"{result}\"}} {}",
+                self.cache_lookups[counter as usize]
+            );
+        }
         let _ = writeln!(
             out,
             "# HELP lottery_ledger_ops_total Ledger mutations by operation."
@@ -409,13 +440,6 @@ impl Recorder for Aggregator {
                 self.shard_comp_weight.insert(shard, weight);
             }
             EventKind::LedgerOp { op } => *self.ledger_ops.entry(op).or_insert(0) += 1,
-            EventKind::CacheLookup { hit, .. } => {
-                if hit {
-                    self.cache_hits += 1;
-                } else {
-                    self.cache_misses += 1;
-                }
-            }
             EventKind::CacheInvalidate {
                 currencies,
                 clients,
@@ -441,11 +465,6 @@ impl Recorder for Aggregator {
             EventKind::ShardSteal { .. } => {}
             EventKind::ShardMigrate { .. } => self.shard_migrations += 1,
             EventKind::ShardImbalance { .. } => self.shard_imbalances += 1,
-            EventKind::QueueDepth { cpu, depth } => {
-                self.queue_depth.record(depth as f64);
-                let max = self.cpu_queue_depth_max.entry(cpu).or_insert(0);
-                *max = (*max).max(depth);
-            }
             EventKind::ResourceGrant { .. } => {}
             EventKind::ResourceDraw { resource, .. } => {
                 *self.resource_draws.entry(resource).or_insert(0) += 1;
@@ -495,6 +514,25 @@ impl Recorder for Aggregator {
             | EventKind::RpcReply { .. } => {}
         }
     }
+
+    fn attached(&mut self, counters: &Arc<Counters>) {
+        // Fold the previous bus's last counts in, then start the new block
+        // from them: `now - base` continues where the old bus stopped.
+        self.refresh();
+        let base = counters.snapshot();
+        let base = std::array::from_fn(|i| base[i].wrapping_sub(self.cache_lookups[i]));
+        self.counters = Some((Arc::clone(counters), base));
+    }
+
+    fn refresh(&mut self) {
+        if let Some((counters, base)) = &self.counters {
+            let now = counters.snapshot();
+            self.cache_lookups = std::array::from_fn(|i| now[i].wrapping_sub(base[i]));
+            let of = |c: Counter| self.cache_lookups[c as usize];
+            self.cache_hits = of(Counter::ClientHit) + of(Counter::CurrencyHit);
+            self.cache_misses = of(Counter::ClientMiss) + of(Counter::CurrencyMiss);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -518,14 +556,6 @@ mod tests {
                 total: 1000.0,
                 winning: 1.0,
                 winner: 0,
-            },
-            EventKind::CacheLookup {
-                kind: "client",
-                hit: true,
-            },
-            EventKind::CacheLookup {
-                kind: "client",
-                hit: false,
             },
             EventKind::CacheInvalidate {
                 currencies: 2,
@@ -601,13 +631,12 @@ mod tests {
         }
         assert_eq!(a.dispatches, 1);
         assert_eq!(a.draws, 1);
-        assert_eq!(a.cache_hit_rate(), Some(0.5));
+        assert_eq!(a.cache_hit_rate(), None);
         assert_eq!(a.invalidated_currencies, 2);
         assert_eq!(a.ledger_ops.get("fund-client"), Some(&2));
         let text = a.prometheus_text();
         assert!(text.contains("lottery_draws_total 1"));
         assert!(text.contains("lottery_ledger_ops_total{op=\"fund-client\"} 2"));
-        assert!(text.contains("lottery_cache_hit_rate 0.5"));
         assert_eq!(a.compensations, 1);
         assert_eq!(a.compensation_revocations, 1);
         assert!(text.contains("lottery_compensation_revocations_total 1"));
@@ -630,5 +659,50 @@ mod tests {
         assert_eq!(a.partition_heals, 1);
         assert!(text.contains("lottery_cluster_grant_moves_total 1"));
         assert!(text.contains("lottery_cluster_node_backlog{node=\"2\",tenant=\"0\"} 40"));
+    }
+
+    #[test]
+    fn cache_counters_read_since_attach_and_survive_a_reattach() {
+        use crate::{ProbeBus, Shared};
+
+        let bus = ProbeBus::enabled();
+        for _ in 0..10 {
+            bus.count(Counter::ClientMiss);
+        }
+        let a = Shared::new(Aggregator::new());
+        let b = Shared::new(Aggregator::new());
+        bus.attach(a.clone());
+        bus.attach(b.clone());
+        assert_eq!(a.with(|a| (a.cache_hits, a.cache_misses)), (0, 0));
+        let counts = [
+            (Counter::ClientHit, 3),
+            (Counter::ClientMiss, 1),
+            (Counter::CurrencyHit, 2),
+            (Counter::CurrencyMiss, 4),
+        ];
+        for (counter, n) in counts {
+            for _ in 0..n {
+                bus.count(counter);
+            }
+        }
+        let read =
+            |s: &Shared<Aggregator>| s.with(|a| (a.cache_hits, a.cache_misses, a.cache_lookups));
+        assert_eq!(read(&a), (5, 5, [3, 1, 2, 4]));
+        assert_eq!(read(&a), read(&b));
+        let text = a.with(|a| a.prometheus_text());
+        assert!(text.contains("lottery_cache_hits_total 5\n"));
+        assert!(text.contains("lottery_cache_hit_rate 0.5\n"));
+        assert!(text.contains("lottery_cache_lookups_total{kind=\"client\",result=\"hit\"} 3\n"));
+        assert!(text.contains("lottery_cache_lookups_total{kind=\"currency\",result=\"miss\"} 4\n"));
+
+        // lotteryctl swaps its bus to toggle tracing: counts carry over,
+        // and the old bus no longer feeds the aggregator.
+        let next = ProbeBus::enabled();
+        next.count(Counter::CurrencyHit);
+        next.attach(a.clone());
+        next.count(Counter::CurrencyMiss);
+        bus.count(Counter::ClientHit);
+        assert_eq!(read(&a), (5, 6, [3, 1, 2, 5]));
+        assert_eq!(read(&b), (6, 5, [4, 1, 2, 4]));
     }
 }

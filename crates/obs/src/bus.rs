@@ -1,11 +1,19 @@
-//! The probe bus: one event pipeline for every layer.
+//! The probe bus: one pipeline, two tiers, for every layer.
 //!
 //! A [`ProbeBus`] is cloned into each instrumented layer (ledger, policy,
-//! kernel); clones share the recorder list and the event clock. The
-//! disabled bus — the default — is `None` inside: emitting through it is
-//! one branch, and because [`ProbeBus::emit`] takes a *closure*, the event
-//! payload is never even constructed. That is the "zero overhead when
-//! disabled" contract the dispatch benchmarks verify.
+//! kernel); clones share the recorder list, the counter block and the
+//! event clock. The disabled bus — the default — is `None` inside: a probe
+//! through it is one branch, and because [`ProbeBus::emit`] takes a
+//! *closure*, the event payload is never even constructed. That is the
+//! "zero overhead when disabled" contract the dispatch benchmarks verify.
+//!
+//! The two tiers, and the rule that separates them: a probe whose payload
+//! is only a tag its consumer counts is a **counter** —
+//! [`ProbeBus::count`], one relaxed `fetch_add` on the bus's [`Counters`]
+//! block, no event, no lock, no recorder call; anything a replay or a
+//! timeline needs is an **event** — [`ProbeBus::emit`], delivered
+//! synchronously to every recorder. Counts are per bus; a recorder is
+//! handed the block at [`ProbeBus::attach`] and reads it at scrape.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,11 +22,42 @@ use std::sync::{Arc, Mutex};
 use crate::event::{Event, EventKind};
 use crate::recorder::Recorder;
 
+/// The counter-tier probes: one valuation-cache lookup each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// A client value served from the cache.
+    ClientHit,
+    /// A client value recomputed.
+    ClientMiss,
+    /// A currency value served from the cache.
+    CurrencyHit,
+    /// A currency value recomputed.
+    CurrencyMiss,
+}
+
+impl Counter {
+    /// How many counters there are: the length of a [`Counters`] block.
+    pub const COUNT: usize = 4;
+}
+
+/// The counter block of one enabled bus: totals since the bus was built.
+#[derive(Debug, Default)]
+pub struct Counters([AtomicU64; Counter::COUNT]);
+
+impl Counters {
+    /// The current totals, indexed by `Counter as usize`.
+    pub fn snapshot(&self) -> [u64; Counter::COUNT] {
+        // Relaxed: statistics that publish no other data.
+        std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed))
+    }
+}
+
 struct BusInner {
     /// The emitting kernel's clock, in microseconds; stamped onto every
     /// event so probes in clockless layers (the ledger) get coherent
     /// timestamps.
     clock_us: AtomicU64,
+    counters: Arc<Counters>,
     recorders: Mutex<Vec<Box<dyn Recorder + Send>>>,
 }
 
@@ -54,6 +93,7 @@ impl ProbeBus {
         Self {
             inner: Some(Arc::new(BusInner {
                 clock_us: AtomicU64::new(0),
+                counters: Arc::default(),
                 recorders: Mutex::new(Vec::new()),
             })),
         }
@@ -71,13 +111,15 @@ impl ProbeBus {
         self.inner.is_some()
     }
 
-    /// Attaches a recorder; every subsequent emit fans out to it too.
+    /// Attaches a recorder; every subsequent emit fans out to it too, and
+    /// it is handed the bus's counter block ([`Recorder::attached`]).
     ///
     /// Returns `false` (and drops the recorder) on a disabled bus — a
     /// disabled bus is permanently inert; build an enabled one instead.
-    pub fn attach(&self, recorder: impl Recorder + Send + 'static) -> bool {
+    pub fn attach(&self, mut recorder: impl Recorder + Send + 'static) -> bool {
         match &self.inner {
             Some(inner) => {
+                recorder.attached(&inner.counters);
                 inner
                     .recorders
                     .lock()
@@ -102,6 +144,15 @@ impl ProbeBus {
         self.inner
             .as_ref()
             .map_or(0, |i| i.clock_us.load(Ordering::Relaxed))
+    }
+
+    /// Bumps a counter-tier probe: one branch on a disabled bus, one
+    /// relaxed `fetch_add` on an enabled one.
+    #[inline]
+    pub fn count(&self, counter: Counter) {
+        if let Some(inner) = &self.inner {
+            inner.counters.0[counter as usize].fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Emits an event to every recorder.
@@ -168,5 +219,16 @@ mod tests {
         bus.emit(|| EventKind::LedgerOp { op: "issue" });
         assert_eq!(a.with(|f| f.len()), 1);
         assert_eq!(b.with(|f| f.len()), 1);
+    }
+
+    #[test]
+    fn disabled_bus_ignores_counts() {
+        use crate::Aggregator;
+
+        let bus = ProbeBus::disabled();
+        let stats = Shared::new(Aggregator::new());
+        assert!(!bus.attach(stats.clone()));
+        bus.count(Counter::ClientHit);
+        assert_eq!(stats.with(|a| a.cache_hits + a.cache_misses), 0);
     }
 }

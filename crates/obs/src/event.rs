@@ -145,13 +145,6 @@ pub enum EventKind {
         /// `"set-funding"` (a runtime inflation/deflation request).
         origin: &'static str,
     },
-    /// A valuation-cache read.
-    CacheLookup {
-        /// `"client"` or `"currency"`.
-        kind: &'static str,
-        /// Whether the value was served from the cache.
-        hit: bool,
-    },
     /// A mutation invalidated part of the valuation cache.
     CacheInvalidate {
         /// Cached currency entries removed.
@@ -187,13 +180,6 @@ pub enum EventKind {
         stale: u32,
         /// Wall-clock rebuild cost in nanoseconds.
         rebuild_ns: u64,
-    },
-    /// A per-CPU ready-queue depth sample.
-    QueueDepth {
-        /// CPU index.
-        cpu: u32,
-        /// Ready-queue depth observed.
-        depth: u32,
     },
     /// A distributed lottery resolved a CPU's pick to a shard.
     ShardPick {
@@ -332,12 +318,10 @@ impl EventKind {
             EventKind::ShardCompensation { .. } => "shard-compensation",
             EventKind::LedgerOp { .. } => "ledger-op",
             EventKind::WeightChange { .. } => "weight-change",
-            EventKind::CacheLookup { .. } => "cache-lookup",
             EventKind::CacheInvalidate { .. } => "cache-invalidate",
             EventKind::DirtyDrain { .. } => "dirty-drain",
             EventKind::DirtyBatch { .. } => "dirty-batch",
             EventKind::StructureRebuild { .. } => "structure-rebuild",
-            EventKind::QueueDepth { .. } => "queue-depth",
             EventKind::ShardPick { .. } => "shard-pick",
             EventKind::ShardSteal { .. } => "shard-steal",
             EventKind::ShardMigrate { .. } => "shard-migrate",
@@ -448,9 +432,6 @@ impl Event {
                     ",\"client\":{client},\"tickets\":{tickets},\"origin\":\"{origin}\""
                 );
             }
-            EventKind::CacheLookup { kind, hit } => {
-                let _ = write!(s, ",\"cache\":\"{kind}\",\"hit\":{hit}");
-            }
             EventKind::CacheInvalidate {
                 currencies,
                 clients,
@@ -477,9 +458,6 @@ impl Event {
                     s,
                     ",\"structure\":\"{structure}\",\"clients\":{clients},\"stale\":{stale},\"rebuild_ns\":{rebuild_ns}"
                 );
-            }
-            EventKind::QueueDepth { cpu, depth } => {
-                let _ = write!(s, ",\"cpu\":{cpu},\"depth\":{depth}");
             }
             EventKind::ShardPick { cpu, shard, stolen } => {
                 let _ = write!(s, ",\"cpu\":{cpu},\"shard\":{shard},\"stolen\":{stolen}");
@@ -665,10 +643,6 @@ impl Event {
                 tickets: u64_field(v, "tickets")?,
                 origin: intern(v, "origin", WEIGHT_ORIGINS)?,
             },
-            "cache-lookup" => EventKind::CacheLookup {
-                kind: intern(v, "cache", CACHE_KINDS)?,
-                hit: bool_field(v, "hit")?,
-            },
             "cache-invalidate" => EventKind::CacheInvalidate {
                 currencies: u32_field(v, "currencies")?,
                 clients: u32_field(v, "clients")?,
@@ -686,10 +660,6 @@ impl Event {
                 clients: u32_field(v, "clients")?,
                 stale: u32_field(v, "stale")?,
                 rebuild_ns: u64_field(v, "rebuild_ns")?,
-            },
-            "queue-depth" => EventKind::QueueDepth {
-                cpu: u32_field(v, "cpu")?,
-                depth: u32_field(v, "depth")?,
             },
             "shard-pick" => EventKind::ShardPick {
                 cpu: u32_field(v, "cpu")?,
@@ -777,8 +747,6 @@ const LEDGER_OPS: &[&str] = &[
     "set-compensation",
     "unfund",
 ];
-/// Valuation-cache entry kinds.
-const CACHE_KINDS: &[&str] = &["client", "currency"];
 /// Resource tags shared by grants, draws, completions, and the broker.
 const RESOURCES: &[&str] = &["cpu", "disk", "mem", "net"];
 /// Weight-mutation origins.
@@ -856,9 +824,10 @@ mod tests {
             },
             Event {
                 time_us: 300,
-                kind: EventKind::CacheLookup {
-                    kind: "client",
-                    hit: true,
+                kind: EventKind::CacheInvalidate {
+                    currencies: 1,
+                    clients: 2,
+                    dirty_depth: 2,
                 },
             },
             Event {
@@ -998,10 +967,6 @@ mod tests {
                 tickets: 400,
                 origin: "set-funding",
             },
-            EventKind::CacheLookup {
-                kind: "currency",
-                hit: false,
-            },
             EventKind::CacheInvalidate {
                 currencies: 2,
                 clients: 5,
@@ -1015,7 +980,6 @@ mod tests {
                 stale: 125_000,
                 rebuild_ns: 4_200_000,
             },
-            EventKind::QueueDepth { cpu: 3, depth: 9 },
             EventKind::ShardPick {
                 cpu: 0,
                 shard: 2,
@@ -1108,12 +1072,10 @@ mod tests {
                 | EventKind::ShardCompensation { .. }
                 | EventKind::LedgerOp { .. }
                 | EventKind::WeightChange { .. }
-                | EventKind::CacheLookup { .. }
                 | EventKind::CacheInvalidate { .. }
                 | EventKind::DirtyDrain { .. }
                 | EventKind::DirtyBatch { .. }
                 | EventKind::StructureRebuild { .. }
-                | EventKind::QueueDepth { .. }
                 | EventKind::ShardPick { .. }
                 | EventKind::ShardSteal { .. }
                 | EventKind::ShardMigrate { .. }

@@ -6,10 +6,13 @@
 //! the measurement plumbing as a reusable layer below the ledger and the
 //! simulator:
 //!
-//! * [`ProbeBus`] — a structured event bus that is **zero-overhead when
+//! * [`ProbeBus`] — a structured probe bus that is **zero-overhead when
 //!   disabled**: a disabled bus is a single `Option` check, and event
-//!   payloads are built lazily (via closure) only when at least one
-//!   recorder is attached.
+//!   payloads are built lazily (via closure) only on an enabled bus. It
+//!   has two tiers: events ([`ProbeBus::emit`]) go to every recorder
+//!   synchronously; probes that are only ever counted
+//!   ([`ProbeBus::count`], a [`Counter`]) are one `fetch_add` on the
+//!   bus's [`Counters`] block, which recorders scrape when read.
 //! * [`Recorder`] — the sink trait. [`NopRecorder`] discards everything
 //!   (for measuring bus overhead), [`FlightRecorder`] keeps a bounded ring
 //!   of recent events, [`Aggregator`] folds events into counters and
@@ -49,7 +52,7 @@ pub mod recorder;
 pub mod replay;
 
 pub use aggregate::Aggregator;
-pub use bus::ProbeBus;
+pub use bus::{Counter, Counters, ProbeBus};
 pub use dominant::{DominantShareMonitor, DominantShareReport, ResourceShareRow, TenantShareRow};
 pub use event::{Event, EventKind};
 pub use fairness::{DriftRow, FairnessMonitor, FairnessReport};

@@ -378,10 +378,6 @@ impl Worker {
             wait_us: waited.as_us(),
             queue_depth,
         });
-        self.probe(start, || EventKind::QueueDepth {
-            cpu: self.id,
-            depth: queue_depth,
-        });
 
         let mut elapsed = SimDuration::ZERO;
         let mut remaining = quantum;

@@ -320,10 +320,6 @@ impl<P: Policy> SmpKernel<P> {
             wait_us: waited.as_us(),
             queue_depth,
         });
-        self.probe(start, || EventKind::QueueDepth {
-            cpu,
-            depth: queue_depth,
-        });
 
         let mut elapsed = SimDuration::ZERO;
         let mut remaining = quantum;

@@ -148,6 +148,33 @@ fn aggregator_sees_every_layer() {
     });
 }
 
+/// Every dispatch carries its CPU's queue depth once: on two CPUs the
+/// depth summary has one sample per dispatch, and both CPUs show up.
+#[test]
+fn smp_queue_depth_is_sampled_once_per_dispatch() {
+    let policy = LotteryPolicy::new(11);
+    let base = policy.base_currency();
+    let mut kernel = SmpKernel::new(policy, 2);
+    let stats = Shared::new(Aggregator::new());
+    kernel.set_probe_bus(ProbeBus::with_recorder(stats.clone()));
+    for i in 0..5 {
+        kernel.spawn(
+            format!("t{i}"),
+            Box::new(ComputeBound),
+            FundingSpec::new(base, 100),
+        );
+    }
+    kernel.run_until(SimTime::from_secs(5)).unwrap();
+    stats.with(|s| {
+        assert!(s.dispatches > 50, "dispatches {}", s.dispatches);
+        assert_eq!(s.queue_depth.count(), s.dispatches);
+        assert_eq!(
+            s.cpu_queue_depth_max.keys().copied().collect::<Vec<_>>(),
+            [0, 1]
+        );
+    });
+}
+
 #[test]
 fn legacy_trace_rides_the_bus() {
     // `sim::Trace` is a bus recorder now; `enable_trace` still works and
