@@ -10,10 +10,7 @@
 //! The property under measurement is the cost of *sleepers*: the kernel
 //! peeks the event heap (O(1)) at each scheduling point, so a million
 //! parked threads cost nothing per decision and `1_000_000 @ 1%` runs at
-//! the same per-window cost as `10_000 @ 100%`. (The quantum-stepping
-//! ablation this bench once carried — a linear deadline scan per
-//! decision — is retired along with the public `TimeMode::Stepping`; the
-//! equivalence proof lives on as an in-crate sim property test.)
+//! the same per-window cost as `10_000 @ 100%`.
 //!
 //! `elements` records the total population so BENCH_idle_scale.json
 //! carries each configuration's scale alongside its per-window cost;

@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::errors::{LotteryError, Result};
     pub use crate::ledger::{Ledger, Valuator};
     pub use crate::lottery::alias::AliasLottery;
-    pub use crate::lottery::index::{DenseIndex, HashIndex, SlotIndex, SlotKey};
+    pub use crate::lottery::index::{DenseIndex, SlotIndex, SlotKey};
     pub use crate::lottery::list::ListLottery;
     pub use crate::lottery::tree::TreeLottery;
     pub use crate::lottery::{TicketPool, Weight};

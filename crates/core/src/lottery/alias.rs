@@ -45,7 +45,7 @@
 
 use std::time::Instant;
 
-use super::index::{HashIndex, SlotIndex};
+use super::index::{DenseIndex, SlotIndex, SlotKey};
 use super::tree::SumTree;
 use super::TicketPool;
 
@@ -94,10 +94,10 @@ struct Cell {
 /// [`super::tree::TreeLottery`] applies — so selections agree with the
 /// list walk entry for entry.
 #[derive(Debug, Clone)]
-pub struct AliasLottery<T, I = HashIndex<T>> {
+pub struct AliasLottery<T, I = DenseIndex> {
     /// Current entries in slot order (always up to date).
     items: Vec<(T, f64)>,
-    /// Item -> slot (pluggable: hash map or dense arena table).
+    /// Item -> slot.
     index: I,
     /// Exact running total of current weights.
     total: f64,
@@ -135,8 +135,8 @@ impl<T, I: SlotIndex<T>> Default for AliasLottery<T, I> {
     }
 }
 
-impl<T: Eq + std::hash::Hash + Clone> AliasLottery<T> {
-    /// Creates an empty pool with the default hash-based index.
+impl<T: SlotKey> AliasLottery<T> {
+    /// Creates an empty pool.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
@@ -432,17 +432,11 @@ mod tests {
     #[test]
     fn figure1_example() {
         let mut pool = AliasLottery::new();
-        for (client, tickets) in [
-            ("c1", 10.0),
-            ("c2", 2.0),
-            ("c3", 5.0),
-            ("c4", 1.0),
-            ("c5", 2.0),
-        ] {
+        for (client, tickets) in [(1u32, 10.0), (2, 2.0), (3, 5.0), (4, 1.0), (5, 2.0)] {
             pool.insert(client, tickets);
         }
         assert_eq!(pool.total(), 20.0);
-        assert_eq!(pool.select(15.0), Some(&"c3"));
+        assert_eq!(pool.select(15.0), Some(&3));
     }
 
     #[test]
@@ -466,11 +460,11 @@ mod tests {
     #[test]
     fn zero_weight_entries_never_win() {
         let mut pool = AliasLottery::new();
-        pool.insert("zero", 0.0);
-        pool.insert("all", 5.0);
+        pool.insert(0u32, 0.0);
+        pool.insert(1u32, 5.0);
         pool.rebuild();
         for x in 0..5 {
-            assert_eq!(pool.select(x as f64), Some(&"all"));
+            assert_eq!(pool.select(x as f64), Some(&1));
         }
     }
 
@@ -507,7 +501,7 @@ mod tests {
     #[test]
     fn overlay_retires_when_weight_returns() {
         let mut pool = AliasLottery::new();
-        for i in 0..8 {
+        for i in 0..8u32 {
             pool.insert(i, 100.0);
         }
         pool.rebuild();
@@ -672,14 +666,14 @@ mod tests {
     #[test]
     fn draws_converge_to_shares() {
         let mut pool = AliasLottery::new();
-        pool.insert("a", 30.0);
-        pool.insert("b", 10.0);
+        pool.insert(0u32, 30.0);
+        pool.insert(1u32, 10.0);
         pool.rebuild();
         let mut rng = ParkMiller::new(77);
         let mut wins_a = 0u32;
         let n = 40_000;
         for _ in 0..n {
-            if *pool.draw(&mut rng).unwrap() == "a" {
+            if *pool.draw(&mut rng).unwrap() == 0 {
                 wins_a += 1;
             }
         }
@@ -756,18 +750,18 @@ mod tests {
     #[test]
     fn empty_draw_fails() {
         use crate::errors::LotteryError;
-        let mut pool: AliasLottery<&str> = AliasLottery::new();
+        let mut pool: AliasLottery<u32> = AliasLottery::new();
         let mut rng = ParkMiller::new(1);
         assert_eq!(pool.draw(&mut rng), Err(LotteryError::EmptyLottery));
-        pool.insert("z", 0.0);
+        pool.insert(0, 0.0);
         assert_eq!(pool.draw(&mut rng), Err(LotteryError::EmptyLottery));
     }
 
     #[test]
     fn insert_existing_replaces_weight() {
         let mut pool = AliasLottery::new();
-        pool.insert("a", 5.0);
-        pool.insert("a", 9.0);
+        pool.insert(0u32, 5.0);
+        pool.insert(0u32, 9.0);
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.total(), 9.0);
     }
@@ -775,8 +769,8 @@ mod tests {
     #[test]
     fn top_boundary_falls_back_to_last_positive() {
         let mut pool = AliasLottery::new();
-        pool.insert(1, 0.1);
-        pool.insert(2, 0.2);
+        pool.insert(1u32, 0.1);
+        pool.insert(2u32, 0.2);
         let total = pool.total();
         assert_eq!(pool.select(total), Some(&2));
     }

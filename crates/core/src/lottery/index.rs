@@ -3,23 +3,17 @@
 //! [`super::tree::TreeLottery`] and [`super::alias::AliasLottery`] keep
 //! their entries in a dense `Vec` of slots and need the reverse mapping —
 //! *which slot does this item occupy?* — to support keyed updates and
-//! swap-removal. The mapping is pluggable through [`SlotIndex`]:
-//!
-//! * [`HashIndex`] (the default) works for any hashable key — the `&str`
-//!   and integer keys of the unit tests and experiments.
-//! * [`DenseIndex`] exploits that scheduler keys are already *arena
-//!   indices* (thread ids, client handles): a plain `Vec<usize>` keyed by
-//!   [`SlotKey::slot_key`], replacing the hash probe on every insert,
-//!   remove, and weight update with a single array access. The schedulers'
-//!   per-decision pool maintenance is exactly these operations, so the
-//!   kernel's dispatch path carries no hashing at all.
+//! swap-removal. The pools reach it through [`SlotIndex`]; the one
+//! implementation is [`DenseIndex`], which exploits that pool keys are
+//! already *arena indices* (thread ids, client handles, plain integers): a
+//! `Vec<usize>` keyed by [`SlotKey::slot_key`], so every insert, remove,
+//! and weight update is a single array access. The schedulers'
+//! per-decision pool maintenance is exactly these operations, so the
+//! kernel's dispatch path carries no hashing at all.
 //!
 //! A dense index trades memory for time: its table spans the *key space*
 //! (the arena's high-water mark), not the live population. Arena indices
 //! are recycled densely, so the table never outgrows the peak population.
-
-use std::collections::HashMap;
-use std::hash::Hash;
 
 use crate::arena::Handle;
 
@@ -39,40 +33,6 @@ pub trait SlotIndex<T>: Default {
 
     /// Forgets `item`, returning the slot it occupied.
     fn remove(&mut self, item: &T) -> Option<usize>;
-}
-
-/// Hash-map backed index: works for any `Eq + Hash + Clone` key.
-#[derive(Debug, Clone)]
-pub struct HashIndex<T> {
-    map: HashMap<T, usize>,
-}
-
-impl<T> Default for HashIndex<T> {
-    fn default() -> Self {
-        Self {
-            map: HashMap::new(),
-        }
-    }
-}
-
-impl<T: Eq + Hash + Clone> SlotIndex<T> for HashIndex<T> {
-    fn with_capacity(capacity: usize) -> Self {
-        Self {
-            map: HashMap::with_capacity(capacity),
-        }
-    }
-
-    fn get(&self, item: &T) -> Option<usize> {
-        self.map.get(item).copied()
-    }
-
-    fn set(&mut self, item: &T, slot: usize) {
-        self.map.insert(item.clone(), slot);
-    }
-
-    fn remove(&mut self, item: &T) -> Option<usize> {
-        self.map.remove(item)
-    }
 }
 
 /// Keys that are small dense integers — arena indices, thread ids.
@@ -152,21 +112,6 @@ impl<T: SlotKey> SlotIndex<T> for DenseIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hash_index_round_trips() {
-        let mut idx: HashIndex<&str> = HashIndex::with_capacity(4);
-        assert_eq!(idx.get(&"a"), None);
-        idx.set(&"a", 3);
-        idx.set(&"b", 1);
-        assert_eq!(idx.get(&"a"), Some(3));
-        idx.set(&"a", 0);
-        assert_eq!(idx.get(&"a"), Some(0));
-        assert_eq!(idx.remove(&"a"), Some(0));
-        assert_eq!(idx.get(&"a"), None);
-        assert_eq!(idx.remove(&"a"), None);
-        assert_eq!(idx.get(&"b"), Some(1));
-    }
 
     #[test]
     fn dense_index_round_trips() {

@@ -22,10 +22,10 @@
 //! rationals, held as floats as in Section 4.4's prototype). The alias
 //! table is `f64`-only — its cell geometry divides the value axis.
 //!
-//! Tree and alias pools additionally take a pluggable reverse index
-//! ([`index::SlotIndex`]): hash-based by default, or a dense arena table
-//! ([`index::DenseIndex`]) when keys are arena indices — the schedulers
-//! use the dense form so pool maintenance never hashes.
+//! Tree and alias pools find an item's slot through a reverse index
+//! ([`index::SlotIndex`]): a dense table ([`index::DenseIndex`]) over keys
+//! that are arena indices or plain integers, so pool maintenance never
+//! hashes.
 
 pub mod alias;
 pub mod index;

@@ -13,7 +13,7 @@
 //! index, and [`super::alias::AliasLottery`] descends the same array
 //! whenever its snapshot is stale.
 
-use super::index::{HashIndex, SlotIndex};
+use super::index::{DenseIndex, SlotIndex, SlotKey};
 use super::{TicketPool, Weight};
 
 /// Partial sums over leaf slots: a 1-based implicit binary tree whose
@@ -122,17 +122,18 @@ impl<W: Weight> SumTree<W> {
 /// use lottery_core::rng::ParkMiller;
 ///
 /// let mut pool = TreeLottery::new();
-/// pool.insert("interactive", 75u64);
-/// pool.insert("batch", 25u64);
+/// let (interactive, batch) = (0u32, 1u32);
+/// pool.insert(interactive, 75u64);
+/// pool.insert(batch, 25u64);
 /// let mut rng = ParkMiller::new(1);
 /// let winner = pool.draw(&mut rng).unwrap();
-/// assert!(["interactive", "batch"].contains(winner));
+/// assert!([interactive, batch].contains(winner));
 /// ```
 #[derive(Debug, Clone)]
-pub struct TreeLottery<T, W, I = HashIndex<T>> {
+pub struct TreeLottery<T, W, I = DenseIndex> {
     /// Leaf slot -> (item, weight).
     items: Vec<(T, W)>,
-    /// Item -> leaf slot (pluggable: hash map or dense arena table).
+    /// Item -> leaf slot.
     index: I,
     /// Partial sums over the leaf slots.
     sums: SumTree<W>,
@@ -144,8 +145,8 @@ impl<T, W: Weight, I: SlotIndex<T>> Default for TreeLottery<T, W, I> {
     }
 }
 
-impl<T: Eq + std::hash::Hash + Clone, W: Weight> TreeLottery<T, W> {
-    /// Creates an empty pool with the default hash-based index.
+impl<T: SlotKey, W: Weight> TreeLottery<T, W> {
+    /// Creates an empty pool.
     pub fn new() -> Self {
         Self::with_capacity(1)
     }
@@ -244,9 +245,12 @@ mod tests {
     use crate::errors::LotteryError;
     use crate::rng::ParkMiller;
 
-    fn figure1_pool() -> TreeLottery<&'static str, u64> {
+    /// Figure 1's five clients, keyed 1 to 5.
+    const FIGURE1: [(u32, u64); 5] = [(1, 10), (2, 2), (3, 5), (4, 1), (5, 2)];
+
+    fn figure1_pool() -> TreeLottery<u32, u64> {
         let mut pool = TreeLottery::new();
-        for (client, tickets) in [("c1", 10u64), ("c2", 2), ("c3", 5), ("c4", 1), ("c5", 2)] {
+        for (client, tickets) in FIGURE1 {
             pool.insert(client, tickets);
         }
         pool
@@ -257,7 +261,7 @@ mod tests {
     fn figure1_example() {
         let mut pool = figure1_pool();
         assert_eq!(pool.total(), 20);
-        assert_eq!(pool.select(15), Some(&"c3"));
+        assert_eq!(pool.select(15), Some(&3));
     }
 
     #[test]
@@ -265,7 +269,7 @@ mod tests {
         use crate::lottery::list::ListLottery;
         let mut tree = figure1_pool();
         let mut list = ListLottery::without_move_to_front();
-        for (client, tickets) in [("c1", 10u64), ("c2", 2), ("c3", 5), ("c4", 1), ("c5", 2)] {
+        for (client, tickets) in FIGURE1 {
             list.insert(client, tickets);
         }
         for w in 0..20 {
@@ -276,8 +280,8 @@ mod tests {
     #[test]
     fn grows_past_initial_capacity() {
         let mut pool = TreeLottery::with_capacity(2);
-        for i in 0..40u64 {
-            pool.insert(i, i + 1);
+        for i in 0..40u32 {
+            pool.insert(i, u64::from(i) + 1);
         }
         assert_eq!(pool.len(), 40);
         assert_eq!(pool.total(), (1..=40).sum::<u64>());
@@ -287,19 +291,19 @@ mod tests {
     #[test]
     fn remove_swaps_last_into_slot() {
         let mut pool = figure1_pool();
-        assert_eq!(pool.remove(&"c1"), Some(10));
+        assert_eq!(pool.remove(&1), Some(10));
         assert_eq!(pool.total(), 10);
         assert_eq!(pool.len(), 4);
-        // c5 (the last entry) moved into slot 0; selection still works.
-        assert_eq!(pool.select(0), Some(&"c5"));
-        assert_eq!(pool.remove(&"c1"), None);
+        // Client 5 (the last entry) moved into slot 0; selection still works.
+        assert_eq!(pool.select(0), Some(&5));
+        assert_eq!(pool.remove(&1), None);
     }
 
     #[test]
     fn remove_last_entry() {
-        let mut pool: TreeLottery<&str, u64> = TreeLottery::new();
-        pool.insert("only", 5);
-        assert_eq!(pool.remove(&"only"), Some(5));
+        let mut pool: TreeLottery<u32, u64> = TreeLottery::new();
+        pool.insert(7, 5);
+        assert_eq!(pool.remove(&7), Some(5));
         assert!(pool.is_empty());
         assert_eq!(pool.total(), 0);
     }
@@ -307,9 +311,9 @@ mod tests {
     #[test]
     fn set_weight_and_reinsert() {
         let mut pool = figure1_pool();
-        assert!(pool.set_weight(&"c2", 8));
+        assert!(pool.set_weight(&2, 8));
         assert_eq!(pool.total(), 26);
-        pool.insert("c2", 1);
+        pool.insert(2, 1);
         assert_eq!(pool.total(), 19);
         assert_eq!(pool.len(), 5);
     }
@@ -324,24 +328,24 @@ mod tests {
     #[test]
     fn zero_weight_entries_never_win() {
         let mut pool = TreeLottery::new();
-        pool.insert("zero", 0u64);
-        pool.insert("winner", 1u64);
+        pool.insert(0u32, 0u64);
+        pool.insert(1u32, 1u64);
         let mut rng = ParkMiller::new(9);
         for _ in 0..64 {
-            assert_eq!(pool.draw(&mut rng), Ok(&"winner"));
+            assert_eq!(pool.draw(&mut rng), Ok(&1));
         }
     }
 
     #[test]
     fn draws_converge_to_shares() {
         let mut pool = TreeLottery::new();
-        pool.insert("a", 30u64);
-        pool.insert("b", 10u64);
+        pool.insert(0u32, 30u64);
+        pool.insert(1u32, 10u64);
         let mut rng = ParkMiller::new(77);
         let mut wins_a = 0u32;
         let n = 40_000;
         for _ in 0..n {
-            if *pool.draw(&mut rng).unwrap() == "a" {
+            if *pool.draw(&mut rng).unwrap() == 0 {
                 wins_a += 1;
             }
         }
@@ -365,8 +369,8 @@ mod tests {
 
     #[test]
     fn depth_grows_logarithmically() {
-        let mut pool: TreeLottery<u64, u64> = TreeLottery::with_capacity(1);
-        for i in 0..1000u64 {
+        let mut pool: TreeLottery<u32, u64> = TreeLottery::with_capacity(1);
+        for i in 0..1000u32 {
             pool.insert(i, 1);
         }
         assert_eq!(pool.depth(), 10, "1024 leaves -> depth 10");
@@ -374,12 +378,12 @@ mod tests {
 
     #[test]
     fn many_inserts_removes_stay_consistent() {
-        let mut pool: TreeLottery<u64, u64> = TreeLottery::new();
+        let mut pool: TreeLottery<u32, u64> = TreeLottery::new();
         let mut rng = ParkMiller::new(3);
         use crate::rng::SchedRng;
         let mut expected_total = 0u64;
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        for i in 0..500u64 {
+        let mut live: Vec<(u32, u64)> = Vec::new();
+        for i in 0..500u32 {
             let w = rng.below(100) + 1;
             pool.insert(i, w);
             live.push((i, w));

@@ -147,36 +147,6 @@ pub enum Command {
         /// Emit machine-readable JSON instead of text.
         json: bool,
     },
-    /// `cluster [<nodes>] [--json]` — run the canned cluster-market
-    /// scenario (demand-following budgets, saturating 2:1 tenants, one
-    /// node killed mid-run) and report the coordinator's allocations,
-    /// conservation check, and cluster-wide dominant shares.
-    Cluster {
-        /// Number of nodes (default 4).
-        nodes: Option<u32>,
-        /// Emit machine-readable JSON instead of text.
-        json: bool,
-    },
-    /// `events [--json]` — run a canned event-driven kernel window
-    /// (mixed runnable jobs and far-future sleepers) and report the
-    /// pending-event queue: depth, next-event instant, horizon to it,
-    /// and the decision count — sleepers sit in the queue at zero
-    /// per-decision cost.
-    Events {
-        /// Emit machine-readable JSON instead of text.
-        json: bool,
-    },
-    /// `par [<workers>] [--json]` — run the canned real-thread scenario
-    /// on that many OS worker threads (default 4): a 3:1 funded compute
-    /// pair per shard plus one early-exiting job, work stealing on, and
-    /// report per-worker decisions, steals, and the machine-wide
-    /// dispatch ratio.
-    Par {
-        /// Number of OS worker threads (default 4).
-        workers: Option<u32>,
-        /// Emit machine-readable JSON instead of text.
-        json: bool,
-    },
     /// `structure [list|tree|alias] [--json]` — switch the winner-search
     /// structure the session rebuilds over its active processes (Section
     /// 4.2: list scan, partial-sum tree, or the O(1) alias sampler) and
@@ -309,11 +279,8 @@ commands (Section 4.7 of the paper):
   trace on|off                     toggle the session flight recorder
   dump                             flight-recorder events as JSONL
   replay <file> [--json]           re-run a capture (or capture a trace file), diff the streams
-  cluster [<nodes>] [--json]       canned multi-node market: allocations, conservation, shares
   shards [<n>|--json]              partition processes across n dirty shards / report
   structure [list|tree|alias] [--json]  switch the winner-search structure / report rebuild stats
-  events [--json]                  event-queue snapshot: depth, next event, horizon, decisions
-  par [<workers>] [--json]         canned real-thread run: per-worker decisions, steals, ratio
   broker tenant <name> <grant> [static]  register a tenant grant split over cpu/disk/mem/net
   broker demand <tenant> <resource> <units>  record demand before a rebalance
   broker use <tenant> <resource> <units>     record observed usage
@@ -424,23 +391,6 @@ commands (Section 4.7 of the paper):
                 json: true,
             }),
             ["replay", ..] => Err(ParseError::Usage("replay <file> [--json]")),
-            ["cluster"] => Ok(Command::Cluster {
-                nodes: None,
-                json: false,
-            }),
-            ["cluster", "--json"] => Ok(Command::Cluster {
-                nodes: None,
-                json: true,
-            }),
-            ["cluster", n] => Ok(Command::Cluster {
-                nodes: Some(amount(n)? as u32),
-                json: false,
-            }),
-            ["cluster", n, "--json"] | ["cluster", "--json", n] => Ok(Command::Cluster {
-                nodes: Some(amount(n)? as u32),
-                json: true,
-            }),
-            ["cluster", ..] => Err(ParseError::Usage("cluster [<nodes>] [--json]")),
             ["compensate", name, used, quantum] => Ok(Command::Compensate {
                 name: name.to_string(),
                 used: amount(used)?,
@@ -460,26 +410,6 @@ commands (Section 4.7 of the paper):
                 json: false,
             }),
             ["shards", ..] => Err(ParseError::Usage("shards [<n>|--json]")),
-            ["events"] => Ok(Command::Events { json: false }),
-            ["events", "--json"] => Ok(Command::Events { json: true }),
-            ["events", ..] => Err(ParseError::Usage("events [--json]")),
-            ["par"] => Ok(Command::Par {
-                workers: None,
-                json: false,
-            }),
-            ["par", "--json"] => Ok(Command::Par {
-                workers: None,
-                json: true,
-            }),
-            ["par", n] => Ok(Command::Par {
-                workers: Some(amount(n)? as u32),
-                json: false,
-            }),
-            ["par", n, "--json"] | ["par", "--json", n] => Ok(Command::Par {
-                workers: Some(amount(n)? as u32),
-                json: true,
-            }),
-            ["par", ..] => Err(ParseError::Usage("par [<workers>] [--json]")),
             ["structure"] => Ok(Command::Structure {
                 kind: None,
                 json: false,
@@ -645,53 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_cluster() {
-        assert_eq!(
-            Command::parse("cluster"),
-            Ok(Command::Cluster {
-                nodes: None,
-                json: false
-            })
-        );
-        assert_eq!(
-            Command::parse("cluster --json"),
-            Ok(Command::Cluster {
-                nodes: None,
-                json: true
-            })
-        );
-        assert_eq!(
-            Command::parse("cluster 6"),
-            Ok(Command::Cluster {
-                nodes: Some(6),
-                json: false
-            })
-        );
-        assert_eq!(
-            Command::parse("cluster 3 --json"),
-            Ok(Command::Cluster {
-                nodes: Some(3),
-                json: true
-            })
-        );
-        assert_eq!(
-            Command::parse("cluster --json 3"),
-            Ok(Command::Cluster {
-                nodes: Some(3),
-                json: true
-            })
-        );
-        assert!(matches!(
-            Command::parse("cluster 0"),
-            Err(ParseError::BadAmount(_))
-        ));
-        assert!(matches!(
-            Command::parse("cluster a b c"),
-            Err(ParseError::Usage(_))
-        ));
-    }
-
-    #[test]
     fn parses_broker() {
         assert_eq!(
             Command::parse("broker"),
@@ -786,55 +669,6 @@ mod tests {
         ));
         assert!(matches!(
             Command::parse("shards 2 --json"),
-            Err(ParseError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn parses_events() {
-        assert_eq!(
-            Command::parse("events"),
-            Ok(Command::Events { json: false })
-        );
-        assert_eq!(
-            Command::parse("events --json"),
-            Ok(Command::Events { json: true })
-        );
-        assert!(matches!(
-            Command::parse("events now"),
-            Err(ParseError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn parses_par() {
-        assert_eq!(
-            Command::parse("par"),
-            Ok(Command::Par {
-                workers: None,
-                json: false
-            })
-        );
-        assert_eq!(
-            Command::parse("par 8 --json"),
-            Ok(Command::Par {
-                workers: Some(8),
-                json: true
-            })
-        );
-        assert_eq!(
-            Command::parse("par --json"),
-            Ok(Command::Par {
-                workers: None,
-                json: true
-            })
-        );
-        assert!(matches!(
-            Command::parse("par 0"),
-            Err(ParseError::BadAmount(_))
-        ));
-        assert!(matches!(
-            Command::parse("par 2 4"),
             Err(ParseError::Usage(_))
         ));
     }

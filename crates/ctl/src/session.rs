@@ -27,6 +27,10 @@ use crate::command::{BrokerAction, Command, ParseError, StructureKind};
 /// Events the session flight recorder retains (`trace on` … `dump`).
 const FLIGHT_CAPACITY: usize = 4096;
 
+/// Most partitions `shards <n>` accepts: the ledger allocates a queue per
+/// shard up front, so an unchecked count is an unchecked allocation.
+pub const MAX_SHARDS: usize = 1024;
+
 /// What a user-visible name refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectRef {
@@ -54,6 +58,8 @@ pub enum CtlError {
     },
     /// The name is already taken.
     NameTaken(String),
+    /// `shards <n>` asked for more than [`MAX_SHARDS`] partitions.
+    TooManyShards(usize),
     /// The underlying ledger rejected the operation.
     Ledger(lottery_core::errors::LotteryError),
     /// A replay capture could not be read, parsed, or re-executed.
@@ -69,6 +75,12 @@ impl std::fmt::Display for CtlError {
                 write!(f, "{name} is not a {expected}")
             }
             Self::NameTaken(n) => write!(f, "name already in use: {n}"),
+            Self::TooManyShards(n) => {
+                write!(
+                    f,
+                    "{n} shards requested; at most {MAX_SHARDS} are supported"
+                )
+            }
             Self::Ledger(e) => write!(f, "{e}"),
             Self::Replay(e) => write!(f, "replay: {e}"),
         }
@@ -466,9 +478,6 @@ impl Session {
             }
             Command::Dump => Ok(self.flight.with(|f| f.to_jsonl())),
             Command::Replay { path, json } => Self::exec_replay(&path, json),
-            Command::Cluster { nodes, json } => Self::exec_cluster(nodes.unwrap_or(4), json),
-            Command::Events { json } => Ok(Self::exec_events(json)),
-            Command::Par { workers, json } => Ok(Self::exec_par(workers.unwrap_or(4), json)),
             Command::Shards { count, json } => {
                 if let Some(n) = count {
                     return self.partition_shards(n);
@@ -525,6 +534,9 @@ impl Session {
     /// onto the lightest shard — the same discipline the distributed
     /// scheduler uses to home threads).
     fn partition_shards(&mut self, n: usize) -> Result<String, CtlError> {
+        if n > MAX_SHARDS {
+            return Err(CtlError::TooManyShards(n));
+        }
         self.ledger.set_dirty_shards(n);
         let mut weighted: Vec<(String, ClientId, f64)> = {
             let mut v = Valuator::new(&self.ledger);
@@ -829,260 +841,6 @@ impl Session {
                 "DIVERGED".to_string()
             },
         ))
-    }
-
-    /// `cluster [<nodes>]`: the canned cluster-market scenario — a 2:1
-    /// tenant pair saturating every node under demand-following budgets,
-    /// with the last node killed mid-run so the report shows loss
-    /// detection, inverse-lottery reclaim, and conservation.
-    /// `events [--json]`: a canned event-driven kernel window. Three
-    /// runnable jobs (18 ms of CPU between them) and five far-future
-    /// sleepers run for a 10 ms window at a 1 ms quantum; the report
-    /// shows the pending-event queue the refactored core schedules
-    /// from — depth, the next-event instant, and the horizon to it —
-    /// alongside the decision count, which the sleepers never touch.
-    fn exec_events(json_out: bool) -> String {
-        use lottery_sim::prelude::*;
-
-        let policy = LotteryPolicy::with_quantum(42, SimDuration::from_ms(1));
-        let base = policy.base_currency();
-        let mut kernel = Kernel::new(policy);
-        for (i, (tickets, ms)) in [(300u64, 4u64), (200, 6), (100, 8)].iter().enumerate() {
-            kernel.spawn(
-                format!("job-{i}"),
-                Box::new(FiniteJob::new(SimDuration::from_ms(*ms))),
-                FundingSpec::new(base, *tickets),
-            );
-        }
-        for i in 0..5u64 {
-            kernel.spawn_sleeping(
-                format!("sleeper-{i}"),
-                Box::new(FiniteJob::new(SimDuration::from_ms(1))),
-                FundingSpec::new(base, 50),
-                SimTime::from_ms(20 + 5 * i),
-            );
-        }
-        kernel.run_until(SimTime::from_ms(10));
-
-        let now_us = kernel.now().as_us();
-        let depth = kernel.pending_events();
-        let next_us = kernel.next_event_at().map(|at| at.as_us());
-        let horizon_us = next_us.map(|at| at - now_us);
-        let decisions = kernel.metrics().decisions;
-        let live = kernel.live_threads();
-        if json_out {
-            return format!(
-                "{{\"mode\":\"event\",\"now_us\":{now_us},\"decisions\":{decisions},\
-                 \"live_threads\":{live},\"depth\":{depth},\"next_us\":{},\"horizon_us\":{}}}",
-                next_us.map_or("null".to_string(), |v| v.to_string()),
-                horizon_us.map_or("null".to_string(), |v| v.to_string()),
-            );
-        }
-        let mut out =
-            format!("event queue after a 10 ms window (1 ms quantum, {live} live threads)\n");
-        let _ = writeln!(out, "now            {now_us:>8} us");
-        let _ = writeln!(out, "decisions      {decisions:>8}");
-        let _ = writeln!(out, "pending events {depth:>8}");
-        match (next_us, horizon_us) {
-            (Some(next), Some(h)) => {
-                let _ = writeln!(out, "next event at  {next:>8} us (horizon {h} us)");
-            }
-            _ => {
-                let _ = writeln!(out, "next event at      none (queue empty)");
-            }
-        }
-        out
-    }
-
-    /// `par [<workers>]`: the canned real-thread scenario. Every shard
-    /// gets a 300-ticket and a 100-ticket compute thread (least-loaded
-    /// placement deals the heavy group first, then the light group), plus
-    /// one heavily funded job that exits 6 ms in, destroying its funding.
-    /// Work stealing is on; the report shows per-worker decisions and
-    /// steal traffic (zero here — every shard keeps its pair, so none
-    /// runs dry; the `par` experiment forces the dry case), the roughly
-    /// 3:1 machine-wide dispatch ratio, and the surviving ledger value.
-    fn exec_par(workers: u32, json_out: bool) -> String {
-        use lottery_par::{ParKernel, WorkSpec};
-        use lottery_sim::prelude::*;
-
-        let mut kernel = ParKernel::with_quantum(42, workers, SimDuration::from_ms(5));
-        let base = kernel.base_currency();
-        for _ in 0..workers {
-            kernel.spawn(WorkSpec::Compute, FundingSpec::new(base, 300));
-        }
-        for _ in 0..workers {
-            kernel.spawn(WorkSpec::Compute, FundingSpec::new(base, 100));
-        }
-        kernel.spawn(
-            WorkSpec::Finite(SimDuration::from_ms(6)),
-            FundingSpec::new(base, 1_000),
-        );
-        let report = kernel.run(SimTime::ZERO + SimDuration::from_secs(2));
-        let (mut heavy, mut light) = (0u64, 0u64);
-        for worker in &report.workers {
-            for &(_, tid) in &worker.winners {
-                if tid < workers {
-                    heavy += 1;
-                } else if tid < 2 * workers {
-                    light += 1;
-                }
-            }
-        }
-        let ratio = heavy as f64 / light.max(1) as f64;
-        let decisions = report.decisions();
-        let steals = report.steals();
-        let value = report.client_value_total();
-        if json_out {
-            return format!(
-                "{{\"workers\":{workers},\"decisions\":{decisions},\"steals\":{steals},\
-                 \"ratio\":{ratio:.2},\"heavy\":{heavy},\"light\":{light},\
-                 \"value\":{value:.1}}}"
-            );
-        }
-        let mut out = format!(
-            "real-thread run: {workers} OS workers, 2 s window, 5 ms quantum \
-             ({decisions} decisions, {steals} steals)\n"
-        );
-        let _ = writeln!(
-            out,
-            "{:<8} {:>10} {:>10} {:>10} {:>9}",
-            "worker", "decisions", "steals-in", "steals-out", "resident"
-        );
-        for worker in &report.workers {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>10} {:>10} {:>10} {:>9}",
-                worker.id,
-                worker.decisions,
-                worker.steals_in,
-                worker.steals_out,
-                worker.resident.len(),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "3:1 funded compute pairs: {heavy} heavy vs {light} light dispatches \
-             (ratio {ratio:.2})"
-        );
-        let _ = writeln!(out, "surviving ledger value {value:.1} (base units)");
-        out
-    }
-
-    fn exec_cluster(nodes: u32, json_out: bool) -> Result<String, CtlError> {
-        use lottery_cluster::{BudgetPolicy, ClusterMarket, LOSS_TIMEOUT_ROUNDS};
-        let mut market = ClusterMarket::new(
-            nodes,
-            42,
-            BudgetPolicy::DemandFollowing,
-            &[("gold", 2000), ("silver", 1000)],
-        )
-        .map_err(CtlError::Ledger)?;
-        let saturate = |m: &mut ClusterMarket| {
-            for node in 0..m.node_count() {
-                m.offer(node, 0, 6, 6);
-                m.offer(node, 1, 3, 3);
-            }
-        };
-        for _ in 0..12 {
-            saturate(&mut market);
-            market.round(4).map_err(CtlError::Ledger)?;
-        }
-        if nodes > 1 {
-            market.kill(nodes - 1);
-        }
-        for _ in 0..(LOSS_TIMEOUT_ROUNDS + 10) {
-            saturate(&mut market);
-            market.round(4).map_err(CtlError::Ledger)?;
-        }
-        let report = market.report();
-        let share_row = |tenant: u32| report.shares.tenants.iter().find(|t| t.tenant == tenant);
-        if json_out {
-            let tenants: Vec<String> = report
-                .tenants
-                .iter()
-                .map(|t| {
-                    let (dominant_share, dominant_resource, complaint) = share_row(t.tenant)
-                        .map(|s| (s.dominant_share, s.dominant_resource, s.complaint))
-                        .unwrap_or((0.0, "none", false));
-                    format!(
-                        "{{\"tenant\":{},\"name\":\"{}\",\"grant\":{},\"entitled_share\":{},\
-                         \"dominant_share\":{},\"dominant_resource\":\"{}\",\"complaint\":{},\
-                         \"disk_units\":{},\"net_units\":{}}}",
-                        t.tenant,
-                        json::escape(&t.name),
-                        t.grant,
-                        json::number(t.entitled_share),
-                        json::number(dominant_share),
-                        json::escape(dominant_resource),
-                        complaint,
-                        t.usage[1],
-                        t.usage[3],
-                    )
-                })
-                .collect();
-            let allocs: Vec<String> = report
-                .allocs
-                .iter()
-                .map(|a| {
-                    format!(
-                        "{{\"tenant\":{},\"node\":{},\"alloc\":{},\"node_grant\":{},\
-                         \"backlog\":{}}}",
-                        a.tenant, a.node, a.alloc, a.node_grant, a.backlog
-                    )
-                })
-                .collect();
-            return Ok(format!(
-                "{{\"nodes\":{},\"reachable\":{},\"round\":{},\"policy\":\"{}\",\
-                 \"conserved\":{},\"moves\":{},\"heals\":{},\"dropped\":{},\
-                 \"tenants\":[{}],\"allocs\":[{}]}}",
-                report.nodes,
-                report.reachable,
-                report.round,
-                json::escape(report.policy),
-                report.conserved,
-                report.moves,
-                report.heals,
-                report.dropped,
-                tenants.join(","),
-                allocs.join(","),
-            ));
-        }
-        let mut out = format!(
-            "cluster: {} nodes ({} reachable), {} rounds, {} policy\n",
-            report.nodes, report.reachable, report.round, report.policy
-        );
-        let _ = writeln!(
-            out,
-            "grant moves={} heals={} dropped={} conserved={}",
-            report.moves,
-            report.heals,
-            report.dropped,
-            if report.conserved { "yes" } else { "NO" }
-        );
-        for t in &report.tenants {
-            let allocs: Vec<String> = report
-                .allocs
-                .iter()
-                .filter(|a| a.tenant == t.tenant)
-                .map(|a| format!("n{}={}", a.node, a.alloc))
-                .collect();
-            let dominant = share_row(t.tenant)
-                .map(|s| format!("{:.3} ({})", s.dominant_share, s.dominant_resource))
-                .unwrap_or_else(|| "-".to_string());
-            let _ = writeln!(
-                out,
-                "tenant {} grant={} entitled={:.3} dominant={} alloc[{}] disk={} net={}",
-                t.name,
-                t.grant,
-                t.entitled_share,
-                dominant,
-                allocs.join(" "),
-                t.usage[1],
-                t.usage[3],
-            );
-        }
-        Ok(out)
     }
 
     /// Resolves a tenant name against the session broker.
@@ -1540,6 +1298,24 @@ mod tests {
     }
 
     #[test]
+    fn shards_rejects_counts_past_the_cap() {
+        let mut s = Session::new();
+        eval(&mut s, "fundx 100 base p");
+        eval(&mut s, &format!("shards {MAX_SHARDS}"));
+        assert_eq!(
+            s.eval("shards 4000000000"),
+            Err(CtlError::TooManyShards(4_000_000_000))
+        );
+        // The rejected request left the partition as it was.
+        let out = eval(&mut s, "shards --json");
+        let v = lottery_obs::json::parse(&out).unwrap();
+        assert_eq!(
+            v.get("shards").unwrap().as_array().unwrap().len(),
+            MAX_SHARDS
+        );
+    }
+
+    #[test]
     fn compensate_reports_shard_share() {
         let mut s = Session::new();
         eval(&mut s, "fundx 300 base io");
@@ -1860,88 +1636,6 @@ mod tests {
         assert_eq!(v.get("bit_exact").and_then(|b| b.as_bool()), Some(true));
         assert!(v.get("captured").and_then(|n| n.as_f64()).unwrap() > 0.0);
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn events_verb_reports_queue_depth_and_horizon() {
-        let mut s = Session::new();
-        let out = eval(&mut s, "events");
-        assert!(out.contains("pending events        5"), "{out}");
-        assert!(
-            out.contains("next event at     20000 us (horizon 10000 us)"),
-            "{out}"
-        );
-        let out = eval(&mut s, "events --json");
-        let v = lottery_obs::json::parse(&out).expect("events --json parses");
-        assert_eq!(v.get("mode").and_then(|m| m.as_str()), Some("event"));
-        assert_eq!(v.get("now_us").and_then(|n| n.as_f64()), Some(10_000.0));
-        // The five far-future sleepers sit in the queue untouched: the
-        // 10 ms window costs its ten 1 ms-quantum decisions plus one
-        // for a job exit ending its quantum early — never a per-sleeper
-        // poll.
-        assert_eq!(v.get("depth").and_then(|n| n.as_f64()), Some(5.0));
-        assert_eq!(v.get("next_us").and_then(|n| n.as_f64()), Some(20_000.0));
-        assert_eq!(v.get("horizon_us").and_then(|n| n.as_f64()), Some(10_000.0));
-        assert_eq!(v.get("decisions").and_then(|n| n.as_f64()), Some(11.0));
-        // The heavily funded 4 ms job finished inside the window.
-        assert_eq!(v.get("live_threads").and_then(|n| n.as_f64()), Some(7.0));
-    }
-
-    #[test]
-    fn par_verb_reports_workers_and_ratio() {
-        let mut s = Session::new();
-        let out = eval(&mut s, "par 2");
-        assert!(out.contains("2 OS workers"), "{out}");
-        assert!(out.contains("3:1 funded compute pairs"), "{out}");
-        let out = eval(&mut s, "par 2 --json");
-        let v = lottery_obs::json::parse(&out).expect("par --json parses");
-        assert_eq!(v.get("workers").and_then(|n| n.as_f64()), Some(2.0));
-        // 2 s window, 5 ms quantum, both workers busy throughout: 400
-        // decisions each, plus one extra on the finite job's worker —
-        // its 6 ms job ends a quantum 1 ms early, freeing the CPU off
-        // the 5 ms grid.
-        assert_eq!(v.get("decisions").and_then(|n| n.as_f64()), Some(801.0));
-        // The finite job's funding is destroyed on exit; the four
-        // compute threads' 300+300+100+100 base tickets survive.
-        assert_eq!(v.get("value").and_then(|n| n.as_f64()), Some(800.0));
-        let ratio = v.get("ratio").and_then(|n| n.as_f64()).unwrap();
-        assert!((2.0..=4.5).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn cluster_verb_reports_recovered_market() {
-        let mut s = Session::new();
-        let out = eval(&mut s, "cluster");
-        assert!(out.contains("4 nodes (3 reachable)"), "{out}");
-        assert!(out.contains("conserved=yes"), "{out}");
-        assert!(out.contains("tenant gold grant=2000"), "{out}");
-        let out = eval(&mut s, "cluster --json");
-        let v = lottery_obs::json::parse(&out).expect("cluster --json parses");
-        assert_eq!(v.get("conserved").and_then(|b| b.as_bool()), Some(true));
-        assert_eq!(v.get("nodes").and_then(|n| n.as_f64()), Some(4.0));
-        assert_eq!(v.get("reachable").and_then(|n| n.as_f64()), Some(3.0));
-        assert_eq!(
-            v.get("policy").and_then(|p| p.as_str()),
-            Some("demand-following")
-        );
-        let tenants = v.get("tenants").and_then(|t| t.as_array()).unwrap();
-        assert_eq!(tenants.len(), 2);
-        for t in tenants {
-            assert_eq!(t.get("complaint").and_then(|c| c.as_bool()), Some(false));
-            assert!(t.get("dominant_share").and_then(|d| d.as_f64()).is_some());
-        }
-        // The killed node's allocations were reclaimed.
-        let allocs = v.get("allocs").and_then(|a| a.as_array()).unwrap();
-        for a in allocs {
-            if a.get("node").and_then(|n| n.as_f64()) == Some(3.0) {
-                assert_eq!(a.get("alloc").and_then(|x| x.as_f64()), Some(0.0), "{out}");
-            }
-        }
-        // A 2-node run on the same verb: smaller market, same invariants.
-        let out = eval(&mut s, "cluster 2 --json");
-        let v = lottery_obs::json::parse(&out).unwrap();
-        assert_eq!(v.get("nodes").and_then(|n| n.as_f64()), Some(2.0));
-        assert_eq!(v.get("conserved").and_then(|b| b.as_bool()), Some(true));
     }
 
     #[test]

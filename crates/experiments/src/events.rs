@@ -5,14 +5,12 @@
 //! scheduling decisions — the clock jumps straight to the earliest
 //! pending wake instead of ticking quantum by quantum. Second, the
 //! event-driven core is reproducible: two runs from the same seed emit
-//! bit-identical probe-bus streams on a mixed compute/IO workload. (The
-//! legacy quantum-stepping mode is retired from the public API; the
-//! two-mode equivalence proof lives on as an in-crate property test next
-//! to the test-only variant.) Third, a shared loop composes
-//! four heterogeneous [`EventSource`]s — the CPU kernel, the disk
-//! scheduler, the cell switch, and the cluster market's reconciliation
-//! timer — and services whichever is due earliest, interleaving all
-//! four on one clock in nondecreasing time order.
+//! bit-identical probe-bus streams on a mixed compute/IO workload.
+//! Third, a shared loop composes four heterogeneous [`EventSource`]s —
+//! the CPU kernel, the disk scheduler, the cell switch, and the cluster
+//! market's reconciliation timer — and services whichever is due
+//! earliest, interleaving all four on one clock in nondecreasing time
+//! order.
 
 use lottery_cluster::{BudgetPolicy, ClusterMarket};
 use lottery_core::rng::ParkMiller;

@@ -54,6 +54,7 @@ use lottery_core::ledger::Ledger;
 use lottery_core::rng::SplitMix64;
 use lottery_obs::{EventKind, PerThreadFlight, ProbeBus};
 use lottery_sim::prelude::{FundingSpec, SimDuration, SimTime, ThreadId};
+use lottery_sim::sched::core::{fund_currency, fund_thread};
 use lottery_sync::channel::{bounded, Sender};
 use lottery_sync::Mutex;
 
@@ -140,17 +141,14 @@ impl ParKernel {
         self.ledger.base()
     }
 
-    /// Creates a currency backed by `amount` base-currency tickets —
-    /// the same three ledger operations as the simulated policies.
+    /// Creates a currency backed by `amount` base-currency tickets.
     ///
     /// # Errors
     ///
-    /// Propagates ledger errors (duplicate name, zero amount).
+    /// Propagates ledger errors (zero amount).
     pub fn create_currency(&mut self, name: &str, amount: u64) -> Result<CurrencyId> {
-        let cur = self.ledger.create_currency(name)?;
-        let backing = self.ledger.issue_root(self.ledger.base(), amount)?;
-        self.ledger.fund_currency(backing, cur)?;
-        Ok(cur)
+        let base = self.ledger.base();
+        fund_currency(&mut self.ledger, name, base, amount)
     }
 
     /// Attaches per-worker flight lanes: worker `i` probes into
@@ -177,9 +175,10 @@ impl ParKernel {
 
     /// Registers a thread: funds a fresh client from `spec`, homes it on
     /// the least-loaded shard, and queues it ready at time zero. The
-    /// ledger-operation order is exactly the simulated policy's
-    /// `on_spawn` + `enqueue` sequence — the root of the 1-worker
-    /// bit-equivalence guarantee.
+    /// funding is the simulated policies' own [`fund_thread`], and the
+    /// ledger-operation order around it is exactly their `on_spawn` +
+    /// `enqueue` sequence — the root of the 1-worker bit-equivalence
+    /// guarantee.
     ///
     /// # Panics
     ///
@@ -188,14 +187,7 @@ impl ParKernel {
     pub fn spawn(&mut self, work: WorkSpec, spec: FundingSpec) -> ThreadId {
         let tid = ThreadId::from_index(self.next_tid);
         self.next_tid += 1;
-        let client = self.ledger.create_client(format!("{tid}"));
-        let ticket = self
-            .ledger
-            .issue_root(spec.currency, spec.amount)
-            .expect("invalid funding spec");
-        self.ledger
-            .fund_client(ticket, client)
-            .expect("fresh client and ticket");
+        let (client, _ticket) = fund_thread(&mut self.ledger, tid, spec);
         let home = self.least_loaded_shard();
         self.ledger.assign_dirty_shard(client, home);
         let bus = &self.buses[home as usize];
@@ -546,6 +538,35 @@ mod tests {
         // No stealing and per-worker determinism: the merged stream is
         // identical across runs despite real-thread interleaving.
         assert_eq!(a, run());
+    }
+
+    #[test]
+    fn currencies_are_funded_as_the_simulated_policy_funds_them() {
+        use lottery_core::ledger::Valuator;
+        use lottery_sim::prelude::LotteryPolicy;
+
+        let mut par = ParKernel::new(1, 2);
+        let mut sim = LotteryPolicy::new(1);
+        for (name, amount) in [("gold", 2000), ("silver", 1000), ("bronze", 1)] {
+            assert_eq!(
+                par.create_currency(name, amount),
+                sim.create_currency(name, amount)
+            );
+        }
+        let unbacked = par.create_currency("unbacked", 0);
+        assert!(unbacked.is_err(), "a zero amount is rejected");
+        assert_eq!(unbacked, sim.create_currency("unbacked", 0));
+        let values = |ledger: &Ledger| -> Vec<(String, f64)> {
+            let mut v = Valuator::new(ledger);
+            ledger
+                .currencies()
+                .map(|(id, c)| (c.name().to_string(), v.currency_value(id).unwrap()))
+                .collect()
+        };
+        let par_values = values(&par.ledger);
+        assert_eq!(par_values.len(), 5, "base, three tenants, one unbacked");
+        assert_eq!(par_values, values(sim.ledger()));
+        assert_eq!(par.ledger.tickets().count(), sim.ledger().tickets().count());
     }
 
     #[test]

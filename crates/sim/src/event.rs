@@ -27,28 +27,6 @@ use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-/// How a kernel's run loop discovers due work and passes idle time.
-///
-/// Since the event rebase there is one production mode: jump-to-next-
-/// event. The legacy quantum-stepping cost model is retired from the
-/// public API; it survives only inside this crate's test builds, where
-/// the stepping-equivalence property proves both modes deliver the same
-/// events in the same `(when, seq)` order — so winner streams and
-/// captures stay bit-identical to the pre-refactor core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimeMode {
-    /// Jump-to-next-event: `O(log n)` heap peek/pop per scheduling point;
-    /// idle jumps straight to the next due instant.
-    #[default]
-    Event,
-    /// Legacy tick-kernel cost model: a linear callout-list scan per
-    /// scheduling point (see [`EventQueue::scan`]) and quantum-granular
-    /// idle, as a 4.3BSD-style `timeout()` wheel-less kernel would pay.
-    /// Test-only: kept to prove stream equivalence, not to run.
-    #[cfg(test)]
-    Stepping,
-}
-
 /// One scheduled entry: the payload plus its position in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scheduled<E> {
@@ -155,13 +133,6 @@ impl<E> EventQueue<E> {
         self.peek_at()
             .map_or(SimDuration::ZERO, |at| at.saturating_since(now))
     }
-
-    /// Visits every pending entry in no particular order — the linear
-    /// callout-list scan a tick-based kernel pays per step, exposed so
-    /// the legacy stepping mode can model exactly that cost.
-    pub fn scan(&self) -> impl Iterator<Item = &Scheduled<E>> {
-        self.heap.iter().map(|e| &e.0)
-    }
 }
 
 /// A pull-driven component that knows when its next unit of work is due.
@@ -229,17 +200,5 @@ mod tests {
         assert!(q.is_empty());
         let b = q.push(SimTime::ZERO, ());
         assert!(b > a, "{b} must order after {a}");
-    }
-
-    #[test]
-    fn scan_visits_everything() {
-        let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.push(SimTime::from_us(i), i);
-        }
-        let mut seen: Vec<u64> = q.scan().map(|s| s.event).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(q.len(), 10);
     }
 }

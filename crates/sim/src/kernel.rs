@@ -27,15 +27,14 @@
 //! quantum — which the capture/replay pipeline relies on for bit-exact
 //! compatibility with recordings made before the event rebase.
 
-use lottery_obs::{EventKind, ProbeBus, Shared};
+use lottery_obs::{EventKind, ProbeBus};
 
-use crate::event::{EventQueue, TimeMode};
+use crate::event::EventQueue;
 use crate::ipc::{Message, Port, PortId};
 use crate::metrics::Metrics;
 use crate::sched::{EndReason, Policy};
 use crate::thread::{BlockReason, Thread, ThreadId, ThreadState};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 use crate::workload::{Burst, Workload, WorkloadCtx};
 
 /// Future work owned by the kernel's event queue.
@@ -69,8 +68,6 @@ pub struct Kernel<P: Policy> {
     events: EventQueue<KernelEvent<P::Spec>>,
     /// A quantum split at a deadline boundary, resumed by the next run.
     inflight: Option<Inflight>,
-    /// How the run loop discovers due events and passes idle time.
-    time_mode: TimeMode,
     metrics: Metrics,
     /// Fixed cost charged (as wall time, not to any thread) whenever the
     /// dispatched thread differs from the previous one.
@@ -83,9 +80,6 @@ pub struct Kernel<P: Policy> {
     /// its clock onto the bus before each emit so every layer's events
     /// carry coherent simulated timestamps.
     bus: ProbeBus,
-    /// The scheduling-event trace, kept as one recorder on the bus (the
-    /// pre-bus `Trace` API is preserved on top of it).
-    trace: Option<Shared<Trace>>,
 }
 
 impl<P: Policy> Kernel<P> {
@@ -98,13 +92,11 @@ impl<P: Policy> Kernel<P> {
             ports: Vec::new(),
             events: EventQueue::new(),
             inflight: None,
-            time_mode: TimeMode::Event,
             metrics: Metrics::new(),
             context_switch_cost: SimDuration::ZERO,
             dispatch_cost: SimDuration::ZERO,
             last_dispatched: None,
             bus: ProbeBus::disabled(),
-            trace: None,
         }
     }
 
@@ -119,25 +111,6 @@ impl<P: Policy> Kernel<P> {
     /// The kernel's probe bus (cheap to clone; clones share state).
     pub fn probe_bus(&self) -> &ProbeBus {
         &self.bus
-    }
-
-    /// Enables the scheduling-event flight recorder, keeping the most
-    /// recent `capacity` events.
-    ///
-    /// Implemented as a [`Trace`] recorder attached to the probe bus; if
-    /// no bus is attached yet, an enabled one is installed.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        if !self.bus.is_enabled() {
-            self.set_probe_bus(ProbeBus::enabled());
-        }
-        let shared = Shared::new(Trace::new(capacity));
-        self.bus.attach(shared.clone());
-        self.trace = Some(shared);
-    }
-
-    /// A snapshot of the recorded trace, if enabled.
-    pub fn trace(&self) -> Option<Trace> {
-        self.trace.as_ref().map(|t| t.with(|t| t.clone()))
     }
 
     /// Stamps the clock and emits onto the bus (payload built only when
@@ -162,19 +135,6 @@ impl<P: Policy> Kernel<P> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.clock
-    }
-
-    /// Selects how the run loop discovers due events. In production
-    /// builds the only [`TimeMode`] is `Event` (jump-to-next-event); the
-    /// legacy stepping cost model survives in test builds solely for the
-    /// stream-equivalence proof. Winner streams are identical in both.
-    pub fn set_time_mode(&mut self, mode: TimeMode) {
-        self.time_mode = mode;
-    }
-
-    /// The active time mode.
-    pub fn time_mode(&self) -> TimeMode {
-        self.time_mode
     }
 
     /// Pending future events (timer wakes and scheduled spawns).
@@ -397,27 +357,13 @@ impl<P: Policy> Kernel<P> {
             self.deliver_due_events();
             let Some(tid) = self.policy.pick(self.clock) else {
                 // CPU idle: jump to the next pending event, or idle out
-                // the remainder of the window if there is none. Stepping
-                // mode instead ticks forward at most one quantum at a
-                // time, as a tick-driven idle loop would.
-                let Some(when) = self.next_event_due() else {
+                // the remainder of the window if there is none.
+                let Some(when) = self.events.peek_at() else {
                     self.metrics.idle += deadline.since(self.clock);
                     self.clock = deadline;
                     return;
                 };
-                let target = when.min(deadline).max(self.clock);
-                let next = match self.time_mode {
-                    TimeMode::Event => target,
-                    #[cfg(test)]
-                    TimeMode::Stepping => {
-                        let step = self.policy.quantum();
-                        if step.is_zero() {
-                            target
-                        } else {
-                            (self.clock + step).min(target)
-                        }
-                    }
-                };
+                let next = when.min(deadline).max(self.clock);
                 self.metrics.idle += next.since(self.clock);
                 self.clock = next;
                 if when > deadline && self.clock >= deadline {
@@ -434,21 +380,10 @@ impl<P: Policy> Kernel<P> {
         self.run_until(self.clock + span);
     }
 
-    /// When the earliest pending event is due. In stepping mode this is
-    /// a deliberate linear scan — the per-scheduling-point callout-list
-    /// walk whose cost the event rebase removed.
-    fn next_event_due(&self) -> Option<SimTime> {
-        match self.time_mode {
-            TimeMode::Event => self.events.peek_at(),
-            #[cfg(test)]
-            TimeMode::Stepping => self.events.scan().map(|s| s.at).min(),
-        }
-    }
-
     /// Delivers every event due at or before the clock, in `(when, seq)`
     /// order: wakes move threads onto the run queue; due arrivals spawn.
     fn deliver_due_events(&mut self) {
-        while self.next_event_due().is_some_and(|at| at <= self.clock) {
+        while self.events.peek_at().is_some_and(|at| at <= self.clock) {
             let sched = self.events.pop().expect("a due event is pending");
             match sched.event {
                 KernelEvent::Wake(tid) => {
@@ -1061,35 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn stepping_mode_matches_event_mode() {
-        let run = |mode: TimeMode| {
-            let mut k = rr_kernel(100);
-            k.set_time_mode(mode);
-            k.enable_trace(4096);
-            let _io = k.spawn(
-                "io",
-                Box::new(IoBound::new(
-                    SimDuration::from_ms(30),
-                    SimDuration::from_ms(170),
-                )),
-                (),
-            );
-            let _job = k.spawn(
-                "job",
-                Box::new(FiniteJob::new(SimDuration::from_ms(400))),
-                (),
-            );
-            k.run_until(SimTime::from_secs(3));
-            let trace: Vec<_> = k.trace().unwrap().events().copied().collect();
-            (k.now(), k.metrics().idle, trace)
-        };
-        // Stepping mode pays a linear callout scan per scheduling point
-        // and quantum-granular idle, but delivers the same events in the
-        // same order: the observable streams are identical.
-        assert_eq!(run(TimeMode::Event), run(TimeMode::Stepping));
-    }
-
-    #[test]
     fn kill_cancels_split_quantum() {
         let mut k = rr_kernel(100);
         let a = k.spawn("a", Box::new(ComputeBound), ());
@@ -1127,16 +1033,26 @@ mod tests {
 }
 
 #[cfg(test)]
-mod trace_tests {
+mod probe_tests {
     use super::*;
     use crate::sched::rr::RoundRobinPolicy;
-    use crate::trace::TraceEvent;
-    use crate::workload::{RpcClient, RpcServer, Scripted};
+    use crate::workload::{ComputeBound, RpcClient, RpcServer, Scripted};
+    use lottery_obs::{FlightRecorder, Shared};
+
+    fn recorded_kernel() -> (Kernel<RoundRobinPolicy>, Shared<FlightRecorder>) {
+        let mut k = Kernel::new(RoundRobinPolicy::new(SimDuration::from_ms(100)));
+        let flight = Shared::new(FlightRecorder::new(64));
+        k.set_probe_bus(ProbeBus::with_recorder(flight.clone()));
+        (k, flight)
+    }
+
+    fn kinds(flight: &Shared<FlightRecorder>) -> Vec<EventKind> {
+        flight.with(|f| f.events().map(|e| e.kind).collect())
+    }
 
     #[test]
-    fn trace_captures_rpc_sequence() {
-        let mut k = Kernel::new(RoundRobinPolicy::new(SimDuration::from_ms(100)));
-        k.enable_trace(64);
+    fn bus_carries_rpc_sequence() {
+        let (mut k, flight) = recorded_kernel();
         let port = k.create_port("svc");
         let server = k.spawn("server", Box::new(RpcServer::new(port)), ());
         let client = k.spawn(
@@ -1150,29 +1066,33 @@ mod trace_tests {
             (),
         );
         k.run_until(SimTime::from_secs(1));
-        let trace = k.trace().unwrap();
-        let kinds: Vec<TraceEvent> = trace.events().map(|&(_, e)| e).collect();
-        assert!(kinds.contains(&TraceEvent::Spawn(server)));
-        assert!(kinds.contains(&TraceEvent::Spawn(client)));
-        assert!(kinds.contains(&TraceEvent::Deliver { client, server }));
-        assert!(kinds.contains(&TraceEvent::Reply { client, server }));
+        let kinds = kinds(&flight);
+        let (client, server) = (client.index(), server.index());
+        assert!(kinds.contains(&EventKind::ThreadSpawn { thread: server }));
+        assert!(kinds.contains(&EventKind::ThreadSpawn { thread: client }));
         // The delivery precedes the reply.
         let deliver = kinds
             .iter()
-            .position(|&e| e == TraceEvent::Deliver { client, server })
-            .unwrap();
+            .position(|e| *e == EventKind::RpcDeliver { client, server })
+            .expect("request delivered");
         let reply = kinds
             .iter()
-            .position(|&e| e == TraceEvent::Reply { client, server })
-            .unwrap();
+            .position(|e| *e == EventKind::RpcReply { client, server })
+            .expect("reply sent");
         assert!(deliver < reply);
-        assert!(trace.for_thread(client).len() >= 4);
+        let dispatches = |thread| {
+            kinds
+                .iter()
+                .filter(|e| matches!(e, EventKind::Dispatch { thread: t, .. } if *t == thread))
+                .count()
+        };
+        assert!(dispatches(client) >= 2, "once to call, once to resume");
+        assert!(dispatches(server) >= 1);
     }
 
     #[test]
-    fn trace_records_yields_and_wakes() {
-        let mut k = Kernel::new(RoundRobinPolicy::new(SimDuration::from_ms(100)));
-        k.enable_trace(16);
+    fn bus_carries_yields_and_wakes() {
+        let (mut k, flight) = recorded_kernel();
         let t = k.spawn(
             "sleeper",
             Box::new(Scripted::once(vec![
@@ -1183,15 +1103,35 @@ mod trace_tests {
             (),
         );
         k.run_until(SimTime::from_secs(1));
-        let kinds: Vec<TraceEvent> = k.trace().unwrap().events().map(|&(_, e)| e).collect();
-        assert!(kinds.contains(&TraceEvent::QuantumEnd(t, EndReason::Blocked)));
-        assert!(kinds.contains(&TraceEvent::Wake(t)));
-        assert!(kinds.contains(&TraceEvent::QuantumEnd(t, EndReason::Exited)));
+        let thread = t.index();
+        let sequence: Vec<&str> = kinds(&flight)
+            .iter()
+            .filter_map(|e| match e {
+                EventKind::QuantumEnd {
+                    thread: t, reason, ..
+                } if *t == thread => Some(*reason),
+                EventKind::Wake { thread: t } if *t == thread => Some("wake"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            sequence,
+            [
+                EndReason::Blocked.as_str(),
+                "wake",
+                EndReason::Exited.as_str()
+            ]
+        );
     }
 
     #[test]
-    fn disabled_trace_is_none() {
-        let k = Kernel::new(RoundRobinPolicy::new(SimDuration::from_ms(100)));
-        assert!(k.trace().is_none());
+    fn no_bus_no_events() {
+        let mut k = Kernel::new(RoundRobinPolicy::new(SimDuration::from_ms(100)));
+        let flight = Shared::new(FlightRecorder::new(16));
+        // The default bus is disabled and permanently inert.
+        assert!(!k.probe_bus().attach(flight.clone()));
+        k.spawn("a", Box::new(ComputeBound), ());
+        k.run_until(SimTime::from_secs(1));
+        assert!(flight.with(|f| f.is_empty()));
     }
 }

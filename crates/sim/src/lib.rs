@@ -32,12 +32,9 @@ pub mod metrics;
 pub mod replay;
 pub mod sched;
 pub mod smp;
-#[cfg(test)]
-mod stepping_equivalence;
 pub mod task;
 pub mod thread;
 pub mod time;
-pub mod trace;
 pub mod workload;
 
 /// Commonly used items, re-exported for convenience.
@@ -48,7 +45,7 @@ pub mod prelude {
         TraceJob, TraceSpec,
     };
 
-    pub use crate::event::{EventQueue, EventSource, Scheduled, TimeMode};
+    pub use crate::event::{EventQueue, EventSource, Scheduled};
     pub use crate::ipc::PortId;
     pub use crate::kernel::Kernel;
     pub use crate::metrics::Metrics;
@@ -69,7 +66,6 @@ pub mod prelude {
     pub use crate::task::{Task, TaskBuilder};
     pub use crate::thread::{ThreadId, ThreadState};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{Trace, TraceEvent};
     pub use crate::workload::{
         Burst, ComputeBound, FiniteJob, FractionalQuantum, IoBound, MutexWorker, RpcClient,
         RpcServer, Scripted, Workload, WorkloadCtx,

@@ -32,34 +32,26 @@
 //!   exposes that ablation).
 //!
 //! Each per-CPU shard is the same [`Shard`] the uniprocessor
-//! [`super::lottery::LotteryPolicy`] holds one of — ready set, winner
-//! structure, settle, and draw are written once, there. What this policy
-//! adds around it: a home shard per thread, the ledger's *per-shard*
-//! dirty queues, the `"shard"`/`"shard-alias"` probe tags with
-//! `ShardPick`/`ShardSteal`, stealing, and rebalancing. With a single
-//! shard it is therefore *bit-identical* to `LotteryPolicy` in tree mode:
-//! the same ledger operation sequence over the same draw.
+//! [`super::lottery::LotteryPolicy`] holds one of, and the ledger, the
+//! funding book and the sequence around every draw are the same
+//! [`LotteryCore`] — both written once. What this policy adds around
+//! them: a home shard per thread (which is also the ledger dirty queue
+//! its invalidations go to), the `"shard"`/`"shard-alias"` probe tags
+//! with `ShardPick`/`ShardSteal`, stealing, and rebalancing. With a
+//! single shard it is therefore *bit-identical* to `LotteryPolicy` under
+//! the same structure, probe stream included: it is the same code.
 
-use lottery_core::client::ClientId;
-use lottery_core::currency::CurrencyId;
-use lottery_core::errors::Result;
+use std::ops::{Deref, DerefMut};
+
 use lottery_core::ledger::Ledger;
-use lottery_core::rng::ParkMiller;
-use lottery_core::ticket::TicketId;
 use lottery_obs::{EventKind, ProbeBus};
 
-use super::comp::CompensationHook;
+use super::core::LotteryCore;
 use super::lottery::{FundingSpec, SelectStructure};
 use super::shard::Shard;
 use super::{EndReason, Policy};
 use crate::thread::ThreadId;
 use crate::time::{SimDuration, SimTime};
-
-#[derive(Debug, Clone, Copy)]
-struct ThreadFunding {
-    client: ClientId,
-    ticket: TicketId,
-}
 
 /// Per-shard statistics, as reported by [`DistributedLottery::shard_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,34 +76,23 @@ pub struct ShardStats {
 }
 
 /// A lottery policy with one partial-sum tree per CPU.
+///
+/// Currencies, funding, the ledger and the compensation switch are the
+/// [`LotteryCore`]'s, reached through `Deref`.
 pub struct DistributedLottery {
-    ledger: Ledger,
-    rng: ParkMiller,
-    quantum: SimDuration,
-    /// Per-thread funding, indexed by thread id.
-    threads: Vec<Option<ThreadFunding>>,
+    core: LotteryCore,
     /// Per-CPU shards; a thread's lotteries happen on its home shard.
     shards: Vec<Shard>,
     /// Lotteries resolved from each shard.
     shard_picks: Vec<u64>,
     /// Home shard per thread, indexed by thread id.
     home: Vec<u32>,
-    /// Reverse map from ledger clients to threads (flat, indexed by the
-    /// client's arena slot), for routing sharded dirty notifications back
-    /// to shard slots without hashing.
-    client_threads: Vec<Option<ThreadId>>,
-    /// Reusable drain buffer: no allocation per pick.
-    dirty_buf: Vec<ClientId>,
     /// The per-shard winner-search structure ([`SelectStructure::List`]
     /// has no distributed analogue and behaves like `Tree`).
     structure: SelectStructure,
-    /// Shared compensation grant/revoke policy (Section 4.5).
-    comp: CompensationHook,
     /// Whether homing, stealing, and rebalancing compare *effective*
     /// (compensated) shard totals; `false` is the raw-weight ablation.
     comp_aware: bool,
-    /// Lotteries held (for overhead accounting).
-    lotteries: u64,
     /// Picks since the last rebalance check.
     picks_since_check: u32,
     /// How many picks between rebalance checks.
@@ -124,8 +105,20 @@ pub struct DistributedLottery {
     migrations: u64,
     /// Rebalance rounds that found the bound violated.
     rebalances: u64,
-    /// Probe bus for shard/draw observability (disabled by default).
-    bus: ProbeBus,
+}
+
+impl Deref for DistributedLottery {
+    type Target = LotteryCore;
+
+    fn deref(&self) -> &LotteryCore {
+        &self.core
+    }
+}
+
+impl DerefMut for DistributedLottery {
+    fn deref_mut(&mut self) -> &mut LotteryCore {
+        &mut self.core
+    }
 }
 
 impl DistributedLottery {
@@ -146,32 +139,23 @@ impl DistributedLottery {
     /// Panics on zero shards or a zero quantum.
     pub fn with_quantum(seed: u32, shards: usize, quantum: SimDuration) -> Self {
         assert!(shards > 0, "a distributed lottery needs at least one shard");
-        assert!(!quantum.is_zero(), "quantum must be positive");
-        let mut ledger = Ledger::new();
-        ledger.set_dirty_shards(shards);
+        let mut core = LotteryCore::new(seed, quantum);
+        core.ledger.set_dirty_shards(shards);
         Self {
-            ledger,
-            rng: ParkMiller::new(seed),
-            quantum,
-            threads: Vec::new(),
+            core,
             shards: (0..shards)
                 .map(|_| Shard::new(SelectStructure::Tree))
                 .collect(),
             shard_picks: vec![0; shards],
             home: Vec::new(),
-            client_threads: Vec::new(),
-            dirty_buf: Vec::new(),
             structure: SelectStructure::Tree,
-            comp: CompensationHook::new(),
             comp_aware: true,
-            lotteries: 0,
             picks_since_check: 0,
             rebalance_interval: 32,
             imbalance_bound: 1.5,
             steals: 0,
             migrations: 0,
             rebalances: 0,
-            bus: ProbeBus::disabled(),
         }
     }
 
@@ -191,25 +175,6 @@ impl DistributedLottery {
         assert!(bound >= 1.0, "imbalance bound must be at least 1");
         self.rebalance_interval = interval;
         self.imbalance_bound = bound;
-    }
-
-    /// Disables compensation tickets (the Section 4.5 ablation).
-    pub fn set_compensation_enabled(&mut self, enabled: bool) {
-        self.comp.set_enabled(enabled);
-    }
-
-    /// Whether compensation tickets are enabled (replay stamps capture
-    /// this switch).
-    pub fn compensation_enabled(&self) -> bool {
-        self.comp.enabled()
-    }
-
-    /// The Park–Miller state the next draw will consume — the replay
-    /// checkpoint. Passing this value as the seed of a fresh policy
-    /// reproduces the remaining draw stream exactly (seeds in
-    /// `[1, 2^31 - 2]` are taken verbatim).
-    pub fn rng_state(&self) -> u32 {
-        self.rng.state()
     }
 
     /// Chooses whether homing, stealing, and rebalancing compare
@@ -236,15 +201,9 @@ impl DistributedLottery {
         } else {
             SelectStructure::Tree
         };
-        let mut shards = std::mem::take(&mut self.shards);
-        for (s, shard) in shards.iter_mut().enumerate() {
-            // Every ready weight is computed fresh below; notifications
-            // pending on this shard are obsolete.
-            self.ledger
-                .drain_dirty_shard_into(s as u32, &mut self.dirty_buf);
-            shard.rebuild(self.structure, |tid| self.value_of(tid), &self.bus);
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            self.core.rebuild(s as u32, shard, self.structure);
         }
-        self.shards = shards;
     }
 
     /// The active per-shard winner-search structure.
@@ -258,56 +217,10 @@ impl DistributedLottery {
     fn effective_total(&self, shard: u32) -> f64 {
         let ready = self.shards[shard as usize].total();
         if self.comp_aware {
-            ready + self.ledger.compensation_resting_weight(shard)
+            ready + self.core.ledger.compensation_resting_weight(shard)
         } else {
             ready
         }
-    }
-
-    /// The base currency of this policy's ledger.
-    pub fn base_currency(&self) -> CurrencyId {
-        self.ledger.base()
-    }
-
-    /// Creates a currency backed by `amount` base-currency tickets.
-    pub fn create_currency(&mut self, name: &str, amount: u64) -> Result<CurrencyId> {
-        let cur = self.ledger.create_currency(name)?;
-        let backing = self.ledger.issue_root(self.ledger.base(), amount)?;
-        self.ledger.fund_currency(backing, cur)?;
-        Ok(cur)
-    }
-
-    /// Changes the face amount of a thread's funding ticket — dynamic
-    /// ticket inflation/deflation (Section 3.2).
-    pub fn set_funding(&mut self, tid: ThreadId, amount: u64) -> Result<()> {
-        let funding = self.funding_info(tid);
-        self.ledger.set_amount(funding.ticket, amount)?;
-        self.bus.emit(|| EventKind::WeightChange {
-            client: funding.client.index(),
-            tickets: amount,
-            origin: "set-funding",
-        });
-        Ok(())
-    }
-
-    /// The face amount of a thread's funding ticket.
-    pub fn funding(&self, tid: ThreadId) -> u64 {
-        self.ledger
-            .ticket(self.funding_info(tid).ticket)
-            .map(|t| t.amount())
-            .unwrap_or(0)
-    }
-
-    /// The ledger client backing a thread.
-    pub fn client_of(&self, tid: ThreadId) -> ClientId {
-        self.funding_info(tid).client
-    }
-
-    /// A thread's current value in base units (including compensation).
-    pub fn value_of(&self, tid: ThreadId) -> f64 {
-        self.ledger
-            .cached_client_value(self.funding_info(tid).client)
-            .unwrap_or(0.0)
     }
 
     /// A thread's home shard.
@@ -315,19 +228,10 @@ impl DistributedLottery {
         self.home[tid.index() as usize]
     }
 
-    /// Read access to the underlying ledger.
+    /// Read access to the underlying ledger (as [`LotteryCore::ledger`];
+    /// inherent so `DistributedLottery::ledger` names it).
     pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
-    /// Write access to the underlying ledger.
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        &mut self.ledger
-    }
-
-    /// Number of lotteries held so far.
-    pub fn lotteries_held(&self) -> u64 {
-        self.lotteries
+        self.core.ledger()
     }
 
     /// Work-stealing picks so far.
@@ -350,20 +254,22 @@ impl DistributedLottery {
     pub fn shard_stats(&mut self, shard: u32) -> ShardStats {
         self.refresh_shard(shard);
         let threads = self
-            .threads
+            .home
             .iter()
             .enumerate()
-            .filter(|(i, f)| f.is_some() && self.home.get(*i) == Some(&shard))
+            .filter(|&(i, &home)| {
+                home == shard && self.core.is_registered(ThreadId::from_index(i as u32))
+            })
             .count() as u32;
         let sh = &self.shards[shard as usize];
         ShardStats {
             threads,
             queue_depth: sh.len() as u32,
             ticket_total: sh.total(),
-            comp_weight: self.ledger.compensation_shard_weight(shard),
-            resting_weight: self.ledger.compensation_resting_weight(shard),
+            comp_weight: self.core.ledger.compensation_shard_weight(shard),
+            resting_weight: self.core.ledger.compensation_resting_weight(shard),
             picks: self.shard_picks[shard as usize],
-            dirty_depth: self.ledger.dirty_shard_depth(shard) as u32,
+            dirty_depth: self.core.ledger.dirty_shard_depth(shard) as u32,
         }
     }
 
@@ -384,33 +290,25 @@ impl DistributedLottery {
     /// Panics on an out-of-range shard or an unregistered thread.
     pub fn migrate(&mut self, tid: ThreadId, shard: u32) {
         assert!((shard as usize) < self.shards.len(), "no such shard");
-        let funding = self.funding_info(tid);
+        let client = self.core.client_of(tid);
         let from = self.home[tid.index() as usize];
         if from == shard {
             return;
         }
         let was_ready = self.shards[from as usize].remove(tid);
         self.home[tid.index() as usize] = shard;
-        self.ledger.assign_dirty_shard(funding.client, shard);
+        self.core.ledger.assign_dirty_shard(client, shard);
         if was_ready {
-            let value = self.value_of(tid);
+            let value = self.core.value_of(tid);
             self.shards[shard as usize].insert(tid, value);
         }
         self.migrations += 1;
         let thread = tid.index();
-        self.bus.emit(|| EventKind::ShardMigrate {
+        self.core.bus.emit(|| EventKind::ShardMigrate {
             thread,
             from_shard: from,
             to_shard: shard,
         });
-    }
-
-    fn funding_info(&self, tid: ThreadId) -> ThreadFunding {
-        self.threads
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .expect("thread not registered with the distributed lottery")
     }
 
     /// The shard a fresh thread should call home: the one with the least
@@ -428,20 +326,9 @@ impl DistributedLottery {
         best
     }
 
-    /// Settles a shard's pending valuation invalidations into its
-    /// weights, one batch per dispatch decision (ascending client-id
-    /// order).
-    ///
-    /// Only this shard's dirty queue is drained — invalidations homed
-    /// elsewhere wait for their own shard's next pick.
+    /// Settles the invalidations pending on a shard's own dirty queue.
     fn refresh_shard(&mut self, shard: u32) {
-        self.ledger
-            .drain_dirty_shard_into(shard, &mut self.dirty_buf);
-        if !self.dirty_buf.is_empty() {
-            let depth = self.dirty_buf.len() as u32;
-            self.bus.emit(|| EventKind::DirtyBatch { shard, depth });
-        }
-        self.shards[shard as usize].settle(&self.dirty_buf, &self.client_threads, &self.ledger);
+        self.core.refresh(shard, &mut self.shards[shard as usize]);
     }
 
     /// The heaviest foreign shard with ready work, for stealing.
@@ -463,31 +350,24 @@ impl DistributedLottery {
     /// Holds one lottery over `shard` (which the caller found non-empty)
     /// and removes the winner.
     fn draw_from(&mut self, cpu: u32, shard: u32, stolen: bool) -> ThreadId {
-        self.lotteries += 1;
         self.shard_picks[shard as usize] += 1;
-        let draw = self.shards[shard as usize]
-            .draw(&mut self.rng, |_| unreachable!("no shard is a list"))
-            .expect("the shard is not empty");
-        let tid = draw.winner;
-        let alias_mode = self.structure == SelectStructure::Alias;
-        self.bus
-            .emit(|| draw.event(if alias_mode { "shard-alias" } else { "shard" }));
-        self.bus
-            .emit(|| EventKind::ShardPick { cpu, shard, stolen });
+        let tag = if self.structure == SelectStructure::Alias {
+            "shard-alias"
+        } else {
+            "shard"
+        };
+        let tid = self.core.draw(&mut self.shards[shard as usize], tag).winner;
+        let bus = &self.core.bus;
+        bus.emit(|| EventKind::ShardPick { cpu, shard, stolen });
         if stolen {
             self.steals += 1;
-            self.bus.emit(|| EventKind::ShardSteal {
+            bus.emit(|| EventKind::ShardSteal {
                 cpu,
                 victim: shard,
                 thread: tid.index(),
             });
         }
-        self.shards[shard as usize].emit_rebuilds(&self.bus);
-        let client = self.funding_info(tid).client;
-        // The winner starts its quantum: revoke any compensation ticket
-        // through the shared hook (which emits the revocation event).
-        self.comp
-            .on_dispatch(&mut self.ledger, &self.bus, tid, client);
+        self.core.dispatched(tid, &mut self.shards[shard as usize]);
         tid
     }
 
@@ -500,11 +380,11 @@ impl DistributedLottery {
         // Sample the per-shard compensation share while the totals are
         // fresh; the aggregator's `lottery_compensation_weight{shard=…}`
         // gauges are fed from exactly these events.
-        if self.bus.is_enabled() {
+        if self.core.bus.is_enabled() {
             for s in 0..self.shards.len() as u32 {
-                let weight = self.ledger.compensation_shard_weight(s);
+                let weight = self.core.ledger.compensation_shard_weight(s);
                 let total = self.effective_total(s);
-                self.bus.emit(|| EventKind::ShardCompensation {
+                self.core.bus.emit(|| EventKind::ShardCompensation {
                     shard: s,
                     weight,
                     total,
@@ -531,7 +411,7 @@ impl DistributedLottery {
             }
             if round == 0 {
                 self.rebalances += 1;
-                self.bus.emit(|| EventKind::ShardImbalance {
+                self.core.bus.emit(|| EventKind::ShardImbalance {
                     max_total,
                     mean_total: mean,
                 });
@@ -582,60 +462,25 @@ impl Policy for DistributedLottery {
     /// Panics when the spec names a stale currency or a zero amount —
     /// both are harness configuration bugs.
     fn on_spawn(&mut self, tid: ThreadId, spec: FundingSpec) {
-        let client = self.ledger.create_client(format!("{tid}"));
-        let ticket = self
-            .ledger
-            .issue_root(spec.currency, spec.amount)
-            .expect("invalid funding spec");
-        self.ledger
-            .fund_client(ticket, client)
-            .expect("fresh client and ticket");
+        let client = self.core.spawn(tid, spec);
+        let home = self.least_loaded_shard();
         let idx = tid.index() as usize;
-        if self.threads.len() <= idx {
-            self.threads.resize(idx + 1, None);
+        if self.home.len() <= idx {
             self.home.resize(idx + 1, 0);
         }
-        self.threads[idx] = Some(ThreadFunding { client, ticket });
-        let home = self.least_loaded_shard();
         self.home[idx] = home;
-        self.ledger.assign_dirty_shard(client, home);
-        let slot = client.index() as usize;
-        if self.client_threads.len() <= slot {
-            self.client_threads.resize(slot + 1, None);
-        }
-        self.client_threads[slot] = Some(tid);
-        self.bus.emit(|| EventKind::WeightChange {
-            client: client.index(),
-            tickets: spec.amount,
-            origin: "spawn",
-        });
+        self.core.ledger.assign_dirty_shard(client, home);
     }
 
     fn on_exit(&mut self, tid: ThreadId) {
-        let funding = self.funding_info(tid);
         let home = self.home[tid.index() as usize];
         self.shards[home as usize].remove(tid);
-        self.client_threads[funding.client.index() as usize] = None;
-        self.ledger
-            .deactivate_client(funding.client)
-            .expect("client liveness");
-        self.ledger
-            .destroy_client_and_funding(funding.client)
-            .expect("client liveness");
-        self.threads[tid.index() as usize] = None;
+        self.core.exit(tid);
     }
 
     fn enqueue(&mut self, tid: ThreadId, _now: SimTime) {
-        let funding = self.funding_info(tid);
-        self.ledger
-            .activate_client(funding.client)
-            .expect("client liveness");
-        // Activation just invalidated the client, so this read revalues
-        // precisely the changed subgraph; siblings refresh at their own
-        // shard's next pick.
-        let value = self.value_of(tid);
         let home = self.home[tid.index() as usize];
-        self.shards[home as usize].insert(tid, value);
+        self.core.activate(tid, &mut self.shards[home as usize]);
     }
 
     /// A shard-0 lottery — the uniprocessor entry point.
@@ -666,27 +511,19 @@ impl Policy for DistributedLottery {
     }
 
     fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason) {
-        // The shared hook grants a partial-quantum compensation factor and
-        // deactivates a blocked client's tickets so shared-currency values
-        // redistribute (Section 4.4).
-        let client = self.funding_info(tid).client;
-        self.comp
-            .on_charge(&mut self.ledger, &self.bus, tid, client, used, quantum, why);
+        self.core.charge(tid, used, quantum, why);
     }
 
     fn quantum(&self) -> SimDuration {
-        self.quantum
+        self.core.quantum()
     }
 
     fn ready_len(&self) -> usize {
         self.shards.iter().map(Shard::len).sum()
     }
 
-    /// Stores the bus and forwards a clone to the ledger, so draw events
-    /// and cache/mutation events share one pipeline.
     fn set_probe_bus(&mut self, bus: ProbeBus) {
-        self.ledger.set_probe_bus(bus.clone());
-        self.bus = bus;
+        self.core.set_probe_bus(bus);
     }
 }
 

@@ -8,10 +8,13 @@
 //! procedure (Section 4.4).
 //!
 //! The ready queue, the winner structure, and the draw itself are one
-//! [`Shard`], shared with the distributed policy and the real-thread
-//! workers. This policy adds the funding book, the unsharded dirty queue
-//! it drains before a tree or alias draw, the `"list"`/`"tree"`/`"alias"`
-//! probe tags, RPC ticket transfers, and lottery-scheduled kernel mutexes.
+//! [`Shard`]; the ledger, the funding book, and the sequence around every
+//! draw (settle dirty weights, draw, revoke and grant compensation) are
+//! the [`LotteryCore`]. Both are shared with the distributed policy, of
+//! which this one is the single-shard case. What it adds: the
+//! `"list"`/`"tree"`/`"alias"` probe tags, the list walk as a structure,
+//! RPC ticket transfers, and lottery-scheduled kernel mutexes — the
+//! mechanisms only the uniprocessor kernel issues bursts for.
 //!
 //! The policy implements the full mechanism set:
 //!
@@ -22,22 +25,19 @@
 //!   its next dispatch (Section 4.5);
 //! * **ticket transfers** — RPC clients fund the server thread for the
 //!   duration of the call (Section 4.6);
-//! * **dynamic inflation** — [`LotteryPolicy::set_funding`] adjusts a
+//! * **dynamic inflation** — [`LotteryCore::set_funding`] adjusts a
 //!   thread's ticket in place (Section 5.2's Monte-Carlo control).
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 
-use lottery_core::client::ClientId;
 use lottery_core::currency::CurrencyId;
-use lottery_core::errors::Result;
 use lottery_core::ledger::Ledger;
 use lottery_core::mutex::{TicketMutex, WaiterFunding};
-use lottery_core::rng::ParkMiller;
-use lottery_core::ticket::TicketId;
 use lottery_core::transfer::{lend, Transfer, TransferTarget};
-use lottery_obs::{EventKind, ProbeBus};
+use lottery_obs::ProbeBus;
 
-use super::comp::CompensationHook;
+use super::core::LotteryCore;
 use super::shard::Shard;
 use super::{EndReason, LockId, Policy};
 use crate::replay::structure_name;
@@ -94,39 +94,33 @@ pub enum SelectStructure {
     Alias,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ThreadFunding {
-    client: ClientId,
-    ticket: TicketId,
-    currency: CurrencyId,
-}
-
 /// The lottery scheduling policy.
+///
+/// Currencies, funding, the ledger and the compensation switch are the
+/// [`LotteryCore`]'s, reached through `Deref`.
 pub struct LotteryPolicy {
-    ledger: Ledger,
-    rng: ParkMiller,
-    quantum: SimDuration,
-    /// Per-thread funding, indexed by thread id.
-    threads: Vec<Option<ThreadFunding>>,
+    core: LotteryCore,
     /// The ready queue and its winner structure.
     shard: Shard,
-    /// Reverse map from ledger clients to threads (flat, indexed by the
-    /// client's arena slot), for routing the ledger's dirty-client
-    /// notifications back to structure slots without hashing.
-    client_threads: Vec<Option<ThreadId>>,
-    /// Reusable drain buffer: no allocation per pick.
-    dirty_buf: Vec<ClientId>,
+    structure: SelectStructure,
     /// Outstanding RPC transfers, keyed by (client, server).
     transfers: HashMap<(ThreadId, ThreadId), Transfer>,
-    /// Shared compensation grant/revoke policy (Section 4.5).
-    comp: CompensationHook,
-    /// Lotteries held (for overhead accounting).
-    lotteries: u64,
-    structure: SelectStructure,
     /// Kernel mutexes (Section 6.1), scheduled by handoff lotteries.
     locks: Vec<TicketMutex>,
-    /// Probe bus for per-draw observability (disabled by default).
-    bus: ProbeBus,
+}
+
+impl Deref for LotteryPolicy {
+    type Target = LotteryCore;
+
+    fn deref(&self) -> &LotteryCore {
+        &self.core
+    }
+}
+
+impl DerefMut for LotteryPolicy {
+    fn deref_mut(&mut self) -> &mut LotteryCore {
+        &mut self.core
+    }
 }
 
 impl LotteryPolicy {
@@ -141,21 +135,12 @@ impl LotteryPolicy {
     ///
     /// Panics on a zero quantum.
     pub fn with_quantum(seed: u32, quantum: SimDuration) -> Self {
-        assert!(!quantum.is_zero(), "quantum must be positive");
         Self {
-            ledger: Ledger::new(),
-            rng: ParkMiller::new(seed),
-            quantum,
-            threads: Vec::new(),
+            core: LotteryCore::new(seed, quantum),
             shard: Shard::new(SelectStructure::List),
-            client_threads: Vec::new(),
-            dirty_buf: Vec::new(),
-            transfers: HashMap::new(),
-            comp: CompensationHook::new(),
-            lotteries: 0,
             structure: SelectStructure::List,
+            transfers: HashMap::new(),
             locks: Vec::new(),
-            bus: ProbeBus::disabled(),
         }
     }
 
@@ -164,16 +149,11 @@ impl LotteryPolicy {
     /// May be called at any point, even mid-run with threads queued: the
     /// shard is rebuilt in queue order with exact values from the ledger's
     /// valuation cache.
-    /// Emits a [`EventKind::StructureRebuild`] describing the rebuild.
+    /// Emits a [`lottery_obs::EventKind::StructureRebuild`] describing the
+    /// rebuild.
     pub fn set_structure(&mut self, structure: SelectStructure) {
         self.structure = structure;
-        if structure != SelectStructure::List {
-            // Every ready weight is computed fresh below; notifications
-            // accumulated while the list ignored them are obsolete.
-            self.ledger.drain_dirty_clients_into(&mut self.dirty_buf);
-        }
-        let value_of = |tid| value_in(&self.threads, &self.ledger, tid);
-        self.shard.rebuild(structure, value_of, &self.bus);
+        self.core.rebuild(0, &mut self.shard, structure);
     }
 
     /// The active winner-search structure.
@@ -181,119 +161,11 @@ impl LotteryPolicy {
         self.structure
     }
 
-    /// Disables compensation tickets — the Section 4.5 ablation, which
-    /// reproduces the anomaly where an interactive thread receives far
-    /// less than its entitled share.
-    pub fn set_compensation_enabled(&mut self, enabled: bool) {
-        self.comp.set_enabled(enabled);
-    }
-
-    /// The base currency of this policy's ledger.
-    pub fn base_currency(&self) -> CurrencyId {
-        self.ledger.base()
-    }
-
-    /// Creates a currency backed by `amount` base-currency tickets.
-    pub fn create_currency(&mut self, name: &str, amount: u64) -> Result<CurrencyId> {
-        let cur = self.ledger.create_currency(name)?;
-        let backing = self.ledger.issue_root(self.ledger.base(), amount)?;
-        self.ledger.fund_currency(backing, cur)?;
-        Ok(cur)
-    }
-
-    /// Creates a currency backed by `amount` tickets of `parent` —
-    /// building deeper Figure 3 style graphs.
-    pub fn create_subcurrency(
-        &mut self,
-        name: &str,
-        parent: CurrencyId,
-        amount: u64,
-    ) -> Result<CurrencyId> {
-        let cur = self.ledger.create_currency(name)?;
-        let backing = self.ledger.issue_root(parent, amount)?;
-        self.ledger.fund_currency(backing, cur)?;
-        Ok(cur)
-    }
-
-    /// Changes the face amount of a thread's funding ticket — dynamic
-    /// ticket inflation/deflation (Section 3.2).
-    ///
-    /// Takes effect at the very next lottery.
-    pub fn set_funding(&mut self, tid: ThreadId, amount: u64) -> Result<()> {
-        let funding = self.funding_info(tid);
-        // Affected tree weights are refreshed lazily, from the ledger's
-        // dirty-client queue, at the next pick.
-        self.ledger.set_amount(funding.ticket, amount)?;
-        self.bus.emit(|| EventKind::WeightChange {
-            client: funding.client.index(),
-            tickets: amount,
-            origin: "set-funding",
-        });
-        Ok(())
-    }
-
-    /// The face amount of a thread's funding ticket.
-    pub fn funding(&self, tid: ThreadId) -> u64 {
-        self.ledger
-            .ticket(self.funding_info(tid).ticket)
-            .map(|t| t.amount())
-            .unwrap_or(0)
-    }
-
-    /// The ledger client backing a thread.
-    pub fn client_of(&self, tid: ThreadId) -> ClientId {
-        self.funding_info(tid).client
-    }
-
-    /// A thread's current value in base units (including compensation).
-    pub fn value_of(&self, tid: ThreadId) -> f64 {
-        value_in(&self.threads, &self.ledger, tid)
-    }
-
-    /// Read access to the underlying ledger.
+    /// Read access to the underlying ledger (as [`LotteryCore::ledger`];
+    /// inherent so `LotteryPolicy::ledger` names it).
     pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+        self.core.ledger()
     }
-
-    /// Write access to the underlying ledger, for experiments that
-    /// manipulate the currency graph directly.
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        &mut self.ledger
-    }
-
-    /// Number of lotteries held so far.
-    pub fn lotteries_held(&self) -> u64 {
-        self.lotteries
-    }
-
-    /// The Park–Miller state the next draw will consume — the replay
-    /// checkpoint. Passing this value as the seed of a fresh policy
-    /// reproduces the remaining draw stream exactly (seeds in
-    /// `[1, 2^31 - 2]` are taken verbatim).
-    pub fn rng_state(&self) -> u32 {
-        self.rng.state()
-    }
-
-    /// Whether compensation tickets are enabled (replay stamps capture
-    /// this switch).
-    pub fn compensation_enabled(&self) -> bool {
-        self.comp.enabled()
-    }
-
-    fn funding_info(&self, tid: ThreadId) -> ThreadFunding {
-        self.threads
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .expect("thread not registered with the lottery policy")
-    }
-}
-
-/// A thread's current base-unit value through the valuation cache — free
-/// of `self` so a draw can price threads while the shard is borrowed.
-fn value_in(threads: &[Option<ThreadFunding>], ledger: &Ledger, tid: ThreadId) -> f64 {
-    let funding = threads[tid.index() as usize].expect("thread is registered");
-    ledger.cached_client_value(funding.client).unwrap_or(0.0)
 }
 
 impl Policy for LotteryPolicy {
@@ -306,137 +178,58 @@ impl Policy for LotteryPolicy {
     /// Panics when the spec names a stale currency or a zero amount —
     /// both are harness configuration bugs.
     fn on_spawn(&mut self, tid: ThreadId, spec: FundingSpec) {
-        let client = self.ledger.create_client(format!("{tid}"));
-        let ticket = self
-            .ledger
-            .issue_root(spec.currency, spec.amount)
-            .expect("invalid funding spec");
-        self.ledger
-            .fund_client(ticket, client)
-            .expect("fresh client and ticket");
-        let idx = tid.index() as usize;
-        if self.threads.len() <= idx {
-            self.threads.resize(idx + 1, None);
-        }
-        self.threads[idx] = Some(ThreadFunding {
-            client,
-            ticket,
-            currency: spec.currency,
-        });
-        let slot = client.index() as usize;
-        if self.client_threads.len() <= slot {
-            self.client_threads.resize(slot + 1, None);
-        }
-        self.client_threads[slot] = Some(tid);
-        self.bus.emit(|| EventKind::WeightChange {
-            client: client.index(),
-            tickets: spec.amount,
-            origin: "spawn",
-        });
+        self.core.spawn(tid, spec);
     }
 
     fn on_exit(&mut self, tid: ThreadId) {
-        let funding = self.funding_info(tid);
         self.shard.remove(tid);
-        self.client_threads[funding.client.index() as usize] = None;
-        self.ledger
-            .deactivate_client(funding.client)
-            .expect("client liveness");
-        self.ledger
-            .destroy_client_and_funding(funding.client)
-            .expect("client liveness");
-        self.threads[tid.index() as usize] = None;
+        self.core.exit(tid);
     }
 
     fn enqueue(&mut self, tid: ThreadId, _now: SimTime) {
-        let funding = self.funding_info(tid);
-        self.ledger
-            .activate_client(funding.client)
-            .expect("client liveness");
-        // Exact: activation just invalidated the client (and any
-        // shared-currency siblings, refreshed at the next pick), so this
-        // read revalues precisely the changed subgraph. The list stores
-        // no weights and is not valued here.
-        let value = match self.structure {
-            SelectStructure::List => 0.0,
-            _ => self.value_of(tid),
-        };
-        self.shard.insert(tid, value);
+        self.core.activate(tid, &mut self.shard);
     }
 
     fn pick(&mut self, _now: SimTime) -> Option<ThreadId> {
         if self.shard.is_empty() {
             return None;
         }
-        self.lotteries += 1;
-        if self.structure != SelectStructure::List {
-            // One batch per dispatch decision: the ledger's whole dirty
-            // queue (ascending client-id order) settles in a single pass.
-            self.ledger.drain_dirty_clients_into(&mut self.dirty_buf);
-            if !self.dirty_buf.is_empty() {
-                let depth = self.dirty_buf.len() as u32;
-                self.bus.emit(|| EventKind::DirtyBatch { shard: 0, depth });
-            }
-            self.shard
-                .settle(&self.dirty_buf, &self.client_threads, &self.ledger);
-        }
-        // A list values every ready client via the incremental cache: a
-        // warm read per client, plus revalidation of whatever the ledger
-        // invalidated since the last pick.
-        let value_of = |tid| value_in(&self.threads, &self.ledger, tid);
-        let draw = self
-            .shard
-            .draw(&mut self.rng, value_of)
-            .expect("the shard is not empty");
-        self.bus.emit(|| draw.event(structure_name(self.structure)));
-        self.shard.emit_rebuilds(&self.bus);
-        let tid = draw.winner;
-        let funding = self.funding_info(tid);
-        // The winner starts its quantum: revoke any compensation ticket
-        // through the shared hook (which emits the revocation event).
-        self.comp
-            .on_dispatch(&mut self.ledger, &self.bus, tid, funding.client);
+        self.core.refresh(0, &mut self.shard);
+        let tag = structure_name(self.structure);
+        let tid = self.core.draw(&mut self.shard, tag).winner;
+        self.core.dispatched(tid, &mut self.shard);
         Some(tid)
     }
 
     fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason) {
-        // The shared hook grants a partial-quantum compensation factor and
-        // deactivates a blocked client's tickets so shared-currency values
-        // redistribute (Section 4.4).
-        let client = self.funding_info(tid).client;
-        self.comp
-            .on_charge(&mut self.ledger, &self.bus, tid, client, used, quantum, why);
+        self.core.charge(tid, used, quantum, why);
     }
 
     fn quantum(&self) -> SimDuration {
-        self.quantum
+        self.core.quantum()
     }
 
     /// Lends the blocked client's ticket value to the server thread
     /// (Section 4.6: "creating a new ticket denominated in the client's
     /// currency" to fund the server).
     fn transfer(&mut self, from: ThreadId, to: ThreadId) {
-        let from_funding = self.funding_info(from);
-        let to_funding = self.funding_info(to);
-        let amount = self
-            .ledger
-            .ticket(from_funding.ticket)
-            .map(|t| t.amount())
-            .unwrap_or(0);
+        let currency = self.core.funding_info(from).currency;
+        let server = self.core.client_of(to);
+        let amount = self.core.funding(from);
         if amount == 0 {
             return;
         }
         let transfer = lend(
-            &mut self.ledger,
-            from_funding.currency,
+            &mut self.core.ledger,
+            currency,
             amount,
-            TransferTarget::Client(to_funding.client),
+            TransferTarget::Client(server),
         )
         .expect("transfer endpoints are live");
         if let Some(stale) = self.transfers.insert((from, to), transfer) {
             // A client cannot have two outstanding calls to one server,
             // but unwind defensively rather than leak funding.
-            let _ = stale.repay(&mut self.ledger);
+            let _ = stale.repay(&mut self.core.ledger);
         }
         // The server's gained funding reaches its tree leaf through the
         // ledger's dirty-client queue at the next pick.
@@ -446,7 +239,7 @@ impl Policy for LotteryPolicy {
     fn untransfer(&mut self, from: ThreadId, to: ThreadId) {
         if let Some(transfer) = self.transfers.remove(&(from, to)) {
             transfer
-                .repay(&mut self.ledger)
+                .repay(&mut self.core.ledger)
                 .expect("transfer ticket is live");
         }
     }
@@ -455,19 +248,16 @@ impl Policy for LotteryPolicy {
         self.shard.len()
     }
 
-    /// Stores the bus and forwards a clone to the ledger, so draw events
-    /// and cache/mutation events share one pipeline.
     fn set_probe_bus(&mut self, bus: ProbeBus) {
-        self.ledger.set_probe_bus(bus.clone());
-        self.bus = bus;
+        self.core.set_probe_bus(bus);
     }
 
     /// Creates a lottery-scheduled kernel mutex: a mutex currency plus an
     /// inheritance ticket (Section 6.1, Figure 10).
     fn create_lock(&mut self) -> LockId {
         let id = LockId::from_index(self.locks.len() as u32);
-        let mutex = TicketMutex::new(&mut self.ledger, &format!("kernel-lock{}", id.index()))
-            .expect("fresh mutex currency");
+        let name = format!("kernel-lock{}", id.index());
+        let mutex = TicketMutex::new(&mut self.core.ledger, &name).expect("fresh mutex currency");
         self.locks.push(mutex);
         id
     }
@@ -475,27 +265,21 @@ impl Policy for LotteryPolicy {
     /// Acquires, or parks the thread as a waiter funding the mutex
     /// currency with a transfer denominated in its own funding currency.
     fn lock(&mut self, tid: ThreadId, lock: LockId) -> bool {
-        let funding = self.funding_info(tid);
-        let amount = self
-            .ledger
-            .ticket(funding.ticket)
-            .map(|t| t.amount())
-            .unwrap_or(1)
-            .max(1);
+        let funding = self.core.funding_info(tid);
         let waiter = WaiterFunding {
             currency: funding.currency,
-            amount,
+            amount: self.core.funding(tid).max(1),
         };
         self.locks[lock.index() as usize]
-            .acquire(&mut self.ledger, funding.client, waiter)
+            .acquire(&mut self.core.ledger, funding.client, waiter)
             .expect("lock endpoints are live")
     }
 
     /// Cancels the killed thread's lock waits, repaying its transfers.
     fn cancel_lock_waits(&mut self, tid: ThreadId) {
-        let client = self.funding_info(tid).client;
+        let client = self.core.client_of(tid);
         for lock in &mut self.locks {
-            let _ = lock.cancel(&mut self.ledger, client);
+            let _ = lock.cancel(&mut self.core.ledger, client);
         }
     }
 
@@ -503,12 +287,14 @@ impl Policy for LotteryPolicy {
     /// by their transferred funding; the winner's transfer is repaid and
     /// it inherits the mutex's inheritance ticket.
     fn unlock(&mut self, tid: ThreadId, lock: LockId) -> Option<ThreadId> {
-        let client = self.funding_info(tid).client;
+        let client = self.core.client_of(tid);
         let winner = self.locks[lock.index() as usize]
-            .release(&mut self.ledger, client, &mut self.rng)
+            .release(&mut self.core.ledger, client, &mut self.core.rng)
             .expect("release by the holder");
         winner.map(|w| {
-            self.client_threads[w.index() as usize].expect("winner is a registered thread")
+            self.core
+                .thread_of(w)
+                .expect("winner is a registered thread")
         })
     }
 }

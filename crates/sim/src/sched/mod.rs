@@ -16,9 +16,12 @@
 //!   authors' follow-up work), used as the de-randomization ablation.
 //!
 //! Both lottery policies (and the real-thread workers of `lottery-par`)
-//! keep their ready set and winner structure as one [`shard::Shard`].
+//! keep their ready set and winner structure as one [`shard::Shard`], and
+//! the two policies are one [`core::LotteryCore`] — ledger, funding book,
+//! and the sequence around every draw — over one shard or one per CPU.
 
 pub mod comp;
+pub mod core;
 pub mod distributed;
 pub mod fairshare;
 pub mod fixed;

@@ -111,6 +111,12 @@ impl Shard {
         self.len() == 0
     }
 
+    /// Whether the shard keeps a weight per ready thread (tree, alias). A
+    /// list keeps none: it is valued through the ledger at draw time.
+    pub fn stores_weights(&self) -> bool {
+        !matches!(self.0, Pool::List { .. })
+    }
+
     /// Whether `tid` is ready here (`O(1)`).
     pub fn contains(&self, tid: ThreadId) -> bool {
         match &self.0 {
@@ -190,7 +196,7 @@ impl Shard {
         client_threads: &[Option<ThreadId>],
         ledger: &Ledger,
     ) {
-        if matches!(self.0, Pool::List { .. }) {
+        if !self.stores_weights() {
             return;
         }
         for &client in dirty {

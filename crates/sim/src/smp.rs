@@ -23,7 +23,7 @@ use std::fmt;
 
 use lottery_obs::{EventKind, ProbeBus};
 
-use crate::event::{EventQueue, TimeMode};
+use crate::event::EventQueue;
 use crate::metrics::Metrics;
 use crate::sched::{EndReason, Policy};
 use crate::thread::{BlockReason, Thread, ThreadId, ThreadState};
@@ -81,8 +81,6 @@ pub struct SmpKernel<P: Policy> {
     /// `(when, seq)`. The payload never participates in ordering, so two
     /// events due at the same instant pop in scheduling order.
     events: EventQueue<Event>,
-    /// How the run loop discovers due events.
-    time_mode: TimeMode,
     metrics: Metrics,
     /// Per-CPU busy time, for utilization accounting.
     busy: Vec<SimDuration>,
@@ -108,7 +106,6 @@ impl<P: Policy> SmpKernel<P> {
             cpus,
             idle_cpus: (0..cpus as u32).collect(),
             events: EventQueue::new(),
-            time_mode: TimeMode::Event,
             metrics: Metrics::new(),
             busy: vec![SimDuration::ZERO; cpus],
             requeued: Vec::new(),
@@ -139,19 +136,6 @@ impl<P: Policy> SmpKernel<P> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.clock
-    }
-
-    /// Selects how the run loop discovers due events. In production
-    /// builds the only [`TimeMode`] is `Event`; the legacy stepping cost
-    /// model survives in test builds solely for the stream-equivalence
-    /// proof. Both modes deliver identical streams.
-    pub fn set_time_mode(&mut self, mode: TimeMode) {
-        self.time_mode = mode;
-    }
-
-    /// The active time mode.
-    pub fn time_mode(&self) -> TimeMode {
-        self.time_mode
     }
 
     /// Pending future events (CPU frees, wakes, requeues).
@@ -226,16 +210,6 @@ impl<P: Policy> SmpKernel<P> {
         }
     }
 
-    /// When the earliest pending event is due. In stepping mode this is
-    /// the legacy linear callout scan; in event mode a heap peek.
-    fn next_event_due(&self) -> Option<SimTime> {
-        match self.time_mode {
-            TimeMode::Event => self.events.peek_at(),
-            #[cfg(test)]
-            TimeMode::Stepping => self.events.scan().map(|s| s.at).min(),
-        }
-    }
-
     /// Runs until the clock reaches `deadline` (in-flight quanta may
     /// overshoot) or no thread is runnable or sleeping.
     ///
@@ -245,7 +219,7 @@ impl<P: Policy> SmpKernel<P> {
     /// RPC or mutex burst. The offending thread is exited; calling
     /// `run_until` again resumes the rest of the machine.
     pub fn run_until(&mut self, deadline: SimTime) -> Result<(), SmpError> {
-        while let Some(when) = self.next_event_due() {
+        while let Some(when) = self.events.peek_at() {
             // Stop *at* the deadline: a dispatch beginning exactly there
             // belongs to the next run_until slice (mirrors the
             // uniprocessor kernel's `clock < deadline` loop condition).

@@ -53,7 +53,7 @@ impl<'a> TaskBuilder<'a> {
     }
 
     /// Creates a task whose currency is backed by `funding` tickets of
-    /// `parent` (use [`LotteryPolicy::base_currency`] for top-level
+    /// `parent` (use `LotteryPolicy::base_currency` for top-level
     /// tasks).
     pub fn task(&mut self, name: &str, parent: CurrencyId, funding: u64) -> Result<Task> {
         let currency = self

@@ -6,13 +6,58 @@
 //!   exited, migrated, or inflated, the sum of every shard's partial-sum
 //!   tree total equals the ledger's base-currency valuation of the ready
 //!   set: sharding redistributes weight, it never creates or destroys it;
-//! * **RNG-stream invariance on one shard** — a 1-shard
-//!   `DistributedLottery` is the existing `LotteryPolicy` in tree mode:
-//!   the same ledger operation sequence, the same slot order, the same
-//!   draw discipline, so the winner streams are bit-identical.
+//! * **one shard is the uniprocessor policy** — a 1-shard
+//!   `DistributedLottery` is `LotteryPolicy` under the same structure:
+//!   both are the one `LotteryCore` over one `Shard`, so not only the
+//!   winners but the whole probe stream — ledger operations, dirty
+//!   drains and batch depths, weight changes, draws, compensation grants
+//!   and revokes — is identical, bar the `shard-pick` lines and the draw
+//!   tag only the distributed policy writes.
 
+use lottery_obs::EventKind;
 use lottery_sim::prelude::*;
 use proptest::prelude::*;
+
+/// What a scripted run produced: the winners, and every probe event.
+#[derive(Debug, PartialEq)]
+struct Run {
+    winners: Vec<ThreadId>,
+    events: Vec<EventKind>,
+}
+
+/// Puts a flight recorder on `policy`'s bus.
+fn record<P: Policy>(policy: &mut P) -> Shared<FlightRecorder> {
+    let flight = Shared::new(FlightRecorder::new(1 << 15));
+    policy.set_probe_bus(ProbeBus::with_recorder(flight.clone()));
+    flight
+}
+
+/// The recorded stream with what legitimately differs between the two
+/// policies taken out: `shard-pick` events, the `shard`/`shard-alias`
+/// draw tags, and the wall-clock `rebuild_ns`.
+fn comparable(flight: &Shared<FlightRecorder>) -> Vec<EventKind> {
+    flight.with(|f| {
+        assert_eq!(f.dropped(), 0, "the ring must hold the whole run");
+        f.events()
+            .filter(|e| !matches!(e.kind, EventKind::ShardPick { .. }))
+            .map(|e| {
+                let mut kind = e.kind;
+                match &mut kind {
+                    EventKind::LotteryDraw { structure, .. } => {
+                        *structure = match *structure {
+                            "shard" => "tree",
+                            "shard-alias" => "alias",
+                            other => other,
+                        }
+                    }
+                    EventKind::StructureRebuild { rebuild_ns, .. } => *rebuild_ns = 0,
+                    _ => {}
+                }
+                kind
+            })
+            .collect()
+    })
+}
 
 /// One scripted mutation, applied between picks.
 #[derive(Debug, Clone)]
@@ -39,17 +84,20 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Drives a distributed policy through `script`, returning the winner
-/// sequence. Rebalancing is left at its defaults so migrations come from
-/// both the script and the policy itself.
+/// Drives a distributed policy through `script`. Rebalancing is left at
+/// its defaults so migrations come from both the script and the policy
+/// itself.
 fn run_distributed(
     seed: u32,
     shards: usize,
+    structure: SelectStructure,
     threads: usize,
     script: &[Step],
     check_conservation: bool,
-) -> Vec<ThreadId> {
+) -> Run {
     let mut p = DistributedLottery::new(seed, shards);
+    let flight = record(&mut p);
+    p.set_structure(structure);
     let base = p.base_currency();
     for i in 0..threads {
         let tid = ThreadId::from_index(i as u32);
@@ -120,14 +168,18 @@ fn run_distributed(
             );
         }
     }
-    winners
+    Run {
+        winners,
+        events: comparable(&flight),
+    }
 }
 
-/// Mirrors `run_distributed` on the shared-tree `LotteryPolicy`,
+/// Mirrors `run_distributed` on the uniprocessor `LotteryPolicy`,
 /// ignoring `Migrate` targets (a 1-shard migration is a no-op).
-fn run_shared_tree(seed: u32, threads: usize, script: &[Step]) -> Vec<ThreadId> {
+fn run_uniprocessor(seed: u32, structure: SelectStructure, threads: usize, script: &[Step]) -> Run {
     let mut p = LotteryPolicy::new(seed);
-    p.set_structure(SelectStructure::Tree);
+    let flight = record(&mut p);
+    p.set_structure(structure);
     let base = p.base_currency();
     for i in 0..threads {
         let tid = ThreadId::from_index(i as u32);
@@ -162,7 +214,10 @@ fn run_shared_tree(seed: u32, threads: usize, script: &[Step]) -> Vec<ThreadId> 
             }
         }
     }
-    winners
+    Run {
+        winners,
+        events: comparable(&flight),
+    }
 }
 
 proptest! {
@@ -179,21 +234,25 @@ proptest! {
         threads in 2..8usize,
         script in proptest::collection::vec(step_strategy(), 1..80),
     ) {
-        run_distributed(seed, shards, threads, &script, true);
+        run_distributed(seed, shards, SelectStructure::Tree, threads, &script, true);
     }
 
-    /// On one shard the distributed lottery IS the shared partial-sum
-    /// tree: winner streams are bit-identical, so distributing the
-    /// scheduler changed nothing about the mechanism itself.
+    /// On one shard the distributed lottery IS the uniprocessor policy
+    /// under the same structure: winners and probe streams are
+    /// identical, so distributing the scheduler changed nothing about
+    /// the mechanism itself.
     #[test]
     fn single_shard_matches_shared_tree_exactly(
         seed in 1..u32::MAX,
+        structure in prop_oneof![Just(SelectStructure::Tree), Just(SelectStructure::Alias)],
         threads in 2..8usize,
         script in proptest::collection::vec(step_strategy(), 1..120),
     ) {
-        let distributed = run_distributed(seed, 1, threads, &script, false);
-        let shared = run_shared_tree(seed, threads, &script);
-        prop_assert_eq!(distributed, shared);
+        let distributed = run_distributed(seed, 1, structure, threads, &script, false);
+        let uniprocessor = run_uniprocessor(seed, structure, threads, &script);
+        prop_assert_eq!(&distributed.winners, &uniprocessor.winners);
+        prop_assert!(distributed.events.len() > distributed.winners.len());
+        prop_assert_eq!(distributed.events, uniprocessor.events);
     }
 }
 

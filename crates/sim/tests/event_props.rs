@@ -4,9 +4,7 @@
 //! Golden captures under `tests/data/` were recorded by the pre-refactor
 //! quantum-stepping core (list/tree/alias × 0/2/4 shards). Replaying
 //! them through the current core must be bit-exact; any divergence is a
-//! behavioural regression in the event rebase. (The live two-mode
-//! property proof moved in-crate with the now test-only
-//! `TimeMode::Stepping` — see `src/stepping_equivalence.rs`.)
+//! behavioural regression in the event rebase.
 //!
 //! The `regenerate_goldens` test (ignored by default) rewrites the data
 //! files from whatever core is compiled — run it only to re-seed the

@@ -1,330 +1,15 @@
-//! A bounded multi-producer single-consumer channel.
-//!
-//! The real-thread scheduler backend (`lottery-par`) moves thread state
-//! between shard workers by message passing: each worker owns an inbox
-//! other workers post messages into. The build environment is
-//! offline, so the channel is hand-rolled here on top of the workspace's
-//! own [`Mutex`]/[`Condvar`] primitives rather than pulled from a crate.
-//!
-//! Semantics match `std::sync::mpsc::sync_channel`: `send` blocks while
-//! the buffer is full, `recv` blocks while it is empty, and either side
-//! disconnecting unblocks the other with an error. Backpressure from the
-//! bound is the point — a worker that falls behind slows its producers
-//! instead of growing an unbounded queue.
+//! The bounded multi-producer single-consumer channel `lottery-par`'s
+//! workers post steal and migrate messages over: std's `sync_channel`.
+//! `send` blocks while the buffer is full — a worker that falls behind
+//! slows its producers instead of growing an unbounded queue.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::Duration;
+pub use std::sync::mpsc::{
+    Receiver, RecvError, RecvTimeoutError, SendError, SyncSender as Sender, TryRecvError,
+    TrySendError,
+};
 
-use crate::primitives::{Condvar, Mutex};
-
-/// The channel is disconnected: every receiver (for sends) or every
-/// sender (for receives) has been dropped. Carries the unsent value back
-/// to the caller on the send side.
-#[derive(Debug, PartialEq, Eq)]
-pub struct SendError<T>(pub T);
-
-/// Outcome of a non-blocking [`Sender::try_send`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The buffer is at capacity; the value is returned.
-    Full(T),
-    /// The receiver is gone; the value is returned.
-    Disconnected(T),
-}
-
-/// The senders are all gone and the buffer is drained.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RecvError;
-
-/// Outcome of a non-blocking [`Receiver::try_recv`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// Nothing buffered right now.
-    Empty,
-    /// The senders are all gone and the buffer is drained.
-    Disconnected,
-}
-
-/// Outcome of a timed [`Receiver::recv_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The timeout elapsed with nothing buffered.
-    Timeout,
-    /// The senders are all gone and the buffer is drained.
-    Disconnected,
-}
-
-struct State<T> {
-    queue: VecDeque<T>,
-    senders: usize,
-    receiver_alive: bool,
-}
-
-struct Inner<T> {
-    capacity: usize,
-    state: Mutex<State<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-/// Producing half of a bounded channel; clone freely across threads.
-pub struct Sender<T>(Arc<Inner<T>>);
-
-/// Consuming half of a bounded channel; owned by exactly one thread.
-pub struct Receiver<T>(Arc<Inner<T>>);
-
-/// Creates a bounded channel holding at most `capacity` in-flight values.
-/// A zero capacity is clamped to one (a rendezvous channel is not needed
-/// here and would deadlock single-threaded tests).
+/// A channel buffering up to `capacity` messages, clamped to at least one:
+/// zero is not a rendezvous channel here.
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    let inner = Arc::new(Inner {
-        capacity: capacity.max(1),
-        state: Mutex::new(State {
-            queue: VecDeque::new(),
-            senders: 1,
-            receiver_alive: true,
-        }),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-    });
-    (Sender(Arc::clone(&inner)), Receiver(inner))
-}
-
-impl<T> Sender<T> {
-    /// Sends `value`, blocking while the buffer is full.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut state = self.0.state.lock();
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError(value));
-            }
-            if state.queue.len() < self.0.capacity {
-                state.queue.push_back(value);
-                drop(state);
-                self.0.not_empty.notify_one();
-                return Ok(());
-            }
-            self.0.not_full.wait(&mut state);
-        }
-    }
-
-    /// Sends without blocking; fails if full or disconnected.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut state = self.0.state.lock();
-        if !state.receiver_alive {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if state.queue.len() >= self.0.capacity {
-            return Err(TrySendError::Full(value));
-        }
-        state.queue.push_back(value);
-        drop(state);
-        self.0.not_empty.notify_one();
-        Ok(())
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.0.state.lock().senders += 1;
-        Self(Arc::clone(&self.0))
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut state = self.0.state.lock();
-        state.senders -= 1;
-        let last = state.senders == 0;
-        drop(state);
-        if last {
-            // The receiver may be parked waiting for data that will never
-            // arrive.
-            self.0.not_empty.notify_all();
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Receives the next value, blocking while the buffer is empty.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        let mut state = self.0.state.lock();
-        loop {
-            if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.0.not_full.notify_one();
-                return Ok(value);
-            }
-            if state.senders == 0 {
-                return Err(RecvError);
-            }
-            self.0.not_empty.wait(&mut state);
-        }
-    }
-
-    /// Receives without blocking.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut state = self.0.state.lock();
-        if let Some(value) = state.queue.pop_front() {
-            drop(state);
-            self.0.not_full.notify_one();
-            return Ok(value);
-        }
-        if state.senders == 0 {
-            Err(TryRecvError::Disconnected)
-        } else {
-            Err(TryRecvError::Empty)
-        }
-    }
-
-    /// Receives with a deadline, for best-effort idle parking.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let mut state = self.0.state.lock();
-        loop {
-            if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.0.not_full.notify_one();
-                return Ok(value);
-            }
-            if state.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            if self
-                .0
-                .not_empty
-                .wait_timeout(&mut state, timeout)
-                .timed_out()
-            {
-                return match state.queue.pop_front() {
-                    Some(value) => {
-                        drop(state);
-                        self.0.not_full.notify_one();
-                        Ok(value)
-                    }
-                    None => Err(RecvTimeoutError::Timeout),
-                };
-            }
-        }
-    }
-
-    /// Drains everything currently buffered without blocking.
-    pub fn drain(&self) -> Vec<T> {
-        let mut state = self.0.state.lock();
-        let out: Vec<T> = state.queue.drain(..).collect();
-        drop(state);
-        if !out.is_empty() {
-            self.0.not_full.notify_all();
-        }
-        out
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        let mut state = self.0.state.lock();
-        state.receiver_alive = false;
-        state.queue.clear();
-        drop(state);
-        // Senders parked on a full buffer must observe the disconnect.
-        self.0.not_full.notify_all();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::thread;
-
-    /// Endpoints must cross thread boundaries (that is their job).
-    #[test]
-    fn endpoints_are_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<Sender<Box<u64>>>();
-        assert_send::<Receiver<Box<u64>>>();
-    }
-
-    #[test]
-    fn values_arrive_in_order() {
-        let (tx, rx) = bounded(4);
-        for i in 0..4 {
-            tx.send(i).unwrap();
-        }
-        assert_eq!(rx.try_recv(), Ok(0));
-        assert_eq!(rx.drain(), vec![1, 2, 3]);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-    }
-
-    #[test]
-    fn bounded_send_blocks_until_receive() {
-        let (tx, rx) = bounded(1);
-        tx.send(1u32).unwrap();
-        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-        let producer = thread::spawn(move || tx.send(2).unwrap());
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn dropping_all_senders_disconnects() {
-        let (tx, rx) = bounded::<u32>(2);
-        let tx2 = tx.clone();
-        tx.send(9).unwrap();
-        drop(tx);
-        drop(tx2);
-        assert_eq!(rx.recv(), Ok(9));
-        assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn dropping_receiver_fails_sends() {
-        let (tx, rx) = bounded(1);
-        drop(rx);
-        assert_eq!(tx.send(5u32), Err(SendError(5)));
-        assert_eq!(tx.try_send(6), Err(TrySendError::Disconnected(6)));
-    }
-
-    #[test]
-    fn recv_timeout_expires_when_idle() {
-        let (tx, rx) = bounded::<u32>(1);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(2)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(3).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(2)), Ok(3));
-    }
-
-    #[test]
-    fn many_producers_one_consumer() {
-        let (tx, rx) = bounded(8);
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let tx = tx.clone();
-            handles.push(thread::spawn(move || {
-                for i in 0..100u64 {
-                    tx.send(t * 1000 + i).unwrap();
-                }
-            }));
-        }
-        drop(tx);
-        let mut got = Vec::new();
-        while let Ok(v) = rx.recv() {
-            got.push(v);
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(got.len(), 400);
-        // Per-producer FIFO: each thread's values arrive in its send order.
-        for t in 0..4u64 {
-            let mine: Vec<u64> = got.iter().copied().filter(|v| v / 1000 == t).collect();
-            assert!(mine.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
+    std::sync::mpsc::sync_channel(capacity.max(1))
 }

@@ -11,8 +11,8 @@
 //! * [`primitives`] — the workspace's OS-backed [`Mutex`], [`Condvar`],
 //!   and [`RwLock`] (panic-free guard API), the substrate for the
 //!   real-thread scheduler backend in `lottery-par`.
-//! * [`channel`] — a hand-rolled bounded MPSC channel built on those
-//!   primitives; carries steal/migrate messages between shard workers.
+//! * [`channel`] — std's bounded MPSC channel under the names the
+//!   workers use; carries steal/migrate messages between shard workers.
 
 pub mod channel;
 pub mod experiment;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, test, compile benches, lint, format,
-# the experiment-transcript golden gate, and end-to-end smokes.
+# the experiment-transcript golden gate, end-to-end smokes, and the
+# reference benchmark's build and self-checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,15 +27,6 @@ head -1 target/obs/flight.jsonl | grep -q '"kind"' \
   || { echo "verify: flight.jsonl lacks structured events" >&2; exit 1; }
 test -s target/obs/trace.json || { echo "verify: trace.json missing or empty" >&2; exit 1; }
 
-# ctl cluster smoke: the verb must report the canned market
-# machine-readably.
-ctl_cluster_out=$(printf '%s\n' "cluster --json" \
-  | cargo run -q --release -p lottery-ctl --bin lotteryctl)
-echo "$ctl_cluster_out" | grep -q '"conserved":true' \
-  || { echo "verify: ctl cluster --json did not report grant conservation" >&2; exit 1; }
-echo "$ctl_cluster_out" | grep -q '"policy":"demand-following"' \
-  || { echo "verify: ctl cluster --json lacks the budget policy" >&2; exit 1; }
-
 # ctl structure smoke: the structure verb must switch the winner-search
 # structure and report rebuild stats machine-readably under --json.
 ctl_structure_out=$(printf '%s\n' \
@@ -46,24 +38,6 @@ echo "$ctl_structure_out" | grep -q '"structure":"alias"' \
   || { echo "verify: ctl structure --json lacks the structure name" >&2; exit 1; }
 echo "$ctl_structure_out" | grep -q '"rebuild_ns":' \
   || { echo "verify: ctl structure --json lacks rebuild_ns" >&2; exit 1; }
-
-# ctl par smoke: the par verb must run the canned real-thread scenario
-# and report per-worker stats machine-readably under --json.
-ctl_par_out=$(printf '%s\n' "par 4 --json" \
-  | cargo run -q --release -p lottery-ctl --bin lotteryctl)
-echo "$ctl_par_out" | grep -q '"workers":4' \
-  || { echo "verify: ctl par --json lacks the worker count" >&2; exit 1; }
-echo "$ctl_par_out" | grep -q '"ratio":' \
-  || { echo "verify: ctl par --json lacks the dispatch ratio" >&2; exit 1; }
-
-# ctl events smoke: the events verb must report the pending-event queue
-# machine-readably under --json.
-ctl_events_out=$(printf '%s\n' "events --json" \
-  | cargo run -q --release -p lottery-ctl --bin lotteryctl)
-echo "$ctl_events_out" | grep -q '"depth":' \
-  || { echo "verify: ctl events --json lacks the queue depth" >&2; exit 1; }
-echo "$ctl_events_out" | grep -q '"horizon_us":' \
-  || { echo "verify: ctl events --json lacks the next-event horizon" >&2; exit 1; }
 
 # ctl replay smoke: the replay verb must re-run the capture the golden
 # gate's run wrote and report bit-exactness machine-readably under --json.
@@ -99,5 +73,27 @@ echo "$ctl_out" | grep -q '"compensation_share":' \
   || { echo "verify: ctl shards --json lacks compensation_share" >&2; exit 1; }
 echo "$ctl_out" | grep -q "compensated 4.00x" \
   || { echo "verify: ctl compensate did not grant the 4x factor" >&2; exit 1; }
+
+# ctl garbage smoke: no input reaches a panic or an abort. Every line is
+# rejected with an error; the non-UTF-8 one ends the session with exit 1.
+ctl_garbage_status=0
+printf 'shards 4000000000\nfrobnicate now\nfundx 0 base a\n\377\376 not utf-8\n' \
+  | cargo run -q --release -p lottery-ctl --bin lotteryctl \
+    > /dev/null 2> target/ctl_garbage.err || ctl_garbage_status=$?
+test "$ctl_garbage_status" -lt 128 \
+  || { echo "verify: lotteryctl died on garbage input (status $ctl_garbage_status)" >&2; exit 1; }
+if grep -qi 'panicked\|backtrace' target/ctl_garbage.err; then
+  echo "verify: lotteryctl panicked on garbage input" >&2; exit 1
+fi
+grep -q 'at most 1024' target/ctl_garbage.err \
+  || { echo "verify: lotteryctl did not reject the oversized shard count" >&2; exit 1; }
+
+# The reference benchmark is a package of its own, outside the workspace:
+# build it and run its self-checks, so a change that breaks either cannot
+# pass here.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+  --target-dir target/benchmark
+CARGO_TARGET_DIR=target/benchmark benchmark/run.sh --smoke > /dev/null \
+  || { echo "verify: benchmark/run.sh --smoke failed" >&2; exit 1; }
 
 echo "verify: OK"

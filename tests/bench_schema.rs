@@ -326,10 +326,7 @@ fn idle_scale_summary_shows_event_core_immune_to_idle_population() {
     // population. The event-driven core's headline acceptance bound: a
     // million clients at 1% runnable must cost no more than 5x the
     // ten-thousand-all-runnable window — sleepers sit in the
-    // pending-event heap and cost nothing per decision. (The
-    // quantum-stepping ablation rows are gone with the retired public
-    // `TimeMode::Stepping`; the two-mode equivalence proof lives in
-    // `crates/sim/src/stepping_equivalence.rs`.)
+    // pending-event heap and cost nothing per decision.
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_idle_scale.json");
     let text = fs::read_to_string(&path).expect("BENCH_idle_scale.json committed");
     let v = json::parse(&text).unwrap();
@@ -357,46 +354,6 @@ fn idle_scale_summary_shows_event_core_immune_to_idle_population() {
         ratio <= 5.0,
         "event core: 10^6 clients at 1% runnable must stay within 5x of \
          10^4 all-runnable, got {ratio:.2}x"
-    );
-}
-
-#[test]
-fn par_scaling_summary_shows_real_thread_speedup() {
-    // Committed by `cargo bench --bench par_scaling`: a 1 s virtual
-    // window over 64 compute-bound threads on the real-thread ParKernel
-    // at 1/2/4/8 workers, paced at 500 µs of wall sleep per dispatch.
-    // `elements` carries the exact decision count per iteration, so
-    // elements/median_ns is decisions per wall-nanosecond. Paced workers
-    // sleep concurrently, so wall time per window stays flat while
-    // decisions grow with the worker count: the throughput-normalised
-    // speedup from 1 to 8 workers must be at least 3x even on a
-    // few-core CI host.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_par_scaling.json");
-    let text = fs::read_to_string(&path).expect("BENCH_par_scaling.json committed");
-    let v = json::parse(&text).unwrap();
-    let results = v.get("results").and_then(Value::as_array).unwrap();
-    let throughput = |workers: u64| -> f64 {
-        let id = format!("par-scaling/workers/{workers}");
-        let r = results
-            .iter()
-            .find(|r| r.get("id").and_then(Value::as_str) == Some(id.as_str()))
-            .unwrap_or_else(|| panic!("missing result {id}"));
-        let elements = r.get("elements").and_then(Value::as_f64).unwrap();
-        assert_eq!(
-            elements,
-            workers as f64 * 100.0,
-            "{id}: elements must be workers x window/quantum decisions"
-        );
-        elements / r.get("median_ns").and_then(Value::as_f64).unwrap()
-    };
-    for workers in [1u64, 2, 4, 8] {
-        assert!(throughput(workers) > 0.0);
-    }
-    let speedup = throughput(8) / throughput(1);
-    assert!(
-        speedup >= 3.0,
-        "real-thread backend must show >= 3x decision throughput from \
-         1 to 8 workers, got {speedup:.2}x"
     );
 }
 

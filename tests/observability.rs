@@ -174,32 +174,3 @@ fn smp_queue_depth_is_sampled_once_per_dispatch() {
         );
     });
 }
-
-#[test]
-fn legacy_trace_rides_the_bus() {
-    // `sim::Trace` is a bus recorder now; `enable_trace` still works and
-    // the typed ring agrees with the flight recorder's event stream.
-    let policy = LotteryPolicy::new(5);
-    let base = policy.base_currency();
-    let mut kernel = Kernel::new(policy);
-    let flight = Shared::new(FlightRecorder::new(1 << 14));
-    kernel.set_probe_bus(ProbeBus::with_recorder(flight.clone()));
-    kernel.enable_trace(1 << 14);
-    let a = kernel.spawn("a", Box::new(ComputeBound), FundingSpec::new(base, 200));
-    let _b = kernel.spawn("b", Box::new(ComputeBound), FundingSpec::new(base, 100));
-    kernel.run_until(SimTime::from_secs(5));
-
-    let trace = kernel.trace().expect("trace enabled");
-    assert!(!trace.is_empty());
-    let dispatches_in_trace = trace
-        .events()
-        .filter(|(_, e)| matches!(e, TraceEvent::Dispatch(_)))
-        .count();
-    let dispatches_in_flight = flight.with(|f| {
-        f.events()
-            .filter(|e| matches!(e.kind, lottery_obs::EventKind::Dispatch { .. }))
-            .count()
-    });
-    assert_eq!(dispatches_in_trace, dispatches_in_flight);
-    assert!(!trace.for_thread(a).is_empty());
-}
