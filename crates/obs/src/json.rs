@@ -4,6 +4,13 @@
 //! `BENCH_*.json` schema checks hand-roll the little JSON they need:
 //! [`escape`] and [`number`] for writing, and [`parse`] — a small
 //! recursive-descent parser producing a [`Value`] tree — for reading.
+//!
+//! The reader is fed files from outside the program (`lotteryctl replay
+//! <file>`), so it is linear in the input, refuses documents nested
+//! deeper than [`MAX_DEPTH`] instead of recursing, and never panics.
+//! Numbers are `f64`: integers are exact only below 2^53, which the
+//! event and header field codec (`event::Get`) enforces when it reads
+//! one.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -15,7 +22,7 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// Any JSON number (parsed as `f64`; [`parse`] yields finite ones only).
     Num(f64),
     /// A string.
     Str(String),
@@ -101,11 +108,16 @@ pub fn number(x: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The documents this
+/// workspace writes (replay headers, events, benchmark reports) nest a
+/// handful of levels; the bound keeps hostile input off the call stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -133,12 +145,16 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// `depth` counts the arrays and objects enclosing this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
@@ -164,9 +180,13 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|e| format!("bad number {text:?}: {e}"))
+    // `1e999` parses to infinity, which JSON cannot say and `number`
+    // cannot write back: a `Value::Num` is always finite.
+    match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+        Ok(_) => Err(format!("number {text:?} is out of range")),
+        Err(e) => Err(format!("bad number {text:?}: {e}")),
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -207,17 +227,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a character boundary and is
+                // validated once: the string costs time linear in its length.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..run]).map_err(|e| e.to_string())?);
+                *pos = run;
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -226,7 +250,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -239,7 +263,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -252,7 +276,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -292,12 +316,45 @@ mod tests {
         assert_eq!(v.get("s").and_then(Value::as_str), Some(original));
     }
 
+    /// Multi-byte scalars next to an escape, next to the closing quote,
+    /// and on their own: each run between escapes is copied whole.
+    #[test]
+    fn strings_keep_multibyte_scalars_beside_escapes_and_quotes() {
+        for (doc, want) in [
+            (r#""é""#, "é"),
+            (r#""é\n€""#, "é\n€"),
+            (r#""\t𝄞\\""#, "\t𝄞\\"),
+            (r#""a\u00e9€\"𝄞""#, "aé€\"𝄞"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
+        assert!(parse("\"é").is_err());
+        assert!(parse("\"é\\").is_err());
+    }
+
+    /// A document nested past [`MAX_DEPTH`] is an error, not a stack
+    /// overflow; one nested exactly that deep still parses.
+    #[test]
+    fn nesting_is_bounded() {
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let err = parse(&"{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let too_deep = format!("[{deepest}]");
+        assert!(parse(&too_deep).is_err());
+    }
+
     #[test]
     fn rejects_garbage() {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("").is_err());
+        assert!(parse("1e999").unwrap_err().contains("out of range"));
+        assert!(parse("[-1e999]").is_err());
     }
 
     #[test]

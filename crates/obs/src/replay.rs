@@ -20,13 +20,18 @@
 //!   factors — must be identical, and the first mismatch is reported
 //!   with both sides' context.
 //!
+//! Both file formats here — the replay log and the standalone trace
+//! corpus — are written and read through the field codec of
+//! [`crate::event`] (`Put`/`Get`): a currency and a job each have one
+//! wire form, stated once in `wire_record!`, and the codec's limits
+//! (integers below 2^53, `json::MAX_DEPTH`) apply to headers as they do
+//! to events.
+//!
 //! The re-execution itself lives upstream (in the simulator, which owns
 //! kernels and policies); this module stays plain data so `lottery-obs`
 //! keeps its position at the bottom of the crate graph.
 
-use std::fmt::Write as _;
-
-use crate::event::{Event, EventKind};
+use crate::event::{member, put_member, Event, EventKind, Get, Put};
 use crate::json::{self, Value};
 
 /// Replay log format version, written as the header's `replay` field.
@@ -63,6 +68,37 @@ pub struct TraceJob {
     pub tickets: u64,
 }
 
+/// Gives a plain struct its wire form — an object of its fields, in the
+/// order listed — as the one writer and one reader both file formats use.
+macro_rules! wire_record {
+    ($record:ident { $($field:ident),* }) => {
+        impl Put for $record {
+            fn put(&self, out: &mut String) {
+                out.push('{');
+                $(put_member(out, stringify!($field), &self.$field);)*
+                out.push('}');
+            }
+        }
+
+        impl Get for $record {
+            fn get(v: &Value) -> Result<Self, String> {
+                Ok($record {
+                    $($field: member(v, stringify!($field))?,)*
+                })
+            }
+        }
+    };
+}
+
+wire_record!(CurrencySnapshot { name, amount });
+wire_record!(TraceJob {
+    arrival_us,
+    service_us,
+    sleep_us,
+    tenant,
+    tickets
+});
+
 /// A workload trace: the currencies to create and the jobs to run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceSpec {
@@ -81,29 +117,13 @@ impl TraceSpec {
     /// driven from.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(64 + self.jobs.len() * 96);
-        let _ = write!(out, "{{\"trace\":{TRACE_VERSION},\"currencies\":[");
-        for (i, c) in self.currencies.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"amount\":{}}}",
-                json::escape(&c.name),
-                c.amount
-            );
-        }
-        out.push_str("]}\n");
-        for j in &self.jobs {
-            let _ = writeln!(
-                out,
-                "{{\"arrival_us\":{},\"service_us\":{},\"sleep_us\":{},\"tenant\":\"{}\",\"tickets\":{}}}",
-                j.arrival_us,
-                j.service_us,
-                j.sleep_us,
-                json::escape(&j.tenant),
-                j.tickets
-            );
+        out.push('{');
+        put_member(&mut out, "trace", &TRACE_VERSION);
+        put_member(&mut out, "currencies", &self.currencies);
+        out.push_str("}\n");
+        for job in &self.jobs {
+            job.put(&mut out);
+            out.push('\n');
         }
         out
     }
@@ -123,41 +143,21 @@ impl TraceSpec {
             .find(|(_, l)| !l.trim().is_empty())
             .ok_or("empty trace file")?;
         let hv = json::parse(first).map_err(|e| format!("line 1: {e}"))?;
-        let version = u64_field(&hv, "trace").map_err(|e| format!("line 1: {e}"))?;
+        let version: u64 = member(&hv, "trace").map_err(|e| format!("line 1: {e}"))?;
         if version != TRACE_VERSION {
             return Err(format!(
                 "unsupported trace version {version} (expected {TRACE_VERSION})"
             ));
         }
-        let currencies = hv
-            .get("currencies")
-            .and_then(Value::as_array)
-            .ok_or("line 1: trace header lacks a currencies array")?
-            .iter()
-            .map(|c| {
-                Ok(CurrencySnapshot {
-                    name: str_field(c, "name")?.to_string(),
-                    amount: u64_field(c, "amount")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()
-            .map_err(|e: String| format!("line 1: {e}"))?;
+        let currencies = member(&hv, "currencies").map_err(|e| format!("line 1: {e}"))?;
         let mut jobs = Vec::new();
         for (i, line) in lines {
             if line.trim().is_empty() {
                 continue;
             }
-            let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let job = (|| {
-                Ok::<TraceJob, String>(TraceJob {
-                    arrival_us: u64_field(&v, "arrival_us")?,
-                    service_us: u64_field(&v, "service_us")?,
-                    sleep_us: u64_field(&v, "sleep_us")?,
-                    tenant: str_field(&v, "tenant")?.to_string(),
-                    tickets: u64_field(&v, "tickets")?,
-                })
-            })()
-            .map_err(|e| format!("line {}: {e}", i + 1))?;
+            let job = json::parse(line)
+                .and_then(|v| TraceJob::get(&v))
+                .map_err(|e| format!("line {}: {e}", i + 1))?;
             jobs.push(job);
         }
         Ok(TraceSpec { currencies, jobs })
@@ -206,96 +206,42 @@ impl ReplayHeader {
     /// Serializes the header as the one-line JSON object heading a
     /// replay log.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{{\"replay\":{REPLAY_VERSION},\"seed\":{},\"draws\":{},\"structure\":\"{}\",\
-             \"shards\":{},\"compensation\":{},\"quantum_us\":{},\"until_us\":{},\"currencies\":[",
-            self.seed,
-            self.draws,
-            json::escape(&self.structure),
-            self.shards,
-            self.compensation,
-            self.quantum_us,
-            self.until_us,
-        );
-        for (i, c) in self.spec.currencies.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"amount\":{}}}",
-                json::escape(&c.name),
-                c.amount
-            );
-        }
-        s.push_str("],\"jobs\":[");
-        for (i, j) in self.spec.jobs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"arrival_us\":{},\"service_us\":{},\"sleep_us\":{},\"tenant\":\"{}\",\"tickets\":{}}}",
-                j.arrival_us,
-                j.service_us,
-                j.sleep_us,
-                json::escape(&j.tenant),
-                j.tickets
-            );
-        }
-        s.push_str("]}");
+        let mut s = String::with_capacity(256 + self.spec.jobs.len() * 96);
+        s.push('{');
+        put_member(&mut s, "replay", &REPLAY_VERSION);
+        put_member(&mut s, "seed", &self.seed);
+        put_member(&mut s, "draws", &self.draws);
+        put_member(&mut s, "structure", &self.structure);
+        put_member(&mut s, "shards", &self.shards);
+        put_member(&mut s, "compensation", &self.compensation);
+        put_member(&mut s, "quantum_us", &self.quantum_us);
+        put_member(&mut s, "until_us", &self.until_us);
+        put_member(&mut s, "currencies", &self.spec.currencies);
+        put_member(&mut s, "jobs", &self.spec.jobs);
+        s.push('}');
         s
     }
 
     /// Parses a header object (the inverse of [`ReplayHeader::to_json`]).
     pub fn from_json(v: &Value) -> Result<Self, String> {
-        let version = u64_field(v, "replay")?;
+        let version: u64 = member(v, "replay")?;
         if version != REPLAY_VERSION {
             return Err(format!(
                 "unsupported replay log version {version} (expected {REPLAY_VERSION})"
             ));
         }
-        let currencies = v
-            .get("currencies")
-            .and_then(Value::as_array)
-            .ok_or("header lacks a currencies array")?
-            .iter()
-            .map(|c| {
-                Ok(CurrencySnapshot {
-                    name: str_field(c, "name")?.to_string(),
-                    amount: u64_field(c, "amount")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let jobs = v
-            .get("jobs")
-            .and_then(Value::as_array)
-            .ok_or("header lacks a jobs array")?
-            .iter()
-            .map(|j| {
-                Ok(TraceJob {
-                    arrival_us: u64_field(j, "arrival_us")?,
-                    service_us: u64_field(j, "service_us")?,
-                    sleep_us: u64_field(j, "sleep_us")?,
-                    tenant: str_field(j, "tenant")?.to_string(),
-                    tickets: u64_field(j, "tickets")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(ReplayHeader {
-            seed: u32::try_from(u64_field(v, "seed")?).map_err(|_| "seed overflows u32")?,
-            draws: u64_field(v, "draws")?,
-            structure: str_field(v, "structure")?.to_string(),
-            shards: u32::try_from(u64_field(v, "shards")?).map_err(|_| "shards overflows u32")?,
-            compensation: v
-                .get("compensation")
-                .and_then(Value::as_bool)
-                .ok_or("header lacks a compensation flag")?,
-            quantum_us: u64_field(v, "quantum_us")?,
-            until_us: u64_field(v, "until_us")?,
-            spec: TraceSpec { currencies, jobs },
+            seed: member(v, "seed")?,
+            draws: member(v, "draws")?,
+            structure: member(v, "structure")?,
+            shards: member(v, "shards")?,
+            compensation: member(v, "compensation")?,
+            quantum_us: member(v, "quantum_us")?,
+            until_us: member(v, "until_us")?,
+            spec: TraceSpec {
+                currencies: member(v, "currencies")?,
+                jobs: member(v, "jobs")?,
+            },
         })
     }
 }
@@ -394,25 +340,6 @@ pub fn first_divergence(recorded: &[Event], replayed: &[Event]) -> Option<Diverg
         }
     }
     None
-}
-
-fn u64_field(v: &Value, name: &str) -> Result<u64, String> {
-    let n = v
-        .get(name)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("header field {name:?} missing or not a number"))?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!(
-            "header field {name:?} is not a non-negative integer"
-        ));
-    }
-    Ok(n as u64)
-}
-
-fn str_field<'v>(v: &'v Value, name: &str) -> Result<&'v str, String> {
-    v.get(name)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("header field {name:?} missing or not a string"))
 }
 
 #[cfg(test)]
@@ -527,6 +454,55 @@ mod tests {
         let text = log.to_jsonl();
         let back = ReplayLog::from_jsonl(&text).expect("log parses");
         assert_eq!(back, log);
+    }
+
+    /// The header carries every job on one line, so the reader must be
+    /// linear in the line: 32 000 jobs (2.3 MB) took the quadratic string
+    /// reader a minute and a half.
+    #[test]
+    fn large_header_parses_and_round_trips() {
+        let mut h = header();
+        h.spec.jobs = (0..32_000u64)
+            .map(|i| TraceJob {
+                arrival_us: i * 1_000,
+                service_us: 5_000_000 + i,
+                sleep_us: i % 7 * 10_000,
+                tenant: if i % 3 == 0 { "gold" } else { "silver — ½" }.into(),
+                tickets: 100 + i % 50,
+            })
+            .collect();
+        let text = h.to_json();
+        assert!(text.len() > 2_000_000);
+        let back = ReplayHeader::from_json(&json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, h);
+        assert_eq!(back.to_json(), text);
+    }
+
+    /// 2^53 + 1 would come back as 2^53 through the parser's `f64`; both
+    /// file formats refuse it, naming the field.
+    #[test]
+    fn amounts_and_tickets_past_exact_range_are_rejected() {
+        let header_text = header()
+            .to_json()
+            .replace("\"amount\":200", "\"amount\":9007199254740993");
+        let err = ReplayHeader::from_json(&json::parse(&header_text).unwrap()).unwrap_err();
+        assert!(err.contains("\"amount\"") && err.contains("2^53"), "{err}");
+
+        let trace_text = header()
+            .spec
+            .to_jsonl()
+            .replace("\"tickets\":300", "\"tickets\":9007199254740993");
+        let err = TraceSpec::from_jsonl(&trace_text).unwrap_err();
+        assert!(
+            err.starts_with("line 3:") && err.contains("\"tickets\""),
+            "{err}"
+        );
+
+        let wide = header()
+            .to_json()
+            .replace("\"shards\":2", "\"shards\":4294967296");
+        let err = ReplayHeader::from_json(&json::parse(&wide).unwrap()).unwrap_err();
+        assert!(err.contains("\"shards\" overflows u32"), "{err}");
     }
 
     #[test]

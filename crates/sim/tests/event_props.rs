@@ -210,3 +210,20 @@ fn golden_captures_replay_bit_exact() {
         );
     }
 }
+
+/// Every golden capture re-serialises to its own bytes: the writers
+/// (`ReplayHeader::to_json`, `Event::to_json`) are pinned by the same
+/// nine files whose replay pins the core.
+#[test]
+fn golden_captures_reserialise_to_their_own_bytes() {
+    for &(structure, shards) in MATRIX {
+        let path = golden_path(structure, shards);
+        let text = fs::read_to_string(&path).unwrap();
+        let log = ReplayLog::from_jsonl(&text).unwrap();
+        assert!(
+            log.to_jsonl() == text,
+            "{} no longer round-trips byte for byte",
+            path.display()
+        );
+    }
+}

@@ -8,8 +8,8 @@
 //!   acquisition counts and waiting-time histograms.
 //! * [`os_mutex`] — a lottery-handoff mutex for real OS threads, showing
 //!   the mechanism outside the simulator.
-//! * [`primitives`] — the workspace's OS-backed [`Mutex`], [`Condvar`],
-//!   and [`RwLock`] (panic-free guard API), the substrate for the
+//! * [`primitives`] — the workspace's OS-backed [`Mutex`] and
+//!   [`Condvar`] (panic-free guard API), the substrate for the
 //!   real-thread scheduler backend in `lottery-par`.
 //! * [`channel`] — std's bounded MPSC channel under the names the
 //!   workers use; carries steal/migrate messages between shard workers.
@@ -23,5 +23,5 @@ pub mod sim_mutex;
 pub use channel::{bounded, Receiver, Sender};
 pub use experiment::{run as run_mutex_experiment, MutexExperiment, MutexReport};
 pub use os_mutex::{LotteryMutex, LotteryMutexGuard};
-pub use primitives::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use primitives::{Condvar, Mutex, MutexGuard};
 pub use sim_mutex::{SimLotteryMutex, WaiterFunding};

@@ -4,17 +4,16 @@
 //! the lottery-handoff mutex and the text-search server could run on real
 //! threads. With the real-thread scheduler backend (`lottery-par`) these
 //! primitives become load-bearing infrastructure, so they live here as
-//! first-class citizens: [`Mutex`], [`Condvar`], and [`RwLock`] delegate
-//! to `std::sync` and translate poisoning into lock acquisition (a
-//! panicked holder aborts the test or run anyway; no caller in this
-//! workspace relies on poison propagation).
+//! first-class citizens: [`Mutex`] and [`Condvar`] delegate to
+//! `std::sync` and translate poisoning into lock acquisition (a panicked
+//! holder aborts the test or run anyway; no caller in this workspace
+//! relies on poison propagation).
 //!
 //! API shape follows `parking_lot`: `lock()` returns the guard directly
 //! (no `Result`), and [`Condvar::wait`] takes the guard by `&mut` so the
 //! caller's binding stays usable across the wait.
 
 use std::sync::{self, PoisonError};
-use std::time::Duration;
 
 /// A mutual-exclusion lock whose `lock` returns the guard directly.
 #[derive(Debug, Default)]
@@ -75,21 +74,6 @@ impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Whether a timed condition-variable wait returned by timeout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// True when the wait ended because the timeout elapsed (the waiter
-    /// may still have been notified concurrently — re-check the
-    /// predicate either way).
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
 /// A condition variable compatible with [`MutexGuard`].
 #[derive(Debug, Default)]
 pub struct Condvar(sync::Condvar);
@@ -108,23 +92,6 @@ impl Condvar {
         guard.inner = Some(inner);
     }
 
-    /// As [`Self::wait`], but gives up after `timeout`.
-    pub fn wait_timeout<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.inner.take().expect("guard taken during wait");
-        let (inner, res) = self
-            .0
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(inner);
-        WaitTimeoutResult {
-            timed_out: res.timed_out(),
-        }
-    }
-
     /// Wakes one blocked waiter.
     pub fn notify_one(&self) {
         self.0.notify_one();
@@ -133,46 +100,6 @@ impl Condvar {
     /// Wakes all blocked waiters.
     pub fn notify_all(&self) {
         self.0.notify_all();
-    }
-}
-
-/// Shared-access guard returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// Exclusive-access guard returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
-
-/// A reader-writer lock with the same panic-free API.
-#[derive(Debug, Default)]
-pub struct RwLock<T>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a reader-writer lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        Self(sync::RwLock::new(value))
-    }
-
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Attempts shared read access without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.0.try_read() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -207,33 +134,5 @@ mod tests {
             cvar.notify_one();
         }
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_timeout_expires() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_timeout(&mut g, Duration::from_millis(5));
-        assert!(res.timed_out());
-        // The guard is still usable after the timed wait.
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_readers_share_writers_exclude() {
-        let l = Arc::new(RwLock::new(7u32));
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(*r1 + *r2, 14);
-        }
-        *l.write() += 1;
-        assert_eq!(*l.read(), 8);
-        let w = l.write();
-        assert!(l.try_read().is_none());
-        drop(w);
-        assert!(l.try_read().is_some());
     }
 }

@@ -75,18 +75,23 @@ echo "$ctl_out" | grep -q "compensated 4.00x" \
   || { echo "verify: ctl compensate did not grant the 4x factor" >&2; exit 1; }
 
 # ctl garbage smoke: no input reaches a panic or an abort. Every line is
-# rejected with an error; the non-UTF-8 one ends the session with exit 1.
+# rejected with an error — including `replay` of a file of a million '[',
+# which once overflowed the JSON reader's stack (exit 134); the non-UTF-8
+# line ends the session with exit 1.
+head -c 1000000 /dev/zero | tr '\0' '[' > target/ctl_deep.json
 ctl_garbage_status=0
-printf 'shards 4000000000\nfrobnicate now\nfundx 0 base a\n\377\376 not utf-8\n' \
+printf 'shards 4000000000\nfrobnicate now\nfundx 0 base a\nreplay target/ctl_deep.json\nreplay target/ctl_deep.json --json\n\377\376 not utf-8\n' \
   | cargo run -q --release -p lottery-ctl --bin lotteryctl \
     > /dev/null 2> target/ctl_garbage.err || ctl_garbage_status=$?
 test "$ctl_garbage_status" -lt 128 \
   || { echo "verify: lotteryctl died on garbage input (status $ctl_garbage_status)" >&2; exit 1; }
-if grep -qi 'panicked\|backtrace' target/ctl_garbage.err; then
+if grep -qi 'panicked\|overflowed\|backtrace' target/ctl_garbage.err; then
   echo "verify: lotteryctl panicked on garbage input" >&2; exit 1
 fi
 grep -q 'at most 1024' target/ctl_garbage.err \
   || { echo "verify: lotteryctl did not reject the oversized shard count" >&2; exit 1; }
+test "$(grep -c '^error: .*nesting deeper than' target/ctl_garbage.err)" -eq 2 \
+  || { echo "verify: lotteryctl did not reject the deeply nested replay file twice" >&2; exit 1; }
 
 # The reference benchmark is a package of its own, outside the workspace:
 # build it and run its self-checks, so a change that breaks either cannot
