@@ -2,30 +2,31 @@
 //!
 //! Everything else in this workspace *simulates* multiprocessor lottery
 //! scheduling — [`lottery_sim::smp::SmpKernel`] interleaves virtual CPUs
-//! on one host thread. This crate runs the same scheduler on **real OS
-//! threads**: a [`ParKernel`] spawns one worker thread per shard, each
-//! privately owning its shard's ready queue and partial-sum tree, with
-//! the ticket [`Ledger`] as the only shared structure (behind one
-//! [`lottery_sync::Mutex`]). Threads migrate between workers by message
-//! passing over bounded channels — never by shared memory — so every
-//! scheduled thread has exactly one owner at every instant.
+//! on one host thread. This crate runs the same engine on **real OS
+//! threads**: a [`ParKernel`] spawns one worker thread per shard, and each
+//! worker drives an [`SmpKernel`] of its own — one CPU, numbered by the
+//! worker — whose policy is that shard's ready queue and partial-sum tree,
+//! with the ticket [`Ledger`] as the only shared structure (behind one
+//! [`lottery_sync::Mutex`]). The crate owns what lies between the kernels:
+//! threads migrate between workers by message passing over bounded
+//! channels — never by shared memory — so every scheduled thread has
+//! exactly one owner at every instant.
 //!
 //! # Guarantees, by worker count
 //!
-//! * **One worker** — the engine is a step-for-step port of
-//!   [`SmpKernel`] driving
+//! * **One worker** — the machine is `SmpKernel` with one CPU, and the
+//!   worker's policy keeps the event order and ledger-operation order of
 //!   [`DistributedLottery`](lottery_sim::sched::distributed::DistributedLottery)
-//!   with one shard: the same event order and ledger-operation order
-//!   around the same [`Shard`](lottery_sim::prelude::Shard) draw. The
-//!   winner stream is **bit identical** to the simulated pair (proved
-//!   by `tests/equivalence.rs`).
+//!   with one shard around the same
+//!   [`Shard`](lottery_sim::prelude::Shard) draw. The winner stream is
+//!   **bit identical** to the simulated pair (`tests/equivalence.rs`).
 //! * **Many workers** — per-worker virtual clocks advance independently
 //!   (as real CPUs do), so cross-worker interleaving is nondeterministic
 //!   by nature. The invariants that hold regardless: ticket value is
 //!   conserved (no client leaks or double-counts), the thread partition
 //!   holds (each thread resident on or exited from exactly one worker),
 //!   and each worker's *own* decision stream remains seeded by its own
-//!   [`ParkMiller`] lane.
+//!   [`ParkMiller`](lottery_core::rng::ParkMiller) lane.
 //!
 //! # The pace CPU model
 //!
@@ -53,7 +54,7 @@ use lottery_core::errors::Result;
 use lottery_core::ledger::Ledger;
 use lottery_core::rng::SplitMix64;
 use lottery_obs::{EventKind, PerThreadFlight, ProbeBus};
-use lottery_sim::prelude::{FundingSpec, SimDuration, SimTime, ThreadId};
+use lottery_sim::prelude::{FundingSpec, SimDuration, SimTime, SmpKernel, Thread, ThreadId};
 use lottery_sim::sched::core::{fund_currency, fund_thread};
 use lottery_sync::channel::{bounded, Sender};
 use lottery_sync::Mutex;
@@ -61,7 +62,7 @@ use lottery_sync::Mutex;
 pub use work::WorkSpec;
 pub use worker::WorkerReport;
 
-use worker::{Msg, ParThread, PendingSpawn, Shared, Worker};
+use worker::{LockedShard, Msg, Shared, Worker};
 
 /// A multiprocessor lottery scheduler running on real OS threads.
 ///
@@ -70,18 +71,14 @@ use worker::{Msg, ParThread, PendingSpawn, Shared, Worker};
 /// virtual deadline; the returned [`ParReport`] carries every worker's
 /// winner stream and the settled ledger.
 pub struct ParKernel {
-    seed: u32,
-    workers: u32,
-    quantum: SimDuration,
     pace: Option<Duration>,
     steal: bool,
-    ledger: Ledger,
-    /// Enqueue-time value per shard — the same stale totals the
-    /// simulated policy's spawn-time `least_loaded_shard` sees.
-    shard_totals: Vec<f64>,
-    pending: Vec<Vec<PendingSpawn>>,
+    /// The ledger every shard shares, already behind its lock.
+    shared: Arc<Shared>,
+    /// One one-CPU kernel per worker, CPU `i` for worker `i`, loaded at
+    /// [`spawn`](Self::spawn) time and handed to its thread by `run`.
+    kernels: Vec<SmpKernel<LockedShard>>,
     next_tid: u32,
-    buses: Vec<ProbeBus>,
 }
 
 impl ParKernel {
@@ -105,23 +102,38 @@ impl ParKernel {
         assert!(!quantum.is_zero(), "quantum must be positive");
         let mut ledger = Ledger::new();
         ledger.set_dirty_shards(workers as usize);
-        Self {
-            seed,
+        let shared = Arc::new(Shared {
+            ledger: Mutex::new(ledger),
+            done: AtomicU32::new(0),
             workers,
-            quantum,
+        });
+        // Independent RNG lanes: worker 0 keeps the kernel seed (the
+        // 1-worker equivalence hinge); the rest draw from a SplitMix64
+        // stream over it.
+        let mut mix = SplitMix64::new(u64::from(seed) ^ 0x9E37_79B9_7F4A_7C15);
+        let kernels = (0..workers)
+            .map(|id| {
+                let lane = if id == 0 {
+                    seed
+                } else {
+                    (mix.next_u64() >> 33) as u32
+                };
+                let shard = LockedShard::new(id, shared.clone(), quantum, lane);
+                SmpKernel::with_first_cpu(shard, 1, id)
+            })
+            .collect();
+        Self {
             pace: None,
             steal: true,
-            ledger,
-            shard_totals: vec![0.0; workers as usize],
-            pending: (0..workers).map(|_| Vec::new()).collect(),
+            shared,
+            kernels,
             next_tid: 0,
-            buses: (0..workers).map(|_| ProbeBus::disabled()).collect(),
         }
     }
 
     /// Worker (= shard) count.
     pub fn workers(&self) -> u32 {
-        self.workers
+        self.shared.workers
     }
 
     /// Installs the wall-clock CPU model: each dispatch decision costs
@@ -138,7 +150,7 @@ impl ParKernel {
 
     /// The base currency backing all others.
     pub fn base_currency(&self) -> CurrencyId {
-        self.ledger.base()
+        self.shared.ledger.lock().base()
     }
 
     /// Creates a currency backed by `amount` base-currency tickets.
@@ -147,8 +159,9 @@ impl ParKernel {
     ///
     /// Propagates ledger errors (zero amount).
     pub fn create_currency(&mut self, name: &str, amount: u64) -> Result<CurrencyId> {
-        let base = self.ledger.base();
-        fund_currency(&mut self.ledger, name, base, amount)
+        let mut ledger = self.shared.ledger.lock();
+        let base = ledger.base();
+        fund_currency(&mut ledger, name, base, amount)
     }
 
     /// Attaches per-worker flight lanes: worker `i` probes into
@@ -161,24 +174,22 @@ impl ParKernel {
     pub fn attach_flight(&mut self, flight: &PerThreadFlight) {
         assert_eq!(
             flight.lanes(),
-            self.workers as usize,
+            self.kernels.len(),
             "flight needs one lane per worker"
         );
-        self.buses = (0..self.workers as usize)
-            .map(|lane| {
-                let bus = ProbeBus::enabled();
-                bus.attach(flight.recorder(lane));
-                bus
-            })
-            .collect();
+        for (lane, kernel) in self.kernels.iter_mut().enumerate() {
+            let bus = ProbeBus::enabled();
+            bus.attach(flight.recorder(lane));
+            kernel.set_probe_bus(bus);
+        }
     }
 
     /// Registers a thread: funds a fresh client from `spec`, homes it on
-    /// the least-loaded shard, and queues it ready at time zero. The
-    /// funding is the simulated policies' own [`fund_thread`], and the
-    /// ledger-operation order around it is exactly their `on_spawn` +
-    /// `enqueue` sequence — the root of the 1-worker bit-equivalence
-    /// guarantee.
+    /// the least-loaded shard, and attaches it to that worker's kernel,
+    /// ready at time zero. The funding is the simulated policies' own
+    /// [`fund_thread`], and the ledger-operation order around it is
+    /// exactly their `on_spawn` + `enqueue` sequence — the root of the
+    /// 1-worker bit-equivalence guarantee.
     ///
     /// # Panics
     ///
@@ -187,10 +198,15 @@ impl ParKernel {
     pub fn spawn(&mut self, work: WorkSpec, spec: FundingSpec) -> ThreadId {
         let tid = ThreadId::from_index(self.next_tid);
         self.next_tid += 1;
-        let (client, _ticket) = fund_thread(&mut self.ledger, tid, spec);
         let home = self.least_loaded_shard();
-        self.ledger.assign_dirty_shard(client, home);
-        let bus = &self.buses[home as usize];
+        let client = {
+            let mut ledger = self.shared.ledger.lock();
+            let (client, _ticket) = fund_thread(&mut ledger, tid, spec);
+            ledger.assign_dirty_shard(client, home);
+            client
+        };
+        let kernel = &mut self.kernels[home as usize];
+        let bus = kernel.probe_bus();
         if bus.is_enabled() {
             bus.set_time_us(0);
             bus.emit(|| EventKind::WeightChange {
@@ -199,38 +215,22 @@ impl ParKernel {
                 origin: "spawn",
             });
         }
-        self.ledger
-            .activate_client(client)
-            .expect("client liveness");
-        let value = self.ledger.cached_client_value(client).unwrap_or(0.0);
-        self.shard_totals[home as usize] += value;
-        if bus.is_enabled() {
-            bus.emit(|| EventKind::ThreadSpawn {
-                thread: tid.index(),
-            });
-        }
-        self.pending[home as usize].push(PendingSpawn {
-            thread: ParThread {
-                tid,
-                client,
-                work: work.into_state(),
-                burst_remaining: SimDuration::ZERO,
-                cpu_time: SimDuration::ZERO,
-                quantum_used: SimDuration::ZERO,
-                ready_since: Some(SimTime::ZERO),
-            },
-            value,
+        let thread = Thread::new(tid.to_string(), work.to_workload());
+        kernel.attach(tid, thread, client);
+        kernel.probe_bus().emit(|| EventKind::ThreadSpawn {
+            thread: tid.index(),
         });
         tid
     }
 
-    /// Lowest accumulated enqueue-time value, ties to the lowest index —
-    /// the spawn-phase view of the simulated policy's argmin (resting
-    /// compensated weight is zero before anything has run).
+    /// Lowest ready total, ties to the lowest index — the simulated
+    /// policy's argmin over its shards' (not yet settled) tree totals;
+    /// resting compensated weight is zero before anything has run.
     fn least_loaded_shard(&self) -> u32 {
+        let total = |kernel: &SmpKernel<LockedShard>| kernel.policy().shard.total();
         let mut best = 0usize;
-        for (i, &total) in self.shard_totals.iter().enumerate().skip(1) {
-            if total < self.shard_totals[best] {
+        for (i, kernel) in self.kernels.iter().enumerate().skip(1) {
+            if total(kernel) < total(&self.kernels[best]) {
                 best = i;
             }
         }
@@ -245,12 +245,7 @@ impl ParKernel {
     ///
     /// Propagates a worker thread's panic.
     pub fn run(self, deadline: SimTime) -> ParReport {
-        let worker_count = self.workers as usize;
-        let shared = Arc::new(Shared {
-            ledger: Mutex::new(self.ledger),
-            done: AtomicU32::new(0),
-            workers: self.workers,
-        });
+        let worker_count = self.kernels.len();
         // Channel capacity: steal traffic is bounded (one request and one
         // response in flight per worker pair), so this never blocks a
         // sender in practice; blocking would still be correct.
@@ -262,22 +257,9 @@ impl ParKernel {
             txs.push(tx);
             rxs.push(rx);
         }
-        // Independent RNG lanes: worker 0 keeps the kernel seed (the
-        // 1-worker equivalence hinge); the rest draw from a SplitMix64
-        // stream over it.
-        let mut mix = SplitMix64::new(u64::from(self.seed) ^ 0x9E37_79B9_7F4A_7C15);
         let mut handles = Vec::with_capacity(worker_count);
         let steal = self.steal && worker_count > 1;
-        for (id, (rx, (pending, bus))) in rxs
-            .into_iter()
-            .zip(self.pending.into_iter().zip(self.buses))
-            .enumerate()
-        {
-            let seed = if id == 0 {
-                self.seed
-            } else {
-                (mix.next_u64() >> 33) as u32
-            };
+        for (id, (rx, kernel)) in rxs.into_iter().zip(self.kernels).enumerate() {
             let peers = txs
                 .iter()
                 .enumerate()
@@ -286,16 +268,13 @@ impl ParKernel {
                 .collect();
             let worker = Worker::new(
                 id as u32,
-                shared.clone(),
+                self.shared.clone(),
                 rx,
                 peers,
-                pending,
-                self.quantum,
+                kernel,
                 self.pace,
                 deadline,
                 steal,
-                seed,
-                bus,
             );
             let handle = std::thread::Builder::new()
                 .name(format!("lottery-par-{id}"))
@@ -311,7 +290,7 @@ impl ParKernel {
                 Err(payload) => std::panic::resume_unwind(payload),
             })
             .collect();
-        let shared = Arc::into_inner(shared).expect("all workers joined");
+        let shared = Arc::into_inner(self.shared).expect("all workers joined");
         ParReport {
             workers,
             ledger: shared.ledger.into_inner(),
@@ -504,7 +483,7 @@ mod tests {
         for _ in 0..6 {
             k.spawn(WorkSpec::Compute, spec);
         }
-        k.buses[1] = ProbeBus::with_recorder(PanicOnDispatch);
+        k.kernels[1].set_probe_bus(ProbeBus::with_recorder(PanicOnDispatch));
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let run = std::panic::AssertUnwindSafe(|| k.run(SimTime::from_secs(1)));
@@ -520,24 +499,52 @@ mod tests {
         );
     }
 
+    /// No stealing and per-worker determinism: the merged probe stream of
+    /// a mixed three-worker machine is the same on every run despite
+    /// real-thread interleaving — pinned to what the commit before the
+    /// workers ran `SmpKernel` printed for this body (captured once from a
+    /// scratch build of d2f8233). Funded from base only: a shared currency
+    /// would make the first totals depend on which worker started first.
     #[test]
     fn flight_lanes_merge_deterministically() {
-        let run = || {
-            let mut k = ParKernel::with_quantum(9, 2, SimDuration::from_ms(20));
-            let flight = PerThreadFlight::new(2, 4096);
-            k.attach_flight(&flight);
-            let spec = base_spec(&k, 10);
-            k.spawn(WorkSpec::Compute, spec);
-            k.spawn(WorkSpec::Compute, spec);
-            k.set_steal(false);
-            let _ = k.run(SimTime::ZERO + SimDuration::from_ms(200));
-            flight.merged_jsonl()
-        };
-        let a = run();
-        assert!(!a.is_empty());
-        // No stealing and per-worker determinism: the merged stream is
-        // identical across runs despite real-thread interleaving.
-        assert_eq!(a, run());
+        let mut k = ParKernel::with_quantum(9, 3, SimDuration::from_ms(20));
+        let flight = PerThreadFlight::new(3, 4096);
+        k.attach_flight(&flight);
+        k.set_steal(false);
+        for i in 0..12u64 {
+            let ms = SimDuration::from_ms;
+            let work = match i % 4 {
+                0 => WorkSpec::Compute,
+                1 => WorkSpec::Finite(ms(30 + 11 * i)),
+                2 => WorkSpec::Io {
+                    run: ms(3),
+                    sleep: ms(17),
+                },
+                _ => WorkSpec::YieldEvery(ms(7)),
+            };
+            let spec = base_spec(&k, 50 + 10 * i);
+            k.spawn(work, spec);
+        }
+        let _ = k.run(SimTime::ZERO + SimDuration::from_ms(900));
+        for lane in 0..3u32 {
+            flight.recorder(lane as usize).with(|f| {
+                for event in f.events() {
+                    match event.kind {
+                        EventKind::Dispatch { cpu, .. }
+                        | EventKind::QuantumEnd { cpu, .. }
+                        | EventKind::ShardPick { cpu, .. } => assert_eq!(cpu, lane, "{event:?}"),
+                        _ => {}
+                    }
+                }
+            });
+        }
+        let text = flight.merged_jsonl();
+        assert_eq!(text.lines().count(), 2329);
+        // FNV-1a over the merged JSONL.
+        let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(hash, 0xe86a_f817_732d_9472);
     }
 
     #[test]
@@ -563,10 +570,11 @@ mod tests {
                 .map(|(id, c)| (c.name().to_string(), v.currency_value(id).unwrap()))
                 .collect()
         };
-        let par_values = values(&par.ledger);
+        let ledger = par.shared.ledger.lock();
+        let par_values = values(&ledger);
         assert_eq!(par_values.len(), 5, "base, three tenants, one unbacked");
         assert_eq!(par_values, values(sim.ledger()));
-        assert_eq!(par.ledger.tickets().count(), sim.ledger().tickets().count());
+        assert_eq!(ledger.tickets().count(), sim.ledger().tickets().count());
     }
 
     #[test]

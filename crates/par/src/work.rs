@@ -1,20 +1,17 @@
-//! Workload shapes a real-thread worker can carry across threads.
+//! Workload shapes for real-thread workers.
 //!
-//! The simulator's [`Workload`] trait is object-safe but not [`Send`]:
-//! workloads are boxed closures over arbitrary captures. Stealing a
-//! thread between OS workers means shipping its workload through a
-//! channel, so the parallel backend restricts itself to a closed, plain-
-//! data set of shapes — exactly the ones the SMP experiments use. Each
-//! variant's state machine is a field-for-field port of its simulator
-//! twin, which is what makes the 1-worker winner stream bit-identical to
-//! [`lottery_sim::smp::SmpKernel`]: same bursts, in the same order, from
-//! the same toggles.
+//! A [`WorkSpec`] is the plain-data name of one of the simulator's own
+//! workloads — exactly the ones the SMP experiments use. The worker runs
+//! the workload itself ([`WorkSpec::to_workload`]) inside a
+//! [`lottery_sim::prelude::Thread`], which moves between OS workers whole,
+//! so a parallel thread and its simulated twin issue the same bursts by
+//! being the same code.
 
 use lottery_sim::prelude::{
     ComputeBound, FiniteJob, FractionalQuantum, IoBound, SimDuration, Workload,
 };
 
-/// What a parallel thread does with the CPU (plain data, [`Send`]).
+/// What a parallel thread does with the CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkSpec {
     /// Runs forever, never yielding ([`ComputeBound`]).
@@ -34,132 +31,14 @@ pub enum WorkSpec {
 }
 
 impl WorkSpec {
-    /// The equivalent simulator workload, for driving a [`lottery_sim`]
-    /// kernel with the same behaviour (equivalence tests).
+    /// The simulator workload this names: what a worker's thread runs,
+    /// and what drives a [`lottery_sim`] kernel with the same behaviour.
     pub fn to_workload(self) -> Box<dyn Workload> {
         match self {
             WorkSpec::Compute => Box::new(ComputeBound),
             WorkSpec::Finite(total) => Box::new(FiniteJob::new(total)),
             WorkSpec::Io { run, sleep } => Box::new(IoBound::new(run, sleep)),
             WorkSpec::YieldEvery(run) => Box::new(FractionalQuantum::new(run)),
-        }
-    }
-
-    /// The runnable state machine for a worker thread.
-    pub(crate) fn into_state(self) -> WorkState {
-        WorkState {
-            spec: self,
-            toggled: false,
-            issued: false,
-        }
-    }
-}
-
-/// A thread's next action, restricted to the SMP-supported verbs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// Execute for the given duration.
-    Run(SimDuration),
-    /// Block for the given duration, then wake.
-    Sleep(SimDuration),
-    /// Give up the quantum but stay runnable.
-    Yield,
-    /// Terminate.
-    Exit,
-}
-
-/// The running state of a [`WorkSpec`]: the spec plus the same toggles
-/// its simulator twin keeps.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WorkState {
-    spec: WorkSpec,
-    /// The run/sleep (or run/yield) alternation bit; `Run` comes first,
-    /// as in [`IoBound`] / [`FractionalQuantum`].
-    toggled: bool,
-    /// Whether a [`WorkSpec::Finite`] budget has been issued.
-    issued: bool,
-}
-
-impl WorkState {
-    /// The next action, consulted by the worker between bursts.
-    pub(crate) fn next(&mut self) -> Step {
-        match self.spec {
-            WorkSpec::Compute => Step::Run(SimDuration::from_secs(3600)),
-            WorkSpec::Finite(total) => {
-                if self.issued || total.is_zero() {
-                    Step::Exit
-                } else {
-                    self.issued = true;
-                    Step::Run(total)
-                }
-            }
-            WorkSpec::Io { run, sleep } => {
-                self.toggled = !self.toggled;
-                if self.toggled {
-                    Step::Run(run)
-                } else {
-                    Step::Sleep(sleep)
-                }
-            }
-            WorkSpec::YieldEvery(run) => {
-                self.toggled = !self.toggled;
-                if self.toggled {
-                    Step::Run(run)
-                } else {
-                    Step::Yield
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lottery_sim::prelude::{Burst, SimTime, WorkloadCtx};
-
-    fn ctx() -> WorkloadCtx {
-        WorkloadCtx {
-            now: SimTime::ZERO,
-            cpu_time: SimDuration::ZERO,
-            current_request_service: None,
-        }
-    }
-
-    fn as_step(burst: Burst) -> Step {
-        match burst {
-            Burst::Run(d) => Step::Run(d),
-            Burst::Sleep(d) => Step::Sleep(d),
-            Burst::Yield => Step::Yield,
-            Burst::Exit => Step::Exit,
-            other => panic!("simulator twin issued unsupported burst {other:?}"),
-        }
-    }
-
-    /// Every spec's state machine must match its simulator twin step for
-    /// step — the foundation of the 1-worker bit-equivalence guarantee.
-    #[test]
-    fn states_match_their_simulator_twins() {
-        let specs = [
-            WorkSpec::Compute,
-            WorkSpec::Finite(SimDuration::from_ms(70)),
-            WorkSpec::Finite(SimDuration::ZERO),
-            WorkSpec::Io {
-                run: SimDuration::from_ms(3),
-                sleep: SimDuration::from_ms(11),
-            },
-            WorkSpec::YieldEvery(SimDuration::from_ms(20)),
-        ];
-        for spec in specs {
-            let mut state = spec.into_state();
-            let mut twin = spec.to_workload();
-            for i in 0..12 {
-                let step = state.next();
-                assert_eq!(step, as_step(twin.next(&ctx())), "{spec:?} step {i}");
-                if step == Step::Exit {
-                    break;
-                }
-            }
         }
     }
 }

@@ -1,27 +1,30 @@
-//! The per-shard worker engine.
+//! The per-shard worker: one OS thread around one one-CPU [`SmpKernel`].
 //!
-//! One OS thread per shard. Each worker privately owns its [`Shard`] (the
-//! ready set and its partial-sum tree) and event queue; the only shared
-//! mutable state is the ticket [`Ledger`] behind one
-//! [`lottery_sync::Mutex`] (the ledger's valuation cache is `Send` but
-//! not `Sync`). Cross-worker traffic — steal requests and thread
-//! migration — travels over bounded MPSC channels
-//! ([`lottery_sync::channel`]); thread *state* moves by message, never by
-//! shared memory, so a thread is owned by exactly one worker at every
-//! instant.
+//! The engine is the simulator's own: each worker owns an
+//! [`SmpKernel`]`<`[`LockedShard`]`>` with a single CPU numbered by the
+//! worker's id, and every decision it makes is one [`SmpKernel::step`] —
+//! the event queue, the quantum, the thread table are that kernel's.
+//! [`LockedShard`] is the [`Policy`] under it: the simulator's [`Shard`]
+//! (ready set and partial-sum tree) plus the sequence
+//! [`DistributedLottery`] keeps around a draw, with the one difference
+//! that the ticket [`Ledger`] is shared and sits behind a
+//! [`lottery_sync::Mutex`] (its valuation cache is `Send` but not `Sync`),
+//! taken once per ledger touch.
 //!
-//! The lottery itself is not ported: settle, draw, and the ready set are
-//! the simulator's own [`Shard`], which [`DistributedLottery`] holds one
-//! of per CPU. Around it the worker ports [`lottery_sim::smp::SmpKernel`]'s
-//! engine — the same `(when, seq)` event queue, dispatch burst loop, and
-//! ledger-operation order — taking the ledger lock around each ledger
-//! touch, with steal traffic in place of the policy's rebalancer. With
-//! one worker there is no cross-thread traffic at all, and the
-//! winner stream is bit-identical to the simulated pair — the property
-//! `tests/equivalence.rs` proves. With several workers, virtual clocks
-//! advance independently (as real CPUs' quantum streams do), so the
-//! guarantees weaken by design from bit-equality to conservation: value
-//! never leaks, every thread has exactly one owner.
+//! What is the worker's alone is everything between kernels: the inbox,
+//! the peers, steal requests and thread migration over bounded MPSC
+//! channels ([`lottery_sync::channel`]), the pace CPU model, quiesce, and
+//! the report. A thread moves by message — [`SmpKernel::detach`] here,
+//! [`SmpKernel::attach`] there — never by shared memory, so it is owned by
+//! exactly one worker at every instant.
+//!
+//! With one worker there is no cross-thread traffic at all and the winner
+//! stream is bit-identical to `SmpKernel<DistributedLottery>` with one
+//! shard — `tests/equivalence.rs` pins [`LockedShard`]'s ledger-operation
+//! order to that policy's. With several workers, virtual clocks advance
+//! independently (as real CPUs' quantum streams do), so the guarantees
+//! weaken by design from bit-equality to conservation: value never leaks,
+//! every thread has exactly one owner.
 //!
 //! [`DistributedLottery`]: lottery_sim::sched::distributed::DistributedLottery
 
@@ -34,13 +37,12 @@ use lottery_core::ledger::Ledger;
 use lottery_core::rng::ParkMiller;
 use lottery_obs::{EventKind, ProbeBus};
 use lottery_sim::prelude::{
-    CompensationHook, Draw, EndReason, EventQueue, SelectStructure, Shard, SimDuration, SimTime,
-    ThreadId,
+    CompensationHook, EndReason, Policy, SelectStructure, Shard, SimDuration, SimTime, SmpKernel,
+    Thread, ThreadId,
 };
+use lottery_sim::smp::{Dispatched, Step};
 use lottery_sync::channel::{Receiver, RecvTimeoutError, Sender};
 use lottery_sync::Mutex;
-
-use crate::work::{Step, WorkState};
 
 /// How long a dry worker waits on one victim before moving on.
 const STEAL_WAIT: Duration = Duration::from_millis(50);
@@ -74,20 +76,13 @@ impl Drop for DoneGuard {
     }
 }
 
-/// A thread's complete migratable state. Only *ready* threads are stolen,
-/// so no pending wake event ever needs to travel with one.
+/// A migrating thread: the control block with the ledger client that
+/// funds it. Only *ready* threads are stolen, so no pending wake event
+/// ever needs to travel with one.
 pub(crate) struct ParThread {
     pub tid: ThreadId,
     pub client: ClientId,
-    pub work: WorkState,
-    /// Unconsumed remainder of the current run burst.
-    pub burst_remaining: SimDuration,
-    /// Total CPU time consumed.
-    pub cpu_time: SimDuration,
-    /// CPU time within the current quantum.
-    pub quantum_used: SimDuration,
-    /// When the thread last became ready (for dispatch-wait probes).
-    pub ready_since: Option<SimTime>,
+    pub thread: Thread,
 }
 
 /// Cross-worker messages.
@@ -103,23 +98,169 @@ pub(crate) enum Msg {
     Migrate(Box<ParThread>),
 }
 
-/// A worker's spawn-time work assignment, in spawn order.
-pub(crate) struct PendingSpawn {
-    pub thread: ParThread,
-    /// The client's cached value at enqueue time — the weight the
-    /// simulator's tree would carry until the first refresh.
-    pub value: f64,
+/// One shard of the machine as a [`Policy`]: the lottery
+/// [`DistributedLottery`] holds on one of its shards, against a ledger
+/// that other workers share. Each `Policy` call that touches the ledger is
+/// one lock section, so a decision takes four: settle, revoke, charge, and
+/// the requeue's activation.
+///
+/// [`DistributedLottery`]: lottery_sim::sched::distributed::DistributedLottery
+pub(crate) struct LockedShard {
+    /// Shard index = worker id = the CPU number in probes.
+    id: u32,
+    shared: Arc<Shared>,
+    quantum: SimDuration,
+    rng: ParkMiller,
+    /// The ready set and its partial-sum tree.
+    pub(crate) shard: Shard,
+    /// The ledger client behind each resident thread, indexed by thread id.
+    clients: Vec<Option<ClientId>>,
+    /// Reverse map from ledger clients to resident threads.
+    client_threads: Vec<Option<ThreadId>>,
+    dirty_buf: Vec<ClientId>,
+    comp: CompensationHook,
+    bus: ProbeBus,
 }
 
-/// Per-worker future work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WEvent {
-    /// This worker's CPU finished a dispatch and needs a new thread.
-    CpuFree,
-    /// A sleeping thread wakes.
-    Wake { tid: ThreadId },
-    /// A preempted thread rejoins the ready queue.
-    Requeue { tid: ThreadId },
+impl LockedShard {
+    pub(crate) fn new(id: u32, shared: Arc<Shared>, quantum: SimDuration, seed: u32) -> Self {
+        Self {
+            id,
+            shared,
+            quantum,
+            rng: ParkMiller::new(seed),
+            shard: Shard::new(SelectStructure::Tree),
+            clients: Vec::new(),
+            client_threads: Vec::new(),
+            dirty_buf: Vec::new(),
+            comp: CompensationHook::new(),
+            bus: ProbeBus::disabled(),
+        }
+    }
+
+    fn client_of(&self, tid: ThreadId) -> ClientId {
+        self.clients[tid.index() as usize].expect("thread is resident")
+    }
+
+    /// Threads registered here: ready, running or blocked, in id order.
+    fn resident(&self) -> impl Iterator<Item = ThreadId> + '_ {
+        (0u32..)
+            .zip(&self.clients)
+            .filter_map(|(i, client)| client.map(|_| ThreadId::from_index(i)))
+    }
+
+    /// Forgets `tid` without touching its funding and returns its client.
+    fn unregister(&mut self, tid: ThreadId) -> ClientId {
+        let client = self.clients[tid.index() as usize]
+            .take()
+            .expect("thread is resident");
+        self.client_threads[client.index() as usize] = None;
+        client
+    }
+
+    /// Settles this shard's pending valuation invalidations into the tree
+    /// under one lock acquisition — the per-decision dirty batch. Stamps
+    /// the bus first: the probes of a pick carry the pick's time.
+    pub(crate) fn refresh(&mut self, now: SimTime) {
+        if self.bus.is_enabled() {
+            self.bus.set_time_us(now.as_us());
+        }
+        let mut ledger = self.shared.ledger.lock();
+        ledger.drain_dirty_shard_into(self.id, &mut self.dirty_buf);
+        if !self.dirty_buf.is_empty() {
+            let (shard, depth) = (self.id, self.dirty_buf.len() as u32);
+            self.bus.emit(|| EventKind::DirtyBatch { shard, depth });
+        }
+        self.shard
+            .settle(&self.dirty_buf, &self.client_threads, &ledger);
+    }
+
+    /// Takes the tail of the ready queue out of the shard for `thief`,
+    /// re-homing its client's dirty notifications there; invalidations
+    /// already queued here drain here and skip the now-unmapped client.
+    fn release_tail(&mut self, thief: u32) -> (ThreadId, ClientId) {
+        let tid = self.shard.iter().next_back().expect("a ready thread");
+        self.shard.remove(tid);
+        let client = self.unregister(tid);
+        self.shared.ledger.lock().assign_dirty_shard(client, thief);
+        (tid, client)
+    }
+}
+
+impl Policy for LockedShard {
+    type Spec = ClientId;
+
+    fn on_spawn(&mut self, tid: ThreadId, client: ClientId) {
+        let (idx, slot) = (tid.index() as usize, client.index() as usize);
+        if self.clients.len() <= idx {
+            self.clients.resize(idx + 1, None);
+        }
+        self.clients[idx] = Some(client);
+        if self.client_threads.len() <= slot {
+            self.client_threads.resize(slot + 1, None);
+        }
+        self.client_threads[slot] = Some(tid);
+    }
+
+    fn on_exit(&mut self, tid: ThreadId) {
+        let client = self.unregister(tid);
+        let mut ledger = self.shared.ledger.lock();
+        ledger.deactivate_client(client).expect("client liveness");
+        ledger
+            .destroy_client_and_funding(client)
+            .expect("client liveness");
+    }
+
+    /// Activates the thread's tickets and queues it at its value.
+    fn enqueue(&mut self, tid: ThreadId, _now: SimTime) {
+        let client = self.client_of(tid);
+        let value = {
+            let mut ledger = self.shared.ledger.lock();
+            ledger.activate_client(client).expect("client liveness");
+            ledger.cached_client_value(client).unwrap_or(0.0)
+        };
+        self.shard.insert(tid, value);
+    }
+
+    /// Settle, draw, and revoke the winner's compensation ticket — the
+    /// distributed policy's local pick, probes included.
+    fn pick(&mut self, now: SimTime) -> Option<ThreadId> {
+        self.refresh(now);
+        let draw = self.shard.draw(&mut self.rng, |_| {
+            unreachable!("a worker's shard is a tree")
+        })?;
+        let tid = draw.winner;
+        self.bus.emit(|| draw.event("shard"));
+        let (cpu, shard) = (self.id, self.id);
+        self.bus.emit(|| EventKind::ShardPick {
+            cpu,
+            shard,
+            stolen: false,
+        });
+        let client = self.client_of(tid);
+        let mut ledger = self.shared.ledger.lock();
+        self.comp.on_dispatch(&mut ledger, &self.bus, tid, client);
+        Some(tid)
+    }
+
+    fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason) {
+        let client = self.client_of(tid);
+        let mut ledger = self.shared.ledger.lock();
+        self.comp
+            .on_charge(&mut ledger, &self.bus, tid, client, used, quantum, why);
+    }
+
+    fn quantum(&self) -> SimDuration {
+        self.quantum
+    }
+
+    fn ready_len(&self) -> usize {
+        self.shard.len()
+    }
+
+    fn set_probe_bus(&mut self, bus: ProbeBus) {
+        self.bus = bus;
+    }
 }
 
 /// What one worker did with its window, reported at quiesce.
@@ -155,29 +296,15 @@ pub(crate) struct Worker {
     inbox: Receiver<Msg>,
     /// Send handles to every *other* worker, as `(id, sender)`.
     peers: Vec<(u32, Sender<Msg>)>,
-    quantum: SimDuration,
+    /// This worker's CPU and everything resident on it.
+    kernel: SmpKernel<LockedShard>,
     /// Wall-clock sleep per dispatch decision: the CPU model that turns
     /// virtual throughput into measurable wall-clock parallelism.
     pace: Option<Duration>,
     deadline: SimTime,
     steal: bool,
-    clock: SimTime,
-    rng: ParkMiller,
-    events: EventQueue<WEvent>,
-    cpu_idle: bool,
-    /// Owned threads, indexed by thread id.
-    threads: Vec<Option<ParThread>>,
-    exited: Vec<ThreadId>,
-    /// The ready set and its partial-sum tree.
-    shard: Shard,
-    /// Reverse map from ledger clients to owned threads.
-    client_threads: Vec<Option<ThreadId>>,
-    dirty_buf: Vec<ClientId>,
     winners: Vec<(u64, u32)>,
-    comp: CompensationHook,
-    bus: ProbeBus,
-    busy: SimDuration,
-    decisions: u64,
+    exited: Vec<ThreadId>,
     steals_in: u64,
     steals_out: u64,
     /// Steal responses still owed to us.
@@ -191,50 +318,26 @@ impl Worker {
         shared: Arc<Shared>,
         inbox: Receiver<Msg>,
         peers: Vec<(u32, Sender<Msg>)>,
-        pending: Vec<PendingSpawn>,
-        quantum: SimDuration,
+        kernel: SmpKernel<LockedShard>,
         pace: Option<Duration>,
         deadline: SimTime,
         steal: bool,
-        seed: u32,
-        bus: ProbeBus,
     ) -> Self {
-        let mut w = Self {
+        Self {
             id,
             shared,
             inbox,
             peers,
-            quantum,
+            kernel,
             pace,
             deadline,
             steal,
-            clock: SimTime::ZERO,
-            rng: ParkMiller::new(seed),
-            events: EventQueue::new(),
-            cpu_idle: true,
-            threads: Vec::new(),
-            exited: Vec::new(),
-            shard: Shard::new(SelectStructure::Tree),
-            client_threads: Vec::new(),
-            dirty_buf: Vec::new(),
             winners: Vec::new(),
-            comp: CompensationHook::new(),
-            bus,
-            busy: SimDuration::ZERO,
-            decisions: 0,
+            exited: Vec::new(),
             steals_in: 0,
             steals_out: 0,
             outstanding: 0,
-        };
-        // Load the spawn-time assignment in spawn order: the tree carries
-        // each client's enqueue-time value, exactly as the simulator's
-        // shard tree does until the first pick refreshes it. The first
-        // spawn kicks the idle CPU, as `SmpKernel::spawn` does; later
-        // spawns find it already kicked.
-        for p in pending {
-            w.adopt(p.thread, p.value);
         }
-        w
     }
 
     /// Runs the window, then serves steal traffic until machine quiesce.
@@ -242,255 +345,53 @@ impl Worker {
         let done = DoneGuard(Arc::clone(&self.shared));
         loop {
             self.drain_inbox();
-            match self.events.peek_at() {
-                // Stop *at* the deadline: a dispatch beginning exactly
-                // there belongs to the next window (mirrors the SMP
-                // kernel's `when >= deadline` check).
-                Some(when) if when < self.deadline => self.step(),
-                Some(_) => break,
-                None => {
-                    if !(self.steal && self.try_acquire_work()) {
+            match self.kernel.step(self.deadline) {
+                Step::Ran(run) => self.ran(run),
+                Step::Event => {}
+                // Events at or past the deadline end the window; with none
+                // at all the worker is dry and may go looking for work.
+                Step::Idle => {
+                    let dry = self.kernel.pending_events() == 0;
+                    if !(dry && self.steal && self.try_acquire_work()) {
                         break;
                     }
                 }
             }
         }
-        self.clock = self.deadline.max(self.clock);
         drop(done);
         self.serve_until_quiesce();
+        let clock = self.deadline.max(self.kernel.now());
         // Settle our shard's pending invalidations now that no worker can
         // mutate the ledger: the reported total is exact.
-        self.refresh();
+        self.kernel.policy_mut().refresh(clock);
+        let policy = self.kernel.policy();
         WorkerReport {
             id: self.id,
-            clock: self.clock,
-            busy: self.busy,
-            decisions: self.decisions,
+            clock,
+            busy: self.kernel.busy(self.id as usize),
+            decisions: self.winners.len() as u64,
             steals_in: self.steals_in,
             steals_out: self.steals_out,
+            resident: policy.resident().collect(),
+            ready: policy.shard.iter().collect(),
+            ready_total: policy.shard.total(),
             winners: self.winners,
-            resident: self
-                .threads
-                .iter()
-                .filter_map(|slot| slot.as_ref().map(|t| t.tid))
-                .collect(),
             exited: self.exited,
-            ready: self.shard.iter().collect(),
-            ready_total: self.shard.total(),
         }
     }
 
-    fn probe(&self, at: SimTime, build: impl FnOnce() -> EventKind) {
-        if self.bus.is_enabled() {
-            self.bus.set_time_us(at.as_us());
-            self.bus.emit(build);
+    /// Keeps what the report needs of one decision, then pays for it.
+    fn ran(&mut self, run: Dispatched) {
+        self.winners.push((run.start.as_us(), run.thread.index()));
+        if run.reason == EndReason::Exited {
+            self.exited.push(run.thread);
         }
-    }
-
-    // ---------------------------------------------------------------
-    // Event loop
-    // ---------------------------------------------------------------
-
-    fn step(&mut self) {
-        let sched = self.events.pop().expect("a pending event was peeked");
-        self.clock = self.clock.max(sched.at);
-        match sched.event {
-            WEvent::Wake { tid } => self.on_ready(tid, true),
-            WEvent::Requeue { tid } => self.on_ready(tid, false),
-            WEvent::CpuFree => {
-                self.refresh();
-                let draw = self.shard.draw(&mut self.rng, |_| {
-                    unreachable!("a worker's shard is a tree")
-                });
-                match draw {
-                    Some(draw) => self.dispatch(draw),
-                    None => self.cpu_idle = true,
-                }
-            }
-        }
-    }
-
-    /// A thread becomes ready: activate its tickets, queue it at its
-    /// value, and kick the CPU if idle — the `enqueue` + `kick_idle_cpus`
-    /// sequence of the simulated pair.
-    fn on_ready(&mut self, tid: ThreadId, wake: bool) {
-        let Some(thread) = self
-            .threads
-            .get_mut(tid.index() as usize)
-            .and_then(|s| s.as_mut())
-        else {
-            // Exited (or stolen mid-sleep — impossible: only ready
-            // threads migrate). Matches the SMP kernel's exited check.
-            return;
-        };
-        thread.ready_since = Some(self.clock);
-        let client = thread.client;
-        let value = {
-            let mut ledger = self.shared.ledger.lock();
-            ledger.activate_client(client).expect("client liveness");
-            ledger.cached_client_value(client).unwrap_or(0.0)
-        };
-        self.shard.insert(tid, value);
-        if wake {
-            self.probe(self.clock, || EventKind::Wake {
-                thread: tid.index(),
-            });
-        }
-        if self.cpu_idle {
-            self.cpu_idle = false;
-            self.events.push(self.clock, WEvent::CpuFree);
-        }
-    }
-
-    /// Runs one quantum of the drawn winner: the distributed policy's
-    /// draw probes and compensation revoke, then the SMP kernel's dispatch
-    /// burst loop, verbatim, against the thread's [`WorkState`].
-    fn dispatch(&mut self, draw: Draw) {
-        let tid = draw.winner;
-        self.probe(self.clock, || draw.event("shard"));
-        let (cpu, shard) = (self.id, self.id);
-        self.probe(self.clock, || EventKind::ShardPick {
-            cpu,
-            shard,
-            stolen: false,
-        });
-        let idx = tid.index() as usize;
-        let client = self.threads[idx]
-            .as_ref()
-            .expect("drawn thread is owned")
-            .client;
-        {
-            let mut ledger = self.shared.ledger.lock();
-            self.comp.on_dispatch(&mut ledger, &self.bus, tid, client);
-        }
-        let quantum = self.quantum;
-        let start = self.clock;
-        let queue_depth = self.shard.len() as u32;
-        let waited = {
-            let thread = self.threads[idx].as_mut().expect("dispatched thread");
-            let since = thread.ready_since.take().unwrap_or(start);
-            thread.quantum_used = SimDuration::ZERO;
-            start.saturating_since(since)
-        };
-        self.probe(start, || EventKind::Dispatch {
-            thread: tid.index(),
-            cpu: self.id,
-            wait_us: waited.as_us(),
-            queue_depth,
-        });
-
-        let mut elapsed = SimDuration::ZERO;
-        let mut remaining = quantum;
-        let reason = loop {
-            let thread = self.threads[idx].as_mut().expect("dispatched thread");
-            if thread.burst_remaining.is_zero() {
-                match thread.work.next() {
-                    Step::Run(d) if !d.is_zero() => {
-                        thread.burst_remaining = d;
-                        continue;
-                    }
-                    Step::Run(_) | Step::Yield => break EndReason::Yielded,
-                    Step::Sleep(d) => {
-                        self.events.push(start + elapsed + d, WEvent::Wake { tid });
-                        break EndReason::Blocked;
-                    }
-                    Step::Exit => break EndReason::Exited,
-                }
-            }
-            let slice = thread.burst_remaining.min(remaining);
-            thread.burst_remaining -= slice;
-            thread.cpu_time += slice;
-            thread.quantum_used += slice;
-            elapsed += slice;
-            remaining -= slice;
-            if remaining.is_zero() {
-                break EndReason::QuantumExpired;
-            }
-        };
-
-        let end = start + elapsed.max(SimDuration::from_us(1));
-        self.busy += elapsed;
-        self.decisions += 1;
-        self.winners.push((start.as_us(), tid.index()));
-        let used = self.threads[idx]
-            .as_ref()
-            .expect("dispatched thread")
-            .quantum_used;
-        self.probe(end, || EventKind::QuantumEnd {
-            thread: tid.index(),
-            cpu: self.id,
-            reason: reason.as_str(),
-            used_us: used.as_us(),
-        });
-        {
-            let mut ledger = self.shared.ledger.lock();
-            self.comp
-                .on_charge(&mut ledger, &self.bus, tid, client, used, quantum, reason);
-        }
-        match reason {
-            EndReason::QuantumExpired | EndReason::Yielded => {
-                // The thread occupies the CPU until `end`; requeue before
-                // the CpuFree so this worker can win it back — the same
-                // push order as the SMP kernel.
-                self.events.push(end, WEvent::Requeue { tid });
-            }
-            EndReason::Blocked => {}
-            EndReason::Exited => {
-                self.client_threads[client.index() as usize] = None;
-                {
-                    let mut ledger = self.shared.ledger.lock();
-                    ledger.deactivate_client(client).expect("client liveness");
-                    ledger
-                        .destroy_client_and_funding(client)
-                        .expect("client liveness");
-                }
-                self.threads[idx] = None;
-                self.exited.push(tid);
-                self.probe(end, || EventKind::ThreadExit {
-                    thread: tid.index(),
-                });
-            }
-        }
-        self.events.push(end, WEvent::CpuFree);
         if let Some(pace) = self.pace {
             // The CPU model: one decision per `pace` of wall time. Paced
             // workers sleep concurrently, so machine decision throughput
             // scales with worker count on any host — including this
             // repo's single-CPU CI container (see DESIGN.md §10).
             std::thread::sleep(pace);
-        }
-    }
-
-    /// Settles this shard's pending valuation invalidations into the tree
-    /// under one lock acquisition — the per-decision dirty batch.
-    fn refresh(&mut self) {
-        let mut ledger = self.shared.ledger.lock();
-        ledger.drain_dirty_shard_into(self.id, &mut self.dirty_buf);
-        if !self.dirty_buf.is_empty() {
-            let (shard, depth) = (self.id, self.dirty_buf.len() as u32);
-            self.probe(self.clock, || EventKind::DirtyBatch { shard, depth });
-        }
-        self.shard
-            .settle(&self.dirty_buf, &self.client_threads, &ledger);
-    }
-
-    /// Takes ownership of a ready thread worth `value`: records it and
-    /// its client, queues it, and kicks the CPU if idle.
-    fn adopt(&mut self, thread: ParThread, value: f64) {
-        let (tid, idx) = (thread.tid, thread.tid.index() as usize);
-        let slot = thread.client.index() as usize;
-        if self.threads.len() <= idx {
-            self.threads.resize_with(idx + 1, || None);
-        }
-        self.threads[idx] = Some(thread);
-        if self.client_threads.len() <= slot {
-            self.client_threads.resize(slot + 1, None);
-        }
-        self.client_threads[slot] = Some(tid);
-        self.shard.insert(tid, value);
-        if self.cpu_idle {
-            self.cpu_idle = false;
-            self.events.push(self.clock, WEvent::CpuFree);
         }
     }
 
@@ -518,7 +419,7 @@ impl Worker {
     fn handle_msg(&mut self, msg: Msg) {
         match msg {
             Msg::StealRequest { thief } => {
-                if self.steal && self.shard.len() > 1 {
+                if self.steal && self.kernel.policy().ready_len() > 1 {
                     self.donate(thief);
                 } else {
                     self.reply(thief, Msg::StealFail);
@@ -527,9 +428,15 @@ impl Worker {
             Msg::StealFail => {
                 self.outstanding = self.outstanding.saturating_sub(1);
             }
-            Msg::Migrate(thread) => {
+            Msg::Migrate(migrant) => {
                 self.outstanding = self.outstanding.saturating_sub(1);
-                self.accept_migrant(*thread);
+                // The receiver becomes the owner: the client registers
+                // here and the thread queues at its current value, kicking
+                // the CPU if idle.
+                let migrant = *migrant;
+                self.kernel
+                    .attach(migrant.tid, migrant.thread, migrant.client);
+                self.steals_in += 1;
             }
         }
     }
@@ -538,43 +445,24 @@ impl Worker {
     /// migrate, so ownership moves in one message with no pending events
     /// left behind.
     fn donate(&mut self, thief: u32) {
-        let tid = self
-            .shard
-            .iter()
-            .next_back()
-            .expect("caller checked len > 1");
-        self.shard.remove(tid);
-        let mut thread = self.threads[tid.index() as usize]
-            .take()
-            .expect("ready thread is owned");
-        thread.ready_since = None;
-        let client = thread.client;
-        self.client_threads[client.index() as usize] = None;
-        {
-            // Re-home the client's dirty notifications; invalidations
-            // already queued on our shard drain here and skip the now-
-            // unmapped client.
-            let mut ledger = self.shared.ledger.lock();
-            ledger.assign_dirty_shard(client, thief);
-        }
+        let (tid, client) = self.kernel.policy_mut().release_tail(thief);
+        let thread = self.kernel.detach(tid);
         self.steals_out += 1;
-        let from = self.id;
-        self.probe(self.clock, || EventKind::ShardMigrate {
-            thread: tid.index(),
-            from_shard: from,
-            to_shard: thief,
-        });
-        self.reply(thief, Msg::Migrate(Box::new(thread)));
-    }
-
-    fn accept_migrant(&mut self, mut thread: ParThread) {
-        thread.ready_since = Some(self.clock);
-        let value = {
-            let ledger = self.shared.ledger.lock();
-            ledger.cached_client_value(thread.client).unwrap_or(0.0)
+        let bus = self.kernel.probe_bus();
+        if bus.is_enabled() {
+            bus.set_time_us(self.kernel.now().as_us());
+            bus.emit(|| EventKind::ShardMigrate {
+                thread: tid.index(),
+                from_shard: self.id,
+                to_shard: thief,
+            });
+        }
+        let migrant = ParThread {
+            tid,
+            client,
+            thread,
         };
-        self.adopt(thread, value);
-        self.steals_in += 1;
+        self.reply(thief, Msg::Migrate(Box::new(migrant)));
     }
 
     /// Dry worker: ask each peer in turn for a thread, waiting briefly
@@ -582,9 +470,6 @@ impl Worker {
     /// dry workers probing each other both fail fast instead of
     /// deadlocking. Returns whether we now have ready work.
     fn try_acquire_work(&mut self) -> bool {
-        if self.peers.is_empty() {
-            return false;
-        }
         for k in 0..self.peers.len() {
             // Rotate by our own id so thieves spread across victims.
             let (_, tx) = &self.peers[(self.id as usize + k) % self.peers.len()];
@@ -600,11 +485,11 @@ impl Worker {
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            if !self.shard.is_empty() {
+            if self.kernel.policy().ready_len() > 0 {
                 return true;
             }
         }
-        !self.shard.is_empty()
+        false
     }
 
     /// After finishing the window: answer steal traffic until every
@@ -626,5 +511,142 @@ impl Worker {
         while let Ok(msg) = self.inbox.try_recv() {
             self.handle_msg(msg);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lottery_sim::prelude::{ComputeBound, FundingSpec};
+    use lottery_sim::sched::core::fund_thread;
+    use lottery_sync::channel::bounded;
+
+    /// Worker 0 of a two-worker machine, built by hand with three hogs on
+    /// it and running a 50 ms window on its own OS thread. The test plays
+    /// worker 1: it holds the other end of both channels and decides when
+    /// "worker 1" is done.
+    struct Rig {
+        shared: Arc<Shared>,
+        to_worker: Sender<Msg>,
+        from_worker: Receiver<Msg>,
+        report: std::sync::mpsc::Receiver<WorkerReport>,
+    }
+
+    /// A base-funded, active client for thread `tid`, homed on shard 0.
+    fn fund(shared: &Shared, tid: ThreadId, amount: u64) -> ClientId {
+        let mut ledger = shared.ledger.lock();
+        let spec = FundingSpec::new(ledger.base(), amount);
+        let (client, _ticket) = fund_thread(&mut ledger, tid, spec);
+        ledger.assign_dirty_shard(client, 0);
+        ledger.activate_client(client).expect("fresh client");
+        client
+    }
+
+    fn hog(tid: ThreadId) -> Thread {
+        Thread::new(tid.to_string(), Box::new(ComputeBound))
+    }
+
+    impl Rig {
+        fn start() -> Self {
+            let mut ledger = Ledger::new();
+            ledger.set_dirty_shards(2);
+            let shared = Arc::new(Shared {
+                ledger: Mutex::new(ledger),
+                done: AtomicU32::new(0),
+                workers: 2,
+            });
+            let shard = LockedShard::new(0, shared.clone(), SimDuration::from_ms(10), 7);
+            let mut kernel = SmpKernel::with_first_cpu(shard, 1, 0);
+            for tid in (0..3).map(ThreadId::from_index) {
+                kernel.attach(tid, hog(tid), fund(&shared, tid, 100));
+            }
+            let (to_worker, inbox) = bounded(8);
+            let (to_peer, from_worker) = bounded(8);
+            let worker = Worker::new(
+                0,
+                shared.clone(),
+                inbox,
+                vec![(1, to_peer)],
+                kernel,
+                None,
+                SimTime::from_ms(50),
+                true,
+            );
+            let (tx, report) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                // A test that already failed has dropped the receiver.
+                let _ = tx.send(worker.run());
+            });
+            Self {
+                shared,
+                to_worker,
+                from_worker,
+                report,
+            }
+        }
+
+        /// Returns once worker 0's `DoneGuard` has dropped: its window is
+        /// over and it is serving until "worker 1" is counted out too.
+        fn await_window_end(&self) {
+            while self.shared.done.load(Ordering::Acquire) < 1 {
+                std::thread::yield_now();
+            }
+        }
+
+        /// Counts "worker 1" out and collects worker 0's report.
+        fn quiesce(&self) -> WorkerReport {
+            self.shared.done.fetch_add(1, Ordering::AcqRel);
+            self.report
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the worker hung in quiesce")
+        }
+    }
+
+    /// ROADMAP item 5, "quiesce racing a migration": a migrant posted after
+    /// the receiver's window is still adopted, funding intact.
+    #[test]
+    fn migrant_arriving_after_the_window_is_kept() {
+        let rig = Rig::start();
+        rig.await_window_end();
+        let tid = ThreadId::from_index(7);
+        let client = fund(&rig.shared, tid, 250);
+        let late = ParThread {
+            tid,
+            client,
+            thread: hog(tid),
+        };
+        rig.to_worker
+            .send(Msg::Migrate(Box::new(late)))
+            .expect("the worker is serving");
+        let report = rig.quiesce();
+        assert_eq!(report.steals_in, 1);
+        assert_eq!(report.resident.len(), 4);
+        assert!(report.resident.contains(&tid) && report.ready.contains(&tid));
+        assert!(report.exited.is_empty());
+        assert!(report.winners.iter().all(|&(_, winner)| winner != 7));
+        // The hog whose requeue falls on the deadline is not ready.
+        assert_eq!(report.ready_total, 450.0, "two hogs and the migrant");
+        let ledger = rig.shared.ledger.lock();
+        assert_eq!(ledger.cached_client_value(client), Ok(250.0));
+    }
+
+    /// The mirror case: a steal request after the window is refused even
+    /// though the worker has threads to spare and stealing was on.
+    #[test]
+    fn steal_request_after_the_window_is_refused() {
+        let rig = Rig::start();
+        rig.await_window_end();
+        rig.to_worker
+            .send(Msg::StealRequest { thief: 1 })
+            .expect("the worker is serving");
+        let reply = rig
+            .from_worker
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the worker left the request unanswered");
+        assert!(matches!(reply, Msg::StealFail));
+        let report = rig.quiesce();
+        assert_eq!(report.steals_out, 0);
+        assert_eq!(report.resident.len(), 3);
+        assert_eq!(report.decisions, 5, "a 50 ms window of 10 ms quanta");
     }
 }

@@ -702,11 +702,10 @@ impl<P: Policy> Kernel<P> {
 /// tick across all of them.
 impl<P: Policy> crate::event::EventSource for Kernel<P> {
     fn next_due(&self) -> Option<SimTime> {
-        let runnable = self
-            .threads
-            .iter()
-            .any(|t| matches!(t.state(), ThreadState::Ready | ThreadState::Running));
-        if runnable {
+        // Without a scan of the thread table: a thread is `Ready` exactly
+        // while the policy holds it, and `Running` between `run_until`
+        // calls exactly while a split quantum is in flight.
+        if self.policy.ready_len() > 0 || self.inflight.is_some() {
             return Some(self.clock);
         }
         self.next_event_at()
@@ -1013,6 +1012,53 @@ mod tests {
         k.run_until(SimTime::from_ms(1_150));
         assert_eq!(k.metrics().cpu_us(survivor) - before, 1_000_000);
         assert!(k.thread(victim).is_exited());
+    }
+
+    #[test]
+    fn next_due_agrees_with_a_scan_of_the_thread_table() {
+        use crate::event::EventSource;
+        // The reference: due now iff any thread is ready or running.
+        fn check(k: &Kernel<RoundRobinPolicy>, what: &str) -> Option<SimTime> {
+            let runnable = k
+                .threads
+                .iter()
+                .any(|t| matches!(t.state(), ThreadState::Ready | ThreadState::Running));
+            let scan = if runnable {
+                Some(k.clock)
+            } else {
+                k.next_event_at()
+            };
+            assert_eq!(k.next_due(), scan, "{what} at {:?}", k.clock);
+            scan
+        }
+        let ms = SimDuration::from_ms;
+        let mut k = rr_kernel(100);
+        assert_eq!(check(&k, "empty"), None);
+        let io = k.spawn("io", Box::new(IoBound::new(ms(10), ms(90))), ());
+        assert_eq!(check(&k, "spawned"), Some(SimTime::ZERO));
+        k.run_until(SimTime::from_ms(50));
+        assert_eq!(check(&k, "blocked"), Some(SimTime::from_ms(100)));
+        k.run_until(SimTime::from_ms(105));
+        assert_eq!(k.thread(io).state(), ThreadState::Running);
+        assert_eq!(check(&k, "woken, split"), Some(SimTime::from_ms(105)));
+        // A hog and a short job beside the sleeper, walked in steps no
+        // quantum divides, so every kind of boundary is visited.
+        let hog = k.spawn("hog", Box::new(ComputeBound), ());
+        k.spawn("job", Box::new(FiniteJob::new(ms(130))), ());
+        for step in 1..=80 {
+            k.run_until(SimTime::from_ms(105 + 7 * step));
+            check(&k, "mixed");
+        }
+        k.kill(hog);
+        check(&k, "hog killed");
+        k.run_until(SimTime::from_ms(900));
+        check(&k, "job done");
+        k.kill(io);
+        assert_eq!(k.live_threads(), 0);
+        // The dead sleeper's timer is still pending; past it, nothing is.
+        assert_eq!(check(&k, "all dead"), k.next_event_at());
+        k.run_until(SimTime::from_secs(2));
+        assert_eq!(check(&k, "drained"), None);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::sched::{EndReason, Policy};
     pub use crate::smp::{SmpError, SmpKernel};
     pub use crate::task::{Task, TaskBuilder};
-    pub use crate::thread::{ThreadId, ThreadState};
+    pub use crate::thread::{Thread, ThreadId, ThreadState};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::workload::{
         Burst, ComputeBound, FiniteJob, FractionalQuantum, IoBound, MutexWorker, RpcClient,

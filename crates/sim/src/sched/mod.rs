@@ -15,10 +15,13 @@
 //! * [`stride::StridePolicy`] — deterministic stride scheduling (the
 //!   authors' follow-up work), used as the de-randomization ablation.
 //!
-//! Both lottery policies (and the real-thread workers of `lottery-par`)
-//! keep their ready set and winner structure as one [`shard::Shard`], and
-//! the two policies are one [`core::LotteryCore`] — ledger, funding book,
-//! and the sequence around every draw — over one shard or one per CPU.
+//! Both lottery policies keep their ready set and winner structure as one
+//! [`shard::Shard`], and the two are one [`core::LotteryCore`] — ledger,
+//! funding book, and the sequence around every draw — over one shard or
+//! one per CPU. The real-thread workers of `lottery-par` are a third
+//! [`Policy`] over a `Shard`, under the same [`crate::smp::SmpKernel`];
+//! theirs takes a lock around each ledger touch, so it keeps that sequence
+//! itself rather than through the core.
 
 pub mod comp;
 pub mod core;

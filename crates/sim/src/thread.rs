@@ -12,9 +12,12 @@ use crate::workload::Workload;
 
 /// Identifies a thread within a kernel.
 ///
-/// Thread ids are dense indices (threads are never removed from the
-/// kernel's table, merely marked exited), so policies may use them to index
-/// side tables.
+/// Thread ids are small indices, so kernels and policies use them to index
+/// side tables. A [`crate::kernel::Kernel`] issues them densely and never
+/// removes a thread from its table (an exited one is merely marked). An
+/// [`crate::smp::SmpKernel`] can also hold a thread under an id its caller
+/// chose and give a ready thread up again, so its table may have gaps and
+/// an id names one thread across every kernel of a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(u32);
 

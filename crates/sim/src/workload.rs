@@ -67,12 +67,15 @@ pub struct WorkloadCtx {
 }
 
 /// A thread's behaviour, consulted by the kernel between bursts.
-pub trait Workload {
+///
+/// [`Send`], so a [`crate::thread::Thread`] can move between kernels that
+/// run on different OS threads (`lottery-par` migrates them by message).
+pub trait Workload: Send {
     /// Chooses the thread's next action.
     fn next(&mut self, ctx: &WorkloadCtx) -> Burst;
 }
 
-impl<F: FnMut(&WorkloadCtx) -> Burst> Workload for F {
+impl<F: FnMut(&WorkloadCtx) -> Burst + Send> Workload for F {
     fn next(&mut self, ctx: &WorkloadCtx) -> Burst {
         self(ctx)
     }

@@ -1,12 +1,19 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, test, compile benches, lint, format,
-# the experiment-transcript golden gate, end-to-end smokes, and the
-# reference benchmark's build and self-checks.
+# Tier-1 verification: build, test (lottery-par ten times over), compile
+# benches, lint, format, the experiment-transcript golden gate, end-to-end
+# smokes, and the reference benchmark's build and self-checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
+# lottery-par is the one crate whose tests run real interleavings: ten
+# more passes of its suite (well under a second each) so a flaky test
+# shows up here, not in someone else's PR.
+for pass in 1 2 3 4 5 6 7 8 9 10; do
+  cargo test -q --release -p lottery-par > /dev/null 2>&1 \
+    || { echo "verify: lottery-par tests failed on pass $pass of 10" >&2; exit 1; }
+done
 cargo bench --no-run --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
