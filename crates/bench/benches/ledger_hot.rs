@@ -11,6 +11,11 @@
 //! * `block-wake-pair` — `deactivate_client` + `activate_client`, then the
 //!   dirty drain and revaluation a scheduler makes before its next draw
 //!   (without it the next pair would find nothing cached to invalidate).
+//!   Every sibling in the tenant is awake, so every sibling is revalued.
+//! * `block-wake-pair-asleep` — the same pair and drain with all but one
+//!   client per tenant deactivated beforehand, cycling the awake ones: the
+//!   churn shape, where the block empties the tenant and what it costs
+//!   should not depend on how many sleepers the tenant has.
 //! * `grant-clear` — `compensation::grant` on an active client, then
 //!   `compensation::clear`.
 //! * `metrics-record` — `record_dispatch`, `record_wait_kind` and
@@ -68,14 +73,27 @@ fn stepper(n: usize) -> impl FnMut() -> usize {
     }
 }
 
-fn bench_block_wake_pair(c: &mut Criterion) {
+/// The block/wake pair over `economy`, cycling every client, or — with
+/// `siblings_asleep` — only the first client of each tenant after putting
+/// the rest to sleep.
+fn block_wake_pair(c: &mut Criterion, id: &str, siblings_asleep: bool) {
     let mut group = c.benchmark_group("ledger-hot");
     for &(n, currencies) in &POPULATIONS {
-        let (mut ledger, clients) = economy(n, currencies);
-        let mut step = stepper(n);
+        let (mut ledger, mut clients) = economy(n, currencies);
         let mut dirty = Vec::new();
+        if siblings_asleep {
+            for &sleeper in &clients[currencies..] {
+                ledger.deactivate_client(sleeper).unwrap();
+            }
+            clients.truncate(currencies);
+            for &awake in &clients {
+                ledger.cached_client_value(awake).unwrap();
+            }
+            ledger.drain_dirty_clients_into(&mut dirty);
+        }
+        let mut step = stepper(clients.len());
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("block-wake-pair", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new(id, n), &n, |b, _| {
             b.iter(|| {
                 let client = clients[step()];
                 ledger.deactivate_client(client).unwrap();
@@ -88,6 +106,14 @@ fn bench_block_wake_pair(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_block_wake_pair(c: &mut Criterion) {
+    block_wake_pair(c, "block-wake-pair", false);
+}
+
+fn bench_block_wake_pair_asleep(c: &mut Criterion) {
+    block_wake_pair(c, "block-wake-pair-asleep", true);
 }
 
 fn bench_grant_clear(c: &mut Criterion) {
@@ -132,6 +158,7 @@ fn bench_metrics_record(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_block_wake_pair,
+    bench_block_wake_pair_asleep,
     bench_grant_clear,
     bench_metrics_record
 );

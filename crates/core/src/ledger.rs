@@ -63,13 +63,15 @@ pub struct Ledger {
 
 /// Incrementally maintained currency/client values in base units.
 ///
-/// An entry's *presence* is its validity: mutators remove exactly the
-/// entries whose values they may have changed (see [`mark_currency`]), and
-/// reads recompute absent entries on demand. The `dirty` queue accumulates
-/// clients whose cached value was invalidated, as a change notification
-/// queue for schedulers that mirror client values into an external
-/// structure (a partial-sum tree); it is drained by
-/// [`Ledger::drain_dirty_clients`] and is independent of recomputation.
+/// An entry's *presence* is its validity: mutators remove the entries whose
+/// values they may have changed — found by following each touched
+/// currency's live list, which `Ledger::propagate_activation` maintains
+/// (see [`mark_currency`]) — and reads recompute absent entries on demand.
+/// The `dirty` queue accumulates clients whose cached value was
+/// invalidated, as a change notification queue for schedulers that mirror
+/// client values into an external structure (a partial-sum tree); it is
+/// drained by [`Ledger::drain_dirty_clients`] and is independent of
+/// recomputation.
 ///
 /// The books a decision *writes* — the dirty queue and the compensation
 /// book — are tables indexed by client slot, and the invalidation walk
@@ -560,16 +562,28 @@ impl ShardedDirtyQueue {
 /// Invalidates `start` and every cached entry downstream of it, returning
 /// `(currency_entries_removed, client_entries_removed)` for the probe bus.
 ///
-/// Downstream edges run from a currency through its *issued* tickets to the
-/// currencies or clients they fund — the reverse of the valuation
-/// dependency direction, so no extra edge storage is needed.
+/// Downstream edges run from a currency through its *live* tickets
+/// ([`Currency::live`]) to the currencies or clients they fund — the reverse
+/// of the valuation dependency direction, restricted to the edges value
+/// actually flows along. A block or wake therefore visits the awake tickets
+/// of the currencies whose active amount changed, never a sleeper's.
 ///
-/// The walk stops at currencies with no cached entry. That early stop is
-/// sound because computation preserves the invariant *"a cached entry
-/// implies every currency whose value it read is also cached"*: computing a
-/// value memoizes its full upstream closure, and this walk removes the full
-/// cached downstream closure. An uncached currency therefore has no cached
-/// dependents left to invalidate.
+/// Two arguments make the walk sound.
+///
+/// *It may stop at a currency with no cached entry.* Computation preserves
+/// the invariant *"a cached entry implies every currency whose value it read
+/// is also cached"*: computing a value memoizes its full upstream closure,
+/// and this walk removes the full cached downstream closure. An uncached
+/// currency therefore has no cached dependents left to invalidate.
+///
+/// *It may skip inactive tickets.* Valuation reads a ticket's denomination
+/// only when the ticket is active (`compute_ticket_value` returns 0 for an
+/// inactive one before it looks at the currency), and every flip of a
+/// ticket's activity marks that ticket's own target
+/// (`Ledger::mark_ticket_change`). So an entry cached while the ticket was
+/// active does not survive the ticket's deactivation, and one cached since
+/// never read `C` through it: every cached reader of a currency `C` is
+/// reachable from `C.live()`.
 fn mark_currency(
     tickets: &Arena<Ticket>,
     currencies: &Arena<Currency>,
@@ -587,7 +601,7 @@ fn mark_currency(
         let Some(currency) = currencies.get(cur) else {
             continue;
         };
-        for &t in currency.issued() {
+        for &t in currency.live() {
             match tickets.get(t).map(Ticket::target) {
                 Some(FundingTarget::Currency(next)) => cache.mark_work.push(next),
                 Some(FundingTarget::Client(client)) => {
@@ -1159,6 +1173,13 @@ impl Ledger {
     /// first. When a denomination's active amount crosses zero, the change
     /// propagates to the denomination's backing tickets, and so on toward
     /// the base currency, before the next stacked ticket is looked at.
+    ///
+    /// This is the one place a ticket's activity is written, and therefore
+    /// the one place that keeps each currency's live list
+    /// ([`Currency::live`]): an activated ticket is pushed onto its
+    /// denomination's list and stores the slot it got; a deactivated one is
+    /// `swap_remove`d by its stored slot, and the ticket that moved into the
+    /// hole has its slot rewritten.
     fn propagate_activation(&mut self, active: bool) {
         let mut work = std::mem::take(&mut self.activation_work);
         while let Some(tid) = work.pop() {
@@ -1169,21 +1190,28 @@ impl Ledger {
             if t.is_active() == active {
                 continue;
             }
-            t.set_active(active);
             let (amount, denom, target) = (t.amount(), t.currency(), t.target());
-            self.mark_ticket_change(denom, target);
             let currency = self
                 .currencies
                 .get_mut(denom)
                 .expect("denomination liveness invariant");
             let crossed = if active {
+                t.set_live_slot(currency.push_live(tid));
                 currency.activate_amount(amount)
             } else {
+                let slot = t.clear_live_slot();
+                if let Some(moved) = currency.swap_remove_live(slot, tid) {
+                    self.tickets
+                        .get_mut(moved)
+                        .expect("ticket liveness invariant")
+                        .set_live_slot(slot);
+                }
                 currency.deactivate_amount(amount)
             };
             if crossed {
                 work.extend_from_slice(currency.backing());
             }
+            self.mark_ticket_change(denom, target);
         }
         self.activation_work = work;
     }
@@ -2295,6 +2323,194 @@ mod cache_tests {
         assert!(entries >= 2, "alice and task2 memoized");
         let _ = l.cached_client_value(t2).unwrap();
         assert_eq!(l.cached_currency_entries(), entries);
+    }
+}
+
+#[cfg(test)]
+mod live_list_tests {
+    use super::*;
+    use crate::transfer::{self, TransferTarget};
+
+    /// Every currency's live list is its active issued tickets, each once,
+    /// and every listed ticket stores the slot it is listed at.
+    fn assert_live_lists(l: &Ledger) {
+        for (id, cur) in l.currencies() {
+            for (slot, &t) in cur.live().iter().enumerate() {
+                assert_eq!(l.ticket(t).unwrap().live_slot(), slot, "{id:?}");
+            }
+            let mut live = cur.live().to_vec();
+            let mut active: Vec<TicketId> = cur.issued().to_vec();
+            active.retain(|&t| l.ticket(t).unwrap().is_active());
+            live.sort();
+            active.sort();
+            assert_eq!(live, active, "live list of {id:?}");
+        }
+    }
+
+    /// A tenant currency backed by 1000 base with `n` funded, inactive
+    /// clients holding `10 + i` tickets each.
+    fn tenant(l: &mut Ledger, n: u64) -> (CurrencyId, TicketId, Vec<ClientId>) {
+        let cur = l.create_currency("tenant").unwrap();
+        let backing = l.issue_root(l.base(), 1000).unwrap();
+        l.fund_currency(backing, cur).unwrap();
+        let clients = (0..n)
+            .map(|i| {
+                let c = l.create_client(format!("c{i}"));
+                let t = l.issue_root(cur, 10 + i).unwrap();
+                l.fund_client(t, c).unwrap();
+                c
+            })
+            .collect();
+        (cur, backing, clients)
+    }
+
+    #[test]
+    fn sleepers_are_not_visited() {
+        let mut l = Ledger::new();
+        let (_, _, clients) = tenant(&mut l, 10);
+        let awake = clients[0];
+        l.activate_client(awake).unwrap();
+        // A scheduler values everything once, the nine sleepers at 0.0.
+        let check_values = |l: &Ledger| {
+            let mut fresh = Valuator::new(l);
+            for &c in &clients {
+                let cached = l.cached_client_value(c).unwrap();
+                assert_eq!(cached, fresh.client_value(c).unwrap());
+                assert_eq!(cached > 0.0, l.client(c).unwrap().is_active());
+            }
+        };
+        check_values(&l);
+        l.drain_dirty_clients();
+        assert_eq!(l.cached_client_entries(), 10);
+
+        l.deactivate_client(awake).unwrap();
+        assert_eq!(l.cached_client_entries(), 9, "the sleepers' entries stay");
+        assert_eq!(l.drain_dirty_clients(), vec![awake]);
+        check_values(&l);
+
+        l.activate_client(awake).unwrap();
+        assert_eq!(l.cached_client_entries(), 9, "the sleepers' entries stay");
+        assert_eq!(l.drain_dirty_clients(), vec![awake]);
+        check_values(&l);
+        assert_live_lists(&l);
+    }
+
+    #[test]
+    fn swap_remove_rewrites_the_moved_slot() {
+        let mut l = Ledger::new();
+        let base = l.base();
+        let funded: Vec<(ClientId, TicketId)> = (0..3)
+            .map(|i| {
+                let c = l.create_client(format!("c{i}"));
+                let t = l.issue_root(base, 10 + i).unwrap();
+                l.fund_client(t, c).unwrap();
+                l.activate_client(c).unwrap();
+                (c, t)
+            })
+            .collect();
+        let [(ca, a), (_, b), (cc, c)] = funded[..] else {
+            unreachable!()
+        };
+        assert_eq!(l.currency(base).unwrap().live(), &[a, b, c]);
+        // The first goes; the last moves into its slot.
+        l.deactivate_client(ca).unwrap();
+        assert_eq!(l.currency(base).unwrap().live(), &[c, b]);
+        assert_live_lists(&l);
+        // The one that moved goes: its rewritten slot must find it.
+        l.deactivate_client(cc).unwrap();
+        assert_eq!(l.currency(base).unwrap().live(), &[b]);
+        assert!(!l.ticket(a).unwrap().is_active() && !l.ticket(c).unwrap().is_active());
+        assert!(l.ticket(b).unwrap().is_active());
+        assert_live_lists(&l);
+        l.activate_client(ca).unwrap();
+        l.activate_client(cc).unwrap();
+        assert_eq!(l.currency(base).unwrap().live(), &[b, a, c]);
+        assert_live_lists(&l);
+        assert_eq!(l.currency(base).unwrap().active_amount(), 33);
+    }
+
+    #[test]
+    fn a_tenant_fully_asleep_leaves_its_own_list_and_bases() {
+        let mut l = Ledger::new();
+        let base = l.base();
+        let (cur, backing, clients) = tenant(&mut l, 3);
+        assert!(l.currency(cur).unwrap().live().is_empty());
+        assert!(l.currency(base).unwrap().live().is_empty());
+        for &c in &clients {
+            l.activate_client(c).unwrap();
+        }
+        assert_eq!(l.currency(cur).unwrap().live().len(), 3);
+        assert_eq!(l.currency(base).unwrap().live(), &[backing]);
+        for &c in &clients[..2] {
+            l.deactivate_client(c).unwrap();
+        }
+        assert_eq!(l.currency(cur).unwrap().live().len(), 1);
+        assert_eq!(l.currency(base).unwrap().live(), &[backing]);
+        l.deactivate_client(clients[2]).unwrap();
+        assert!(l.currency(cur).unwrap().live().is_empty());
+        assert!(l.currency(base).unwrap().live().is_empty());
+        assert!(!l.ticket(backing).unwrap().is_active());
+        assert_live_lists(&l);
+        // `issued()` is the full list it always was, in issue order.
+        assert_eq!(l.currency(cur).unwrap().issued().len(), 3);
+        assert_eq!(l.currency(base).unwrap().issued(), &[backing]);
+    }
+
+    #[test]
+    fn every_ticket_operation_keeps_the_live_lists() {
+        let mut l = Ledger::new();
+        let (cur, _, clients) = tenant(&mut l, 4);
+        for &c in &clients[..3] {
+            l.activate_client(c).unwrap();
+        }
+        assert_live_lists(&l);
+        let funding = |l: &Ledger, c: ClientId| l.client(c).unwrap().funding()[0];
+
+        // Split an active ticket and an inactive one; merge them back.
+        for c in [clients[0], clients[3]] {
+            let t = funding(&l, c);
+            let amount = l.ticket(t).unwrap().amount();
+            let pieces = l.split_ticket(t, &[amount - 5, 3, 2]).unwrap();
+            assert_live_lists(&l);
+            for piece in pieces {
+                l.merge_tickets(t, piece).unwrap();
+                assert_live_lists(&l);
+            }
+        }
+        assert_eq!(l.currency(cur).unwrap().live().len(), 3);
+
+        // An RPC: the blocked caller lends its worth to a server thread,
+        // then to the server's currency; the reply destroys the loan.
+        let (caller, server) = (clients[0], clients[1]);
+        l.deactivate_client(caller).unwrap();
+        let loan = transfer::lend(&mut l, cur, 10, TransferTarget::Client(server)).unwrap();
+        assert!(l.ticket(loan.ticket()).unwrap().is_active());
+        assert_live_lists(&l);
+        loan.repay(&mut l).unwrap();
+        assert_live_lists(&l);
+        let service = l.create_currency("service").unwrap();
+        let worker = l.create_client("worker");
+        let pay = l.issue_root(service, 1).unwrap();
+        l.fund_client(pay, worker).unwrap();
+        l.activate_client(worker).unwrap();
+        let loan = transfer::lend(&mut l, cur, 10, TransferTarget::Currency(service)).unwrap();
+        assert_eq!(l.currency(cur).unwrap().live().len(), 3);
+        assert_live_lists(&l);
+        loan.repay(&mut l).unwrap();
+        l.activate_client(caller).unwrap();
+        assert_live_lists(&l);
+
+        // Unfund and destroy, of an active ticket that is not the last.
+        l.unfund(funding(&l, clients[0])).unwrap();
+        assert_eq!(l.currency(cur).unwrap().live().len(), 2);
+        assert_live_lists(&l);
+        l.destroy_ticket(funding(&l, clients[1])).unwrap();
+        assert_eq!(l.currency(cur).unwrap().live().len(), 1);
+        assert_live_lists(&l);
+        l.destroy_client_and_funding(clients[2]).unwrap();
+        assert!(l.currency(cur).unwrap().live().is_empty());
+        assert!(l.currency(l.base()).unwrap().live().is_empty());
+        assert_live_lists(&l);
     }
 }
 

@@ -25,12 +25,24 @@
 //!    every cached client read as exactly one client lookup, a miss iff
 //!    the read filled a cache entry, and sees nothing of the read-only
 //!    walk a compensation grant takes its snapshot by.
+//! 5. **Live lists** — after every operation each currency's
+//!    [`Currency::live`](lottery_core::currency::Currency::live) is, as a
+//!    set and without duplicates, its issued tickets that are active. (That
+//!    each listed ticket also stores its own index is not visible from out
+//!    here: the ledger's unit tests read the slot, and every removal these
+//!    sequences cause runs the `debug_assert` in `swap_remove_live`.)
+//! 6. **Invalidation bound** — a block or wake drains *at most* the client
+//!    itself and the clients downstream, along active tickets only, of the
+//!    currencies whose active amount it changed; never a client whose
+//!    funding is all inactive. Contract 2 is the other half — nothing that
+//!    needed a notification goes without — and is what makes walking only
+//!    the live edges safe.
 
 use lottery_core::prelude::*;
 use lottery_obs::{Aggregator, Counter, ProbeBus, Shared};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// `lottery_core::prelude` exports its own single-parameter `Result`.
 type CheckResult = std::result::Result<(), TestCaseError>;
@@ -423,6 +435,93 @@ impl World {
         Ok(())
     }
 
+    /// Contract 5: every live list is the active part of its issued list.
+    fn check_live_lists(&self) -> CheckResult {
+        for (id, cur) in self.ledger.currencies() {
+            let mut live = cur.live().to_vec();
+            live.sort();
+            prop_assert!(
+                live.windows(2).all(|w| w[0] != w[1]),
+                "{:?} lists a ticket twice: {:?}",
+                id,
+                live
+            );
+            let mut active = cur.issued().to_vec();
+            active.retain(|&t| self.ledger.ticket(t).unwrap().is_active());
+            active.sort();
+            prop_assert_eq!(live, active, "live list of {:?}", id);
+        }
+        Ok(())
+    }
+
+    /// Contract 6: applies `op`, an `Activate`/`Deactivate` of `cl`, with
+    /// every client cached and the queue empty — so what the queue holds
+    /// afterwards is exactly what `op` invalidated — and holds that against
+    /// the bound. The bound is computed from `issued()` and `is_active()`,
+    /// not from the live lists it constrains.
+    fn apply_and_check_invalidation_bound(&mut self, op: &Op, cl: ClientId) -> CheckResult {
+        for c in self.clients.clone() {
+            self.read_client(c);
+        }
+        self.ledger.drain_dirty_clients();
+        let before: HashMap<CurrencyId, u64> = self
+            .ledger
+            .currencies()
+            .map(|(id, cur)| (id, cur.active_amount()))
+            .collect();
+        self.apply(op);
+        let drained = self.ledger.drain_dirty_clients();
+
+        let mut work: Vec<CurrencyId> = self
+            .ledger
+            .currencies()
+            .filter(|(id, cur)| before[id] != cur.active_amount())
+            .map(|(id, _)| id)
+            .collect();
+        let mut seen: HashSet<CurrencyId> = work.iter().copied().collect();
+        let mut allowed = HashSet::from([cl]);
+        while let Some(cur) = work.pop() {
+            for &t in self.ledger.currency(cur).unwrap().issued() {
+                let ticket = self.ledger.ticket(t).unwrap();
+                if !ticket.is_active() {
+                    continue;
+                }
+                match ticket.target() {
+                    FundingTarget::Client(c) => {
+                        allowed.insert(c);
+                    }
+                    FundingTarget::Currency(next) => {
+                        if seen.insert(next) {
+                            work.push(next);
+                        }
+                    }
+                    FundingTarget::Unfunded => prop_assert!(false, "{:?} active, unfunded", t),
+                }
+            }
+        }
+        for c in drained {
+            prop_assert!(
+                allowed.contains(&c),
+                "{:?} on {:?} invalidated {:?}, which no live edge reaches",
+                op,
+                cl,
+                c
+            );
+            let funding = self.ledger.client(c).unwrap().funding();
+            prop_assert!(
+                c == cl
+                    || funding
+                        .iter()
+                        .any(|&t| self.ledger.ticket(t).unwrap().is_active()),
+                "{:?} on {:?} invalidated {:?}, whose funding is all inactive",
+                op,
+                cl,
+                c
+            );
+        }
+        Ok(())
+    }
+
     /// The model's entries in slot order: `(client, funded, extra, shard)`.
     fn book_entries(&self) -> Vec<(ClientId, f64, f64, u32)> {
         let mut entries: Vec<_> = self
@@ -497,6 +596,7 @@ proptest! {
         let mut world = World::new();
         for op in &ops {
             world.apply(op);
+            world.check_live_lists()?;
         }
         world.check_cache_matches_fresh()?;
         world.check_compensation_book()?;
@@ -515,6 +615,29 @@ proptest! {
             world.check_cache_matches_fresh()?;
             world.drain_and_check_mirror()?;
             world.check_compensation_book()?;
+            world.check_live_lists()?;
+        }
+    }
+
+    /// A block or wake invalidates along live edges only: the sleepers of
+    /// the currencies it touches keep their entries and hear nothing.
+    #[test]
+    fn activation_invalidates_no_more_than_live_edges_reach(
+        ops in prop::collection::vec(op_strategy(), 1..120),
+    ) {
+        let mut world = World::new();
+        for op in &ops {
+            let target = match *op {
+                Op::Activate { cl } | Op::Deactivate { cl } => {
+                    world.clients.get(cl % world.clients.len().max(1)).copied()
+                }
+                _ => None,
+            };
+            match target {
+                Some(cl) => world.apply_and_check_invalidation_bound(op, cl)?,
+                None => world.apply(op),
+            }
+            world.check_cache_matches_fresh()?;
         }
     }
 }

@@ -5,8 +5,8 @@
 //! involved is a dense arena index and every buffer involved can be kept,
 //! so once warm the cycle must not touch the allocator at all. This file
 //! is its own test binary so the counting allocator below sees nothing
-//! but the test; counts are per thread, so the harness running the two
-//! tests side by side does not mix them.
+//! but the test; counts are per thread, so the harness running the tests
+//! side by side does not mix them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -150,6 +150,51 @@ fn desktop_cycle_allocates_nothing() {
 fn deep_cycle_allocates_nothing() {
     let (l, clients) = deep();
     assert_eq!(allocations_in_steady_state(l, &clients, 10_000), 0);
+}
+
+/// The churn shape: 1 000 clients in 100 tenants, all valued, then all but
+/// one per tenant put to sleep. Each cycle blocks an awake client — which
+/// empties its tenant's live list and takes the backing ticket off base's —
+/// wakes it, revalues it and drains: the lists shrink and regrow inside the
+/// capacity they reached while everyone was awake.
+#[test]
+fn mostly_asleep_cycle_allocates_nothing() {
+    let mut l = Ledger::with_client_capacity(1_000);
+    let base = l.base();
+    let tenants: Vec<CurrencyId> = (0..100)
+        .map(|i| currency_under(&mut l, "tenant", base, 1000 + i))
+        .collect();
+    let clients: Vec<ClientId> = (0..1_000)
+        .map(|i| client_in(&mut l, "t", tenants[i % 100], 10 + (i % 90) as u64))
+        .collect();
+    let mut drained = Vec::new();
+    for &c in &clients {
+        l.cached_client_value(c).unwrap();
+    }
+    for &c in &clients[100..] {
+        l.deactivate_client(c).unwrap();
+    }
+    let awake = &clients[..100];
+    for &c in awake {
+        l.cached_client_value(c).unwrap();
+    }
+    l.drain_dirty_clients_into(&mut drained);
+    let mut cycle = |i: usize| {
+        let c = awake[i * 7 % awake.len()];
+        l.deactivate_client(c).unwrap();
+        l.activate_client(c).unwrap();
+        std::hint::black_box(l.cached_client_value(c).unwrap());
+        l.drain_dirty_clients_into(&mut drained);
+        assert_eq!(drained, [c], "its nine sleeping siblings hear nothing");
+    };
+    for i in 0..1_000 {
+        cycle(i);
+    }
+    let before = allocations();
+    for i in 0..10_000 {
+        cycle(1_000 + i);
+    }
+    assert_eq!(allocations() - before, 0);
 }
 
 /// The counter counts: a guard that always reads zero would pass above.

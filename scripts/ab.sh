@@ -7,13 +7,16 @@
 # even pairs change first). Reads only the last line each run prints — its
 # JSON result — and prints, per end-to-end metric, median [q1 q3] for each
 # side, the ratio change/parent of the medians, and "change wins k/n" (ties
-# count for neither). Exits 1 if any run reports "correct": false or
-# failed > 0. Build the binaries first, e.g.
+# count for neither); under each row, the verdict of the choosing-metrics
+# rule: "RESOLVED better" ("worse") when the change wins (loses) at least
+# nine tenths of all pairs run and the medians differ by more than the
+# parent's own quartile distance, otherwise "unresolved". Exits 1 if any run
+# reports "correct": false or failed > 0. Build the binaries first, e.g.
 #   CARGO_TARGET_DIR=/tmp/a cargo build --release --offline --manifest-path benchmark/Cargo.toml
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-  sed -n '2,12p' "$0" >&2
+  sed -n '2,16p' "$0" >&2
   exit 2
 fi
 parent=$1 change=$2 workload=$3
@@ -58,16 +61,23 @@ awk '
   }
   END {
     for (k = 1; k <= metrics; k++) {
-      m = order[k]; wins = 0; decided = 0
-      for (i = 1; i <= n["parent", m]; i++) {
+      m = order[k]; wins = 0; decided = 0; ran = n["parent", m]
+      for (i = 1; i <= ran; i++) {
         p = v["parent", m, i]; c = v["change", m, i]
         if (p != c) { decided++; if ((m in higher) ? c > p : c < p) wins++ }
       }
       pm = quart("parent", m, 0.5); cm = quart("change", m, 0.5)
+      iqr = quart("parent", m, 0.75) - quart("parent", m, 0.25)
+      gap = (m in higher) ? cm - pm : pm - cm
+      verdict = "unresolved"
+      if (10 * wins >= 9 * ran && gap > iqr) verdict = "RESOLVED better"
+      if (10 * (decided - wins) >= 9 * ran && -gap > iqr) verdict = "RESOLVED worse"
       printf "%-18s parent %.6g [%.6g %.6g]  change %.6g [%.6g %.6g]  ratio %s  change wins %d/%d\n", \
         m, pm, quart("parent", m, 0.25), quart("parent", m, 0.75), \
         cm, quart("change", m, 0.25), quart("change", m, 0.75), \
         pm != 0 ? sprintf("%.4f", cm / pm) : "n/a", wins, decided
+      printf "%-18s %s (won %d, lost %d of %d pairs; medians apart %.6g, parent q3-q1 %.6g)\n", \
+        "", verdict, wins, decided - wins, ran, gap < 0 ? -gap : gap, iqr
     }
   }
 ' "$rows"
