@@ -10,7 +10,7 @@ use lottery_sim::prelude::*;
 
 /// Advances the kernel by `quanta` 100 ms quanta of compute-bound load.
 fn run_quanta<P: Policy>(kernel: &mut Kernel<P>, quanta: u64) {
-    kernel.run_for(SimDuration::from_ms(100 * quanta));
+    kernel.run_until(kernel.now() + SimDuration::from_ms(100 * quanta));
 }
 
 fn bench_lottery_flat(c: &mut Criterion) {

@@ -17,7 +17,7 @@ use lottery_sim::prelude::*;
 
 /// Advances the kernel by `quanta` 100 ms quanta of compute-bound load.
 fn run_quanta(kernel: &mut Kernel<LotteryPolicy>, quanta: u64) {
-    kernel.run_for(SimDuration::from_ms(100 * quanta));
+    kernel.run_until(kernel.now() + SimDuration::from_ms(100 * quanta));
 }
 
 fn kernel_with(structure: SelectStructure, threads: usize, bus: ProbeBus) -> Kernel<LotteryPolicy> {

@@ -2,9 +2,9 @@
 //!
 //! Three demonstrations of the `lottery-par` runtime on actual OS
 //! threads. First, the 1-worker guarantee: a `ParKernel` with a single
-//! worker replays the simulated pair it ports — one-CPU [`SmpKernel`]
-//! over a one-shard [`DistributedLottery`] — bit for bit, winner by
-//! winner. Second, proportional share survives real concurrency: four
+//! worker runs the simulator's own engine — a one-CPU [`SmpKernel`] —
+//! and so matches it over a one-shard [`DistributedLottery`] bit for bit,
+//! winner by winner. Second, proportional share survives real concurrency: four
 //! workers racing on four OS threads still hold a 3:1 funding ratio
 //! machine-wide, because each shard runs the same per-shard lottery the
 //! simulator proves fair. Third, work stealing: a worker whose only job

@@ -19,7 +19,8 @@
 //!   [`DistributedLottery`](lottery_sim::sched::distributed::DistributedLottery)
 //!   with one shard around the same
 //!   [`Shard`](lottery_sim::prelude::Shard) draw. The winner stream is
-//!   **bit identical** to the simulated pair (`tests/equivalence.rs`).
+//!   **bit identical** to that policy's on the same one-CPU engine
+//!   (`tests/equivalence.rs`).
 //! * **Many workers** — per-worker virtual clocks advance independently
 //!   (as real CPUs do), so cross-worker interleaving is nondeterministic
 //!   by nature. The invariants that hold regardless: ticket value is
@@ -501,10 +502,12 @@ mod tests {
 
     /// No stealing and per-worker determinism: the merged probe stream of
     /// a mixed three-worker machine is the same on every run despite
-    /// real-thread interleaving — pinned to what the commit before the
-    /// workers ran `SmpKernel` printed for this body (captured once from a
-    /// scratch build of d2f8233). Funded from base only: a shared currency
-    /// would make the first totals depend on which worker started first.
+    /// real-thread interleaving — pinned to what the engine prints for this
+    /// body under its ordering rules (`lottery_sim::smp`: each quantum is
+    /// charged and requeued at its end, wakes wait for the next pick, a
+    /// quantum ending at the deadline is charged in the window). Funded from
+    /// base only: a shared currency would make the first totals depend on
+    /// which worker started first.
     #[test]
     fn flight_lanes_merge_deterministically() {
         let mut k = ParKernel::with_quantum(9, 3, SimDuration::from_ms(20));
@@ -539,12 +542,12 @@ mod tests {
             });
         }
         let text = flight.merged_jsonl();
-        assert_eq!(text.lines().count(), 2329);
+        assert_eq!(text.lines().count(), 2330);
         // FNV-1a over the merged JSONL.
         let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(hash, 0xe86a_f817_732d_9472);
+        assert_eq!(hash, 0xc5f3_5107_1412_62a8);
     }
 
     #[test]

@@ -304,7 +304,6 @@ pub(crate) struct Worker {
     deadline: SimTime,
     steal: bool,
     winners: Vec<(u64, u32)>,
-    exited: Vec<ThreadId>,
     steals_in: u64,
     steals_out: u64,
     /// Steal responses still owed to us.
@@ -333,7 +332,6 @@ impl Worker {
             deadline,
             steal,
             winners: Vec::new(),
-            exited: Vec::new(),
             steals_in: 0,
             steals_out: 0,
             outstanding: 0,
@@ -365,6 +363,9 @@ impl Worker {
         // mutate the ledger: the reported total is exact.
         self.kernel.policy_mut().refresh(clock);
         let policy = self.kernel.policy();
+        let exited = (self.kernel.threads())
+            .filter_map(|(tid, thread)| thread.is_exited().then_some(tid))
+            .collect();
         WorkerReport {
             id: self.id,
             clock,
@@ -376,16 +377,13 @@ impl Worker {
             ready: policy.shard.iter().collect(),
             ready_total: policy.shard.total(),
             winners: self.winners,
-            exited: self.exited,
+            exited,
         }
     }
 
     /// Keeps what the report needs of one decision, then pays for it.
     fn ran(&mut self, run: Dispatched) {
         self.winners.push((run.start.as_us(), run.thread.index()));
-        if run.reason == EndReason::Exited {
-            self.exited.push(run.thread);
-        }
         if let Some(pace) = self.pace {
             // The CPU model: one decision per `pace` of wall time. Paced
             // workers sleep concurrently, so machine decision throughput
@@ -624,8 +622,8 @@ mod tests {
         assert!(report.resident.contains(&tid) && report.ready.contains(&tid));
         assert!(report.exited.is_empty());
         assert!(report.winners.iter().all(|&(_, winner)| winner != 7));
-        // The hog whose requeue falls on the deadline is not ready.
-        assert_eq!(report.ready_total, 450.0, "two hogs and the migrant");
+        // The hog whose quantum ends on the deadline was requeued there.
+        assert_eq!(report.ready_total, 550.0, "three hogs and the migrant");
         let ledger = rig.shared.ledger.lock();
         assert_eq!(ledger.cached_client_value(client), Ok(250.0));
     }

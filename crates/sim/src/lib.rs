@@ -1,11 +1,12 @@
 //! # lottery-sim
 //!
-//! A discrete-event uniprocessor scheduler simulator: the substrate this
-//! repository uses in place of the paper's modified Mach 3.0 kernel.
+//! A discrete-event scheduler simulator: the substrate this repository
+//! uses in place of the paper's modified Mach 3.0 kernel.
 //!
-//! The [`kernel::Kernel`] owns threads, simulated time, timers, and
-//! synchronous RPC ports, and delegates dispatch decisions to a pluggable
-//! [`sched::Policy`]. The [`sched::lottery::LotteryPolicy`] implements the
+//! One dispatch engine, [`smp::SmpKernel`], owns threads, simulated time,
+//! timers, and synchronous RPC ports on any number of CPUs, and delegates
+//! dispatch decisions to a pluggable [`sched::Policy`]; [`kernel::Kernel`]
+//! is its one-CPU case. The [`sched::lottery::LotteryPolicy`] implements the
 //! paper's mechanism in full (currencies, compensation tickets, ticket
 //! transfers, dynamic inflation); decay-usage timesharing, fixed-priority,
 //! round-robin, and stride policies provide the baselines and ablations.

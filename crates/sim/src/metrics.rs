@@ -73,9 +73,10 @@ pub struct Metrics {
     pub decisions: u64,
     /// Dispatches that switched to a different thread than last time.
     pub context_switches: u64,
-    /// Total time the CPU sat idle.
+    /// Total time the CPUs sat idle, summed over CPUs.
     pub idle: SimDuration,
-    /// Total time spent on context-switch overhead.
+    /// Total time spent on dispatch and context-switch overhead, summed
+    /// over CPUs.
     pub switch_overhead: SimDuration,
 }
 

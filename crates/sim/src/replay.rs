@@ -27,6 +27,7 @@
 //! ([`job_outcomes`]).
 
 use std::collections::HashMap;
+use std::ops::DerefMut;
 
 use lottery_core::rng::ParkMiller;
 use lottery_obs::replay::canonical;
@@ -35,11 +36,12 @@ use lottery_obs::{
     ReplayLog, Shared, TraceJob, TraceSpec,
 };
 
-use crate::kernel::Kernel;
+use crate::sched::core::LotteryCore;
 use crate::sched::distributed::DistributedLottery;
 use crate::sched::lottery::{FundingSpec, LotteryPolicy, SelectStructure};
 use crate::sched::rr::RoundRobinPolicy;
-use crate::smp::SmpKernel;
+use crate::sched::Policy;
+use crate::smp::{SmpError, SmpKernel};
 use crate::time::{SimDuration, SimTime};
 use crate::workload::{Burst, Scripted};
 
@@ -56,8 +58,8 @@ pub struct CaptureConfig {
     pub seed: u32,
     /// Lottery selection structure.
     pub structure: SelectStructure,
-    /// `0` runs the uniprocessor [`Kernel`]; `n >= 1` runs an
-    /// [`SmpKernel`] over a [`DistributedLottery`] with `n` shards.
+    /// `0` runs one CPU under a [`LotteryPolicy`]; `n >= 1` runs `n` CPUs
+    /// under a [`DistributedLottery`] with `n` shards.
     pub shards: u32,
     /// Whether compensation tickets are granted (Section 3.4).
     pub compensation: bool,
@@ -139,83 +141,32 @@ fn spawn_order(spec: &TraceSpec) -> Vec<(usize, &TraceJob)> {
 ///
 /// # Errors
 ///
-/// Returns a message when the header names an unknown structure, a
-/// currency cannot be created (e.g. duplicate names), or an SMP run hits
-/// an unsupported burst.
+/// Returns a message when the header names an unknown structure or a
+/// currency cannot be created (e.g. duplicate names).
 pub fn drive(header: &ReplayHeader) -> Result<Vec<Event>, String> {
     let structure = parse_structure(&header.structure)
         .ok_or_else(|| format!("unknown select structure {:?}", header.structure))?;
-    let jobs = spawn_order(&header.spec);
     let quantum = SimDuration::from_us(header.quantum_us);
 
     let flight = Shared::new(FlightRecorder::new(RING_CAPACITY));
     let bus = ProbeBus::enabled();
     bus.attach(flight.clone());
 
-    if header.shards == 0 {
-        let mut policy = if header.quantum_us > 0 {
-            LotteryPolicy::with_quantum(header.seed, quantum)
-        } else {
-            LotteryPolicy::new(header.seed)
+    let (seed, shards) = (header.seed, header.shards as usize);
+    if shards == 0 {
+        let mut policy = match header.quantum_us {
+            0 => LotteryPolicy::new(seed),
+            _ => LotteryPolicy::with_quantum(seed, quantum),
         };
         policy.set_structure(structure);
-        policy.set_compensation_enabled(header.compensation);
-        let base = policy.base_currency();
-        let mut currencies = HashMap::new();
-        for cur in &header.spec.currencies {
-            let id = policy
-                .create_currency(&cur.name, cur.amount)
-                .map_err(|e| format!("currency {:?}: {e}", cur.name))?;
-            currencies.insert(cur.name.clone(), id);
-        }
-        let mut kernel = Kernel::new(policy);
-        kernel.set_probe_bus(bus);
-        for &(i, job) in &jobs {
-            // The completing variant preserves the historical boundary
-            // semantics (in-flight quanta finish past an arrival), so
-            // captures recorded before the event rebase replay bit-exact.
-            kernel.run_until_completing(SimTime::from_us(job.arrival_us));
-            let cur = currencies.get(job.tenant.as_str()).copied().unwrap_or(base);
-            kernel.spawn(
-                format!("job{i}"),
-                Box::new(Scripted::once(job_script(job))),
-                FundingSpec::new(cur, job.tickets.max(1)),
-            );
-        }
-        kernel.run_until_completing(SimTime::from_us(header.until_us));
+        drive_on(header, policy, 1, bus)?;
     } else {
-        let shards = header.shards as usize;
-        let mut policy = if header.quantum_us > 0 {
-            DistributedLottery::with_quantum(header.seed, shards, quantum)
-        } else {
-            DistributedLottery::new(header.seed, shards)
+        let mut policy = match header.quantum_us {
+            0 => DistributedLottery::new(seed, shards),
+            _ => DistributedLottery::with_quantum(seed, shards, quantum),
         };
         policy.set_structure(structure);
-        policy.set_compensation_enabled(header.compensation);
-        let base = policy.base_currency();
-        let mut currencies = HashMap::new();
-        for cur in &header.spec.currencies {
-            let id = policy
-                .create_currency(&cur.name, cur.amount)
-                .map_err(|e| format!("currency {:?}: {e}", cur.name))?;
-            currencies.insert(cur.name.clone(), id);
-        }
-        let mut kernel = SmpKernel::new(policy, shards);
-        kernel.set_probe_bus(bus);
-        for &(i, job) in &jobs {
-            kernel
-                .run_until(SimTime::from_us(job.arrival_us))
-                .map_err(|e| format!("smp run: {e:?}"))?;
-            let cur = currencies.get(job.tenant.as_str()).copied().unwrap_or(base);
-            kernel.spawn(
-                format!("job{i}"),
-                Box::new(Scripted::once(job_script(job))),
-                FundingSpec::new(cur, job.tickets.max(1)),
-            );
-        }
-        kernel
-            .run_until(SimTime::from_us(header.until_us))
-            .map_err(|e| format!("smp run: {e:?}"))?;
+        drive_on(header, policy, shards, bus)?;
     }
 
     // `DirtyBatch` is excluded from capture streams (like `rebuild_ns`,
@@ -228,6 +179,53 @@ pub fn drive(header: &ReplayHeader) -> Result<Vec<Event>, String> {
             .cloned()
             .collect()
     }))
+}
+
+/// Funds the header's currencies on `policy` and runs its jobs on `cpus`
+/// CPUs.
+fn drive_on<P>(
+    header: &ReplayHeader,
+    mut policy: P,
+    cpus: usize,
+    bus: ProbeBus,
+) -> Result<(), String>
+where
+    P: Policy<Spec = FundingSpec> + DerefMut<Target = LotteryCore>,
+{
+    policy.set_compensation_enabled(header.compensation);
+    let base = policy.base_currency();
+    let mut currencies = HashMap::new();
+    for cur in &header.spec.currencies {
+        let id = policy
+            .create_currency(&cur.name, cur.amount)
+            .map_err(|e| format!("currency {:?}: {e}", cur.name))?;
+        currencies.insert(cur.name.clone(), id);
+    }
+    let mut kernel = SmpKernel::new(policy, cpus);
+    kernel.set_probe_bus(bus);
+    let fund = |job: &TraceJob| {
+        let cur = currencies.get(job.tenant.as_str()).copied().unwrap_or(base);
+        FundingSpec::new(cur, job.tickets.max(1))
+    };
+    run_jobs(&mut kernel, &header.spec, header.until_us, fund).map_err(|e| e.to_string())
+}
+
+/// Spawns `spec`'s jobs on `kernel` as they arrive, funded by `fund`, and
+/// runs on to `until_us`. The completing variant keeps the historical
+/// boundary semantics (in-flight quanta finish past an arrival), so
+/// captures recorded before the event rebase replay bit-exact.
+fn run_jobs<P: Policy>(
+    kernel: &mut SmpKernel<P>,
+    spec: &TraceSpec,
+    until_us: u64,
+    fund: impl Fn(&TraceJob) -> P::Spec,
+) -> Result<(), SmpError> {
+    for &(i, job) in &spawn_order(spec) {
+        kernel.run_until_completing(SimTime::from_us(job.arrival_us))?;
+        let script = Box::new(Scripted::once(job_script(job)));
+        kernel.spawn(format!("job{i}"), script, fund(job));
+    }
+    kernel.run_until_completing(SimTime::from_us(until_us))
 }
 
 /// Captures a fresh window: runs `spec` under `config` and returns the
@@ -396,20 +394,10 @@ pub fn job_outcomes(spec: &TraceSpec, events: &[Event]) -> Vec<JobOutcome> {
 /// compared against in the `traces` experiment.
 pub fn run_fcfs(spec: &TraceSpec, until_us: u64) -> Vec<Event> {
     let policy = RoundRobinPolicy::new(SimDuration::from_secs(86_400));
-    let mut kernel = Kernel::new(policy);
+    let mut kernel = SmpKernel::new(policy, 1);
     let flight = Shared::new(FlightRecorder::new(RING_CAPACITY));
-    let bus = ProbeBus::enabled();
-    bus.attach(flight.clone());
-    kernel.set_probe_bus(bus);
-    for &(i, job) in &spawn_order(spec) {
-        kernel.run_until_completing(SimTime::from_us(job.arrival_us));
-        kernel.spawn(
-            format!("job{i}"),
-            Box::new(Scripted::once(job_script(job))),
-            (),
-        );
-    }
-    kernel.run_until_completing(SimTime::from_us(until_us));
+    kernel.set_probe_bus(ProbeBus::with_recorder(flight.clone()));
+    run_jobs(&mut kernel, spec, until_us, |_| ()).expect("trace jobs only run and sleep");
     flight.with(|f| f.events().cloned().collect())
 }
 

@@ -13,8 +13,8 @@
 //! the [`LotteryCore`]. Both are shared with the distributed policy, of
 //! which this one is the single-shard case. What it adds: the
 //! `"list"`/`"tree"`/`"alias"` probe tags, the list walk as a structure,
-//! RPC ticket transfers, and lottery-scheduled kernel mutexes — the
-//! mechanisms only the uniprocessor kernel issues bursts for.
+//! RPC ticket transfers, and lottery-scheduled kernel mutexes, on one CPU
+//! or several sharing its one queue.
 //!
 //! The policy implements the full mechanism set:
 //!
@@ -165,6 +165,17 @@ impl LotteryPolicy {
     /// inherent so `LotteryPolicy::ledger` names it).
     pub fn ledger(&self) -> &Ledger {
         self.core.ledger()
+    }
+
+    /// The RPC transfers outstanding, as `(client, server)` pairs.
+    pub fn transfers(&self) -> impl Iterator<Item = (ThreadId, ThreadId)> + '_ {
+        self.transfers.keys().copied()
+    }
+
+    /// The thread holding `lock`, if any.
+    pub fn lock_holder(&self, lock: LockId) -> Option<ThreadId> {
+        let holder = self.locks[lock.index() as usize].holder()?;
+        self.core.thread_of(holder)
     }
 }
 

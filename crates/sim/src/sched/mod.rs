@@ -19,9 +19,13 @@
 //! [`shard::Shard`], and the two are one [`core::LotteryCore`] — ledger,
 //! funding book, and the sequence around every draw — over one shard or
 //! one per CPU. The real-thread workers of `lottery-par` are a third
-//! [`Policy`] over a `Shard`, under the same [`crate::smp::SmpKernel`];
-//! theirs takes a lock around each ledger touch, so it keeps that sequence
-//! itself rather than through the core.
+//! [`Policy`] over a `Shard`; theirs takes a lock around each ledger touch,
+//! so it keeps that sequence itself rather than through the core.
+//!
+//! Every policy runs under the one dispatch engine,
+//! [`crate::smp::SmpKernel`] (of which [`crate::kernel::Kernel`] is the
+//! one-CPU case), on any CPU count and with every burst: the RPC transfer
+//! hooks and the mutex calls below are reached on a multiprocessor too.
 
 pub mod comp;
 pub mod core;
@@ -97,7 +101,8 @@ impl EndReason {
 /// The kernel guarantees the calling discipline: `on_spawn` precedes any
 /// other call for a thread; `enqueue` is called exactly once per
 /// ready-transition; `pick` removes the returned thread from the ready set;
-/// `charge` follows every run with the consumed CPU time.
+/// `charge` follows every run with the consumed CPU time, at the instant
+/// the run ends.
 pub trait Policy {
     /// Per-thread configuration supplied at spawn (ticket funding,
     /// priority, ...).

@@ -13,11 +13,11 @@ use crate::workload::Workload;
 /// Identifies a thread within a kernel.
 ///
 /// Thread ids are small indices, so kernels and policies use them to index
-/// side tables. A [`crate::kernel::Kernel`] issues them densely and never
-/// removes a thread from its table (an exited one is merely marked). An
-/// [`crate::smp::SmpKernel`] can also hold a thread under an id its caller
-/// chose and give a ready thread up again, so its table may have gaps and
-/// an id names one thread across every kernel of a machine.
+/// side tables. [`crate::smp::SmpKernel::spawn`] issues them densely and an
+/// exited thread stays in the table, merely marked; the kernel can also
+/// hold a thread under an id its caller chose and give a ready thread up
+/// again, so its table may have gaps and an id names one thread across
+/// every kernel of a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(u32);
 
@@ -97,6 +97,9 @@ pub struct Thread {
     pub(crate) blocked_since: Option<SimTime>,
     /// CPU consumed in the current quantum, for compensation accounting.
     pub(crate) quantum_used: SimDuration,
+    /// Whether the thread is ready after a preemption (quantum expiry or
+    /// yield) rather than a spawn or a wake, for wait-time accounting.
+    pub(crate) requeued: bool,
 }
 
 impl Thread {
@@ -112,6 +115,7 @@ impl Thread {
             ready_since: None,
             blocked_since: None,
             quantum_used: SimDuration::ZERO,
+            requeued: false,
         }
     }
 

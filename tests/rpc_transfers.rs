@@ -1,6 +1,11 @@
-//! End-to-end ticket-transfer behaviour through the kernel's RPC path.
+//! End-to-end ticket-transfer behaviour through the kernel's RPC path,
+//! on one CPU and — wherever the assertion does not depend on the CPU
+//! count — on two and four.
 
 use lottery_sim::prelude::*;
+
+/// The CPU counts a count-independent assertion is checked on.
+const CPUS: [usize; 3] = [1, 2, 4];
 
 /// A server thread with negligible funding of its own serves one client
 /// while a compute-bound hog competes. With ticket transfers the client's
@@ -8,9 +13,15 @@ use lottery_sim::prelude::*;
 /// *client's* tickets — the priority-inversion cure of Section 4.6.
 #[test]
 fn transfers_cure_priority_inversion() {
+    for cpus in CPUS {
+        transfers_cure_priority_inversion_on(cpus);
+    }
+}
+
+fn transfers_cure_priority_inversion_on(cpus: usize) {
     let policy = LotteryPolicy::new(9);
     let base = policy.base_currency();
-    let mut kernel = Kernel::new(policy);
+    let mut kernel = SmpKernel::new(policy, cpus);
     let port = kernel.create_port("svc");
     let server = kernel.spawn(
         "server",
@@ -28,18 +39,19 @@ fn transfers_cure_priority_inversion() {
         )),
         FundingSpec::new(base, 400),
     );
-    kernel.run_until(SimTime::from_secs(120));
+    kernel.run_until(SimTime::from_secs(120)).unwrap();
 
     // The server executes with the client's 400 tickets against the hog's
-    // 400: roughly half the machine, i.e. ~60 s of service. Without
-    // transfers it would be 1/801 ≈ 0.15 s.
+    // 400: roughly half of one CPU, i.e. ~60 s of service (more with more
+    // CPUs). Without transfers it would be 1/801 ≈ 0.15 s.
     let server_cpu = kernel.metrics().cpu_us(server) as f64 / 1e6;
     assert!(
         server_cpu > 40.0,
-        "server starved despite client transfers: {server_cpu}s"
+        "{cpus} cpus: server starved despite client transfers: {server_cpu}s"
     );
     let m = kernel.metrics().thread(client).unwrap();
-    assert!(m.rpcs_completed() > 40, "completed {}", m.rpcs_completed());
+    let completed = m.rpcs_completed();
+    assert!(completed > 40, "{cpus} cpus: completed {completed}");
 }
 
 /// The same setup with transfers effectively disabled (client holds almost
@@ -79,9 +91,15 @@ fn unfunded_rpc_starves_against_a_hog() {
 /// transfer tickets).
 #[test]
 fn transfers_leave_no_residue() {
+    for cpus in CPUS {
+        transfers_leave_no_residue_on(cpus);
+    }
+}
+
+fn transfers_leave_no_residue_on(cpus: usize) {
     let policy = LotteryPolicy::new(4);
     let base = policy.base_currency();
-    let mut kernel = Kernel::new(policy);
+    let mut kernel = SmpKernel::new(policy, cpus);
     let port = kernel.create_port("svc");
     let _server = kernel.spawn(
         "server",
@@ -98,12 +116,12 @@ fn transfers_leave_no_residue() {
         )),
         FundingSpec::new(base, 100),
     );
-    kernel.run_until(SimTime::from_secs(60));
+    kernel.run_until(SimTime::from_secs(60)).unwrap();
     assert!(kernel.thread(client).is_exited());
     // Live tickets: the server's funding ticket and the base backing of
     // nothing else — the exited client's ticket was destroyed with it.
     let tickets: Vec<_> = kernel.policy().ledger().tickets().collect();
-    assert_eq!(tickets.len(), 1, "leaked tickets: {tickets:?}");
+    assert_eq!(tickets.len(), 1, "{cpus} cpus: leaked tickets: {tickets:?}");
     let m = kernel.metrics().thread(client).unwrap();
     assert_eq!(m.rpcs_completed(), 25);
 }
