@@ -80,23 +80,14 @@ pub fn run_fairness(config: &FairnessRun, window: SimDuration) -> FairnessReport
         Box::new(ComputeBound),
         FundingSpec::new(base, config.base_tickets),
     );
-    kernel.run_until(config.duration);
+    let per_window = run_windows(&mut kernel, &[t1, t2], window, config.duration);
 
     let cpu1 = SimDuration::from_us(kernel.metrics().cpu_us(t1));
     let cpu2 = SimDuration::from_us(kernel.metrics().cpu_us(t2));
-    let w1 = kernel
-        .metrics()
-        .cpu_window_shares(t1, window, config.duration);
-    let w2 = kernel
-        .metrics()
-        .cpu_window_shares(t2, window, config.duration);
-    let windows = w1
-        .into_iter()
-        .zip(w2)
-        .map(|(a, b)| {
-            // Window shares are CPU fractions; scale to iterations/sec.
-            (a * ITERATIONS_PER_CPU_SEC, b * ITERATIONS_PER_CPU_SEC)
-        })
+    // Each window's CPU fraction, scaled to iterations/sec.
+    let rate = |cpu: &SimDuration| cpu.fraction_of(window) * ITERATIONS_PER_CPU_SEC;
+    let windows = (per_window[0].iter().zip(&per_window[1]))
+        .map(|(a, b)| (rate(a), rate(b)))
         .collect();
     FairnessReport {
         allocated: config.ratio,
@@ -151,12 +142,9 @@ mod tests {
     #[test]
     fn windows_sum_to_full_cpu() {
         let report = run_fairness(&FairnessRun::default(), SimDuration::from_secs(8));
+        // Two compute-bound tasks fill every quantum-aligned window.
         for &(a, b) in &report.windows {
-            let sum = a + b;
-            assert!(
-                (sum - ITERATIONS_PER_CPU_SEC).abs() < ITERATIONS_PER_CPU_SEC * 0.02,
-                "window sum {sum}"
-            );
+            assert_eq!(a + b, ITERATIONS_PER_CPU_SEC, "window sum");
         }
     }
 

@@ -27,7 +27,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lottery_core::compensation;
 use lottery_core::prelude::*;
-use lottery_sim::prelude::{Metrics, SimDuration, SimTime, ThreadId};
+use lottery_sim::prelude::{Metrics, SimDuration, ThreadId};
 
 /// `(clients, currencies)`.
 const POPULATIONS: [(usize, usize); 2] = [(34, 2), (100_000, 10_000)];
@@ -147,7 +147,7 @@ fn bench_metrics_record(c: &mut Criterion) {
                 now += slice.as_us();
                 metrics.record_dispatch(tid, slice, true);
                 metrics.record_wait_kind(tid, slice, false);
-                metrics.record_run(tid, SimTime::from_us(now), slice, SimDuration::from_us(now));
+                metrics.record_run(tid, slice, SimDuration::from_us(now));
             })
         });
         black_box(metrics.decisions);

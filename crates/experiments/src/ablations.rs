@@ -163,6 +163,12 @@ pub fn compensation(seed: u32) {
     println!("one shared hook switch ablates every policy the same way");
 }
 
+/// The fraction of each window a thread spent on CPU, from the per-window
+/// CPU [`run_windows`] measured.
+fn window_shares(cpu: &[SimDuration], window: SimDuration) -> Vec<f64> {
+    cpu.iter().map(|c| c.fraction_of(window)).collect()
+}
+
 /// Lottery vs stride scheduling: identical long-run shares, but the
 /// deterministic stride scheduler has far lower short-window variance.
 pub fn stride(seed: u32) {
@@ -175,10 +181,10 @@ pub fn stride(seed: u32) {
     let mut kernel = Kernel::new(policy);
     let la = kernel.spawn("a", Box::new(ComputeBound), FundingSpec::new(base, 300));
     let lb = kernel.spawn("b", Box::new(ComputeBound), FundingSpec::new(base, 100));
-    kernel.run_until(duration);
+    let cpu = run_windows(&mut kernel, &[la], window, duration);
     let lottery_ratio = kernel.metrics().cpu_ratio(la, lb).unwrap();
     let mut lottery_windows = Summary::new();
-    for w in kernel.metrics().cpu_window_shares(la, window, duration) {
+    for w in window_shares(&cpu[0], window) {
         lottery_windows.record(w);
     }
 
@@ -186,10 +192,10 @@ pub fn stride(seed: u32) {
     let mut kernel = Kernel::new(StridePolicy::new(SimDuration::from_ms(100)));
     let sa = kernel.spawn("a", Box::new(ComputeBound), 300u64);
     let sb = kernel.spawn("b", Box::new(ComputeBound), 100u64);
-    kernel.run_until(duration);
+    let cpu = run_windows(&mut kernel, &[sa], window, duration);
     let stride_ratio = kernel.metrics().cpu_ratio(sa, sb).unwrap();
     let mut stride_windows = Summary::new();
-    for w in kernel.metrics().cpu_window_shares(sa, window, duration) {
+    for w in window_shares(&cpu[0], window) {
         stride_windows.record(w);
     }
 
@@ -381,10 +387,11 @@ pub fn fairshare(seed: u32) {
         let mut kernel = Kernel::new(policy);
         let a = kernel.spawn("a", Box::new(ComputeBound), FundingSpec::new(base, 200));
         let _b = kernel.spawn("b", Box::new(ComputeBound), FundingSpec::new(base, 100));
-        kernel.run_until(flip_at);
+        let mut shares = window_shares(&run_windows(&mut kernel, &[a], window, flip_at)[0], window);
         kernel.policy_mut().set_funding(a, 50).unwrap();
-        kernel.run_until(duration);
-        kernel.metrics().cpu_window_shares(a, window, duration)
+        let after = run_windows(&mut kernel, &[a], window, duration);
+        shares.extend(window_shares(&after[0], window));
+        shares
     };
 
     // Fair share: share flip via set_shares.
@@ -395,11 +402,12 @@ pub fn fairshare(seed: u32) {
         let mut kernel = Kernel::new(policy);
         let a = kernel.spawn("a", Box::new(ComputeBound), ua);
         let _b = kernel.spawn("b", Box::new(ComputeBound), ub);
-        kernel.run_until(flip_at);
+        let mut shares = window_shares(&run_windows(&mut kernel, &[a], window, flip_at)[0], window);
         kernel.policy_mut().set_shares(ua, 50);
         kernel.policy_mut().set_shares(ub, 100);
-        kernel.run_until(duration);
-        kernel.metrics().cpu_window_shares(a, window, duration)
+        let after = run_windows(&mut kernel, &[a], window, duration);
+        shares.extend(window_shares(&after[0], window));
+        shares
     };
 
     let mut table = Table::new(&[

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::event::{EventQueue, EventSource, Scheduled};
     pub use crate::ipc::PortId;
     pub use crate::kernel::Kernel;
-    pub use crate::metrics::Metrics;
+    pub use crate::metrics::{run_windows, Metrics};
     pub use crate::replay::{
         job_outcomes, record, run_fcfs, CaptureConfig, JobOutcome, ReplayReport, Replayer,
     };

@@ -9,9 +9,16 @@
 //! Per-thread accounting is a table indexed by [`ThreadId::index`]: a
 //! dispatch records against the running thread three or four times, and
 //! thread ids are dense, so each record is an index, not a hash lookup.
+//! A thread's record is constant-space — counters and running summaries —
+//! so memory does not grow with the decisions a run makes; only the RPC
+//! log grows, one entry per completed RPC. Per-window CPU (Figure 5) is
+//! measured where the windows fall, by [`run_windows`], rather than
+//! recorded on every run segment.
 
 use lottery_stats::{ProgressSeries, Summary};
 
+use crate::kernel::Kernel;
+use crate::sched::Policy;
 use crate::thread::ThreadId;
 use crate::time::{SimDuration, SimTime};
 
@@ -20,9 +27,8 @@ use crate::time::{SimDuration, SimTime};
 pub struct ThreadMetrics {
     /// Times this thread was dispatched.
     pub dispatches: u64,
-    /// Cumulative CPU time, sampled after every run segment:
-    /// `(time_us, cpu_us)`.
-    pub cpu_series: ProgressSeries,
+    /// Cumulative CPU time, as of the last run segment.
+    cpu: SimDuration,
     /// Ready-queue wait before each dispatch, in microseconds.
     pub wait_us: Summary,
     /// Ready-queue wait for dispatches that followed a preemption
@@ -56,9 +62,9 @@ impl ThreadMetrics {
         self.rpc_series.final_value() as u64
     }
 
-    /// Final cumulative CPU time in microseconds.
+    /// Cumulative CPU time in microseconds.
     pub fn cpu_us(&self) -> u64 {
-        self.cpu_series.final_value() as u64
+        self.cpu.as_us()
     }
 }
 
@@ -100,18 +106,12 @@ impl Metrics {
         self.threads.get(tid.index() as usize)?.as_ref()
     }
 
-    /// Records a run segment: `tid` consumed `ran` ending at `now`, with
-    /// `cpu_total` being its lifetime CPU after the segment.
-    pub fn record_run(
-        &mut self,
-        tid: ThreadId,
-        now: SimTime,
-        ran: SimDuration,
-        cpu_total: SimDuration,
-    ) {
+    /// Records a run segment: `tid` consumed `ran`, with `cpu_total` being
+    /// its lifetime CPU after the segment.
+    pub fn record_run(&mut self, tid: ThreadId, ran: SimDuration, cpu_total: SimDuration) {
         let t = self.thread_mut(tid);
         t.run_us.record(ran.as_us() as f64);
-        t.cpu_series.record(now.as_us(), cpu_total.as_us() as f64);
+        t.cpu = cpu_total;
     }
 
     /// Records a dispatch and its ready-queue wait.
@@ -157,15 +157,39 @@ impl Metrics {
         let b_us = self.cpu_us(b);
         (b_us > 0).then(|| self.cpu_us(a) as f64 / b_us as f64)
     }
+}
 
-    /// Per-window CPU rates for a thread (fraction of each window spent on
-    /// CPU), as Figure 5 plots.
-    pub fn cpu_window_shares(&self, tid: ThreadId, window: SimDuration, end: SimTime) -> Vec<f64> {
-        match self.thread(tid) {
-            Some(t) => t.cpu_series.window_rates(window.as_us(), end.as_us()),
-            None => Vec::new(),
+/// Runs `kernel` to `end` and returns the CPU time each of `threads`
+/// consumed in each whole window `[k·w, (k+1)·w)` on the way, as Figure 5
+/// plots: `cpu[i][k]` for `threads[i]`, the windows being the multiples of
+/// `window` from time zero that lie within `[kernel.now(), end]`.
+///
+/// The kernel stops exactly at each window boundary ([`Kernel::run_until`]
+/// splits a quantum straddling it) and the thread's cumulative CPU is read
+/// there, so sampling costs nothing per run segment. A window's CPU is the
+/// checked difference of its two boundary samples, so a sample that went
+/// backwards would panic. A partial window at either end is not reported,
+/// though the kernel still runs to `end`.
+pub fn run_windows<P: Policy>(
+    kernel: &mut Kernel<P>,
+    threads: &[ThreadId],
+    window: SimDuration,
+    end: SimTime,
+) -> Vec<Vec<SimDuration>> {
+    assert!(!window.is_zero(), "window must be positive");
+    let w = window.as_us();
+    let mut samples = vec![Vec::new(); threads.len()];
+    let mut at = SimTime::from_us(kernel.now().as_us().div_ceil(w) * w);
+    while at <= end {
+        kernel.run_until(at);
+        for (thread, series) in threads.iter().zip(&mut samples) {
+            series.push(SimDuration::from_us(kernel.metrics().cpu_us(*thread)));
         }
+        at += window;
     }
+    kernel.run_until(end);
+    let per_window = |s: Vec<SimDuration>| s.windows(2).map(|b| b[1] - b[0]).collect();
+    samples.into_iter().map(per_window).collect()
 }
 
 #[cfg(test)]
@@ -178,18 +202,8 @@ mod tests {
     #[test]
     fn run_segments_accumulate() {
         let mut m = Metrics::new();
-        m.record_run(
-            T0,
-            SimTime::from_ms(100),
-            SimDuration::from_ms(100),
-            SimDuration::from_ms(100),
-        );
-        m.record_run(
-            T0,
-            SimTime::from_ms(300),
-            SimDuration::from_ms(100),
-            SimDuration::from_ms(200),
-        );
+        m.record_run(T0, SimDuration::from_ms(100), SimDuration::from_ms(100));
+        m.record_run(T0, SimDuration::from_ms(100), SimDuration::from_ms(200));
         assert_eq!(m.cpu_us(T0), 200_000);
         assert_eq!(m.cpu_us(T1), 0);
         let t = m.thread(T0).unwrap();
@@ -201,18 +215,8 @@ mod tests {
     #[test]
     fn cpu_ratio() {
         let mut m = Metrics::new();
-        m.record_run(
-            T0,
-            SimTime::from_ms(10),
-            SimDuration::from_ms(10),
-            SimDuration::from_ms(10),
-        );
-        m.record_run(
-            T1,
-            SimTime::from_ms(20),
-            SimDuration::from_ms(5),
-            SimDuration::from_ms(5),
-        );
+        m.record_run(T0, SimDuration::from_ms(10), SimDuration::from_ms(10));
+        m.record_run(T1, SimDuration::from_ms(5), SimDuration::from_ms(5));
         assert_eq!(m.cpu_ratio(T0, T1), Some(2.0));
         let empty = Metrics::new();
         assert_eq!(empty.cpu_ratio(T0, T1), None);
@@ -242,23 +246,20 @@ mod tests {
 
     #[test]
     fn window_shares() {
-        let mut m = Metrics::new();
+        use crate::sched::rr::RoundRobinPolicy;
+        use crate::workload::IoBound;
+
         // 50% duty cycle: 50 ms CPU per 100 ms window.
-        for i in 1..=10u64 {
-            m.record_run(
-                T0,
-                SimTime::from_ms(i * 100),
-                SimDuration::from_ms(50),
-                SimDuration::from_ms(i * 50),
-            );
-        }
-        let shares = m.cpu_window_shares(T0, SimDuration::from_ms(100), SimTime::from_ms(1000));
-        assert_eq!(shares.len(), 10);
-        for s in &shares[1..] {
-            assert!((s - 0.5).abs() < 1e-12, "{shares:?}");
-        }
-        assert!(m
-            .cpu_window_shares(T1, SimDuration::from_ms(100), SimTime::from_ms(1000))
-            .is_empty());
+        let ms = SimDuration::from_ms;
+        let mut k = Kernel::new(RoundRobinPolicy::new(ms(100)));
+        let t = k.spawn("io", Box::new(IoBound::new(ms(50), ms(50))), ());
+        assert_eq!(t, T0);
+        // T1 never exists: it uses nothing in any window.
+        let cpu = run_windows(&mut k, &[T0, T1], ms(100), SimTime::from_ms(1_050));
+        // The partial tail is not reported, but the kernel runs through it.
+        assert_eq!(k.now(), SimTime::from_ms(1_050));
+        let shares: Vec<f64> = cpu[0].iter().map(|c| c.fraction_of(ms(100))).collect();
+        assert_eq!(shares, [0.5; 10]);
+        assert_eq!(cpu[1], [SimDuration::ZERO; 10]);
     }
 }

@@ -62,6 +62,10 @@ impl CompensationHook {
     /// The client's tickets stay *active* while it runs — it is using
     /// them — which keeps mutex-handoff valuations live; they deactivate
     /// only when the thread blocks (Section 4.4).
+    ///
+    /// An uncompensated winner costs one lookup in the ledger's dense
+    /// compensation book, which holds an entry exactly when the factor is
+    /// above one; the client's own record is not touched.
     pub fn on_dispatch(
         &self,
         ledger: &mut Ledger,
@@ -73,8 +77,8 @@ impl CompensationHook {
             let thread = tid.index();
             let shard = ledger.dirty_shard_of(client);
             bus.emit(|| EventKind::CompensationRevoked { thread, shard });
+            compensation::clear(ledger, client).expect("client liveness");
         }
-        compensation::clear(ledger, client).expect("client liveness");
     }
 
     /// Charge side: a thread that yielded or blocked with quantum

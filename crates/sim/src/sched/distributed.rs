@@ -396,16 +396,22 @@ impl DistributedLottery {
         // total ready count bounds the rounds.
         let max_rounds = self.ready_len() as u64;
         loop {
-            let totals: Vec<f64> = (0..self.shards.len() as u32)
-                .map(|s| self.effective_total(s))
-                .collect();
-            let sum: f64 = totals.iter().sum();
-            let mean = sum / totals.len() as f64;
-            let (heavy, &max_total) = totals
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .expect("at least one shard");
+            // One pass over the shards: the sum in shard order, the last
+            // heaviest shard and the first lightest, by `total_cmp`.
+            let first = self.effective_total(0);
+            let (mut sum, mut heavy, mut max_total, mut light, mut min_total) =
+                (first, 0, first, 0, first);
+            for s in 1..self.shards.len() {
+                let total = self.effective_total(s as u32);
+                sum += total;
+                if total.total_cmp(&max_total).is_ge() {
+                    (heavy, max_total) = (s, total);
+                }
+                if total.total_cmp(&min_total).is_lt() {
+                    (light, min_total) = (s, total);
+                }
+            }
+            let mean = sum / self.shards.len() as f64;
             if mean <= 0.0 || max_total <= self.imbalance_bound * mean {
                 break;
             }
@@ -420,11 +426,6 @@ impl DistributedLottery {
             if round > max_rounds || self.shards[heavy].len() <= 1 {
                 break;
             }
-            let (light, &min_total) = totals
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
-                .expect("at least one shard");
             // Move the ready thread that brings the heavy/light pair
             // closest to their midpoint. Only strict improvements
             // (`0 < v < max - min`) are eligible: anything else would

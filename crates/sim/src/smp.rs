@@ -672,7 +672,7 @@ impl<P: Policy> SmpKernel<P> {
         thread.cpu_time += ran;
         thread.quantum_used += ran;
         let cpu_total = thread.cpu_time;
-        self.metrics.record_run(tid, to, ran, cpu_total);
+        self.metrics.record_run(tid, ran, cpu_total);
     }
 
     /// Rule 3 at `deadline`: each segment straddling it is applied up to

@@ -128,25 +128,42 @@ proptest! {
         }
     }
 
-    /// Per-thread CPU time is monotone and stored series are consistent
-    /// with the final counter.
+    /// Per-window CPU from `run_windows`, at window lengths no quantum
+    /// need divide, lies within each window and adds up to both the
+    /// thread's CPU counter and its run segments. Each window is the
+    /// checked difference of two boundary samples, so a sample that went
+    /// backwards would fail the case with a panic.
     #[test]
-    fn cpu_series_consistent(seed in 1u32..10_000) {
+    fn cpu_windows_consistent(
+        shapes in prop::collection::vec(shape_strategy(), 1..6),
+        window_ms in 1..2_000u64,
+        seed in 1u32..10_000,
+    ) {
         let policy = LotteryPolicy::new(seed);
         let base = policy.base_currency();
         let mut kernel = Kernel::new(policy);
-        let t = kernel.spawn(
-            "io",
-            Box::new(IoBound::new(SimDuration::from_ms(7), SimDuration::from_ms(23))),
-            FundingSpec::new(base, 100),
-        );
-        kernel.run_until(SimTime::from_secs(10));
-        let m = kernel.metrics().thread(t).unwrap();
-        let mut last = 0.0;
-        for &(_, v) in m.cpu_series.points() {
-            prop_assert!(v >= last);
-            last = v;
+        let tids: Vec<ThreadId> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, s)| kernel.spawn(format!("t{i}"), build(s), FundingSpec::new(base, 100)))
+            .collect();
+        let window = SimDuration::from_ms(window_ms);
+        let windows = 10_000 / window_ms;
+        let end = SimTime::from_ms(window_ms * windows);
+        let per_window = run_windows(&mut kernel, &tids, window, end);
+        prop_assert_eq!(kernel.now(), end);
+        for (&t, used) in tids.iter().zip(&per_window) {
+            prop_assert_eq!(used.len() as u64, windows);
+            prop_assert!(used.iter().all(|&u| u <= window), "{:?} in {} windows", used, window);
+            let cpu: u64 = used.iter().map(|u| u.as_us()).sum();
+            prop_assert_eq!(cpu, kernel.metrics().cpu_us(t));
+            // `run_us` keeps a running mean, so its sum is exact only up
+            // to rounding.
+            let segments = kernel.metrics().thread(t).map_or(0.0, |m| m.run_us.sum());
+            prop_assert!(
+                (segments - cpu as f64).abs() <= 1e-9 * cpu as f64,
+                "run segments {} vs windows {}", segments, cpu
+            );
         }
-        prop_assert_eq!(last as u64, kernel.metrics().cpu_us(t));
     }
 }

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # A/B of two already-built lottery-benchmark binaries in alternating pairs.
 #
-#   scripts/ab.sh <parent-binary> <change-binary> <workload> [pairs=10] [seconds=8] [seed=1994] [trace=0]
+#   scripts/ab.sh <parent-binary> <change-binary> <workload> [pairs=10] [seconds] [seed=1994] [trace=0]
 #
-# Each pair runs both binaries once with --trace <trace> (odd pairs parent
-# first, even pairs change first): 0 reports the end-to-end metrics, 1 the
-# per-layer ones, sim.checksum among them. Reads only the last line each run prints — its
+# seconds defaults to BENCHMARK.json's run_seconds, the run length the
+# benchmark pipeline uses: peak_rss_mb grows with the rounds a run
+# completes, so a shorter A/B misstates it. Each pair runs both binaries
+# once with --trace <trace> (odd pairs parent first, even pairs change
+# first): 0 reports the end-to-end metrics, 1 the per-layer ones,
+# sim.checksum among them. Reads only the last line each run prints — its
 # JSON result — and prints, per end-to-end metric, median [q1 q3] for each
 # side, the ratio change/parent of the medians, and "change wins k/n" (ties
 # count for neither; "better" is each metric's own direction in
@@ -25,7 +28,8 @@ if [ "$#" -lt 3 ]; then
 fi
 bench="$(dirname "$0")/../BENCHMARK.json"
 parent=$1 change=$2 workload=$3
-pairs=${4:-10} seconds=${5:-8} seed=${6:-1994} trace=${7:-0}
+run_seconds=$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' "$bench")
+pairs=${4:-10} seconds=${5:-$run_seconds} seed=${6:-1994} trace=${7:-0}
 
 rows=$(mktemp)
 trap 'rm -f "$rows"' EXIT
