@@ -94,6 +94,74 @@ impl<T> fmt::Debug for Handle<T> {
     }
 }
 
+/// A table of `V` beside an [`Arena<K>`], keyed by its handles: a `Vec`
+/// indexed by [`Handle::index`], so a lookup hashes nothing and iteration
+/// is in ascending slot order, the same on every run.
+///
+/// A slot remembers the generation of the handle that filled it: a stale
+/// handle to a recycled slot reads as vacant, never as its successor's.
+pub(crate) struct SideTable<K, V> {
+    slots: Vec<Option<(u32, V)>>,
+    _key: PhantomData<fn() -> K>,
+}
+
+impl<K, V> Default for SideTable<K, V> {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            _key: PhantomData,
+        }
+    }
+}
+
+impl<K, V> SideTable<K, V> {
+    /// Number of occupied slots, counted: only tests and instrumentation
+    /// ask, so no write keeps a count.
+    pub(crate) fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    pub(crate) fn get(&self, key: Handle<K>) -> Option<&V> {
+        match self.slots.get(key.raw.index as usize) {
+            Some(Some((generation, v))) if *generation == key.raw.generation => Some(v),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn get_mut(&mut self, key: Handle<K>) -> Option<&mut V> {
+        match self.slots.get_mut(key.raw.index as usize) {
+            Some(Some((generation, v))) if *generation == key.raw.generation => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Fills `key`'s slot, replacing whatever it held — `key`'s own value
+    /// or one a stale handle left behind.
+    pub(crate) fn insert(&mut self, key: Handle<K>, value: V) {
+        let slot = key.raw.index as usize;
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        self.slots[slot] = Some((key.raw.generation, value));
+    }
+
+    pub(crate) fn remove(&mut self, key: Handle<K>) -> Option<V> {
+        self.get(key)?;
+        self.slots[key.raw.index as usize].take().map(|(_, v)| v)
+    }
+
+    /// Values in ascending slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &V> {
+        self.slots.iter().flatten().map(|(_, v)| v)
+    }
+}
+
+impl<K, V: fmt::Debug> fmt::Debug for SideTable<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 struct Slot<T> {
     generation: u32,
     value: Option<T>,
@@ -289,6 +357,44 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(a);
         assert!(set.contains(&copy));
+    }
+
+    #[test]
+    fn side_table_follows_its_arena_through_slot_reuse() {
+        let mut arena = Arena::new();
+        let (a, b, c) = (arena.insert('a'), arena.insert('b'), arena.insert('c'));
+        let mut table = SideTable::default();
+        let values = |t: &SideTable<char, f64>| t.iter().copied().collect::<Vec<_>>();
+        table.insert(c, 3.0);
+        table.insert(a, 1.0);
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.get(b), None);
+
+        // Overwriting an occupied slot keeps the count.
+        table.insert(a, 1.5);
+        assert_eq!((table.len(), table.get(a)), (2, Some(&1.5)));
+        *table.get_mut(c).unwrap() += 0.5;
+        assert_eq!(values(&table), vec![1.5, 3.5]);
+
+        // A refilled slot: the stale handle reads vacant, before and after
+        // the newcomer has an entry of its own.
+        arena.remove(a);
+        let a2 = arena.insert('A');
+        assert_eq!(a2.index(), a.index());
+        assert_eq!(table.get(a2), None);
+        table.insert(a2, 10.0);
+        assert_eq!(table.len(), 2, "the stale entry was replaced, not added to");
+        assert_eq!(table.get(a), None);
+        assert_eq!(table.get_mut(a), None);
+        assert_eq!(table.remove(a), None);
+        assert_eq!(table.get(a2), Some(&10.0));
+
+        table.insert(b, 2.0);
+        assert_eq!(values(&table), vec![10.0, 2.0, 3.5]);
+        assert_eq!(table.remove(b), Some(2.0));
+        assert_eq!(table.remove(b), None);
+        assert_eq!(table.len(), 2);
+        assert_eq!(values(&table), vec![10.0, 3.5]);
     }
 
     #[test]

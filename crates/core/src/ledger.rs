@@ -33,7 +33,7 @@ use std::collections::HashMap;
 
 use lottery_obs::{Counter, EventKind, ProbeBus};
 
-use crate::arena::Arena;
+use crate::arena::{Arena, SideTable};
 use crate::client::{Client, ClientId};
 use crate::currency::{Currency, CurrencyId, IssuePolicy, Principal};
 use crate::errors::{LotteryError, ObjectKind, Result};
@@ -76,11 +76,13 @@ pub struct Ledger {
 /// The books a decision *writes* — the dirty queue and the compensation
 /// book — are tables indexed by client slot, and the invalidation walk
 /// keeps its work stack here between calls, so the per-decision write
-/// path neither hashes nor allocates. The two value maps, the read side,
-/// are still hash maps.
+/// path neither hashes nor allocates. On the read side, currency values
+/// sit in a [`SideTable`] by currency slot; client values are still a
+/// hash map.
 #[derive(Debug, Default)]
 struct ValuationCache {
-    currencies: HashMap<CurrencyId, f64>,
+    currencies: SideTable<Currency, f64>,
+    // Not a `SideTable` until the harness stops growing per round (ROADMAP 2(i)).
     clients: HashMap<ClientId, f64>,
     dirty: ShardedDirtyQueue,
     comp: CompensationLedger,
@@ -115,13 +117,14 @@ struct ValuationCache {
 /// A client granted compensation while inactive snapshots a funded value of
 /// zero; the snapshot is corrected on its next valuation after activation.
 ///
-/// Entries live in a table indexed by client slot (`CompSlots`) and are
-/// changed in place; whatever sums over them — the global weight, the
-/// per-shard rebuild on a shard-count change — does so in ascending slot
-/// order, so the `f64` results are the same on every run.
+/// Entries live in a [`SideTable`] indexed by client slot — the several
+/// touches a decision makes (grant, rest, wake, refresh, clear) hash
+/// nothing — and are changed in place; whatever sums over them — the
+/// global weight, the per-shard rebuild on a shard-count change — does so
+/// in ascending slot order, so the `f64` results are the same on every run.
 #[derive(Debug)]
 pub struct CompensationLedger {
-    entries: CompSlots,
+    entries: SideTable<Client, CompEntry>,
     /// Per-shard sum of `extra` over every compensated client homed there.
     extra: Vec<f64>,
     /// Per-shard sum of `funded + extra` over *inactive* compensated
@@ -147,57 +150,6 @@ impl CompEntry {
     }
 }
 
-/// The compensation book's entries, in a table indexed by client slot —
-/// client ids are arena indices, so the several touches a decision makes
-/// (grant, rest, wake, refresh, clear) hash nothing, and iteration is in
-/// ascending slot order, the same on every run.
-///
-/// A slot remembers the generation of the handle that filled it: a stale
-/// handle to a recycled slot reads as "no entry", never as its successor's.
-#[derive(Debug, Default)]
-struct CompSlots {
-    slots: Vec<Option<(u32, CompEntry)>>,
-    len: usize,
-}
-
-impl CompSlots {
-    fn get_mut(&mut self, client: ClientId) -> Option<&mut CompEntry> {
-        match self.slots.get_mut(client.index() as usize) {
-            Some(Some((generation, e))) if *generation == client.raw().generation() => Some(e),
-            _ => None,
-        }
-    }
-
-    fn get(&self, client: ClientId) -> Option<&CompEntry> {
-        match self.slots.get(client.index() as usize) {
-            Some(Some((generation, e))) if *generation == client.raw().generation() => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Fills `client`'s slot, which must be vacant.
-    fn insert(&mut self, client: ClientId, e: CompEntry) {
-        let slot = client.index() as usize;
-        if slot >= self.slots.len() {
-            self.slots.resize(slot + 1, None);
-        }
-        debug_assert!(self.slots[slot].is_none());
-        self.slots[slot] = Some((client.raw().generation(), e));
-        self.len += 1;
-    }
-
-    fn remove(&mut self, client: ClientId) -> Option<CompEntry> {
-        self.get_mut(client)?;
-        self.len -= 1;
-        self.slots[client.index() as usize].take().map(|(_, e)| e)
-    }
-
-    /// Entries in ascending slot order.
-    fn iter(&self) -> impl Iterator<Item = &CompEntry> {
-        self.slots.iter().flatten().map(|(_, e)| e)
-    }
-}
-
 impl Default for CompensationLedger {
     fn default() -> Self {
         Self::new(1)
@@ -207,7 +159,7 @@ impl Default for CompensationLedger {
 impl CompensationLedger {
     fn new(shards: usize) -> Self {
         Self {
-            entries: CompSlots::default(),
+            entries: SideTable::default(),
             extra: vec![0.0; shards.max(1)],
             resting: vec![0.0; shards.max(1)],
             granted: 0,
@@ -594,7 +546,7 @@ fn mark_currency(
     debug_assert!(cache.mark_work.is_empty());
     cache.mark_work.push(start);
     while let Some(cur) = cache.mark_work.pop() {
-        if cache.currencies.remove(&cur).is_none() {
+        if cache.currencies.remove(cur).is_none() {
             continue;
         }
         removed_currencies += 1;
@@ -784,7 +736,7 @@ impl Ledger {
         self.currencies.remove(id);
         // An empty currency backs nothing, so removing its (necessarily
         // zero) cached value cannot strand dependents.
-        self.cache.get_mut().currencies.remove(&id);
+        self.cache.get_mut().currencies.remove(id);
         self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
             op: "destroy-currency",
@@ -1306,9 +1258,10 @@ impl Ledger {
         self.cache.borrow().comp.total_extra()
     }
 
-    /// Number of clients currently holding a compensation factor > 1.
+    /// Number of clients currently holding a compensation factor > 1,
+    /// counted over the book's slots (for tests and instrumentation).
     pub fn compensated_clients(&self) -> usize {
-        self.cache.borrow().comp.entries.len
+        self.cache.borrow().comp.entries.len()
     }
 
     /// Compensation grants recorded since the ledger was created.
@@ -1467,8 +1420,8 @@ impl Ledger {
         }
     }
 
-    /// Number of currently valid cached currency entries (for tests and
-    /// instrumentation).
+    /// Number of currently valid cached currency entries, counted over the
+    /// table's slots (for tests and instrumentation).
     pub fn cached_currency_entries(&self) -> usize {
         self.cache.borrow().currencies.len()
     }
@@ -1502,7 +1455,7 @@ impl Ledger {
         cache: &mut ValuationCache,
         currency: CurrencyId,
     ) -> Result<f64> {
-        let hit = cache.currencies.get(&currency).copied();
+        let hit = cache.currencies.get(currency).copied();
         if !PEEK {
             self.bus.count(match hit {
                 Some(_) => Counter::CurrencyHit,

@@ -8,7 +8,9 @@
 //! 1. **Cache coherence** — [`Ledger::cached_client_value`] and
 //!    [`Ledger::cached_currency_value`] always bit-equal a fresh
 //!    [`Valuator`] over the same ledger. The cache may only ever skip
-//!    *recomputation*, never return a different value.
+//!    *recomputation*, never return a different value — also after a
+//!    client or currency slot is recycled, when the stale handle must read
+//!    nothing.
 //! 2. **Notification completeness** — a mirror of client values that is
 //!    refreshed *only* for clients surfaced by
 //!    [`Ledger::drain_dirty_clients`] (re-warming each refreshed entry,
@@ -103,6 +105,11 @@ enum Op {
     RecreateClient {
         cl: usize,
     },
+    /// Destroy the `c`-th currency with no issued or backing tickets (if
+    /// any) and create one straight away, into the same slot.
+    RecreateCurrency {
+        c: usize,
+    },
     SetShards {
         shards: usize,
     },
@@ -144,6 +151,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..8usize, 0..4u64).prop_map(|(cl, k)| Op::SetCompensation { cl, k }),
         (0..8usize).prop_map(|cl| Op::DestroyClient { cl }),
         (0..8usize).prop_map(|cl| Op::RecreateClient { cl }),
+        (0..8usize).prop_map(|c| Op::RecreateCurrency { c }),
         (1..5usize).prop_map(|shards| Op::SetShards { shards }),
         (0..8usize, 0..5u32).prop_map(|(cl, shard)| Op::AssignShard { cl, shard }),
         (0..8usize).prop_map(|cl| Op::ReadClient { cl }),
@@ -372,6 +380,40 @@ impl World {
                 assert_eq!(self.ledger.compensation_factor(old), 1.0);
                 assert!(matches!(
                     self.ledger.set_compensation(old, 2.0),
+                    Err(LotteryError::StaleHandle { .. })
+                ));
+            }
+            Op::RecreateCurrency { c } => {
+                let base = self.ledger.base();
+                let empty: Vec<usize> = (0..self.currencies.len())
+                    .filter(|&i| {
+                        let cur = self.ledger.currency(self.currencies[i]).unwrap();
+                        self.currencies[i] != base
+                            && cur.issued().is_empty()
+                            && cur.backing().is_empty()
+                    })
+                    .collect();
+                if empty.is_empty() {
+                    return;
+                }
+                let old = self.currencies.swap_remove(empty[c % empty.len()]);
+                // Warm its entry, so destruction has one to drop.
+                self.ledger.cached_currency_value(old).unwrap();
+                self.ledger.destroy_currency(old).unwrap();
+                let new = self.ledger.create_currency("recreated").unwrap();
+                self.currencies.push(new);
+                assert_eq!(new.index(), old.index(), "slot not recycled");
+                assert_eq!(
+                    self.ledger.cached_currency_value(new).unwrap().to_bits(),
+                    Valuator::new(&self.ledger)
+                        .currency_value(new)
+                        .unwrap()
+                        .to_bits()
+                );
+                // The slot now holds the newcomer's entry; the old handle
+                // must not read it.
+                assert!(matches!(
+                    self.ledger.cached_currency_value(old),
                     Err(LotteryError::StaleHandle { .. })
                 ));
             }

@@ -66,13 +66,24 @@ pub(crate) struct Shared {
 /// Counts its worker into [`Shared::done`] when dropped: by `run` at the
 /// end of the window, or by a panic's unwind — so the survivors still
 /// quiesce and `ParKernel::run` gets to join the thread and surface it.
-struct DoneGuard(Arc<Shared>);
+/// The worker that completes the count wakes every peer serving until
+/// quiesce with a [`Msg::Quiesced`].
+struct DoneGuard {
+    shared: Arc<Shared>,
+    peers: Vec<Sender<Msg>>,
+}
 
 impl Drop for DoneGuard {
     fn drop(&mut self) {
         // Release-ordered after this worker's last ledger mutation, so a
         // worker observing `done == workers` also observes every write.
-        self.0.done.fetch_add(1, Ordering::AcqRel);
+        let done = self.shared.done.fetch_add(1, Ordering::AcqRel) + 1;
+        if done == self.shared.workers {
+            for tx in &self.peers {
+                // A full inbox or a gone peer falls back to the poll.
+                let _ = tx.try_send(Msg::Quiesced);
+            }
+        }
     }
 }
 
@@ -96,6 +107,9 @@ pub(crate) enum Msg {
     StealFail,
     /// A migrating thread: the receiver becomes its owner.
     Migrate(Box<ParThread>),
+    /// Every worker is done: a no-op that ends the receiver's wait in
+    /// [`Worker::serve_until_quiesce`] without waiting out the poll.
+    Quiesced,
 }
 
 /// One shard of the machine as a [`Policy`]: the lottery
@@ -340,7 +354,10 @@ impl Worker {
 
     /// Runs the window, then serves steal traffic until machine quiesce.
     pub(crate) fn run(mut self) -> WorkerReport {
-        let done = DoneGuard(Arc::clone(&self.shared));
+        let done = DoneGuard {
+            shared: Arc::clone(&self.shared),
+            peers: self.peers.iter().map(|(_, tx)| tx.clone()).collect(),
+        };
         loop {
             self.drain_inbox();
             match self.kernel.step(self.deadline) {
@@ -436,6 +453,7 @@ impl Worker {
                     .attach(migrant.tid, migrant.thread, migrant.client);
                 self.steals_in += 1;
             }
+            Msg::Quiesced => {}
         }
     }
 
@@ -491,7 +509,10 @@ impl Worker {
     }
 
     /// After finishing the window: answer steal traffic until every
-    /// worker is done, so no thief blocks on a silent peer. Sends from us
+    /// worker is done, so no thief blocks on a silent peer. The last
+    /// worker out posts [`Msg::Quiesced`], so the wait ends on its
+    /// arrival; the poll re-checks `done` when that could not be posted
+    /// (a full inbox). Sends from us
     /// stopped at `done`, so nobody waits on *us* after this returns. Our
     /// window is over, so we donate nothing more; a migrant that raced our
     /// quiesce is still accepted, so the thread-partition invariant holds
@@ -546,11 +567,16 @@ mod tests {
 
     impl Rig {
         fn start() -> Self {
+            Self::with_done(0)
+        }
+
+        /// [`Rig::start`] with `done` workers already counted out.
+        fn with_done(done: u32) -> Self {
             let mut ledger = Ledger::new();
             ledger.set_dirty_shards(2);
             let shared = Arc::new(Shared {
                 ledger: Mutex::new(ledger),
-                done: AtomicU32::new(0),
+                done: AtomicU32::new(done),
                 workers: 2,
             });
             let shard = LockedShard::new(0, shared.clone(), SimDuration::from_ms(10), 7);
@@ -646,5 +672,23 @@ mod tests {
         assert_eq!(report.steals_out, 0);
         assert_eq!(report.resident.len(), 3);
         assert_eq!(report.decisions, 5, "a 50 ms window of 10 ms quanta");
+    }
+
+    /// The last worker out wakes its peers by message: with "worker 1"
+    /// counted out before the window starts, worker 0 completes the count,
+    /// posts exactly one `Quiesced` to it and reports.
+    #[test]
+    fn last_worker_out_posts_quiesced_to_its_peer() {
+        let rig = Rig::with_done(1);
+        let report = rig
+            .report
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the worker hung in quiesce");
+        assert_eq!(report.decisions, 5, "a 50 ms window of 10 ms quanta");
+        assert!(matches!(rig.from_worker.try_recv(), Ok(Msg::Quiesced)));
+        assert!(
+            rig.from_worker.try_recv().is_err(),
+            "exactly one message, and nothing after it"
+        );
     }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # A/B of two already-built lottery-benchmark binaries in alternating pairs.
 #
-#   scripts/ab.sh <parent-binary> <change-binary> <workload> [pairs=10] [seconds] [seed=1994] [trace=0]
+#   scripts/ab.sh <parent-binary> <change-binary> <workload|all> [pairs=10] [seconds] [seed=1994] [trace=0]
 #
+# "all" runs every workload of BENCHMARK.json in file order, one block each.
 # seconds defaults to BENCHMARK.json's run_seconds, the run length the
 # benchmark pipeline uses: peak_rss_mb grows with the rounds a run
 # completes, so a shorter A/B misstates it. Each pair runs both binaries
@@ -17,19 +18,26 @@
 # change wins (loses) at least nine tenths of all pairs run and the medians
 # differ by more than the parent's own quartile distance, otherwise
 # "unresolved". In place of the sim.checksum row, whether every run of both
-# sides made the same decisions. Exits 1 if any run reports
-# "correct": false or failed > 0. Build the binaries first, e.g.
+# sides made the same decisions. Exits 1 if any run of any workload
+# reports "correct": false or failed > 0. Build the binaries first, e.g.
 #   CARGO_TARGET_DIR=/tmp/a cargo build --release --offline --manifest-path benchmark/Cargo.toml
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-  sed -n '2,22p' "$0" >&2
+  sed -n '2,23p' "$0" >&2
   exit 2
 fi
 bench="$(dirname "$0")/../BENCHMARK.json"
 parent=$1 change=$2 workload=$3
 run_seconds=$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' "$bench")
 pairs=${4:-10} seconds=${5:-$run_seconds} seed=${6:-1994} trace=${7:-0}
+if [ "$workload" = all ]; then
+  # The names between "workloads" and "end_to_end", one key per line.
+  workloads=$(awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
+    on && match($0, /"name": "[^"]*"/) { print substr($0, RSTART + 9, RLENGTH - 10) }' "$bench")
+else
+  workloads=$workload
+fi
 
 rows=$(mktemp)
 trap 'rm -f "$rows"' EXIT
@@ -47,16 +55,8 @@ run() {
     | sed -e 's/"\([^"]*\)": {"value": /\1 /' -e "s/^/$side /" >>"$rows"
 }
 
-for ((i = 1; i <= pairs; i++)); do
-  if ((i % 2)); then
-    run parent "$parent"; run change "$change"
-  else
-    run change "$change"; run parent "$parent"
-  fi
-  echo "ab: pair $i/$pairs done" >&2
-done
-
-echo "workload $workload, seed $seed, $seconds s, trace $trace, $pairs alternating pairs"
+# One workload's block, from the rows its pairs appended.
+summarize() {
 awk '
   # BENCHMARK.json first: which metrics are end-to-end, which are better
   # higher (one key per line, as the file is laid out).
@@ -114,5 +114,20 @@ awk '
     }
   }
 ' "$bench" "$rows"
+}
+
+for workload in $workloads; do
+  : >"$rows"
+  for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then
+      run parent "$parent"; run change "$change"
+    else
+      run change "$change"; run parent "$parent"
+    fi
+    echo "ab: $workload pair $i/$pairs done" >&2
+  done
+  echo "workload $workload, seed $seed, $seconds s, trace $trace, $pairs alternating pairs"
+  summarize
+done
 
 exit "$bad"

@@ -101,10 +101,14 @@ test "$(grep -c '^error: .*nesting deeper than' target/ctl_garbage.err)" -eq 2 \
   || { echo "verify: lotteryctl did not reject the deeply nested replay file twice" >&2; exit 1; }
 
 # The reference benchmark is a package of its own, outside the workspace:
-# build it and run its self-checks, so a change that breaks either cannot
-# pass here.
+# build it, run its own tests (the only code that builds a `WorkerReport`
+# literally and reads `ThreadMetrics` the way the harness does) and its
+# self-checks, so a change that breaks any of them cannot pass here.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml \
   --target-dir target/benchmark
+cargo test -q --offline --manifest-path benchmark/Cargo.toml \
+  --target-dir target/benchmark \
+  || { echo "verify: the benchmark package's tests failed" >&2; exit 1; }
 CARGO_TARGET_DIR=target/benchmark benchmark/run.sh --smoke > /dev/null \
   || { echo "verify: benchmark/run.sh --smoke failed" >&2; exit 1; }
 
