@@ -18,8 +18,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use lottery_core::errors::{LotteryError, Result};
-use lottery_core::lottery::{list::ListLottery, TicketPool};
-use lottery_core::rng::{ParkMiller, SchedRng, SplitMix64};
+use lottery_core::lottery;
+use lottery_core::rng::{ParkMiller, SplitMix64};
 use lottery_sync::primitives::{Condvar, Mutex};
 
 /// Deterministically generates `words` words of pseudo-prose.
@@ -154,35 +154,29 @@ impl LotteryQueryQueue {
     /// Takes the next query by lottery, blocking until one is available;
     /// `None` once the queue is closed and drained.
     fn take(&self) -> Option<Query> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
         loop {
-            let backlogged: Vec<usize> = inner
-                .pending
-                .iter()
-                .enumerate()
-                .filter(|(i, q)| !q.is_empty() && inner.tickets[*i] > 0)
-                .map(|(i, _)| i)
-                .collect();
-            if !backlogged.is_empty() {
-                // Hold the lottery among clients with pending queries.
-                let mut pool: ListLottery<usize, u64> = ListLottery::without_move_to_front();
-                for &i in &backlogged {
-                    pool.insert(i, inner.tickets[i]);
-                }
-                let winner = {
-                    // Split borrow: the pool is local; draw from the rng.
-                    let total = pool.total();
-                    let value = inner.rng.below(total);
-                    *pool.select(value).expect("non-empty pool")
-                };
-                let query = inner.pending[winner].pop_front().expect("backlogged");
+            let inner = &mut *guard;
+            // Hold the lottery among clients with pending queries. A
+            // ticket total past the draw's range serves the first of them.
+            let mut backlogged =
+                inner
+                    .pending
+                    .iter()
+                    .zip(&inner.tickets)
+                    .map(|(q, &t)| if q.is_empty() { 0 } else { t });
+            let winner = match lottery::draw(backlogged.clone(), &mut inner.rng) {
+                Ok((i, ..)) => Some(i),
+                Err(_) => backlogged.position(|t| t > 0),
+            };
+            if let Some(query) = winner.and_then(|i| inner.pending[i].pop_front()) {
                 inner.in_flight += 1;
                 return Some(query);
             }
             if inner.closed {
                 return None;
             }
-            self.available.wait(&mut inner);
+            self.available.wait(&mut guard);
         }
     }
 

@@ -15,14 +15,15 @@
 //! unit revoked.
 
 use crate::errors::{LotteryError, Result};
+use crate::lottery;
 use crate::rng::SchedRng;
 
 /// Picks the index of the losing entry by inverse lottery.
 ///
 /// Entries are `(id, tickets)` pairs. Implemented exactly with integer
 /// arithmetic: selecting proportionally to `1 - t_i/T` is the same as a
-/// forward lottery over the complementary weights `T - t_i`, whose total is
-/// `(n - 1) * T`.
+/// forward lottery ([`lottery::draw`]) over the complementary weights
+/// `T - t_i`, whose total is `(n - 1) * T`.
 ///
 /// # Errors
 ///
@@ -31,32 +32,66 @@ use crate::rng::SchedRng;
 /// * [`LotteryError::EmptyLottery`] when every entry holds zero tickets
 ///   and the total is zero; with `T = 0` the distribution degenerates to
 ///   uniform, which callers should request explicitly.
+/// * [`LotteryError::AmountOverflow`] when `(n - 1) * T` is past the
+///   draw's range.
 pub fn draw_loser<T, R: SchedRng + ?Sized>(entries: &[(T, u64)], rng: &mut R) -> Result<usize> {
     if entries.len() < 2 {
         return Err(LotteryError::InverseLotteryTooSmall);
     }
-    let total: u64 = entries
-        .iter()
-        .try_fold(0u64, |acc, (_, t)| acc.checked_add(*t))
-        .ok_or(LotteryError::AmountOverflow)?;
-    if total == 0 {
-        return Err(LotteryError::EmptyLottery);
+    let total = ticket_total(entries.iter().map(|&(_, t)| t))?;
+    lottery::draw(entries.iter().map(|&(_, t)| total - t), rng).map(|(loser, ..)| loser)
+}
+
+/// Picks the holder that gives up one unit of a space-shared resource by
+/// Section 6.2's composite inverse lottery, the rule a memory manager
+/// revokes frames by.
+///
+/// Entries are `(tickets, held)` in order. Holder `i` loses with
+/// probability `(T - t_i) * held_i / sum_j (T - t_j) * held_j`: the
+/// complement weight of [`draw_loser`], scaled by the units the holder
+/// has, so a client holding nothing never loses. The weights are exact
+/// (`u128` products) and the draw is one [`lottery::draw`] over them.
+/// Three degenerate rules:
+///
+/// * a lone holder loses whatever its tickets (complement 1);
+/// * with no tickets anywhere the loss goes by units held alone;
+/// * a zero composite total revokes from the largest holder (the last of
+///   equals) without consuming a random number.
+///
+/// # Errors
+///
+/// * [`LotteryError::EmptyLottery`] when no entry holds a unit.
+/// * [`LotteryError::AmountOverflow`] when the ticket total or the
+///   composite total is past the draw's range.
+pub fn draw_victim<R: SchedRng + ?Sized>(
+    holdings: impl Iterator<Item = (u64, u64)> + Clone,
+    rng: &mut R,
+) -> Result<usize> {
+    let total = ticket_total(holdings.clone().map(|(t, _)| t))?;
+    let holders = holdings.clone().filter(|&(_, held)| held > 0).count();
+    let by_usage = holders == 1 || total == 0;
+    let weights = holdings.clone().map(|(t, held)| {
+        let complement = if by_usage { 1 } else { total - t };
+        // A product past `u64` saturates; the draw then reports the
+        // overflow, as it does for any total past its range.
+        u64::try_from(u128::from(complement) * u128::from(held)).unwrap_or(u64::MAX)
+    });
+    match lottery::draw(weights, rng) {
+        Ok((victim, ..)) => Ok(victim),
+        Err(LotteryError::EmptyLottery) => holdings
+            .enumerate()
+            .filter(|&(_, (_, held))| held > 0)
+            .max_by_key(|&(_, (_, held))| held)
+            .map(|(i, _)| i)
+            .ok_or(LotteryError::EmptyLottery),
+        Err(e) => Err(e),
     }
-    let n = entries.len() as u64;
-    let complement_total = (n - 1)
-        .checked_mul(total)
-        .ok_or(LotteryError::AmountOverflow)?;
-    let winner = rng.below(complement_total);
-    let mut sum = 0u64;
-    for (i, (_, t)) in entries.iter().enumerate() {
-        sum += total - t;
-        if winner < sum {
-            return Ok(i);
-        }
-    }
-    // Unreachable: the complementary weights sum to exactly
-    // `complement_total` and `winner < complement_total`.
-    unreachable!("inverse lottery ran past its total")
+}
+
+fn ticket_total(mut tickets: impl Iterator<Item = u64>) -> Result<u64> {
+    tickets
+        .try_fold(0u64, u64::checked_add)
+        .ok_or(LotteryError::AmountOverflow)
 }
 
 /// Picks a loser uniformly — the degenerate case where no entry holds
@@ -145,6 +180,48 @@ mod tests {
                 probs[i]
             );
         }
+    }
+
+    #[test]
+    fn complement_total_past_the_draw_range_is_an_error() {
+        let mut rng = ParkMiller::new(1);
+        let entries = [("a", 1u64 << 62), ("b", 1), ("c", 0)];
+        assert_eq!(
+            draw_loser(&entries, &mut rng),
+            Err(LotteryError::AmountOverflow)
+        );
+    }
+
+    #[test]
+    fn victim_rules() {
+        let mut rng = ParkMiller::new(5);
+        // The holder of every ticket loses nothing while another holds.
+        for _ in 0..50 {
+            assert_eq!(draw_victim([(10, 4), (0, 1)].into_iter(), &mut rng), Ok(1));
+        }
+        // A lone holder loses whatever its tickets; non-holders never do.
+        assert_eq!(
+            draw_victim([(0, 0), (10, 3), (5, 0)].into_iter(), &mut rng),
+            Ok(1)
+        );
+        // Nobody holds anything: there is nothing to revoke.
+        assert_eq!(
+            draw_victim([(1, 0), (2, 0)].into_iter(), &mut rng),
+            Err(LotteryError::EmptyLottery)
+        );
+        // Ticket and composite totals past the draw's range are errors.
+        assert_eq!(
+            draw_victim([(u64::MAX, 1), (1, 1)].into_iter(), &mut rng),
+            Err(LotteryError::AmountOverflow)
+        );
+        assert_eq!(
+            draw_victim([(u64::MAX / 2, 1), (1, 1)].into_iter(), &mut rng),
+            Err(LotteryError::AmountOverflow)
+        );
+        assert_eq!(
+            draw_victim([(1, u64::MAX), (1, 1)].into_iter(), &mut rng),
+            Err(LotteryError::AmountOverflow)
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! list keeps frequently selected clients near the head and substantially
 //! shortens the average scan.
 
-use super::{TicketPool, Weight};
+use super::{walk, TicketPool, Weight};
 
 /// A list-based lottery pool.
 ///
@@ -126,25 +126,11 @@ impl<T: PartialEq, W: Weight> TicketPool<T, W> for ListLottery<T, W> {
     }
 
     fn select(&mut self, winner: W) -> Option<&T> {
-        let mut sum = W::ZERO;
-        let mut chosen: Option<usize> = None;
-        let mut scanned = 0u64;
-        for (i, (_, w)) in self.entries.iter().enumerate() {
-            scanned += 1;
-            sum = sum.add(*w);
-            // The winner owns the first interval whose running sum exceeds
-            // the winning value (Figure 1: "Σ > winner?").
-            if !w.is_zero() && winner < sum {
-                chosen = Some(i);
-                break;
-            }
-        }
+        let hit = walk(self.entries.iter().map(|&(_, w)| w), winner);
+        let scanned = hit.map_or(self.entries.len(), |i| i + 1) as u64;
         // Floating-point rounding can leave `winner` marginally at or above
         // the accumulated total; fall back to the last positive entry.
-        if chosen.is_none() {
-            chosen = self.entries.iter().rposition(|(_, w)| !w.is_zero());
-        }
-        let i = chosen?;
+        let i = hit.or_else(|| self.entries.iter().rposition(|(_, w)| !w.is_zero()))?;
         self.scans += 1;
         self.scanned_entries += scanned;
         if self.move_to_front && i != 0 {

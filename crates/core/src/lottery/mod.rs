@@ -55,7 +55,13 @@ pub trait Weight: Copy + PartialOrd + core::fmt::Debug {
     fn is_zero(self) -> bool;
 
     /// Draws a uniformly random winning value in `[0, total)`.
-    fn draw_below<R: SchedRng + ?Sized>(rng: &mut R, total: Self) -> Self;
+    ///
+    /// # Errors
+    ///
+    /// [`LotteryError::AmountOverflow`] for a `u64` total above `2^62`,
+    /// the widest range [`SchedRng::below`] draws from uniformly. This is
+    /// the one range check every integer lottery passes through.
+    fn draw_below<R: SchedRng + ?Sized>(rng: &mut R, total: Self) -> Result<Self>;
 }
 
 impl Weight for u64 {
@@ -73,8 +79,11 @@ impl Weight for u64 {
         self == 0
     }
 
-    fn draw_below<R: SchedRng + ?Sized>(rng: &mut R, total: Self) -> Self {
-        rng.below(total)
+    fn draw_below<R: SchedRng + ?Sized>(rng: &mut R, total: Self) -> Result<Self> {
+        if total > 1 << 62 {
+            return Err(LotteryError::AmountOverflow);
+        }
+        Ok(rng.below(total))
     }
 }
 
@@ -100,9 +109,55 @@ impl Weight for f64 {
         self <= 0.0
     }
 
-    fn draw_below<R: SchedRng + ?Sized>(rng: &mut R, total: Self) -> Self {
-        rng.next_f64() * total
+    fn draw_below<R: SchedRng + ?Sized>(rng: &mut R, total: Self) -> Result<Self> {
+        Ok(rng.next_f64() * total)
     }
+}
+
+/// Figure 1's walk: the index of the first positive weight whose running
+/// sum exceeds `winning`, or `None` when the walk runs off the end (a
+/// floating winning value that rounding left at the very top). Each caller
+/// keeps its own fallback for that case.
+pub fn walk<W: Weight>(weights: impl IntoIterator<Item = W>, winning: W) -> Option<usize> {
+    let mut sum = W::ZERO;
+    weights.into_iter().position(|w| {
+        sum = sum.add(w);
+        winning < sum && !w.is_zero()
+    })
+}
+
+/// One lottery over `u64` weights in order, with no pool: one checked pass
+/// for the total and the count of positive weights, one
+/// [`Weight::draw_below`], then [`walk`]. A resource that keeps its own
+/// client table draws straight over it, weighing out whoever is not
+/// contending with 0.
+///
+/// Returns `(winner, entries, total)`: the winner's index, the number of
+/// positive weights and their sum.
+///
+/// # Errors
+///
+/// * [`LotteryError::EmptyLottery`] when every weight is zero; no random
+///   number is consumed.
+/// * [`LotteryError::AmountOverflow`] when the total overflows `u64` or
+///   exceeds the range [`Weight::draw_below`] accepts.
+pub fn draw<R: SchedRng + ?Sized>(
+    weights: impl Iterator<Item = u64> + Clone,
+    rng: &mut R,
+) -> Result<(usize, usize, u64)> {
+    let (total, entries) = weights
+        .clone()
+        .try_fold((0u64, 0usize), |(total, entries), w| {
+            Some((total.checked_add(w)?, entries + usize::from(w > 0)))
+        })
+        .ok_or(LotteryError::AmountOverflow)?;
+    if total == 0 {
+        return Err(LotteryError::EmptyLottery);
+    }
+    let winning = u64::draw_below(rng, total)?;
+    // Exact sums: a winning value below the total always has an owner.
+    let winner = walk(weights, winning).ok_or(LotteryError::EmptyLottery)?;
+    Ok((winner, entries, total))
 }
 
 /// A pool of weighted entries supporting proportional-share draws.
@@ -139,13 +194,15 @@ pub trait TicketPool<T, W: Weight> {
     ///
     /// Fails with [`LotteryError::EmptyLottery`] when the pool is empty or
     /// all weights are zero — the conventional starvation-free guarantee
-    /// only covers clients holding tickets (Section 2).
+    /// only covers clients holding tickets (Section 2) — and with
+    /// [`LotteryError::AmountOverflow`] when the total is past
+    /// [`Weight::draw_below`]'s range.
     fn draw<R: SchedRng + ?Sized>(&mut self, rng: &mut R) -> Result<&T> {
         let total = self.total();
         if self.is_empty() || total.is_zero() {
             return Err(LotteryError::EmptyLottery);
         }
-        let winner = W::draw_below(rng, total);
+        let winner = W::draw_below(rng, total)?;
         // A winner below the total always has an owner; floating rounding
         // at the extreme top is handled by the implementations, which fall
         // back to the last positive-weight entry.
@@ -178,7 +235,7 @@ mod tests {
         let mut rng = ParkMiller::new(3);
         for _ in 0..1000 {
             let x = <f64 as Weight>::draw_below(&mut rng, 42.0);
-            assert!((0.0..42.0).contains(&x));
+            assert!(matches!(x, Ok(x) if (0.0..42.0).contains(&x)));
         }
     }
 
@@ -186,7 +243,63 @@ mod tests {
     fn u64_draw_below_in_range() {
         let mut rng = ParkMiller::new(3);
         for _ in 0..1000 {
-            assert!(<u64 as Weight>::draw_below(&mut rng, 42) < 42);
+            assert!(matches!(<u64 as Weight>::draw_below(&mut rng, 42), Ok(x) if x < 42));
         }
+    }
+
+    #[test]
+    fn u64_draw_below_rejects_totals_past_its_range() {
+        let mut rng = ParkMiller::new(3);
+        let before = rng.clone();
+        for total in [(1 << 62) + 1, u64::MAX / 2 + 1, u64::MAX] {
+            assert_eq!(
+                <u64 as Weight>::draw_below(&mut rng, total),
+                Err(LotteryError::AmountOverflow)
+            );
+        }
+        assert_eq!(rng, before, "a rejected draw consumes nothing");
+        assert!(<u64 as Weight>::draw_below(&mut rng, 1 << 62).is_ok());
+    }
+
+    /// Figure 1: running sums 10, 12, 17 — the value 15 lands in the
+    /// third interval. Zero weights own no interval.
+    #[test]
+    fn walk_finds_the_first_sum_past_the_value() {
+        let tickets = [10u64, 2, 5, 1, 2];
+        assert_eq!(walk(tickets, 15), Some(2));
+        assert_eq!(walk(tickets, 0), Some(0));
+        assert_eq!(walk(tickets, 19), Some(4));
+        assert_eq!(walk(tickets, 20), None);
+        assert_eq!(walk([0u64, 0, 3, 0], 0), Some(2));
+        assert_eq!(walk([1.0, 0.0, 0.0], 1.0), None);
+    }
+
+    #[test]
+    fn draw_reports_winner_entries_and_total() {
+        let mut rng = ParkMiller::new(9);
+        let mut twin = rng.clone();
+        let weights = [0u64, 10, 0, 2, 5];
+        let expected = walk(weights, twin.below(17)).map(|winner| (winner, 3, 17));
+        assert_eq!(draw(weights.iter().copied(), &mut rng).ok(), expected);
+        assert_eq!(rng, twin, "one below(total) per draw");
+    }
+
+    #[test]
+    fn draw_fails_without_consuming_on_zero_and_overflowing_totals() {
+        let mut rng = ParkMiller::new(9);
+        let before = rng.clone();
+        assert_eq!(
+            draw([0u64, 0].into_iter(), &mut rng),
+            Err(LotteryError::EmptyLottery)
+        );
+        assert_eq!(
+            draw([u64::MAX, 1].into_iter(), &mut rng),
+            Err(LotteryError::AmountOverflow)
+        );
+        assert_eq!(
+            draw([1 << 62, 1].into_iter(), &mut rng),
+            Err(LotteryError::AmountOverflow)
+        );
+        assert_eq!(rng, before);
     }
 }

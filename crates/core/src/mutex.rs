@@ -23,6 +23,7 @@ use crate::client::ClientId;
 use crate::currency::CurrencyId;
 use crate::errors::{LotteryError, Result};
 use crate::ledger::{Ledger, Valuator};
+use crate::lottery::walk;
 use crate::rng::SchedRng;
 use crate::ticket::TicketId;
 use crate::transfer::{lend, Transfer, TransferTarget};
@@ -179,16 +180,7 @@ impl TicketMutex {
             0
         } else {
             let winning = rng.next_f64() * total;
-            let mut sum = 0.0;
-            let mut chosen = self.waiters.len() - 1;
-            for (i, &w) in weights.iter().enumerate() {
-                sum += w;
-                if winning < sum {
-                    chosen = i;
-                    break;
-                }
-            }
-            chosen
+            walk(weights.iter().copied(), winning).unwrap_or(self.waiters.len() - 1)
         };
 
         let winner = self.waiters.remove(index);

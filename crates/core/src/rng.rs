@@ -37,13 +37,16 @@ pub trait SchedRng {
     ///
     /// # Panics
     ///
-    /// Panics if `bound` is zero; callers hold lotteries only over non-empty
-    /// pools (enforced by [`crate::errors::LotteryError::EmptyLottery`]).
+    /// Panics if `bound` is zero or above `2^62`, where no rejection zone
+    /// exists and the loop would never return. Lotteries never get here
+    /// with such a total: they hold draws only over non-empty pools
+    /// ([`crate::errors::LotteryError::EmptyLottery`]) and range-check the
+    /// total first ([`crate::lottery::Weight::draw_below`]).
     fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below() requires a positive bound");
         // Combine two 31-bit draws into one 62-bit draw.
         let range: u64 = 1 << 62;
-        debug_assert!(bound <= range);
+        assert!(bound <= range, "below() bound {bound} exceeds 2^62");
         let zone = range - (range % bound);
         loop {
             let hi = u64::from(self.next_u31());

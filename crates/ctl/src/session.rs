@@ -16,7 +16,6 @@ use lottery_core::client::ClientId;
 use lottery_core::currency::{CurrencyId, IssuePolicy, Principal};
 use lottery_core::ledger::{Ledger, Valuator};
 use lottery_core::lottery::alias::AliasLottery;
-use lottery_core::lottery::list::ListLottery;
 use lottery_core::lottery::tree::TreeLottery;
 use lottery_core::lottery::TicketPool;
 use lottery_core::ticket::{FundingTarget, TicketId};
@@ -649,13 +648,8 @@ impl Session {
         };
         let clients = weighted.len() as u32;
         let tickets = match kind {
-            StructureKind::List => {
-                let mut pool: ListLottery<ClientId, f64> = ListLottery::without_move_to_front();
-                for &(id, w) in &weighted {
-                    pool.insert(id, w);
-                }
-                pool.total()
-            }
+            // A list is its rows; its total is their running sum.
+            StructureKind::List => weighted.iter().fold(0.0, |sum, &(_, w)| sum + w),
             StructureKind::Tree => {
                 let mut pool: TreeLottery<ClientId, f64> =
                     TreeLottery::with_capacity(weighted.len());

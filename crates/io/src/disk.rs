@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use lottery_core::errors::{LotteryError, Result};
-use lottery_core::lottery::{list::ListLottery, TicketPool};
+use lottery_core::lottery;
 use lottery_core::rng::SchedRng;
 use lottery_obs::{EventKind, ProbeBus};
 use lottery_stats::Summary;
@@ -86,7 +86,8 @@ pub struct DiskScheduler {
     seek_us_per_sector: u64,
     transfer_us_per_sector: u64,
     /// Arrival order for FCFS: (client, position in that client's queue
-    /// is always the head, so a global FIFO of client ids suffices).
+    /// is always the head, so a global FIFO of client ids suffices). Kept
+    /// only under FCFS, the one policy that reads it.
     arrivals: VecDeque<DiskClientId>,
     seek_distance: u64,
     bus: ProbeBus,
@@ -149,7 +150,9 @@ impl DiskScheduler {
             length,
             submitted_us,
         });
-        self.arrivals.push_back(client);
+        if self.policy == DiskPolicy::Fcfs {
+            self.arrivals.push_back(client);
+        }
     }
 
     /// Pending requests for `client`.
@@ -209,23 +212,22 @@ impl DiskScheduler {
     ///
     /// # Errors
     ///
-    /// [`LotteryError::EmptyLottery`] when no requests are pending.
+    /// [`LotteryError::EmptyLottery`] when no requests are pending, and
+    /// [`LotteryError::AmountOverflow`] when the lottery's ticket total is
+    /// past the draw's range.
     pub fn service_next<R: SchedRng + ?Sized>(&mut self, rng: &mut R) -> Result<DiskClientId> {
         let chosen = match self.policy {
             DiskPolicy::Lottery => {
-                let mut pool: ListLottery<usize, u64> = ListLottery::without_move_to_front();
-                for (i, c) in self.clients.iter().enumerate() {
-                    if !c.queue.is_empty() && c.tickets > 0 {
-                        pool.insert(i, c.tickets);
-                    }
-                }
-                let entries = pool.len() as u32;
-                let total = pool.total();
-                let winner = *pool.draw(rng)?;
+                // A client without pending requests holds no interval.
+                let backlogged =
+                    self.clients
+                        .iter()
+                        .map(|c| if c.queue.is_empty() { 0 } else { c.tickets });
+                let (winner, entries, total) = lottery::draw(backlogged, rng)?;
                 self.bus.emit(|| EventKind::ResourceDraw {
                     resource: "disk",
                     client: winner as u32,
-                    entries,
+                    entries: entries as u32,
                     total,
                 });
                 winner
@@ -448,6 +450,23 @@ mod tests {
             assert_eq!(units, disk.sectors_served(a) + disk.sectors_served(b));
             assert!(s.resource_wait.contains_key("disk"));
         });
+    }
+
+    /// A ticket total that overflows `u64` is an error, not a panic in
+    /// the sum or an empty lottery with requests pending.
+    #[test]
+    fn overflowing_ticket_total_is_an_error() {
+        let mut disk = DiskScheduler::new(DiskPolicy::Lottery);
+        let a = disk.register("a", u64::MAX);
+        let b = disk.register("b", 1);
+        disk.submit(a, 0, 8);
+        disk.submit(b, 64, 8);
+        let mut rng = ParkMiller::new(1);
+        assert_eq!(
+            disk.service_next(&mut rng),
+            Err(LotteryError::AmountOverflow)
+        );
+        assert_eq!(disk.pending_requests(), 2);
     }
 
     #[test]

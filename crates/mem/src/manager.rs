@@ -1,6 +1,7 @@
 //! The inverse-lottery page-frame manager.
 
 use lottery_core::errors::{LotteryError, Result};
+use lottery_core::inverse;
 use lottery_core::rng::SchedRng;
 
 /// Identifies a memory client within a [`MemoryManager`].
@@ -140,9 +141,14 @@ impl MemoryManager {
     ///
     /// The victim distribution follows Section 6.2: client `i` loses with
     /// probability proportional to `(1 - t_i/T)` *and* to its share of
-    /// memory in use. Clients holding no frames cannot lose (there is
-    /// nothing to revoke). With a single occupant the faulting client
-    /// self-evicts — the degenerate case of a full machine.
+    /// memory in use ([`inverse::draw_victim`]). Clients holding no frames
+    /// cannot lose (there is nothing to revoke). With a single occupant the
+    /// faulting client self-evicts — the degenerate case of a full machine.
+    ///
+    /// # Errors
+    ///
+    /// [`LotteryError::AmountOverflow`] when the ticket total or the
+    /// composite loss total is past the draw's range.
     pub fn fault<R: SchedRng + ?Sized>(
         &mut self,
         client: MemClientId,
@@ -155,56 +161,8 @@ impl MemoryManager {
             return Ok(ReclaimOutcome::FreeFrame);
         }
 
-        // Composite inverse-lottery weights: (T - t_i) * resident_i in
-        // exact integer arithmetic. (T - t_i) is the complement weight of
-        // the pure inverse lottery; multiplying by the resident count
-        // weighs by the fraction of memory in use.
-        let total_tickets: u64 = self.clients.iter().map(|c| c.tickets).sum();
-        let occupants = self.clients.iter().filter(|c| c.resident > 0).count();
-        if occupants == 0 {
-            // All frames free was handled above; no occupants means the
-            // pool accounting broke.
-            unreachable!("full pool with no occupants");
-        }
-        let weights: Vec<u128> = self
-            .clients
-            .iter()
-            .map(|c| {
-                let complement = if occupants == 1 || total_tickets == 0 {
-                    // Degenerate cases: a lone occupant must lose, and an
-                    // unticketed population is revoked uniformly.
-                    1
-                } else {
-                    u128::from(total_tickets - c.tickets.min(total_tickets))
-                };
-                complement * u128::from(c.resident)
-            })
-            .collect();
-        let total: u128 = weights.iter().sum();
-        if total == 0 {
-            // Possible when every occupant holds all the tickets
-            // (complement 0). Fall back to revoking from the largest
-            // resident set.
-            let victim = self
-                .clients
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, c)| c.resident)
-                .map(|(i, _)| i)
-                .expect("occupants exist");
-            return Ok(self.evict(victim, client));
-        }
-        let total_u64 = u64::try_from(total).map_err(|_| LotteryError::AmountOverflow)?;
-        let winning = u128::from(rng.below(total_u64));
-        let mut sum = 0u128;
-        let mut victim = weights.len() - 1;
-        for (i, &w) in weights.iter().enumerate() {
-            sum += w;
-            if w > 0 && winning < sum {
-                victim = i;
-                break;
-            }
-        }
+        let holdings = self.clients.iter().map(|c| (c.tickets, c.resident));
+        let victim = inverse::draw_victim(holdings, rng)?;
         Ok(self.evict(victim, client))
     }
 
@@ -301,6 +259,20 @@ mod tests {
         // a holds everything; b faults must evict from a.
         let out = mm.fault(b, &mut rng).unwrap();
         assert_eq!(out, ReclaimOutcome::Evicted { victim: a });
+    }
+
+    /// A ticket total that overflows `u64` is an error, not a panic in the
+    /// sum.
+    #[test]
+    fn overflowing_ticket_total_is_an_error() {
+        let mut mm = MemoryManager::new(2);
+        let a = mm.register("a", u64::MAX);
+        let b = mm.register("b", 1);
+        let mut rng = ParkMiller::new(1);
+        assert_eq!(mm.fault(a, &mut rng), Ok(ReclaimOutcome::FreeFrame));
+        assert_eq!(mm.fault(b, &mut rng), Ok(ReclaimOutcome::FreeFrame));
+        assert_eq!(mm.fault(a, &mut rng), Err(LotteryError::AmountOverflow));
+        assert_eq!((mm.resident(a), mm.resident(b)), (1, 1));
     }
 
     #[test]

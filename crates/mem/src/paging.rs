@@ -10,6 +10,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use lottery_core::errors::Result;
+use lottery_core::inverse;
 use lottery_core::rng::SchedRng;
 
 /// Identifies a paging client.
@@ -132,6 +133,12 @@ impl PagingSim {
     /// References virtual `page` for `client`. Returns `true` on a hit;
     /// on a miss the page is faulted in, revoking a frame by inverse
     /// lottery when the pool is full (Section 6.2's composite weighting).
+    ///
+    /// # Errors
+    ///
+    /// [`lottery_core::errors::LotteryError::AmountOverflow`] when a
+    /// revocation's ticket total or composite loss total is past the
+    /// draw's range.
     pub fn reference<R: SchedRng + ?Sized>(
         &mut self,
         client: PagingClientId,
@@ -146,54 +153,13 @@ impl PagingSim {
         self.clients[idx].faults += 1;
 
         if self.total_resident() >= self.frames {
-            // Composite inverse-lottery weights: (T - t_i) scaled by the
-            // fraction of memory in use, exactly as in
+            // Section 6.2's composite inverse lottery, exactly as in
             // [`crate::manager::MemoryManager`].
-            let total_tickets: u64 = self.clients.iter().map(|c| c.tickets).sum();
-            let occupants = self
+            let holdings = self
                 .clients
                 .iter()
-                .filter(|c| !c.resident.is_empty())
-                .count();
-            let entries: Vec<(usize, u64)> = self
-                .clients
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let complement = if occupants == 1 || total_tickets == 0 {
-                        1
-                    } else {
-                        total_tickets - c.tickets.min(total_tickets)
-                    };
-                    (i, complement * c.resident.len() as u64)
-                })
-                .collect();
-            // The composite weights are already *loss* weights, so the
-            // victim is a forward draw over them (the `1/(n-1)` inverse
-            // transform is baked into the complement factor).
-            let total: u64 = entries.iter().map(|&(_, w)| w).sum();
-            let victim = if total == 0 {
-                // Degenerate: a single client, or every occupant holding
-                // all the tickets — evict from the largest resident set.
-                self.clients
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, c)| c.resident.len())
-                    .map(|(i, _)| i)
-                    .expect("occupants exist")
-            } else {
-                let winning = rng.below(total);
-                let mut sum = 0u64;
-                let mut chosen = None;
-                for &(i, w) in &entries {
-                    sum += w;
-                    if w > 0 && winning < sum {
-                        chosen = Some(i);
-                        break;
-                    }
-                }
-                chosen.expect("winning value below the total")
-            };
+                .map(|c| (c.tickets, c.resident.len() as u64));
+            let victim = inverse::draw_victim(holdings, rng)?;
             let v = &mut self.clients[victim];
             let evicted = v.order.pop_front().expect("victim holds a page");
             v.resident.remove(&evicted);
@@ -322,6 +288,24 @@ mod tests {
         }
         let share = f64::from(hot_refs) / f64::from(n);
         assert!((share - 0.9).abs() < 0.01, "hot share {share}");
+    }
+
+    /// A composite loss total past `2^62` is an error: it once made the
+    /// bounded draw spin forever (release) or overflow a product (debug).
+    #[test]
+    fn composite_total_past_the_draw_range_is_an_error() {
+        use lottery_core::errors::LotteryError;
+
+        let mut sim = PagingSim::new(2);
+        let a = sim.register("a", u64::MAX / 2);
+        let b = sim.register("b", 1);
+        let mut rng = ParkMiller::new(1);
+        assert_eq!(sim.reference(a, 0, &mut rng), Ok(false));
+        assert_eq!(sim.reference(b, 0, &mut rng), Ok(false));
+        assert_eq!(
+            sim.reference(a, 1, &mut rng),
+            Err(LotteryError::AmountOverflow)
+        );
     }
 
     #[test]

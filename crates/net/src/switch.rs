@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use lottery_core::errors::Result;
-use lottery_core::lottery::{list::ListLottery, TicketPool};
+use lottery_core::lottery;
 use lottery_core::rng::SchedRng;
 use lottery_obs::{EventKind, ProbeBus};
 use lottery_stats::Summary;
@@ -144,25 +144,24 @@ impl Switch {
     /// # Errors
     ///
     /// [`lottery_core::errors::LotteryError::EmptyLottery`] when no circuit has traffic (the
-    /// output port idles; the slot still elapses).
+    /// output port idles; the slot still elapses), and
+    /// [`lottery_core::errors::LotteryError::AmountOverflow`] when the
+    /// lottery's ticket total is past the draw's range.
     pub fn forward<R: SchedRng + ?Sized>(&mut self, rng: &mut R) -> Result<(CircuitId, Cell)> {
         self.slot += 1;
-        // Build the per-slot pool over backlogged circuits. Circuit counts
-        // are small (a switch port serves tens of VCs); the list lottery's
-        // linear walk is the right tool, as in the paper's prototype.
-        let mut pool: ListLottery<usize, u64> = ListLottery::without_move_to_front();
-        for (i, c) in self.circuits.iter().enumerate() {
-            if !c.queue.is_empty() && c.tickets > 0 {
-                pool.insert(i, c.tickets);
-            }
-        }
-        let entries = pool.len() as u32;
-        let total = pool.total();
-        let index = *pool.draw(rng)?;
+        // Draw straight over the circuit table: circuit counts are small
+        // (a switch port serves tens of VCs), so Figure 1's linear walk is
+        // the right tool, as in the paper's prototype. An idle circuit
+        // holds no interval.
+        let backlogged = self
+            .circuits
+            .iter()
+            .map(|c| if c.queue.is_empty() { 0 } else { c.tickets });
+        let (index, entries, total) = lottery::draw(backlogged, rng)?;
         self.bus.emit(|| EventKind::ResourceDraw {
             resource: "net",
             client: index as u32,
-            entries,
+            entries: entries as u32,
             total,
         });
         let circuit = &mut self.circuits[index];

@@ -26,7 +26,7 @@ use lottery_core::ledger::Ledger;
 use lottery_core::lottery::alias::AliasLottery;
 use lottery_core::lottery::index::{DenseIndex, SlotIndex};
 use lottery_core::lottery::tree::TreeLottery;
-use lottery_core::lottery::TicketPool;
+use lottery_core::lottery::{walk, TicketPool};
 use lottery_core::rng::SchedRng;
 use lottery_obs::{EventKind, ProbeBus};
 
@@ -290,11 +290,7 @@ impl Shard {
                 // Figure 1: walk the run queue summing client values until
                 // the sum exceeds the winning value.
                 Pool::List { ready, values, .. } => {
-                    let mut sum = 0.0;
-                    let hit = values.iter().position(|&v| {
-                        sum += v;
-                        winning < sum
-                    });
+                    let hit = walk(values.iter().copied(), winning);
                     ready.get(hit.unwrap_or(ready.len() - 1)).copied()
                 }
                 Pool::Tree(tree) => tree.select(winning).copied(),

@@ -15,7 +15,8 @@
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 
-use lottery_core::rng::{ParkMiller, SchedRng};
+use lottery_core::lottery;
+use lottery_core::rng::ParkMiller;
 
 use crate::primitives::{Condvar, Mutex};
 
@@ -149,19 +150,11 @@ impl<T> LotteryMutex<T> {
             state.held = false;
             return;
         }
-        // Hold the handoff lottery: draw a winning value below the total
-        // ticket count and walk the waiter list (Figure 1's procedure).
-        let total: u64 = state.waiters.iter().map(|w| w.tickets).sum();
-        let winning = state.rng.below(total);
-        let mut sum = 0;
-        let mut index = state.waiters.len() - 1;
-        for (i, w) in state.waiters.iter().enumerate() {
-            sum += w.tickets;
-            if winning < sum {
-                index = i;
-                break;
-            }
-        }
+        // Hold the handoff lottery over the waiters' tickets (Figure 1's
+        // procedure). A ticket total past the draw's range hands the lock
+        // to the oldest waiter: this runs in `Drop`, which cannot fail.
+        let State { waiters, rng, .. } = &mut *state;
+        let index = lottery::draw(waiters.iter().map(|w| w.tickets), rng).map_or(0, |(i, ..)| i);
         // Hand ownership over directly: `held` stays set, so the fast
         // paths keep failing until the winner has come and gone.
         let winner = state.waiters.remove(index);

@@ -18,6 +18,13 @@ cargo bench --no-run --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 
+# One Figure-1 walk: every resource's lottery draws through
+# `lottery::walk` (or `lottery::draw`), so a running-sum comparison may
+# only appear in the core lottery module.
+if grep -rn 'winning < sum\|winner < sum' crates src | grep -v '^crates/core/src/lottery/'; then
+  echo "verify: a hand-rolled lottery walk outside crates/core/src/lottery/" >&2; exit 1
+fi
+
 # Golden gate: the whole experiment transcript must reproduce the
 # committed one byte for byte. Every per-experiment claim (the 2:1 and
 # 3:1 ratios, bit-exact replays, ablation drifts, ...) is a line of that
