@@ -1,7 +1,6 @@
 //! The flight recorder: a bounded ring of recent events plus exporters.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 use crate::event::{Event, EventKind};
@@ -14,14 +13,31 @@ use crate::replay::{ReplayHeader, ReplayLog};
 /// CPU-0 activity on any multiprocessor capture.
 pub const INSTANT_TRACK: u32 = 1_000_000;
 
+/// Events per block of a [`FlightRecorder`]'s ring (56 KiB).
+const BLOCK: usize = 1024;
+
 /// A bounded ring buffer of probe events.
 ///
 /// Keeps the most recent `capacity` events, counting evictions, and
 /// replays its contents as JSONL records or a Chrome `trace_event`
 /// timeline.
+///
+/// The ring is a list of fixed-size blocks, allocated as events arrive.
+/// A recorder that sees few events holds little memory, and a large one
+/// is never one allocation the size of its whole window: a 3.5 MiB ring
+/// made and dropped over and over (one per simulation run) left a hole in
+/// the allocator's heap that any other allocation could split, so the next
+/// ring landed on fresh pages and the process's peak resident set stepped
+/// up by a whole ring at a point that depended on the caller's other
+/// allocations.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    ring: VecDeque<Event>,
+    /// Slot `i` of the ring is `blocks[i / BLOCK][i % BLOCK]`; every block
+    /// but the last holds `BLOCK` events.
+    blocks: Vec<Vec<Event>>,
+    /// The slot of the oldest event once the ring is full, else 0.
+    head: usize,
+    len: usize,
     capacity: usize,
     dropped: u64,
 }
@@ -35,7 +51,9 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "flight recorder capacity must be positive");
         Self {
-            ring: VecDeque::with_capacity(capacity),
+            blocks: Vec::new(),
+            head: 0,
+            len: 0,
             capacity,
             dropped: 0,
         }
@@ -43,17 +61,18 @@ impl FlightRecorder {
 
     /// Retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.ring.iter()
+        let slots = || self.blocks.iter().flatten();
+        slots().skip(self.head).chain(slots().take(self.head))
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.len
     }
 
     /// Whether no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.len == 0
     }
 
     /// Events evicted due to the capacity bound.
@@ -61,16 +80,19 @@ impl FlightRecorder {
         self.dropped
     }
 
-    /// Discards every retained event (the eviction counter survives).
+    /// Discards every retained event and the blocks that held them (the
+    /// eviction counter survives).
     pub fn clear(&mut self) {
-        self.ring.clear();
+        self.blocks.clear();
+        self.head = 0;
+        self.len = 0;
     }
 
     /// Serializes the retained events as JSONL: one JSON object per line,
     /// oldest first.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.ring.len() * 96);
-        for event in &self.ring {
+        let mut out = String::with_capacity(self.len * 96);
+        for event in self.events() {
             out.push_str(&event.to_json());
             out.push('\n');
         }
@@ -86,7 +108,7 @@ impl FlightRecorder {
     pub fn to_replay_log(&self, header: ReplayHeader) -> ReplayLog {
         ReplayLog {
             header,
-            events: self.ring.iter().copied().collect(),
+            events: self.events().copied().collect(),
         }
     }
 
@@ -110,7 +132,7 @@ impl FlightRecorder {
         };
         // In-flight dispatches: thread -> (start time, cpu, queue depth).
         let mut running: HashMap<u32, (u64, u32, u32)> = HashMap::new();
-        for event in &self.ring {
+        for event in self.events() {
             let t = event.time_us;
             match event.kind {
                 EventKind::Dispatch {
@@ -194,11 +216,26 @@ impl FlightRecorder {
 
 impl Recorder for FlightRecorder {
     fn record(&mut self, event: &Event) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+        if self.len == self.capacity {
+            // Full: the newest event takes the oldest one's slot.
+            self.blocks[self.head / BLOCK][self.head % BLOCK] = *event;
+            self.head = if self.head + 1 == self.capacity {
+                0
+            } else {
+                self.head + 1
+            };
             self.dropped += 1;
+            return;
         }
-        self.ring.push_back(*event);
+        match self.blocks.last_mut() {
+            Some(block) if block.len() < BLOCK => block.push(*event),
+            _ => {
+                let mut block = Vec::with_capacity(BLOCK.min(self.capacity - self.len));
+                block.push(*event);
+                self.blocks.push(block);
+            }
+        }
+        self.len += 1;
     }
 }
 
@@ -220,6 +257,51 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert_eq!(f.dropped(), 1);
         assert_eq!(f.events().next().unwrap().time_us, 2);
+    }
+
+    #[test]
+    fn ring_across_blocks_matches_a_deque() {
+        let total = 4 * BLOCK as u64 + 3;
+        // Below, at and past one block, and not a multiple of one.
+        for capacity in [1, 7, BLOCK, BLOCK + 1, 3 * BLOCK - 5] {
+            let mut f = FlightRecorder::new(capacity);
+            let mut model = std::collections::VecDeque::new();
+            for t in 0..total {
+                f.record(&ev(t, EventKind::Wake { thread: 0 }));
+                if model.len() == capacity {
+                    model.pop_front();
+                }
+                model.push_back(t);
+                if t % 97 == 0 || t + 1 == total {
+                    let times: Vec<u64> = f.events().map(|e| e.time_us).collect();
+                    assert_eq!(
+                        times,
+                        Vec::from(model.clone()),
+                        "capacity {capacity}, t {t}"
+                    );
+                }
+            }
+            assert_eq!(f.len(), capacity);
+            assert_eq!(f.dropped(), total - capacity as u64);
+            assert_eq!(f.blocks.len(), capacity.div_ceil(BLOCK));
+            f.clear();
+            assert!(f.is_empty() && f.blocks.is_empty());
+            f.record(&ev(total, EventKind::Wake { thread: 0 }));
+            let times: Vec<u64> = f.events().map(|e| e.time_us).collect();
+            assert_eq!(times, [total]);
+            assert_eq!(f.dropped(), total - capacity as u64);
+        }
+    }
+
+    #[test]
+    fn blocks_are_allocated_as_events_arrive() {
+        let mut f = FlightRecorder::new(1 << 16);
+        assert!(f.blocks.is_empty());
+        for t in 0..=BLOCK as u64 {
+            f.record(&ev(t, EventKind::Wake { thread: 0 }));
+        }
+        assert_eq!(f.blocks.len(), 2);
+        assert_eq!(f.dropped(), 0);
     }
 
     #[test]

@@ -5,21 +5,23 @@
 //! on one host thread. This crate runs the same engine on **real OS
 //! threads**: a [`ParKernel`] spawns one worker thread per shard, and each
 //! worker drives an [`SmpKernel`] of its own — one CPU, numbered by the
-//! worker — whose policy is that shard's ready queue and partial-sum tree,
-//! with the ticket [`Ledger`] as the only shared structure (behind one
-//! [`lottery_sync::Mutex`]). The crate owns what lies between the kernels:
-//! threads migrate between workers by message passing over bounded
-//! channels — never by shared memory — so every scheduled thread has
-//! exactly one owner at every instant.
+//! worker — whose policy is the simulator's lottery core over that shard's
+//! ready queue and partial-sum tree, with the ticket [`Ledger`] as the only
+//! shared structure (behind one [`lottery_sync::Mutex`]). The crate owns
+//! what lies between the kernels: threads migrate between workers by
+//! message passing over bounded channels — never by shared memory — so
+//! every scheduled thread has exactly one owner at every instant.
 //!
 //! # Guarantees, by worker count
 //!
 //! * **One worker** — the machine is `SmpKernel` with one CPU, and the
-//!   worker's policy keeps the event order and ledger-operation order of
+//!   worker's policy is the
+//!   [`LotteryCore`](lottery_sim::sched::core::LotteryCore) sequence of
 //!   [`DistributedLottery`](lottery_sim::sched::distributed::DistributedLottery)
-//!   with one shard around the same
-//!   [`Shard`](lottery_sim::prelude::Shard) draw. The winner stream is
-//!   **bit identical** to that policy's on the same one-CPU engine
+//!   with one shard, around the same
+//!   [`Shard`](lottery_sim::prelude::Shard) draw. The winner stream, and
+//!   the probe stream but for the ledger's own events, are **bit
+//!   identical** to that policy's on the same one-CPU engine
 //!   (`tests/equivalence.rs`).
 //! * **Many workers** — per-worker virtual clocks advance independently
 //!   (as real CPUs do), so cross-worker interleaving is nondeterministic
@@ -56,14 +58,14 @@ use lottery_core::ledger::Ledger;
 use lottery_core::rng::SplitMix64;
 use lottery_obs::{EventKind, PerThreadFlight, ProbeBus};
 use lottery_sim::prelude::{FundingSpec, SimDuration, SimTime, SmpKernel, Thread, ThreadId};
-use lottery_sim::sched::core::{fund_currency, fund_thread};
+use lottery_sim::sched::core::fund_currency;
 use lottery_sync::channel::{bounded, Sender};
 use lottery_sync::Mutex;
 
 pub use work::WorkSpec;
 pub use worker::WorkerReport;
 
-use worker::{LockedShard, Msg, Shared, Worker};
+use worker::{Arrival, LockedShard, Msg, Shared, Worker};
 
 /// A multiprocessor lottery scheduler running on real OS threads.
 ///
@@ -185,12 +187,11 @@ impl ParKernel {
         }
     }
 
-    /// Registers a thread: funds a fresh client from `spec`, homes it on
-    /// the least-loaded shard, and attaches it to that worker's kernel,
-    /// ready at time zero. The funding is the simulated policies' own
-    /// [`fund_thread`], and the ledger-operation order around it is
-    /// exactly their `on_spawn` + `enqueue` sequence — the root of the
-    /// 1-worker bit-equivalence guarantee.
+    /// Registers a thread: attaches it to the kernel of the least-loaded
+    /// shard, ready at time zero, where the worker's policy funds a fresh
+    /// client from `spec` and homes it — the simulated distributed
+    /// policy's own `on_spawn` + `enqueue`, the root of the 1-worker
+    /// bit-equivalence guarantee.
     ///
     /// # Panics
     ///
@@ -200,24 +201,9 @@ impl ParKernel {
         let tid = ThreadId::from_index(self.next_tid);
         self.next_tid += 1;
         let home = self.least_loaded_shard();
-        let client = {
-            let mut ledger = self.shared.ledger.lock();
-            let (client, _ticket) = fund_thread(&mut ledger, tid, spec);
-            ledger.assign_dirty_shard(client, home);
-            client
-        };
         let kernel = &mut self.kernels[home as usize];
-        let bus = kernel.probe_bus();
-        if bus.is_enabled() {
-            bus.set_time_us(0);
-            bus.emit(|| EventKind::WeightChange {
-                client: client.index(),
-                tickets: spec.amount,
-                origin: "spawn",
-            });
-        }
         let thread = Thread::new(tid.to_string(), work.to_workload());
-        kernel.attach(tid, thread, client);
+        kernel.attach(tid, thread, Arrival::Fresh(spec));
         kernel.probe_bus().emit(|| EventKind::ThreadSpawn {
             thread: tid.index(),
         });

@@ -4,12 +4,13 @@
 //! [`SmpKernel`]`<`[`LockedShard`]`>` with a single CPU numbered by the
 //! worker's id, and every decision it makes is one [`SmpKernel::step`] —
 //! the event queue, the quantum, the thread table are that kernel's.
-//! [`LockedShard`] is the [`Policy`] under it: the simulator's [`Shard`]
-//! (ready set and partial-sum tree) plus the sequence
-//! [`DistributedLottery`] keeps around a draw, with the one difference
-//! that the ticket [`Ledger`] is shared and sits behind a
-//! [`lottery_sync::Mutex`] (its valuation cache is `Send` but not `Sync`),
-//! taken once per ledger touch.
+//! [`LockedShard`] is the [`Policy`] under it: the simulator's
+//! [`LotteryCore`] over the simulator's [`Shard`] (ready set and
+//! partial-sum tree), making the pick [`DistributedLottery`] makes on a
+//! CPU's own shard. The one difference is where the core's ticket
+//! [`Ledger`] lives: it is shared, behind a [`lottery_sync::Mutex`] (its
+//! valuation cache is `Send` but not `Sync`), and each ledger touch of the
+//! core's sequence is one lock section.
 //!
 //! What is the worker's alone is everything between kernels: the inbox,
 //! the peers, steal requests and thread migration over bounded MPSC
@@ -20,28 +21,28 @@
 //!
 //! With one worker there is no cross-thread traffic at all and the winner
 //! stream is bit-identical to `SmpKernel<DistributedLottery>` with one
-//! shard — `tests/equivalence.rs` pins [`LockedShard`]'s ledger-operation
-//! order to that policy's. With several workers, virtual clocks advance
+//! shard, and so is the probe stream but for the ledger's own events —
+//! `tests/equivalence.rs` pins both. With several workers, virtual clocks advance
 //! independently (as real CPUs' quantum streams do), so the guarantees
 //! weaken by design from bit-equality to conservation: value never leaks,
 //! every thread has exactly one owner.
 //!
 //! [`DistributedLottery`]: lottery_sim::sched::distributed::DistributedLottery
 
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lottery_core::client::ClientId;
 use lottery_core::ledger::Ledger;
-use lottery_core::rng::ParkMiller;
 use lottery_obs::{EventKind, ProbeBus};
 use lottery_sim::prelude::{
-    CompensationHook, EndReason, Policy, SelectStructure, Shard, SimDuration, SimTime, SmpKernel,
+    EndReason, FundingSpec, Policy, SelectStructure, Shard, SimDuration, SimTime, SmpKernel,
     Thread, ThreadId,
 };
+use lottery_sim::sched::core::{LedgerAccess, LotteryCore, ThreadFunding};
 use lottery_sim::smp::{Dispatched, Step};
-use lottery_sync::channel::{Receiver, RecvTimeoutError, Sender};
+use lottery_sync::channel::{Receiver, RecvTimeoutError, Sender, TrySendError};
 use lottery_sync::Mutex;
 
 /// How long a dry worker waits on one victim before moving on.
@@ -87,12 +88,12 @@ impl Drop for DoneGuard {
     }
 }
 
-/// A migrating thread: the control block with the ledger client that
-/// funds it. Only *ready* threads are stolen, so no pending wake event
+/// A migrating thread: the control block with the funding record that
+/// backs it. Only *ready* threads are stolen, so no pending wake event
 /// ever needs to travel with one.
 pub(crate) struct ParThread {
     pub tid: ThreadId,
-    pub client: ClientId,
+    pub funding: ThreadFunding,
     pub thread: Thread,
 }
 
@@ -112,160 +113,99 @@ pub(crate) enum Msg {
     Quiesced,
 }
 
-/// One shard of the machine as a [`Policy`]: the lottery
-/// [`DistributedLottery`] holds on one of its shards, against a ledger
-/// that other workers share. Each `Policy` call that touches the ledger is
-/// one lock section, so a decision takes four: settle, revoke, charge, and
-/// the requeue's activation.
+/// How a thread comes onto a worker's books.
+pub(crate) enum Arrival {
+    /// Spawned here, to be funded from the spec.
+    Fresh(FundingSpec),
+    /// Migrated from another worker, with the funding it already has.
+    Migrant(ThreadFunding),
+}
+
+/// The ledger every worker shares: each [`LedgerAccess::lock`] is one
+/// critical section on its mutex.
+pub(crate) struct SharedLedger(Arc<Shared>);
+
+impl LedgerAccess for SharedLedger {
+    fn lock(&mut self) -> impl DerefMut<Target = Ledger> + '_ {
+        self.0.ledger.lock()
+    }
+
+    /// A bus is one worker's lane and the ledger is everyone's, so the
+    /// ledger reports to none.
+    fn attach_bus(&mut self, _bus: ProbeBus) {}
+}
+
+/// One shard of the machine as a [`Policy`]: the simulator's
+/// [`LotteryCore`] over one [`Shard`] and the ledger the workers share,
+/// making the pick [`DistributedLottery`] makes on a CPU's own shard. A
+/// decision takes four lock sections: settle, revoke, charge, and the
+/// requeue's activation.
 ///
 /// [`DistributedLottery`]: lottery_sim::sched::distributed::DistributedLottery
 pub(crate) struct LockedShard {
-    /// Shard index = worker id = the CPU number in probes.
+    /// Shard index = worker id = the CPU number in probes = the ledger
+    /// dirty queue this shard drains.
     id: u32,
-    shared: Arc<Shared>,
-    quantum: SimDuration,
-    rng: ParkMiller,
+    core: LotteryCore<SharedLedger>,
     /// The ready set and its partial-sum tree.
     pub(crate) shard: Shard,
-    /// The ledger client behind each resident thread, indexed by thread id.
-    clients: Vec<Option<ClientId>>,
-    /// Reverse map from ledger clients to resident threads.
-    client_threads: Vec<Option<ThreadId>>,
-    dirty_buf: Vec<ClientId>,
-    comp: CompensationHook,
-    bus: ProbeBus,
 }
 
 impl LockedShard {
     pub(crate) fn new(id: u32, shared: Arc<Shared>, quantum: SimDuration, seed: u32) -> Self {
         Self {
             id,
-            shared,
-            quantum,
-            rng: ParkMiller::new(seed),
+            core: LotteryCore::with_ledger(SharedLedger(shared), seed, quantum),
             shard: Shard::new(SelectStructure::Tree),
-            clients: Vec::new(),
-            client_threads: Vec::new(),
-            dirty_buf: Vec::new(),
-            comp: CompensationHook::new(),
-            bus: ProbeBus::disabled(),
         }
     }
 
-    fn client_of(&self, tid: ThreadId) -> ClientId {
-        self.clients[tid.index() as usize].expect("thread is resident")
-    }
-
-    /// Threads registered here: ready, running or blocked, in id order.
-    fn resident(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        (0u32..)
-            .zip(&self.clients)
-            .filter_map(|(i, client)| client.map(|_| ThreadId::from_index(i)))
-    }
-
-    /// Forgets `tid` without touching its funding and returns its client.
-    fn unregister(&mut self, tid: ThreadId) -> ClientId {
-        let client = self.clients[tid.index() as usize]
-            .take()
-            .expect("thread is resident");
-        self.client_threads[client.index() as usize] = None;
-        client
-    }
-
-    /// Settles this shard's pending valuation invalidations into the tree
-    /// under one lock acquisition — the per-decision dirty batch. Stamps
-    /// the bus first: the probes of a pick carry the pick's time.
-    pub(crate) fn refresh(&mut self, now: SimTime) {
-        if self.bus.is_enabled() {
-            self.bus.set_time_us(now.as_us());
-        }
-        let mut ledger = self.shared.ledger.lock();
-        ledger.drain_dirty_shard_into(self.id, &mut self.dirty_buf);
-        if !self.dirty_buf.is_empty() {
-            let (shard, depth) = (self.id, self.dirty_buf.len() as u32);
-            self.bus.emit(|| EventKind::DirtyBatch { shard, depth });
-        }
-        self.shard
-            .settle(&self.dirty_buf, &self.client_threads, &ledger);
-    }
-
-    /// Takes the tail of the ready queue out of the shard for `thief`,
-    /// re-homing its client's dirty notifications there; invalidations
-    /// already queued here drain here and skip the now-unmapped client.
-    fn release_tail(&mut self, thief: u32) -> (ThreadId, ClientId) {
+    /// Takes the tail of the ready queue out of the shard and off the
+    /// books for `thief`, whose dirty queue its invalidations go to now;
+    /// invalidations already queued here drain here and skip the
+    /// now-unmapped client.
+    fn release_tail(&mut self, thief: u32) -> (ThreadId, ThreadFunding) {
         let tid = self.shard.iter().next_back().expect("a ready thread");
         self.shard.remove(tid);
-        let client = self.unregister(tid);
-        self.shared.ledger.lock().assign_dirty_shard(client, thief);
-        (tid, client)
+        let funding = self.core.release(tid);
+        self.core.home(funding.client, thief);
+        (tid, funding)
     }
 }
 
 impl Policy for LockedShard {
-    type Spec = ClientId;
+    type Spec = Arrival;
 
-    fn on_spawn(&mut self, tid: ThreadId, client: ClientId) {
-        let (idx, slot) = (tid.index() as usize, client.index() as usize);
-        if self.clients.len() <= idx {
-            self.clients.resize(idx + 1, None);
+    fn on_spawn(&mut self, tid: ThreadId, arrival: Arrival) {
+        match arrival {
+            Arrival::Fresh(spec) => {
+                let client = self.core.spawn(tid, spec);
+                self.core.home(client, self.id);
+            }
+            Arrival::Migrant(funding) => self.core.adopt(tid, funding),
         }
-        self.clients[idx] = Some(client);
-        if self.client_threads.len() <= slot {
-            self.client_threads.resize(slot + 1, None);
-        }
-        self.client_threads[slot] = Some(tid);
     }
 
     fn on_exit(&mut self, tid: ThreadId) {
-        let client = self.unregister(tid);
-        let mut ledger = self.shared.ledger.lock();
-        ledger.deactivate_client(client).expect("client liveness");
-        ledger
-            .destroy_client_and_funding(client)
-            .expect("client liveness");
+        self.core.exit(tid, &mut self.shard);
     }
 
-    /// Activates the thread's tickets and queues it at its value.
     fn enqueue(&mut self, tid: ThreadId, _now: SimTime) {
-        let client = self.client_of(tid);
-        let value = {
-            let mut ledger = self.shared.ledger.lock();
-            ledger.activate_client(client).expect("client liveness");
-            ledger.cached_client_value(client).unwrap_or(0.0)
-        };
-        self.shard.insert(tid, value);
+        self.core.activate(tid, &mut self.shard);
     }
 
-    /// Settle, draw, and revoke the winner's compensation ticket — the
-    /// distributed policy's local pick, probes included.
-    fn pick(&mut self, now: SimTime) -> Option<ThreadId> {
-        self.refresh(now);
-        let draw = self.shard.draw(&mut self.rng, |_| {
-            unreachable!("a worker's shard is a tree")
-        })?;
-        let tid = draw.winner;
-        self.bus.emit(|| draw.event("shard"));
-        let (cpu, shard) = (self.id, self.id);
-        self.bus.emit(|| EventKind::ShardPick {
-            cpu,
-            shard,
-            stolen: false,
-        });
-        let client = self.client_of(tid);
-        let mut ledger = self.shared.ledger.lock();
-        self.comp.on_dispatch(&mut ledger, &self.bus, tid, client);
-        Some(tid)
+    fn pick(&mut self, _now: SimTime) -> Option<ThreadId> {
+        let (id, shard) = (self.id, &mut self.shard);
+        self.core.refresh(id, shard);
+        (!shard.is_empty()).then(|| self.core.pick_from(id, id, shard, false))
     }
 
     fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason) {
-        let client = self.client_of(tid);
-        let mut ledger = self.shared.ledger.lock();
-        self.comp
-            .on_charge(&mut ledger, &self.bus, tid, client, used, quantum, why);
+        self.core.charge(tid, used, quantum, why);
     }
 
     fn quantum(&self) -> SimDuration {
-        self.quantum
+        self.core.quantum()
     }
 
     fn ready_len(&self) -> usize {
@@ -273,7 +213,7 @@ impl Policy for LockedShard {
     }
 
     fn set_probe_bus(&mut self, bus: ProbeBus) {
-        self.bus = bus;
+        self.core.set_probe_bus(bus);
     }
 }
 
@@ -378,11 +318,13 @@ impl Worker {
         let clock = self.deadline.max(self.kernel.now());
         // Settle our shard's pending invalidations now that no worker can
         // mutate the ledger: the reported total is exact.
-        self.kernel.policy_mut().refresh(clock);
+        self.kernel.probe_bus().set_time_us(clock.as_us());
+        let policy = self.kernel.policy_mut();
+        policy.core.refresh(policy.id, &mut policy.shard);
+        let (exited, resident) = (self.kernel.threads())
+            .map(|(tid, _)| tid)
+            .partition(|&tid| self.kernel.thread(tid).is_exited());
         let policy = self.kernel.policy();
-        let exited = (self.kernel.threads())
-            .filter_map(|(tid, thread)| thread.is_exited().then_some(tid))
-            .collect();
         WorkerReport {
             id: self.id,
             clock,
@@ -390,7 +332,7 @@ impl Worker {
             decisions: self.winners.len() as u64,
             steals_in: self.steals_in,
             steals_out: self.steals_out,
-            resident: policy.resident().collect(),
+            resident,
             ready: policy.shard.iter().collect(),
             ready_total: policy.shard.total(),
             winners: self.winners,
@@ -414,12 +356,17 @@ impl Worker {
     // Cross-worker traffic
     // ---------------------------------------------------------------
 
-    fn reply(&self, to: u32, msg: Msg) {
-        if let Some((_, tx)) = self.peers.iter().find(|(id, _)| *id == to) {
-            // A gone receiver means that worker already quiesced and its
-            // thief-side timeout will cover the lost reply.
-            let _ = tx.send(msg);
-        }
+    /// Posts `msg` to worker `to` without blocking. A peer whose inbox is
+    /// full, or who is gone, does not get it, and the message comes back:
+    /// a thief covers a lost [`Msg::StealFail`] with its timeout, and a
+    /// donor takes back a [`Msg::Migrate`].
+    fn post(&self, to: u32, msg: Msg) -> Result<(), Msg> {
+        let Some((_, tx)) = self.peers.iter().find(|(id, _)| *id == to) else {
+            return Err(msg);
+        };
+        tx.try_send(msg).map_err(|err| match err {
+            TrySendError::Full(msg) | TrySendError::Disconnected(msg) => msg,
+        })
     }
 
     fn drain_inbox(&mut self) {
@@ -437,7 +384,7 @@ impl Worker {
                 if self.steal && self.kernel.policy().ready_len() > 1 {
                     self.donate(thief);
                 } else {
-                    self.reply(thief, Msg::StealFail);
+                    let _ = self.post(thief, Msg::StealFail);
                 }
             }
             Msg::StealFail => {
@@ -449,8 +396,8 @@ impl Worker {
                 // here and the thread queues at its current value, kicking
                 // the CPU if idle.
                 let migrant = *migrant;
-                self.kernel
-                    .attach(migrant.tid, migrant.thread, migrant.client);
+                let arrival = Arrival::Migrant(migrant.funding);
+                self.kernel.attach(migrant.tid, migrant.thread, arrival);
                 self.steals_in += 1;
             }
             Msg::Quiesced => {}
@@ -459,10 +406,24 @@ impl Worker {
 
     /// Gives the thief the tail of our ready queue. Only ready threads
     /// migrate, so ownership moves in one message with no pending events
-    /// left behind.
+    /// left behind. A thief that cannot take the message leaves the thread
+    /// here, queued again at its current value.
     fn donate(&mut self, thief: u32) {
-        let (tid, client) = self.kernel.policy_mut().release_tail(thief);
+        let (tid, funding) = self.kernel.policy_mut().release_tail(thief);
         let thread = self.kernel.detach(tid);
+        let migrant = ParThread {
+            tid,
+            funding,
+            thread,
+        };
+        if let Err(Msg::Migrate(migrant)) = self.post(thief, Msg::Migrate(Box::new(migrant))) {
+            let ParThread {
+                funding, thread, ..
+            } = *migrant;
+            self.kernel.policy_mut().core.home(funding.client, self.id);
+            self.kernel.attach(tid, thread, Arrival::Migrant(funding));
+            return;
+        }
         self.steals_out += 1;
         let bus = self.kernel.probe_bus();
         if bus.is_enabled() {
@@ -473,12 +434,6 @@ impl Worker {
                 to_shard: thief,
             });
         }
-        let migrant = ParThread {
-            tid,
-            client,
-            thread,
-        };
-        self.reply(thief, Msg::Migrate(Box::new(migrant)));
     }
 
     /// Dry worker: ask each peer in turn for a thread, waiting briefly
@@ -488,8 +443,11 @@ impl Worker {
     fn try_acquire_work(&mut self) -> bool {
         for k in 0..self.peers.len() {
             // Rotate by our own id so thieves spread across victims.
-            let (_, tx) = &self.peers[(self.id as usize + k) % self.peers.len()];
-            if tx.send(Msg::StealRequest { thief: self.id }).is_err() {
+            let (victim, _) = self.peers[(self.id as usize + k) % self.peers.len()];
+            if self
+                .post(victim, Msg::StealRequest { thief: self.id })
+                .is_err()
+            {
                 continue;
             }
             self.outstanding += 1;
@@ -536,77 +494,90 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lottery_sim::prelude::{ComputeBound, FundingSpec};
+    use lottery_sim::prelude::ComputeBound;
     use lottery_sim::sched::core::fund_thread;
     use lottery_sync::channel::bounded;
 
-    /// Worker 0 of a two-worker machine, built by hand with three hogs on
-    /// it and running a 50 ms window on its own OS thread. The test plays
-    /// worker 1: it holds the other end of both channels and decides when
-    /// "worker 1" is done.
+    /// Worker 0 of a two-worker machine, built by hand and ready to run a
+    /// 50 ms window. The test plays worker 1: it holds the other end of
+    /// both channels and decides when "worker 1" is done.
     struct Rig {
         shared: Arc<Shared>,
         to_worker: Sender<Msg>,
         from_worker: Receiver<Msg>,
-        report: std::sync::mpsc::Receiver<WorkerReport>,
+        /// A spare handle on "worker 1"'s inbox, for jamming it.
+        to_peer: Sender<Msg>,
     }
 
     /// A base-funded, active client for thread `tid`, homed on shard 0.
-    fn fund(shared: &Shared, tid: ThreadId, amount: u64) -> ClientId {
+    fn fund(shared: &Shared, tid: ThreadId, amount: u64) -> ThreadFunding {
         let mut ledger = shared.ledger.lock();
         let spec = FundingSpec::new(ledger.base(), amount);
-        let (client, _ticket) = fund_thread(&mut ledger, tid, spec);
-        ledger.assign_dirty_shard(client, 0);
-        ledger.activate_client(client).expect("fresh client");
-        client
+        let funding = fund_thread(&mut ledger, tid, spec);
+        ledger.assign_dirty_shard(funding.client, 0);
+        ledger
+            .activate_client(funding.client)
+            .expect("fresh client");
+        funding
     }
 
     fn hog(tid: ThreadId) -> Thread {
         Thread::new(tid.to_string(), Box::new(ComputeBound))
     }
 
-    impl Rig {
-        fn start() -> Self {
-            Self::with_done(0)
+    /// The rig, and its worker with `hogs` hogs of 100 base tickets each,
+    /// `done` workers already counted out.
+    fn rig(done: u32, hogs: u32) -> (Rig, Worker) {
+        let mut ledger = Ledger::new();
+        ledger.set_dirty_shards(2);
+        let shared = Arc::new(Shared {
+            ledger: Mutex::new(ledger),
+            done: AtomicU32::new(done),
+            workers: 2,
+        });
+        let shard = LockedShard::new(0, shared.clone(), SimDuration::from_ms(10), 7);
+        let mut kernel = SmpKernel::with_first_cpu(shard, 1, 0);
+        let base = shared.ledger.lock().base();
+        for tid in (0..hogs).map(ThreadId::from_index) {
+            let spec = FundingSpec::new(base, 100);
+            kernel.attach(tid, hog(tid), Arrival::Fresh(spec));
         }
+        let (to_worker, inbox) = bounded(8);
+        let (to_peer, from_worker) = bounded(8);
+        let worker = Worker::new(
+            0,
+            shared.clone(),
+            inbox,
+            vec![(1, to_peer.clone())],
+            kernel,
+            None,
+            SimTime::from_ms(50),
+            true,
+        );
+        let rig = Rig {
+            shared,
+            to_worker,
+            from_worker,
+            to_peer,
+        };
+        (rig, worker)
+    }
 
-        /// [`Rig::start`] with `done` workers already counted out.
-        fn with_done(done: u32) -> Self {
-            let mut ledger = Ledger::new();
-            ledger.set_dirty_shards(2);
-            let shared = Arc::new(Shared {
-                ledger: Mutex::new(ledger),
-                done: AtomicU32::new(done),
-                workers: 2,
-            });
-            let shard = LockedShard::new(0, shared.clone(), SimDuration::from_ms(10), 7);
-            let mut kernel = SmpKernel::with_first_cpu(shard, 1, 0);
-            for tid in (0..3).map(ThreadId::from_index) {
-                kernel.attach(tid, hog(tid), fund(&shared, tid, 100));
-            }
-            let (to_worker, inbox) = bounded(8);
-            let (to_peer, from_worker) = bounded(8);
-            let worker = Worker::new(
-                0,
-                shared.clone(),
-                inbox,
-                vec![(1, to_peer)],
-                kernel,
-                None,
-                SimTime::from_ms(50),
-                true,
-            );
-            let (tx, report) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                // A test that already failed has dropped the receiver.
-                let _ = tx.send(worker.run());
-            });
-            Self {
-                shared,
-                to_worker,
-                from_worker,
-                report,
-            }
+    /// Runs the worker on its own OS thread; its report arrives on the
+    /// returned channel.
+    fn launch(worker: Worker) -> std::sync::mpsc::Receiver<WorkerReport> {
+        let (tx, report) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // A test that already failed has dropped the receiver.
+            let _ = tx.send(worker.run());
+        });
+        report
+    }
+
+    impl Rig {
+        /// Fills "worker 1"'s inbox, which the test then never drains.
+        fn jam_peer_inbox(&self) {
+            while self.to_peer.try_send(Msg::Quiesced).is_ok() {}
         }
 
         /// Returns once worker 0's `DoneGuard` has dropped: its window is
@@ -618,9 +589,9 @@ mod tests {
         }
 
         /// Counts "worker 1" out and collects worker 0's report.
-        fn quiesce(&self) -> WorkerReport {
+        fn quiesce(&self, report: &std::sync::mpsc::Receiver<WorkerReport>) -> WorkerReport {
             self.shared.done.fetch_add(1, Ordering::AcqRel);
-            self.report
+            report
                 .recv_timeout(Duration::from_secs(10))
                 .expect("the worker hung in quiesce")
         }
@@ -630,19 +601,20 @@ mod tests {
     /// the receiver's window is still adopted, funding intact.
     #[test]
     fn migrant_arriving_after_the_window_is_kept() {
-        let rig = Rig::start();
+        let (rig, worker) = rig(0, 3);
+        let report = launch(worker);
         rig.await_window_end();
         let tid = ThreadId::from_index(7);
-        let client = fund(&rig.shared, tid, 250);
+        let funding = fund(&rig.shared, tid, 250);
         let late = ParThread {
             tid,
-            client,
+            funding,
             thread: hog(tid),
         };
         rig.to_worker
             .send(Msg::Migrate(Box::new(late)))
             .expect("the worker is serving");
-        let report = rig.quiesce();
+        let report = rig.quiesce(&report);
         assert_eq!(report.steals_in, 1);
         assert_eq!(report.resident.len(), 4);
         assert!(report.resident.contains(&tid) && report.ready.contains(&tid));
@@ -651,14 +623,15 @@ mod tests {
         // The hog whose quantum ends on the deadline was requeued there.
         assert_eq!(report.ready_total, 550.0, "three hogs and the migrant");
         let ledger = rig.shared.ledger.lock();
-        assert_eq!(ledger.cached_client_value(client), Ok(250.0));
+        assert_eq!(ledger.cached_client_value(funding.client), Ok(250.0));
     }
 
     /// The mirror case: a steal request after the window is refused even
     /// though the worker has threads to spare and stealing was on.
     #[test]
     fn steal_request_after_the_window_is_refused() {
-        let rig = Rig::start();
+        let (rig, worker) = rig(0, 3);
+        let report = launch(worker);
         rig.await_window_end();
         rig.to_worker
             .send(Msg::StealRequest { thief: 1 })
@@ -668,7 +641,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("the worker left the request unanswered");
         assert!(matches!(reply, Msg::StealFail));
-        let report = rig.quiesce();
+        let report = rig.quiesce(&report);
         assert_eq!(report.steals_out, 0);
         assert_eq!(report.resident.len(), 3);
         assert_eq!(report.decisions, 5, "a 50 ms window of 10 ms quanta");
@@ -679,9 +652,8 @@ mod tests {
     /// posts exactly one `Quiesced` to it and reports.
     #[test]
     fn last_worker_out_posts_quiesced_to_its_peer() {
-        let rig = Rig::with_done(1);
-        let report = rig
-            .report
+        let (rig, worker) = rig(1, 3);
+        let report = launch(worker)
             .recv_timeout(Duration::from_secs(10))
             .expect("the worker hung in quiesce");
         assert_eq!(report.decisions, 5, "a 50 ms window of 10 ms quanta");
@@ -689,6 +661,71 @@ mod tests {
         assert!(
             rig.from_worker.try_recv().is_err(),
             "exactly one message, and nothing after it"
+        );
+    }
+
+    /// A full steal channel: a donation whose thief has
+    /// no room for it never leaves. The thread is back on the victim's
+    /// books and queue, its invalidations come home, and no value moves.
+    #[test]
+    fn donation_to_a_full_inbox_stays_home() {
+        let (rig, mut worker) = rig(0, 3);
+        rig.jam_peer_inbox();
+        let (tx, handled) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            worker.handle_msg(Msg::StealRequest { thief: 1 });
+            let _ = tx.send(worker);
+        });
+        let worker = handled
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the donor blocked on the full inbox");
+        assert_eq!(worker.steals_out, 0);
+        let policy = worker.kernel.policy();
+        assert_eq!(policy.ready_len(), 3);
+        let tail = policy.core.client_of(ThreadId::from_index(2));
+        assert_eq!(rig.shared.ledger.lock().dirty_shard_of(tail), 0);
+        let report = launch(worker);
+        let report = rig.quiesce(&report);
+        assert_eq!((report.steals_out, report.resident.len()), (0, 3));
+        assert_eq!(report.decisions, 5, "a 50 ms window of 10 ms quanta");
+        assert_eq!(report.ready_total, 300.0, "three hogs, none lost");
+        let ledger = rig.shared.ledger.lock();
+        for (client, _) in ledger.clients() {
+            assert_eq!(ledger.cached_client_value(client), Ok(100.0));
+        }
+    }
+
+    /// A worker that never drains its inbox: with its
+    /// only peer jammed, a serving worker's refusal cannot be delivered,
+    /// and the worker still quiesces instead of blocking on the send.
+    #[test]
+    fn a_jammed_peer_never_blocks_a_reply() {
+        let (rig, worker) = rig(0, 3);
+        rig.jam_peer_inbox();
+        let report = launch(worker);
+        rig.await_window_end();
+        rig.to_worker
+            .send(Msg::StealRequest { thief: 1 })
+            .expect("the worker is serving");
+        let report = rig.quiesce(&report);
+        assert_eq!((report.steals_out, report.resident.len()), (0, 3));
+        assert_eq!(report.decisions, 5, "a 50 ms window of 10 ms quanta");
+    }
+
+    /// The thief's side of the jam: a dry worker whose only victim has no
+    /// room for a request gives up at once and ends its window.
+    #[test]
+    fn a_dry_worker_facing_a_jammed_peer_gives_up() {
+        let (rig, worker) = rig(0, 0);
+        rig.jam_peer_inbox();
+        let report = launch(worker);
+        let report = rig.quiesce(&report);
+        assert_eq!(report.decisions, 0);
+        assert!(
+            rig.from_worker
+                .try_iter()
+                .all(|msg| matches!(msg, Msg::Quiesced)),
+            "no request got through"
         );
     }
 }

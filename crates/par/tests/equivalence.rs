@@ -10,7 +10,7 @@
 //! *backend* rather than a reimplementation: every fairness theorem the
 //! simulator validates transfers verbatim.
 
-use lottery_obs::{EventKind, FlightRecorder, Shared};
+use lottery_obs::{Event, EventKind, FlightRecorder, PerThreadFlight, Shared};
 use lottery_par::{ParKernel, WorkSpec};
 use lottery_sim::prelude::{
     DistributedLottery, FundingSpec, ProbeBus, SimDuration, SimTime, SmpKernel,
@@ -48,14 +48,54 @@ fn case_strategy() -> impl Strategy<Value = SpawnCase> {
     })
 }
 
-/// The real-thread side: one worker, seeded, winners as `(start µs, tid)`.
-fn par_winners(
+/// The probes both sides emit: everything but the ledger's own audit
+/// events, which the shared ledger of a real-thread machine reports to no
+/// worker's lane.
+fn policy_probes<'a>(events: impl Iterator<Item = &'a Event>) -> Vec<Event> {
+    events
+        .filter(|e| {
+            !matches!(
+                e.kind,
+                EventKind::LedgerOp { .. }
+                    | EventKind::CacheInvalidate { .. }
+                    | EventKind::DirtyDrain { .. }
+            )
+        })
+        .cloned()
+        .collect()
+}
+
+/// The tail a real-thread lane has beyond the simulator's stream: at most
+/// the one `DirtyBatch` of the settle before the worker's report.
+fn report_settle_only(tail: &[Event]) -> bool {
+    tail.len() <= 1
+        && tail
+            .iter()
+            .all(|e| matches!(e.kind, EventKind::DirtyBatch { .. }))
+}
+
+/// The winner stream `(dispatch time µs, thread)` of a probe stream.
+fn winners(stream: &[Event]) -> Vec<(u64, u32)> {
+    stream
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Dispatch { thread, .. } => Some((e.time_us, thread)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The real-thread side: one worker, seeded; its reported winner stream
+/// and its flight lane.
+fn par_run(
     seed: u32,
     quantum: SimDuration,
     cases: &[SpawnCase],
     until: SimTime,
-) -> Vec<(u64, u32)> {
+) -> (Vec<(u64, u32)>, Vec<Event>) {
     let mut kernel = ParKernel::with_quantum(seed, 1, quantum);
+    let flight = PerThreadFlight::new(1, 1 << 16);
+    kernel.attach_flight(&flight);
     let shared = kernel
         .create_currency("shared", 1_000)
         .expect("fresh currency");
@@ -75,17 +115,18 @@ fn par_winners(
         );
     }
     let report = kernel.run(until);
-    report.workers[0].winners.clone()
+    assert_eq!(
+        flight.dropped(),
+        0,
+        "flight capacity must hold the whole run"
+    );
+    let stream = flight.recorder(0).with(|f| policy_probes(f.events()));
+    (report.workers[0].winners.clone(), stream)
 }
 
-/// The simulated side: same seed, same ledger ops, winners read back from
-/// the flight record's dispatch probes.
-fn sim_winners(
-    seed: u32,
-    quantum: SimDuration,
-    cases: &[SpawnCase],
-    until: SimTime,
-) -> Vec<(u64, u32)> {
+/// The simulated side: same seed, same ledger ops, read back from the
+/// flight record.
+fn sim_stream(seed: u32, quantum: SimDuration, cases: &[SpawnCase], until: SimTime) -> Vec<Event> {
     let mut policy = DistributedLottery::with_quantum(seed, 1, quantum);
     let shared = policy
         .create_currency("shared", 1_000)
@@ -114,12 +155,7 @@ fn sim_winners(
     kernel.run_until(until).expect("supported bursts only");
     recorder.with(|r| {
         assert_eq!(r.dropped(), 0, "flight capacity must hold the whole run");
-        r.events()
-            .filter_map(|e| match e.kind {
-                EventKind::Dispatch { thread, .. } => Some((e.time_us, thread)),
-                _ => None,
-            })
-            .collect()
+        policy_probes(r.events())
     })
 }
 
@@ -136,10 +172,14 @@ proptest! {
     ) {
         let quantum = SimDuration::from_ms(quantum_ms);
         let until = SimTime::ZERO + SimDuration::from_ms(horizon_ms);
-        let par = par_winners(seed, quantum, &cases, until);
-        let sim = sim_winners(seed, quantum, &cases, until);
+        let (par, par_stream) = par_run(seed, quantum, &cases, until);
+        let sim_stream = sim_stream(seed, quantum, &cases, until);
+        let sim = winners(&sim_stream);
         prop_assert!(!sim.is_empty(), "harness must schedule something");
         prop_assert_eq!(par, sim);
+        let (decisions, report) = par_stream.split_at(sim_stream.len().min(par_stream.len()));
+        prop_assert_eq!(decisions, &sim_stream[..]);
+        prop_assert!(report_settle_only(report), "{:?}", report);
     }
 }
 
@@ -175,9 +215,12 @@ fn canonical_mix_is_bit_identical() {
     let quantum = SimDuration::from_ms(20);
     let until = SimTime::ZERO + SimDuration::from_secs(2);
     for seed in [1, 42, 0x0bad_cafe] {
-        let par = par_winners(seed, quantum, &cases, until);
-        let sim = sim_winners(seed, quantum, &cases, until);
+        let (par, par_stream) = par_run(seed, quantum, &cases, until);
+        let sim_stream = sim_stream(seed, quantum, &cases, until);
         assert!(par.len() > 50, "the mix keeps the CPU busy");
-        assert_eq!(par, sim, "seed {seed}");
+        assert_eq!(par, winners(&sim_stream), "seed {seed}");
+        let (decisions, report) = par_stream.split_at(sim_stream.len().min(par_stream.len()));
+        assert_eq!(decisions, &sim_stream[..], "seed {seed}");
+        assert!(report_settle_only(report), "seed {seed}: {report:?}");
     }
 }

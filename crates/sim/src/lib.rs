@@ -53,7 +53,6 @@ pub mod prelude {
     pub use crate::replay::{
         job_outcomes, record, run_fcfs, CaptureConfig, JobOutcome, ReplayReport, Replayer,
     };
-    pub use crate::sched::comp::CompensationHook;
     pub use crate::sched::distributed::{DistributedLottery, ShardStats};
     pub use crate::sched::fairshare::{FairSharePolicy, UserId};
     pub use crate::sched::fixed::FixedPriorityPolicy;

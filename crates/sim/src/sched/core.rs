@@ -1,5 +1,5 @@
-//! The lottery core: the one funding book and decision path under both
-//! lottery policies.
+//! The lottery core: the one funding book and decision path under every
+//! lottery policy.
 //!
 //! A lottery scheduler is a ticket [`Ledger`], a random stream, a table
 //! saying which ledger client backs which thread, and a fixed sequence
@@ -9,13 +9,28 @@
 //! that, once. [`super::lottery::LotteryPolicy`] is the core over one
 //! [`Shard`] plus RPC transfers and kernel mutexes;
 //! [`super::distributed::DistributedLottery`] is the core over one shard
-//! per CPU plus homing, stealing and rebalancing. Both `Deref` to it, so
-//! the currency and funding calls below are their public API too, and a
-//! single shard is the same code as the uniprocessor policy rather than a
-//! copy kept in step by hand.
+//! per CPU plus homing, stealing and rebalancing; each real-thread worker
+//! of `lottery-par` is the core over one shard of a ledger it shares. The
+//! two simulated policies `Deref` to it, so the currency and funding calls
+//! below are their public API too, and a single shard is the same code as
+//! the uniprocessor policy rather than a copy kept in step by hand.
 //!
-//! The two `&mut Ledger` functions at the top are the funding sequences
-//! themselves, shared with `lottery-par`, whose ledger sits behind a lock.
+//! Where the ledger lives is the core's one parameter, [`LedgerAccess`]:
+//! a simulated policy owns its [`Ledger`], a worker reaches a shared one
+//! through a lock. Every ledger touch of the sequence is one
+//! [`LedgerAccess::lock`], so on a shared ledger each is one critical
+//! section — and on an owned one a plain reborrow. The steps a worker's
+//! policy takes (`spawn`, `activate`, `refresh`, `pick_from`, `charge`,
+//! `exit`, and `adopt`/`release`/`home` for a thread that changes books)
+//! are public because that policy lives in another crate; they are a
+//! policy's building blocks, called by its `Policy` methods, not by a
+//! user of the policy.
+//!
+//! The two `&mut Ledger` functions at the top fund a currency and a
+//! thread; `lottery-par` funds its currencies with the first under its
+//! lock.
+
+use std::ops::DerefMut;
 
 use lottery_core::client::ClientId;
 use lottery_core::currency::CurrencyId;
@@ -57,7 +72,7 @@ pub fn fund_currency(
 ///
 /// Panics when the spec names a stale currency or a zero amount — both
 /// are harness configuration bugs.
-pub fn fund_thread(ledger: &mut Ledger, tid: ThreadId, spec: FundingSpec) -> (ClientId, TicketId) {
+pub fn fund_thread(ledger: &mut Ledger, tid: ThreadId, spec: FundingSpec) -> ThreadFunding {
     let client = ledger.create_client(format!("{tid}"));
     let ticket = ledger
         .issue_root(spec.currency, spec.amount)
@@ -65,19 +80,52 @@ pub fn fund_thread(ledger: &mut Ledger, tid: ThreadId, spec: FundingSpec) -> (Cl
     ledger
         .fund_client(ticket, client)
         .expect("fresh client and ticket");
-    (client, ticket)
+    ThreadFunding {
+        client,
+        ticket,
+        currency: spec.currency,
+    }
 }
 
-#[derive(Debug, Clone, Copy)]
-pub(super) struct ThreadFunding {
-    pub(super) client: ClientId,
-    pub(super) ticket: TicketId,
-    pub(super) currency: CurrencyId,
+/// What backs one thread in the ledger: its client and the one ticket
+/// that funds it. A thread that moves between real-thread workers carries
+/// this record with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadFunding {
+    /// The ledger client the thread's lotteries value.
+    pub client: ClientId,
+    /// The funding ticket.
+    pub ticket: TicketId,
+    /// The currency the funding ticket is denominated in.
+    pub currency: CurrencyId,
 }
 
-/// What every lottery policy keeps and does, whatever its shards.
-pub struct LotteryCore {
-    pub(super) ledger: Ledger,
+/// Where a [`LotteryCore`] keeps its ticket ledger.
+pub trait LedgerAccess {
+    /// The ledger, for one bounded section of the decision sequence.
+    fn lock(&mut self) -> impl DerefMut<Target = Ledger> + '_;
+
+    /// Hands the policy's probe bus on to the ledger, if the ledger is
+    /// the policy's alone.
+    fn attach_bus(&mut self, bus: ProbeBus);
+}
+
+/// A simulated policy's own ledger: a lock is a reborrow, and ledger
+/// events share the policy's bus.
+impl LedgerAccess for Ledger {
+    fn lock(&mut self) -> impl DerefMut<Target = Ledger> + '_ {
+        self
+    }
+
+    fn attach_bus(&mut self, bus: ProbeBus) {
+        self.set_probe_bus(bus);
+    }
+}
+
+/// What every lottery policy keeps and does, whatever its shards and
+/// wherever its ledger.
+pub struct LotteryCore<L = Ledger> {
+    pub(super) ledger: L,
     pub(super) rng: ParkMiller,
     quantum: SimDuration,
     /// Per-thread funding, indexed by thread id.
@@ -101,18 +149,7 @@ impl LotteryCore {
     ///
     /// Panics on a zero quantum.
     pub(super) fn new(seed: u32, quantum: SimDuration) -> Self {
-        assert!(!quantum.is_zero(), "quantum must be positive");
-        Self {
-            ledger: Ledger::new(),
-            rng: ParkMiller::new(seed),
-            quantum,
-            threads: Vec::new(),
-            client_threads: Vec::new(),
-            dirty_buf: Vec::new(),
-            comp: CompensationHook::new(),
-            lotteries: 0,
-            bus: ProbeBus::disabled(),
-        }
+        Self::with_ledger(Ledger::new(), seed, quantum)
     }
 
     /// The base currency of this policy's ledger.
@@ -161,11 +198,6 @@ impl LotteryCore {
             .unwrap_or(0)
     }
 
-    /// The ledger client backing a thread.
-    pub fn client_of(&self, tid: ThreadId) -> ClientId {
-        self.funding_info(tid).client
-    }
-
     /// A thread's current value in base units (including compensation).
     pub fn value_of(&self, tid: ThreadId) -> f64 {
         value_in(&self.threads, &self.ledger, tid)
@@ -180,6 +212,41 @@ impl LotteryCore {
     /// manipulate the currency graph directly.
     pub fn ledger_mut(&mut self) -> &mut Ledger {
         &mut self.ledger
+    }
+}
+
+impl<L: LedgerAccess> LotteryCore<L> {
+    /// A core over `ledger`, drawing from a Park–Miller stream seeded
+    /// with `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero quantum.
+    pub fn with_ledger(ledger: L, seed: u32, quantum: SimDuration) -> Self {
+        assert!(!quantum.is_zero(), "quantum must be positive");
+        Self {
+            ledger,
+            rng: ParkMiller::new(seed),
+            quantum,
+            threads: Vec::new(),
+            client_threads: Vec::new(),
+            dirty_buf: Vec::new(),
+            comp: CompensationHook::new(),
+            lotteries: 0,
+            bus: ProbeBus::disabled(),
+        }
+    }
+
+    /// Stores the bus and offers a clone to the ledger, so draw events
+    /// and cache/mutation events share one pipeline.
+    pub fn set_probe_bus(&mut self, bus: ProbeBus) {
+        self.ledger.attach_bus(bus.clone());
+        self.bus = bus;
+    }
+
+    /// The ledger client backing a thread.
+    pub fn client_of(&self, tid: ThreadId) -> ClientId {
+        self.funding_info(tid).client
     }
 
     /// Number of lotteries held so far.
@@ -208,18 +275,12 @@ impl LotteryCore {
         self.comp.enabled()
     }
 
-    pub(super) fn quantum(&self) -> SimDuration {
+    /// The quantum every dispatch is granted.
+    pub fn quantum(&self) -> SimDuration {
         self.quantum
     }
 
-    /// Stores the bus and forwards a clone to the ledger, so draw events
-    /// and cache/mutation events share one pipeline.
-    pub(super) fn set_probe_bus(&mut self, bus: ProbeBus) {
-        self.ledger.set_probe_bus(bus.clone());
-        self.bus = bus;
-    }
-
-    /// Whether `tid` is spawned and not yet exited.
+    /// Whether `tid` is on these books.
     pub(super) fn is_registered(&self, tid: ThreadId) -> bool {
         matches!(self.threads.get(tid.index() as usize), Some(Some(_)))
     }
@@ -232,6 +293,11 @@ impl LotteryCore {
             .flatten()
     }
 
+    /// What funds `tid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tid` is not on these books.
     pub(super) fn funding_info(&self, tid: ThreadId) -> ThreadFunding {
         self.threads
             .get(tid.index() as usize)
@@ -240,43 +306,61 @@ impl LotteryCore {
             .expect("thread not registered with the lottery policy")
     }
 
-    /// Registers a thread and funds its client.
-    pub(super) fn spawn(&mut self, tid: ThreadId, spec: FundingSpec) -> ClientId {
-        let (client, ticket) = fund_thread(&mut self.ledger, tid, spec);
+    /// Puts an already funded thread on these books: a fresh spawn, or a
+    /// thread [`release`](Self::release)d by another core.
+    pub fn adopt(&mut self, tid: ThreadId, funding: ThreadFunding) {
         let idx = tid.index() as usize;
         if self.threads.len() <= idx {
             self.threads.resize(idx + 1, None);
         }
-        self.threads[idx] = Some(ThreadFunding {
-            client,
-            ticket,
-            currency: spec.currency,
-        });
-        let slot = client.index() as usize;
+        self.threads[idx] = Some(funding);
+        let slot = funding.client.index() as usize;
         if self.client_threads.len() <= slot {
             self.client_threads.resize(slot + 1, None);
         }
         self.client_threads[slot] = Some(tid);
+    }
+
+    /// Takes `tid` off these books, its funding untouched: an exit's
+    /// first step, or a thread leaving for another core's books, where
+    /// [`adopt`](Self::adopt) takes the returned record. The caller
+    /// already took it off its shard.
+    pub fn release(&mut self, tid: ThreadId) -> ThreadFunding {
+        let funding = self.threads[tid.index() as usize]
+            .take()
+            .expect("thread not registered with the lottery policy");
+        self.client_threads[funding.client.index() as usize] = None;
+        funding
+    }
+
+    /// Registers a thread and funds its client.
+    pub fn spawn(&mut self, tid: ThreadId, spec: FundingSpec) -> ClientId {
+        let funding = fund_thread(&mut self.ledger.lock(), tid, spec);
+        self.adopt(tid, funding);
         self.bus.emit(|| EventKind::WeightChange {
-            client: client.index(),
+            client: funding.client.index(),
             tickets: spec.amount,
             origin: "spawn",
         });
-        client
+        funding.client
     }
 
-    /// Unregisters a thread the caller already took off its shard,
-    /// destroying its client and funding.
-    pub(super) fn exit(&mut self, tid: ThreadId) {
-        let client = self.funding_info(tid).client;
-        self.client_threads[client.index() as usize] = None;
-        self.ledger
-            .deactivate_client(client)
-            .expect("client liveness");
-        self.ledger
+    /// Sends `client`'s valuation invalidations to ledger dirty queue
+    /// `shard` from now on: the queue of the shard it is homed on.
+    pub fn home(&mut self, client: ClientId, shard: u32) {
+        self.ledger.lock().assign_dirty_shard(client, shard);
+    }
+
+    /// Unregisters an exiting thread, takes it off `shard`, and destroys
+    /// its client and funding.
+    pub fn exit(&mut self, tid: ThreadId, shard: &mut Shard) {
+        shard.remove(tid);
+        let client = self.release(tid).client;
+        let mut ledger = self.ledger.lock();
+        ledger.deactivate_client(client).expect("client liveness");
+        ledger
             .destroy_client_and_funding(client)
             .expect("client liveness");
-        self.threads[tid.index() as usize] = None;
     }
 
     /// Activates a thread's tickets and appends it to `shard`.
@@ -285,15 +369,16 @@ impl LotteryCore {
     /// so the read revalues precisely the changed subgraph, and any
     /// shared-currency siblings refresh at their own shard's next pick. A
     /// list stores no weights and is not valued here.
-    pub(super) fn activate(&mut self, tid: ThreadId, shard: &mut Shard) {
+    pub fn activate(&mut self, tid: ThreadId, shard: &mut Shard) {
         let client = self.funding_info(tid).client;
-        self.ledger
-            .activate_client(client)
-            .expect("client liveness");
-        let value = if shard.stores_weights() {
-            self.ledger.cached_client_value(client).unwrap_or(0.0)
-        } else {
-            0.0
+        let value = {
+            let mut ledger = self.ledger.lock();
+            ledger.activate_client(client).expect("client liveness");
+            if shard.stores_weights() {
+                ledger.cached_client_value(client).unwrap_or(0.0)
+            } else {
+                0.0
+            }
         };
         shard.insert(tid, value);
     }
@@ -303,12 +388,12 @@ impl LotteryCore {
     /// client-id order). Invalidations homed on other queues wait for
     /// their own shard's next pick. A list is valued at draw time and
     /// leaves the queue alone.
-    pub(super) fn refresh(&mut self, shard_id: u32, shard: &mut Shard) {
+    pub fn refresh(&mut self, shard_id: u32, shard: &mut Shard) {
         if !shard.stores_weights() {
             return;
         }
-        self.ledger
-            .drain_dirty_shard_into(shard_id, &mut self.dirty_buf);
+        let mut ledger = self.ledger.lock();
+        ledger.drain_dirty_shard_into(shard_id, &mut self.dirty_buf);
         if !self.dirty_buf.is_empty() {
             let depth = self.dirty_buf.len() as u32;
             self.bus.emit(|| EventKind::DirtyBatch {
@@ -316,19 +401,19 @@ impl LotteryCore {
                 depth,
             });
         }
-        shard.settle(&self.dirty_buf, &self.client_threads, &self.ledger);
+        shard.settle(&self.dirty_buf, &self.client_threads, &ledger);
     }
 
     /// Rebuilds `shard` under `structure` in queue order with exact values
     /// from the valuation cache. Every stored weight is computed fresh, so
     /// the notifications pending on dirty queue `shard_id` are obsolete.
     pub(super) fn rebuild(&mut self, shard_id: u32, shard: &mut Shard, structure: SelectStructure) {
+        let mut ledger = self.ledger.lock();
         if structure != SelectStructure::List {
-            self.ledger
-                .drain_dirty_shard_into(shard_id, &mut self.dirty_buf);
+            ledger.drain_dirty_shard_into(shard_id, &mut self.dirty_buf);
         }
-        let (threads, ledger) = (&self.threads, &self.ledger);
-        shard.rebuild(structure, |tid| value_in(threads, ledger, tid), &self.bus);
+        let threads = &self.threads;
+        shard.rebuild(structure, |tid| value_in(threads, &ledger, tid), &self.bus);
     }
 
     /// Holds one lottery over `shard` (which the caller found non-empty),
@@ -337,13 +422,46 @@ impl LotteryCore {
         self.lotteries += 1;
         // A list values every ready client via the incremental cache: a
         // warm read per client, plus revalidation of whatever the ledger
-        // invalidated since the last pick.
-        let (threads, ledger) = (&self.threads, &self.ledger);
+        // invalidated since the last pick. A tree or alias table asks for
+        // no value, so a shared ledger is not locked here.
+        let (threads, ledger) = (&self.threads, &mut self.ledger);
         let draw = shard
-            .draw(&mut self.rng, |tid| value_in(threads, ledger, tid))
+            .draw(&mut self.rng, |tid| value_in(threads, &ledger.lock(), tid))
             .expect("the shard is not empty");
         self.bus.emit(|| draw.event(tag));
         draw
+    }
+
+    /// CPU `cpu`'s lottery on shard `shard_id` (which the caller settled
+    /// and found non-empty): the draw, its `ShardPick` — and `ShardSteal`
+    /// when the shard is `stolen` from — and the winner's dispatch.
+    pub fn pick_from(
+        &mut self,
+        cpu: u32,
+        shard_id: u32,
+        shard: &mut Shard,
+        stolen: bool,
+    ) -> ThreadId {
+        let tag = if shard.structure() == SelectStructure::Alias {
+            "shard-alias"
+        } else {
+            "shard"
+        };
+        let tid = self.draw(shard, tag).winner;
+        self.bus.emit(|| EventKind::ShardPick {
+            cpu,
+            shard: shard_id,
+            stolen,
+        });
+        if stolen {
+            self.bus.emit(|| EventKind::ShardSteal {
+                cpu,
+                victim: shard_id,
+                thread: tid.index(),
+            });
+        }
+        self.dispatched(tid, shard);
+        tid
     }
 
     /// The winner of a draw on `shard` starts its quantum: forwards the
@@ -353,13 +471,13 @@ impl LotteryCore {
         shard.emit_rebuilds(&self.bus);
         let client = self.funding_info(tid).client;
         self.comp
-            .on_dispatch(&mut self.ledger, &self.bus, tid, client);
+            .on_dispatch(&mut self.ledger.lock(), &self.bus, tid, client);
     }
 
     /// Quantum end: the hook grants a partial-quantum compensation factor
     /// and deactivates a blocked client's tickets so shared-currency
     /// values redistribute (Section 4.4).
-    pub(super) fn charge(
+    pub fn charge(
         &mut self,
         tid: ThreadId,
         used: SimDuration,
@@ -367,8 +485,15 @@ impl LotteryCore {
         why: EndReason,
     ) {
         let client = self.funding_info(tid).client;
-        self.comp
-            .on_charge(&mut self.ledger, &self.bus, tid, client, used, quantum, why);
+        self.comp.on_charge(
+            &mut self.ledger.lock(),
+            &self.bus,
+            tid,
+            client,
+            used,
+            quantum,
+            why,
+        );
     }
 }
 
@@ -404,8 +529,8 @@ mod tests {
         core.refresh(0, &mut shard);
         assert_eq!(shard.total(), 500.0);
         assert_eq!(core.value_of(resident), 125.0);
-        assert!(shard.remove(visitor));
-        core.exit(visitor);
+        core.exit(visitor, &mut shard);
+        assert!(!shard.contains(visitor));
 
         assert!(!core.is_registered(visitor));
         assert_eq!(core.thread_of(client), None);

@@ -34,12 +34,14 @@
 //! Each per-CPU shard is the same [`Shard`] the uniprocessor
 //! [`super::lottery::LotteryPolicy`] holds one of, and the ledger, the
 //! funding book and the sequence around every draw are the same
-//! [`LotteryCore`] — both written once. What this policy adds around
-//! them: a home shard per thread (which is also the ledger dirty queue
-//! its invalidations go to), the `"shard"`/`"shard-alias"` probe tags
-//! with `ShardPick`/`ShardSteal`, stealing, and rebalancing. With a
-//! single shard it is therefore *bit-identical* to `LotteryPolicy` under
-//! the same structure, probe stream included: it is the same code.
+//! [`LotteryCore`] — both written once, and so is a CPU's pick on a shard
+//! ([`LotteryCore::pick_from`]: the `"shard"`/`"shard-alias"` draw with
+//! its `ShardPick`/`ShardSteal` probes), which each `lottery-par` worker
+//! makes too. What this policy adds around them: a home shard per thread
+//! (which is also the ledger dirty queue its invalidations go to), the
+//! choice of victim to steal from, and rebalancing. With a single shard
+//! its winner stream is therefore `LotteryPolicy`'s under the same
+//! structure: it is the same code.
 
 use std::ops::{Deref, DerefMut};
 
@@ -87,9 +89,6 @@ pub struct DistributedLottery {
     shard_picks: Vec<u64>,
     /// Home shard per thread, indexed by thread id.
     home: Vec<u32>,
-    /// The per-shard winner-search structure ([`SelectStructure::List`]
-    /// has no distributed analogue and behaves like `Tree`).
-    structure: SelectStructure,
     /// Whether homing, stealing, and rebalancing compare *effective*
     /// (compensated) shard totals; `false` is the raw-weight ablation.
     comp_aware: bool,
@@ -148,7 +147,6 @@ impl DistributedLottery {
                 .collect(),
             shard_picks: vec![0; shards],
             home: Vec::new(),
-            structure: SelectStructure::Tree,
             comp_aware: true,
             picks_since_check: 0,
             rebalance_interval: 32,
@@ -196,19 +194,19 @@ impl DistributedLottery {
     /// [`SelectStructure::List`] has no distributed analogue and behaves
     /// like `Tree`. Emits one [`EventKind::StructureRebuild`] per shard.
     pub fn set_structure(&mut self, structure: SelectStructure) {
-        self.structure = if structure == SelectStructure::Alias {
+        let structure = if structure == SelectStructure::Alias {
             SelectStructure::Alias
         } else {
             SelectStructure::Tree
         };
         for (s, shard) in self.shards.iter_mut().enumerate() {
-            self.core.rebuild(s as u32, shard, self.structure);
+            self.core.rebuild(s as u32, shard, structure);
         }
     }
 
     /// The active per-shard winner-search structure.
     pub fn structure(&self) -> SelectStructure {
-        self.structure
+        self.shards[0].structure()
     }
 
     /// A shard's weight as the load balancer sees it: the ready shard
@@ -297,7 +295,7 @@ impl DistributedLottery {
         }
         let was_ready = self.shards[from as usize].remove(tid);
         self.home[tid.index() as usize] = shard;
-        self.core.ledger.assign_dirty_shard(client, shard);
+        self.core.home(client, shard);
         if was_ready {
             let value = self.core.value_of(tid);
             self.shards[shard as usize].insert(tid, value);
@@ -345,30 +343,6 @@ impl DistributedLottery {
             }
         }
         best.map(|(s, _)| s)
-    }
-
-    /// Holds one lottery over `shard` (which the caller found non-empty)
-    /// and removes the winner.
-    fn draw_from(&mut self, cpu: u32, shard: u32, stolen: bool) -> ThreadId {
-        self.shard_picks[shard as usize] += 1;
-        let tag = if self.structure == SelectStructure::Alias {
-            "shard-alias"
-        } else {
-            "shard"
-        };
-        let tid = self.core.draw(&mut self.shards[shard as usize], tag).winner;
-        let bus = &self.core.bus;
-        bus.emit(|| EventKind::ShardPick { cpu, shard, stolen });
-        if stolen {
-            self.steals += 1;
-            bus.emit(|| EventKind::ShardSteal {
-                cpu,
-                victim: shard,
-                thread: tid.index(),
-            });
-        }
-        self.core.dispatched(tid, &mut self.shards[shard as usize]);
-        tid
     }
 
     /// Checks per-shard effective totals and migrates ready threads from
@@ -470,13 +444,12 @@ impl Policy for DistributedLottery {
             self.home.resize(idx + 1, 0);
         }
         self.home[idx] = home;
-        self.core.ledger.assign_dirty_shard(client, home);
+        self.core.home(client, home);
     }
 
     fn on_exit(&mut self, tid: ThreadId) {
         let home = self.home[tid.index() as usize];
-        self.shards[home as usize].remove(tid);
-        self.core.exit(tid);
+        self.core.exit(tid, &mut self.shards[home as usize]);
     }
 
     fn enqueue(&mut self, tid: ThreadId, _now: SimTime) {
@@ -502,7 +475,11 @@ impl Policy for DistributedLottery {
         } else {
             (local, false)
         };
-        let tid = self.draw_from(cpu, shard, stolen);
+        self.shard_picks[shard as usize] += 1;
+        self.steals += u64::from(stolen);
+        let tid = self
+            .core
+            .pick_from(cpu, shard, &mut self.shards[shard as usize], stolen);
         self.picks_since_check += 1;
         if self.picks_since_check >= self.rebalance_interval && self.shards.len() > 1 {
             self.picks_since_check = 0;

@@ -102,7 +102,6 @@ pub struct LotteryPolicy {
     core: LotteryCore,
     /// The ready queue and its winner structure.
     shard: Shard,
-    structure: SelectStructure,
     /// Outstanding RPC transfers, keyed by (client, server).
     transfers: HashMap<(ThreadId, ThreadId), Transfer>,
     /// Kernel mutexes (Section 6.1), scheduled by handoff lotteries.
@@ -138,7 +137,6 @@ impl LotteryPolicy {
         Self {
             core: LotteryCore::new(seed, quantum),
             shard: Shard::new(SelectStructure::List),
-            structure: SelectStructure::List,
             transfers: HashMap::new(),
             locks: Vec::new(),
         }
@@ -152,13 +150,12 @@ impl LotteryPolicy {
     /// Emits a [`lottery_obs::EventKind::StructureRebuild`] describing the
     /// rebuild.
     pub fn set_structure(&mut self, structure: SelectStructure) {
-        self.structure = structure;
         self.core.rebuild(0, &mut self.shard, structure);
     }
 
     /// The active winner-search structure.
     pub fn structure(&self) -> SelectStructure {
-        self.structure
+        self.shard.structure()
     }
 
     /// Read access to the underlying ledger (as [`LotteryCore::ledger`];
@@ -193,8 +190,7 @@ impl Policy for LotteryPolicy {
     }
 
     fn on_exit(&mut self, tid: ThreadId) {
-        self.shard.remove(tid);
-        self.core.exit(tid);
+        self.core.exit(tid, &mut self.shard);
     }
 
     fn enqueue(&mut self, tid: ThreadId, _now: SimTime) {
@@ -206,7 +202,7 @@ impl Policy for LotteryPolicy {
             return None;
         }
         self.core.refresh(0, &mut self.shard);
-        let tag = structure_name(self.structure);
+        let tag = structure_name(self.shard.structure());
         let tid = self.core.draw(&mut self.shard, tag).winner;
         self.core.dispatched(tid, &mut self.shard);
         Some(tid)

@@ -117,6 +117,15 @@ impl Shard {
         !matches!(self.0, Pool::List { .. })
     }
 
+    /// The winner structure the shard searches with.
+    pub fn structure(&self) -> SelectStructure {
+        match self.0 {
+            Pool::List { .. } => SelectStructure::List,
+            Pool::Tree(_) => SelectStructure::Tree,
+            Pool::Alias(_) => SelectStructure::Alias,
+        }
+    }
+
     /// Whether `tid` is ready here (`O(1)`).
     pub fn contains(&self, tid: ThreadId) -> bool {
         match &self.0 {

@@ -695,6 +695,8 @@ impl<P: Policy> SmpKernel<P> {
             self.deliver(due.at, due.event);
         }
         let cpu = self.first_cpu + c as u32;
+        // The policy's probes carry the pick's time.
+        self.bus.set_time_us(self.clock.as_us());
         match self.policy.pick_on(cpu, self.clock) {
             Some(tid) => Step::Ran(self.dispatch(c, tid)),
             None => {
