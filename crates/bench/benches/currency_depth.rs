@@ -6,7 +6,9 @@
 //! round (the old per-pick cost, linear in depth), `warm` reads through
 //! the ledger's cache (flat across depths), and `after-mutation` interleaves
 //! a compensation change per round so each read revalidates exactly the
-//! invalidated client instead of the whole chain.
+//! invalidated client instead of the whole chain. Every other round's
+//! change is a grant, whose funded-value snapshot walks the victim's chain
+//! without reading the cache, so that row grows with depth.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lottery_bench::deep_ledger;

@@ -219,6 +219,11 @@ impl<T> Arena<T> {
         self.len == 0
     }
 
+    /// Number of slots, live or free: every handle's index is below it.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Inserts `value`, returning its handle.
     pub fn insert(&mut self, value: T) -> Handle<T> {
         self.len += 1;

@@ -9,6 +9,13 @@
 //! instead, with checked arithmetic, so conservation properties hold
 //! *bit-for-bit* and deep graphs cannot accumulate rounding.
 //!
+//! It shares no code with the ledger's walk, which makes it the tests'
+//! independent reference: its values, walked by the paper's running-sum
+//! lottery, must name the winner of every draw a shard makes
+//! (`crates/sim/tests/structure_props.rs`), and they must conserve base
+//! units exactly where the `f64` walk only agrees to rounding
+//! (`tests/ledger_properties.rs`).
+//!
 //! Compensation factors are quantum ratios and stay outside this module:
 //! the exact valuator prices *funded* value (tickets through currencies),
 //! which is the quantity conservation laws speak about.

@@ -40,16 +40,12 @@ use crate::errors::{LotteryError, ObjectKind, Result};
 use crate::ticket::{FundingTarget, Ticket, TicketId};
 
 /// The ledger of all tickets, currencies, and clients.
-///
-/// Every mutating operation bumps an internal *epoch*; callers that cache
-/// valuations can compare epochs to decide when to recompute.
 #[derive(Debug)]
 pub struct Ledger {
     tickets: Arena<Ticket>,
     currencies: Arena<Currency>,
     clients: Arena<Client>,
     base: CurrencyId,
-    epoch: u64,
     /// Incremental valuation cache (interior mutability so reads through
     /// `&Ledger` can memoize). See [`Ledger::cached_client_value`].
     cache: RefCell<ValuationCache>,
@@ -88,11 +84,12 @@ struct ValuationCache {
     comp: CompensationLedger,
     /// Work stack of [`mark_currency`], kept between invalidations.
     mark_work: Vec<CurrencyId>,
-    /// Scratch memo of the read-only valuation a compensation grant takes
-    /// its snapshot by: `(walk, value)` per currency slot, valid while
-    /// `walk` equals `peek_walk`.
-    peek: Vec<(u64, f64)>,
-    peek_walk: u64,
+    /// Scratch memo of the walks that read nothing from the cache
+    /// ([`Valuator`]): `(walk, value)` per currency slot, valid only for
+    /// the walk that wrote it.
+    scratch: Vec<(u64, f64)>,
+    /// Scratch walks started so far: the newest walk's tag.
+    scratch_walks: u64,
 }
 
 /// First-class compensation accounting (Sections 3.4 / 4.5), folded into
@@ -444,19 +441,13 @@ impl ShardedDirtyQueue {
     /// Changes the shard count, re-routing pending notifications through
     /// the (clamped) owner map.
     pub fn set_shards(&mut self, shards: usize) {
-        let pending: Vec<ClientId> = self.drain_all();
+        let mut pending = Vec::new();
+        self.drain_all_into(&mut pending);
         self.queues = vec![Vec::new(); shards.max(1)];
         self.live = vec![0; shards.max(1)];
         for client in pending {
             self.insert(client);
         }
-    }
-
-    /// Drains one shard's pending notifications, in ascending client id.
-    pub fn drain_shard(&mut self, shard: u32) -> Vec<ClientId> {
-        let mut out = Vec::new();
-        self.drain_shard_into(shard, &mut out);
-        out
     }
 
     /// Drains one shard into a caller-owned buffer (cleared first), so
@@ -486,13 +477,6 @@ impl ShardedDirtyQueue {
             }
         }
         self.live[shard as usize] = 0;
-    }
-
-    /// Drains every shard (order unspecified).
-    pub fn drain_all(&mut self) -> Vec<ClientId> {
-        let mut out = Vec::with_capacity(self.len());
-        self.drain_all_into(&mut out);
-        out
     }
 
     /// Drains every shard into a caller-owned buffer (cleared first).
@@ -529,7 +513,7 @@ impl ShardedDirtyQueue {
 /// currency therefore has no cached dependents left to invalidate.
 ///
 /// *It may skip inactive tickets.* Valuation reads a ticket's denomination
-/// only when the ticket is active (`compute_ticket_value` returns 0 for an
+/// only when the ticket is active (`Ledger::ticket_value_in` returns 0 for an
 /// inactive one before it looks at the currency), and every flip of a
 /// ticket's activity marks that ticket's own target
 /// (`Ledger::mark_ticket_change`). So an entry cached while the ticket was
@@ -604,7 +588,6 @@ impl Ledger {
             currencies,
             clients: Arena::with_capacity(clients),
             base,
-            epoch: 0,
             cache: RefCell::new(ValuationCache::default()),
             activation_work: Vec::new(),
             bus: ProbeBus::disabled(),
@@ -626,17 +609,6 @@ impl Ledger {
     /// The conserved base currency.
     pub fn base(&self) -> CurrencyId {
         self.base
-    }
-
-    /// The current mutation epoch.
-    ///
-    /// Incremented by every operation that can change any valuation.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn bump(&mut self) {
-        self.epoch += 1;
     }
 
     // ------------------------------------------------------------------
@@ -697,7 +669,6 @@ impl Ledger {
         name: impl Into<String>,
         policy: IssuePolicy,
     ) -> Result<CurrencyId> {
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
             op: "create-currency",
         });
@@ -737,7 +708,6 @@ impl Ledger {
         // An empty currency backs nothing, so removing its (necessarily
         // zero) cached value cannot strand dependents.
         self.cache.get_mut().currencies.remove(id);
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
             op: "destroy-currency",
         });
@@ -750,7 +720,6 @@ impl Ledger {
 
     /// Creates an inactive client with no funding.
     pub fn create_client(&mut self, name: impl Into<String>) -> ClientId {
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
             op: "create-client",
         });
@@ -771,7 +740,6 @@ impl Ledger {
         cache.clients.remove(&id);
         cache.dirty.forget(id);
         cache.comp.forget(id);
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
             op: "destroy-client",
         });
@@ -818,7 +786,6 @@ impl Ledger {
             .get_mut(currency)
             .expect("checked above")
             .add_issued(id, amount);
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp { op: "issue" });
         Ok(id)
     }
@@ -836,7 +803,6 @@ impl Ledger {
         if let Some(cur) = self.currencies.get_mut(ticket.currency()) {
             cur.remove_issued(id, ticket.amount());
         }
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
             op: "destroy-ticket",
         });
@@ -878,7 +844,6 @@ impl Ledger {
             // sibling's share) and the ticket's own face value changed.
             self.mark_ticket_change(currency, target);
         }
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp { op: "set-amount" });
         Ok(())
     }
@@ -968,7 +933,6 @@ impl Ledger {
         if self.client(client)?.is_active() {
             self.activate_ticket(ticket);
         }
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp { op: "fund-client" });
         Ok(())
     }
@@ -1002,7 +966,6 @@ impl Ledger {
         if self.currency(currency)?.is_active() {
             self.activate_ticket(ticket);
         }
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
             op: "fund-currency",
         });
@@ -1031,7 +994,6 @@ impl Ledger {
             .get_mut(ticket)
             .expect("checked above")
             .set_target(FundingTarget::Unfunded);
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp { op: "unfund" });
         Ok(())
     }
@@ -1080,7 +1042,6 @@ impl Ledger {
             .extend(client.funding().iter().rev().copied());
         self.propagate_activation(true);
         self.cache.get_mut().comp.set_resting(id, false);
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
             op: "activate-client",
         });
@@ -1102,7 +1063,6 @@ impl Ledger {
             .extend(client.funding().iter().rev().copied());
         self.propagate_activation(false);
         self.cache.get_mut().comp.set_resting(id, true);
-        self.bump();
         self.bus.emit(|| EventKind::LedgerOp {
             op: "deactivate-client",
         });
@@ -1190,7 +1150,7 @@ impl Ledger {
             handle: id.raw(),
         })?;
         if client.compensation() == factor {
-            // No value changed; skip the epoch bump and cache invalidation
+            // No value changed; skip the cache invalidation
             // (the dispatcher clears compensation on every pick, which is
             // almost always already 1.0).
             return Ok(());
@@ -1199,12 +1159,12 @@ impl Ledger {
         let active = client.is_active();
         if factor > 1.0 {
             // Snapshot the implicit compensation ticket's base-unit worth
-            // against the client's home shard, by a read-only walk that
-            // leaves the incremental cache (and its probe traffic)
-            // untouched; an inactive client snapshots zero and is
-            // corrected on its next valuation after activation.
+            // against the client's home shard, by a walk that leaves the
+            // incremental cache (and its probe traffic) untouched; an
+            // inactive client snapshots zero and is corrected on its next
+            // valuation after activation.
             let funded = if active {
-                self.peek_funded_value(id)?
+                Valuator::new(self).client_funded_value(id)?
             } else {
                 0.0
             };
@@ -1215,7 +1175,6 @@ impl Ledger {
             self.cache.get_mut().comp.clear(id);
         }
         let removed = mark_client(self.cache.get_mut(), id);
-        self.bump();
         if removed {
             let dirty_depth = self.cache.get_mut().dirty.len() as u32;
             self.bus.emit(|| EventKind::CacheInvalidate {
@@ -1328,7 +1287,7 @@ impl Ledger {
     /// cache (see [`Ledger::cached_client_value`]).
     pub fn cached_currency_value(&self, currency: CurrencyId) -> Result<f64> {
         let mut cache = self.cache.borrow_mut();
-        self.compute_currency_value::<false>(&mut cache, currency)
+        self.currency_value_in(&mut *cache, currency)
     }
 
     /// Drains the queue of clients whose cached value was invalidated
@@ -1402,16 +1361,9 @@ impl Ledger {
         self.cache.borrow().dirty.reassignments()
     }
 
-    /// Drains the invalidation notifications owned by one shard, leaving
-    /// every other shard's queue untouched.
-    pub fn drain_dirty_shard(&mut self, shard: u32) -> Vec<ClientId> {
-        let mut drained = Vec::new();
-        self.drain_dirty_shard_into(shard, &mut drained);
-        drained
-    }
-
-    /// [`Ledger::drain_dirty_shard`] into a caller-owned buffer (cleared
-    /// first), allocation-free on the per-CPU draw path.
+    /// Drains the invalidation notifications owned by one shard into a
+    /// caller-owned buffer (cleared first), leaving every other shard's
+    /// queue untouched; allocation-free on the per-CPU draw path.
     pub fn drain_dirty_shard_into(&mut self, shard: u32, out: &mut Vec<ClientId>) {
         self.cache.get_mut().dirty.drain_shard_into(shard, out);
         if !out.is_empty() {
@@ -1432,74 +1384,31 @@ impl Ledger {
         self.cache.borrow().clients.len()
     }
 
-    /// The funded value of `client` (no compensation), as
-    /// [`Valuator::client_funded_value`] computes it, by a walk that only
-    /// *peeks*: valid cache entries are read, anything else is computed
-    /// into the scratch memo, and neither the cache nor the probe bus sees
-    /// the walk.
-    fn peek_funded_value(&self, client: ClientId) -> Result<f64> {
-        let cache = &mut *self.cache.borrow_mut();
-        cache.peek_walk += 1;
-        let mut sum = 0.0;
-        for &t in self.client(client)?.funding() {
-            sum += self.compute_ticket_value::<true>(cache, t)?;
-        }
-        Ok(sum)
-    }
-
-    /// A currency's value through the cache. With `PEEK` the walk is
-    /// read-only towards the cache: a miss is memoized in the scratch memo
-    /// (so a diamond graph is still walked once) and no lookup is counted.
-    fn compute_currency_value<const PEEK: bool>(
-        &self,
-        cache: &mut ValuationCache,
-        currency: CurrencyId,
-    ) -> Result<f64> {
-        let hit = cache.currencies.get(currency).copied();
-        if !PEEK {
-            self.bus.count(match hit {
-                Some(_) => Counter::CurrencyHit,
-                None => Counter::CurrencyMiss,
-            });
-        }
-        if let Some(v) = hit {
+    /// The valuation walk of Section 4.4, for a currency: the base
+    /// currency is worth its active amount, any other currency the sum of
+    /// its active backing tickets' values. Every value it computes goes
+    /// into `memo`, so a diamond graph is walked once.
+    fn currency_value_in(&self, memo: &mut impl Memo, currency: CurrencyId) -> Result<f64> {
+        if let Some(v) = memo.get(currency, &self.bus) {
             return Ok(v);
-        }
-        let slot = currency.index() as usize;
-        if PEEK {
-            if let Some(&(walk, v)) = cache.peek.get(slot) {
-                if walk == cache.peek_walk {
-                    return Ok(v);
-                }
-            }
         }
         let v = if currency == self.base {
             self.currency(currency)?.active_amount() as f64
         } else {
             let mut sum = 0.0;
             for &t in self.currency(currency)?.backing() {
-                if self.ticket(t)?.is_active() {
-                    sum += self.compute_ticket_value::<PEEK>(cache, t)?;
-                }
+                sum += self.ticket_value_in(memo, t)?;
             }
             sum
         };
-        if PEEK {
-            if slot >= cache.peek.len() {
-                cache.peek.resize(slot + 1, (0, 0.0));
-            }
-            cache.peek[slot] = (cache.peek_walk, v);
-        } else {
-            cache.currencies.insert(currency, v);
-        }
+        memo.insert(currency, v);
         Ok(v)
     }
 
-    fn compute_ticket_value<const PEEK: bool>(
-        &self,
-        cache: &mut ValuationCache,
-        ticket: TicketId,
-    ) -> Result<f64> {
+    /// The walk, for a ticket: its denomination's value times its share of
+    /// the denomination's active amount; a base ticket is worth its face
+    /// amount, an inactive one nothing.
+    fn ticket_value_in(&self, memo: &mut impl Memo, ticket: TicketId) -> Result<f64> {
         let t = self.ticket(ticket)?;
         if !t.is_active() {
             return Ok(0.0);
@@ -1513,8 +1422,18 @@ impl Ledger {
         if active == 0 {
             return Ok(0.0);
         }
-        let cv = self.compute_currency_value::<PEEK>(cache, denom)?;
+        let cv = self.currency_value_in(memo, denom)?;
         Ok(cv * amount / active as f64)
+    }
+
+    /// The walk, for a client: the sum of its funding tickets' values,
+    /// compensation excluded.
+    fn funded_value_in(&self, memo: &mut impl Memo, client: &Client) -> Result<f64> {
+        let mut sum = 0.0;
+        for &t in client.funding() {
+            sum += self.ticket_value_in(memo, t)?;
+        }
+        Ok(sum)
     }
 
     fn compute_client_value(&self, cache: &mut ValuationCache, client: ClientId) -> Result<f64> {
@@ -1525,10 +1444,7 @@ impl Ledger {
         self.bus.count(Counter::ClientMiss);
         let c = self.client(client)?;
         let comp = c.compensation();
-        let mut sum = 0.0;
-        for &t in c.funding() {
-            sum += self.compute_ticket_value::<false>(cache, t)?;
-        }
+        let sum = self.funded_value_in(cache, c)?;
         if comp > 1.0 && c.is_active() {
             // Keep the compensation ledger's funded-value snapshot in step
             // with the freshest valuation (corrects grants that happened
@@ -1541,10 +1457,57 @@ impl Ledger {
     }
 }
 
-/// Memoizing valuator over a ledger snapshot.
+/// Where the valuation walk keeps the currency values it computes.
 ///
-/// Computes currency, ticket, and client values in base units per
-/// Section 4.4:
+/// The ledger has one walk and two memos for it. The incremental cache
+/// ([`ValuationCache`]) counts every lookup on the probe bus and keeps what
+/// it computes until a mutation invalidates it. A [`ScratchWalk`] reads
+/// nothing from the cache, counts nothing, and trusts only the entries its
+/// own walk wrote.
+trait Memo {
+    fn get(&mut self, currency: CurrencyId, bus: &ProbeBus) -> Option<f64>;
+    fn insert(&mut self, currency: CurrencyId, value: f64);
+}
+
+impl Memo for ValuationCache {
+    fn get(&mut self, currency: CurrencyId, bus: &ProbeBus) -> Option<f64> {
+        let hit = self.currencies.get(currency).copied();
+        bus.count(match hit {
+            Some(_) => Counter::CurrencyHit,
+            None => Counter::CurrencyMiss,
+        });
+        hit
+    }
+
+    fn insert(&mut self, currency: CurrencyId, value: f64) {
+        self.currencies.insert(currency, value);
+    }
+}
+
+/// One walk's view of the scratch memo: an entry another walk wrote reads
+/// as absent.
+struct ScratchWalk<'s> {
+    memo: &'s mut Vec<(u64, f64)>,
+    walk: u64,
+}
+
+impl Memo for ScratchWalk<'_> {
+    fn get(&mut self, currency: CurrencyId, _: &ProbeBus) -> Option<f64> {
+        match self.memo.get(currency.index() as usize) {
+            Some(&(walk, v)) if walk == self.walk => Some(v),
+            _ => None,
+        }
+    }
+
+    fn insert(&mut self, currency: CurrencyId, value: f64) {
+        self.memo[currency.index() as usize] = (self.walk, value);
+    }
+}
+
+/// Values currencies, tickets and clients in base units from the ledger as
+/// it stands, without reading or filling the incremental cache.
+///
+/// A valuator runs the ledger's own walk (Section 4.4):
 ///
 /// * a currency's value is the sum of its *active* backing tickets' values;
 /// * a ticket's value is its denomination's value times the ticket's share
@@ -1553,58 +1516,48 @@ impl Ledger {
 /// * a client's value is the sum of its active funding tickets' values,
 ///   times its compensation factor.
 ///
-/// Values are memoized per currency, so valuing every runnable client costs
-/// one graph walk. Construct a fresh `Valuator` (or call
-/// [`Valuator::refresh`]) after ledger mutations; [`Valuator::is_stale`]
-/// reports whether the ledger has moved on.
+/// Its memo is the ledger's scratch memo under a walk tag of its own, so
+/// valuing every runnable client costs one graph walk, and nothing is
+/// allocated unless the ledger gained currency slots since the memo was
+/// last sized. The borrow of the
+/// ledger keeps it from being mutated while the valuator lives, so the
+/// values never go stale; a newer valuator over the same ledger takes the
+/// memo over, and an older one then recomputes what it asks for.
 pub struct Valuator<'a> {
     ledger: &'a Ledger,
-    epoch: u64,
-    currency_values: HashMap<CurrencyId, f64>,
+    walk: u64,
 }
 
 impl<'a> Valuator<'a> {
-    /// Creates a valuator for the ledger's current epoch.
+    /// Creates a valuator over the ledger's current state.
     pub fn new(ledger: &'a Ledger) -> Self {
+        let mut cache = ledger.cache.borrow_mut();
+        // One slot per currency slot, sized once: the ledger cannot gain a
+        // currency while the valuator borrows it.
+        let slots = ledger.currencies.slots();
+        if cache.scratch.len() < slots {
+            cache.scratch.resize(slots, (0, 0.0));
+        }
+        cache.scratch_walks += 1;
         Self {
             ledger,
-            epoch: ledger.epoch(),
-            currency_values: HashMap::new(),
+            walk: cache.scratch_walks,
         }
     }
 
-    /// Whether the ledger has been mutated since this valuator was built.
-    pub fn is_stale(&self) -> bool {
-        self.epoch != self.ledger.epoch()
-    }
-
-    /// Drops memoized values (after external mutation via a new borrow).
-    pub fn refresh(&mut self) {
-        self.epoch = self.ledger.epoch();
-        self.currency_values.clear();
+    /// Runs `walk` against this valuator's view of the scratch memo.
+    fn with_memo<T>(&self, f: impl FnOnce(&Ledger, &mut ScratchWalk<'_>) -> T) -> T {
+        let mut cache = self.ledger.cache.borrow_mut();
+        let mut memo = ScratchWalk {
+            memo: &mut cache.scratch,
+            walk: self.walk,
+        };
+        f(self.ledger, &mut memo)
     }
 
     /// The value of `currency` in base units.
     pub fn currency_value(&mut self, currency: CurrencyId) -> Result<f64> {
-        if let Some(&v) = self.currency_values.get(&currency) {
-            return Ok(v);
-        }
-        let v = if currency == self.ledger.base() {
-            // By definition a base ticket is worth its amount, so the base
-            // currency's value equals its active amount.
-            self.ledger.currency(currency)?.active_amount() as f64
-        } else {
-            let backing = self.ledger.currency(currency)?.backing().to_vec();
-            let mut sum = 0.0;
-            for t in backing {
-                if self.ledger.ticket(t)?.is_active() {
-                    sum += self.ticket_value(t)?;
-                }
-            }
-            sum
-        };
-        self.currency_values.insert(currency, v);
-        Ok(v)
+        self.with_memo(|ledger, memo| ledger.currency_value_in(memo, currency))
     }
 
     /// The value of `ticket` in base units.
@@ -1612,44 +1565,20 @@ impl<'a> Valuator<'a> {
     /// An inactive ticket (or one denominated in a currency with zero
     /// active amount) is worth zero.
     pub fn ticket_value(&mut self, ticket: TicketId) -> Result<f64> {
-        let t = self.ledger.ticket(ticket)?;
-        if !t.is_active() {
-            return Ok(0.0);
-        }
-        let denom = t.currency();
-        let amount = t.amount() as f64;
-        if denom == self.ledger.base() {
-            return Ok(amount);
-        }
-        let active = self.ledger.currency(denom)?.active_amount();
-        if active == 0 {
-            return Ok(0.0);
-        }
-        let cv = self.currency_value(denom)?;
-        Ok(cv * amount / active as f64)
+        self.with_memo(|ledger, memo| ledger.ticket_value_in(memo, ticket))
     }
 
     /// The value of `client` in base units, including compensation.
     pub fn client_value(&mut self, client: ClientId) -> Result<f64> {
-        let c = self.ledger.client(client)?;
-        let comp = c.compensation();
-        let funding = c.funding().to_vec();
-        let mut sum = 0.0;
-        for t in funding {
-            sum += self.ticket_value(t)?;
-        }
-        Ok(sum * comp)
+        self.with_memo(|ledger, memo| {
+            let c = ledger.client(client)?;
+            Ok(ledger.funded_value_in(memo, c)? * c.compensation())
+        })
     }
 
     /// The value of `client` in base units, excluding compensation.
     pub fn client_funded_value(&mut self, client: ClientId) -> Result<f64> {
-        let c = self.ledger.client(client)?;
-        let funding = c.funding().to_vec();
-        let mut sum = 0.0;
-        for t in funding {
-            sum += self.ticket_value(t)?;
-        }
-        Ok(sum)
+        self.with_memo(|ledger, memo| ledger.funded_value_in(memo, ledger.client(client)?))
     }
 }
 
@@ -1968,19 +1897,6 @@ mod tests {
     }
 
     #[test]
-    fn valuator_staleness() {
-        let mut l = Ledger::new();
-        let c = l.create_client("c");
-        let t = l.issue_root(l.base(), 10).unwrap();
-        l.fund_client(t, c).unwrap();
-        let v = Valuator::new(&l);
-        assert!(!v.is_stale());
-        l.activate_client(c).unwrap();
-        let v2 = Valuator::new(&l);
-        assert!(!v2.is_stale());
-    }
-
-    #[test]
     fn stale_handles_reported() {
         let mut l = Ledger::new();
         let c = l.create_currency("c").unwrap();
@@ -1989,14 +1905,6 @@ mod tests {
             l.currency(c),
             Err(LotteryError::StaleHandle { .. })
         ));
-    }
-
-    #[test]
-    fn epoch_advances_on_mutation() {
-        let mut l = Ledger::new();
-        let e0 = l.epoch();
-        let _ = l.create_client("c");
-        assert!(l.epoch() > e0);
     }
 
     #[test]
@@ -2202,12 +2110,13 @@ mod cache_tests {
         l.set_amount(t_alice, 2000).unwrap();
         assert_eq!(l.dirty_shard_depth(0), 2);
         assert_eq!(l.dirty_shard_depth(1), 0);
-        let mut shard0 = l.drain_dirty_shard(0);
-        shard0.sort();
+        let mut drained = Vec::new();
+        l.drain_dirty_shard_into(0, &mut drained);
         let mut expected = vec![t2, t3];
         expected.sort();
-        assert_eq!(shard0, expected);
-        assert!(l.drain_dirty_shard(1).is_empty());
+        assert_eq!(drained, expected);
+        l.drain_dirty_shard_into(1, &mut drained);
+        assert!(drained.is_empty());
     }
 
     #[test]
@@ -2226,7 +2135,9 @@ mod cache_tests {
         l.assign_dirty_shard(c, 3);
         assert_eq!(l.dirty_shard_of(c), 3);
         assert_eq!(l.dirty_shard_depth(1), 0);
-        assert_eq!(l.drain_dirty_shard(3), vec![c]);
+        let mut drained = Vec::new();
+        l.drain_dirty_shard_into(3, &mut drained);
+        assert_eq!(drained, [c]);
         assert_eq!(l.dirty_shard_reassignments(), 1);
         // Re-assigning to the same shard is not a reassignment.
         l.assign_dirty_shard(c, 3);
@@ -2247,7 +2158,9 @@ mod cache_tests {
         assert_eq!(l.dirty_shard_depth(1), 1);
         l.destroy_client_and_funding(c).unwrap();
         assert_eq!(l.dirty_shard_depth(1), 0);
-        assert!(l.drain_dirty_shard(1).is_empty());
+        let mut drained = vec![c];
+        l.drain_dirty_shard_into(1, &mut drained);
+        assert!(drained.is_empty());
     }
 
     #[test]
@@ -2739,7 +2652,8 @@ mod comp_ledger_tests {
             0,
             "the walk counted lookups"
         );
-        // With part of the graph cached the walk reads it, to the same value.
+        // With part of the graph cached the walk still reads none of it,
+        // and comes to the same value.
         l.cached_currency_value(left).unwrap();
         l.set_compensation(c, 1.0).unwrap();
         let funded = Valuator::new(&l).client_funded_value(c).unwrap();

@@ -7,7 +7,9 @@
 //!
 //! 1. **Cache coherence** — [`Ledger::cached_client_value`] and
 //!    [`Ledger::cached_currency_value`] always bit-equal a fresh
-//!    [`Valuator`] over the same ledger. The cache may only ever skip
+//!    [`Valuator`] over the same ledger — the ledger's one walk, run on a
+//!    scratch memo that reads nothing from the cache, so a stale entry
+//!    cannot hide in both sides. The cache may only ever skip
 //!    *recomputation*, never return a different value — also after a
 //!    client or currency slot is recycled, when the stale handle must read
 //!    nothing.

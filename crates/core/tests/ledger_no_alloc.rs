@@ -3,7 +3,8 @@
 //! A scheduler's steady state is a cycle of compensation grant → block →
 //! wake → revalue → clear → dirty drain over a fixed population. Every id
 //! involved is a dense arena index and every buffer involved can be kept,
-//! so once warm the cycle must not touch the allocator at all. This file
+//! so once warm the cycle must not touch the allocator at all; nor must a
+//! `Valuator` pass, which walks the same graph on a kept memo. This file
 //! is its own test binary so the counting allocator below sees nothing
 //! but the test; counts are per thread, so the harness running the tests
 //! side by side does not mix them.
@@ -193,6 +194,27 @@ fn mostly_asleep_cycle_allocates_nothing() {
     let before = allocations();
     for i in 0..10_000 {
         cycle(1_000 + i);
+    }
+    assert_eq!(allocations() - before, 0);
+}
+
+/// A `Valuator` runs the ledger's walk on the ledger's scratch memo: once
+/// the first valuator has sized the memo to the currency count, a fresh
+/// valuator over every client of a two-level graph allocates nothing.
+#[test]
+fn valuator_pass_allocates_nothing() {
+    let (l, clients) = desktop();
+    let pass = || {
+        let mut v = Valuator::new(&l);
+        for &c in &clients {
+            std::hint::black_box(v.client_value(c).unwrap());
+            std::hint::black_box(v.client_funded_value(c).unwrap());
+        }
+    };
+    pass();
+    let before = allocations();
+    for _ in 0..1_000 {
+        pass();
     }
     assert_eq!(allocations() - before, 0);
 }

@@ -15,7 +15,7 @@
 //!
 //! * **sharded dirty notifications** — the ledger's valuation
 //!   invalidations are partitioned by home shard
-//!   ([`Ledger::drain_dirty_shard`]), so a pick settles only its own
+//!   ([`Ledger::drain_dirty_shard_into`]), so a pick settles only its own
 //!   shard's stale weights instead of contending on one global queue;
 //! * **work stealing** — a CPU whose shard has no ready thread draws from
 //!   the heaviest foreign shard, keeping CPUs busy without

@@ -11,9 +11,10 @@
 //!
 //! RPC and mutex threads are left out on purpose. Each RPC completion
 //! appends to the per-client completion log Figure 7 reads, which grows
-//! with the RPCs made, not with the decisions. A mutex handoff still builds
-//! a valuation memo and a weights vector and issues a transfer ticket per
-//! handoff; making it allocation free is separate work.
+//! with the RPCs made, not with the decisions. A mutex handoff values its
+//! waiters on the ledger's kept scratch memo, but still collects their
+//! weights into a fresh vector and issues a transfer ticket per handoff;
+//! making it allocation free is separate work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -12,8 +12,13 @@
 //! the quantum, so compensation factors are 4 or 2 and every derived
 //! valuation stays an integer: f64 addition over integers below 2^53 is
 //! exact, which is what makes "bit-identical" a fair demand.
+//!
+//! The shard script also has a reference from outside the scheduler: the
+//! paper's own walk (SNIPPETS.md 1) over [`ExactValuator`]'s rationals
+//! must name every draw's winner from its recorded winning value.
 
 use lottery_core::client::ClientId;
+use lottery_core::exact::{ExactValuator, Ratio};
 use lottery_core::ledger::Ledger;
 use lottery_core::rng::{ParkMiller, SchedRng};
 use lottery_core::ticket::TicketId;
@@ -152,6 +157,30 @@ fn shard_ledger(threads: usize) -> (Ledger, Vec<ClientId>, Vec<TicketId>) {
     (ledger, clients, tickets)
 }
 
+/// The paper's lottery as an independent reference: each slot's client
+/// valued exactly, then the running-sum walk of Figure 1 — the first slot
+/// whose running sum passes `winning` wins. Returns that slot and the
+/// exact total. The shard script grants no compensation, so a client's
+/// funded value is the value its slot is weighed by.
+fn paper_walk(
+    ledger: &Ledger,
+    clients: &[ClientId],
+    slots: &[ThreadId],
+    winning: f64,
+) -> (Option<ThreadId>, Ratio) {
+    let mut exact = ExactValuator::new(ledger);
+    let mut sum = Ratio::ZERO;
+    let mut winner = None;
+    for &tid in slots {
+        let value = exact.client_value(clients[tid.index() as usize]).unwrap();
+        sum = sum.checked_add(value).unwrap();
+        if winner.is_none() && sum.to_f64() > winning {
+            winner = Some(tid);
+        }
+    }
+    (winner, sum)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -200,7 +229,9 @@ proptest! {
     /// seed stay indistinguishable: identical slot order after every
     /// step, identical draws (winner, entries, total, winning value),
     /// exactly one variate consumed per draw over a pool with value and
-    /// none over a worthless one — through mid-script rebuilds.
+    /// none over a worthless one — through mid-script rebuilds. Every draw
+    /// is also the paper's: its walk over the slot order, in exact
+    /// values, names the same winner and the same total.
     #[test]
     fn shards_identical_across_structures(
         seed in 1..u32::MAX,
@@ -242,7 +273,8 @@ proptest! {
                     }
                 }
                 ShardOp::Draw => {
-                    let head = shards[0].iter().next();
+                    let slots: Vec<ThreadId> = shards[0].iter().collect();
+                    let head = slots.first().copied();
                     let mut expect = rngs[0].clone();
                     let draws = [0, 1, 2].map(|i| {
                         shards[i].draw(&mut rngs[i], |tid| value_of(&ledger, tid))
@@ -254,8 +286,16 @@ proptest! {
                         } else {
                             prop_assert_eq!((Some(list.winner), list.winning), (head, -1.0));
                         }
+                        // The values are integers, so the exact total and
+                        // the running sums convert to f64 without rounding.
+                        let (winner, total) = paper_walk(&ledger, &clients, &slots, list.winning);
+                        prop_assert!(total.is_integer());
                         for (draw, rng) in draws.iter().zip(&rngs) {
                             let draw = draw.expect("all three shards hold the same threads");
+                            prop_assert_eq!(
+                                (Some(draw.winner), draw.total),
+                                (winner, total.to_f64())
+                            );
                             prop_assert_eq!(
                                 (draw.winner, draw.entries, draw.total, draw.winning),
                                 (list.winner, list.entries, list.total, list.winning)

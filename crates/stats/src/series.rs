@@ -64,20 +64,6 @@ impl ProgressSeries {
         }
     }
 
-    /// Average rate (value per time unit) in each `[k*w, (k+1)*w)` window
-    /// up to `end`, as Figure 5 reports.
-    pub fn window_rates(&self, window: u64, end: u64) -> Vec<f64> {
-        assert!(window > 0, "window must be positive");
-        let mut rates = Vec::new();
-        let mut start = 0u64;
-        while start + window <= end {
-            let delta = self.value_at(start + window) - self.value_at(start);
-            rates.push(delta / window as f64);
-            start += window;
-        }
-        rates
-    }
-
     /// The cumulative curve sampled at multiples of `step` up to `end`
     /// inclusive — the series the paper's cumulative plots draw.
     pub fn sampled(&self, step: u64, end: u64) -> Vec<(u64, f64)> {
@@ -132,22 +118,6 @@ mod tests {
         s.record(5, 2.0);
         s.record(5, 3.0);
         assert_eq!(s.value_at(5), 3.0);
-    }
-
-    #[test]
-    fn window_rates_constant_for_linear_growth() {
-        let s = linear_series();
-        let rates = s.window_rates(10, 100);
-        assert_eq!(rates.len(), 10);
-        for r in rates {
-            assert!((r - 2.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn window_rates_ignores_partial_tail() {
-        let s = linear_series();
-        assert_eq!(s.window_rates(30, 100).len(), 3);
     }
 
     #[test]

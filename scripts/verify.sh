@@ -25,6 +25,15 @@ if grep -rn 'winning < sum\|winner < sum' crates src | grep -v '^crates/core/src
   echo "verify: a hand-rolled lottery walk outside crates/core/src/lottery/" >&2; exit 1
 fi
 
+# One f64 valuation walk: the ledger's cache and every `Valuator` price a
+# ticket through the same function, so Section 4.4's share rule is
+# written exactly once in f64.
+walks=$(grep -rn 'amount / active as f64' crates src | wc -l)
+if [ "$walks" -ne 1 ]; then
+  grep -rn 'amount / active as f64' crates src >&2 || true
+  echo "verify: expected one f64 valuation walk, found $walks" >&2; exit 1
+fi
+
 # Golden gate: the whole experiment transcript must reproduce the
 # committed one byte for byte. Every per-experiment claim (the 2:1 and
 # 3:1 ratios, bit-exact replays, ablation drifts, ...) is a line of that

@@ -6,9 +6,12 @@
 //!    `total_amount` equal the sums over its issued tickets.
 //! 2. **Value conservation** — the total funded value of active clients
 //!    equals the base currency's active amount (tickets only ever
-//!    *redistribute* base units, never create them).
+//!    *redistribute* base units, never create them). It is checked in
+//!    exact rationals, bit for bit, by invariant 4.
 //! 3. **Activation consistency** — a ticket is active iff its funding
 //!    target is active.
+//! 4. **Exact valuation** — [`ExactValuator`]'s rationals conserve base
+//!    units exactly, and the ledger's `f64` walk agrees with them.
 
 use lottery_core::exact::{ExactValuator, Ratio};
 use lottery_core::prelude::*;
@@ -172,26 +175,8 @@ impl World {
         }
     }
 
-    /// Invariant 2: active client value sums to the base active amount.
-    fn check_conservation(&self) {
-        let mut v = Valuator::new(&self.ledger);
-        let mut total = 0.0;
-        for (cl, _) in self.ledger.clients() {
-            total += v.client_funded_value(cl).unwrap();
-        }
-        let base_active = self
-            .ledger
-            .currency(self.ledger.base())
-            .unwrap()
-            .active_amount() as f64;
-        assert!(
-            (total - base_active).abs() < 1e-6 * base_active.max(1.0),
-            "client values {total} != base active {base_active}"
-        );
-    }
-
-    /// Invariant 4: the exact (rational) valuator agrees with the float
-    /// valuator and conserves base units bit-for-bit.
+    /// Invariants 2 and 4: the exact (rational) valuator conserves base
+    /// units bit-for-bit, and the float valuator agrees with it.
     fn check_exact(&self) {
         let mut exact = ExactValuator::new(&self.ledger);
         let mut float = Valuator::new(&self.ledger);
@@ -240,7 +225,6 @@ proptest! {
             world.apply(op);
         }
         world.check_sums();
-        world.check_conservation();
         world.check_activation();
         world.check_exact();
     }
@@ -251,7 +235,6 @@ proptest! {
         for op in &ops {
             world.apply(op);
             world.check_sums();
-            world.check_conservation();
             world.check_activation();
             world.check_exact();
         }
