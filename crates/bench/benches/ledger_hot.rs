@@ -18,8 +18,8 @@
 //!   should not depend on how many sleepers the tenant has.
 //! * `grant-clear` — `compensation::grant` on an active client, then
 //!   `compensation::clear`.
-//! * `metrics-record` — `record_dispatch`, `record_wait_kind` and
-//!   `record_run` for one thread.
+//! * `metrics-record` — `record_dispatch` and `record_run` for one
+//!   thread.
 //!
 //! The value maps of the valuation cache are hashed at both populations, so
 //! no ratio between the two is asserted anywhere.
@@ -145,9 +145,8 @@ fn bench_metrics_record(c: &mut Criterion) {
             b.iter(|| {
                 let tid = ThreadId::from_index(step() as u32);
                 now += slice.as_us();
-                metrics.record_dispatch(tid, slice, true);
-                metrics.record_wait_kind(tid, slice, false);
-                metrics.record_run(tid, slice, SimDuration::from_us(now));
+                metrics.record_dispatch(tid, slice, true, false);
+                metrics.record_run(tid, SimDuration::from_us(now));
             })
         });
         black_box(metrics.decisions);

@@ -19,7 +19,7 @@ pub type ClientId = Handle<Client>;
 /// A schedulable client.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Client {
-    name: String,
+    name: Box<str>,
     funding: Vec<TicketId>,
     active: bool,
     compensation: f64,
@@ -29,7 +29,7 @@ impl Client {
     /// Creates an inactive client with no funding.
     pub(crate) fn new(name: impl Into<String>) -> Self {
         Self {
-            name: name.into(),
+            name: name.into().into_boxed_str(),
             funding: Vec::new(),
             active: false,
             compensation: 1.0,

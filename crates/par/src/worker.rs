@@ -509,11 +509,11 @@ mod tests {
         to_peer: Sender<Msg>,
     }
 
-    /// A base-funded, active client for thread `tid`, homed on shard 0.
-    fn fund(shared: &Shared, tid: ThreadId, amount: u64) -> ThreadFunding {
+    /// A base-funded, active client for one thread, homed on shard 0.
+    fn fund(shared: &Shared, amount: u64) -> ThreadFunding {
         let mut ledger = shared.ledger.lock();
         let spec = FundingSpec::new(ledger.base(), amount);
-        let funding = fund_thread(&mut ledger, tid, spec);
+        let funding = fund_thread(&mut ledger, spec);
         ledger.assign_dirty_shard(funding.client, 0);
         ledger
             .activate_client(funding.client)
@@ -605,7 +605,7 @@ mod tests {
         let report = launch(worker);
         rig.await_window_end();
         let tid = ThreadId::from_index(7);
-        let funding = fund(&rig.shared, tid, 250);
+        let funding = fund(&rig.shared, 250);
         let late = ParThread {
             tid,
             funding,

@@ -99,8 +99,10 @@ fn seeded_stress_conserves_value_and_partition() {
         // client's compensation-normalized value must be *exactly* its
         // funded amount or exactly 0 — never a fraction leaked or gained
         // by a steal race — and only blockable (Io) threads may read 0.
-        for (id, client) in report.ledger.clients() {
-            let i: usize = client.name()[1..].parse().expect("clients named t<idx>");
+        // Each spawn creates its thread's client before anything runs or
+        // exits, so client slot i backs thread i.
+        for (id, _) in report.ledger.clients() {
+            let i = id.index() as usize;
             let face = report.ledger.cached_client_value(id).unwrap_or(0.0)
                 / report.ledger.compensation_factor(id);
             let amount = amounts[i] as f64;

@@ -7,15 +7,20 @@
 //! reads these out.
 //!
 //! Per-thread accounting is a table indexed by [`ThreadId::index`]: a
-//! dispatch records against the running thread three or four times, and
+//! dispatch records against the running thread two or three times, and
 //! thread ids are dense, so each record is an index, not a hash lookup.
-//! A thread's record is constant-space — counters and running summaries —
-//! so memory does not grow with the decisions a run makes; only the RPC
-//! log grows, one entry per completed RPC. Per-window CPU (Figure 5) is
-//! measured where the windows fall, by [`run_windows`], rather than
-//! recorded on every run segment.
+//! A thread's record holds only what something reads and nothing another
+//! field determines: the dispatch count is the wait summary's count, a
+//! preemption's wait is the total less the wakes', and the RPC log's length
+//! is the completion count. The response-time and lock-wait summaries,
+//! which only RPC clients and mutex waiters record, are a pointer until
+//! their first sample. The record is constant-space, so memory does not
+//! grow with the decisions a run makes; only the RPC log grows, one entry
+//! per completed RPC. Per-window CPU (Figure 5) is measured where the
+//! windows fall, by [`run_windows`], rather than recorded on every run
+//! segment.
 
-use lottery_stats::{ProgressSeries, Summary};
+use lottery_stats::{LazySummary, Summary};
 
 use crate::kernel::Kernel;
 use crate::sched::Policy;
@@ -25,31 +30,22 @@ use crate::time::{SimDuration, SimTime};
 /// Per-thread accounting.
 #[derive(Debug, Default)]
 pub struct ThreadMetrics {
-    /// Times this thread was dispatched.
-    pub dispatches: u64,
     /// Cumulative CPU time, as of the last run segment.
     cpu: SimDuration,
     /// Ready-queue wait before each dispatch, in microseconds.
     pub wait_us: Summary,
-    /// Ready-queue wait for dispatches that followed a preemption
-    /// (quantum expiry or yield), in microseconds. A preempted thread
-    /// was never asleep, so this is pure scheduling latency.
-    pub preempt_wait_us: Summary,
     /// Ready-queue wait for dispatches that followed a true wake (spawn
-    /// or sleep end), in microseconds.
+    /// or sleep end), in microseconds. The rest of `wait_us` followed a
+    /// preemption (quantum expiry or yield): a preempted thread was never
+    /// asleep, so that part is pure scheduling latency.
     pub wake_wait_us: Summary,
-    /// Completed synchronous RPCs: `(time_us, count)`.
-    pub rpc_series: ProgressSeries,
     /// RPC response times, in microseconds (request sent to reply
     /// received).
-    pub response_us: Summary,
+    pub response_us: LazySummary,
     /// Every completed RPC: `(completion time_us, response time_us)`.
     pub responses: Vec<(u64, f64)>,
-    /// Per-segment run lengths, in microseconds (how much CPU each
-    /// dispatch actually consumed).
-    pub run_us: Summary,
     /// Kernel-mutex waiting times, in microseconds (block to handoff).
-    pub lock_wait_us: Summary,
+    pub lock_wait_us: LazySummary,
     /// Times the thread blocked.
     pub blocks: u64,
     /// Times the thread yielded with quantum remaining.
@@ -57,9 +53,14 @@ pub struct ThreadMetrics {
 }
 
 impl ThreadMetrics {
+    /// Times this thread was dispatched.
+    pub fn dispatches(&self) -> u64 {
+        self.wait_us.count()
+    }
+
     /// Completed RPC count.
     pub fn rpcs_completed(&self) -> u64 {
-        self.rpc_series.final_value() as u64
+        self.responses.len() as u64
     }
 
     /// Cumulative CPU time in microseconds.
@@ -106,41 +107,37 @@ impl Metrics {
         self.threads.get(tid.index() as usize)?.as_ref()
     }
 
-    /// Records a run segment: `tid` consumed `ran`, with `cpu_total` being
-    /// its lifetime CPU after the segment.
-    pub fn record_run(&mut self, tid: ThreadId, ran: SimDuration, cpu_total: SimDuration) {
-        let t = self.thread_mut(tid);
-        t.run_us.record(ran.as_us() as f64);
-        t.cpu = cpu_total;
+    /// Records a run segment's end: `cpu_total` is `tid`'s lifetime CPU
+    /// after it.
+    pub fn record_run(&mut self, tid: ThreadId, cpu_total: SimDuration) {
+        self.thread_mut(tid).cpu = cpu_total;
     }
 
-    /// Records a dispatch and its ready-queue wait.
-    pub fn record_dispatch(&mut self, tid: ThreadId, waited: SimDuration, switched: bool) {
+    /// Records a dispatch and its ready-queue wait, which followed a
+    /// preemption (quantum expiry or yield) when `preempted` and a true
+    /// wake (spawn or sleep end) otherwise.
+    pub fn record_dispatch(
+        &mut self,
+        tid: ThreadId,
+        waited: SimDuration,
+        switched: bool,
+        preempted: bool,
+    ) {
         self.decisions += 1;
         if switched {
             self.context_switches += 1;
         }
         let t = self.thread_mut(tid);
-        t.dispatches += 1;
-        t.wait_us.record(waited.as_us() as f64);
-    }
-
-    /// Classifies a dispatch's ready-queue wait: preemption requeue
-    /// (quantum expiry / yield) versus true wake (spawn or sleep end).
-    pub fn record_wait_kind(&mut self, tid: ThreadId, waited: SimDuration, preempted: bool) {
-        let t = self.thread_mut(tid);
-        if preempted {
-            t.preempt_wait_us.record(waited.as_us() as f64);
-        } else {
-            t.wake_wait_us.record(waited.as_us() as f64);
+        let waited = waited.as_us() as f64;
+        t.wait_us.record(waited);
+        if !preempted {
+            t.wake_wait_us.record(waited);
         }
     }
 
     /// Records a completed RPC for the client.
     pub(crate) fn record_rpc(&mut self, client: ThreadId, now: SimTime, response: SimDuration) {
         let t = self.thread_mut(client);
-        let count = t.rpc_series.final_value() + 1.0;
-        t.rpc_series.record(now.as_us(), count);
         t.response_us.record(response.as_us() as f64);
         t.responses.push((now.as_us(), response.as_us() as f64));
     }
@@ -202,21 +199,17 @@ mod tests {
     #[test]
     fn run_segments_accumulate() {
         let mut m = Metrics::new();
-        m.record_run(T0, SimDuration::from_ms(100), SimDuration::from_ms(100));
-        m.record_run(T0, SimDuration::from_ms(100), SimDuration::from_ms(200));
+        m.record_run(T0, SimDuration::from_ms(100));
+        m.record_run(T0, SimDuration::from_ms(200));
         assert_eq!(m.cpu_us(T0), 200_000);
         assert_eq!(m.cpu_us(T1), 0);
-        let t = m.thread(T0).unwrap();
-        assert_eq!(t.run_us.count(), 2);
-        assert_eq!(t.run_us.mean(), 100_000.0);
-        assert_eq!(t.run_us.sum(), 200_000.0);
     }
 
     #[test]
     fn cpu_ratio() {
         let mut m = Metrics::new();
-        m.record_run(T0, SimDuration::from_ms(10), SimDuration::from_ms(10));
-        m.record_run(T1, SimDuration::from_ms(5), SimDuration::from_ms(5));
+        m.record_run(T0, SimDuration::from_ms(10));
+        m.record_run(T1, SimDuration::from_ms(5));
         assert_eq!(m.cpu_ratio(T0, T1), Some(2.0));
         let empty = Metrics::new();
         assert_eq!(empty.cpu_ratio(T0, T1), None);
@@ -225,13 +218,36 @@ mod tests {
     #[test]
     fn dispatch_accounting() {
         let mut m = Metrics::new();
-        m.record_dispatch(T0, SimDuration::from_ms(3), true);
-        m.record_dispatch(T0, SimDuration::ZERO, false);
+        m.record_dispatch(T0, SimDuration::from_ms(3), true, false);
+        m.record_dispatch(T0, SimDuration::ZERO, false, true);
         assert_eq!(m.decisions, 2);
         assert_eq!(m.context_switches, 1);
         let t = m.thread(T0).unwrap();
-        assert_eq!(t.dispatches, 2);
+        assert_eq!(t.dispatches(), 2);
         assert_eq!(t.wait_us.mean(), 1_500.0);
+        assert_eq!(t.wake_wait_us.count(), 1);
+        assert_eq!(t.wake_wait_us.mean(), 3_000.0);
+    }
+
+    #[test]
+    fn wait_extrema_are_the_recorded_waits() {
+        let mut m = Metrics::new();
+        for ms in [7, 3, 5] {
+            m.record_dispatch(T0, SimDuration::from_ms(ms), false, false);
+        }
+        let t = m.thread(T0).unwrap();
+        assert_eq!(t.wait_us.min(), 3_000.0);
+        assert_eq!(t.wait_us.max(), 7_000.0);
+    }
+
+    #[test]
+    fn response_and_lock_summaries_stay_empty_until_used() {
+        let mut m = Metrics::new();
+        m.record_dispatch(T0, SimDuration::from_ms(1), true, false);
+        let t = m.thread(T0).unwrap();
+        assert_eq!((t.response_us.count(), t.response_us.sum()), (0, 0.0));
+        assert_eq!((t.lock_wait_us.count(), t.lock_wait_us.sum()), (0, 0.0));
+        assert_eq!(t.response_us.min(), f64::INFINITY);
     }
 
     #[test]
@@ -242,6 +258,10 @@ mod tests {
         let t = m.thread(T0).unwrap();
         assert_eq!(t.rpcs_completed(), 2);
         assert_eq!(t.response_us.mean(), 500_000.0);
+        assert_eq!(
+            t.responses,
+            [(1_000_000, 250_000.0), (2_000_000, 750_000.0)]
+        );
     }
 
     #[test]

@@ -65,15 +65,15 @@ pub fn fund_currency(
     Ok(cur)
 }
 
-/// Creates the ledger client behind thread `tid`, funded by one fresh
-/// ticket of `spec`.
+/// Creates the ledger client behind a thread, funded by one fresh ticket
+/// of `spec`. The client is unnamed: the thread holds the name.
 ///
 /// # Panics
 ///
 /// Panics when the spec names a stale currency or a zero amount — both
 /// are harness configuration bugs.
-pub fn fund_thread(ledger: &mut Ledger, tid: ThreadId, spec: FundingSpec) -> ThreadFunding {
-    let client = ledger.create_client(format!("{tid}"));
+pub fn fund_thread(ledger: &mut Ledger, spec: FundingSpec) -> ThreadFunding {
+    let client = ledger.create_client(String::new());
     let ticket = ledger
         .issue_root(spec.currency, spec.amount)
         .expect("invalid funding spec");
@@ -335,7 +335,7 @@ impl<L: LedgerAccess> LotteryCore<L> {
 
     /// Registers a thread and funds its client.
     pub fn spawn(&mut self, tid: ThreadId, spec: FundingSpec) -> ClientId {
-        let funding = fund_thread(&mut self.ledger.lock(), tid, spec);
+        let funding = fund_thread(&mut self.ledger.lock(), spec);
         self.adopt(tid, funding);
         self.bus.emit(|| EventKind::WeightChange {
             client: funding.client.index(),

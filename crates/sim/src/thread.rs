@@ -82,7 +82,7 @@ pub enum ThreadState {
 
 /// A thread control block.
 pub struct Thread {
-    name: String,
+    name: Box<str>,
     state: ThreadState,
     workload: Box<dyn Workload>,
     /// CPU time left in the burst the workload last issued.
@@ -106,7 +106,7 @@ impl Thread {
     /// Creates a ready thread running `workload`.
     pub fn new(name: impl Into<String>, workload: Box<dyn Workload>) -> Self {
         Self {
-            name: name.into(),
+            name: name.into().into_boxed_str(),
             state: ThreadState::Ready,
             workload,
             burst_remaining: SimDuration::ZERO,

@@ -13,4 +13,4 @@ pub mod table;
 
 pub use histogram::Histogram;
 pub use series::ProgressSeries;
-pub use summary::Summary;
+pub use summary::{LazySummary, Summary};

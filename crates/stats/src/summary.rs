@@ -2,7 +2,11 @@
 //!
 //! Welford's algorithm keeps numerically stable running mean and variance
 //! without storing samples — the experiment drivers feed millions of
-//! per-quantum observations through these accumulators.
+//! per-quantum observations through these accumulators. A
+//! [`LazySummary`] is one that most of its owners never record into: it
+//! costs a pointer until its first sample.
+
+use core::ops::Deref;
 
 /// Streaming mean / variance / extrema accumulator.
 ///
@@ -18,7 +22,7 @@
 /// assert_eq!(s.mean(), 5.0);
 /// assert_eq!(s.population_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -29,7 +33,7 @@ pub struct Summary {
 
 impl Summary {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self {
             count: 0,
             mean: 0.0,
@@ -146,6 +150,35 @@ impl Summary {
     }
 }
 
+impl Default for Summary {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The summary every [`LazySummary`] reads as until its first sample.
+static EMPTY: Summary = Summary::new();
+
+/// A [`Summary`] boxed on its first sample: a pointer until then, and an
+/// empty summary to every reader through `Deref`.
+#[derive(Debug, Default)]
+pub struct LazySummary(Option<Box<Summary>>);
+
+impl LazySummary {
+    /// Adds one observation, allocating the summary on the first.
+    pub fn record(&mut self, x: f64) {
+        self.0.get_or_insert_default().record(x);
+    }
+}
+
+impl Deref for LazySummary {
+    type Target = Summary;
+
+    fn deref(&self) -> &Summary {
+        self.0.as_deref().unwrap_or(&EMPTY)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,6 +191,26 @@ mod tests {
         assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.stddev(), 0.0);
         assert_eq!(s.cv(), 0.0);
+    }
+
+    #[test]
+    fn default_is_empty() {
+        assert_eq!(Summary::default(), Summary::new());
+        assert_eq!(Summary::default().min(), f64::INFINITY);
+        assert_eq!(Summary::default().max(), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn lazy_summary_reads_empty_until_recorded() {
+        let mut lazy = LazySummary::default();
+        assert_eq!(*lazy, Summary::new());
+        for x in [3.0, 1.0, 2.0] {
+            lazy.record(x);
+        }
+        assert_eq!(*lazy, Summary::of(&[3.0, 1.0, 2.0]));
+        let mut merged = Summary::new();
+        merged.merge(&lazy);
+        assert_eq!(merged.sum(), 6.0);
     }
 
     #[test]
