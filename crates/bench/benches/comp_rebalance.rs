@@ -1,7 +1,8 @@
 //! Raw- versus compensated-weight rebalancing under an I/O-bound mix
 //! (DESIGN.md §6, "Compensated rebalancing").
 //!
-//! Same machine as the `smp-dist` experiment's I/O-heavy variant: four
+//! Same machine as `crates/sim/tests/distributed_props.rs`'s
+//! `compensated_rebalancing_holds_the_io_class_at_two_to_one`: four
 //! CPUs with a 10 ms quantum; sixteen 100-ticket compute hogs pinned
 //! eight each on shards 0–1; eight 200-ticket I/O-bound threads
 //! (5 ms run / 12 ms sleep, so every burst ends in a partial-quantum

@@ -268,14 +268,9 @@ impl ClusterMarket {
     /// Switches the budget policy mid-run. Dropping to
     /// [`BudgetPolicy::StaticSplit`] freezes every allocation wherever
     /// the last rebalance left it — a reconciliation outage, and the
-    /// cluster experiment's drift ablation.
+    /// drift ablation of `tests/drills.rs`.
     pub fn set_policy(&mut self, policy: BudgetPolicy) {
         self.policy = policy;
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> u32 {
-        self.nodes.len() as u32
     }
 
     /// Number of tenants.
@@ -286,11 +281,6 @@ impl ClusterMarket {
     /// A tenant's cluster-level grant.
     pub fn cluster_grant(&self, tenant: usize) -> u64 {
         self.tenants[tenant].grant
-    }
-
-    /// A tenant's name.
-    pub fn tenant_name(&self, tenant: usize) -> &str {
-        &self.tenants[tenant].name
     }
 
     /// Looks a tenant up by name.

@@ -135,7 +135,8 @@ pub enum Command {
         action: BrokerAction,
     },
     /// `replay <file> [--json]` — re-execute a recorded capture
-    /// (`ReplayLog` JSONL, as written by the `replay` experiment or
+    /// (`ReplayLog` JSONL, as written by `ReplayLog::to_jsonl` — the
+    /// replay goldens under `crates/sim/tests/data/` are such files — or by
     /// `FlightRecorder::to_replay_log`) and report the first divergence,
     /// if any. The file may instead be an external workload trace
     /// (`TraceSpec` JSONL, header `{"trace":1,...}`): the trace is

@@ -5,7 +5,6 @@ use lottery_io::{DiskPolicy, DiskScheduler};
 use lottery_mem::paging::{hot_cold_reference, PagingSim};
 use lottery_mem::MemoryManager;
 use lottery_net::Switch;
-use lottery_sim::prelude::*;
 use lottery_stats::table::Table;
 
 /// Inverse-lottery page reclamation: two clients under equal fault
@@ -153,229 +152,4 @@ pub fn disk(seed: u32) {
     }
     print!("{}", table.render());
     println!("\nonly the lottery honors the 3:1 allocation; SSTF trades fairness for head travel");
-}
-
-/// The SMP extension: lottery scheduling over multiple CPUs via the
-/// shared run queue (Section 4.2's distributed-scheduler direction).
-pub fn smp(seed: u32) {
-    let mut table = Table::new(&["cpus", "client tickets", "CPU share each", "utilization"]);
-    for &cpus in &[1usize, 2, 4] {
-        let policy = LotteryPolicy::new(seed);
-        let base = policy.base_currency();
-        let mut k = SmpKernel::new(policy, cpus);
-        let tickets = [400u64, 200, 100, 100];
-        let tids: Vec<ThreadId> = tickets
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                k.spawn(
-                    format!("t{i}"),
-                    Box::new(ComputeBound),
-                    FundingSpec::new(base, t),
-                )
-            })
-            .collect();
-        k.run_until(SimTime::from_secs(120))
-            .expect("compute-bound workloads only");
-        let shares: Vec<String> = tids
-            .iter()
-            .map(|&t| format!("{:.2}", k.metrics().cpu_us(t) as f64 / 120e6))
-            .collect();
-        table.row(&[
-            cpus.to_string(),
-            "400/200/100/100".to_string(),
-            shares.join(" / "),
-            format!("{:.3}", k.utilization()),
-        ]);
-    }
-    print!("{}", table.render());
-    println!("\nshares scale with machine capacity, capped at one full CPU per thread");
-}
-
-/// The distributed lottery: per-CPU partial-sum trees with rebalancing
-/// hold a Figure 2 style 2:1 ticket ratio machine-wide.
-pub fn smp_dist(seed: u32) {
-    const CPUS: usize = 4;
-    let policy = DistributedLottery::new(seed, CPUS);
-    let base = policy.base_currency();
-    let mut k = SmpKernel::new(policy, CPUS);
-    // Four 200-ticket threads, then four 100-ticket threads: greedy
-    // least-loaded homing lands one of each per shard (300 tickets each).
-    let bigs: Vec<ThreadId> = (0..CPUS)
-        .map(|i| {
-            k.spawn(
-                format!("big{i}"),
-                Box::new(ComputeBound),
-                FundingSpec::new(base, 200),
-            )
-        })
-        .collect();
-    let smalls: Vec<ThreadId> = (0..CPUS)
-        .map(|i| {
-            k.spawn(
-                format!("small{i}"),
-                Box::new(ComputeBound),
-                FundingSpec::new(base, 100),
-            )
-        })
-        .collect();
-    let horizon = SimTime::from_secs(240);
-    k.run_until(horizon).expect("compute-bound workloads only");
-
-    let mut table = Table::new(&["shard", "threads", "queue depth", "ticket total", "picks"]);
-    for s in 0..CPUS as u32 {
-        let stats = k.policy_mut().shard_stats(s);
-        table.row(&[
-            s.to_string(),
-            stats.threads.to_string(),
-            stats.queue_depth.to_string(),
-            format!("{:.0}", stats.ticket_total),
-            stats.picks.to_string(),
-        ]);
-    }
-    print!("{}", table.render());
-
-    let mean = |tids: &[ThreadId]| {
-        tids.iter().map(|&t| k.metrics().cpu_us(t)).sum::<u64>() as f64 / tids.len() as f64
-    };
-    let ratio = mean(&bigs) / mean(&smalls);
-    println!(
-        "\nmachine-wide CPU ratio (200-ticket mean : 100-ticket mean) = {ratio:.3}:1 \
-         over {CPUS} CPUs ({} steals, {} migrations, {} rebalances)",
-        k.policy().steals(),
-        k.policy().migrations(),
-        k.policy().rebalances(),
-    );
-    let ok = (ratio - 2.0).abs() <= 0.1;
-    println!(
-        "2:1 allocation held within 5%: {}",
-        if ok { "OK" } else { "FAILED" }
-    );
-
-    smp_dist_io(seed);
-}
-
-/// The I/O-heavy variant: eight 200-ticket I/O-bound threads (5 ms run /
-/// 12 ms sleep against a 10 ms quantum) pinned four each on shards 2–3,
-/// against sixteen 100-ticket compute hogs pinned eight each on shards
-/// 0–1 — a 2:1 per-thread ticket edge for the I/O class, whose collective
-/// entitlement is exactly the two shards it is pinned to.
-///
-/// Every I/O burst ends in a partial-quantum block, so each sleeper
-/// carries a Section 4.5 compensation factor of 2 — doubling its 200
-/// tickets while it waits or sleeps. Compensated-weight rebalancing keeps
-/// that `factor × funded` weight on the sleeper's home shard's books, so
-/// the I/O shards look as loaded as they really are, the hogs stay out,
-/// and a waking I/O thread only ever queues behind a sibling's 5 ms burst:
-/// the 2:1 ticket ratio is delivered as CPU time. The raw-weight ablation
-/// sees the I/O shards as near-empty whenever the sleepers are blocked,
-/// migrates hogs onto them, and every wake then waits out full 10 ms hog
-/// quanta it cannot preempt: the I/O class drifts well below its
-/// entitlement. Idle I/O-shard capacity is still soaked up either way by
-/// transient work stealing, which never re-homes a thread.
-fn smp_dist_io(seed: u32) {
-    const CPUS: usize = 4;
-    const HOGS: usize = 16;
-    const IOS: usize = 8;
-    // 16 × 100 + 8 × 200 = 3200 base tickets machine-wide.
-    const TOTAL_TICKETS: f64 = (HOGS * 100 + IOS * 200) as f64;
-    let horizon = SimTime::from_secs(240);
-    println!(
-        "\nI/O-heavy mix: eight 200-ticket I/O-bound threads (5 ms run / 12 ms \
-         sleep, 10 ms quantum) pinned on shards 2-3,"
-    );
-    println!(
-        "sixteen 100-ticket hogs pinned on shards 0-1; compensated vs raw-weight rebalancing:"
-    );
-    for (label, aware) in [("compensated", true), ("raw", false)] {
-        let mut policy = DistributedLottery::with_quantum(seed, CPUS, SimDuration::from_ms(10));
-        policy.set_comp_aware_rebalance(aware);
-        policy.set_rebalance(32, 1.75);
-        let base = policy.base_currency();
-        let mut k = SmpKernel::new(policy, CPUS);
-        let hogs: Vec<ThreadId> = (0..HOGS)
-            .map(|i| {
-                k.spawn(
-                    format!("hog{i}"),
-                    Box::new(ComputeBound),
-                    FundingSpec::new(base, 100),
-                )
-            })
-            .collect();
-        let ios: Vec<ThreadId> = (0..IOS)
-            .map(|i| {
-                k.spawn(
-                    format!("io{i}"),
-                    Box::new(IoBound::new(
-                        SimDuration::from_ms(5),
-                        SimDuration::from_ms(12),
-                    )),
-                    FundingSpec::new(base, 200),
-                )
-            })
-            .collect();
-        for (i, &t) in hogs.iter().enumerate() {
-            k.policy_mut().migrate(t, (i % 2) as u32);
-        }
-        for (i, &t) in ios.iter().enumerate() {
-            k.policy_mut().migrate(t, 2 + (i % 2) as u32);
-        }
-        k.run_until(horizon).expect("run/sleep workloads only");
-
-        let mut table = Table::new(&["shard", "threads", "ticket total", "comp weight", "picks"]);
-        for s in 0..CPUS as u32 {
-            let stats = k.policy_mut().shard_stats(s);
-            table.row(&[
-                s.to_string(),
-                stats.threads.to_string(),
-                format!("{:.0}", stats.ticket_total),
-                format!("{:.0}", stats.comp_weight + stats.resting_weight),
-                stats.picks.to_string(),
-            ]);
-        }
-        print!("{}", table.render());
-
-        // Per-thread entitlement is the thread's ticket share of the
-        // delivered machine; the worst |observed/entitled - 1| over all
-        // threads is the drift headline.
-        let total_cpu: u64 = hogs
-            .iter()
-            .chain(&ios)
-            .map(|&t| k.metrics().cpu_us(t))
-            .sum();
-        let ratio_of = |t: ThreadId, tickets: f64| {
-            (k.metrics().cpu_us(t) as f64 / total_cpu as f64) / (tickets / TOTAL_TICKETS)
-        };
-        let worst = hogs
-            .iter()
-            .map(|&t| ratio_of(t, 100.0))
-            .chain(ios.iter().map(|&t| ratio_of(t, 200.0)))
-            .map(|r| (r - 1.0).abs())
-            .fold(0.0f64, f64::max);
-        let mean = |tids: &[ThreadId]| {
-            tids.iter().map(|&t| k.metrics().cpu_us(t)).sum::<u64>() as f64 / tids.len() as f64
-        };
-        let class_ratio = mean(&ios) / mean(&hogs);
-        println!(
-            "{label}: io:hog CPU ratio {class_ratio:.3}:1, worst thread \
-             observed/entitled error {:.1}% ({} steals, {} migrations, {} rebalances)",
-            worst * 100.0,
-            k.policy().steals(),
-            k.policy().migrations(),
-            k.policy().rebalances(),
-        );
-        if aware {
-            let ok = worst <= 0.05 && (class_ratio - 2.0).abs() <= 0.1;
-            println!(
-                "io-heavy 2:1 held within 5% under compensated rebalancing: {}",
-                if ok { "OK" } else { "FAILED" }
-            );
-        } else {
-            let drifted = worst > 0.05 || (class_ratio - 2.0).abs() > 0.1;
-            println!(
-                "raw-weight rebalancing drifts without compensated totals: {}",
-                if drifted { "CONFIRMED" } else { "NOT OBSERVED" }
-            );
-        }
-    }
 }

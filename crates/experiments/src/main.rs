@@ -5,22 +5,14 @@
 //! full suite in order. All output is plain text on stdout; EXPERIMENTS.md
 //! records a reference transcript.
 
-mod ablations;
-mod broker;
-mod cluster;
 mod diverse;
-mod events;
 mod fig_apps;
 mod fig_basics;
 mod fig_insulation;
 mod fig_mutex;
 mod fig_rates;
 mod math;
-mod obs;
 mod overhead;
-mod par;
-mod replay;
-mod traces;
 
 use std::env;
 use std::process::ExitCode;
@@ -87,31 +79,6 @@ const EXPERIMENTS: &[(&str, &str, Entry)] = &[
         overhead::run,
     ),
     (
-        "obs",
-        "probe-bus pipeline: drift monitor, counters, trace exports",
-        obs::obs,
-    ),
-    (
-        "traces",
-        "workload traces: heavy-tailed & diurnal, lottery vs FCFS admission",
-        traces::traces,
-    ),
-    (
-        "replay",
-        "deterministic record/replay: bit-exact round-trips & divergence diffing",
-        replay::replay,
-    ),
-    (
-        "events",
-        "event-driven core: decision-free idle, mode equivalence, shared source loop",
-        events::run,
-    ),
-    (
-        "par",
-        "real-thread backend: 1-worker bit-equality, 4-worker ratio, steal conservation",
-        par::run,
-    ),
-    (
         "binomial",
         "lottery distribution properties (Section 2)",
         math::binomial,
@@ -136,61 +103,6 @@ const EXPERIMENTS: &[(&str, &str, Entry)] = &[
         "lottery-scheduled disk bandwidth (Section 6)",
         diverse::disk,
     ),
-    (
-        "smp",
-        "multiprocessor lottery scheduling (extension)",
-        diverse::smp,
-    ),
-    (
-        "smp-dist",
-        "distributed lottery: per-CPU trees hold 2:1 machine-wide (Section 4.2)",
-        diverse::smp_dist,
-    ),
-    (
-        "selection",
-        "list vs tree vs move-to-front selection (Section 4.2)",
-        ablations::selection,
-    ),
-    (
-        "alias",
-        "O(1) alias sampler: exact draws, flat probe cost at scale (Section 4.2)",
-        ablations::alias_sampler,
-    ),
-    (
-        "quantum-sweep",
-        "accuracy vs quantum length (Section 2)",
-        ablations::quantum_sweep,
-    ),
-    (
-        "ablate-compensation",
-        "compensation tickets on/off (Section 4.5)",
-        ablations::compensation,
-    ),
-    (
-        "ablate-stride",
-        "lottery vs stride short-term variance",
-        ablations::stride,
-    ),
-    (
-        "latency",
-        "interactive dispatch latency per policy (Section 4.5)",
-        ablations::latency,
-    ),
-    (
-        "fairshare",
-        "lottery vs classical fair-share responsiveness (Section 7)",
-        ablations::fairshare,
-    ),
-    (
-        "broker",
-        "multi-resource broker: one grant, 2:1 on cpu/disk/mem/net (Section 6)",
-        broker::run,
-    ),
-    (
-        "cluster",
-        "cluster market: 4-node brokered lotteries, node loss, reconciliation ablation",
-        cluster::run,
-    ),
 ];
 
 fn main() -> ExitCode {
@@ -204,7 +116,11 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        _ => ("help", 1),
+        [] => ("help", 1),
+        _ => {
+            eprintln!("usage: experiments <id> [seed]; try `experiments help`");
+            return ExitCode::FAILURE;
+        }
     };
 
     match id {

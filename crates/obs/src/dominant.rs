@@ -144,8 +144,8 @@ impl Default for DominantShareMonitor {
 }
 
 impl DominantShareMonitor {
-    /// Creates a monitor with the 5% drift tolerance the broker
-    /// experiment asserts.
+    /// Creates a monitor with the 5% drift tolerance the broker's
+    /// isolation tests assert.
     pub fn new() -> Self {
         Self::with_tolerance(0.05)
     }

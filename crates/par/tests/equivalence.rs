@@ -218,6 +218,9 @@ fn canonical_mix_is_bit_identical() {
         let (par, par_stream) = par_run(seed, quantum, &cases, until);
         let sim_stream = sim_stream(seed, quantum, &cases, until);
         assert!(par.len() > 50, "the mix keeps the CPU busy");
+        if seed == 1 {
+            assert_eq!(par.len(), 152, "the seed-1 anchor's dispatch count");
+        }
         assert_eq!(par, winners(&sim_stream), "seed {seed}");
         let (decisions, report) = par_stream.split_at(sim_stream.len().min(par_stream.len()));
         assert_eq!(decisions, &sim_stream[..], "seed {seed}");

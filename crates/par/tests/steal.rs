@@ -15,49 +15,51 @@ use lottery_sim::prelude::{FundingSpec, SimDuration, SimTime};
 /// A dry worker must acquire work by migration, not sit idle.
 ///
 /// Funding shapes the spawn placement: the big finite job claims worker 0
-/// alone, so every compute thread lands on worker 1. The finite job exits
-/// 5 virtual ms in; worker 0 runs dry and steals from worker 1, which is
-/// held in its window by the wall-clock pace.
+/// alone, so every compute thread lands on the other workers. The finite
+/// job exits a few virtual ms in; worker 0 runs dry and steals from a peer,
+/// which is held in its window by the wall-clock pace. Two machines: two
+/// workers at seed 17, and four workers at seed 1 with nine compute
+/// threads, whose surviving ledger value must be exactly their 900 base
+/// units.
 #[test]
 fn dry_worker_steals_from_its_peer() {
-    let mut kernel = ParKernel::with_quantum(17, 2, SimDuration::from_ms(10));
-    kernel.set_pace(Some(Duration::from_millis(1)));
-    let base = kernel.base_currency();
-    let mut spawned = Vec::new();
-    spawned.push(kernel.spawn(
-        WorkSpec::Finite(SimDuration::from_ms(5)),
-        FundingSpec {
-            currency: base,
-            amount: 1_000,
-        },
-    ));
-    for _ in 0..4 {
-        spawned.push(kernel.spawn(
-            WorkSpec::Compute,
-            FundingSpec {
-                currency: base,
-                amount: 100,
-            },
-        ));
+    // (seed, workers, quantum ms, finite job ms, its funding, compute threads, window ms)
+    for (seed, workers, quantum, job, funding, computes, window) in
+        [(17, 2, 10, 5, 1_000, 4, 500), (1, 4, 2, 6, 2_000, 9, 300)]
+    {
+        let mut kernel = ParKernel::with_quantum(seed, workers, SimDuration::from_ms(quantum));
+        kernel.set_pace(Some(Duration::from_millis(1)));
+        let base = kernel.base_currency();
+        let mut spawned = vec![kernel.spawn(
+            WorkSpec::Finite(SimDuration::from_ms(job)),
+            FundingSpec::new(base, funding),
+        )];
+        for _ in 0..computes {
+            spawned.push(kernel.spawn(WorkSpec::Compute, FundingSpec::new(base, 100)));
+        }
+        let report = kernel.run(SimTime::ZERO + SimDuration::from_ms(window));
+        report.assert_partition(&spawned);
+        assert!(
+            report.steals() >= 1,
+            "seed {seed}: worker 0 ran dry and must have stolen; reports: {:?}",
+            report
+                .workers
+                .iter()
+                .map(|w| (w.id, w.decisions, w.steals_in, w.steals_out))
+                .collect::<Vec<_>>()
+        );
+        let donated: u64 = report.workers.iter().map(|w| w.steals_out).sum();
+        assert_eq!(report.steals(), donated, "every donation accepted once");
+        // The finite job's client is destroyed; the compute clients keep
+        // their 100 base tickets each, wherever they ended up.
+        let value = report.client_value_total();
+        assert!(
+            (value - 100.0 * computes as f64).abs() < 1e-9,
+            "seed {seed}: {value}"
+        );
+        // The thief actually scheduled what it stole.
+        assert!(report.workers.iter().all(|w| w.decisions > 0));
     }
-    let report = kernel.run(SimTime::ZERO + SimDuration::from_ms(500));
-    report.assert_partition(&spawned);
-    assert!(
-        report.steals() >= 1,
-        "worker 0 ran dry and must have stolen; reports: {:?}",
-        report
-            .workers
-            .iter()
-            .map(|w| (w.id, w.decisions, w.steals_in, w.steals_out))
-            .collect::<Vec<_>>()
-    );
-    let donated: u64 = report.workers.iter().map(|w| w.steals_out).sum();
-    assert_eq!(report.steals(), donated, "every donation accepted once");
-    // The finite job's client is destroyed; the four compute clients keep
-    // their 100 base tickets each, wherever they ended up.
-    assert!((report.client_value_total() - 400.0).abs() < 1e-9);
-    // The thief actually scheduled what it stole.
-    assert!(report.workers.iter().all(|w| w.decisions > 0));
 }
 
 /// Many seeds, four workers, mixed workloads: value conservation and the

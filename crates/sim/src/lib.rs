@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::kernel::Kernel;
     pub use crate::metrics::{run_windows, Metrics};
     pub use crate::replay::{
-        job_outcomes, record, run_fcfs, CaptureConfig, JobOutcome, ReplayReport, Replayer,
+        job_outcomes, record, CaptureConfig, JobOutcome, ReplayReport, Replayer,
     };
     pub use crate::sched::distributed::{DistributedLottery, ShardStats};
     pub use crate::sched::fairshare::{FairSharePolicy, UserId};

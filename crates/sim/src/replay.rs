@@ -21,16 +21,13 @@
 //! revalued, and captures recorded before batching existed carry none.
 //!
 //! [`record`] captures a fresh window; [`Replayer`] re-executes one and
-//! diffs. [`run_fcfs`] drives the same trace through a run-to-completion
-//! round-robin baseline so experiments can compare lottery scheduling
-//! against FCFS-style admission on response time and stretch
-//! ([`job_outcomes`]).
+//! diffs. [`job_outcomes`] reads per-job response time and stretch back
+//! out of a capture.
 
 use std::collections::HashMap;
 use std::ops::DerefMut;
 
 use lottery_core::rng::ParkMiller;
-use lottery_obs::replay::canonical;
 use lottery_obs::{
     first_divergence, Divergence, Event, EventKind, FlightRecorder, ProbeBus, ReplayHeader,
     ReplayLog, Shared, TraceJob, TraceSpec,
@@ -39,9 +36,8 @@ use lottery_obs::{
 use crate::sched::core::LotteryCore;
 use crate::sched::distributed::DistributedLottery;
 use crate::sched::lottery::{FundingSpec, LotteryPolicy, SelectStructure};
-use crate::sched::rr::RoundRobinPolicy;
 use crate::sched::Policy;
-use crate::smp::{SmpError, SmpKernel};
+use crate::smp::SmpKernel;
 use crate::time::{SimDuration, SimTime};
 use crate::workload::{Burst, Scripted};
 
@@ -203,29 +199,24 @@ where
     }
     let mut kernel = SmpKernel::new(policy, cpus);
     kernel.set_probe_bus(bus);
-    let fund = |job: &TraceJob| {
+    // Jobs spawn as they arrive. The completing variant keeps the
+    // historical boundary semantics (in-flight quanta finish past an
+    // arrival), so captures recorded before the event rebase replay
+    // bit-exact.
+    for &(i, job) in &spawn_order(&header.spec) {
+        let arrival = SimTime::from_us(job.arrival_us);
+        kernel
+            .run_until_completing(arrival)
+            .map_err(|e| e.to_string())?;
         let cur = currencies.get(job.tenant.as_str()).copied().unwrap_or(base);
-        FundingSpec::new(cur, job.tickets.max(1))
-    };
-    run_jobs(&mut kernel, &header.spec, header.until_us, fund).map_err(|e| e.to_string())
-}
-
-/// Spawns `spec`'s jobs on `kernel` as they arrive, funded by `fund`, and
-/// runs on to `until_us`. The completing variant keeps the historical
-/// boundary semantics (in-flight quanta finish past an arrival), so
-/// captures recorded before the event rebase replay bit-exact.
-fn run_jobs<P: Policy>(
-    kernel: &mut SmpKernel<P>,
-    spec: &TraceSpec,
-    until_us: u64,
-    fund: impl Fn(&TraceJob) -> P::Spec,
-) -> Result<(), SmpError> {
-    for &(i, job) in &spawn_order(spec) {
-        kernel.run_until_completing(SimTime::from_us(job.arrival_us))?;
+        let funding = FundingSpec::new(cur, job.tickets.max(1));
         let script = Box::new(Scripted::once(job_script(job)));
-        kernel.spawn(format!("job{i}"), script, fund(job));
+        kernel.spawn(format!("job{i}"), script, funding);
     }
-    kernel.run_until_completing(SimTime::from_us(until_us))
+    let until = SimTime::from_us(header.until_us);
+    kernel
+        .run_until_completing(until)
+        .map_err(|e| e.to_string())
 }
 
 /// Captures a fresh window: runs `spec` under `config` and returns the
@@ -347,8 +338,8 @@ pub struct JobOutcome {
 /// Derives completed-job response times and stretches from an event
 /// stream.
 ///
-/// Jobs are matched to threads positionally: [`drive`] (and [`run_fcfs`])
-/// spawn jobs in [`spawn_order`], so the `k`-th
+/// Jobs are matched to threads positionally: [`drive`] spawns jobs in
+/// [`spawn_order`], so the `k`-th
 /// [`EventKind::ThreadSpawn`] in the stream is the `k`-th job in that
 /// order. Jobs still running when the stream ends are omitted.
 pub fn job_outcomes(spec: &TraceSpec, events: &[Event]) -> Vec<JobOutcome> {
@@ -384,27 +375,6 @@ pub fn job_outcomes(spec: &TraceSpec, events: &[Event]) -> Vec<JobOutcome> {
     }
     out.sort_by_key(|o| o.job);
     out
-}
-
-/// Drives `spec` through a run-to-completion round-robin baseline:
-/// FCFS-style admission, blind to tenants and tickets.
-///
-/// The quantum is one simulated day, so each job runs to completion (or
-/// its sleep) in arrival order — the baseline lottery scheduling is
-/// compared against in the `traces` experiment.
-pub fn run_fcfs(spec: &TraceSpec, until_us: u64) -> Vec<Event> {
-    let policy = RoundRobinPolicy::new(SimDuration::from_secs(86_400));
-    let mut kernel = SmpKernel::new(policy, 1);
-    let flight = Shared::new(FlightRecorder::new(RING_CAPACITY));
-    kernel.set_probe_bus(ProbeBus::with_recorder(flight.clone()));
-    run_jobs(&mut kernel, spec, until_us, |_| ()).expect("trace jobs only run and sleep");
-    flight.with(|f| f.events().cloned().collect())
-}
-
-/// Canonicalises a stream for comparison outside [`first_divergence`]
-/// (e.g. hashing) — zeroes wall-clock fields.
-pub fn canonical_stream(events: &[Event]) -> Vec<Event> {
-    events.iter().cloned().map(canonical).collect()
 }
 
 #[cfg(test)]
@@ -546,36 +516,6 @@ mod tests {
             assert!(o.exit_us >= o.arrival_us + spec.jobs[o.job].service_us);
             assert!(o.stretch >= 1.0);
         }
-    }
-
-    #[test]
-    fn fcfs_runs_jobs_in_arrival_order() {
-        let spec = TraceSpec {
-            currencies: Vec::new(),
-            jobs: vec![
-                TraceJob {
-                    arrival_us: 0,
-                    service_us: 10_000,
-                    sleep_us: 0,
-                    tenant: String::new(),
-                    tickets: 1,
-                },
-                TraceJob {
-                    arrival_us: 1_000,
-                    service_us: 10_000,
-                    sleep_us: 0,
-                    tenant: String::new(),
-                    tickets: 1_000,
-                },
-            ],
-        };
-        let events = run_fcfs(&spec, 100_000);
-        let outcomes = job_outcomes(&spec, &events);
-        assert_eq!(outcomes.len(), 2);
-        // Tickets are ignored: the earlier arrival finishes first, and the
-        // later one waits out the full first job.
-        assert!(outcomes[0].exit_us <= outcomes[1].exit_us);
-        assert!(outcomes[1].response_us >= 19_000);
     }
 
     #[test]

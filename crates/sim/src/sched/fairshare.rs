@@ -11,8 +11,8 @@
 //! belongs to a *user* holding a share allocation; a thread's effective
 //! priority is depressed by both its own decayed usage and its user's
 //! decayed usage normalized by the user's shares. The decay runs on a
-//! periodic tick. Comparing it against the lottery policy (`experiments
-//! fairshare`) reproduces the paper's argument: similar steady-state
+//! periodic tick. Comparing it against the lottery policy (the workspace's
+//! `tests/ablations.rs`) reproduces the paper's argument: similar steady-state
 //! shares, far slower response to change.
 
 use super::{EndReason, Policy};

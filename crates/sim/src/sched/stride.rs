@@ -9,7 +9,7 @@
 //!
 //! It allocates the same long-run proportions as the lottery with far lower
 //! short-term variance, which is exactly what the de-randomization ablation
-//! (`experiments ablate-stride`) measures.
+//! (the workspace's `tests/ablations.rs`) measures.
 
 use std::collections::BinaryHeap;
 

@@ -324,3 +324,142 @@ proptest! {
         );
     }
 }
+
+/// Mean CPU µs of `threads`.
+fn mean_cpu<P: Policy>(kernel: &SmpKernel<P>, threads: &[ThreadId]) -> f64 {
+    threads
+        .iter()
+        .map(|&t| kernel.metrics().cpu_us(t))
+        .sum::<u64>() as f64
+        / threads.len() as f64
+}
+
+/// The shared-run-queue multiprocessor at seed 1: four compute threads
+/// funded 400/200/100/100 for 120 s. One CPU splits 0.52/0.23/0.12/0.12;
+/// two CPUs give 0.77/0.59/0.32/0.33, no thread above one full CPU; four
+/// CPUs give every thread its own processor. Utilization is 1.000 on
+/// every machine.
+#[test]
+fn shared_queue_shares_scale_with_machine_capacity() {
+    for (cpus, expected) in [
+        (1, "0.52 0.23 0.12 0.12"),
+        (2, "0.77 0.59 0.32 0.33"),
+        (4, "1.00 1.00 1.00 1.00"),
+    ] {
+        let policy = LotteryPolicy::new(1);
+        let base = policy.base_currency();
+        let mut kernel = SmpKernel::new(policy, cpus);
+        let tids: Vec<ThreadId> = [400, 200, 100, 100]
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                kernel.spawn(
+                    format!("t{i}"),
+                    Box::new(ComputeBound),
+                    FundingSpec::new(base, t),
+                )
+            })
+            .collect();
+        kernel.run_until(SimTime::from_secs(120)).unwrap();
+        let shares: Vec<String> = tids
+            .iter()
+            .map(|&t| format!("{:.2}", kernel.metrics().cpu_us(t) as f64 / 120e6))
+            .collect();
+        assert_eq!(shares.join(" "), expected, "{cpus} CPUs");
+        assert_eq!(format!("{:.3}", kernel.utilization()), "1.000");
+    }
+}
+
+/// The distributed lottery proper at seed 1: four 200-ticket and four
+/// 100-ticket compute hogs over 4 CPUs for 240 s, homed one of each per
+/// shard, deliver a 2.012:1 machine-wide CPU ratio — within 5% of 2:1.
+#[test]
+fn per_cpu_trees_hold_two_to_one_machine_wide() {
+    let policy = DistributedLottery::new(1, 4);
+    let base = policy.base_currency();
+    let mut kernel = SmpKernel::new(policy, 4);
+    let mut spawn = |amount| -> Vec<ThreadId> {
+        (0..4)
+            .map(|i| {
+                let name = format!("t{amount}-{i}");
+                kernel.spawn(name, Box::new(ComputeBound), FundingSpec::new(base, amount))
+            })
+            .collect()
+    };
+    let (bigs, smalls) = (spawn(200), spawn(100));
+    kernel.run_until(SimTime::from_secs(240)).unwrap();
+    let ratio = mean_cpu(&kernel, &bigs) / mean_cpu(&kernel, &smalls);
+    assert!((ratio - 2.0).abs() <= 0.1, "{ratio}");
+    assert_eq!(format!("{ratio:.3}"), "2.012");
+}
+
+/// Compensated rebalancing (DESIGN.md §6) at seed 1: eight 200-ticket
+/// I/O-bound threads (5 ms run, 12 ms sleep, 10 ms quantum) pinned on
+/// shards 2–3 against sixteen 100-ticket hogs pinned on shards 0–1, for
+/// 240 s. Comparing compensated shard totals keeps the hogs out: 2.000:1
+/// io:hog CPU, worst thread 3.6% off its entitlement, 0 rebalances. The
+/// raw-total ablation migrates hogs onto the sleepers' shards (396
+/// migrations): 0.976:1, worst thread 105.2% off.
+#[test]
+fn compensated_rebalancing_holds_the_io_class_at_two_to_one() {
+    let run = |aware| {
+        let mut policy = DistributedLottery::with_quantum(1, 4, SimDuration::from_ms(10));
+        policy.set_comp_aware_rebalance(aware);
+        policy.set_rebalance(32, 1.75);
+        let base = policy.base_currency();
+        let mut kernel = SmpKernel::new(policy, 4);
+        let io = || IoBound::new(SimDuration::from_ms(5), SimDuration::from_ms(12));
+        let hogs: Vec<ThreadId> = (0..16)
+            .map(|i| {
+                kernel.spawn(
+                    format!("hog{i}"),
+                    Box::new(ComputeBound),
+                    FundingSpec::new(base, 100),
+                )
+            })
+            .collect();
+        let ios: Vec<ThreadId> = (0..8)
+            .map(|i| {
+                kernel.spawn(
+                    format!("io{i}"),
+                    Box::new(io()),
+                    FundingSpec::new(base, 200),
+                )
+            })
+            .collect();
+        // Pinned after every spawn, as spawn placement reads shard load.
+        for (i, &t) in hogs.iter().enumerate() {
+            kernel.policy_mut().migrate(t, (i % 2) as u32);
+        }
+        for (i, &t) in ios.iter().enumerate() {
+            kernel.policy_mut().migrate(t, 2 + (i % 2) as u32);
+        }
+        kernel.run_until(SimTime::from_secs(240)).unwrap();
+        // Each thread's CPU share against its share of the 3200 tickets.
+        let total: u64 = hogs
+            .iter()
+            .chain(&ios)
+            .map(|&t| kernel.metrics().cpu_us(t))
+            .sum();
+        let error = |t: ThreadId, tickets: f64| {
+            (kernel.metrics().cpu_us(t) as f64 / total as f64 / (tickets / 3200.0) - 1.0).abs()
+        };
+        let worst = hogs
+            .iter()
+            .map(|&t| error(t, 100.0))
+            .chain(ios.iter().map(|&t| error(t, 200.0)))
+            .fold(0.0f64, f64::max);
+        let ratio = mean_cpu(&kernel, &ios) / mean_cpu(&kernel, &hogs);
+        let policy = kernel.policy();
+        (ratio, worst, policy.migrations(), policy.rebalances())
+    };
+    let (ratio, worst, _, rebalances) = run(true);
+    assert!(worst <= 0.05 && (ratio - 2.0).abs() <= 0.1);
+    assert_eq!(format!("{ratio:.3} {:.1}%", worst * 100.0), "2.000 3.6%");
+    assert_eq!(rebalances, 0);
+
+    let (ratio, worst, migrations, _) = run(false);
+    assert!(worst > 0.05 || (ratio - 2.0).abs() > 0.1);
+    assert_eq!(format!("{ratio:.3} {:.1}%", worst * 100.0), "0.976 105.2%");
+    assert_eq!(migrations, 396);
+}

@@ -1,8 +1,9 @@
 //! Plain-text table rendering for the experiment harness.
 //!
-//! Every figure/table regenerator prints aligned text so
-//! `cargo run -p lottery-experiments` output can be diffed against
-//! EXPERIMENTS.md. No external dependency is warranted for this.
+//! Every figure/table regenerator prints aligned text, so the
+//! `cargo run -p lottery-experiments -- all` transcript of the paper's
+//! figures and tables diffs byte for byte against the committed
+//! `experiments_all.txt`. No external dependency is warranted for this.
 
 /// A right-aligned plain-text table builder.
 ///

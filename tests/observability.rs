@@ -6,7 +6,7 @@
 //! accounting, and the flight recorder's exports must be well-formed
 //! JSONL and Chrome `trace_event` JSON.
 
-use lottery_obs::json;
+use lottery_obs::{json, FairnessReport};
 use lottery_sim::prelude::*;
 
 struct Run {
@@ -55,15 +55,11 @@ fn figure9_run(seed: u32, duration: SimTime) -> Run {
     }
 }
 
-#[test]
-fn drift_monitor_matches_metrics_accounting() {
-    let run = figure9_run(42, SimTime::from_secs(120));
-    let report = run.monitor.with(|m| m.report());
+/// The monitor's CPU shares are derived purely from quantum-end probe
+/// events; `Metrics` accounts run segments in the kernel. Same truth, two
+/// pipelines.
+fn assert_monitor_matches_metrics(run: &Run, report: &FairnessReport) {
     assert_eq!(report.rows.len(), 4);
-
-    // The monitor's CPU shares are derived purely from quantum-end probe
-    // events; `Metrics` accounts run segments in the kernel. Same truth,
-    // two pipelines.
     let total: u64 = run
         .threads
         .iter()
@@ -78,6 +74,13 @@ fn drift_monitor_matches_metrics_accounting() {
             row.cpu_share
         );
     }
+}
+
+#[test]
+fn drift_monitor_matches_metrics_accounting() {
+    let run = figure9_run(42, SimTime::from_secs(120));
+    let report = run.monitor.with(|m| m.report());
+    assert_monitor_matches_metrics(&run, &report);
 
     // Figure-9 entitlements are honored within statistical tolerance; at
     // this run length a correct lottery stays inside the 3-sigma band.
@@ -91,6 +94,20 @@ fn drift_monitor_matches_metrics_accounting() {
         .cpu_ratio(run.threads[1], run.threads[0])
         .unwrap();
     assert!((ratio - 2.0).abs() < 0.5, "A2/A1 ratio {ratio}");
+}
+
+/// The 30 s run at seed 1: 300 draws, a mean error of 0.0083 and a worst
+/// thread 0.0167 off its entitled share with no alarm, and the monitor
+/// agrees with `Metrics`.
+#[test]
+fn seed_one_drift_report_is_quiet_and_agrees_with_metrics() {
+    let run = figure9_run(1, SimTime::from_secs(30));
+    let report = run.monitor.with(|m| m.report());
+    assert_monitor_matches_metrics(&run, &report);
+    assert!(!report.any_alarm(), "{}", report.to_text());
+    assert_eq!(report.total_wins, 300);
+    let errors = format!("{:.4} {:.4}", report.mean_abs_error, report.max_abs_error);
+    assert_eq!(errors, "0.0083 0.0167");
 }
 
 #[test]
