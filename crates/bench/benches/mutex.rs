@@ -8,9 +8,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lottery_core::ledger::Ledger;
+use lottery_core::mutex::{TicketMutex, WaiterFunding};
 use lottery_core::prelude::*;
 use lottery_sync::os_mutex::LotteryMutex;
-use lottery_sync::sim_mutex::{SimLotteryMutex, WaiterFunding};
 
 fn bench_sim_mutex_handoff(c: &mut Criterion) {
     let mut group = c.benchmark_group("mutex/sim-handoff-lottery");
@@ -27,7 +27,7 @@ fn bench_sim_mutex_handoff(c: &mut Criterion) {
                 cl
             })
             .collect();
-        let mut mutex = SimLotteryMutex::new(&mut ledger, "bench").unwrap();
+        let mut mutex = TicketMutex::new(&mut ledger, "bench").unwrap();
         let funding = WaiterFunding {
             currency: base,
             amount: 100,

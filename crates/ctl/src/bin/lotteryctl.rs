@@ -1,9 +1,17 @@
 //! Interactive REPL over [`lottery_ctl::Session`].
 //!
 //! Reads commands from stdin (one per line; `#` comments allowed), so it
-//! works both interactively and with piped scripts.
+//! works both interactively and with piped scripts; it prompts only when
+//! stdin is a terminal.
 
-use std::io::{self, BufRead, Write};
+// Every input here comes from outside the program: a bad line is an
+// error, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::io::{self, BufRead, IsTerminal, Write};
 
 use lottery_ctl::Session;
 
@@ -11,7 +19,7 @@ fn main() -> io::Result<()> {
     let mut session = Session::new();
     let stdin = io::stdin();
     let mut stdout = io::stdout();
-    let interactive = atty_stdin();
+    let interactive = stdin.is_terminal();
     if interactive {
         println!("lotteryctl — Section 4.7 command interface (try `help`, ^D to exit)");
     }
@@ -30,10 +38,4 @@ fn main() -> io::Result<()> {
             Err(e) => eprintln!("error: {e}"),
         }
     }
-}
-
-/// Minimal TTY detection without a dependency: honor an env override and
-/// otherwise assume non-interactive (piped) use prints no prompts.
-fn atty_stdin() -> bool {
-    std::env::var_os("LOTTERYCTL_INTERACTIVE").is_some()
 }

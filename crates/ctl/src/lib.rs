@@ -20,6 +20,13 @@
 //! 1000.0
 //! ```
 
+// Every input here comes from outside the program: a bad line is an
+// error, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod command;
 pub mod session;
 

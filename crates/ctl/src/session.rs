@@ -537,6 +537,8 @@ impl Session {
             return Err(CtlError::TooManyShards(n));
         }
         self.ledger.set_dirty_shards(n);
+        // The ledger keeps at least one shard, so `totals` is never empty.
+        let n = self.ledger.dirty_shards();
         let mut weighted: Vec<(String, ClientId, f64)> = {
             let mut v = Valuator::new(&self.ledger);
             self.procs()
@@ -550,7 +552,7 @@ impl Session {
         for (_, id, value) in weighted {
             let lightest = (0..n)
                 .min_by(|&a, &b| totals[a].total_cmp(&totals[b]))
-                .expect("amount() rejects zero shards");
+                .unwrap_or(0);
             self.ledger.assign_dirty_shard(id, lightest as u32);
             totals[lightest] += value;
         }

@@ -1,9 +1,9 @@
 //! Figures 10 and 11: the lottery-scheduled mutex.
 
+use lottery_core::mutex::{TicketMutex, WaiterFunding};
 use lottery_core::prelude::*;
 use lottery_stats::table::Table;
 use lottery_sync::experiment::{self, MutexExperiment};
-use lottery_sync::sim_mutex::{SimLotteryMutex, WaiterFunding};
 
 /// Figure 10: the funding structure while t2 holds the lock and t3, t7,
 /// t8 wait on it.
@@ -25,7 +25,7 @@ pub fn fig10(_seed: u32) {
         })
         .collect();
 
-    let mut mutex = SimLotteryMutex::new(&mut ledger, "lock").unwrap();
+    let mut mutex = TicketMutex::new(&mut ledger, "lock").unwrap();
     let funding = WaiterFunding {
         currency: group,
         amount: 1,

@@ -4,9 +4,16 @@
 //! valuation-cache lookups) is scraped from the bus's [`Counters`] block
 //! whenever a reader looks through [`crate::Shared::with`], and reads as
 //! "since this aggregator was attached".
+//!
+//! Each metric is one row of the `metrics!` table: its Prometheus kind,
+//! name, labels and help text, and the field that holds it (the help text
+//! is also the field's doc). [`Aggregator`], its constructor and all of
+//! [`Aggregator::prometheus_text`] are generated from the table, so the
+//! fold in [`Recorder::record`] is the only other place a metric is named,
+//! and nothing is folded that the exposition does not show.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::Arc;
 
 use lottery_stats::{Histogram, Summary};
@@ -15,91 +22,150 @@ use crate::bus::{Counter, Counters};
 use crate::event::{Event, EventKind};
 use crate::recorder::Recorder;
 
-/// Folds the event stream into counters and distributions.
+/// Generates [`Aggregator`] and its text exposition from the metric table.
 ///
-/// Where the [`crate::FlightRecorder`] answers "what just happened", the
-/// aggregator answers "how much, how often, how long" over a whole run —
-/// the numbers a `stat` verb or a scrape endpoint reports.
-#[derive(Debug)]
-pub struct Aggregator {
-    /// Lotteries held.
-    pub draws: u64,
-    /// Ready entries per draw.
-    pub draw_entries: Summary,
-    /// Search effort per draw (entries scanned / tree levels).
-    pub draw_levels: Summary,
-    /// Total pool value per draw, in base units.
-    pub draw_total: Summary,
-    /// Dispatches observed.
-    pub dispatches: u64,
-    /// Ready-queue wait before dispatch, in microseconds.
-    pub dispatch_wait_us: Summary,
-    /// Ready-queue wait distribution (0–1 s, 50 buckets).
-    pub dispatch_wait_hist: Histogram,
-    /// Ready-queue depth after each pick.
-    pub queue_depth: Summary,
-    /// Per-CPU maximum observed queue depth.
-    pub cpu_queue_depth_max: BTreeMap<u32, u32>,
-    /// Valuation-cache hits (client and currency lookups together).
-    pub cache_hits: u64,
-    /// Valuation-cache misses.
-    pub cache_misses: u64,
-    /// The same lookups split four ways, indexed by `Counter as usize`.
-    pub cache_lookups: [u64; Counter::COUNT],
-    /// The counter block of the bus attached to last, and what to take off
-    /// its totals so counts start at attach and survive a re-attach.
-    counters: Option<(Arc<Counters>, [u64; Counter::COUNT])>,
-    /// Cached currency entries removed by invalidations.
-    pub invalidated_currencies: u64,
-    /// Cached client entries removed by invalidations.
-    pub invalidated_clients: u64,
-    /// Dirty-queue depth after each invalidation.
-    pub dirty_depth: Summary,
-    /// Clients drained per dirty-queue drain.
-    pub dirty_drained: Summary,
-    /// Winner-search structure rebuilds observed.
-    pub structure_rebuilds: u64,
-    /// Wall-clock cost per structure rebuild, in nanoseconds.
-    pub structure_rebuild_ns: Summary,
-    /// Compensation tickets granted.
-    pub compensations: u64,
-    /// Compensation tickets revoked (cleared at the next dispatch).
-    pub compensation_revocations: u64,
-    /// Last observed compensated weight per shard, in base units.
-    pub shard_comp_weight: BTreeMap<u32, f64>,
-    /// Distributed-lottery picks resolved to a shard.
-    pub shard_picks: u64,
-    /// Picks that stole from a foreign shard (local tree empty).
-    pub shard_steals: u64,
-    /// Clients re-homed to another shard.
-    pub shard_migrations: u64,
-    /// Imbalance-bound violations observed by the rebalancer.
-    pub shard_imbalances: u64,
-    /// Ledger mutations by operation tag.
-    pub ledger_ops: BTreeMap<&'static str, u64>,
-    /// Resource-level lottery draws by resource tag.
-    pub resource_draws: BTreeMap<&'static str, u64>,
-    /// Work units completed by resource tag (sectors, cells).
-    pub resource_units: BTreeMap<&'static str, u64>,
-    /// Queueing delay per completed resource request, by resource tag, in
-    /// the resource's native unit (us for disk, slots for net).
-    pub resource_wait: BTreeMap<&'static str, Summary>,
-    /// Broker funding updates observed.
-    pub broker_fundings: u64,
-    /// Broker rebalances that refunded an idle backing to the grant.
-    pub broker_refunds: u64,
-    /// Last broker-pushed weight per (tenant, resource), in base units.
-    pub broker_weight: BTreeMap<(u32, &'static str), f64>,
-    /// Cluster node reports delivered to the coordinator.
-    pub node_reports: u64,
-    /// Cluster grant moves (reconciliation + recovery).
-    pub grant_moves: u64,
-    /// Base-currency tickets moved between nodes, cumulative.
-    pub grant_moved_amount: u64,
-    /// Partition/node-loss heals observed.
-    pub partition_heals: u64,
-    /// Last reported aggregate backlog per (node, tenant).
-    pub node_backlog: BTreeMap<(u32, u32), u64>,
+/// A row is `kind name {labels} "help"`, then the field that holds the
+/// metric (`, field: Type = initial`), then optionally `=> |a| samples`:
+/// an expression over the aggregator printed in place of the field, for a
+/// derived value or a field that is not itself a [`Samples`]. A row
+/// without a field must have the expression. Doc comments on the field
+/// extend its doc. Rows print in table order.
+macro_rules! metrics {
+    ($(
+        $kind:ident $name:ident $({ $($label:ident),* })? $help:literal
+        $(, $(#[$doc:meta])* $field:ident: $ty:ty = $init:expr)?
+        $(=> |$a:ident| $samples:expr)?;
+    )*) => {
+        /// Folds the event stream into counters and distributions.
+        ///
+        /// Where the [`crate::FlightRecorder`] answers "what just happened", the
+        /// aggregator answers "how much, how often, how long" over a whole run —
+        /// the numbers a `stat` verb or a scrape endpoint reports.
+        #[derive(Debug)]
+        pub struct Aggregator {
+            $($(
+                #[doc = $help]
+                $(#[$doc])*
+                pub $field: $ty,
+            )?)*
+            /// The counter block of the bus attached to last, and what to take off
+            /// its totals so counts start at attach and survive a re-attach.
+            counters: Option<(Arc<Counters>, [u64; Counter::COUNT])>,
+        }
+
+        impl Aggregator {
+            /// Creates an empty aggregator.
+            pub fn new() -> Self {
+                Self {
+                    $($($field: $init,)?)*
+                    counters: None,
+                }
+            }
+
+            /// Renders the metrics in the Prometheus text exposition format.
+            pub fn prometheus_text(&self) -> String {
+                let mut out = String::with_capacity(1024);
+                $(write_family(
+                    &mut out,
+                    stringify!($name),
+                    $help,
+                    stringify!($kind),
+                    &[$($(stringify!($label)),*)?],
+                    metrics!(@samples self, [$($field)?] [$($a $samples)?]),
+                );)*
+                out
+            }
+        }
+    };
+    (@samples $agg:ident, [$field:ident] []) => {
+        &$agg.$field
+    };
+    (@samples $agg:ident, [$($field:ident)?] [$a:ident $samples:expr]) => {
+        &{
+            let $a: &Aggregator = $agg;
+            $samples
+        }
+    };
+}
+
+metrics! {
+    counter lottery_draws_total "Lotteries held.", draws: u64 = 0;
+    counter lottery_dispatches_total "Threads dispatched.", dispatches: u64 = 0;
+    counter lottery_cache_hits_total "Valuation-cache hits.", cache_hits: u64 = 0;
+    counter lottery_cache_misses_total "Valuation-cache misses.", cache_misses: u64 = 0;
+    counter lottery_cache_invalidated_currencies_total "Cached currency values invalidated.",
+        invalidated_currencies: u64 = 0;
+    counter lottery_cache_invalidated_clients_total "Cached client values invalidated.",
+        invalidated_clients: u64 = 0;
+    counter lottery_structure_rebuilds_total "Winner-search structure rebuilds.",
+        structure_rebuilds: u64 = 0;
+    counter lottery_compensations_total "Compensation tickets granted.", compensations: u64 = 0;
+    counter lottery_compensation_revocations_total "Compensation tickets revoked at dispatch.",
+        compensation_revocations: u64 = 0;
+    counter lottery_shard_picks_total "Distributed-lottery picks resolved to a shard.",
+        shard_picks: u64 = 0;
+    counter lottery_shard_steals_total "Picks that stole from a foreign shard.",
+        shard_steals: u64 = 0;
+    counter lottery_shard_migrations_total "Clients re-homed to another shard.",
+        shard_migrations: u64 = 0;
+    counter lottery_shard_imbalances_total "Imbalance-bound violations observed.",
+        shard_imbalances: u64 = 0;
+    counter lottery_broker_fundings_total "Broker funding updates observed.",
+        broker_fundings: u64 = 0;
+    counter lottery_broker_refunds_total "Broker rebalances that refunded an idle backing.",
+        broker_refunds: u64 = 0;
+    counter lottery_cluster_node_reports_total "Cluster node reports delivered to the coordinator.",
+        node_reports: u64 = 0;
+    counter lottery_cluster_grant_moves_total "Cluster grant moves between nodes.",
+        grant_moves: u64 = 0;
+    counter lottery_cluster_grant_moved_tickets_total "Base-currency tickets moved between nodes.",
+        grant_moved_amount: u64 = 0;
+    counter lottery_cluster_partition_heals_total "Partition/node-loss heals observed.",
+        partition_heals: u64 = 0;
+    counter lottery_cache_lookups_total {kind, result} "Valuation-cache lookups by kind and result.",
+        /// Indexed by `Counter as usize`.
+        cache_lookups: [u64; Counter::COUNT] = [0; Counter::COUNT]
+        => |a| BTreeMap::from([
+            (("client", "hit"), a.cache_lookups[Counter::ClientHit as usize]),
+            (("client", "miss"), a.cache_lookups[Counter::ClientMiss as usize]),
+            (("currency", "hit"), a.cache_lookups[Counter::CurrencyHit as usize]),
+            (("currency", "miss"), a.cache_lookups[Counter::CurrencyMiss as usize]),
+        ]);
+    counter lottery_ledger_ops_total {op} "Ledger mutations by operation.",
+        ledger_ops: BTreeMap<&'static str, u64> = BTreeMap::new();
+    counter lottery_resource_draws_total {resource} "Resource-level lottery draws by resource.",
+        resource_draws: BTreeMap<&'static str, u64> = BTreeMap::new();
+    counter lottery_resource_units_total {resource} "Work units completed by resource.",
+        resource_units: BTreeMap<&'static str, u64> = BTreeMap::new();
+    gauge lottery_draw_entries_mean "Mean ready entries per draw.",
+        draw_entries: Summary = Summary::new();
+    gauge lottery_draw_levels_mean "Mean search effort per draw (entries scanned or tree levels).",
+        draw_levels: Summary = Summary::new();
+    gauge lottery_dispatch_wait_us_mean "Mean ready-queue wait before dispatch (us).",
+        dispatch_wait_us: Summary = Summary::new();
+    gauge lottery_dispatch_wait_us_p99 "p99 ready-queue wait before dispatch (us).",
+        /// The distribution is kept over 0–1 s in 50 buckets.
+        dispatch_wait_hist: Histogram = Histogram::new(0.0, 1_000_000.0, 50)
+        => |a| a.dispatch_wait_hist.percentile(0.99).unwrap_or(0.0);
+    gauge lottery_queue_depth_mean "Mean ready-queue depth after pick.",
+        queue_depth: Summary = Summary::new();
+    gauge lottery_dirty_depth_mean "Mean dirty-queue depth after invalidation.",
+        dirty_depth: Summary = Summary::new();
+    gauge lottery_structure_rebuild_ns_mean "Mean wall-clock cost per structure rebuild (ns).",
+        structure_rebuild_ns: Summary = Summary::new();
+    gauge lottery_cache_hit_rate "Valuation-cache hit rate."
+        => |a| a.cache_hit_rate().unwrap_or(0.0);
+    gauge lottery_cpu_queue_depth_max {cpu} "Max observed per-CPU queue depth.",
+        cpu_queue_depth_max: BTreeMap<u32, u32> = BTreeMap::new();
+    gauge lottery_compensation_weight {shard} "Compensated weight homed per shard (base units).",
+        shard_comp_weight: BTreeMap<u32, f64> = BTreeMap::new();
+    gauge lottery_resource_wait_mean {resource} "Mean queueing delay per resource (native unit).",
+        /// The unit is the resource's own: us for disk, slots for net.
+        resource_wait: BTreeMap<&'static str, Summary> = BTreeMap::new();
+    gauge lottery_broker_weight {tenant, resource} "Last broker-pushed weight per tenant and resource.",
+        broker_weight: BTreeMap<(u32, &'static str), f64> = BTreeMap::new();
+    gauge lottery_cluster_node_backlog {node, tenant} "Last reported aggregate backlog per node and tenant.",
+        node_backlog: BTreeMap<(u32, u32), u64> = BTreeMap::new();
 }
 
 impl Default for Aggregator {
@@ -109,301 +175,87 @@ impl Default for Aggregator {
 }
 
 impl Aggregator {
-    /// Creates an empty aggregator.
-    pub fn new() -> Self {
-        Self {
-            draws: 0,
-            draw_entries: Summary::new(),
-            draw_levels: Summary::new(),
-            draw_total: Summary::new(),
-            dispatches: 0,
-            dispatch_wait_us: Summary::new(),
-            dispatch_wait_hist: Histogram::new(0.0, 1_000_000.0, 50),
-            queue_depth: Summary::new(),
-            cpu_queue_depth_max: BTreeMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_lookups: [0; Counter::COUNT],
-            counters: None,
-            invalidated_currencies: 0,
-            invalidated_clients: 0,
-            dirty_depth: Summary::new(),
-            dirty_drained: Summary::new(),
-            structure_rebuilds: 0,
-            structure_rebuild_ns: Summary::new(),
-            compensations: 0,
-            compensation_revocations: 0,
-            shard_comp_weight: BTreeMap::new(),
-            shard_picks: 0,
-            shard_steals: 0,
-            shard_migrations: 0,
-            shard_imbalances: 0,
-            ledger_ops: BTreeMap::new(),
-            resource_draws: BTreeMap::new(),
-            resource_units: BTreeMap::new(),
-            resource_wait: BTreeMap::new(),
-            broker_fundings: 0,
-            broker_refunds: 0,
-            broker_weight: BTreeMap::new(),
-            node_reports: 0,
-            grant_moves: 0,
-            grant_moved_amount: 0,
-            partition_heals: 0,
-            node_backlog: BTreeMap::new(),
-        }
-    }
-
     /// Cache hit rate in `[0, 1]`, or `None` before any lookup.
     pub fn cache_hit_rate(&self) -> Option<f64> {
         let total = self.cache_hits + self.cache_misses;
         (total > 0).then(|| self.cache_hits as f64 / total as f64)
     }
+}
 
-    /// Renders the counters in the Prometheus text exposition format.
-    pub fn prometheus_text(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let mut counter = |name: &str, help: &str, value: f64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        counter("lottery_draws_total", "Lotteries held.", self.draws as f64);
-        counter(
-            "lottery_dispatches_total",
-            "Threads dispatched.",
-            self.dispatches as f64,
-        );
-        counter(
-            "lottery_cache_hits_total",
-            "Valuation-cache hits.",
-            self.cache_hits as f64,
-        );
-        counter(
-            "lottery_cache_misses_total",
-            "Valuation-cache misses.",
-            self.cache_misses as f64,
-        );
-        counter(
-            "lottery_cache_invalidated_currencies_total",
-            "Cached currency values invalidated.",
-            self.invalidated_currencies as f64,
-        );
-        counter(
-            "lottery_cache_invalidated_clients_total",
-            "Cached client values invalidated.",
-            self.invalidated_clients as f64,
-        );
-        counter(
-            "lottery_structure_rebuilds_total",
-            "Winner-search structure rebuilds.",
-            self.structure_rebuilds as f64,
-        );
-        counter(
-            "lottery_compensations_total",
-            "Compensation tickets granted.",
-            self.compensations as f64,
-        );
-        counter(
-            "lottery_compensation_revocations_total",
-            "Compensation tickets revoked at dispatch.",
-            self.compensation_revocations as f64,
-        );
-        counter(
-            "lottery_shard_picks_total",
-            "Distributed-lottery picks resolved to a shard.",
-            self.shard_picks as f64,
-        );
-        counter(
-            "lottery_shard_steals_total",
-            "Picks that stole from a foreign shard.",
-            self.shard_steals as f64,
-        );
-        counter(
-            "lottery_shard_migrations_total",
-            "Clients re-homed to another shard.",
-            self.shard_migrations as f64,
-        );
-        counter(
-            "lottery_shard_imbalances_total",
-            "Imbalance-bound violations observed.",
-            self.shard_imbalances as f64,
-        );
-        counter(
-            "lottery_broker_fundings_total",
-            "Broker funding updates observed.",
-            self.broker_fundings as f64,
-        );
-        counter(
-            "lottery_broker_refunds_total",
-            "Broker rebalances that refunded an idle backing.",
-            self.broker_refunds as f64,
-        );
-        counter(
-            "lottery_cluster_node_reports_total",
-            "Cluster node reports delivered to the coordinator.",
-            self.node_reports as f64,
-        );
-        counter(
-            "lottery_cluster_grant_moves_total",
-            "Cluster grant moves between nodes.",
-            self.grant_moves as f64,
-        );
-        counter(
-            "lottery_cluster_grant_moved_tickets_total",
-            "Base-currency tickets moved between nodes.",
-            self.grant_moved_amount as f64,
-        );
-        counter(
-            "lottery_cluster_partition_heals_total",
-            "Partition/node-loss heals observed.",
-            self.partition_heals as f64,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP lottery_cache_lookups_total Valuation-cache lookups by kind and result."
-        );
-        let _ = writeln!(out, "# TYPE lottery_cache_lookups_total counter");
-        for (counter, kind, result) in [
-            (Counter::ClientHit, "client", "hit"),
-            (Counter::ClientMiss, "client", "miss"),
-            (Counter::CurrencyHit, "currency", "hit"),
-            (Counter::CurrencyMiss, "currency", "miss"),
-        ] {
-            let _ = writeln!(
-                out,
-                "lottery_cache_lookups_total{{kind=\"{kind}\",result=\"{result}\"}} {}",
-                self.cache_lookups[counter as usize]
-            );
+/// Writes one metric family: its `# HELP` and `# TYPE` lines, then a line
+/// per sample, its label values paired with `labels` in order.
+fn write_family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: &str,
+    labels: &[&str],
+    samples: &dyn Samples,
+) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    samples.each(&mut |values, value| {
+        out.push_str(name);
+        for (i, (label, v)) in labels.iter().zip(values).enumerate() {
+            let _ = write!(out, "{}{label}=\"{v}\"", if i == 0 { '{' } else { ',' });
         }
-        let _ = writeln!(
-            out,
-            "# HELP lottery_ledger_ops_total Ledger mutations by operation."
-        );
-        let _ = writeln!(out, "# TYPE lottery_ledger_ops_total counter");
-        for (op, count) in &self.ledger_ops {
-            let _ = writeln!(out, "lottery_ledger_ops_total{{op=\"{op}\"}} {count}");
+        if !values.is_empty() {
+            out.push('}');
         }
-        let _ = writeln!(
-            out,
-            "# HELP lottery_resource_draws_total Resource-level lottery draws by resource."
-        );
-        let _ = writeln!(out, "# TYPE lottery_resource_draws_total counter");
-        for (resource, count) in &self.resource_draws {
-            let _ = writeln!(
-                out,
-                "lottery_resource_draws_total{{resource=\"{resource}\"}} {count}"
-            );
+        let _ = writeln!(out, " {value}");
+    });
+}
+
+/// Takes one sample: its label values and its value.
+type Sink<'s> = &'s mut dyn FnMut(&[&dyn Display], &dyn Display);
+
+/// What a row prints: a count or a level as one unlabelled sample, a
+/// distribution as its mean, a map as one sample per entry labelled by its
+/// key.
+trait Samples {
+    fn each(&self, sink: Sink);
+}
+
+/// A map key as the label values of its sample.
+trait Labels {
+    fn with(&self, f: &mut dyn FnMut(&[&dyn Display]));
+}
+
+/// Types that print as they are, as a value or as a label.
+macro_rules! plain {
+    ($($t:ty),*) => {$(
+        impl Samples for $t {
+            fn each(&self, sink: Sink) {
+                sink(&[], self)
+            }
         }
-        let _ = writeln!(
-            out,
-            "# HELP lottery_resource_units_total Work units completed by resource."
-        );
-        let _ = writeln!(out, "# TYPE lottery_resource_units_total counter");
-        for (resource, count) in &self.resource_units {
-            let _ = writeln!(
-                out,
-                "lottery_resource_units_total{{resource=\"{resource}\"}} {count}"
-            );
+        impl Labels for $t {
+            fn with(&self, f: &mut dyn FnMut(&[&dyn Display])) {
+                f(&[self])
+            }
         }
-        let mut gauge = |name: &str, help: &str, value: f64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        gauge(
-            "lottery_draw_entries_mean",
-            "Mean ready entries per draw.",
-            self.draw_entries.mean(),
-        );
-        gauge(
-            "lottery_draw_levels_mean",
-            "Mean search effort per draw (entries scanned or tree levels).",
-            self.draw_levels.mean(),
-        );
-        gauge(
-            "lottery_dispatch_wait_us_mean",
-            "Mean ready-queue wait before dispatch (us).",
-            self.dispatch_wait_us.mean(),
-        );
-        gauge(
-            "lottery_dispatch_wait_us_p99",
-            "p99 ready-queue wait before dispatch (us).",
-            self.dispatch_wait_hist.percentile(0.99).unwrap_or(0.0),
-        );
-        gauge(
-            "lottery_queue_depth_mean",
-            "Mean ready-queue depth after pick.",
-            self.queue_depth.mean(),
-        );
-        gauge(
-            "lottery_dirty_depth_mean",
-            "Mean dirty-queue depth after invalidation.",
-            self.dirty_depth.mean(),
-        );
-        gauge(
-            "lottery_structure_rebuild_ns_mean",
-            "Mean wall-clock cost per structure rebuild (ns).",
-            self.structure_rebuild_ns.mean(),
-        );
-        gauge(
-            "lottery_cache_hit_rate",
-            "Valuation-cache hit rate.",
-            self.cache_hit_rate().unwrap_or(0.0),
-        );
-        let _ = writeln!(
-            out,
-            "# HELP lottery_cpu_queue_depth_max Max observed per-CPU queue depth."
-        );
-        let _ = writeln!(out, "# TYPE lottery_cpu_queue_depth_max gauge");
-        for (cpu, depth) in &self.cpu_queue_depth_max {
-            let _ = writeln!(out, "lottery_cpu_queue_depth_max{{cpu=\"{cpu}\"}} {depth}");
+    )*};
+}
+
+plain!(u64, u32, f64, &str);
+
+impl Samples for Summary {
+    fn each(&self, sink: Sink) {
+        sink(&[], &self.mean())
+    }
+}
+
+impl<A: Display, B: Display> Labels for (A, B) {
+    fn with(&self, f: &mut dyn FnMut(&[&dyn Display])) {
+        f(&[&self.0, &self.1])
+    }
+}
+
+impl<K: Labels, V: Samples> Samples for BTreeMap<K, V> {
+    fn each(&self, sink: Sink) {
+        for (key, value) in self {
+            key.with(&mut |labels| value.each(&mut |_, v| sink(labels, v)));
         }
-        let _ = writeln!(
-            out,
-            "# HELP lottery_compensation_weight Compensated weight homed per shard (base units)."
-        );
-        let _ = writeln!(out, "# TYPE lottery_compensation_weight gauge");
-        for (shard, weight) in &self.shard_comp_weight {
-            let _ = writeln!(
-                out,
-                "lottery_compensation_weight{{shard=\"{shard}\"}} {weight}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP lottery_resource_wait_mean Mean queueing delay per resource (native unit)."
-        );
-        let _ = writeln!(out, "# TYPE lottery_resource_wait_mean gauge");
-        for (resource, wait) in &self.resource_wait {
-            let _ = writeln!(
-                out,
-                "lottery_resource_wait_mean{{resource=\"{resource}\"}} {}",
-                wait.mean()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP lottery_broker_weight Last broker-pushed weight per tenant and resource."
-        );
-        let _ = writeln!(out, "# TYPE lottery_broker_weight gauge");
-        for ((tenant, resource), weight) in &self.broker_weight {
-            let _ = writeln!(
-                out,
-                "lottery_broker_weight{{tenant=\"{tenant}\",resource=\"{resource}\"}} {weight}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP lottery_cluster_node_backlog Last reported aggregate backlog per node and tenant."
-        );
-        let _ = writeln!(out, "# TYPE lottery_cluster_node_backlog gauge");
-        for ((node, tenant), backlog) in &self.node_backlog {
-            let _ = writeln!(
-                out,
-                "lottery_cluster_node_backlog{{node=\"{node}\",tenant=\"{tenant}\"}} {backlog}"
-            );
-        }
-        out
     }
 }
 
@@ -424,15 +276,11 @@ impl Recorder for Aggregator {
                 *max = (*max).max(queue_depth);
             }
             EventKind::LotteryDraw {
-                entries,
-                levels,
-                total,
-                ..
+                entries, levels, ..
             } => {
                 self.draws += 1;
                 self.draw_entries.record(entries as f64);
                 self.draw_levels.record(levels as f64);
-                self.draw_total.record(total);
             }
             EventKind::Compensation { .. } => self.compensations += 1,
             EventKind::CompensationRevoked { .. } => self.compensation_revocations += 1,
@@ -449,11 +297,6 @@ impl Recorder for Aggregator {
                 self.invalidated_clients += clients as u64;
                 self.dirty_depth.record(dirty_depth as f64);
             }
-            EventKind::DirtyDrain { drained } => self.dirty_drained.record(drained as f64),
-            // Batched drains feed the same depth statistic: one batch of
-            // `depth` clients is the same revaluation work as `depth`
-            // notifications drained singly.
-            EventKind::DirtyBatch { depth, .. } => self.dirty_drained.record(depth as f64),
             EventKind::StructureRebuild { rebuild_ns, .. } => {
                 self.structure_rebuilds += 1;
                 self.structure_rebuild_ns.record(rebuild_ns as f64);
@@ -507,6 +350,7 @@ impl Recorder for Aggregator {
             EventKind::PartitionHeal { .. } => self.partition_heals += 1,
             EventKind::ThreadSpawn { .. }
             | EventKind::ThreadExit { .. }
+            | EventKind::DirtyDrain { .. }
             | EventKind::WeightChange { .. }
             | EventKind::QuantumEnd { .. }
             | EventKind::Wake { .. }
@@ -704,5 +548,190 @@ mod tests {
         bus.count(Counter::ClientHit);
         assert_eq!(read(&a), (5, 6, [3, 1, 2, 5]));
         assert_eq!(read(&b), (6, 5, [4, 1, 2, 4]));
+    }
+
+    /// An aggregator fed a fixed stream that gives every metric family at
+    /// least one non-zero sample, cache counters included.
+    fn reaching_every_row() -> String {
+        use crate::{ProbeBus, Shared};
+
+        let bus = ProbeBus::enabled();
+        let a = Shared::new(Aggregator::new());
+        bus.attach(a.clone());
+        let feed = [
+            EventKind::Dispatch {
+                thread: 0,
+                cpu: 0,
+                wait_us: 100,
+                queue_depth: 3,
+            },
+            EventKind::Dispatch {
+                thread: 1,
+                cpu: 2,
+                wait_us: 250,
+                queue_depth: 6,
+            },
+            EventKind::LotteryDraw {
+                structure: "tree",
+                entries: 7,
+                levels: 3,
+                total: 1000.0,
+                winning: 1.0,
+                winner: 0,
+            },
+            EventKind::CacheInvalidate {
+                currencies: 2,
+                clients: 1,
+                dirty_depth: 5,
+            },
+            EventKind::DirtyDrain { drained: 5 },
+            EventKind::StructureRebuild {
+                structure: "alias",
+                clients: 1000,
+                stale: 130,
+                rebuild_ns: 4500,
+            },
+            EventKind::Compensation {
+                thread: 0,
+                factor: 2.0,
+                shard: 1,
+            },
+            EventKind::CompensationRevoked {
+                thread: 0,
+                shard: 1,
+            },
+            EventKind::ShardCompensation {
+                shard: 1,
+                weight: 250.5,
+                total: 1250.0,
+            },
+            EventKind::ShardPick {
+                cpu: 0,
+                shard: 1,
+                stolen: false,
+            },
+            EventKind::ShardPick {
+                cpu: 1,
+                shard: 0,
+                stolen: true,
+            },
+            EventKind::ShardMigrate {
+                thread: 1,
+                from_shard: 0,
+                to_shard: 1,
+            },
+            EventKind::ShardImbalance {
+                max_total: 900.0,
+                mean_total: 600.0,
+            },
+            EventKind::LedgerOp { op: "fund-client" },
+            EventKind::LedgerOp { op: "fund-client" },
+            EventKind::LedgerOp { op: "move-ticket" },
+            EventKind::ResourceDraw {
+                resource: "disk",
+                client: 0,
+                entries: 2,
+                total: 750,
+            },
+            EventKind::ResourceDraw {
+                resource: "net",
+                client: 1,
+                entries: 2,
+                total: 750,
+            },
+            EventKind::ResourceComplete {
+                resource: "disk",
+                client: 0,
+                units: 16,
+                wait: 900,
+            },
+            EventKind::ResourceComplete {
+                resource: "disk",
+                client: 1,
+                units: 8,
+                wait: 300,
+            },
+            EventKind::BrokerFunding {
+                tenant: 0,
+                resource: "disk",
+                weight: 500.0,
+                refunded: false,
+            },
+            EventKind::BrokerFunding {
+                tenant: 1,
+                resource: "net",
+                weight: 0.0,
+                refunded: true,
+            },
+            EventKind::NodeReport {
+                node: 2,
+                tenant: 0,
+                backlog: 40,
+                round: 3,
+            },
+            EventKind::GrantMove {
+                tenant: 0,
+                from_node: 1,
+                to_node: 2,
+                amount: 250,
+            },
+            EventKind::PartitionHeal {
+                node: 1,
+                rounds: 4,
+                dropped: 7,
+            },
+        ];
+        for kind in feed {
+            bus.emit(|| kind);
+        }
+        let counts = [
+            (Counter::ClientHit, 4),
+            (Counter::ClientMiss, 1),
+            (Counter::CurrencyHit, 2),
+            (Counter::CurrencyMiss, 3),
+        ];
+        for (counter, n) in counts {
+            for _ in 0..n {
+                bus.count(counter);
+            }
+        }
+        a.with(|a| a.prometheus_text())
+    }
+
+    /// Every family is a `# HELP` line, its `# TYPE` line, then samples of
+    /// that family only; no family appears twice.
+    fn assert_well_formed(text: &str) {
+        let mut families = std::collections::BTreeSet::new();
+        let mut lines = text.lines().peekable();
+        while let Some(help) = lines.next() {
+            let name = help
+                .strip_prefix("# HELP ")
+                .and_then(|rest| rest.split(' ').next())
+                .unwrap_or_else(|| panic!("expected a HELP line, got {help:?}"));
+            let kind = lines.next().and_then(|l| l.strip_prefix("# TYPE "));
+            let kind = kind.and_then(|k| k.strip_prefix(name)).unwrap_or_default();
+            assert!(
+                kind == " counter" || kind == " gauge",
+                "{name}: its TYPE line must follow HELP"
+            );
+            assert!(families.insert(name), "{name} is declared twice");
+            while let Some(sample) = lines.next_if(|l| !l.starts_with('#')) {
+                let rest = sample.strip_prefix(name).unwrap_or_default();
+                assert!(
+                    rest.starts_with(' ') || rest.starts_with('{'),
+                    "{sample:?} is not a sample of {name}"
+                );
+            }
+        }
+    }
+
+    /// The exposition of a stream reaching every row: well formed, and
+    /// byte-for-byte the text the hand-written exposition printed before
+    /// the metric table generated it.
+    #[test]
+    fn exposition_is_well_formed_and_pinned() {
+        let text = reaching_every_row();
+        assert_well_formed(&text);
+        assert_eq!(text, include_str!("../tests/data/prometheus_every_row.txt"));
     }
 }

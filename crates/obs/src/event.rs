@@ -265,15 +265,6 @@ event_schema! {
         /// Clients drained.
         drained: u32,
     }
-    /// A scheduler drained one shard's dirty queue in a single batch at a
-    /// dispatch point (the event-driven core's once-per-dispatch drain,
-    /// rather than a per-client walk).
-    DirtyBatch = "dirty-batch" {
-        /// The dirty-queue shard drained.
-        shard: u32,
-        /// Clients revalued by the batch.
-        depth: u32,
-    }
     /// A winner-search structure was (re)built wholesale — the alias
     /// table snapshotting its prefix sums, or a tree/list repopulated by
     /// a runtime structure switch.
@@ -674,7 +665,6 @@ mod tests {
                 dirty_depth: 7,
             },
             EventKind::DirtyDrain { drained: 12 },
-            EventKind::DirtyBatch { shard: 1, depth: 6 },
             EventKind::StructureRebuild {
                 structure: "alias",
                 clients: 1_000_000,
@@ -770,19 +760,18 @@ mod tests {
         r#"{"t_us":1300,"kind":"weight-change","client":9,"tickets":400,"origin":"set-funding"}"#,
         r#"{"t_us":1400,"kind":"cache-invalidate","currencies":2,"clients":5,"dirty_depth":7}"#,
         r#"{"t_us":1500,"kind":"dirty-drain","drained":12}"#,
-        r#"{"t_us":1600,"kind":"dirty-batch","shard":1,"depth":6}"#,
-        r#"{"t_us":1700,"kind":"structure-rebuild","structure":"alias","clients":1000000,"stale":125000,"rebuild_ns":4200000}"#,
-        r#"{"t_us":1800,"kind":"shard-pick","cpu":0,"shard":2,"stolen":true}"#,
-        r#"{"t_us":1900,"kind":"shard-steal","cpu":0,"victim":2,"thread":11}"#,
-        r#"{"t_us":2000,"kind":"shard-migrate","thread":11,"from_shard":2,"to_shard":0}"#,
-        r#"{"t_us":2100,"kind":"shard-imbalance","max_total":900.125,"mean_total":600}"#,
-        r#"{"t_us":2200,"kind":"resource-grant","resource":"disk","client":1,"tickets":500}"#,
-        r#"{"t_us":2300,"kind":"resource-draw","resource":"net","client":0,"entries":3,"total":750}"#,
-        r#"{"t_us":2400,"kind":"resource-complete","resource":"disk","client":1,"units":16,"wait":4200}"#,
-        r#"{"t_us":2500,"kind":"broker-funding","tenant":0,"resource":"mem","weight":333.25,"refunded":false}"#,
-        r#"{"t_us":2600,"kind":"node-report","node":3,"tenant":1,"backlog":1000000,"round":42}"#,
-        r#"{"t_us":2700,"kind":"grant-move","tenant":1,"from_node":3,"to_node":0,"amount":750}"#,
-        r#"{"t_us":2800,"kind":"partition-heal","node":3,"rounds":6,"dropped":18}"#,
+        r#"{"t_us":1600,"kind":"structure-rebuild","structure":"alias","clients":1000000,"stale":125000,"rebuild_ns":4200000}"#,
+        r#"{"t_us":1700,"kind":"shard-pick","cpu":0,"shard":2,"stolen":true}"#,
+        r#"{"t_us":1800,"kind":"shard-steal","cpu":0,"victim":2,"thread":11}"#,
+        r#"{"t_us":1900,"kind":"shard-migrate","thread":11,"from_shard":2,"to_shard":0}"#,
+        r#"{"t_us":2000,"kind":"shard-imbalance","max_total":900.125,"mean_total":600}"#,
+        r#"{"t_us":2100,"kind":"resource-grant","resource":"disk","client":1,"tickets":500}"#,
+        r#"{"t_us":2200,"kind":"resource-draw","resource":"net","client":0,"entries":3,"total":750}"#,
+        r#"{"t_us":2300,"kind":"resource-complete","resource":"disk","client":1,"units":16,"wait":4200}"#,
+        r#"{"t_us":2400,"kind":"broker-funding","tenant":0,"resource":"mem","weight":333.25,"refunded":false}"#,
+        r#"{"t_us":2500,"kind":"node-report","node":3,"tenant":1,"backlog":1000000,"round":42}"#,
+        r#"{"t_us":2600,"kind":"grant-move","tenant":1,"from_node":3,"to_node":0,"amount":750}"#,
+        r#"{"t_us":2700,"kind":"partition-heal","node":3,"rounds":6,"dropped":18}"#,
     ];
 
     /// Every kind in the schema table has a sample, every sample prints

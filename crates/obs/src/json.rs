@@ -12,6 +12,13 @@
 //! event and header field codec (`event::Get`) enforces when it reads
 //! one.
 
+// Parses text from outside the program: malformed input is an error,
+// never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

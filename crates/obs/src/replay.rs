@@ -31,6 +31,13 @@
 //! kernels and policies); this module stays plain data so `lottery-obs`
 //! keeps its position at the bottom of the crate graph.
 
+// Loads captures from outside the program: a malformed one is an error,
+// never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::event::{member, put_member, Event, EventKind, Get, Put};
 use crate::json::{self, Value};
 

@@ -528,12 +528,12 @@ mod tests {
             });
         }
         let text = flight.merged_jsonl();
-        assert_eq!(text.lines().count(), 2330);
+        assert_eq!(text.lines().count(), 2041);
         // FNV-1a over the merged JSONL.
         let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(hash, 0xc5f3_5107_1412_62a8);
+        assert_eq!(hash, 0x583f_929a_23ae_08e4);
     }
 
     #[test]

@@ -65,15 +65,6 @@ fn policy_probes<'a>(events: impl Iterator<Item = &'a Event>) -> Vec<Event> {
         .collect()
 }
 
-/// The tail a real-thread lane has beyond the simulator's stream: at most
-/// the one `DirtyBatch` of the settle before the worker's report.
-fn report_settle_only(tail: &[Event]) -> bool {
-    tail.len() <= 1
-        && tail
-            .iter()
-            .all(|e| matches!(e.kind, EventKind::DirtyBatch { .. }))
-}
-
 /// The winner stream `(dispatch time µs, thread)` of a probe stream.
 fn winners(stream: &[Event]) -> Vec<(u64, u32)> {
     stream
@@ -177,9 +168,7 @@ proptest! {
         let sim = winners(&sim_stream);
         prop_assert!(!sim.is_empty(), "harness must schedule something");
         prop_assert_eq!(par, sim);
-        let (decisions, report) = par_stream.split_at(sim_stream.len().min(par_stream.len()));
-        prop_assert_eq!(decisions, &sim_stream[..]);
-        prop_assert!(report_settle_only(report), "{:?}", report);
+        prop_assert_eq!(par_stream, sim_stream);
     }
 }
 
@@ -222,8 +211,6 @@ fn canonical_mix_is_bit_identical() {
             assert_eq!(par.len(), 152, "the seed-1 anchor's dispatch count");
         }
         assert_eq!(par, winners(&sim_stream), "seed {seed}");
-        let (decisions, report) = par_stream.split_at(sim_stream.len().min(par_stream.len()));
-        assert_eq!(decisions, &sim_stream[..], "seed {seed}");
-        assert!(report_settle_only(report), "seed {seed}: {report:?}");
+        assert_eq!(par_stream, sim_stream, "seed {seed}");
     }
 }

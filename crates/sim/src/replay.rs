@@ -11,14 +11,10 @@
 //! difference is a real behavioural change, surfaced by
 //! [`first_divergence`] as the first index where the streams disagree.
 //!
-//! Two exemptions cover host-side cost telemetry that is not scheduling
+//! One exemption covers host-side cost telemetry that is not scheduling
 //! behaviour: [`lottery_obs::EventKind::StructureRebuild`]'s `rebuild_ns`
 //! field measures host wall-clock time, so divergence comparison
-//! canonicalises it to zero (see [`lottery_obs::replay::canonical`]); and
-//! [`lottery_obs::EventKind::DirtyBatch`] probes (the once-per-dispatch
-//! dirty-queue drains) are filtered out of [`drive`]'s stream entirely —
-//! they describe how the drain was batched, not which clients were
-//! revalued, and captures recorded before batching existed carry none.
+//! canonicalises it to zero (see [`lottery_obs::replay::canonical`]).
 //!
 //! [`record`] captures a fresh window; [`Replayer`] re-executes one and
 //! diffs. [`job_outcomes`] reads per-job response time and stretch back
@@ -165,16 +161,7 @@ pub fn drive(header: &ReplayHeader) -> Result<Vec<Event>, String> {
         drive_on(header, policy, shards, bus)?;
     }
 
-    // `DirtyBatch` is excluded from capture streams (like `rebuild_ns`,
-    // it reflects the host-side cost model, not scheduling behaviour):
-    // batched drains were introduced after the first capture corpus was
-    // recorded, and filtering keeps those captures bit-exact.
-    Ok(flight.with(|f| {
-        f.events()
-            .filter(|e| !matches!(e.kind, lottery_obs::EventKind::DirtyBatch { .. }))
-            .cloned()
-            .collect()
-    }))
+    Ok(flight.with(|f| f.events().cloned().collect()))
 }
 
 /// Funds the header's currencies on `policy` and runs its jobs on `cpus`

@@ -1,13 +1,11 @@
 //! The shared compensation policy hook (Section 4.5).
 //!
-//! Compensation used to be duplicated per policy: [`super::lottery::LotteryPolicy`]
-//! and [`super::distributed::DistributedLottery`] each carried their own
-//! enable flag and copy-pasted the grant/clear dance around
-//! [`lottery_core::compensation`]. This hook is the single owner of that
-//! policy decision; schedulers delegate both the quantum-end charge side
-//! and the dispatch-time revoke side to it, so the Section 4.5 ablation
-//! drives every policy through one switch and the probe events carry the
-//! granting shard uniformly.
+//! This hook is the single owner of the compensation decision around
+//! [`lottery_core::compensation`]: [`super::lottery::LotteryPolicy`] and
+//! [`super::distributed::DistributedLottery`] delegate both the
+//! quantum-end charge side and the dispatch-time revoke side to it, so
+//! the Section 4.5 ablation drives every policy through one switch and the
+//! probe events carry the granting shard uniformly.
 //!
 //! Ordering matters on the charge side: the grant happens *before* a
 //! blocked client is deactivated, so the ledger's [`CompensationLedger`]

@@ -394,13 +394,6 @@ impl<L: LedgerAccess> LotteryCore<L> {
         }
         let mut ledger = self.ledger.lock();
         ledger.drain_dirty_shard_into(shard_id, &mut self.dirty_buf);
-        if !self.dirty_buf.is_empty() {
-            let depth = self.dirty_buf.len() as u32;
-            self.bus.emit(|| EventKind::DirtyBatch {
-                shard: shard_id,
-                depth,
-            });
-        }
         shard.settle(&self.dirty_buf, &self.client_threads, &ledger);
     }
 

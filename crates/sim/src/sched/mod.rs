@@ -18,9 +18,9 @@
 //! Both lottery policies keep their ready set and winner structure as one
 //! [`shard::Shard`], and the two are one [`core::LotteryCore`] — ledger,
 //! funding book, and the sequence around every draw — over one shard or
-//! one per CPU. The real-thread workers of `lottery-par` are a third
-//! [`Policy`] over a `Shard`; theirs takes a lock around each ledger touch,
-//! so it keeps that sequence itself rather than through the core.
+//! one per CPU. The real-thread workers of `lottery-par` run the same
+//! core over a locked shared ledger (`LotteryCore<SharedLedger>` through
+//! [`core::LedgerAccess`]), so all three make one decision sequence.
 //!
 //! Every policy runs under the one dispatch engine,
 //! [`crate::smp::SmpKernel`] (of which [`crate::kernel::Kernel`] is the

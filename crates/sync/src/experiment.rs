@@ -9,7 +9,7 @@
 //! 1 : 2.11 mean waiting-time ratio.
 //!
 //! This driver reproduces the experiment as a small discrete-event
-//! simulation over [`crate::sim_mutex::SimLotteryMutex`]. CPU contention is
+//! simulation over [`lottery_core::mutex::TicketMutex`]. CPU contention is
 //! not modelled: with eight threads parked on one lock the behaviour under
 //! study is lock scheduling, and the waiting-time statistics are produced
 //! by the handoff lotteries alone.
@@ -19,10 +19,9 @@ use std::collections::BinaryHeap;
 
 use lottery_core::client::ClientId;
 use lottery_core::ledger::Ledger;
+use lottery_core::mutex::{TicketMutex, WaiterFunding};
 use lottery_core::rng::ParkMiller;
 use lottery_stats::{Histogram, Summary};
-
-use crate::sim_mutex::{SimLotteryMutex, WaiterFunding};
 
 /// Configuration for the mutex fairness experiment.
 #[derive(Debug, Clone)]
@@ -120,7 +119,7 @@ pub fn run(config: &MutexExperiment) -> MutexReport {
         }
     }
 
-    let mut mutex = SimLotteryMutex::new(&mut ledger, "contended").unwrap();
+    let mut mutex = TicketMutex::new(&mut ledger, "contended").unwrap();
     let mut groups: Vec<GroupReport> = config
         .group_funding
         .iter()

@@ -2,10 +2,10 @@
 //!
 //! Lottery-scheduled synchronization resources (Section 6.1 of the paper).
 //!
-//! * [`sim_mutex`] — the mutex-currency / inheritance-ticket object,
-//!   implemented against a [`lottery_core::ledger::Ledger`] (Figure 10).
 //! * [`experiment`] — the discrete-event driver reproducing Figure 11's
-//!   acquisition counts and waiting-time histograms.
+//!   acquisition counts and waiting-time histograms over
+//!   [`lottery_core::mutex::TicketMutex`], the mutex-currency /
+//!   inheritance-ticket object (Figure 10).
 //! * [`os_mutex`] — a lottery-handoff mutex for real OS threads, showing
 //!   the mechanism outside the simulator.
 //! * [`primitives`] — the workspace's OS-backed [`Mutex`] and
@@ -18,10 +18,8 @@ pub mod channel;
 pub mod experiment;
 pub mod os_mutex;
 pub mod primitives;
-pub mod sim_mutex;
 
 pub use channel::{bounded, Receiver, Sender};
 pub use experiment::{run as run_mutex_experiment, MutexExperiment, MutexReport};
 pub use os_mutex::{LotteryMutex, LotteryMutexGuard};
 pub use primitives::{Condvar, Mutex, MutexGuard};
-pub use sim_mutex::{SimLotteryMutex, WaiterFunding};

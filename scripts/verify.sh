@@ -35,6 +35,15 @@ if [ "$walks" -ne 1 ]; then
   echo "verify: expected one f64 valuation walk, found $walks" >&2; exit 1
 fi
 
+# One metric table: every aggregator metric is a row of `metrics!` in
+# crates/obs/src/aggregate.rs, and the exposition header is written in one
+# place, so a hand-written metric family beside the table fails verify.
+helps=$(grep -rn '# HELP {' crates src | wc -l)
+if [ "$helps" -ne 1 ]; then
+  grep -rn '# HELP {' crates src >&2 || true
+  echo "verify: expected one Prometheus HELP writer, found $helps" >&2; exit 1
+fi
+
 # Golden gate: the transcript of the paper's figures and tables,
 # reproduced (`experiments all`), must match the committed one byte for
 # byte. It prints results, not verdicts: every check of a claim is a test

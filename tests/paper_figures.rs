@@ -136,7 +136,7 @@ fn figure9_inflation_is_contained() {
 /// Figure 10: the mutex owner's effective funding includes all waiters.
 #[test]
 fn figure10_owner_inherits_waiter_funding() {
-    use lottery_sync::sim_mutex::{SimLotteryMutex, WaiterFunding};
+    use lottery_core::mutex::{TicketMutex, WaiterFunding};
     let mut ledger = Ledger::new();
     let holder = ledger.create_client("holder");
     let waiter = ledger.create_client("waiter");
@@ -145,7 +145,7 @@ fn figure10_owner_inherits_waiter_funding() {
         ledger.fund_client(t, c).unwrap();
         ledger.activate_client(c).unwrap();
     }
-    let mut mutex = SimLotteryMutex::new(&mut ledger, "m").unwrap();
+    let mut mutex = TicketMutex::new(&mut ledger, "m").unwrap();
     let base = ledger.base();
     assert!(mutex
         .acquire(
