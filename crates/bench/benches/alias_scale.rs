@@ -6,9 +6,10 @@
 //! weights, draws, and dequeues), charge, and re-enqueue. The dispatch
 //! churn patches the structure incrementally. Under uniform funding
 //! (`tree`, `alias`) the alias sampler self-cleans (the requeued thread
-//! returns at its snapshot weight), so the decision cost stays flat from
-//! 10^4 to 10^6 clients, while the tree pays a descent that grows with
-//! lg n. Under the reference benchmark's skewed ticket deck
+//! returns at its snapshot weight), so its draw stays one guide-cell probe
+//! while the tree's descent grows with lg n; at 10^6 clients both
+//! decisions are bound by memory latency. Under the reference benchmark's
+//! skewed ticket deck
 //! (`tree-skewed`, `alias-skewed`) the winner and the neighbour swapped
 //! into its slot rarely weigh the same, the snapshot is stale almost
 //! always, and the alias sampler runs on its partial sums: it must stay
@@ -17,16 +18,11 @@
 //! `elements` records the population so BENCH_alias_scale.json carries
 //! the scale of each configuration alongside its per-decision cost.
 //!
-//! The `draw-*` rows isolate the selection structures themselves — one
-//! `draw` on a clean pool per iteration, no dequeue/charge/enqueue — so
-//! the JSON separates the structure's winner-search cost (alias: one
-//! guide-cell probe, flat in n up to cache effects) from the policy's
-//! per-decision bookkeeping.
+//! The bare draws are the reference benchmark's
+//! `core.lottery.{tree,alias}.draw_ns` rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lottery_core::lottery::alias::AliasLottery;
 use lottery_core::lottery::list::ListLottery;
-use lottery_core::lottery::tree::TreeLottery;
 use lottery_core::lottery::TicketPool;
 use lottery_core::rng::ParkMiller;
 use lottery_sim::prelude::*;
@@ -91,35 +87,5 @@ fn bench_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// One structure-level draw per iteration on a clean, uniformly weighted
-/// pool: the cost of the winner search alone. The alias rows stay within
-/// memory-latency noise of each other while the tree's partial-sum
-/// descent deepens with lg n.
-fn bench_draw(c: &mut Criterion) {
-    let mut group = c.benchmark_group("alias-scale");
-    for &n in &POPULATIONS {
-        let mut tree: TreeLottery<usize, f64> = TreeLottery::with_capacity(n);
-        for i in 0..n {
-            tree.insert(i, 100.0);
-        }
-        let mut rng = ParkMiller::new(1);
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("draw-tree", n), &n, |b, _| {
-            b.iter(|| *tree.draw(&mut rng).unwrap())
-        });
-
-        let mut alias: AliasLottery<usize> = AliasLottery::with_capacity(n);
-        for i in 0..n {
-            alias.insert(i, 100.0);
-        }
-        alias.rebuild();
-        let mut rng = ParkMiller::new(1);
-        group.bench_with_input(BenchmarkId::new("draw-alias", n), &n, |b, _| {
-            b.iter(|| *alias.draw(&mut rng).unwrap())
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_scale, bench_draw);
+criterion_group!(benches, bench_scale);
 criterion_main!(benches);

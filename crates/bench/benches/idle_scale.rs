@@ -9,8 +9,8 @@
 //!
 //! The property under measurement is the cost of *sleepers*: the kernel
 //! peeks the event heap (O(1)) at each scheduling point, so a million
-//! parked threads cost nothing per decision and `1_000_000 @ 1%` runs at
-//! the same per-window cost as `10_000 @ 100%`.
+//! parked threads cost nothing per decision and `1_000_000 @ 1%` runs
+//! within a small factor of `10_000 @ 100%`'s per-window cost.
 //!
 //! `elements` records the total population so BENCH_idle_scale.json
 //! carries each configuration's scale alongside its per-window cost;

@@ -15,42 +15,35 @@
 //! dispatch rates stay comparable.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lottery_experiments_support::heavy_tailed_spec;
+use lottery_obs::{CurrencySnapshot, TraceJob, TraceSpec};
 use lottery_sim::prelude::*;
 use lottery_sim::replay::{record, CaptureConfig, Replayer};
 
-mod lottery_experiments_support {
-    //! A local copy of the experiments crate's bounded-Pareto trace
-    //! generator is not needed: the bench builds its spec by hand so the
-    //! bench crate does not grow a dependency on the experiments binary.
-    use lottery_obs::{CurrencySnapshot, TraceJob, TraceSpec};
-
-    /// A deterministic 40-job, three-tenant trace with service demands
-    /// spread over two orders of magnitude (hand-rolled heavy tail).
-    pub fn heavy_tailed_spec() -> TraceSpec {
-        let currencies = vec![
-            CurrencySnapshot {
-                name: "gold".to_string(),
-                amount: 400,
-            },
-            CurrencySnapshot {
-                name: "silver".to_string(),
-                amount: 200,
-            },
-        ];
-        let tenants = ["gold", "silver", "base"];
-        let jobs = (0..40u64)
-            .map(|i| TraceJob {
-                arrival_us: i * 900,
-                // 500us..~46ms, dominated by a few large jobs.
-                service_us: 500 + (i * i * 29) % 46_000,
-                sleep_us: if i % 4 == 0 { 700 } else { 0 },
-                tenant: tenants[(i % 3) as usize].to_string(),
-                tickets: 100 + (i % 3) * 50,
-            })
-            .collect();
-        TraceSpec { currencies, jobs }
-    }
+/// A deterministic 40-job, three-tenant trace with service demands spread
+/// over two orders of magnitude (a hand-rolled heavy tail).
+fn heavy_tailed_spec() -> TraceSpec {
+    let currencies = vec![
+        CurrencySnapshot {
+            name: "gold".to_string(),
+            amount: 400,
+        },
+        CurrencySnapshot {
+            name: "silver".to_string(),
+            amount: 200,
+        },
+    ];
+    let tenants = ["gold", "silver", "base"];
+    let jobs = (0..40u64)
+        .map(|i| TraceJob {
+            arrival_us: i * 900,
+            // 500us..~46ms, dominated by a few large jobs.
+            service_us: 500 + (i * i * 29) % 46_000,
+            sleep_us: if i % 4 == 0 { 700 } else { 0 },
+            tenant: tenants[(i % 3) as usize].to_string(),
+            tickets: 100 + (i % 3) * 50,
+        })
+        .collect();
+    TraceSpec { currencies, jobs }
 }
 
 fn config_for(structure: SelectStructure) -> CaptureConfig {

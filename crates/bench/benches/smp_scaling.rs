@@ -15,7 +15,10 @@
 //! decision) climbs with `n` while the shared baseline's stays flat.
 //! Each iteration advances one simulated second.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
+use lottery_core::prelude::CurrencyId;
 use lottery_sim::prelude::*;
 
 const THREADS: usize = 512;
@@ -31,84 +34,51 @@ fn workload() -> Box<dyn Workload> {
     ))
 }
 
-fn bench_shared(c: &mut Criterion) {
+/// Spawns the 512 threads on `cpus` CPUs under `policy`, all funded from
+/// its `load` currency, and times one simulated second per iteration.
+fn bench_machine<P: Policy<Spec = FundingSpec>>(
+    group: &mut BenchmarkGroup<'_>,
+    variant: &str,
+    cpus: usize,
+    policy: P,
+    load: CurrencyId,
+) {
+    let mut kernel = SmpKernel::new(policy, cpus);
+    for i in 0..THREADS {
+        kernel.spawn(format!("t{i}"), workload(), FundingSpec::new(load, 100));
+    }
+    // Each CPU makes ~20 decisions a simulated second (50 ms bursts).
+    group.throughput(Throughput::Elements(20 * cpus as u64));
+    group.bench_with_input(BenchmarkId::new(variant, cpus), &cpus, |b, _| {
+        b.iter(|| {
+            let next = kernel.now() + SimDuration::from_secs(1);
+            kernel.run_until(next).unwrap();
+        })
+    });
+}
+
+fn bench_smp_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("smp-scaling");
+    let load = 100 * THREADS as u64;
     for &cpus in &CPUS {
         let mut policy = LotteryPolicy::new(1);
         policy.set_structure(SelectStructure::Tree);
-        let shared = policy
-            .create_currency("load", 100 * THREADS as u64)
-            .unwrap();
-        let mut kernel = SmpKernel::new(policy, cpus);
-        for i in 0..THREADS {
-            kernel.spawn(format!("t{i}"), workload(), FundingSpec::new(shared, 100));
+        let shared = policy.create_currency("load", load).unwrap();
+        bench_machine(&mut group, "shared", cpus, policy, shared);
+    }
+    for (variant, structure) in [
+        ("distributed", SelectStructure::Tree),
+        ("distributed-alias", SelectStructure::Alias),
+    ] {
+        for &cpus in &CPUS {
+            let mut policy = DistributedLottery::new(1, cpus);
+            policy.set_structure(structure);
+            let shared = policy.create_currency("load", load).unwrap();
+            bench_machine(&mut group, variant, cpus, policy, shared);
         }
-        // One simulated second: each CPU makes ~20 decisions (50 ms
-        // bursts), all through the one shared tree and dirty queue.
-        group.throughput(Throughput::Elements(20 * cpus as u64));
-        group.bench_with_input(BenchmarkId::new("shared", cpus), &cpus, |b, _| {
-            b.iter(|| {
-                let next = kernel.now() + SimDuration::from_secs(1);
-                kernel.run_until(next).unwrap();
-            })
-        });
     }
     group.finish();
 }
 
-fn bench_distributed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("smp-scaling");
-    for &cpus in &CPUS {
-        let mut policy = DistributedLottery::new(1, cpus);
-        let shared = policy
-            .create_currency("load", 100 * THREADS as u64)
-            .unwrap();
-        let mut kernel = SmpKernel::new(policy, cpus);
-        for i in 0..THREADS {
-            kernel.spawn(format!("t{i}"), workload(), FundingSpec::new(shared, 100));
-        }
-        group.throughput(Throughput::Elements(20 * cpus as u64));
-        group.bench_with_input(BenchmarkId::new("distributed", cpus), &cpus, |b, _| {
-            b.iter(|| {
-                let next = kernel.now() + SimDuration::from_secs(1);
-                kernel.run_until(next).unwrap();
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_distributed_alias(c: &mut Criterion) {
-    let mut group = c.benchmark_group("smp-scaling");
-    for &cpus in &CPUS {
-        let mut policy = DistributedLottery::new(1, cpus);
-        policy.set_structure(SelectStructure::Alias);
-        let shared = policy
-            .create_currency("load", 100 * THREADS as u64)
-            .unwrap();
-        let mut kernel = SmpKernel::new(policy, cpus);
-        for i in 0..THREADS {
-            kernel.spawn(format!("t{i}"), workload(), FundingSpec::new(shared, 100));
-        }
-        group.throughput(Throughput::Elements(20 * cpus as u64));
-        group.bench_with_input(
-            BenchmarkId::new("distributed-alias", cpus),
-            &cpus,
-            |b, _| {
-                b.iter(|| {
-                    let next = kernel.now() + SimDuration::from_secs(1);
-                    kernel.run_until(next).unwrap();
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_shared,
-    bench_distributed,
-    bench_distributed_alias
-);
+criterion_group!(benches, bench_smp_scaling);
 criterion_main!(benches);

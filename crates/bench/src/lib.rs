@@ -1,34 +1,26 @@
 //! # lottery-bench
 //!
-//! Shared builders for the Criterion benchmarks. The benches themselves
-//! live in `benches/`:
+//! Shared builders for the Criterion benchmarks. The benches live in
+//! `benches/` and price only what the reference benchmark's per-layer rows
+//! and the tests do not; each writes `BENCH_<name>.json` at the workspace
+//! root, and `tests/bench_schema.rs` asserts the sentence of DESIGN.md or
+//! EXPERIMENTS.md that quotes it as a same-run ratio:
 //!
-//! * `selection` — list vs move-to-front vs partial-sum tree draw cost as
-//!   the client count grows (Section 4.2's data-structure discussion).
-//! * `dispatch` — full scheduling-decision cost per policy (Section 5.6).
-//! * `currencies` — valuation cost vs currency-graph depth and fan-out.
-//! * `rng` — Park–Miller draw throughput (Appendix A's "10 RISC
-//!   instructions" claim, in relative terms).
-//! * `mutex` — lottery mutex handoff throughput vs a plain mutex.
+//! * `dispatch` — a whole kernel quantum per policy and per winner-search
+//!   structure, by ready-queue length and currency depth (Section 5.6).
+//! * `smp_scaling` — one shared tree against per-CPU shards at 1–8 CPUs.
+//! * `alias_scale` — tree against alias decisions at 10⁴–10⁶ clients.
+//! * `idle_scale` — mostly-idle populations under the event-driven core.
+//! * `currency_depth` — warm-cache, fresh and after-mutation valuation by
+//!   currency depth.
+//! * `replay` — recording a trace against replaying and diffing it.
+//! * `broker` — the broker's control step by tenant count.
+//! * `cluster` — the cluster coordinator's round by node count.
+//! * `mutex` — the lottery mutex handoff by waiter count, and the
+//!   real-thread lottery mutex against a plain one.
 
 use lottery_core::ledger::Ledger;
 use lottery_core::prelude::*;
-
-/// Builds a ledger with `clients` active clients funded directly from the
-/// base currency with `tickets` each.
-pub fn flat_ledger(clients: usize, tickets: u64) -> (Ledger, Vec<ClientId>) {
-    let mut ledger = Ledger::new();
-    let ids: Vec<ClientId> = (0..clients)
-        .map(|i| {
-            let c = ledger.create_client(format!("c{i}"));
-            let t = ledger.issue_root(ledger.base(), tickets).unwrap();
-            ledger.fund_client(t, c).unwrap();
-            ledger.activate_client(c).unwrap();
-            c
-        })
-        .collect();
-    (ledger, ids)
-}
 
 /// Builds a ledger whose clients sit below a chain of `depth` currencies
 /// (base ← c1 ← c2 ← ... ← c_depth ← clients).
@@ -57,15 +49,6 @@ pub fn deep_ledger(depth: usize, clients: usize) -> (Ledger, Vec<ClientId>) {
 mod tests {
     use super::*;
     use lottery_core::ledger::Valuator;
-
-    #[test]
-    fn flat_ledger_values() {
-        let (ledger, ids) = flat_ledger(4, 25);
-        let mut v = Valuator::new(&ledger);
-        for &c in &ids {
-            assert_eq!(v.client_value(c).unwrap(), 25.0);
-        }
-    }
 
     #[test]
     fn deep_ledger_conserves_value() {

@@ -8,15 +8,19 @@
 # with the BENCH_<name>.json of HEAD: prints old, new and new/old per id and
 # exits 1 if any id moved by more than the tolerance in either direction or
 # is present on one side only — a committed summary the code no longer
-# reproduces is stale either way. The fresh summary is left in the working
-# tree: commit it to refresh, `git checkout BENCH_<name>.json` to discard.
+# reproduces is stale either way. Then it runs tests/bench_schema.rs on the
+# fresh summary and exits 1 if that fails: each summary's test asserts the
+# sentence of DESIGN.md or EXPERIMENTS.md that quotes it as a same-run
+# ratio, which a re-run can break inside the tolerance. The fresh summary
+# is left in the working tree: commit it to refresh,
+# `git checkout BENCH_<name>.json` to discard.
 # Host-speed dependent (the sandbox drifts ~2x between phases), so this is
 # not part of verify.sh; a failure on a quiet host is the signal.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ "$#" -lt 1 ]; then
-  sed -n '2,14p' "$0" >&2
+  sed -n '2,18p' "$0" >&2
   exit 2
 fi
 name=$1 tolerance=${2:-25}
@@ -33,6 +37,7 @@ old=$(git show "HEAD:$file" | medians) \
 cargo bench -q -p lottery-bench --bench "$name" >&2
 new=$(medians <"$file")
 
+status=0
 awk -v tolerance="$tolerance" '
   NR == FNR { old[$1] = $2; order[++n] = $1; next }
   { new[$1] = $2; if (!($1 in old)) order[++n] = $1 }
@@ -53,5 +58,8 @@ awk -v tolerance="$tolerance" '
     exit bad
   }
 ' <(echo "$old") <(echo "$new") \
-  || { echo "bench: $file is stale beyond ${tolerance}% (or ids differ)" >&2; exit 1; }
-echo "bench: $file reproduced within ${tolerance}%"
+  && echo "bench: $file reproduced within ${tolerance}%" \
+  || { echo "bench: $file is stale beyond ${tolerance}% (or ids differ)" >&2; status=1; }
+cargo test -q --test bench_schema >&2 \
+  || { echo "bench: $file no longer backs the sentence its bench_schema test names" >&2; status=1; }
+exit "$status"

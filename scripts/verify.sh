@@ -44,6 +44,19 @@ if [ "$helps" -ne 1 ]; then
   echo "verify: expected one Prometheus HELP writer, found $helps" >&2; exit 1
 fi
 
+# One bench, one summary, one claim: the `[[bench]]` targets of
+# crates/bench, the BENCH_*.json files at the root and the summaries
+# tests/bench_schema.rs opens are one set, so a bench whose summary backs
+# no sentence, or a summary no bench rewrites, fails verify.
+benches=$(sed -n '/^\[\[bench\]\]/{n;s/^name = "\(.*\)"$/\1/p;}' crates/bench/Cargo.toml | sort)
+summaries=$(ls BENCH_*.json | sed 's/^BENCH_\(.*\)\.json$/\1/' | sort)
+asserted=$(grep -o 'summary("[a-z_]*")' tests/bench_schema.rs | sed 's/^summary("\(.*\)")$/\1/' | sort -u)
+if [ "$benches" != "$summaries" ] || [ "$benches" != "$asserted" ]; then
+  printf 'benches:   %s\nsummaries: %s\nasserted:  %s\n' \
+    "$(echo $benches)" "$(echo $summaries)" "$(echo $asserted)" >&2
+  echo "verify: bench targets, BENCH_*.json files and bench_schema.rs summaries differ" >&2; exit 1
+fi
+
 # Golden gate: the transcript of the paper's figures and tables,
 # reproduced (`experiments all`), must match the committed one byte for
 # byte. It prints results, not verdicts: every check of a claim is a test

@@ -84,11 +84,11 @@ fn all_policies_are_work_conserving() {
         }),
     ];
     for (name, (total, job_done, io_cpu)) in cases {
-        // `run_until` completes the in-flight quantum, so the total may
-        // overshoot the deadline by at most one quantum.
-        assert!(
-            (60_000_000..=60_100_000).contains(&total),
-            "{name}: hogs must absorb all CPU (work conservation), got {total}"
+        // `run_until` stops at the deadline exactly, so the four threads
+        // share all 60 s of CPU and not a microsecond more.
+        assert_eq!(
+            total, 60_000_000,
+            "{name}: hogs must absorb all CPU (work conservation)"
         );
         assert!(job_done, "{name}: the 2 s finite job must finish in 60 s");
         assert!(
