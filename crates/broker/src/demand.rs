@@ -157,7 +157,11 @@ mod tests {
     fn non_resource_events_are_ignored() {
         let mut tap = DemandTap::new();
         tap.record(&ev(EventKind::Wake { thread: 3 }));
-        tap.record(&ev(EventKind::LedgerOp { op: "fund-client" }));
+        tap.record(&ev(EventKind::WeightChange {
+            client: 1,
+            tickets: 100,
+            origin: "spawn",
+        }));
         assert!(tap.drain().is_empty());
         assert_eq!(tap.unbound(), 0);
     }

@@ -31,7 +31,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use lottery_obs::{Counter, EventKind, ProbeBus};
+use lottery_obs::{Counter, ProbeBus};
 
 use crate::arena::{Arena, SideTable};
 use crate::client::{Client, ClientId};
@@ -52,8 +52,8 @@ pub struct Ledger {
     /// Work stack of the activation walk, kept between walks so a
     /// block/wake pair allocates nothing.
     activation_work: Vec<TicketId>,
-    /// Probe bus for cache/mutation observability (disabled by default:
-    /// emitting through a disabled bus is a single branch).
+    /// Probe bus for cache/mutation counters (disabled by default: a count
+    /// through a disabled bus is a single branch).
     bus: ProbeBus,
 }
 
@@ -594,9 +594,10 @@ impl Ledger {
         }
     }
 
-    /// Attaches a probe bus; subsequent mutations emit structured events
-    /// through it and valuation-cache lookups bump its counters. The
-    /// default bus is disabled and costs one branch per probe site.
+    /// Attaches a probe bus; subsequent mutations, cache invalidations and
+    /// valuation-cache lookups bump its counters (the ledger emits no
+    /// events). The default bus is disabled and costs one branch per probe
+    /// site.
     pub fn set_probe_bus(&mut self, bus: ProbeBus) {
         self.bus = bus;
     }
@@ -669,9 +670,7 @@ impl Ledger {
         name: impl Into<String>,
         policy: IssuePolicy,
     ) -> Result<CurrencyId> {
-        self.bus.emit(|| EventKind::LedgerOp {
-            op: "create-currency",
-        });
+        self.bus.count(Counter::CreateCurrency);
         Ok(self.currencies.insert(Currency::new(name, policy)))
     }
 
@@ -708,9 +707,7 @@ impl Ledger {
         // An empty currency backs nothing, so removing its (necessarily
         // zero) cached value cannot strand dependents.
         self.cache.get_mut().currencies.remove(id);
-        self.bus.emit(|| EventKind::LedgerOp {
-            op: "destroy-currency",
-        });
+        self.bus.count(Counter::DestroyCurrency);
         Ok(())
     }
 
@@ -720,9 +717,7 @@ impl Ledger {
 
     /// Creates an inactive client with no funding.
     pub fn create_client(&mut self, name: impl Into<String>) -> ClientId {
-        self.bus.emit(|| EventKind::LedgerOp {
-            op: "create-client",
-        });
+        self.bus.count(Counter::CreateClient);
         self.clients.insert(Client::new(name))
     }
 
@@ -740,9 +735,7 @@ impl Ledger {
         cache.clients.remove(&id);
         cache.dirty.forget(id);
         cache.comp.forget(id);
-        self.bus.emit(|| EventKind::LedgerOp {
-            op: "destroy-client",
-        });
+        self.bus.count(Counter::DestroyClient);
         Ok(())
     }
 
@@ -786,7 +779,7 @@ impl Ledger {
             .get_mut(currency)
             .expect("checked above")
             .add_issued(id, amount);
-        self.bus.emit(|| EventKind::LedgerOp { op: "issue" });
+        self.bus.count(Counter::Issue);
         Ok(id)
     }
 
@@ -803,9 +796,7 @@ impl Ledger {
         if let Some(cur) = self.currencies.get_mut(ticket.currency()) {
             cur.remove_issued(id, ticket.amount());
         }
-        self.bus.emit(|| EventKind::LedgerOp {
-            op: "destroy-ticket",
-        });
+        self.bus.count(Counter::DestroyTicket);
         Ok(())
     }
 
@@ -844,7 +835,7 @@ impl Ledger {
             // sibling's share) and the ticket's own face value changed.
             self.mark_ticket_change(currency, target);
         }
-        self.bus.emit(|| EventKind::LedgerOp { op: "set-amount" });
+        self.bus.count(Counter::SetAmount);
         Ok(())
     }
 
@@ -933,7 +924,7 @@ impl Ledger {
         if self.client(client)?.is_active() {
             self.activate_ticket(ticket);
         }
-        self.bus.emit(|| EventKind::LedgerOp { op: "fund-client" });
+        self.bus.count(Counter::FundClient);
         Ok(())
     }
 
@@ -966,9 +957,7 @@ impl Ledger {
         if self.currency(currency)?.is_active() {
             self.activate_ticket(ticket);
         }
-        self.bus.emit(|| EventKind::LedgerOp {
-            op: "fund-currency",
-        });
+        self.bus.count(Counter::FundCurrency);
         Ok(())
     }
 
@@ -994,7 +983,7 @@ impl Ledger {
             .get_mut(ticket)
             .expect("checked above")
             .set_target(FundingTarget::Unfunded);
-        self.bus.emit(|| EventKind::LedgerOp { op: "unfund" });
+        self.bus.count(Counter::Unfund);
         Ok(())
     }
 
@@ -1042,9 +1031,7 @@ impl Ledger {
             .extend(client.funding().iter().rev().copied());
         self.propagate_activation(true);
         self.cache.get_mut().comp.set_resting(id, false);
-        self.bus.emit(|| EventKind::LedgerOp {
-            op: "activate-client",
-        });
+        self.bus.count(Counter::ActivateClient);
         Ok(())
     }
 
@@ -1063,9 +1050,7 @@ impl Ledger {
             .extend(client.funding().iter().rev().copied());
         self.propagate_activation(false);
         self.cache.get_mut().comp.set_resting(id, true);
-        self.bus.emit(|| EventKind::LedgerOp {
-            op: "deactivate-client",
-        });
+        self.bus.count(Counter::DeactivateClient);
         Ok(())
     }
 
@@ -1176,16 +1161,10 @@ impl Ledger {
         }
         let removed = mark_client(self.cache.get_mut(), id);
         if removed {
-            let dirty_depth = self.cache.get_mut().dirty.len() as u32;
-            self.bus.emit(|| EventKind::CacheInvalidate {
-                currencies: 0,
-                clients: 1,
-                dirty_depth,
-            });
+            let dirty_depth = self.cache.get_mut().dirty.len();
+            self.note_invalidation(0, 1, dirty_depth);
         }
-        self.bus.emit(|| EventKind::LedgerOp {
-            op: "set-compensation",
-        });
+        self.bus.count(Counter::SetCompensation);
         Ok(())
     }
 
@@ -1262,12 +1241,21 @@ impl Ledger {
             FundingTarget::Unfunded => {}
         }
         if currencies > 0 || clients > 0 {
-            let dirty_depth = cache.dirty.len() as u32;
-            self.bus.emit(|| EventKind::CacheInvalidate {
-                currencies,
-                clients,
-                dirty_depth,
-            });
+            let dirty_depth = cache.dirty.len();
+            self.note_invalidation(currencies, clients, dirty_depth);
+        }
+    }
+
+    /// Counts one invalidation on the probe bus: the cached entries it
+    /// removed and the dirty-queue depth it left.
+    fn note_invalidation(&self, currencies: u32, clients: u32, dirty_depth: usize) {
+        if self.bus.is_enabled() {
+            self.bus.count(Counter::Invalidations);
+            self.bus
+                .add(Counter::InvalidatedCurrencies, u64::from(currencies));
+            self.bus
+                .add(Counter::InvalidatedClients, u64::from(clients));
+            self.bus.add(Counter::DirtyDepth, dirty_depth as u64);
         }
     }
 
@@ -1308,10 +1296,6 @@ impl Ledger {
     /// scratch `Vec` pays no allocation per dispatch.
     pub fn drain_dirty_clients_into(&mut self, out: &mut Vec<ClientId>) {
         self.cache.get_mut().dirty.drain_all_into(out);
-        if !out.is_empty() {
-            let count = out.len() as u32;
-            self.bus.emit(|| EventKind::DirtyDrain { drained: count });
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1366,10 +1350,6 @@ impl Ledger {
     /// queue untouched; allocation-free on the per-CPU draw path.
     pub fn drain_dirty_shard_into(&mut self, shard: u32, out: &mut Vec<ClientId>) {
         self.cache.get_mut().dirty.drain_shard_into(shard, out);
-        if !out.is_empty() {
-            let count = out.len() as u32;
-            self.bus.emit(|| EventKind::DirtyDrain { drained: count });
-        }
     }
 
     /// Number of currently valid cached currency entries, counted over the

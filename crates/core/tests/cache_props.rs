@@ -193,8 +193,10 @@ impl World {
     }
 
     /// The four lookup counts, indexed by `Counter as usize`.
-    fn lookups(&self) -> [u64; Counter::COUNT] {
-        self.stats.with(|a| a.cache_lookups)
+    fn lookups(&self) -> [u64; 4] {
+        use Counter::{ClientHit, ClientMiss, CurrencyHit, CurrencyMiss};
+        self.stats
+            .with(|a| [ClientHit, ClientMiss, CurrencyHit, CurrencyMiss].map(|c| a.count(c)))
     }
 
     fn funded(&self, cl: ClientId) -> f64 {

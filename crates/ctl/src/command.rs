@@ -278,7 +278,7 @@ commands (Section 4.7 of the paper):
   dot                              render the ledger as Graphviz
   stat                             probe-counter snapshot (Prometheus text)
   trace on|off                     toggle the session flight recorder
-  dump                             flight-recorder events as JSONL
+  dump                             flight-recorder events as JSONL (ledger ops: stat)
   replay <file> [--json]           re-run a capture (or capture a trace file), diff the streams
   shards [<n>|--json]              partition processes across n dirty shards / report
   structure [list|tree|alias] [--json]  switch the winner-search structure / report rebuild stats

@@ -1216,19 +1216,24 @@ mod tests {
         // Nothing is retained before tracing is enabled.
         assert_eq!(eval(&mut s, "dump"), "");
         assert!(eval(&mut s, "trace on").contains("tracing on"));
+        // Ledger verbs are counted (`stat`), not traced: the ring keeps
+        // the structure switch alone.
         eval(&mut s, "mktkt a 100 base");
         eval(&mut s, "fund a alice");
+        eval(&mut s, "structure tree");
         let dump = eval(&mut s, "dump");
-        assert!(!dump.is_empty());
-        for line in dump.lines() {
-            let v = lottery_obs::json::parse(line).expect("dump line parses");
-            assert!(v.get("kind").is_some(), "{line}");
-        }
-        assert!(dump.contains("\"issue\""), "{dump}");
+        assert_eq!(dump.lines().count(), 1, "{dump}");
+        let v = lottery_obs::json::parse(dump.trim_end()).expect("dump line parses");
+        assert_eq!(
+            v.get("kind").and_then(|k| k.as_str()),
+            Some("structure-rebuild"),
+            "{dump}"
+        );
+        assert!(eval(&mut s, "stat").contains("lottery_ledger_ops_total{op=\"issue\"} 1"));
         // `trace off` stops feeding the ring; the retained events remain.
         assert_eq!(eval(&mut s, "trace off"), "tracing off");
         let before = eval(&mut s, "dump");
-        eval(&mut s, "mkcur bob");
+        eval(&mut s, "structure alias");
         assert_eq!(eval(&mut s, "dump"), before);
     }
 

@@ -1,16 +1,18 @@
 //! Counter/histogram aggregation and the Prometheus-style snapshot.
 //!
-//! Events are folded as they arrive; the bus's counter tier (the
-//! valuation-cache lookups) is scraped from the bus's [`Counters`] block
-//! whenever a reader looks through [`crate::Shared::with`], and reads as
-//! "since this aggregator was attached".
+//! Events are folded as they arrive; the bus's counter tier (cache
+//! lookups, ledger operations, invalidations, revocations) is scraped from
+//! the bus's [`Counters`] block whenever a reader looks through
+//! [`crate::Shared::with`], and reads as "since this aggregator was
+//! attached".
 //!
 //! Each metric is one row of the `metrics!` table: its Prometheus kind,
 //! name, labels and help text, and the field that holds it (the help text
 //! is also the field's doc). [`Aggregator`], its constructor and all of
 //! [`Aggregator::prometheus_text`] are generated from the table, so the
-//! fold in [`Recorder::record`] is the only other place a metric is named,
-//! and nothing is folded that the exposition does not show.
+//! folds in [`Recorder::record`] (events) and [`Recorder::refresh`]
+//! (counters) are the only other places a metric is named, and nothing is
+//! folded that the exposition does not show.
 
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
@@ -48,6 +50,8 @@ macro_rules! metrics {
                 $(#[$doc])*
                 pub $field: $ty,
             )?)*
+            /// The counter tier since attach, indexed by `Counter as usize`.
+            counts: [u64; Counter::COUNT],
             /// The counter block of the bus attached to last, and what to take off
             /// its totals so counts start at attach and survive a re-attach.
             counters: Option<(Arc<Counters>, [u64; Counter::COUNT])>,
@@ -58,6 +62,7 @@ macro_rules! metrics {
             pub fn new() -> Self {
                 Self {
                     $($($field: $init,)?)*
+                    counts: [0; Counter::COUNT],
                     counters: None,
                 }
             }
@@ -102,8 +107,6 @@ metrics! {
     counter lottery_compensations_total "Compensation tickets granted.", compensations: u64 = 0;
     counter lottery_compensation_revocations_total "Compensation tickets revoked at dispatch.",
         compensation_revocations: u64 = 0;
-    counter lottery_shard_picks_total "Distributed-lottery picks resolved to a shard.",
-        shard_picks: u64 = 0;
     counter lottery_shard_steals_total "Picks that stole from a foreign shard.",
         shard_steals: u64 = 0;
     counter lottery_shard_migrations_total "Clients re-homed to another shard.",
@@ -122,35 +125,32 @@ metrics! {
         grant_moved_amount: u64 = 0;
     counter lottery_cluster_partition_heals_total "Partition/node-loss heals observed.",
         partition_heals: u64 = 0;
-    counter lottery_cache_lookups_total {kind, result} "Valuation-cache lookups by kind and result.",
-        /// Indexed by `Counter as usize`.
-        cache_lookups: [u64; Counter::COUNT] = [0; Counter::COUNT]
+    counter lottery_cache_lookups_total {kind, result} "Valuation-cache lookups by kind and result."
         => |a| BTreeMap::from([
-            (("client", "hit"), a.cache_lookups[Counter::ClientHit as usize]),
-            (("client", "miss"), a.cache_lookups[Counter::ClientMiss as usize]),
-            (("currency", "hit"), a.cache_lookups[Counter::CurrencyHit as usize]),
-            (("currency", "miss"), a.cache_lookups[Counter::CurrencyMiss as usize]),
+            (("client", "hit"), a.count(Counter::ClientHit)),
+            (("client", "miss"), a.count(Counter::ClientMiss)),
+            (("currency", "hit"), a.count(Counter::CurrencyHit)),
+            (("currency", "miss"), a.count(Counter::CurrencyMiss)),
         ]);
-    counter lottery_ledger_ops_total {op} "Ledger mutations by operation.",
-        ledger_ops: BTreeMap<&'static str, u64> = BTreeMap::new();
+    counter lottery_ledger_ops_total {op} "Ledger mutations by operation."
+        => |a| a.ledger_ops();
     counter lottery_resource_draws_total {resource} "Resource-level lottery draws by resource.",
         resource_draws: BTreeMap<&'static str, u64> = BTreeMap::new();
     counter lottery_resource_units_total {resource} "Work units completed by resource.",
         resource_units: BTreeMap<&'static str, u64> = BTreeMap::new();
-    gauge lottery_draw_entries_mean "Mean ready entries per draw.",
-        draw_entries: Summary = Summary::new();
     gauge lottery_draw_levels_mean "Mean search effort per draw (entries scanned or tree levels).",
         draw_levels: Summary = Summary::new();
-    gauge lottery_dispatch_wait_us_mean "Mean ready-queue wait before dispatch (us).",
-        dispatch_wait_us: Summary = Summary::new();
+    gauge lottery_dispatch_wait_us_mean "Mean ready-queue wait before dispatch (us)."
+        => |a| a.dispatch_wait_hist.summary().mean();
     gauge lottery_dispatch_wait_us_p99 "p99 ready-queue wait before dispatch (us).",
-        /// The distribution is kept over 0–1 s in 50 buckets.
+        /// The distribution is kept over 0–1 s in 50 buckets, beside the
+        /// exact mean.
         dispatch_wait_hist: Histogram = Histogram::new(0.0, 1_000_000.0, 50)
         => |a| a.dispatch_wait_hist.percentile(0.99).unwrap_or(0.0);
     gauge lottery_queue_depth_mean "Mean ready-queue depth after pick.",
         queue_depth: Summary = Summary::new();
-    gauge lottery_dirty_depth_mean "Mean dirty-queue depth after invalidation.",
-        dirty_depth: Summary = Summary::new();
+    gauge lottery_dirty_depth_mean "Mean dirty-queue depth after invalidation."
+        => |a| a.count(Counter::DirtyDepth) as f64 / a.count(Counter::Invalidations).max(1) as f64;
     gauge lottery_structure_rebuild_ns_mean "Mean wall-clock cost per structure rebuild (ns).",
         structure_rebuild_ns: Summary = Summary::new();
     gauge lottery_cache_hit_rate "Valuation-cache hit rate."
@@ -175,6 +175,20 @@ impl Default for Aggregator {
 }
 
 impl Aggregator {
+    /// A counter-tier total since attach.
+    pub fn count(&self, counter: Counter) -> u64 {
+        self.counts[counter as usize]
+    }
+
+    /// Ledger mutations since attach, by operation; operations that did
+    /// not happen are left out.
+    pub fn ledger_ops(&self) -> BTreeMap<&'static str, u64> {
+        (Counter::LEDGER_OPS.iter())
+            .map(|&(counter, op)| (op, self.count(counter)))
+            .filter(|&(_, n)| n > 0)
+            .collect()
+    }
+
     /// Cache hit rate in `[0, 1]`, or `None` before any lookup.
     pub fn cache_hit_rate(&self) -> Option<f64> {
         let total = self.cache_hits + self.cache_misses;
@@ -262,50 +276,36 @@ impl<K: Labels, V: Samples> Samples for BTreeMap<K, V> {
 impl Recorder for Aggregator {
     fn record(&mut self, event: &Event) {
         match event.kind {
-            EventKind::Dispatch {
+            EventKind::Decision {
                 wait_us,
                 queue_depth,
                 cpu,
+                drawn,
+                levels,
+                stolen,
                 ..
             } => {
                 self.dispatches += 1;
-                self.dispatch_wait_us.record(wait_us as f64);
                 self.dispatch_wait_hist.record(wait_us as f64);
                 self.queue_depth.record(queue_depth as f64);
                 let max = self.cpu_queue_depth_max.entry(cpu).or_insert(0);
                 *max = (*max).max(queue_depth);
+                if drawn {
+                    self.draws += 1;
+                    self.draw_levels.record(levels as f64);
+                }
+                self.shard_steals += u64::from(stolen);
             }
-            EventKind::LotteryDraw {
-                entries, levels, ..
-            } => {
-                self.draws += 1;
-                self.draw_entries.record(entries as f64);
-                self.draw_levels.record(levels as f64);
+            EventKind::QuantumEnd { factor, .. } => {
+                self.compensations += u64::from(factor > 1.0);
             }
-            EventKind::Compensation { .. } => self.compensations += 1,
-            EventKind::CompensationRevoked { .. } => self.compensation_revocations += 1,
             EventKind::ShardCompensation { shard, weight, .. } => {
                 self.shard_comp_weight.insert(shard, weight);
-            }
-            EventKind::LedgerOp { op } => *self.ledger_ops.entry(op).or_insert(0) += 1,
-            EventKind::CacheInvalidate {
-                currencies,
-                clients,
-                dirty_depth,
-            } => {
-                self.invalidated_currencies += currencies as u64;
-                self.invalidated_clients += clients as u64;
-                self.dirty_depth.record(dirty_depth as f64);
             }
             EventKind::StructureRebuild { rebuild_ns, .. } => {
                 self.structure_rebuilds += 1;
                 self.structure_rebuild_ns.record(rebuild_ns as f64);
             }
-            EventKind::ShardPick { stolen, .. } => {
-                self.shard_picks += 1;
-                self.shard_steals += u64::from(stolen);
-            }
-            EventKind::ShardSteal { .. } => {}
             EventKind::ShardMigrate { .. } => self.shard_migrations += 1,
             EventKind::ShardImbalance { .. } => self.shard_imbalances += 1,
             EventKind::ResourceGrant { .. } => {}
@@ -350,9 +350,7 @@ impl Recorder for Aggregator {
             EventKind::PartitionHeal { .. } => self.partition_heals += 1,
             EventKind::ThreadSpawn { .. }
             | EventKind::ThreadExit { .. }
-            | EventKind::DirtyDrain { .. }
             | EventKind::WeightChange { .. }
-            | EventKind::QuantumEnd { .. }
             | EventKind::Wake { .. }
             | EventKind::RpcDeliver { .. }
             | EventKind::RpcReply { .. } => {}
@@ -364,17 +362,19 @@ impl Recorder for Aggregator {
         // from them: `now - base` continues where the old bus stopped.
         self.refresh();
         let base = counters.snapshot();
-        let base = std::array::from_fn(|i| base[i].wrapping_sub(self.cache_lookups[i]));
+        let base = std::array::from_fn(|i| base[i].wrapping_sub(self.counts[i]));
         self.counters = Some((Arc::clone(counters), base));
     }
 
     fn refresh(&mut self) {
         if let Some((counters, base)) = &self.counters {
             let now = counters.snapshot();
-            self.cache_lookups = std::array::from_fn(|i| now[i].wrapping_sub(base[i]));
-            let of = |c: Counter| self.cache_lookups[c as usize];
-            self.cache_hits = of(Counter::ClientHit) + of(Counter::CurrencyHit);
-            self.cache_misses = of(Counter::ClientMiss) + of(Counter::CurrencyMiss);
+            self.counts = std::array::from_fn(|i| now[i].wrapping_sub(base[i]));
+            self.cache_hits = self.count(Counter::ClientHit) + self.count(Counter::CurrencyHit);
+            self.cache_misses = self.count(Counter::ClientMiss) + self.count(Counter::CurrencyMiss);
+            self.invalidated_currencies = self.count(Counter::InvalidatedCurrencies);
+            self.invalidated_clients = self.count(Counter::InvalidatedClients);
+            self.compensation_revocations = self.count(Counter::CompensationRevoked);
         }
     }
 }
@@ -385,37 +385,30 @@ mod tests {
 
     #[test]
     fn folds_counters_and_snapshot_renders() {
-        let mut a = Aggregator::new();
+        use crate::{ProbeBus, Shared};
+
+        let bus = ProbeBus::enabled();
+        let stats = Shared::new(Aggregator::new());
+        bus.attach(stats.clone());
         let feed = [
-            EventKind::Dispatch {
+            EventKind::Decision {
                 thread: 0,
                 cpu: 0,
                 wait_us: 100,
                 queue_depth: 3,
-            },
-            EventKind::LotteryDraw {
-                structure: "list",
-                entries: 4,
+                drawn: true,
                 levels: 2,
                 total: 1000.0,
                 winning: 1.0,
-                winner: 0,
+                shard: 0,
+                stolen: false,
             },
-            EventKind::CacheInvalidate {
-                currencies: 2,
-                clients: 1,
-                dirty_depth: 1,
-            },
-            EventKind::LedgerOp { op: "fund-client" },
-            EventKind::LedgerOp { op: "fund-client" },
-            EventKind::Compensation {
+            EventKind::QuantumEnd {
                 thread: 0,
+                cpu: 0,
+                reason: "yielded",
+                used_us: 50_000,
                 factor: 2.0,
-                shard: 1,
-            },
-            EventKind::CompensationRevoked {
-                thread: 0,
-                shard: 1,
             },
             EventKind::ShardCompensation {
                 shard: 1,
@@ -471,13 +464,25 @@ mod tests {
             },
         ];
         for kind in feed {
-            a.record(&Event { time_us: 0, kind });
+            bus.emit(|| kind);
         }
+        let counts = [
+            (Counter::Invalidations, 1),
+            (Counter::InvalidatedCurrencies, 2),
+            (Counter::InvalidatedClients, 1),
+            (Counter::DirtyDepth, 1),
+            (Counter::FundClient, 2),
+            (Counter::CompensationRevoked, 1),
+        ];
+        for (counter, n) in counts {
+            bus.add(counter, n);
+        }
+        let a = stats.with(std::mem::take);
         assert_eq!(a.dispatches, 1);
         assert_eq!(a.draws, 1);
         assert_eq!(a.cache_hit_rate(), None);
         assert_eq!(a.invalidated_currencies, 2);
-        assert_eq!(a.ledger_ops.get("fund-client"), Some(&2));
+        assert_eq!(a.ledger_ops().get("fund-client"), Some(&2));
         let text = a.prometheus_text();
         assert!(text.contains("lottery_draws_total 1"));
         assert!(text.contains("lottery_ledger_ops_total{op=\"fund-client\"} 2"));
@@ -529,8 +534,11 @@ mod tests {
                 bus.count(counter);
             }
         }
-        let read =
-            |s: &Shared<Aggregator>| s.with(|a| (a.cache_hits, a.cache_misses, a.cache_lookups));
+        let lookups = |a: &Aggregator| {
+            use Counter::{ClientHit, ClientMiss, CurrencyHit, CurrencyMiss};
+            [ClientHit, ClientMiss, CurrencyHit, CurrencyMiss].map(|c| a.count(c))
+        };
+        let read = |s: &Shared<Aggregator>| s.with(|a| (a.cache_hits, a.cache_misses, lookups(a)));
         assert_eq!(read(&a), (5, 5, [3, 1, 2, 4]));
         assert_eq!(read(&a), read(&b));
         let text = a.with(|a| a.prometheus_text());
@@ -550,8 +558,8 @@ mod tests {
         assert_eq!(read(&b), (6, 5, [4, 1, 2, 4]));
     }
 
-    /// An aggregator fed a fixed stream that gives every metric family at
-    /// least one non-zero sample, cache counters included.
+    /// An aggregator fed a fixed stream and counts that give every metric
+    /// family at least one non-zero sample.
     fn reaching_every_row() -> String {
         use crate::{ProbeBus, Shared};
 
@@ -559,61 +567,47 @@ mod tests {
         let a = Shared::new(Aggregator::new());
         bus.attach(a.clone());
         let feed = [
-            EventKind::Dispatch {
+            EventKind::Decision {
                 thread: 0,
                 cpu: 0,
                 wait_us: 100,
                 queue_depth: 3,
+                drawn: true,
+                levels: 3,
+                total: 1000.0,
+                winning: 1.0,
+                shard: 1,
+                stolen: true,
             },
-            EventKind::Dispatch {
+            EventKind::Decision {
                 thread: 1,
                 cpu: 2,
                 wait_us: 250,
                 queue_depth: 6,
+                drawn: false,
+                levels: 0,
+                total: 0.0,
+                winning: 0.0,
+                shard: 0,
+                stolen: false,
             },
-            EventKind::LotteryDraw {
-                structure: "tree",
-                entries: 7,
-                levels: 3,
-                total: 1000.0,
-                winning: 1.0,
-                winner: 0,
+            EventKind::QuantumEnd {
+                thread: 0,
+                cpu: 0,
+                reason: "blocked",
+                used_us: 50_000,
+                factor: 2.0,
             },
-            EventKind::CacheInvalidate {
-                currencies: 2,
-                clients: 1,
-                dirty_depth: 5,
-            },
-            EventKind::DirtyDrain { drained: 5 },
             EventKind::StructureRebuild {
                 structure: "alias",
                 clients: 1000,
                 stale: 130,
                 rebuild_ns: 4500,
             },
-            EventKind::Compensation {
-                thread: 0,
-                factor: 2.0,
-                shard: 1,
-            },
-            EventKind::CompensationRevoked {
-                thread: 0,
-                shard: 1,
-            },
             EventKind::ShardCompensation {
                 shard: 1,
                 weight: 250.5,
                 total: 1250.0,
-            },
-            EventKind::ShardPick {
-                cpu: 0,
-                shard: 1,
-                stolen: false,
-            },
-            EventKind::ShardPick {
-                cpu: 1,
-                shard: 0,
-                stolen: true,
             },
             EventKind::ShardMigrate {
                 thread: 1,
@@ -624,9 +618,6 @@ mod tests {
                 max_total: 900.0,
                 mean_total: 600.0,
             },
-            EventKind::LedgerOp { op: "fund-client" },
-            EventKind::LedgerOp { op: "fund-client" },
-            EventKind::LedgerOp { op: "move-ticket" },
             EventKind::ResourceDraw {
                 resource: "disk",
                 client: 0,
@@ -689,11 +680,16 @@ mod tests {
             (Counter::ClientMiss, 1),
             (Counter::CurrencyHit, 2),
             (Counter::CurrencyMiss, 3),
+            (Counter::FundClient, 2),
+            (Counter::Issue, 1),
+            (Counter::Invalidations, 1),
+            (Counter::InvalidatedCurrencies, 2),
+            (Counter::InvalidatedClients, 1),
+            (Counter::DirtyDepth, 5),
+            (Counter::CompensationRevoked, 1),
         ];
         for (counter, n) in counts {
-            for _ in 0..n {
-                bus.count(counter);
-            }
+            bus.add(counter, n);
         }
         a.with(|a| a.prometheus_text())
     }

@@ -6,7 +6,7 @@
 //! JSONL wire format is one object per event:
 //!
 //! ```json
-//! {"t_us":100000,"kind":"dispatch","thread":2,"cpu":0,"wait_us":300000,"queue_depth":3}
+//! {"t_us":100000,"kind":"decision","thread":2,"cpu":0,"wait_us":300000,"queue_depth":3,"drawn":true,"levels":3,"total":700,"winning":431.25,"shard":0,"stolen":false}
 //! ```
 //!
 //! **The table below is the schema.** Each kind is stated once in the
@@ -37,27 +37,10 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Winner-search structure tags: the uniprocessor structures plus the
-/// distributed lottery's per-shard rebuild tags.
-const STRUCTURES: &[&str] = &["list", "tree", "alias", "shard", "shard-alias"];
+/// Winner-search structure tags.
+const STRUCTURES: &[&str] = &["list", "tree", "alias"];
 /// Quantum-end reasons (`EndReason::as_str` values).
 const END_REASONS: &[&str] = &["quantum-expired", "yielded", "blocked", "exited"];
-/// Ledger audit-log operation tags.
-const LEDGER_OPS: &[&str] = &[
-    "activate-client",
-    "create-client",
-    "create-currency",
-    "deactivate-client",
-    "destroy-client",
-    "destroy-currency",
-    "destroy-ticket",
-    "fund-client",
-    "fund-currency",
-    "issue",
-    "set-amount",
-    "set-compensation",
-    "unfund",
-];
 /// Resource tags shared by grants, draws, completions, and the broker.
 const RESOURCES: &[&str] = &["cpu", "disk", "mem", "net"];
 /// Weight-mutation origins.
@@ -145,9 +128,10 @@ event_schema! {
         /// Thread index.
         thread: u32,
     }
-    /// A thread was dispatched onto a CPU.
-    Dispatch = "dispatch" {
-        /// Thread index.
+    /// One dispatch decision: a CPU starts a thread's quantum and, when a
+    /// lottery chose the thread (Figure 1 / Section 4.2), the draw that did.
+    Decision = "decision" {
+        /// Thread index: the winner.
         thread: u32,
         /// CPU index (0 on the uniprocessor kernel).
         cpu: u32,
@@ -155,6 +139,22 @@ event_schema! {
         wait_us: u64,
         /// Ready-queue depth immediately after the pick.
         queue_depth: u32,
+        /// Whether a lottery chose the thread. A policy that holds none
+        /// (round-robin, stride, …) leaves the five draw fields zero.
+        drawn: bool,
+        /// Search effort: entries scanned (list), tree depth (tree), or
+        /// 1 + guide-cell steps or descent depth (alias).
+        levels: u32,
+        /// Total base-unit value in the pool.
+        total: f64,
+        /// The winning value drawn in `[0, total)`; `-1` when the pool was
+        /// worthless and the pick degenerated to FIFO (no number drawn).
+        winning: f64,
+        /// The shard the winner was drawn from (0 for a shared queue).
+        shard: u32,
+        /// Whether that shard was a foreign one, the CPU's own being empty
+        /// (the steal victim is `shard`).
+        stolen: bool,
     }
     /// A dispatch ended.
     QuantumEnd = "quantum-end" {
@@ -166,6 +166,10 @@ event_schema! {
         reason: &'static str = END_REASONS,
         /// CPU time consumed during the dispatch, in microseconds.
         used_us: u64,
+        /// The compensation factor `q/used` granted at this end (Section
+        /// 4.5), inflating the client until its next dispatch; 1 when none
+        /// was granted.
+        factor: f64,
     }
     /// A blocked thread became ready.
     Wake = "wake" {
@@ -186,40 +190,6 @@ event_schema! {
         /// The server thread that served it.
         server: u32,
     }
-    /// One lottery was held (Figure 1 / Section 4.2).
-    LotteryDraw = "lottery-draw" {
-        /// `"list"` or `"tree"`.
-        structure: &'static str = STRUCTURES,
-        /// Ready entries participating.
-        entries: u32,
-        /// Search effort: entries scanned (list) or tree depth (tree).
-        levels: u32,
-        /// Total base-unit value in the pool.
-        total: f64,
-        /// The winning value drawn in `[0, total)`; `-1` when the pool was
-        /// worthless and the pick degenerated to FIFO (no number drawn).
-        winning: f64,
-        /// The winning thread index.
-        winner: u32,
-    }
-    /// A compensation ticket was granted (Section 4.5).
-    Compensation = "compensation" {
-        /// Thread index.
-        thread: u32,
-        /// The multiplicative factor `q/used` now inflating the client.
-        factor: f64,
-        /// The shard (CPU) the grant is attributed to — the client's home
-        /// shard at grant time, so traces can localize compensation churn.
-        shard: u32,
-    }
-    /// A compensation ticket was revoked (the client won its next lottery
-    /// and used a full quantum's worth of attention).
-    CompensationRevoked = "compensation-revoked" {
-        /// Thread index.
-        thread: u32,
-        /// The shard (CPU) that was carrying the compensated weight.
-        shard: u32,
-    }
     /// A per-shard compensation-weight sample (emitted when the
     /// distributed rebalancer compares effective shard totals).
     ShardCompensation = "shard-compensation" {
@@ -231,15 +201,10 @@ event_schema! {
         /// weight), in base units.
         total: f64,
     }
-    /// A ledger mutation (the audit log of Section 4.3 operations).
-    LedgerOp = "ledger-op" {
-        /// Operation tag, e.g. `"fund-client"`.
-        op: &'static str = LEDGER_OPS,
-    }
     /// A scheduler client's direct funding changed, with the mutation's
-    /// origin. [`EventKind::LedgerOp`] records *that* the ledger moved;
-    /// this records *who asked*, which is what an audit needs when a
-    /// tenant disputes their share — and what a replay needs to tell
+    /// origin. The ledger's operation counters record *that* the ledger
+    /// moved; this records *who asked*, which is what an audit needs when
+    /// a tenant disputes their share — and what a replay needs to tell
     /// scripted inflation apart from spawn-time funding.
     WeightChange = "weight-change" {
         /// Client index (the scheduler's arena slot).
@@ -250,20 +215,6 @@ event_schema! {
         /// Mutation origin: `"spawn"` (initial funding) or
         /// `"set-funding"` (a runtime inflation/deflation request).
         origin: &'static str = WEIGHT_ORIGINS,
-    }
-    /// A mutation invalidated part of the valuation cache.
-    CacheInvalidate = "cache-invalidate" {
-        /// Cached currency entries removed.
-        currencies: u32,
-        /// Cached client entries removed.
-        clients: u32,
-        /// Dirty-queue depth after the invalidation.
-        dirty_depth: u32,
-    }
-    /// The scheduler drained the dirty-client queue before a draw.
-    DirtyDrain = "dirty-drain" {
-        /// Clients drained.
-        drained: u32,
     }
     /// A winner-search structure was (re)built wholesale — the alias
     /// table snapshotting its prefix sums, or a tree/list repopulated by
@@ -277,24 +228,6 @@ event_schema! {
         stale: u32,
         /// Wall-clock rebuild cost in nanoseconds.
         rebuild_ns: u64,
-    }
-    /// A distributed lottery resolved a CPU's pick to a shard.
-    ShardPick = "shard-pick" {
-        /// CPU index that held the lottery.
-        cpu: u32,
-        /// Shard whose tree the winner was drawn from.
-        shard: u32,
-        /// Whether the pick stole from a foreign shard (local was empty).
-        stolen: bool,
-    }
-    /// A CPU with an empty local tree stole work from another shard.
-    ShardSteal = "shard-steal" {
-        /// The stealing CPU.
-        cpu: u32,
-        /// The shard stolen from (the heaviest at the time).
-        victim: u32,
-        /// The thread taken.
-        thread: u32,
     }
     /// A client was re-homed to another shard (rebalancing or explicit).
     ShardMigrate = "shard-migrate" {
@@ -326,7 +259,8 @@ event_schema! {
     }
     /// A resource-level lottery picked a client for one service slot.
     ResourceDraw = "resource-draw" {
-        /// `"disk"` or `"net"` (CPU draws keep [`EventKind::LotteryDraw`]).
+        /// `"disk"` or `"net"` (a CPU draw is part of its
+        /// [`EventKind::Decision`]).
         resource: &'static str = RESOURCES,
         /// The winning scheduler-local client index.
         client: u32,
@@ -610,17 +544,24 @@ mod tests {
         let kinds = vec![
             EventKind::ThreadSpawn { thread: 7 },
             EventKind::ThreadExit { thread: 7 },
-            EventKind::Dispatch {
+            EventKind::Decision {
                 thread: 2,
                 cpu: 1,
                 wait_us: 300,
                 queue_depth: 3,
+                drawn: true,
+                levels: 3,
+                total: 700.0,
+                winning: 431.2578125,
+                shard: 2,
+                stolen: true,
             },
             EventKind::QuantumEnd {
                 thread: 2,
                 cpu: 1,
                 reason: "blocked",
                 used_us: 25_000,
+                factor: 4.0,
             },
             EventKind::Wake { thread: 4 },
             EventKind::RpcDeliver {
@@ -631,55 +572,21 @@ mod tests {
                 client: 1,
                 server: 2,
             },
-            EventKind::LotteryDraw {
-                structure: "alias",
-                entries: 5,
-                levels: 3,
-                total: 700.0,
-                winning: 431.2578125,
-                winner: 4,
-            },
-            EventKind::Compensation {
-                thread: 3,
-                factor: 4.0,
-                shard: 1,
-            },
-            EventKind::CompensationRevoked {
-                thread: 3,
-                shard: 1,
-            },
             EventKind::ShardCompensation {
                 shard: 2,
                 weight: 300.5,
                 total: 1100.25,
             },
-            EventKind::LedgerOp { op: "fund-client" },
             EventKind::WeightChange {
                 client: 9,
                 tickets: 400,
                 origin: "set-funding",
             },
-            EventKind::CacheInvalidate {
-                currencies: 2,
-                clients: 5,
-                dirty_depth: 7,
-            },
-            EventKind::DirtyDrain { drained: 12 },
             EventKind::StructureRebuild {
                 structure: "alias",
                 clients: 1_000_000,
                 stale: 125_000,
                 rebuild_ns: 4_200_000,
-            },
-            EventKind::ShardPick {
-                cpu: 0,
-                shard: 2,
-                stolen: true,
-            },
-            EventKind::ShardSteal {
-                cpu: 0,
-                victim: 2,
-                thread: 11,
             },
             EventKind::ShardMigrate {
                 thread: 11,
@@ -741,37 +648,28 @@ mod tests {
             .collect()
     }
 
-    /// What `to_json` printed for each `one_of_each` sample before the
-    /// schema table existed (PR 17's hand-written serializer): the bytes
+    /// The line `to_json` prints for each `one_of_each` sample: the bytes
     /// on the wire are pinned, kind by kind.
     const WIRE_LINES: &[&str] = &[
         r#"{"t_us":100,"kind":"spawn","thread":7}"#,
         r#"{"t_us":200,"kind":"thread-exit","thread":7}"#,
-        r#"{"t_us":300,"kind":"dispatch","thread":2,"cpu":1,"wait_us":300,"queue_depth":3}"#,
-        r#"{"t_us":400,"kind":"quantum-end","thread":2,"cpu":1,"reason":"blocked","used_us":25000}"#,
+        r#"{"t_us":300,"kind":"decision","thread":2,"cpu":1,"wait_us":300,"queue_depth":3,"drawn":true,"levels":3,"total":700,"winning":431.2578125,"shard":2,"stolen":true}"#,
+        r#"{"t_us":400,"kind":"quantum-end","thread":2,"cpu":1,"reason":"blocked","used_us":25000,"factor":4}"#,
         r#"{"t_us":500,"kind":"wake","thread":4}"#,
         r#"{"t_us":600,"kind":"rpc-deliver","client":1,"server":2}"#,
         r#"{"t_us":700,"kind":"rpc-reply","client":1,"server":2}"#,
-        r#"{"t_us":800,"kind":"lottery-draw","structure":"alias","entries":5,"levels":3,"total":700,"winning":431.2578125,"winner":4}"#,
-        r#"{"t_us":900,"kind":"compensation","thread":3,"factor":4,"shard":1}"#,
-        r#"{"t_us":1000,"kind":"compensation-revoked","thread":3,"shard":1}"#,
-        r#"{"t_us":1100,"kind":"shard-compensation","shard":2,"weight":300.5,"total":1100.25}"#,
-        r#"{"t_us":1200,"kind":"ledger-op","op":"fund-client"}"#,
-        r#"{"t_us":1300,"kind":"weight-change","client":9,"tickets":400,"origin":"set-funding"}"#,
-        r#"{"t_us":1400,"kind":"cache-invalidate","currencies":2,"clients":5,"dirty_depth":7}"#,
-        r#"{"t_us":1500,"kind":"dirty-drain","drained":12}"#,
-        r#"{"t_us":1600,"kind":"structure-rebuild","structure":"alias","clients":1000000,"stale":125000,"rebuild_ns":4200000}"#,
-        r#"{"t_us":1700,"kind":"shard-pick","cpu":0,"shard":2,"stolen":true}"#,
-        r#"{"t_us":1800,"kind":"shard-steal","cpu":0,"victim":2,"thread":11}"#,
-        r#"{"t_us":1900,"kind":"shard-migrate","thread":11,"from_shard":2,"to_shard":0}"#,
-        r#"{"t_us":2000,"kind":"shard-imbalance","max_total":900.125,"mean_total":600}"#,
-        r#"{"t_us":2100,"kind":"resource-grant","resource":"disk","client":1,"tickets":500}"#,
-        r#"{"t_us":2200,"kind":"resource-draw","resource":"net","client":0,"entries":3,"total":750}"#,
-        r#"{"t_us":2300,"kind":"resource-complete","resource":"disk","client":1,"units":16,"wait":4200}"#,
-        r#"{"t_us":2400,"kind":"broker-funding","tenant":0,"resource":"mem","weight":333.25,"refunded":false}"#,
-        r#"{"t_us":2500,"kind":"node-report","node":3,"tenant":1,"backlog":1000000,"round":42}"#,
-        r#"{"t_us":2600,"kind":"grant-move","tenant":1,"from_node":3,"to_node":0,"amount":750}"#,
-        r#"{"t_us":2700,"kind":"partition-heal","node":3,"rounds":6,"dropped":18}"#,
+        r#"{"t_us":800,"kind":"shard-compensation","shard":2,"weight":300.5,"total":1100.25}"#,
+        r#"{"t_us":900,"kind":"weight-change","client":9,"tickets":400,"origin":"set-funding"}"#,
+        r#"{"t_us":1000,"kind":"structure-rebuild","structure":"alias","clients":1000000,"stale":125000,"rebuild_ns":4200000}"#,
+        r#"{"t_us":1100,"kind":"shard-migrate","thread":11,"from_shard":2,"to_shard":0}"#,
+        r#"{"t_us":1200,"kind":"shard-imbalance","max_total":900.125,"mean_total":600}"#,
+        r#"{"t_us":1300,"kind":"resource-grant","resource":"disk","client":1,"tickets":500}"#,
+        r#"{"t_us":1400,"kind":"resource-draw","resource":"net","client":0,"entries":3,"total":750}"#,
+        r#"{"t_us":1500,"kind":"resource-complete","resource":"disk","client":1,"units":16,"wait":4200}"#,
+        r#"{"t_us":1600,"kind":"broker-funding","tenant":0,"resource":"mem","weight":333.25,"refunded":false}"#,
+        r#"{"t_us":1700,"kind":"node-report","node":3,"tenant":1,"backlog":1000000,"round":42}"#,
+        r#"{"t_us":1800,"kind":"grant-move","tenant":1,"from_node":3,"to_node":0,"amount":750}"#,
+        r#"{"t_us":1900,"kind":"partition-heal","node":3,"rounds":6,"dropped":18}"#,
     ];
 
     /// Every kind in the schema table has a sample, every sample prints
@@ -842,11 +740,11 @@ mod tests {
         let bad_kind = json::parse(r#"{"t_us":1,"kind":"no-such-event"}"#).unwrap();
         assert!(Event::from_json(&bad_kind).is_err());
         let bad_tag = json::parse(
-            r#"{"t_us":1,"kind":"quantum-end","thread":0,"cpu":0,"reason":"meteor","used_us":1}"#,
+            r#"{"t_us":1,"kind":"quantum-end","thread":0,"cpu":0,"reason":"meteor","used_us":1,"factor":1}"#,
         )
         .unwrap();
         assert!(Event::from_json(&bad_tag).is_err());
-        let missing = json::parse(r#"{"t_us":1,"kind":"dispatch","thread":0,"cpu":0}"#).unwrap();
+        let missing = json::parse(r#"{"t_us":1,"kind":"decision","thread":0,"cpu":0}"#).unwrap();
         assert!(Event::from_json(&missing).is_err());
     }
 
@@ -854,13 +752,17 @@ mod tests {
     fn degenerate_draw_marks_winning_negative() {
         let e = Event {
             time_us: 0,
-            kind: EventKind::LotteryDraw {
-                structure: "list",
-                entries: 2,
+            kind: EventKind::Decision {
+                thread: 0,
+                cpu: 0,
+                wait_us: 0,
+                queue_depth: 1,
+                drawn: true,
                 levels: 1,
                 total: 0.0,
                 winning: -1.0,
-                winner: 0,
+                shard: 0,
+                stolen: false,
             },
         };
         let v = json::parse(&e.to_json()).unwrap();

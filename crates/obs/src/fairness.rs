@@ -4,9 +4,9 @@
 //! over fixed windows (Figure 4) and notes that lottery wins are binomially
 //! distributed: over `n` lotteries a client holding share `p` wins `np`
 //! times with standard deviation `sqrt(np(1-p))` (Section 3). The monitor
-//! applies both continuously: it consumes dispatch/draw events, compares
-//! each registered client's observed win and CPU shares against its
-//! entitled share, and raises an alarm when the win count's binomial
+//! applies both continuously: it consumes decision and quantum-end events,
+//! compares each registered client's observed win and CPU shares against
+//! its entitled share, and raises an alarm when the win count's binomial
 //! z-score leaves the expected band — a statistically calibrated "this
 //! scheduler is drifting" signal rather than an arbitrary threshold.
 
@@ -236,21 +236,22 @@ impl FairnessMonitor {
 impl Recorder for FairnessMonitor {
     fn record(&mut self, event: &Event) {
         match event.kind {
-            EventKind::Dispatch { thread, .. } => {
+            EventKind::Decision { thread, .. } => {
                 if let Some(obs) = self.clients.get_mut(&thread) {
                     obs.wins += 1;
                 }
             }
             EventKind::QuantumEnd {
-                thread, used_us, ..
+                thread,
+                used_us,
+                factor,
+                ..
             } => {
                 if let Some(obs) = self.clients.get_mut(&thread) {
                     obs.cpu_us += used_us;
-                }
-            }
-            EventKind::Compensation { thread, factor, .. } => {
-                if let Some(obs) = self.clients.get_mut(&thread) {
-                    obs.comp_factor = factor;
+                    if factor > 1.0 {
+                        obs.comp_factor = factor;
+                    }
                 }
             }
             _ => {}
@@ -266,11 +267,17 @@ mod tests {
         for _ in 0..wins {
             m.record(&Event {
                 time_us: 0,
-                kind: EventKind::Dispatch {
+                kind: EventKind::Decision {
                     thread,
                     cpu: 0,
                     wait_us: 0,
                     queue_depth: 0,
+                    drawn: true,
+                    levels: 1,
+                    total: 1.0,
+                    winning: 0.5,
+                    shard: 0,
+                    stolen: false,
                 },
             });
             m.record(&Event {
@@ -280,6 +287,7 @@ mod tests {
                     cpu: 0,
                     reason: "quantum-expired",
                     used_us: us_per_win,
+                    factor: 1.0,
                 },
             });
         }
@@ -323,20 +331,16 @@ mod tests {
         // factor: its win share legitimately runs at 4x its ticket share.
         m.record(&Event {
             time_us: 0,
-            kind: EventKind::Compensation {
+            kind: EventKind::QuantumEnd {
                 thread: 1,
+                cpu: 0,
+                reason: "blocked",
+                used_us: 0,
                 factor: 4.0,
-                shard: 0,
             },
         });
-        // Revocation at dispatch must not reset the recurring factor.
-        m.record(&Event {
-            time_us: 1,
-            kind: EventKind::CompensationRevoked {
-                thread: 1,
-                shard: 0,
-            },
-        });
+        // The ungranted quantum ends that follow (and the revocation at
+        // each dispatch) must not reset the recurring factor.
         feed(&mut m, 0, 2_000, 100);
         feed(&mut m, 1, 8_000, 25);
         let report = m.report();

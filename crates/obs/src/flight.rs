@@ -4,10 +4,11 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::event::{Event, EventKind};
+use crate::json;
 use crate::recorder::Recorder;
 use crate::replay::{ReplayHeader, ReplayLog};
 
-/// Chrome-trace process id carrying instant events (wakes, draws, RPC
+/// Chrome-trace process id carrying instant events (wakes, RPC
 /// endpoints). Instants get their own track: putting them on `pid: 0`
 /// would merge them onto CPU 0's slice track in Perfetto and misread as
 /// CPU-0 activity on any multiprocessor capture.
@@ -115,11 +116,11 @@ impl FlightRecorder {
     /// Serializes the retained events as a Chrome `trace_event` document
     /// (load it at `chrome://tracing` or in Perfetto).
     ///
-    /// Dispatch→quantum-end pairs become complete (`"X"`) slices on a
-    /// per-CPU track; wakes, draws, and RPC endpoints become instants on
-    /// the dedicated [`INSTANT_TRACK`]; dispatches still in flight when
-    /// the ring is dumped become open (`"B"`) slices so the tail of a
-    /// capture stays visible.
+    /// Decision→quantum-end pairs become complete (`"X"`) slices on a
+    /// per-CPU track, carrying the queue depth and, for a lottery's pick,
+    /// the draw; wakes and RPC endpoints become instants on the dedicated
+    /// [`INSTANT_TRACK`]; decisions still in flight when the ring is dumped
+    /// become open (`"B"`) slices so the tail of a capture stays visible.
     pub fn to_chrome_trace(&self) -> String {
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut first = true;
@@ -130,18 +131,30 @@ impl FlightRecorder {
             *first = false;
             out.push_str(&s);
         };
-        // In-flight dispatches: thread -> (start time, cpu, queue depth).
-        let mut running: HashMap<u32, (u64, u32, u32)> = HashMap::new();
+        // In-flight decisions: thread -> (start time, cpu, slice args).
+        let mut running: HashMap<u32, (u64, u32, String)> = HashMap::new();
         for event in self.events() {
             let t = event.time_us;
             match event.kind {
-                EventKind::Dispatch {
+                EventKind::Decision {
                     thread,
                     cpu,
                     queue_depth,
+                    drawn,
+                    total,
+                    winning,
                     ..
                 } => {
-                    running.insert(thread, (t, cpu, queue_depth));
+                    let mut args = format!("\"queue_depth\":{queue_depth}");
+                    if drawn {
+                        let _ = write!(
+                            args,
+                            ",\"total\":{},\"winning\":{}",
+                            json::number(total),
+                            json::number(winning)
+                        );
+                    }
+                    running.insert(thread, (t, cpu, args));
                 }
                 EventKind::QuantumEnd {
                     thread,
@@ -149,11 +162,14 @@ impl FlightRecorder {
                     reason,
                     ..
                 } => {
-                    let (start, start_cpu, depth) = running.remove(&thread).unwrap_or((t, cpu, 0));
+                    let (start, start_cpu, args) = running
+                        .remove(&thread)
+                        .unwrap_or_else(|| (t, cpu, String::new()));
                     let mut s = String::with_capacity(128);
+                    let sep = if args.is_empty() { "" } else { "," };
                     let _ = write!(
                         s,
-                        "{{\"name\":\"thread {thread}\",\"ph\":\"X\",\"ts\":{start},\"dur\":{},\"pid\":{start_cpu},\"tid\":{thread},\"args\":{{\"reason\":\"{reason}\",\"queue_depth\":{depth}}}}}",
+                        "{{\"name\":\"thread {thread}\",\"ph\":\"X\",\"ts\":{start},\"dur\":{},\"pid\":{start_cpu},\"tid\":{thread},\"args\":{{\"reason\":\"{reason}\"{sep}{args}}}}}",
                         t.saturating_sub(start)
                     );
                     push(s, &mut first);
@@ -162,16 +178,6 @@ impl FlightRecorder {
                     push(
                         format!(
                             "{{\"name\":\"wake\",\"ph\":\"i\",\"ts\":{t},\"pid\":{INSTANT_TRACK},\"tid\":{thread},\"s\":\"t\"}}"
-                        ),
-                        &mut first,
-                    );
-                }
-                EventKind::LotteryDraw {
-                    structure, winner, ..
-                } => {
-                    push(
-                        format!(
-                            "{{\"name\":\"draw:{structure}\",\"ph\":\"i\",\"ts\":{t},\"pid\":{INSTANT_TRACK},\"tid\":{winner},\"s\":\"t\"}}"
                         ),
                         &mut first,
                     );
@@ -195,16 +201,16 @@ impl FlightRecorder {
                 _ => {}
             }
         }
-        // Dispatches with no quantum-end in the ring are still on-CPU at
+        // Decisions with no quantum-end in the ring are still on-CPU at
         // dump time. Emit them as open ("B") slices at their start so
         // the capture's tail is visible instead of silently dropped;
         // sort for a deterministic document.
-        let mut open: Vec<(u32, (u64, u32, u32))> = running.into_iter().collect();
+        let mut open: Vec<(u32, (u64, u32, String))> = running.into_iter().collect();
         open.sort_unstable();
-        for (thread, (start, cpu, depth)) in open {
+        for (thread, (start, cpu, args)) in open {
             push(
                 format!(
-                    "{{\"name\":\"thread {thread}\",\"ph\":\"B\",\"ts\":{start},\"pid\":{cpu},\"tid\":{thread},\"args\":{{\"queue_depth\":{depth}}}}}"
+                    "{{\"name\":\"thread {thread}\",\"ph\":\"B\",\"ts\":{start},\"pid\":{cpu},\"tid\":{thread},\"args\":{{{args}}}}}"
                 ),
                 &mut first,
             );
@@ -242,10 +248,35 @@ impl Recorder for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn ev(time_us: u64, kind: EventKind) -> Event {
         Event { time_us, kind }
+    }
+
+    /// A lottery's decision to run `thread` on `cpu`.
+    fn decision(thread: u32, cpu: u32, queue_depth: u32) -> EventKind {
+        EventKind::Decision {
+            thread,
+            cpu,
+            wait_us: 0,
+            queue_depth,
+            drawn: true,
+            levels: 1,
+            total: 300.0,
+            winning: 10.5,
+            shard: cpu,
+            stolen: false,
+        }
+    }
+
+    fn quantum_end(thread: u32, cpu: u32, used_us: u64) -> EventKind {
+        EventKind::QuantumEnd {
+            thread,
+            cpu,
+            reason: "quantum-expired",
+            used_us,
+            factor: 1.0,
+        }
     }
 
     #[test]
@@ -307,16 +338,8 @@ mod tests {
     #[test]
     fn jsonl_is_one_parseable_object_per_line() {
         let mut f = FlightRecorder::new(8);
-        f.record(&ev(
-            10,
-            EventKind::Dispatch {
-                thread: 0,
-                cpu: 0,
-                wait_us: 5,
-                queue_depth: 1,
-            },
-        ));
-        f.record(&ev(20, EventKind::LedgerOp { op: "issue" }));
+        f.record(&ev(10, decision(0, 0, 1)));
+        f.record(&ev(20, EventKind::Wake { thread: 0 }));
         let jsonl = f.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -326,26 +349,10 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_pairs_dispatch_with_quantum_end() {
+    fn chrome_trace_pairs_decision_with_quantum_end() {
         let mut f = FlightRecorder::new(8);
-        f.record(&ev(
-            100,
-            EventKind::Dispatch {
-                thread: 3,
-                cpu: 1,
-                wait_us: 0,
-                queue_depth: 2,
-            },
-        ));
-        f.record(&ev(
-            400,
-            EventKind::QuantumEnd {
-                thread: 3,
-                cpu: 1,
-                reason: "quantum-expired",
-                used_us: 300,
-            },
-        ));
+        f.record(&ev(100, decision(3, 1, 2)));
+        f.record(&ev(400, quantum_end(3, 1, 300)));
         f.record(&ev(450, EventKind::Wake { thread: 5 }));
         let doc = f.to_chrome_trace();
         let v = json::parse(&doc).expect("chrome trace parses");
@@ -359,23 +366,25 @@ mod tests {
         assert_eq!(slice.get("ts").and_then(json::Value::as_f64), Some(100.0));
         assert_eq!(slice.get("dur").and_then(json::Value::as_f64), Some(300.0));
         assert_eq!(slice.get("pid").and_then(json::Value::as_f64), Some(1.0));
+        let args = slice.get("args").expect("slice args");
+        assert_eq!(
+            args.get("queue_depth").and_then(json::Value::as_f64),
+            Some(2.0)
+        );
+        assert_eq!(
+            args.get("winning").and_then(json::Value::as_f64),
+            Some(10.5)
+        );
+        assert_eq!(
+            args.get("reason").and_then(json::Value::as_str),
+            Some("quantum-expired")
+        );
     }
 
     #[test]
     fn instants_live_on_their_own_track() {
         let mut f = FlightRecorder::new(8);
         f.record(&ev(10, EventKind::Wake { thread: 5 }));
-        f.record(&ev(
-            20,
-            EventKind::LotteryDraw {
-                structure: "tree",
-                entries: 2,
-                levels: 1,
-                total: 300.0,
-                winning: 10.0,
-                winner: 1,
-            },
-        ));
         f.record(&ev(
             30,
             EventKind::RpcDeliver {
@@ -395,7 +404,7 @@ mod tests {
             .get("traceEvents")
             .and_then(json::Value::as_array)
             .unwrap();
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), 3);
         for e in events {
             assert_eq!(e.get("ph").and_then(json::Value::as_str), Some("i"));
             assert_eq!(
@@ -407,35 +416,11 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_dispatches_become_open_slices() {
+    fn in_flight_decisions_become_open_slices() {
         let mut f = FlightRecorder::new(8);
-        f.record(&ev(
-            100,
-            EventKind::Dispatch {
-                thread: 3,
-                cpu: 1,
-                wait_us: 0,
-                queue_depth: 2,
-            },
-        ));
-        f.record(&ev(
-            150,
-            EventKind::Dispatch {
-                thread: 4,
-                cpu: 0,
-                wait_us: 0,
-                queue_depth: 1,
-            },
-        ));
-        f.record(&ev(
-            400,
-            EventKind::QuantumEnd {
-                thread: 3,
-                cpu: 1,
-                reason: "quantum-expired",
-                used_us: 300,
-            },
-        ));
+        f.record(&ev(100, decision(3, 1, 2)));
+        f.record(&ev(150, decision(4, 0, 1)));
+        f.record(&ev(400, quantum_end(3, 1, 300)));
         // Thread 4 never ends its quantum inside the window.
         let v = json::parse(&f.to_chrome_trace()).unwrap();
         let events = v

@@ -52,7 +52,7 @@ pub mod recorder;
 pub mod replay;
 
 pub use aggregate::Aggregator;
-pub use bus::{Counter, Counters, ProbeBus};
+pub use bus::{Counter, Counters, DrawRecord, ProbeBus};
 pub use dominant::{DominantShareMonitor, DominantShareReport, ResourceShareRow, TenantShareRow};
 pub use event::{Event, EventKind};
 pub use fairness::{DriftRow, FairnessMonitor, FairnessReport};

@@ -42,7 +42,13 @@ use crate::event::{member, put_member, Event, EventKind, Get, Put};
 use crate::json::{self, Value};
 
 /// Replay log format version, written as the header's `replay` field.
-pub const REPLAY_VERSION: u64 = 1;
+///
+/// Version 2: each decision is one `decision` event (the dispatch and its
+/// draw), a compensation grant rides on its `quantum-end`, and ledger
+/// operations, cache invalidations and revocations are counters rather
+/// than events. Captures are deadline-exact: every `run_until` stops at
+/// its deadline.
+pub const REPLAY_VERSION: u64 = 2;
 
 /// Standalone trace corpus format version, written as the trace header's
 /// `trace` field.
@@ -280,7 +286,7 @@ impl ReplayLog {
     ///
     /// # Errors
     ///
-    /// The first line must be a version-1 replay header and every
+    /// The first line must be a [`REPLAY_VERSION`] replay header and every
     /// following non-empty line a parseable event record; anything else
     /// is reported with its line number.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
@@ -401,13 +407,17 @@ mod tests {
             },
             Event {
                 time_us: 100_000,
-                kind: EventKind::LotteryDraw {
-                    structure: "tree",
-                    entries: 2,
+                kind: EventKind::Decision {
+                    thread: 0,
+                    cpu: 1,
+                    wait_us: 100_000,
+                    queue_depth: 1,
+                    drawn: true,
                     levels: 1,
                     total: 400.0,
                     winning: 123.456,
-                    winner: 0,
+                    shard: 1,
+                    stolen: false,
                 },
             },
             Event {
@@ -515,7 +525,7 @@ mod tests {
     #[test]
     fn header_rejects_wrong_version() {
         let mut text = header().to_json();
-        text = text.replace("\"replay\":1", "\"replay\":99");
+        text = text.replace("\"replay\":2", "\"replay\":99");
         let v = json::parse(&text).unwrap();
         assert!(ReplayHeader::from_json(&v)
             .unwrap_err()
@@ -540,8 +550,8 @@ mod tests {
     fn mutated_event_is_reported_at_its_index() {
         let recorded = events();
         let mut replayed = events();
-        if let EventKind::LotteryDraw { winner, .. } = &mut replayed[1].kind {
-            *winner = 1;
+        if let EventKind::Decision { thread, .. } = &mut replayed[1].kind {
+            *thread = 1;
         }
         let d = first_divergence(&recorded, &replayed).expect("divergence found");
         assert_eq!(d.index, 1);

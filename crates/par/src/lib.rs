@@ -449,12 +449,12 @@ mod tests {
     }
 
     /// Fault injection: a recorder that brings its worker down at the
-    /// first dispatch it is shown.
+    /// first decision it is shown.
     struct PanicOnDispatch;
 
     impl lottery_obs::Recorder for PanicOnDispatch {
         fn record(&mut self, event: &lottery_obs::Event) {
-            if matches!(event.kind, EventKind::Dispatch { .. }) {
+            if matches!(event.kind, EventKind::Decision { .. }) {
                 panic!("injected worker fault");
             }
         }
@@ -519,21 +519,22 @@ mod tests {
             flight.recorder(lane as usize).with(|f| {
                 for event in f.events() {
                     match event.kind {
-                        EventKind::Dispatch { cpu, .. }
-                        | EventKind::QuantumEnd { cpu, .. }
-                        | EventKind::ShardPick { cpu, .. } => assert_eq!(cpu, lane, "{event:?}"),
+                        EventKind::Decision {
+                            cpu, shard, stolen, ..
+                        } => assert_eq!((cpu, shard, stolen), (lane, lane, false), "{event:?}"),
+                        EventKind::QuantumEnd { cpu, .. } => assert_eq!(cpu, lane, "{event:?}"),
                         _ => {}
                     }
                 }
             });
         }
         let text = flight.merged_jsonl();
-        assert_eq!(text.lines().count(), 2041);
+        assert_eq!(text.lines().count(), 787);
         // FNV-1a over the merged JSONL.
         let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(hash, 0x583f_929a_23ae_08e4);
+        assert_eq!(hash, 0xd71f_f94d_42ed_0f91);
     }
 
     #[test]

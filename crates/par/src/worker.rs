@@ -197,7 +197,7 @@ impl Policy for LockedShard {
     fn pick(&mut self, _now: SimTime) -> Option<ThreadId> {
         let (id, shard) = (self.id, &mut self.shard);
         self.core.refresh(id, shard);
-        (!shard.is_empty()).then(|| self.core.pick_from(id, id, shard, false))
+        (!shard.is_empty()).then(|| self.core.pick_from(id, shard, false))
     }
 
     fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason) {

@@ -48,29 +48,12 @@ fn case_strategy() -> impl Strategy<Value = SpawnCase> {
     })
 }
 
-/// The probes both sides emit: everything but the ledger's own audit
-/// events, which the shared ledger of a real-thread machine reports to no
-/// worker's lane.
-fn policy_probes<'a>(events: impl Iterator<Item = &'a Event>) -> Vec<Event> {
-    events
-        .filter(|e| {
-            !matches!(
-                e.kind,
-                EventKind::LedgerOp { .. }
-                    | EventKind::CacheInvalidate { .. }
-                    | EventKind::DirtyDrain { .. }
-            )
-        })
-        .cloned()
-        .collect()
-}
-
 /// The winner stream `(dispatch time µs, thread)` of a probe stream.
 fn winners(stream: &[Event]) -> Vec<(u64, u32)> {
     stream
         .iter()
         .filter_map(|e| match e.kind {
-            EventKind::Dispatch { thread, .. } => Some((e.time_us, thread)),
+            EventKind::Decision { thread, .. } => Some((e.time_us, thread)),
             _ => None,
         })
         .collect()
@@ -111,7 +94,9 @@ fn par_run(
         0,
         "flight capacity must hold the whole run"
     );
-    let stream = flight.recorder(0).with(|f| policy_probes(f.events()));
+    // The whole lane: the ledger reports only to the counter tier, which
+    // the shared ledger of a real-thread machine leaves to no worker.
+    let stream = flight.recorder(0).with(|f| f.events().cloned().collect());
     (report.workers[0].winners.clone(), stream)
 }
 
@@ -146,7 +131,7 @@ fn sim_stream(seed: u32, quantum: SimDuration, cases: &[SpawnCase], until: SimTi
     kernel.run_until(until).expect("supported bursts only");
     recorder.with(|r| {
         assert_eq!(r.dropped(), 0, "flight capacity must hold the whole run");
-        policy_probes(r.events())
+        r.events().cloned().collect()
     })
 }
 

@@ -40,16 +40,6 @@ impl<P: Policy> Kernel<P> {
         self.0.run_until(deadline).unwrap_or_else(fail);
     }
 
-    /// Runs until `deadline`, letting the quantum in flight complete (see
-    /// [`SmpKernel::run_until_completing`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a workload mistake ([`SmpError`]).
-    pub fn run_until_completing(&mut self, deadline: SimTime) {
-        self.0.run_until_completing(deadline).unwrap_or_else(fail);
-    }
-
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.0.now()
@@ -304,17 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_completing_keeps_overshoot_semantics() {
-        let mut k = rr_kernel(100);
-        let t = k.spawn("cpu", Box::new(ComputeBound), ());
-        // Compat: the historical boundary lets the in-flight quantum
-        // finish, overshooting 150 ms to the 200 ms quantum edge.
-        k.run_until_completing(SimTime::from_ms(150));
-        assert_eq!(k.now(), SimTime::from_ms(200));
-        assert_eq!(k.metrics().cpu_us(t), 200_000);
-    }
-
-    #[test]
     fn idle_is_exact_at_deadline() {
         let mut k = rr_kernel(100);
         let _t = k.spawn(
@@ -500,7 +479,7 @@ mod probe_tests {
         let dispatches = |thread| {
             kinds
                 .iter()
-                .filter(|e| matches!(e, EventKind::Dispatch { thread: t, .. } if *t == thread))
+                .filter(|e| matches!(e, EventKind::Decision { thread: t, .. } if *t == thread))
                 .count()
         };
         assert!(dispatches(client) >= 2, "once to call, once to resume");

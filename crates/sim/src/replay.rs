@@ -186,24 +186,17 @@ where
     }
     let mut kernel = SmpKernel::new(policy, cpus);
     kernel.set_probe_bus(bus);
-    // Jobs spawn as they arrive. The completing variant keeps the
-    // historical boundary semantics (in-flight quanta finish past an
-    // arrival), so captures recorded before the event rebase replay
-    // bit-exact.
+    // Jobs spawn as they arrive, at their arrival time exactly.
     for &(i, job) in &spawn_order(&header.spec) {
         let arrival = SimTime::from_us(job.arrival_us);
-        kernel
-            .run_until_completing(arrival)
-            .map_err(|e| e.to_string())?;
+        kernel.run_until(arrival).map_err(|e| e.to_string())?;
         let cur = currencies.get(job.tenant.as_str()).copied().unwrap_or(base);
         let funding = FundingSpec::new(cur, job.tickets.max(1));
         let script = Box::new(Scripted::once(job_script(job)));
         kernel.spawn(format!("job{i}"), script, funding);
     }
     let until = SimTime::from_us(header.until_us);
-    kernel
-        .run_until_completing(until)
-        .map_err(|e| e.to_string())
+    kernel.run_until(until).map_err(|e| e.to_string())
 }
 
 /// Captures a fresh window: runs `spec` under `config` and returns the
@@ -310,9 +303,7 @@ pub struct JobOutcome {
     pub job: usize,
     /// Thread id the job ran as.
     pub thread: u32,
-    /// The job's spec arrival time. The spawn itself may happen later —
-    /// `run_until_completing` lets in-flight quanta finish — and that delay is
-    /// queueing the response time must count.
+    /// The job's spec arrival time, when it is spawned.
     pub arrival_us: u64,
     /// Simulated time the job exited.
     pub exit_us: u64,

@@ -4,8 +4,8 @@
 //! [`lottery_core::compensation`]: [`super::lottery::LotteryPolicy`] and
 //! [`super::distributed::DistributedLottery`] delegate both the
 //! quantum-end charge side and the dispatch-time revoke side to it, so
-//! the Section 4.5 ablation drives every policy through one switch and the
-//! probe events carry the granting shard uniformly.
+//! the Section 4.5 ablation drives every policy through one switch and
+//! every policy reports grants and revocations the same way.
 //!
 //! Ordering matters on the charge side: the grant happens *before* a
 //! blocked client is deactivated, so the ledger's [`CompensationLedger`]
@@ -18,10 +18,9 @@
 use lottery_core::client::ClientId;
 use lottery_core::compensation;
 use lottery_core::ledger::Ledger;
-use lottery_obs::{EventKind, ProbeBus};
+use lottery_obs::{Counter, ProbeBus};
 
 use super::EndReason;
-use crate::thread::ThreadId;
 use crate::time::SimDuration;
 
 /// Grant/revoke policy for compensation tickets, shared by all schedulers.
@@ -54,8 +53,8 @@ impl CompensationHook {
     }
 
     /// Dispatch side: the winner starts its quantum, so any compensation
-    /// ticket it held is revoked (emitting [`EventKind::CompensationRevoked`]
-    /// against the shard that was carrying the weight).
+    /// ticket it held is revoked (counted as
+    /// [`Counter::CompensationRevoked`]).
     ///
     /// The client's tickets stay *active* while it runs — it is using
     /// them — which keeps mutex-handoff valuations live; they deactivate
@@ -64,17 +63,9 @@ impl CompensationHook {
     /// An uncompensated winner costs one lookup in the ledger's dense
     /// compensation book, which holds an entry exactly when the factor is
     /// above one; the client's own record is not touched.
-    pub fn on_dispatch(
-        &self,
-        ledger: &mut Ledger,
-        bus: &ProbeBus,
-        tid: ThreadId,
-        client: ClientId,
-    ) {
+    pub fn on_dispatch(&self, ledger: &mut Ledger, bus: &ProbeBus, client: ClientId) {
         if ledger.compensation_factor(client) > 1.0 {
-            let thread = tid.index();
-            let shard = ledger.dirty_shard_of(client);
-            bus.emit(|| EventKind::CompensationRevoked { thread, shard });
+            bus.count(Counter::CompensationRevoked);
             compensation::clear(ledger, client).expect("client liveness");
         }
     }
@@ -82,14 +73,13 @@ impl CompensationHook {
     /// Charge side: a thread that yielded or blocked with quantum
     /// remaining is granted a `q/used` compensation factor (while its
     /// funding is still active, so the compensated weight is captured),
-    /// then a blocked client's tickets are deactivated so shared-currency
-    /// values redistribute (Section 4.4).
-    #[allow(clippy::too_many_arguments)]
+    /// staged for the kernel's quantum-end probe; then a blocked client's
+    /// tickets are deactivated so shared-currency values redistribute
+    /// (Section 4.4).
     pub fn on_charge(
         &self,
         ledger: &mut Ledger,
         bus: &ProbeBus,
-        tid: ThreadId,
         client: ClientId,
         used: SimDuration,
         quantum: SimDuration,
@@ -101,14 +91,7 @@ impl CompensationHook {
         if grants {
             compensation::grant(ledger, client, used.as_us().max(1), quantum.as_us())
                 .expect("client liveness");
-            let thread = tid.index();
-            let factor = quantum.as_us() as f64 / used.as_us().max(1) as f64;
-            let shard = ledger.dirty_shard_of(client);
-            bus.emit(|| EventKind::Compensation {
-                thread,
-                factor,
-                shard,
-            });
+            bus.stage_grant(quantum.as_us() as f64 / used.as_us().max(1) as f64);
         }
         if why == EndReason::Blocked {
             ledger.deactivate_client(client).expect("client liveness");

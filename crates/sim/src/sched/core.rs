@@ -42,7 +42,7 @@ use lottery_obs::{EventKind, ProbeBus};
 
 use super::comp::CompensationHook;
 use super::lottery::{FundingSpec, SelectStructure};
-use super::shard::{Draw, Shard};
+use super::shard::Shard;
 use super::EndReason;
 use crate::thread::ThreadId;
 use crate::time::SimDuration;
@@ -409,9 +409,12 @@ impl<L: LedgerAccess> LotteryCore<L> {
         shard.rebuild(structure, |tid| value_in(threads, &ledger, tid), &self.bus);
     }
 
-    /// Holds one lottery over `shard` (which the caller found non-empty),
-    /// removes the winner, and reports the draw under `tag`.
-    pub(super) fn draw(&mut self, shard: &mut Shard, tag: &'static str) -> Draw {
+    /// A CPU's lottery on shard `shard_id` (which the caller settled and
+    /// found non-empty; `stolen` when it is not the CPU's own): the draw,
+    /// staged for the kernel's decision probe, and the winner's dispatch —
+    /// the shard's rebuild reports go out and the hook revokes the
+    /// winner's compensation ticket, if it holds one.
+    pub fn pick_from(&mut self, shard_id: u32, shard: &mut Shard, stolen: bool) -> ThreadId {
         self.lotteries += 1;
         // A list values every ready client via the incremental cache: a
         // warm read per client, plus revalidation of whatever the ledger
@@ -421,55 +424,18 @@ impl<L: LedgerAccess> LotteryCore<L> {
         let draw = shard
             .draw(&mut self.rng, |tid| value_in(threads, &ledger.lock(), tid))
             .expect("the shard is not empty");
-        self.bus.emit(|| draw.event(tag));
-        draw
-    }
-
-    /// CPU `cpu`'s lottery on shard `shard_id` (which the caller settled
-    /// and found non-empty): the draw, its `ShardPick` — and `ShardSteal`
-    /// when the shard is `stolen` from — and the winner's dispatch.
-    pub fn pick_from(
-        &mut self,
-        cpu: u32,
-        shard_id: u32,
-        shard: &mut Shard,
-        stolen: bool,
-    ) -> ThreadId {
-        let tag = if shard.structure() == SelectStructure::Alias {
-            "shard-alias"
-        } else {
-            "shard"
-        };
-        let tid = self.draw(shard, tag).winner;
-        self.bus.emit(|| EventKind::ShardPick {
-            cpu,
-            shard: shard_id,
-            stolen,
-        });
-        if stolen {
-            self.bus.emit(|| EventKind::ShardSteal {
-                cpu,
-                victim: shard_id,
-                thread: tid.index(),
-            });
-        }
-        self.dispatched(tid, shard);
-        tid
-    }
-
-    /// The winner of a draw on `shard` starts its quantum: forwards the
-    /// shard's rebuild reports, then revokes any compensation ticket
-    /// through the hook (which emits the revocation event).
-    pub(super) fn dispatched(&mut self, tid: ThreadId, shard: &mut Shard) {
+        self.bus.stage_draw(draw.record(shard_id, stolen));
         shard.emit_rebuilds(&self.bus);
-        let client = self.funding_info(tid).client;
+        let client = self.funding_info(draw.winner).client;
         self.comp
-            .on_dispatch(&mut self.ledger.lock(), &self.bus, tid, client);
+            .on_dispatch(&mut self.ledger.lock(), &self.bus, client);
+        draw.winner
     }
 
     /// Quantum end: the hook grants a partial-quantum compensation factor
-    /// and deactivates a blocked client's tickets so shared-currency
-    /// values redistribute (Section 4.4).
+    /// (staged for the kernel's quantum-end probe) and deactivates a
+    /// blocked client's tickets so shared-currency values redistribute
+    /// (Section 4.4).
     pub fn charge(
         &mut self,
         tid: ThreadId,
@@ -481,7 +447,6 @@ impl<L: LedgerAccess> LotteryCore<L> {
         self.comp.on_charge(
             &mut self.ledger.lock(),
             &self.bus,
-            tid,
             client,
             used,
             quantum,

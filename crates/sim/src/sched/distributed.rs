@@ -35,8 +35,8 @@
 //! [`super::lottery::LotteryPolicy`] holds one of, and the ledger, the
 //! funding book and the sequence around every draw are the same
 //! [`LotteryCore`] — both written once, and so is a CPU's pick on a shard
-//! ([`LotteryCore::pick_from`]: the `"shard"`/`"shard-alias"` draw with
-//! its `ShardPick`/`ShardSteal` probes), which each `lottery-par` worker
+//! ([`LotteryCore::pick_from`]: the draw, staged with its shard and steal
+//! for the kernel's decision probe), which each `lottery-par` worker
 //! makes too. What this policy adds around them: a home shard per thread
 //! (which is also the ledger dirty queue its invalidations go to), the
 //! choice of victim to steal from, and rebalancing. With a single shard
@@ -479,7 +479,7 @@ impl Policy for DistributedLottery {
         self.steals += u64::from(stolen);
         let tid = self
             .core
-            .pick_from(cpu, shard, &mut self.shards[shard as usize], stolen);
+            .pick_from(shard, &mut self.shards[shard as usize], stolen);
         self.picks_since_check += 1;
         if self.picks_since_check >= self.rebalance_interval && self.shards.len() > 1 {
             self.picks_since_check = 0;

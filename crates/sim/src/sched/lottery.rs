@@ -40,7 +40,6 @@ use lottery_obs::ProbeBus;
 use super::core::LotteryCore;
 use super::shard::Shard;
 use super::{EndReason, LockId, Policy};
-use crate::replay::structure_name;
 use crate::thread::ThreadId;
 use crate::time::{SimDuration, SimTime};
 
@@ -202,10 +201,7 @@ impl Policy for LotteryPolicy {
             return None;
         }
         self.core.refresh(0, &mut self.shard);
-        let tag = structure_name(self.shard.structure());
-        let tid = self.core.draw(&mut self.shard, tag).winner;
-        self.core.dispatched(tid, &mut self.shard);
-        Some(tid)
+        Some(self.core.pick_from(0, &mut self.shard, false))
     }
 
     fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason) {

@@ -8,7 +8,8 @@
 //! holds one, [`super::distributed::DistributedLottery`] one per CPU, and
 //! each real-thread worker of `lottery-par` one. Callers keep what is
 //! theirs: which ledger dirty queue to drain before [`Shard::settle`],
-//! the probe tags around a draw, the ledger lock, the compensation hook.
+//! the shard number the draw is staged under, the ledger lock, the
+//! compensation hook.
 //!
 //! The winner structure *is* the ready queue: the partial-sum tree and
 //! the alias table keep their entries in slot order — inserts append,
@@ -28,7 +29,7 @@ use lottery_core::lottery::index::{DenseIndex, SlotIndex};
 use lottery_core::lottery::tree::TreeLottery;
 use lottery_core::lottery::{walk, TicketPool};
 use lottery_core::rng::SchedRng;
-use lottery_obs::{EventKind, ProbeBus};
+use lottery_obs::{DrawRecord, EventKind, ProbeBus};
 
 use super::lottery::SelectStructure;
 use crate::replay::structure_name;
@@ -39,8 +40,6 @@ use crate::thread::ThreadId;
 pub struct Draw {
     /// The winning thread, already removed from the shard.
     pub winner: ThreadId,
-    /// Ready threads that competed.
-    pub entries: u32,
     /// Search effort: entries scanned (list), tree depth (tree), or
     /// guide-cell steps / descent depth (alias).
     pub levels: u32,
@@ -52,15 +51,15 @@ pub struct Draw {
 }
 
 impl Draw {
-    /// The draw as a probe event, under the caller's structure tag.
-    pub fn event(self, structure: &'static str) -> EventKind {
-        EventKind::LotteryDraw {
-            structure,
-            entries: self.entries,
+    /// What the kernel's decision probe reports of the draw, held on
+    /// `shard` (a foreign one when `stolen`).
+    pub fn record(self, shard: u32, stolen: bool) -> DrawRecord {
+        DrawRecord {
             levels: self.levels,
             total: self.total,
             winning: self.winning,
-            winner: self.winner.index(),
+            shard,
+            stolen,
         }
     }
 }
@@ -285,7 +284,6 @@ impl Shard {
         value_of: impl FnMut(ThreadId) -> f64,
     ) -> Option<Draw> {
         let first = self.slot(0)?;
-        let entries = self.len() as u32;
         if let Pool::List { ready, values, .. } = &mut self.0 {
             values.clear();
             values.extend(ready.iter().copied().map(value_of));
@@ -315,7 +313,6 @@ impl Shard {
         self.remove(winner);
         Some(Draw {
             winner,
-            entries,
             levels,
             total,
             winning,
@@ -375,7 +372,6 @@ mod tests {
             let mut seen = Vec::new();
             while let Some(draw) = shard.draw(&mut rng, weight) {
                 assert!(!shard.contains(draw.winner));
-                assert_eq!(draw.entries as usize, shard.len() + 1);
                 assert!((0.0..draw.total).contains(&draw.winning));
                 seen.push((draw.winner, draw.total, draw.winning));
             }

@@ -82,8 +82,8 @@ enum Work<S> {
 enum CpuState {
     /// Found nothing to run at the given instant; waits for new work.
     Idle(SimTime),
-    /// Picks at the given instant, when its event pops.
-    Free(SimTime),
+    /// Picks when its pending event pops.
+    Free,
     /// Runs a quantum; its event pops when the current segment ends.
     Busy(Run),
 }
@@ -92,21 +92,10 @@ enum CpuState {
 #[derive(Debug, Clone, Copy)]
 struct Run {
     tid: ThreadId,
-    start: SimTime,
     /// Quantum budget not yet spent.
     remaining: SimDuration,
     /// The thread's CPU time is applied up to here.
     at: SimTime,
-}
-
-impl CpuState {
-    /// When the quantum in flight began, if one is.
-    fn run_start(self) -> Option<SimTime> {
-        match self {
-            CpuState::Busy(run) => Some(run.start),
-            _ => None,
-        }
-    }
 }
 
 struct Cpu {
@@ -240,8 +229,8 @@ impl<P: Policy> SmpKernel<P> {
         }
     }
 
-    /// Attaches a probe bus to the kernel and its policy: dispatch, draw,
-    /// and ledger events flow through this one pipeline.
+    /// Attaches a probe bus to the kernel and its policy: decisions, quantum
+    /// ends and the ledger's counters flow through this one pipeline.
     pub fn set_probe_bus(&mut self, bus: ProbeBus) {
         self.policy.set_probe_bus(bus.clone());
         self.bus = bus;
@@ -261,6 +250,8 @@ impl<P: Policy> SmpKernel<P> {
         }
     }
 
+    /// The quantum-end probe, carrying the compensation grant the policy
+    /// staged while it charged the quantum.
     fn probe_end(&self, at: SimTime, tid: ThreadId, cpu: u32, why: EndReason, used: SimDuration) {
         let (thread, reason, used_us) = (tid.index(), why.as_str(), used.as_us());
         self.probe(at, || EventKind::QuantumEnd {
@@ -268,6 +259,7 @@ impl<P: Policy> SmpKernel<P> {
             cpu,
             reason,
             used_us,
+            factor: self.bus.take_grant(),
         });
     }
 
@@ -491,7 +483,7 @@ impl<P: Policy> SmpKernel<P> {
                     .position(|cpu| matches!(cpu.state, CpuState::Busy(run) if run.tid == tid))
                     .expect("a running thread is on a CPU");
                 self.advance_run(c, self.clock);
-                self.cpus[c].state = CpuState::Free(self.clock);
+                self.cpus[c].state = CpuState::Free;
                 self.post(c, self.clock);
                 cpu += c as u32;
             }
@@ -535,41 +527,6 @@ impl<P: Policy> SmpKernel<P> {
         Ok(())
     }
 
-    /// Runs until `deadline` with the historical boundary semantics: the
-    /// quanta in flight at the deadline *complete*, so the clock may
-    /// overshoot by up to one quantum; the picks after them belong to the
-    /// next call.
-    ///
-    /// The capture/replay pipeline drives its uniprocessor runs through
-    /// this method so recordings made before the event rebase replay
-    /// bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// As [`SmpKernel::run_until`].
-    pub fn run_until_completing(&mut self, deadline: SimTime) -> Result<(), SmpError> {
-        if self.clock >= deadline {
-            return Ok(());
-        }
-        self.run_until(deadline)?;
-        // Each quantum in flight runs on to its end, without the pick after.
-        let starts: Vec<_> = self.cpus.iter().map(|cpu| cpu.state.run_start()).collect();
-        let in_flight = |k: &Self| {
-            let mut cpus = k.cpus.iter().zip(&starts);
-            cpus.any(|(cpu, &start)| start.is_some() && cpu.state.run_start() == start)
-        };
-        while in_flight(self) {
-            self.advance(SimTime::from_us(u64::MAX), false);
-            self.fault.take().map_or(Ok(()), Err)?;
-        }
-        let picks = self.cpus.iter().filter_map(|cpu| match cpu.state {
-            CpuState::Free(at) => Some(at),
-            _ => None,
-        });
-        self.close(picks.fold(self.clock.max(deadline), SimTime::max));
-        Ok(())
-    }
-
     /// Handles the one earliest event due before `deadline` — a CPU's
     /// segment boundary or pick, or a wake or arrival coming due — and
     /// returns what it did; [`Step::Idle`] when none is left, after
@@ -577,15 +534,15 @@ impl<P: Policy> SmpKernel<P> {
     /// under [`SmpKernel::run_until`], for a caller with work of its own
     /// between events; the clock stays at the last event handled.
     pub fn step(&mut self, deadline: SimTime) -> Step {
-        self.advance(deadline, true).unwrap_or_else(|| {
+        self.advance(deadline).unwrap_or_else(|| {
             self.split_at(deadline);
             Step::Idle
         })
     }
 
     /// Handles the earliest event if it is due before `before`; a CPU whose
-    /// quantum ends there picks in the same event when `then_pick`.
-    fn advance(&mut self, before: SimTime, then_pick: bool) -> Option<Step> {
+    /// quantum ends there picks in the same event.
+    fn advance(&mut self, before: SimTime) -> Option<Step> {
         let next = self.first_boundary();
         // Work due first wakes the idle CPUs, whose picks deliver it.
         let idle = (self.cpus.iter()).any(|cpu| matches!(cpu.state, CpuState::Idle(_)));
@@ -598,7 +555,7 @@ impl<P: Policy> SmpKernel<P> {
         let (at, c) = next.filter(|&(at, _)| at < before)?;
         self.cpus[c].next = None;
         self.clock = self.clock.max(at);
-        Some(self.on_cpu(c, then_pick))
+        Some(self.on_cpu(c))
     }
 
     /// The CPU whose event comes first, and when.
@@ -618,7 +575,7 @@ impl<P: Policy> SmpKernel<P> {
         for c in 0..self.cpus.len() {
             if let CpuState::Idle(since) = self.cpus[c].state {
                 self.metrics.idle += at.saturating_since(since);
-                self.cpus[c].state = CpuState::Free(at);
+                self.cpus[c].state = CpuState::Free;
                 self.post(c, at);
             }
         }
@@ -635,15 +592,15 @@ impl<P: Policy> SmpKernel<P> {
         }
     }
 
-    fn on_cpu(&mut self, c: usize, then_pick: bool) -> Step {
+    fn on_cpu(&mut self, c: usize) -> Step {
         match self.cpus[c].state {
-            CpuState::Free(_) => return self.pick(c),
+            CpuState::Free => return self.pick(c),
             CpuState::Busy(_) => {
                 self.advance_run(c, self.clock);
                 // A quantum that ends now is followed by this CPU's pick,
                 // in the same event, as on a uniprocessor.
                 match self.execute(c) {
-                    Some(next) if then_pick && next == self.clock => return self.pick(c),
+                    Some(next) if next == self.clock => return self.pick(c),
                     Some(next) => self.post(c, next),
                     None => {}
                 }
@@ -774,15 +731,24 @@ impl<P: Policy> SmpKernel<P> {
             .record_dispatch(tid, waited, switched, preempted);
         let cpu = self.first_cpu + c as u32;
         let queue_depth = self.policy.ready_len() as u32;
-        self.probe(start, || EventKind::Dispatch {
-            thread: tid.index(),
-            cpu,
-            wait_us: waited.as_us(),
-            queue_depth,
+        self.probe(start, || {
+            let draw = self.bus.take_draw();
+            let d = draw.unwrap_or_default();
+            EventKind::Decision {
+                thread: tid.index(),
+                cpu,
+                wait_us: waited.as_us(),
+                queue_depth,
+                drawn: draw.is_some(),
+                levels: d.levels,
+                total: d.total,
+                winning: d.winning,
+                shard: d.shard,
+                stolen: d.stolen,
+            }
         });
         self.cpus[c].state = CpuState::Busy(Run {
             tid,
-            start,
             remaining: quantum,
             at: start,
         });
@@ -942,7 +908,6 @@ impl<P: Policy> SmpKernel<P> {
         };
         let (tid, cpu) = (run.tid, self.first_cpu + c as u32);
         let used = self.thread(tid).quantum_used;
-        self.probe_end(now, tid, cpu, reason, used);
         // A thread that yields without consuming CPU would otherwise let
         // the clock stand still forever; bill one microsecond of dispatch
         // overhead, as a real kernel's trap cost would.
@@ -951,9 +916,10 @@ impl<P: Policy> SmpKernel<P> {
         } else {
             now
         };
-        self.cpus[c].state = CpuState::Free(next);
+        self.cpus[c].state = CpuState::Free;
         let quantum = self.policy.quantum();
         self.policy.charge(tid, used, quantum, reason);
+        self.probe_end(now, tid, cpu, reason, used);
         match reason {
             EndReason::QuantumExpired => self.ready(tid, next, true),
             EndReason::Yielded => {
@@ -982,7 +948,7 @@ impl<P: Policy> EventSource for SmpKernel<P> {
         // Without a scan of the thread table: a thread is `Ready` exactly
         // while the policy holds it, and `Running` exactly while a CPU is
         // busy with it.
-        let running = self.cpus.iter().any(|cpu| cpu.state.run_start().is_some());
+        let running = (self.cpus.iter()).any(|cpu| matches!(cpu.state, CpuState::Busy(_)));
         if self.policy.ready_len() > 0 || running {
             return Some(self.clock);
         }
@@ -1353,20 +1319,22 @@ mod tests {
         k.run_until(SimTime::from_ms(100)).unwrap();
         let (mut during, mut after) = (0, 0);
         for event in flight.with(|f| f.events().cloned().collect::<Vec<_>>()) {
-            let EventKind::LotteryDraw {
-                entries,
+            let EventKind::Decision {
+                queue_depth,
                 total,
-                winner,
+                thread,
                 ..
             } = event.kind
             else {
                 continue;
             };
+            // One shared queue: the draw's entries are the winner and the
+            // `queue_depth` it left behind.
             if (1..30_000).contains(&event.time_us) {
                 // B (at half the tenant) and the hog, A being on CPU 0.
-                assert_eq!((entries, total), (2, 300.0), "at {} µs", event.time_us);
+                assert_eq!((queue_depth, total), (1, 300.0), "at {} µs", event.time_us);
                 during += 1;
-            } else if event.time_us >= 30_000 && entries == 1 && winner == b.index() {
+            } else if event.time_us >= 30_000 && queue_depth == 0 && thread == b.index() {
                 assert_eq!(total, 200.0, "B alone at {} µs", event.time_us);
                 after += 1;
             }

@@ -9,54 +9,81 @@
 //! * **one shard is the uniprocessor policy** — a 1-shard
 //!   `DistributedLottery` is `LotteryPolicy` under the same structure:
 //!   both are the one `LotteryCore` over one `Shard`, so not only the
-//!   winners but the whole probe stream — ledger operations, dirty
-//!   drains and batch depths, weight changes, draws, compensation grants
-//!   and revokes — is identical, bar the `shard-pick` lines and the draw
-//!   tag only the distributed policy writes.
+//!   winners but everything it probes — each pick's staged draw, each
+//!   charge's staged grant, the weight-change and rebuild events, and the
+//!   ledger-operation, invalidation and revocation counts — is identical.
 
-use lottery_obs::EventKind;
+use lottery_obs::{Aggregator, DrawRecord, EventKind};
 use lottery_sim::prelude::*;
 use proptest::prelude::*;
 
-/// What a scripted run produced: the winners, and every probe event.
+/// What a scripted run produced: the winners, the draw each pick staged
+/// and the grant each charge staged for the kernel's probes, every probe
+/// event, and the counter tier's exposition.
 #[derive(Debug, PartialEq)]
 struct Run {
     winners: Vec<ThreadId>,
+    draws: Vec<DrawRecord>,
+    grants: Vec<f64>,
     events: Vec<EventKind>,
+    counts: Vec<String>,
 }
 
-/// Puts a flight recorder on `policy`'s bus.
-fn record<P: Policy>(policy: &mut P) -> Shared<FlightRecorder> {
-    let flight = Shared::new(FlightRecorder::new(1 << 15));
-    policy.set_probe_bus(ProbeBus::with_recorder(flight.clone()));
-    flight
+/// The probe pipeline on a policy's bus: a flight recorder for the events
+/// and an aggregator for the counters.
+struct Probes {
+    bus: ProbeBus,
+    flight: Shared<FlightRecorder>,
+    stats: Shared<Aggregator>,
 }
 
-/// The recorded stream with what legitimately differs between the two
-/// policies taken out: `shard-pick` events, the `shard`/`shard-alias`
-/// draw tags, and the wall-clock `rebuild_ns`.
-fn comparable(flight: &Shared<FlightRecorder>) -> Vec<EventKind> {
-    flight.with(|f| {
-        assert_eq!(f.dropped(), 0, "the ring must hold the whole run");
-        f.events()
-            .filter(|e| !matches!(e.kind, EventKind::ShardPick { .. }))
-            .map(|e| {
-                let mut kind = e.kind;
-                match &mut kind {
-                    EventKind::LotteryDraw { structure, .. } => {
-                        *structure = match *structure {
-                            "shard" => "tree",
-                            "shard-alias" => "alias",
-                            other => other,
-                        }
+impl Probes {
+    fn on<P: Policy>(policy: &mut P) -> Self {
+        let flight = Shared::new(FlightRecorder::new(1 << 15));
+        let stats = Shared::new(Aggregator::new());
+        let bus = ProbeBus::with_recorder(flight.clone());
+        bus.attach(stats.clone());
+        policy.set_probe_bus(bus.clone());
+        Self { bus, flight, stats }
+    }
+
+    /// The draw a pick staged; a lottery pick always stages one.
+    fn draw(&self) -> DrawRecord {
+        self.bus
+            .take_draw()
+            .expect("a lottery pick stages its draw")
+    }
+
+    /// The run, with the wall-clock `rebuild_ns` taken out of its events
+    /// and its exposition.
+    fn run(self, winners: Vec<ThreadId>, draws: Vec<DrawRecord>, grants: Vec<f64>) -> Run {
+        let events = self.flight.with(|f| {
+            assert_eq!(f.dropped(), 0, "the ring must hold the whole run");
+            f.events()
+                .map(|e| {
+                    let mut kind = e.kind;
+                    if let EventKind::StructureRebuild { rebuild_ns, .. } = &mut kind {
+                        *rebuild_ns = 0;
                     }
-                    EventKind::StructureRebuild { rebuild_ns, .. } => *rebuild_ns = 0,
-                    _ => {}
-                }
-                kind
-            })
-            .collect()
-    })
+                    kind
+                })
+                .collect()
+        });
+        Run {
+            winners,
+            draws,
+            grants,
+            events,
+            counts: self.stats.with(|a| {
+                let text = a.prometheus_text();
+                let timed = |l: &&str| l.starts_with("lottery_structure_rebuild_ns_mean ");
+                text.lines()
+                    .filter(|l| !timed(l))
+                    .map(str::to_string)
+                    .collect()
+            }),
+        }
+    }
 }
 
 /// One scripted mutation, applied between picks.
@@ -96,7 +123,7 @@ fn run_distributed(
     check_conservation: bool,
 ) -> Run {
     let mut p = DistributedLottery::new(seed, shards);
-    let flight = record(&mut p);
+    let probes = Probes::on(&mut p);
     p.set_structure(structure);
     let base = p.base_currency();
     for i in 0..threads {
@@ -105,7 +132,7 @@ fn run_distributed(
         p.enqueue(tid, SimTime::ZERO);
     }
     let quantum = SimDuration::from_ms(100);
-    let mut winners = Vec::with_capacity(script.len());
+    let (mut winners, mut draws, mut grants) = (Vec::new(), Vec::new(), Vec::new());
     let mut blocked: Option<ThreadId> = None;
     for (i, step) in script.iter().enumerate() {
         let cpu = (i % shards) as u32;
@@ -113,6 +140,7 @@ fn run_distributed(
             break;
         };
         winners.push(w);
+        draws.push(probes.draw());
         match *step {
             Step::FullQuantum => {
                 p.charge(w, quantum, quantum, EndReason::QuantumExpired);
@@ -138,6 +166,7 @@ fn run_distributed(
                 p.enqueue(w, SimTime::ZERO);
             }
         }
+        grants.push(probes.bus.take_grant());
         if check_conservation {
             // After every step the ready set is every thread except the
             // one currently blocked, and every thread is base-funded —
@@ -168,17 +197,14 @@ fn run_distributed(
             );
         }
     }
-    Run {
-        winners,
-        events: comparable(&flight),
-    }
+    probes.run(winners, draws, grants)
 }
 
 /// Mirrors `run_distributed` on the uniprocessor `LotteryPolicy`,
 /// ignoring `Migrate` targets (a 1-shard migration is a no-op).
 fn run_uniprocessor(seed: u32, structure: SelectStructure, threads: usize, script: &[Step]) -> Run {
     let mut p = LotteryPolicy::new(seed);
-    let flight = record(&mut p);
+    let probes = Probes::on(&mut p);
     p.set_structure(structure);
     let base = p.base_currency();
     for i in 0..threads {
@@ -187,13 +213,14 @@ fn run_uniprocessor(seed: u32, structure: SelectStructure, threads: usize, scrip
         p.enqueue(tid, SimTime::ZERO);
     }
     let quantum = SimDuration::from_ms(100);
-    let mut winners = Vec::with_capacity(script.len());
+    let (mut winners, mut draws, mut grants) = (Vec::new(), Vec::new(), Vec::new());
     let mut blocked: Option<ThreadId> = None;
     for step in script {
         let Some(w) = p.pick(SimTime::ZERO) else {
             break;
         };
         winners.push(w);
+        draws.push(probes.draw());
         match *step {
             Step::FullQuantum | Step::Migrate { .. } => {
                 p.charge(w, quantum, quantum, EndReason::QuantumExpired);
@@ -213,11 +240,9 @@ fn run_uniprocessor(seed: u32, structure: SelectStructure, threads: usize, scrip
                 p.enqueue(w, SimTime::ZERO);
             }
         }
+        grants.push(probes.bus.take_grant());
     }
-    Run {
-        winners,
-        events: comparable(&flight),
-    }
+    probes.run(winners, draws, grants)
 }
 
 proptest! {
@@ -251,8 +276,10 @@ proptest! {
         let distributed = run_distributed(seed, 1, structure, threads, &script, false);
         let uniprocessor = run_uniprocessor(seed, structure, threads, &script);
         prop_assert_eq!(&distributed.winners, &uniprocessor.winners);
-        prop_assert!(distributed.events.len() > distributed.winners.len());
-        prop_assert_eq!(distributed.events, uniprocessor.events);
+        prop_assert_eq!(distributed.grants.len(), distributed.winners.len());
+        let activations = "lottery_ledger_ops_total{op=\"activate-client\"}";
+        prop_assert!(distributed.counts.iter().any(|l| l.starts_with(activations)));
+        prop_assert_eq!(distributed, uniprocessor);
     }
 }
 

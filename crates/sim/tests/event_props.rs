@@ -1,20 +1,21 @@
-//! Event-driven core equivalence: the rebased kernels must reproduce the
-//! quantum-stepping seed bit for bit.
+//! Event-driven core equivalence: the kernels must reproduce the golden
+//! captures bit for bit.
 //!
-//! Golden captures under `tests/data/` were recorded by the pre-refactor
-//! quantum-stepping core (list/tree/alias × 0/2/4 shards). Replaying
-//! them through the current core must be bit-exact; any divergence is a
-//! behavioural regression in the event rebase.
+//! Golden captures under `tests/data/` (list/tree/alias × 0/2/4 shards)
+//! pin the decision stream. Replaying them through the current core must
+//! be bit-exact; any divergence is a behavioural change. They were last
+//! regenerated when the capture format became version 2 (one `decision`
+//! event per decision, deadline-exact windows).
 //!
 //! The `regenerate_goldens` test (ignored by default) rewrites the data
 //! files from whatever core is compiled — run it only to re-seed the
 //! corpus after an *intentional* stream change, never to paper over a
 //! divergence.
 //!
-//! In draw events `levels` is the search effort: the entries walked for
-//! the list, the descent depth for the tree, and for the alias sampler
-//! 1 + guide-cell scan steps when its snapshot is clean, 1 + partial-sum
-//! descent depth when any slot is stale.
+//! In a decision `levels` is the draw's search effort: the entries walked
+//! for the list, the descent depth for the tree, and for the alias
+//! sampler 1 + guide-cell scan steps when its snapshot is clean, 1 +
+//! partial-sum descent depth when any slot is stale.
 
 use std::fs;
 use std::path::PathBuf;
@@ -152,7 +153,7 @@ fn golden_path(structure: SelectStructure, shards: u32) -> PathBuf {
 }
 
 /// Regenerates the golden corpus from the compiled core. Ignored: the
-/// files are the pre-refactor reference and only change intentionally.
+/// files are the reference and only change intentionally.
 #[test]
 #[ignore = "rewrites the golden corpus; run only after an intentional stream change"]
 fn regenerate_goldens() {
@@ -168,41 +169,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Deadline exactness: `run_until` leaves the clock at the deadline
-    /// even when a quantum is split in flight, while the compat variant
-    /// `run_until_completing` overshoots to the quantum boundary exactly
-    /// as the pre-event core did.
+    /// even when a quantum is split in flight.
     #[test]
-    fn run_until_is_exact_and_completing_overshoots(
+    fn run_until_is_deadline_exact(
         deadline_us in 100..5_000u64,
         quantum_us in 200..3_000u64,
     ) {
-        let build = || {
-            let policy = LotteryPolicy::with_quantum(7, SimDuration::from_us(quantum_us));
-            let base = policy.base_currency();
-            let mut kernel = Kernel::new(policy);
-            kernel.spawn(
-                "worker",
-                Box::new(Scripted::once(vec![Burst::Run(SimDuration::from_secs(1))])),
-                FundingSpec::new(base, 100),
-            );
-            kernel
-        };
-
-        let mut exact = build();
-        exact.run_until(SimTime::from_us(deadline_us));
-        prop_assert_eq!(exact.now(), SimTime::from_us(deadline_us));
-
-        let mut compat = build();
-        compat.run_until_completing(SimTime::from_us(deadline_us));
-        // The legacy loop only stops at quantum boundaries: the first
-        // multiple of the quantum at or past the deadline.
-        let quanta = deadline_us.div_ceil(quantum_us);
-        prop_assert_eq!(compat.now(), SimTime::from_us(quanta * quantum_us));
+        let policy = LotteryPolicy::with_quantum(7, SimDuration::from_us(quantum_us));
+        let base = policy.base_currency();
+        let mut kernel = Kernel::new(policy);
+        let worker = kernel.spawn(
+            "worker",
+            Box::new(Scripted::once(vec![Burst::Run(SimDuration::from_secs(1))])),
+            FundingSpec::new(base, 100),
+        );
+        kernel.run_until(SimTime::from_us(deadline_us));
+        prop_assert_eq!(kernel.now(), SimTime::from_us(deadline_us));
+        prop_assert_eq!(kernel.metrics().cpu_us(worker), deadline_us);
     }
 }
 
-/// Every golden capture recorded by the quantum-stepping core replays
-/// bit-exactly through the current (event-driven) core.
+/// Every golden capture replays bit-exactly through the current core.
 #[test]
 fn golden_captures_replay_bit_exact() {
     for &(structure, shards) in MATRIX {
@@ -253,7 +240,7 @@ fn causality_breaches(events: &[Event]) -> Vec<String> {
         }
         previous = event.time_us;
         match event.kind {
-            EventKind::Dispatch { thread, cpu, .. } => {
+            EventKind::Decision { thread, cpu, .. } => {
                 for &(c, t) in &running {
                     if c == cpu || t == thread {
                         breaches.push(format!(
@@ -268,6 +255,7 @@ fn causality_breaches(events: &[Event]) -> Vec<String> {
                 cpu,
                 reason,
                 used_us,
+                ..
             } => match running.iter().position(|&run| run == (cpu, thread)) {
                 Some(at) => {
                     running.swap_remove(at);

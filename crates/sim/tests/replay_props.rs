@@ -8,7 +8,7 @@
 //! reported.
 
 use lottery_core::rng::SplitMix64;
-use lottery_obs::Event;
+use lottery_obs::{Event, EventKind};
 use lottery_sim::prelude::*;
 use lottery_sim::replay::{job_outcomes, record, CaptureConfig, Replayer};
 use proptest::prelude::*;
@@ -161,7 +161,7 @@ fn heavy_tailed_spec(seed: u64, jobs: usize, mean_gap_us: f64) -> TraceSpec {
 /// The heavy-tailed trace at seed 1: 150 jobs at a 2 ms mean gap (≈70%
 /// offered load) under the tree lottery at a 1 ms quantum for 3 s. Every
 /// job finishes, and the lottery orders tenants by funding: gold's mean
-/// response is 1.41 ms against bronze's 2.78 ms.
+/// response is 1.34 ms against bronze's 2.38 ms.
 #[test]
 fn heavy_tailed_trace_orders_tenants_by_funding() {
     let spec = heavy_tailed_spec(1, 150, 2_000.0);
@@ -186,16 +186,17 @@ fn heavy_tailed_trace_orders_tenants_by_funding() {
     };
     let (gold, bronze) = (mean_ms("gold"), mean_ms("bronze"));
     assert!(gold < bronze);
-    assert_eq!(format!("{gold:.2} {bronze:.2}"), "1.41 2.78");
+    assert_eq!(format!("{gold:.2} {bronze:.2}"), "1.34 2.38");
 }
 
 /// A 60-job heavy-tailed window at a 6 ms mean gap, seed 1, captured for
 /// 1.5 s at a 1 ms quantum under list, tree and alias on one CPU and
 /// under the distributed lottery on 2 and 4 shards, replays from its
-/// header bit for bit (1173, 1190, 1202, 1307 and 1325 events). The list
-/// capture also replays bit for bit after a JSONL round-trip, and a 7 µs
-/// shift of its event 391 (a third of the way in) is flagged at exactly
-/// that index, a `ledger-op` on both sides.
+/// header bit for bit (397, 397, 410, 403 and 421 events). The list
+/// capture also replays bit for bit after a JSONL round-trip, and
+/// changing the winner of its first decision a third of the way in
+/// (event 135) is flagged at exactly that index, a `decision` on both
+/// sides.
 #[test]
 fn heavy_tailed_captures_replay_bit_exact() {
     let spec = heavy_tailed_spec(1, 60, 6_000.0);
@@ -211,11 +212,11 @@ fn heavy_tailed_captures_replay_bit_exact() {
         record(spec.clone(), &config).unwrap()
     };
     for (structure, shards, events) in [
-        (SelectStructure::List, 0, 1173),
-        (SelectStructure::Tree, 0, 1190),
-        (SelectStructure::Alias, 0, 1202),
-        (SelectStructure::Tree, 2, 1307),
-        (SelectStructure::Alias, 4, 1325),
+        (SelectStructure::List, 0, 397),
+        (SelectStructure::Tree, 0, 397),
+        (SelectStructure::Alias, 0, 410),
+        (SelectStructure::Tree, 2, 403),
+        (SelectStructure::Alias, 4, 421),
     ] {
         let log = capture(structure, shards);
         assert_eq!(log.events.len(), events, "{structure:?} on {shards} shards");
@@ -227,13 +228,21 @@ fn heavy_tailed_captures_replay_bit_exact() {
     let reloaded = ReplayLog::from_jsonl(&log.to_jsonl()).unwrap();
     assert!(Replayer::new(reloaded).run().unwrap().bit_exact());
 
+    // The first decision a third of the way in, its winner changed.
     let mut tampered = log;
-    let index = tampered.events.len() / 3;
-    assert_eq!(index, 391);
-    tampered.events[index].time_us += 7;
+    let third = tampered.events.len() / 3;
+    let index = third
+        + (tampered.events[third..].iter())
+            .position(|e| matches!(e.kind, EventKind::Decision { .. }))
+            .unwrap();
+    assert_eq!(index, 135);
+    let EventKind::Decision { thread, .. } = &mut tampered.events[index].kind else {
+        unreachable!("found as a decision");
+    };
+    *thread += 1;
     let div = Replayer::new(tampered).run().unwrap().divergence.unwrap();
     assert_eq!(div.index, index);
     let name = |e: Option<Event>| e.map(|e| e.kind.name());
-    assert_eq!(name(div.recorded), Some("ledger-op"));
-    assert_eq!(name(div.replayed), Some("ledger-op"));
+    assert_eq!(name(div.recorded), Some("decision"));
+    assert_eq!(name(div.replayed), Some("decision"));
 }

@@ -94,6 +94,18 @@ echo "$ctl_replay_out" | grep -q '"bit_exact":true' \
   || { echo "verify: ctl replay --json did not confirm bit-exactness" >&2; exit 1; }
 echo "$ctl_replay_out" | grep -q '"divergence":null' \
   || { echo "verify: ctl replay --json reported a divergence" >&2; exit 1; }
+# A capture of the retired format (version 1: an event per ledger
+# operation, dispatch and draw) is refused by name, without a crash.
+sed 's/^{"replay":2,/{"replay":1,/' crates/sim/tests/data/capture_list_0.jsonl \
+  > target/ctl_replay_v1.jsonl
+ctl_v1_status=0
+printf '%s\n' "replay target/ctl_replay_v1.jsonl" \
+  | cargo run -q --release -p lottery-ctl --bin lotteryctl \
+    > /dev/null 2> target/ctl_replay_v1.err || ctl_v1_status=$?
+test "$ctl_v1_status" -lt 128 \
+  || { echo "verify: lotteryctl died on a version-1 capture (status $ctl_v1_status)" >&2; exit 1; }
+grep -q 'unsupported replay log version 1' target/ctl_replay_v1.err \
+  || { echo "verify: ctl replay did not refuse the version-1 capture" >&2; exit 1; }
 
 # ctl broker smoke: per-tenant funding and observed shares, with the
 # dominant share machine-readable under --json.

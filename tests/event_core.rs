@@ -46,7 +46,7 @@ fn sleeping_threads_cost_zero_decisions() {
 }
 
 /// Two runs of a 200 ms mixed window (three I/O-bound threads and a
-/// 30 ms job on the tree) emit the same probe stream: 2191 events and
+/// 30 ms job on the tree) emit the same probe stream: 647 events and
 /// 249 decisions each.
 #[test]
 fn mixed_window_probe_stream_repeats_bit_for_bit() {
@@ -79,7 +79,7 @@ fn mixed_window_probe_stream_repeats_bit_for_bit() {
     let (first, decisions) = run();
     let (second, _) = run();
     assert_eq!(first_divergence(&first, &second), None);
-    assert_eq!((first.len(), decisions), (2191, 249));
+    assert_eq!((first.len(), decisions), (647, 249));
 }
 
 /// One loop to 50 ms over the CPU kernel (a 12 ms job and a 4 ms job

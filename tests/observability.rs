@@ -6,7 +6,7 @@
 //! accounting, and the flight recorder's exports must be well-formed
 //! JSONL and Chrome `trace_event` JSON.
 
-use lottery_obs::{json, FairnessReport};
+use lottery_obs::{json, Counter, FairnessReport};
 use lottery_sim::prelude::*;
 
 struct Run {
@@ -124,10 +124,7 @@ fn flight_exports_are_well_formed() {
             "{line}"
         );
     }
-    assert!(
-        jsonl.contains("\"dispatch\"") || jsonl.contains("\"Dispatch\""),
-        "{jsonl}"
-    );
+    assert!(jsonl.contains("\"decision\""), "{jsonl}");
 
     let v = json::parse(&chrome).expect("chrome trace parses");
     let events = v
@@ -135,7 +132,7 @@ fn flight_exports_are_well_formed() {
         .and_then(json::Value::as_array)
         .unwrap();
     assert!(!events.is_empty());
-    // Dispatch→quantum-end pairs become complete slices with durations.
+    // Decision→quantum-end pairs become complete slices with durations.
     let slice = events
         .iter()
         .find(|e| e.get("ph").and_then(json::Value::as_str) == Some("X"))
@@ -190,4 +187,99 @@ fn smp_queue_depth_is_sampled_once_per_dispatch() {
             [0, 1]
         );
     });
+}
+
+/// The Figure-9 currencies over a mix that blocks, yields and exits: a
+/// hog and an I/O thread in A, a partial-quantum yielder and a 2 s job
+/// in B. Returns the aggregator, the flight recorder and the decisions.
+fn mixed_run(seed: u32, duration: SimTime) -> (Shared<Aggregator>, Shared<FlightRecorder>, u64) {
+    let mut policy = LotteryPolicy::new(seed);
+    let base = policy.base_currency();
+    let a = policy.create_subcurrency("A", base, 100).unwrap();
+    let b = policy.create_subcurrency("B", base, 100).unwrap();
+    let mut kernel = Kernel::new(policy);
+    let flight = Shared::new(FlightRecorder::new(1 << 16));
+    let stats = Shared::new(Aggregator::new());
+    let bus = ProbeBus::with_recorder(flight.clone());
+    bus.attach(stats.clone());
+    kernel.set_probe_bus(bus);
+    let ms = SimDuration::from_ms;
+    let io = IoBound::new(ms(10), ms(30));
+    let job = FiniteJob::new(SimDuration::from_secs(2));
+    kernel.spawn("hog", Box::new(ComputeBound), FundingSpec::new(a, 100));
+    kernel.spawn("io", Box::new(io), FundingSpec::new(a, 200));
+    let yielder = FractionalQuantum::new(ms(25));
+    kernel.spawn("yielder", Box::new(yielder), FundingSpec::new(b, 100));
+    kernel.spawn("job", Box::new(job), FundingSpec::new(b, 200));
+    kernel.run_until(duration);
+    (stats, flight, kernel.metrics().decisions)
+}
+
+/// What the counter tier and the one-event-per-decision stream report
+/// equals what the stream of a ledger event per operation, a draw event
+/// per lottery and a compensation event per grant and revocation
+/// reported for the same runs (read off that stream and pinned here): the
+/// seed-1 Figure-9 run over 30 s, and the seed-1 mixed run over 10 s. A
+/// decision costs at most three flight-ring events.
+#[test]
+fn pinned_counts_match_the_event_stream_they_replace() {
+    type Pinned<'a> = (&'a [(&'a str, u64)], [u64; 4], [u64; 2]);
+    let check = |stats: &Shared<Aggregator>, (ops, decisions, invalidated): Pinned| {
+        stats.with(|s| {
+            let want: std::collections::BTreeMap<_, _> = ops.iter().copied().collect();
+            assert_eq!(s.ledger_ops(), want);
+            let counted = [
+                s.draws,
+                s.dispatches,
+                s.compensations,
+                s.compensation_revocations,
+            ];
+            assert_eq!(counted, decisions, "draws, dispatches, grants, revocations");
+            let invalidations = [s.invalidated_currencies, s.invalidated_clients];
+            assert_eq!(invalidations, invalidated, "currencies, clients");
+        })
+    };
+    let per_decision = |flight: &Shared<FlightRecorder>, decisions: u64| {
+        let events = flight.with(|f| {
+            assert_eq!(f.dropped(), 0);
+            f.len()
+        });
+        events as f64 / decisions as f64
+    };
+
+    let run = figure9_run(1, SimTime::from_secs(30));
+    let ops = [
+        ("activate-client", 4),
+        ("create-client", 4),
+        ("fund-client", 4),
+        ("issue", 4),
+    ];
+    check(&run.stats, (&ops, [300, 300, 0, 0], [0, 0]));
+    let decisions = run.kernel.metrics().decisions;
+    assert_eq!(decisions, 300);
+    assert!(per_decision(&run.flight, decisions) <= 3.0);
+
+    let (stats, flight, decisions) = mixed_run(1, SimTime::from_secs(10));
+    let ops = [
+        ("activate-client", 86),
+        ("create-client", 4),
+        ("deactivate-client", 83),
+        ("destroy-client", 1),
+        ("destroy-ticket", 1),
+        ("fund-client", 4),
+        ("issue", 4),
+        ("set-compensation", 417),
+        ("unfund", 1),
+    ];
+    check(&stats, (&ops, [271, 271, 209, 208], [165, 376]));
+    // 375 invalidations left 1114 dirty entries between them.
+    let depth = stats.with(|s| {
+        (
+            s.count(Counter::Invalidations),
+            s.count(Counter::DirtyDepth),
+        )
+    });
+    assert_eq!(depth, (375, 1114));
+    assert_eq!(decisions, 271);
+    assert!(per_decision(&flight, decisions) <= 3.0);
 }
