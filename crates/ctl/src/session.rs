@@ -735,7 +735,7 @@ impl Session {
         let recorded = log.events.len();
         let report = lottery_sim::replay::Replayer::new(log)
             .run()
-            .map_err(CtlError::Replay)?;
+            .map_err(|e| CtlError::Replay(e.to_string()))?;
         if json_out {
             let divergence = match &report.divergence {
                 None => "null".to_string(),
@@ -802,12 +802,13 @@ impl Session {
             .map_err(|e| CtlError::Replay(format!("{path}: {e}")))?;
         let (currencies, jobs) = (spec.currencies.len(), spec.jobs.len());
         let config = lottery_sim::replay::CaptureConfig::default();
-        let log = lottery_sim::replay::record(spec, &config).map_err(CtlError::Replay)?;
+        let log = lottery_sim::replay::record(spec, &config)
+            .map_err(|e| CtlError::Replay(e.to_string()))?;
         let header = log.header.clone();
         let captured = log.events.len();
         let report = lottery_sim::replay::Replayer::new(log)
             .run()
-            .map_err(CtlError::Replay)?;
+            .map_err(|e| CtlError::Replay(e.to_string()))?;
         if json_out {
             return Ok(format!(
                 "{{\"file\":\"{}\",\"trace\":true,\"currencies\":{},\"jobs\":{},\

@@ -21,19 +21,19 @@
 //! out of a capture.
 
 use std::collections::HashMap;
-use std::ops::DerefMut;
+use std::error::Error;
+use std::fmt;
 
+use lottery_core::errors::LotteryError;
 use lottery_core::rng::ParkMiller;
 use lottery_obs::{
     first_divergence, Divergence, Event, EventKind, FlightRecorder, ProbeBus, ReplayHeader,
     ReplayLog, Shared, TraceJob, TraceSpec,
 };
 
-use crate::sched::core::LotteryCore;
-use crate::sched::distributed::DistributedLottery;
-use crate::sched::lottery::{FundingSpec, LotteryPolicy, SelectStructure};
-use crate::sched::Policy;
-use crate::smp::SmpKernel;
+use crate::sched::distributed::{DistributedLottery, LIST_ONE_SHARD};
+use crate::sched::lottery::{FundingSpec, SelectStructure};
+use crate::smp::{SmpError, SmpKernel};
 use crate::time::{SimDuration, SimTime};
 use crate::workload::{Burst, Scripted};
 
@@ -50,8 +50,9 @@ pub struct CaptureConfig {
     pub seed: u32,
     /// Lottery selection structure.
     pub structure: SelectStructure,
-    /// `0` runs one CPU under a [`LotteryPolicy`]; `n >= 1` runs `n` CPUs
-    /// under a [`DistributedLottery`] with `n` shards.
+    /// `n >= 1` runs `n` CPUs under a [`DistributedLottery`] with `n`
+    /// shards; `0`, the uniprocessor stamp, runs one shard on one CPU, as
+    /// `1` does. A list runs on one shard only ([`DriveError::ListShards`]).
     pub shards: u32,
     /// Whether compensation tickets are granted (Section 3.4).
     pub compensation: bool,
@@ -123,6 +124,32 @@ fn spawn_order(spec: &TraceSpec) -> Vec<(usize, &TraceJob)> {
     jobs
 }
 
+/// Why a capture could not be driven.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DriveError {
+    /// The header names no select structure this build knows.
+    UnknownStructure(String),
+    /// A `"list"` header with more than one shard ([`LIST_ONE_SHARD`]).
+    ListShards(u32),
+    /// The ledger refused to create the named currency of the workload.
+    Currency(String, LotteryError),
+    /// The kernel refused a burst of the workload.
+    Kernel(SmpError),
+}
+
+impl fmt::Display for DriveError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DriveError::UnknownStructure(name) => write!(f, "unknown select structure {name:?}"),
+            DriveError::ListShards(shards) => write!(f, "{shards} shards: {LIST_ONE_SHARD}"),
+            DriveError::Currency(name, e) => write!(f, "currency {name:?}: {e}"),
+            DriveError::Kernel(e) => e.fmt(f),
+        }
+    }
+}
+
+impl Error for DriveError {}
+
 /// Re-executes the driver procedure a header describes and returns the
 /// probe-bus event stream it emits.
 ///
@@ -133,70 +160,49 @@ fn spawn_order(spec: &TraceSpec) -> Vec<(usize, &TraceJob)> {
 ///
 /// # Errors
 ///
-/// Returns a message when the header names an unknown structure or a
-/// currency cannot be created (e.g. duplicate names).
-pub fn drive(header: &ReplayHeader) -> Result<Vec<Event>, String> {
+/// Returns a [`DriveError`] when the header names an unknown structure or
+/// a list over more than one shard, or a currency cannot be created (e.g.
+/// duplicate names).
+pub fn drive(header: &ReplayHeader) -> Result<Vec<Event>, DriveError> {
     let structure = parse_structure(&header.structure)
-        .ok_or_else(|| format!("unknown select structure {:?}", header.structure))?;
-    let quantum = SimDuration::from_us(header.quantum_us);
-
-    let flight = Shared::new(FlightRecorder::new(RING_CAPACITY));
-    let bus = ProbeBus::enabled();
-    bus.attach(flight.clone());
-
-    let (seed, shards) = (header.seed, header.shards as usize);
-    if shards == 0 {
-        let mut policy = match header.quantum_us {
-            0 => LotteryPolicy::new(seed),
-            _ => LotteryPolicy::with_quantum(seed, quantum),
-        };
-        policy.set_structure(structure);
-        drive_on(header, policy, 1, bus)?;
-    } else {
-        let mut policy = match header.quantum_us {
-            0 => DistributedLottery::new(seed, shards),
-            _ => DistributedLottery::with_quantum(seed, shards, quantum),
-        };
-        policy.set_structure(structure);
-        drive_on(header, policy, shards, bus)?;
+        .ok_or_else(|| DriveError::UnknownStructure(header.structure.clone()))?;
+    let cpus = header.shards.max(1) as usize;
+    if structure == SelectStructure::List && cpus > 1 {
+        return Err(DriveError::ListShards(header.shards));
     }
-
-    Ok(flight.with(|f| f.events().cloned().collect()))
-}
-
-/// Funds the header's currencies on `policy` and runs its jobs on `cpus`
-/// CPUs.
-fn drive_on<P>(
-    header: &ReplayHeader,
-    mut policy: P,
-    cpus: usize,
-    bus: ProbeBus,
-) -> Result<(), String>
-where
-    P: Policy<Spec = FundingSpec> + DerefMut<Target = LotteryCore>,
-{
+    let mut policy = match header.quantum_us {
+        0 => DistributedLottery::new(header.seed, cpus),
+        q => DistributedLottery::with_quantum(header.seed, cpus, SimDuration::from_us(q)),
+    };
+    policy.set_structure(structure);
     policy.set_compensation_enabled(header.compensation);
     let base = policy.base_currency();
     let mut currencies = HashMap::new();
     for cur in &header.spec.currencies {
         let id = policy
             .create_currency(&cur.name, cur.amount)
-            .map_err(|e| format!("currency {:?}: {e}", cur.name))?;
+            .map_err(|e| DriveError::Currency(cur.name.clone(), e))?;
         currencies.insert(cur.name.clone(), id);
     }
+
+    let flight = Shared::new(FlightRecorder::new(RING_CAPACITY));
+    let bus = ProbeBus::enabled();
+    bus.attach(flight.clone());
     let mut kernel = SmpKernel::new(policy, cpus);
     kernel.set_probe_bus(bus);
     // Jobs spawn as they arrive, at their arrival time exactly.
     for &(i, job) in &spawn_order(&header.spec) {
         let arrival = SimTime::from_us(job.arrival_us);
-        kernel.run_until(arrival).map_err(|e| e.to_string())?;
+        kernel.run_until(arrival).map_err(DriveError::Kernel)?;
         let cur = currencies.get(job.tenant.as_str()).copied().unwrap_or(base);
         let funding = FundingSpec::new(cur, job.tickets.max(1));
         let script = Box::new(Scripted::once(job_script(job)));
         kernel.spawn(format!("job{i}"), script, funding);
     }
-    let until = SimTime::from_us(header.until_us);
-    kernel.run_until(until).map_err(|e| e.to_string())
+    kernel
+        .run_until(SimTime::from_us(header.until_us))
+        .map_err(DriveError::Kernel)?;
+    Ok(flight.with(|f| f.events().cloned().collect()))
 }
 
 /// Captures a fresh window: runs `spec` under `config` and returns the
@@ -205,7 +211,7 @@ where
 /// # Errors
 ///
 /// Propagates [`drive`] failures.
-pub fn record(spec: TraceSpec, config: &CaptureConfig) -> Result<ReplayLog, String> {
+pub fn record(spec: TraceSpec, config: &CaptureConfig) -> Result<ReplayLog, DriveError> {
     let header = ReplayHeader {
         // `ParkMiller::new` normalises fixed-point seeds; stamping the
         // normalised state means replay re-seeds with the exact value the
@@ -242,9 +248,9 @@ pub fn load_trace(path: &str) -> Result<TraceSpec, String> {
 ///
 /// # Errors
 ///
-/// Propagates [`load_trace`] and [`record`] failures.
+/// Propagates [`load_trace`] and [`record`] failures, as text.
 pub fn record_trace_file(path: &str, config: &CaptureConfig) -> Result<ReplayLog, String> {
-    record(load_trace(path)?, config)
+    record(load_trace(path)?, config).map_err(|e| e.to_string())
 }
 
 /// The result of replaying a recorded window.
@@ -286,7 +292,7 @@ impl Replayer {
     /// # Errors
     ///
     /// Propagates [`drive`] failures (corrupt or hand-edited headers).
-    pub fn run(&self) -> Result<ReplayReport, String> {
+    pub fn run(&self) -> Result<ReplayReport, DriveError> {
         let replayed = drive(&self.log.header)?;
         let divergence = first_divergence(&self.log.events, &replayed);
         Ok(ReplayReport {
@@ -433,6 +439,17 @@ mod tests {
         assert!(!log.events.is_empty());
         let report = Replayer::new(log).run().unwrap();
         assert!(report.bit_exact(), "diverged: {:?}", report.divergence);
+    }
+
+    #[test]
+    fn list_over_shards_is_refused_by_name() {
+        let err = record(demo_spec(), &demo_config(SelectStructure::List, 2)).unwrap_err();
+        assert_eq!(err, DriveError::ListShards(2));
+        // A hand-edited header is refused on replay the same way.
+        let mut log = record(demo_spec(), &demo_config(SelectStructure::List, 1)).unwrap();
+        log.header.shards = 4;
+        let err = Replayer::new(log).run().unwrap_err();
+        assert_eq!(err.to_string(), format!("4 shards: {LIST_ONE_SHARD}"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The shared compensation policy hook (Section 4.5).
 //!
 //! This hook is the single owner of the compensation decision around
-//! [`lottery_core::compensation`]: [`super::lottery::LotteryPolicy`] and
-//! [`super::distributed::DistributedLottery`] delegate both the
+//! [`lottery_core::compensation`]: the [`super::core::LotteryCore`] under
+//! every lottery policy (and each `lottery-par` worker) delegates both the
 //! quantum-end charge side and the dispatch-time revoke side to it, so
 //! the Section 4.5 ablation drives every policy through one switch and
 //! every policy reports grants and revocations the same way.
@@ -39,11 +39,6 @@ impl CompensationHook {
     /// Creates the hook with compensation enabled (the paper's default).
     pub fn new() -> Self {
         Self { enabled: true }
-    }
-
-    /// Whether partial-quantum yields and blocks grant compensation.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Enables or disables compensation grants (the Section 4.5 ablation

@@ -5,15 +5,17 @@
 //! saying which ledger client backs which thread, and a fixed sequence
 //! around every draw: settle the weights the ledger invalidated, hold the
 //! lottery, revoke the winner's compensation ticket, and at quantum end
-//! grant the next one (Sections 4.2–4.5). [`LotteryCore`] owns exactly
-//! that, once. [`super::lottery::LotteryPolicy`] is the core over one
-//! [`Shard`] plus RPC transfers and kernel mutexes;
+//! grant the next one (Sections 4.2–4.5). The ledger's two other users,
+//! RPC ticket transfers (Section 4.6) and lottery-scheduled kernel
+//! mutexes (Section 6.1), are the core's too: the transfer book and the
+//! mutex table live here, so every policy over the core has them.
+//! [`LotteryCore`] owns exactly that, once.
 //! [`super::distributed::DistributedLottery`] is the core over one shard
-//! per CPU plus homing, stealing and rebalancing; each real-thread worker
-//! of `lottery-par` is the core over one shard of a ledger it shares. The
-//! two simulated policies `Deref` to it, so the currency and funding calls
-//! below are their public API too, and a single shard is the same code as
-//! the uniprocessor policy rather than a copy kept in step by hand.
+//! per CPU plus homing, stealing and rebalancing;
+//! [`super::lottery::LotteryPolicy`] is that policy over one shard; each
+//! real-thread worker of `lottery-par` is the core over one shard of a
+//! ledger it shares. The simulated policies `Deref` to it, so the
+//! currency and funding calls below are their public API too.
 //!
 //! Where the ledger lives is the core's one parameter, [`LedgerAccess`]:
 //! a simulated policy owns its [`Ledger`], a worker reaches a shared one
@@ -30,20 +32,23 @@
 //! thread; `lottery-par` funds its currencies with the first under its
 //! lock.
 
+use std::collections::HashMap;
 use std::ops::DerefMut;
 
 use lottery_core::client::ClientId;
 use lottery_core::currency::CurrencyId;
 use lottery_core::errors::Result;
 use lottery_core::ledger::Ledger;
+use lottery_core::mutex::{TicketMutex, WaiterFunding};
 use lottery_core::rng::ParkMiller;
 use lottery_core::ticket::TicketId;
+use lottery_core::transfer::{lend, Transfer, TransferTarget};
 use lottery_obs::{EventKind, ProbeBus};
 
 use super::comp::CompensationHook;
 use super::lottery::{FundingSpec, SelectStructure};
 use super::shard::Shard;
-use super::EndReason;
+use super::{EndReason, LockId};
 use crate::thread::ThreadId;
 use crate::time::SimDuration;
 
@@ -142,6 +147,10 @@ pub struct LotteryCore<L = Ledger> {
     lotteries: u64,
     /// Probe bus for per-draw observability (disabled by default).
     pub(super) bus: ProbeBus,
+    /// Outstanding RPC transfers, keyed by (client, server).
+    transfers: HashMap<(ThreadId, ThreadId), Transfer>,
+    /// Kernel mutexes (Section 6.1), scheduled by handoff lotteries.
+    locks: Vec<TicketMutex>,
 }
 
 impl LotteryCore {
@@ -192,10 +201,7 @@ impl LotteryCore {
 
     /// The face amount of a thread's funding ticket.
     pub fn funding(&self, tid: ThreadId) -> u64 {
-        self.ledger
-            .ticket(self.funding_info(tid).ticket)
-            .map(|t| t.amount())
-            .unwrap_or(0)
+        face(&self.ledger, self.funding_info(tid))
     }
 
     /// A thread's current value in base units (including compensation).
@@ -234,6 +240,8 @@ impl<L: LedgerAccess> LotteryCore<L> {
             comp: CompensationHook::new(),
             lotteries: 0,
             bus: ProbeBus::disabled(),
+            transfers: HashMap::new(),
+            locks: Vec::new(),
         }
     }
 
@@ -254,14 +262,6 @@ impl<L: LedgerAccess> LotteryCore<L> {
         self.lotteries
     }
 
-    /// The Park–Miller state the next draw will consume — the replay
-    /// checkpoint. Passing this value as the seed of a fresh policy
-    /// reproduces the remaining draw stream exactly (seeds in
-    /// `[1, 2^31 - 2]` are taken verbatim).
-    pub fn rng_state(&self) -> u32 {
-        self.rng.state()
-    }
-
     /// Disables compensation tickets — the Section 4.5 ablation, which
     /// reproduces the anomaly where an interactive thread receives far
     /// less than its entitled share.
@@ -269,20 +269,16 @@ impl<L: LedgerAccess> LotteryCore<L> {
         self.comp.set_enabled(enabled);
     }
 
-    /// Whether compensation tickets are enabled (replay stamps capture
-    /// this switch).
-    pub fn compensation_enabled(&self) -> bool {
-        self.comp.enabled()
-    }
-
     /// The quantum every dispatch is granted.
     pub fn quantum(&self) -> SimDuration {
         self.quantum
     }
 
-    /// Whether `tid` is on these books.
-    pub(super) fn is_registered(&self, tid: ThreadId) -> bool {
-        matches!(self.threads.get(tid.index() as usize), Some(Some(_)))
+    /// The threads on these books, in id order.
+    pub(super) fn registered(&self) -> impl Iterator<Item = ThreadId> + '_ {
+        (0..self.threads.len() as u32)
+            .map(ThreadId::from_index)
+            .filter(|tid| self.threads[tid.index() as usize].is_some())
     }
 
     /// The thread a ledger client backs.
@@ -455,6 +451,106 @@ impl<L: LedgerAccess> LotteryCore<L> {
     }
 }
 
+impl<L: LedgerAccess> LotteryCore<L> {
+    /// Lends the blocked client's ticket value to the server thread
+    /// (Section 4.6: "creating a new ticket denominated in the client's
+    /// currency" to fund the server).
+    ///
+    /// The two threads may be homed on different shards. The lent ticket
+    /// funds the server's client, so the server's new weight reaches the
+    /// server's home shard through that shard's dirty queue at its next
+    /// pick. The calling client is blocked and sits on no shard: nothing
+    /// of it has to move.
+    pub fn transfer(&mut self, from: ThreadId, to: ThreadId) {
+        let funding = self.funding_info(from);
+        let server = self.client_of(to);
+        let mut ledger = self.ledger.lock();
+        let amount = face(&ledger, funding);
+        if amount == 0 {
+            return;
+        }
+        let target = TransferTarget::Client(server);
+        let transfer = lend(&mut ledger, funding.currency, amount, target)
+            .expect("transfer endpoints are live");
+        if let Some(stale) = self.transfers.insert((from, to), transfer) {
+            // A client cannot have two outstanding calls to one server,
+            // but unwind defensively rather than leak funding.
+            let _ = stale.repay(&mut ledger);
+        }
+    }
+
+    /// Destroys the transfer ticket on reply; a no-op without a matching
+    /// [`transfer`](Self::transfer).
+    pub fn untransfer(&mut self, from: ThreadId, to: ThreadId) {
+        if let Some(transfer) = self.transfers.remove(&(from, to)) {
+            transfer
+                .repay(&mut self.ledger.lock())
+                .expect("transfer ticket is live");
+        }
+    }
+
+    /// The RPC transfers outstanding, as `(client, server)` pairs.
+    pub fn transfers(&self) -> impl Iterator<Item = (ThreadId, ThreadId)> + '_ {
+        self.transfers.keys().copied()
+    }
+
+    /// Creates a lottery-scheduled kernel mutex: a mutex currency plus an
+    /// inheritance ticket (Section 6.1, Figure 10).
+    pub fn create_lock(&mut self) -> LockId {
+        let id = LockId::from_index(self.locks.len() as u32);
+        let name = format!("kernel-lock{}", id.index());
+        let mutex = TicketMutex::new(&mut self.ledger.lock(), &name).expect("fresh mutex currency");
+        self.locks.push(mutex);
+        id
+    }
+
+    /// Acquires `lock` for `tid`, or parks it as a waiter funding the
+    /// mutex currency with a transfer denominated in its own funding
+    /// currency. The holder's gained weight reaches its home shard through
+    /// that shard's dirty queue, as a transfer's does.
+    pub fn lock(&mut self, tid: ThreadId, lock: LockId) -> bool {
+        let funding = self.funding_info(tid);
+        let mut ledger = self.ledger.lock();
+        let waiter = WaiterFunding {
+            currency: funding.currency,
+            amount: face(&ledger, funding).max(1),
+        };
+        self.locks[lock.index() as usize]
+            .acquire(&mut ledger, funding.client, waiter)
+            .expect("lock endpoints are live")
+    }
+
+    /// Releases `lock`, held by `tid`, and holds the handoff lottery among
+    /// the waiters, weighted by their transferred funding; the winner's
+    /// transfer is repaid and it inherits the mutex's inheritance ticket.
+    pub fn unlock(&mut self, tid: ThreadId, lock: LockId) -> Option<ThreadId> {
+        let client = self.client_of(tid);
+        let winner = self.locks[lock.index() as usize]
+            .release(&mut self.ledger.lock(), client, &mut self.rng)
+            .expect("release by the holder");
+        winner.map(|w| self.thread_of(w).expect("winner is a registered thread"))
+    }
+
+    /// Cancels a killed thread's lock waits, repaying its transfers.
+    pub fn cancel_lock_waits(&mut self, tid: ThreadId) {
+        let client = self.client_of(tid);
+        let mut ledger = self.ledger.lock();
+        for lock in &mut self.locks {
+            let _ = lock.cancel(&mut ledger, client);
+        }
+    }
+
+    /// The thread holding `lock`, if any.
+    pub fn lock_holder(&self, lock: LockId) -> Option<ThreadId> {
+        self.thread_of(self.locks[lock.index() as usize].holder()?)
+    }
+}
+
+/// The face amount of the ticket behind `funding` (0 once destroyed).
+fn face(ledger: &Ledger, funding: ThreadFunding) -> u64 {
+    ledger.ticket(funding.ticket).map_or(0, |t| t.amount())
+}
+
 /// A thread's current base-unit value through the valuation cache — free
 /// of `self` so a draw can price threads while the RNG is borrowed.
 fn value_in(threads: &[Option<ThreadFunding>], ledger: &Ledger, tid: ThreadId) -> f64 {
@@ -490,7 +586,7 @@ mod tests {
         core.exit(visitor, &mut shard);
         assert!(!shard.contains(visitor));
 
-        assert!(!core.is_registered(visitor));
+        assert!(!core.registered().any(|t| t == visitor));
         assert_eq!(core.thread_of(client), None);
         assert_eq!(core.ledger.clients().count(), clients);
         assert_eq!(core.ledger.tickets().count(), tickets);

@@ -31,17 +31,23 @@
 //!   for an idle one ([`DistributedLottery::set_comp_aware_rebalance`]
 //!   exposes that ablation).
 //!
-//! Each per-CPU shard is the same [`Shard`] the uniprocessor
-//! [`super::lottery::LotteryPolicy`] holds one of, and the ledger, the
-//! funding book and the sequence around every draw are the same
-//! [`LotteryCore`] — both written once, and so is a CPU's pick on a shard
+//! Each per-CPU shard is the same [`Shard`] each `lottery-par` worker
+//! holds one of, and the ledger, the funding book, the RPC transfer book,
+//! the mutex table and the sequence around every draw are the same
+//! [`LotteryCore`] — all written once, and so is a CPU's pick on a shard
 //! ([`LotteryCore::pick_from`]: the draw, staged with its shard and steal
-//! for the kernel's decision probe), which each `lottery-par` worker
-//! makes too. What this policy adds around them: a home shard per thread
-//! (which is also the ledger dirty queue its invalidations go to), the
-//! choice of victim to steal from, and rebalancing. With a single shard
-//! its winner stream is therefore `LotteryPolicy`'s under the same
-//! structure: it is the same code.
+//! for the kernel's decision probe). What this policy adds around them: a
+//! home shard per thread (which is also the ledger dirty queue its
+//! invalidations go to), the choice of victim to steal from, and
+//! rebalancing. Over one shard there is nothing to home, steal or
+//! rebalance, and none of the three does any work: that case is
+//! [`super::lottery::LotteryPolicy`], the uniprocessor policy, which adds
+//! only the list walk as its default structure.
+//!
+//! A list shard stores no weights — it values the queue through the ledger
+//! at draw time — so its total is only what its last draw summed, too
+//! stale to home, steal or rebalance by. [`SelectStructure::List`]
+//! therefore means exactly one shard.
 
 use std::ops::{Deref, DerefMut};
 
@@ -51,9 +57,13 @@ use lottery_obs::{EventKind, ProbeBus};
 use super::core::LotteryCore;
 use super::lottery::{FundingSpec, SelectStructure};
 use super::shard::Shard;
-use super::{EndReason, Policy};
+use super::{EndReason, LockId, Policy};
 use crate::thread::ThreadId;
 use crate::time::{SimDuration, SimTime};
+
+/// Why [`SelectStructure::List`] runs on exactly one shard.
+pub const LIST_ONE_SHARD: &str =
+    "a list shard keeps no weights to home, steal or rebalance by: the list structure needs exactly one shard";
 
 /// Per-shard statistics, as reported by [`DistributedLottery::shard_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,7 +97,8 @@ pub struct DistributedLottery {
     shards: Vec<Shard>,
     /// Lotteries resolved from each shard.
     shard_picks: Vec<u64>,
-    /// Home shard per thread, indexed by thread id.
+    /// Home shard per thread, indexed by thread id; empty over one shard,
+    /// where every thread lives on shard 0.
     home: Vec<u32>,
     /// Whether homing, stealing, and rebalancing compare *effective*
     /// (compensated) shard totals; `false` is the raw-weight ablation.
@@ -157,11 +168,6 @@ impl DistributedLottery {
         }
     }
 
-    /// Number of shards (one per CPU).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Tunes the rebalancer: check every `interval` picks, and call a
     /// shard heavy when its total exceeds `bound × mean`.
     ///
@@ -184,21 +190,20 @@ impl DistributedLottery {
         self.comp_aware = enabled;
     }
 
-    /// Whether rebalancing currently compares compensated totals.
-    pub fn comp_aware_rebalance(&self) -> bool {
-        self.comp_aware
-    }
-
     /// Selects the per-shard winner-search structure, rebuilding every
     /// shard in queue order with exact values from the valuation cache.
-    /// [`SelectStructure::List`] has no distributed analogue and behaves
-    /// like `Tree`. Emits one [`EventKind::StructureRebuild`] per shard.
+    /// May be called at any point, even mid-run with threads queued. Emits
+    /// one [`EventKind::StructureRebuild`] per shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`SelectStructure::List`] over more than one shard: a list
+    /// shard's total is only what its last draw summed ([`LIST_ONE_SHARD`]).
     pub fn set_structure(&mut self, structure: SelectStructure) {
-        let structure = if structure == SelectStructure::Alias {
-            SelectStructure::Alias
-        } else {
-            SelectStructure::Tree
-        };
+        assert!(
+            structure != SelectStructure::List || self.shards.len() == 1,
+            "{LIST_ONE_SHARD}"
+        );
         for (s, shard) in self.shards.iter_mut().enumerate() {
             self.core.rebuild(s as u32, shard, structure);
         }
@@ -223,7 +228,7 @@ impl DistributedLottery {
 
     /// A thread's home shard.
     pub fn home_of(&self, tid: ThreadId) -> u32 {
-        self.home[tid.index() as usize]
+        self.home.get(tid.index() as usize).copied().unwrap_or(0)
     }
 
     /// Read access to the underlying ledger (as [`LotteryCore::ledger`];
@@ -252,12 +257,9 @@ impl DistributedLottery {
     pub fn shard_stats(&mut self, shard: u32) -> ShardStats {
         self.refresh_shard(shard);
         let threads = self
-            .home
-            .iter()
-            .enumerate()
-            .filter(|&(i, &home)| {
-                home == shard && self.core.is_registered(ThreadId::from_index(i as u32))
-            })
+            .core
+            .registered()
+            .filter(|&tid| self.home_of(tid) == shard)
             .count() as u32;
         let sh = &self.shards[shard as usize];
         ShardStats {
@@ -289,7 +291,7 @@ impl DistributedLottery {
     pub fn migrate(&mut self, tid: ThreadId, shard: u32) {
         assert!((shard as usize) < self.shards.len(), "no such shard");
         let client = self.core.client_of(tid);
-        let from = self.home[tid.index() as usize];
+        let from = self.home_of(tid);
         if from == shard {
             return;
         }
@@ -329,8 +331,15 @@ impl DistributedLottery {
         self.core.refresh(shard, &mut self.shards[shard as usize]);
     }
 
-    /// The heaviest foreign shard with ready work, for stealing.
+    /// The heaviest foreign shard with ready work, for a CPU whose own
+    /// shard is empty. The thief's dirty queue is settled first (its
+    /// notifications are for threads that are not ready, so this only
+    /// empties it). One shard has no victim and settles nothing.
     fn steal_victim(&mut self, thief: u32) -> Option<u32> {
+        if self.shards.len() == 1 {
+            return None;
+        }
+        self.refresh_shard(thief);
         let mut best: Option<(u32, f64)> = None;
         for s in 0..self.shards.len() as u32 {
             if s == thief || self.shards[s as usize].is_empty() {
@@ -430,7 +439,8 @@ impl DistributedLottery {
 impl Policy for DistributedLottery {
     type Spec = FundingSpec;
 
-    /// Registers a thread, homing it on the least-loaded shard.
+    /// Registers a thread, homing it on the least-loaded shard (over one
+    /// shard, on shard 0 without looking).
     ///
     /// # Panics
     ///
@@ -438,6 +448,9 @@ impl Policy for DistributedLottery {
     /// both are harness configuration bugs.
     fn on_spawn(&mut self, tid: ThreadId, spec: FundingSpec) {
         let client = self.core.spawn(tid, spec);
+        if self.shards.len() == 1 {
+            return;
+        }
         let home = self.least_loaded_shard();
         let idx = tid.index() as usize;
         if self.home.len() <= idx {
@@ -448,12 +461,12 @@ impl Policy for DistributedLottery {
     }
 
     fn on_exit(&mut self, tid: ThreadId) {
-        let home = self.home[tid.index() as usize];
+        let home = self.home_of(tid);
         self.core.exit(tid, &mut self.shards[home as usize]);
     }
 
     fn enqueue(&mut self, tid: ThreadId, _now: SimTime) {
-        let home = self.home[tid.index() as usize];
+        let home = self.home_of(tid);
         self.core.activate(tid, &mut self.shards[home as usize]);
     }
 
@@ -466,13 +479,10 @@ impl Policy for DistributedLottery {
     /// foreign shard when the local queue is empty.
     fn pick_on(&mut self, cpu: u32, _now: SimTime) -> Option<ThreadId> {
         let local = cpu % self.shards.len() as u32;
-        self.refresh_shard(local);
         let (shard, stolen) = if self.shards[local as usize].is_empty() {
-            match self.steal_victim(local) {
-                Some(victim) => (victim, true),
-                None => return None,
-            }
+            (self.steal_victim(local)?, true)
         } else {
+            self.refresh_shard(local);
             (local, false)
         };
         self.shard_picks[shard as usize] += 1;
@@ -480,28 +490,32 @@ impl Policy for DistributedLottery {
         let tid = self
             .core
             .pick_from(shard, &mut self.shards[shard as usize], stolen);
-        self.picks_since_check += 1;
-        if self.picks_since_check >= self.rebalance_interval && self.shards.len() > 1 {
-            self.picks_since_check = 0;
-            self.maybe_rebalance();
+        if self.shards.len() > 1 {
+            self.picks_since_check += 1;
+            if self.picks_since_check >= self.rebalance_interval {
+                self.picks_since_check = 0;
+                self.maybe_rebalance();
+            }
         }
         Some(tid)
-    }
-
-    fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason) {
-        self.core.charge(tid, used, quantum, why);
-    }
-
-    fn quantum(&self) -> SimDuration {
-        self.core.quantum()
     }
 
     fn ready_len(&self) -> usize {
         self.shards.iter().map(Shard::len).sum()
     }
 
-    fn set_probe_bus(&mut self, bus: ProbeBus) {
-        self.core.set_probe_bus(bus);
+    // The rest is the core's, whichever shards the threads are homed on
+    // (see `LotteryCore::transfer` for an RPC across shards).
+    delegate! { core =>
+        fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason);
+        fn quantum(&self) -> SimDuration;
+        fn set_probe_bus(&mut self, bus: ProbeBus);
+        fn transfer(&mut self, from: ThreadId, to: ThreadId);
+        fn untransfer(&mut self, from: ThreadId, to: ThreadId);
+        fn create_lock(&mut self) -> LockId;
+        fn lock(&mut self, tid: ThreadId, lock: LockId) -> bool;
+        fn unlock(&mut self, tid: ThreadId, lock: LockId) -> Option<ThreadId>;
+        fn cancel_lock_waits(&mut self, tid: ThreadId);
     }
 }
 
@@ -675,6 +689,32 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let _ = DistributedLottery::new(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one shard")]
+    fn multi_shard_list_rejected() {
+        DistributedLottery::new(1, 2).set_structure(SelectStructure::List);
+    }
+
+    #[test]
+    fn one_shard_homes_steals_and_rebalances_nothing() {
+        let mut p = DistributedLottery::new(5, 1);
+        p.set_structure(SelectStructure::List);
+        p.set_rebalance(1, 1.0);
+        let spec = base_spec(&p, 100);
+        p.on_spawn(T0, spec);
+        p.on_spawn(T1, base_spec(&p, 300));
+        assert!(p.home.is_empty(), "one shard keeps no home table");
+        p.enqueue(T0, SimTime::ZERO);
+        p.enqueue(T1, SimTime::ZERO);
+        for _ in 0..8 {
+            let w = p.pick_on(3, SimTime::ZERO).unwrap();
+            p.enqueue(w, SimTime::ZERO);
+        }
+        assert_eq!((p.steals(), p.migrations(), p.rebalances()), (0, 0, 0));
+        assert_eq!(p.picks_since_check, 0);
+        assert_eq!(p.shard_stats(0).threads, 2);
     }
 
     /// Per-shard alias tables must reproduce the per-shard trees' winner

@@ -7,16 +7,12 @@
 //! each thread's value until the winner is found — exactly the prototype's
 //! procedure (Section 4.4).
 //!
-//! The ready queue, the winner structure, and the draw itself are one
-//! [`Shard`]; the ledger, the funding book, and the sequence around every
-//! draw (settle dirty weights, draw, revoke and grant compensation) are
-//! the [`LotteryCore`]. Both are shared with the distributed policy, of
-//! which this one is the single-shard case. What it adds: the
-//! `"list"`/`"tree"`/`"alias"` probe tags, the list walk as a structure,
-//! RPC ticket transfers, and lottery-scheduled kernel mutexes, on one CPU
-//! or several sharing its one queue.
-//!
-//! The policy implements the full mechanism set:
+//! [`LotteryPolicy`] is the [`DistributedLottery`] over one shard, whose
+//! default structure is that list walk: one ready queue, nothing to home,
+//! steal or rebalance. It holds nothing of its own. The ledger, the
+//! funding book, the RPC transfer book, the mutex table and the sequence
+//! around every draw are the [`LotteryCore`]'s, so every lottery policy
+//! has the full mechanism set:
 //!
 //! * **currencies** — spawn threads into any currency of an arbitrary
 //!   acyclic funding graph (Figure 3);
@@ -25,20 +21,21 @@
 //!   its next dispatch (Section 4.5);
 //! * **ticket transfers** — RPC clients fund the server thread for the
 //!   duration of the call (Section 4.6);
+//! * **lottery-scheduled mutexes** — waiters fund the holder through the
+//!   mutex currency, and a release holds a handoff lottery (Section 6.1);
 //! * **dynamic inflation** — [`LotteryCore::set_funding`] adjusts a
 //!   thread's ticket in place (Section 5.2's Monte-Carlo control).
+//!
+//! It runs on one CPU or on several sharing its one queue.
 
-use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 
 use lottery_core::currency::CurrencyId;
 use lottery_core::ledger::Ledger;
-use lottery_core::mutex::{TicketMutex, WaiterFunding};
-use lottery_core::transfer::{lend, Transfer, TransferTarget};
 use lottery_obs::ProbeBus;
 
 use super::core::LotteryCore;
-use super::shard::Shard;
+use super::distributed::DistributedLottery;
 use super::{EndReason, LockId, Policy};
 use crate::thread::ThreadId;
 use crate::time::{SimDuration, SimTime};
@@ -93,31 +90,25 @@ pub enum SelectStructure {
     Alias,
 }
 
-/// The lottery scheduling policy.
+/// The lottery scheduling policy: a one-shard [`DistributedLottery`]
+/// searched by the list walk until [`set_structure`](Self::set_structure)
+/// says otherwise.
 ///
-/// Currencies, funding, the ledger and the compensation switch are the
-/// [`LotteryCore`]'s, reached through `Deref`.
-pub struct LotteryPolicy {
-    core: LotteryCore,
-    /// The ready queue and its winner structure.
-    shard: Shard,
-    /// Outstanding RPC transfers, keyed by (client, server).
-    transfers: HashMap<(ThreadId, ThreadId), Transfer>,
-    /// Kernel mutexes (Section 6.1), scheduled by handoff lotteries.
-    locks: Vec<TicketMutex>,
-}
+/// Currencies, funding, the ledger, the compensation switch, transfers and
+/// locks are the [`LotteryCore`]'s, reached through `Deref`.
+pub struct LotteryPolicy(DistributedLottery);
 
 impl Deref for LotteryPolicy {
     type Target = LotteryCore;
 
     fn deref(&self) -> &LotteryCore {
-        &self.core
+        &self.0
     }
 }
 
 impl DerefMut for LotteryPolicy {
     fn deref_mut(&mut self) -> &mut LotteryCore {
-        &mut self.core
+        &mut self.0
     }
 }
 
@@ -133,12 +124,9 @@ impl LotteryPolicy {
     ///
     /// Panics on a zero quantum.
     pub fn with_quantum(seed: u32, quantum: SimDuration) -> Self {
-        Self {
-            core: LotteryCore::new(seed, quantum),
-            shard: Shard::new(SelectStructure::List),
-            transfers: HashMap::new(),
-            locks: Vec::new(),
-        }
+        let mut one = DistributedLottery::with_quantum(seed, 1, quantum);
+        one.set_structure(SelectStructure::List);
+        Self(one)
     }
 
     /// Selects the winner-search structure (Section 4.2).
@@ -149,156 +137,45 @@ impl LotteryPolicy {
     /// Emits a [`lottery_obs::EventKind::StructureRebuild`] describing the
     /// rebuild.
     pub fn set_structure(&mut self, structure: SelectStructure) {
-        self.core.rebuild(0, &mut self.shard, structure);
+        self.0.set_structure(structure);
     }
 
     /// The active winner-search structure.
     pub fn structure(&self) -> SelectStructure {
-        self.shard.structure()
+        self.0.structure()
     }
 
     /// Read access to the underlying ledger (as [`LotteryCore::ledger`];
     /// inherent so `LotteryPolicy::ledger` names it).
     pub fn ledger(&self) -> &Ledger {
-        self.core.ledger()
-    }
-
-    /// The RPC transfers outstanding, as `(client, server)` pairs.
-    pub fn transfers(&self) -> impl Iterator<Item = (ThreadId, ThreadId)> + '_ {
-        self.transfers.keys().copied()
-    }
-
-    /// The thread holding `lock`, if any.
-    pub fn lock_holder(&self, lock: LockId) -> Option<ThreadId> {
-        let holder = self.locks[lock.index() as usize].holder()?;
-        self.core.thread_of(holder)
+        self.0.ledger()
     }
 }
 
+/// Every call goes to the one-shard policy inside.
+///
+/// # Panics
+///
+/// `on_spawn` panics when the spec names a stale currency or a zero
+/// amount — both are harness configuration bugs.
 impl Policy for LotteryPolicy {
     type Spec = FundingSpec;
 
-    /// Registers a thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the spec names a stale currency or a zero amount —
-    /// both are harness configuration bugs.
-    fn on_spawn(&mut self, tid: ThreadId, spec: FundingSpec) {
-        self.core.spawn(tid, spec);
-    }
-
-    fn on_exit(&mut self, tid: ThreadId) {
-        self.core.exit(tid, &mut self.shard);
-    }
-
-    fn enqueue(&mut self, tid: ThreadId, _now: SimTime) {
-        self.core.activate(tid, &mut self.shard);
-    }
-
-    fn pick(&mut self, _now: SimTime) -> Option<ThreadId> {
-        if self.shard.is_empty() {
-            return None;
-        }
-        self.core.refresh(0, &mut self.shard);
-        Some(self.core.pick_from(0, &mut self.shard, false))
-    }
-
-    fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason) {
-        self.core.charge(tid, used, quantum, why);
-    }
-
-    fn quantum(&self) -> SimDuration {
-        self.core.quantum()
-    }
-
-    /// Lends the blocked client's ticket value to the server thread
-    /// (Section 4.6: "creating a new ticket denominated in the client's
-    /// currency" to fund the server).
-    fn transfer(&mut self, from: ThreadId, to: ThreadId) {
-        let currency = self.core.funding_info(from).currency;
-        let server = self.core.client_of(to);
-        let amount = self.core.funding(from);
-        if amount == 0 {
-            return;
-        }
-        let transfer = lend(
-            &mut self.core.ledger,
-            currency,
-            amount,
-            TransferTarget::Client(server),
-        )
-        .expect("transfer endpoints are live");
-        if let Some(stale) = self.transfers.insert((from, to), transfer) {
-            // A client cannot have two outstanding calls to one server,
-            // but unwind defensively rather than leak funding.
-            let _ = stale.repay(&mut self.core.ledger);
-        }
-        // The server's gained funding reaches its tree leaf through the
-        // ledger's dirty-client queue at the next pick.
-    }
-
-    /// Destroys the transfer ticket on reply.
-    fn untransfer(&mut self, from: ThreadId, to: ThreadId) {
-        if let Some(transfer) = self.transfers.remove(&(from, to)) {
-            transfer
-                .repay(&mut self.core.ledger)
-                .expect("transfer ticket is live");
-        }
-    }
-
-    fn ready_len(&self) -> usize {
-        self.shard.len()
-    }
-
-    fn set_probe_bus(&mut self, bus: ProbeBus) {
-        self.core.set_probe_bus(bus);
-    }
-
-    /// Creates a lottery-scheduled kernel mutex: a mutex currency plus an
-    /// inheritance ticket (Section 6.1, Figure 10).
-    fn create_lock(&mut self) -> LockId {
-        let id = LockId::from_index(self.locks.len() as u32);
-        let name = format!("kernel-lock{}", id.index());
-        let mutex = TicketMutex::new(&mut self.core.ledger, &name).expect("fresh mutex currency");
-        self.locks.push(mutex);
-        id
-    }
-
-    /// Acquires, or parks the thread as a waiter funding the mutex
-    /// currency with a transfer denominated in its own funding currency.
-    fn lock(&mut self, tid: ThreadId, lock: LockId) -> bool {
-        let funding = self.core.funding_info(tid);
-        let waiter = WaiterFunding {
-            currency: funding.currency,
-            amount: self.core.funding(tid).max(1),
-        };
-        self.locks[lock.index() as usize]
-            .acquire(&mut self.core.ledger, funding.client, waiter)
-            .expect("lock endpoints are live")
-    }
-
-    /// Cancels the killed thread's lock waits, repaying its transfers.
-    fn cancel_lock_waits(&mut self, tid: ThreadId) {
-        let client = self.core.client_of(tid);
-        for lock in &mut self.locks {
-            let _ = lock.cancel(&mut self.core.ledger, client);
-        }
-    }
-
-    /// Releases and holds the handoff lottery among the waiters, weighted
-    /// by their transferred funding; the winner's transfer is repaid and
-    /// it inherits the mutex's inheritance ticket.
-    fn unlock(&mut self, tid: ThreadId, lock: LockId) -> Option<ThreadId> {
-        let client = self.core.client_of(tid);
-        let winner = self.locks[lock.index() as usize]
-            .release(&mut self.core.ledger, client, &mut self.core.rng)
-            .expect("release by the holder");
-        winner.map(|w| {
-            self.core
-                .thread_of(w)
-                .expect("winner is a registered thread")
-        })
+    delegate! { 0 =>
+        fn on_spawn(&mut self, tid: ThreadId, spec: FundingSpec);
+        fn on_exit(&mut self, tid: ThreadId);
+        fn enqueue(&mut self, tid: ThreadId, now: SimTime);
+        fn pick(&mut self, now: SimTime) -> Option<ThreadId>;
+        fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason);
+        fn quantum(&self) -> SimDuration;
+        fn transfer(&mut self, from: ThreadId, to: ThreadId);
+        fn untransfer(&mut self, from: ThreadId, to: ThreadId);
+        fn ready_len(&self) -> usize;
+        fn set_probe_bus(&mut self, bus: ProbeBus);
+        fn create_lock(&mut self) -> LockId;
+        fn lock(&mut self, tid: ThreadId, lock: LockId) -> bool;
+        fn unlock(&mut self, tid: ThreadId, lock: LockId) -> Option<ThreadId>;
+        fn cancel_lock_waits(&mut self, tid: ThreadId);
     }
 }
 

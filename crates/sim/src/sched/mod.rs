@@ -5,7 +5,9 @@
 //! and every baseline the paper compares against implement this trait:
 //!
 //! * [`lottery::LotteryPolicy`] — the paper's mechanism, with currencies,
-//!   compensation tickets, and RPC ticket transfers.
+//!   compensation tickets, RPC ticket transfers and lottery-scheduled
+//!   mutexes: the one-shard case of
+//!   [`distributed::DistributedLottery`], which has them all too.
 //! * [`timeshare::TimesharePolicy`] — a decay-usage timesharing scheduler
 //!   standing in for the stock Mach policy.
 //! * [`fairshare::FairSharePolicy`] — a classical two-level fair-share
@@ -15,17 +17,39 @@
 //! * [`stride::StridePolicy`] — deterministic stride scheduling (the
 //!   authors' follow-up work), used as the de-randomization ablation.
 //!
-//! Both lottery policies keep their ready set and winner structure as one
-//! [`shard::Shard`], and the two are one [`core::LotteryCore`] — ledger,
-//! funding book, and the sequence around every draw — over one shard or
-//! one per CPU. The real-thread workers of `lottery-par` run the same
-//! core over a locked shared ledger (`LotteryCore<SharedLedger>` through
-//! [`core::LedgerAccess`]), so all three make one decision sequence.
+//! There is one lottery policy, [`distributed::DistributedLottery`]: one
+//! [`shard::Shard`] (ready set and winner structure) per CPU over one
+//! [`core::LotteryCore`] — ledger, funding book, RPC transfer book, mutex
+//! table, and the sequence around every draw. [`lottery::LotteryPolicy`]
+//! is its one-shard case. The real-thread workers of `lottery-par` run the
+//! same core over a locked shared ledger (`LotteryCore<SharedLedger>`
+//! through [`core::LedgerAccess`]), so they make the same decision
+//! sequence.
 //!
 //! Every policy runs under the one dispatch engine,
 //! [`crate::smp::SmpKernel`] (of which [`crate::kernel::Kernel`] is the
 //! one-CPU case), on any CPU count and with every burst: the RPC transfer
 //! hooks and the mutex calls below are reached on a multiprocessor too.
+
+/// Implements the listed trait methods by handing each call, with its
+/// arguments, to the field `$to` (a lottery policy's core, or the policy a
+/// wrapper holds). Each step peels one method off the list, trying the
+/// `&mut self` form before the `&self` one.
+macro_rules! delegate {
+    ($to:tt =>) => {};
+    ($to:tt => fn $name:ident(&mut $s:ident $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?; $($rest:tt)*) => {
+        fn $name(&mut $s $(, $arg: $ty)*) $(-> $ret)? {
+            $s.$to.$name($($arg),*)
+        }
+        delegate! { $to => $($rest)* }
+    };
+    ($to:tt => fn $name:ident(&$s:ident $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?; $($rest:tt)*) => {
+        fn $name(&$s $(, $arg: $ty)*) $(-> $ret)? {
+            $s.$to.$name($($arg),*)
+        }
+        delegate! { $to => $($rest)* }
+    };
+}
 
 pub mod comp;
 pub mod core;

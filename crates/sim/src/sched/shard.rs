@@ -4,8 +4,9 @@
 //! The paper's mechanism is one walk over one run queue, and its
 //! partial-sum tree "can also be used as the basis of a distributed
 //! lottery scheduler" — one local mechanism, replicated per CPU. [`Shard`]
-//! is that mechanism, written once: [`super::lottery::LotteryPolicy`]
-//! holds one, [`super::distributed::DistributedLottery`] one per CPU, and
+//! is that mechanism, written once:
+//! [`super::distributed::DistributedLottery`] holds one per CPU (so
+//! [`super::lottery::LotteryPolicy`], its one-shard case, holds one), and
 //! each real-thread worker of `lottery-par` one. Callers keep what is
 //! theirs: which ledger dirty queue to drain before [`Shard::settle`],
 //! the shard number the draw is staged under, the ledger lock, the

@@ -263,13 +263,17 @@ proptest! {
     }
 
     /// On one shard the distributed lottery IS the uniprocessor policy
-    /// under the same structure: winners and probe streams are
-    /// identical, so distributing the scheduler changed nothing about
-    /// the mechanism itself.
+    /// under the same structure, the list walk included: winners and
+    /// probe streams are identical, so distributing the scheduler changed
+    /// nothing about the mechanism itself.
     #[test]
     fn single_shard_matches_shared_tree_exactly(
         seed in 1..u32::MAX,
-        structure in prop_oneof![Just(SelectStructure::Tree), Just(SelectStructure::Alias)],
+        structure in prop_oneof![
+            Just(SelectStructure::List),
+            Just(SelectStructure::Tree),
+            Just(SelectStructure::Alias),
+        ],
         threads in 2..8usize,
         script in proptest::collection::vec(step_strategy(), 1..120),
     ) {

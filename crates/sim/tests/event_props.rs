@@ -1,8 +1,8 @@
 //! Event-driven core equivalence: the kernels must reproduce the golden
 //! captures bit for bit.
 //!
-//! Golden captures under `tests/data/` (list/tree/alias × 0/2/4 shards)
-//! pin the decision stream. Replaying them through the current core must
+//! Golden captures under `tests/data/` (list/tree/alias on one CPU, tree
+//! and alias × 2/4 shards) pin the decision stream. Replaying them through the current core must
 //! be bit-exact; any divergence is a behavioural change. They were last
 //! regenerated when the capture format became version 2 (one `decision`
 //! event per decision, deadline-exact windows).
@@ -42,10 +42,8 @@ const MATRIX: &[(SelectStructure, u32)] = &[
     (SelectStructure::List, 0),
     (SelectStructure::Tree, 0),
     (SelectStructure::Alias, 0),
-    (SelectStructure::List, 2),
     (SelectStructure::Tree, 2),
     (SelectStructure::Alias, 2),
-    (SelectStructure::List, 4),
     (SelectStructure::Tree, 4),
     (SelectStructure::Alias, 4),
 ];
@@ -312,12 +310,11 @@ fn part() -> impl Strategy<Value = (Part, u64)> {
 }
 
 /// Runs a random machine to 150 ms in four slices and returns its probe
-/// stream. Mutex workers run only where the policy has locks (`lock`);
-/// elsewhere they are hogs.
+/// stream. Mutex workers share `lock`.
 fn machine_stream<P: Policy<Spec = FundingSpec>>(
     mut kernel: SmpKernel<P>,
     base: CurrencyId,
-    lock: Option<LockId>,
+    lock: LockId,
     parts: &[(Part, u64)],
 ) -> Vec<Event> {
     let flight = Shared::new(FlightRecorder::new(1 << 17));
@@ -326,16 +323,16 @@ fn machine_stream<P: Policy<Spec = FundingSpec>>(
     let ms = SimDuration::from_ms;
     for &(part, tickets) in parts {
         let funding = FundingSpec::new(base, tickets);
-        let work: Box<dyn Workload> = match (part, lock) {
-            (Part::Hog, _) | (Part::Mutex { .. }, None) => Box::new(ComputeBound),
-            (Part::Io { run, sleep }, _) => Box::new(IoBound::new(ms(run), ms(sleep))),
-            (Part::Yielder { run }, _) => Box::new(FractionalQuantum::new(ms(run))),
-            (Part::Job { run }, _) => Box::new(FiniteJob::new(ms(run))),
-            (Part::Rpc { think, service }, _) => {
+        let work: Box<dyn Workload> = match part {
+            Part::Hog => Box::new(ComputeBound),
+            Part::Io { run, sleep } => Box::new(IoBound::new(ms(run), ms(sleep))),
+            Part::Yielder { run } => Box::new(FractionalQuantum::new(ms(run))),
+            Part::Job { run } => Box::new(FiniteJob::new(ms(run))),
+            Part::Rpc { think, service } => {
                 kernel.spawn("server", Box::new(RpcServer::new(port)), funding);
                 Box::new(RpcClient::new(port, ms(think), ms(service), None))
             }
-            (Part::Mutex { hold, compute }, Some(lock)) => {
+            Part::Mutex { hold, compute } => {
                 Box::new(MutexWorker::new(lock, ms(hold), ms(compute)))
             }
         };
@@ -360,9 +357,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Time runs forward on any machine: 1-4 CPUs, every structure, the
-    /// shared-queue and per-CPU lottery policies, and workloads mixing
-    /// runs, sleeps, yields, exits, RPC pairs and (where the policy has
-    /// locks) mutex workers.
+    /// shared-queue and per-CPU lottery policies (a list is one shard
+    /// under both), and workloads mixing runs, sleeps, yields, exits, RPC
+    /// pairs and mutex workers.
     #[test]
     fn probe_streams_run_forward_in_time(
         seed in 1u32..0x7fff_fffe,
@@ -374,16 +371,18 @@ proptest! {
         let quantum = SimDuration::from_ms(5);
         let structure = STRUCTURES[structure];
         let events = if distributed {
-            let mut policy = DistributedLottery::with_quantum(seed, cpus, quantum);
+            let shards = if structure == SelectStructure::List { 1 } else { cpus };
+            let mut policy = DistributedLottery::with_quantum(seed, shards, quantum);
             policy.set_structure(structure);
             let base = policy.base_currency();
-            machine_stream(SmpKernel::new(policy, cpus), base, None, &parts)
+            let lock = policy.create_lock();
+            machine_stream(SmpKernel::new(policy, cpus), base, lock, &parts)
         } else {
             let mut policy = LotteryPolicy::with_quantum(seed, quantum);
             policy.set_structure(structure);
             let base = policy.base_currency();
             let lock = policy.create_lock();
-            machine_stream(SmpKernel::new(policy, cpus), base, Some(lock), &parts)
+            machine_stream(SmpKernel::new(policy, cpus), base, lock, &parts)
         };
         let breaches = causality_breaches(&events);
         prop_assert!(breaches.is_empty(), "{} breaches, first {:?}", breaches.len(), breaches.first());

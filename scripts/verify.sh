@@ -106,6 +106,18 @@ test "$ctl_v1_status" -lt 128 \
   || { echo "verify: lotteryctl died on a version-1 capture (status $ctl_v1_status)" >&2; exit 1; }
 grep -q 'unsupported replay log version 1' target/ctl_replay_v1.err \
   || { echo "verify: ctl replay did not refuse the version-1 capture" >&2; exit 1; }
+# A list capture rewritten to two shards is refused by the one-shard rule
+# (a list shard keeps no weights to balance by), without a crash.
+sed '1s/"shards":0,/"shards":2,/' crates/sim/tests/data/capture_list_0.jsonl \
+  > target/ctl_replay_list2.jsonl
+ctl_list2_status=0
+printf '%s\n' "replay target/ctl_replay_list2.jsonl" \
+  | cargo run -q --release -p lottery-ctl --bin lotteryctl \
+    > /dev/null 2> target/ctl_replay_list2.err || ctl_list2_status=$?
+test "$ctl_list2_status" -lt 128 \
+  || { echo "verify: lotteryctl died on a two-shard list capture (status $ctl_list2_status)" >&2; exit 1; }
+grep -q 'the list structure needs exactly one shard' target/ctl_replay_list2.err \
+  || { echo "verify: ctl replay did not refuse a two-shard list capture" >&2; exit 1; }
 
 # ctl broker smoke: per-tenant funding and observed shares, with the
 # dominant share machine-readable under --json.

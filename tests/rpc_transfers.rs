@@ -1,11 +1,23 @@
 //! End-to-end ticket-transfer behaviour through the kernel's RPC path,
 //! on one CPU and — wherever the assertion does not depend on the CPU
-//! count — on two and four.
+//! count — on two and four, under both lottery policies: the
+//! uniprocessor policy with its one queue shared by every CPU, and the
+//! distributed lottery with one shard per CPU (so a one-CPU scenario runs
+//! it on one shard).
+
+use std::any::type_name;
+use std::ops::Deref;
 
 use lottery_sim::prelude::*;
+use lottery_sim::sched::core::LotteryCore;
 
 /// The CPU counts a count-independent assertion is checked on.
 const CPUS: [usize; 3] = [1, 2, 4];
+
+/// A lottery policy the scenarios run under.
+trait Lottery: Policy<Spec = FundingSpec> + Deref<Target = LotteryCore> {}
+
+impl<P: Policy<Spec = FundingSpec> + Deref<Target = LotteryCore>> Lottery for P {}
 
 /// A server thread with negligible funding of its own serves one client
 /// while a compute-bound hog competes. With ticket transfers the client's
@@ -14,12 +26,13 @@ const CPUS: [usize; 3] = [1, 2, 4];
 #[test]
 fn transfers_cure_priority_inversion() {
     for cpus in CPUS {
-        transfers_cure_priority_inversion_on(cpus);
+        transfers_cure_priority_inversion_on(LotteryPolicy::new(9), cpus);
+        transfers_cure_priority_inversion_on(DistributedLottery::new(9, cpus), cpus);
     }
 }
 
-fn transfers_cure_priority_inversion_on(cpus: usize) {
-    let policy = LotteryPolicy::new(9);
+fn transfers_cure_priority_inversion_on(policy: impl Lottery, cpus: usize) {
+    let name = type_name_of(&policy);
     let base = policy.base_currency();
     let mut kernel = SmpKernel::new(policy, cpus);
     let port = kernel.create_port("svc");
@@ -47,18 +60,26 @@ fn transfers_cure_priority_inversion_on(cpus: usize) {
     let server_cpu = kernel.metrics().cpu_us(server) as f64 / 1e6;
     assert!(
         server_cpu > 40.0,
-        "{cpus} cpus: server starved despite client transfers: {server_cpu}s"
+        "{name} on {cpus} cpus: server starved despite client transfers: {server_cpu}s"
     );
     let m = kernel.metrics().thread(client).unwrap();
     let completed = m.rpcs_completed();
-    assert!(completed > 40, "{cpus} cpus: completed {completed}");
+    assert!(
+        completed > 40,
+        "{name} on {cpus} cpus: completed {completed}"
+    );
 }
 
 /// The same setup with transfers effectively disabled (client holds almost
 /// nothing): the server starves, demonstrating what the mechanism buys.
 #[test]
 fn unfunded_rpc_starves_against_a_hog() {
-    let policy = LotteryPolicy::new(9);
+    unfunded_rpc_starves_against_a_hog_under(LotteryPolicy::new(9));
+    unfunded_rpc_starves_against_a_hog_under(DistributedLottery::new(9, 1));
+}
+
+fn unfunded_rpc_starves_against_a_hog_under(policy: impl Lottery) {
+    let name = type_name_of(&policy);
     let base = policy.base_currency();
     let mut kernel = Kernel::new(policy);
     let port = kernel.create_port("svc");
@@ -82,7 +103,7 @@ fn unfunded_rpc_starves_against_a_hog() {
     let server_cpu = kernel.metrics().cpu_us(server) as f64 / 1e6;
     assert!(
         server_cpu < 5.0,
-        "a 1-ticket client should buy almost no service, got {server_cpu}s"
+        "{name}: a 1-ticket client should buy almost no service, got {server_cpu}s"
     );
 }
 
@@ -92,12 +113,13 @@ fn unfunded_rpc_starves_against_a_hog() {
 #[test]
 fn transfers_leave_no_residue() {
     for cpus in CPUS {
-        transfers_leave_no_residue_on(cpus);
+        transfers_leave_no_residue_on(LotteryPolicy::new(4), cpus);
+        transfers_leave_no_residue_on(DistributedLottery::new(4, cpus), cpus);
     }
 }
 
-fn transfers_leave_no_residue_on(cpus: usize) {
-    let policy = LotteryPolicy::new(4);
+fn transfers_leave_no_residue_on(policy: impl Lottery, cpus: usize) {
+    let name = type_name_of(&policy);
     let base = policy.base_currency();
     let mut kernel = SmpKernel::new(policy, cpus);
     let port = kernel.create_port("svc");
@@ -121,7 +143,11 @@ fn transfers_leave_no_residue_on(cpus: usize) {
     // Live tickets: the server's funding ticket and the base backing of
     // nothing else — the exited client's ticket was destroyed with it.
     let tickets: Vec<_> = kernel.policy().ledger().tickets().collect();
-    assert_eq!(tickets.len(), 1, "{cpus} cpus: leaked tickets: {tickets:?}");
+    assert_eq!(
+        tickets.len(),
+        1,
+        "{name} on {cpus} cpus: leaked: {tickets:?}"
+    );
     let m = kernel.metrics().thread(client).unwrap();
     assert_eq!(m.rpcs_completed(), 25);
 }
@@ -130,7 +156,12 @@ fn transfers_leave_no_residue_on(cpus: usize) {
 /// concurrently, each worker funded by its own client.
 #[test]
 fn concurrent_clients_fund_separate_workers() {
-    let policy = LotteryPolicy::new(8);
+    concurrent_clients_fund_separate_workers_under(LotteryPolicy::new(8));
+    concurrent_clients_fund_separate_workers_under(DistributedLottery::new(8, 1));
+}
+
+fn concurrent_clients_fund_separate_workers_under(policy: impl Lottery) {
+    let name = type_name_of(&policy);
     let base = policy.base_currency();
     let mut kernel = Kernel::new(policy);
     let port = kernel.create_port("svc");
@@ -164,7 +195,15 @@ fn concurrent_clients_fund_separate_workers() {
     kernel.run_until(SimTime::from_secs(120));
     let f = kernel.metrics().thread(fast).unwrap().rpcs_completed();
     let s = kernel.metrics().thread(slow).unwrap().rpcs_completed();
-    assert!(s > 0, "slow client starved");
+    assert!(s > 0, "{name}: slow client starved");
     let ratio = f as f64 / s as f64;
-    assert!((2.0..=4.5).contains(&ratio), "throughput ratio {ratio}");
+    assert!(
+        (2.0..=4.5).contains(&ratio),
+        "{name}: throughput ratio {ratio}"
+    );
+}
+
+/// The policy's type name, for failure messages.
+fn type_name_of<P>(_: &P) -> &'static str {
+    type_name::<P>()
 }
