@@ -241,11 +241,6 @@ impl ResourceBroker {
         self.raw = raw;
     }
 
-    /// Whether raw face-amount export is active.
-    pub fn raw_funding(&self) -> bool {
-        self.raw
-    }
-
     /// The backing ledger.
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
@@ -281,45 +276,13 @@ impl ResourceBroker {
         let grant_ticket = self.ledger.issue_root(self.ledger.base(), grant)?;
         self.ledger.fund_currency(grant_ticket, tenant_currency)?;
         let id = TenantId(self.tenants.len() as u32);
-        let mut slots = Vec::with_capacity(4);
-        for resource in Resource::ALL {
-            let weight = weights[resource.index()];
-            let currency = self
-                .ledger
-                .create_currency(format!("{name}:{}", resource.name()))?;
-            // A zero split weight cannot back a ticket; keep the currency
-            // permanently unfunded with a placeholder backing in the
-            // *base* currency that never funds anything.
-            let (backing, funded) = if weight > 0 {
-                let t = self.ledger.issue_root(tenant_currency, weight)?;
-                self.ledger.fund_currency(t, currency)?;
-                (t, true)
-            } else {
-                (self.ledger.issue_root(self.ledger.base(), 1)?, false)
-            };
-            // The sink client keeps the currency active and carries its
-            // grant-proportional face amount, so raw-mode faces start at
-            // the same split the valuation gives.
-            if weight > 0 {
-                let face = (grant * weight / weight_sum).max(1);
-                let sink = self
-                    .ledger
-                    .create_client(format!("{name}:{}:sink", resource.name()));
-                let sink_ticket = self.ledger.issue_root(currency, face)?;
-                self.ledger.fund_client(sink_ticket, sink)?;
-                self.ledger.activate_client(sink)?;
-            }
-            slots.push(ResourceSlot {
-                currency,
-                backing,
-                funded,
-                weight,
-                demand: 0,
-                usage: 0,
-                workers: 1,
-            });
-        }
-        let slots: [ResourceSlot; 4] = slots.try_into().expect("four resources");
+        let [cpu, disk, mem, net] = Resource::ALL;
+        let slots = [
+            self.open_slot(&name, tenant_currency, cpu, grant, &weights)?,
+            self.open_slot(&name, tenant_currency, disk, grant, &weights)?,
+            self.open_slot(&name, tenant_currency, mem, grant, &weights)?,
+            self.open_slot(&name, tenant_currency, net, grant, &weights)?,
+        ];
         self.tenants.push(Tenant {
             name,
             grant,
@@ -333,6 +296,55 @@ impl ResourceBroker {
             self.emit_funding(id, resource, false);
         }
         Ok(id)
+    }
+
+    /// Mints one resource sub-currency of tenant `name`, backed by its
+    /// policy weight in `tenant_currency`, with the sink client that keeps
+    /// it active.
+    fn open_slot(
+        &mut self,
+        name: &str,
+        tenant_currency: CurrencyId,
+        resource: Resource,
+        grant: u64,
+        weights: &[u64; 4],
+    ) -> Result<ResourceSlot> {
+        let weight = weights[resource.index()];
+        let weight_sum: u64 = weights.iter().sum();
+        let currency = self
+            .ledger
+            .create_currency(format!("{name}:{}", resource.name()))?;
+        // A zero split weight cannot back a ticket; keep the currency
+        // permanently unfunded with a placeholder backing in the
+        // *base* currency that never funds anything.
+        let (backing, funded) = if weight > 0 {
+            let t = self.ledger.issue_root(tenant_currency, weight)?;
+            self.ledger.fund_currency(t, currency)?;
+            (t, true)
+        } else {
+            (self.ledger.issue_root(self.ledger.base(), 1)?, false)
+        };
+        // The sink client keeps the currency active and carries its
+        // grant-proportional face amount, so raw-mode faces start at
+        // the same split the valuation gives.
+        if weight > 0 {
+            let face = (grant * weight / weight_sum).max(1);
+            let sink = self
+                .ledger
+                .create_client(format!("{name}:{}:sink", resource.name()));
+            let sink_ticket = self.ledger.issue_root(currency, face)?;
+            self.ledger.fund_client(sink_ticket, sink)?;
+            self.ledger.activate_client(sink)?;
+        }
+        Ok(ResourceSlot {
+            currency,
+            backing,
+            funded,
+            weight,
+            demand: 0,
+            usage: 0,
+            workers: 1,
+        })
     }
 
     /// Number of registered tenants.
@@ -421,7 +433,8 @@ impl ResourceBroker {
     /// The demand units accumulated for a tenant since the last
     /// rebalance, per resource in canonical order — the per-node demand
     /// export cluster reconciliation reports upstream.
-    pub fn pending_demand(&self, tenant: TenantId) -> [u64; 4] {
+    #[cfg(test)]
+    fn pending_demand(&self, tenant: TenantId) -> [u64; 4] {
         let slots = &self.tenants[tenant.0 as usize].slots;
         [
             slots[0].demand,

@@ -26,8 +26,6 @@ use crate::broker::{Resource, TenantId};
 pub struct DemandTap {
     bind: BTreeMap<(&'static str, u32), TenantId>,
     pending: BTreeMap<(TenantId, &'static str), u64>,
-    /// Events that matched no binding (foreign clients on a shared bus).
-    unbound: u64,
 }
 
 impl DemandTap {
@@ -37,7 +35,8 @@ impl DemandTap {
     }
 
     /// Binds a scheduler-local client index on a resource to a tenant.
-    /// Unbound clients are counted but contribute no demand.
+    /// Unbound clients (foreign clients on a shared bus) contribute no
+    /// demand.
     pub fn bind(&mut self, resource: Resource, client: u32, tenant: TenantId) {
         self.bind.insert((resource.name(), client), tenant);
     }
@@ -48,11 +47,6 @@ impl DemandTap {
             .get(&(tenant, resource.name()))
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Events that matched no binding so far.
-    pub fn unbound(&self) -> u64 {
-        self.unbound
     }
 
     /// Drains the accumulated demand as `(tenant, resource, units)` rows.
@@ -67,9 +61,8 @@ impl DemandTap {
     }
 
     fn accumulate(&mut self, resource: &'static str, client: u32, units: u64) {
-        match self.bind.get(&(resource, client)) {
-            Some(&tenant) => *self.pending.entry((tenant, resource)).or_insert(0) += units,
-            None => self.unbound += 1,
+        if let Some(&tenant) = self.bind.get(&(resource, client)) {
+            *self.pending.entry((tenant, resource)).or_insert(0) += units;
         }
     }
 }
@@ -146,7 +139,6 @@ mod tests {
         assert_eq!(tap.pending(gold, Resource::Disk), 17);
         assert_eq!(tap.pending(silver, Resource::Disk), 1);
         assert_eq!(tap.pending(gold, Resource::Net), 0);
-        assert_eq!(tap.unbound(), 1);
         let rows = tap.drain();
         assert_eq!(rows.len(), 2);
         assert!(rows.contains(&(gold, Resource::Disk, 17)));
@@ -163,6 +155,5 @@ mod tests {
             origin: "spawn",
         }));
         assert!(tap.drain().is_empty());
-        assert_eq!(tap.unbound(), 0);
     }
 }

@@ -27,6 +27,13 @@
 //!   (inverse currency dilution): idle entitlements flow back to the
 //!   grant instead of evaporating.
 
+// `lotteryctl`'s broker verbs bring user input here: a failure is an
+// error, never an `unwrap`, `expect` or `panic!`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod broker;
 pub mod demand;
 

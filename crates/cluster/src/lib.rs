@@ -20,6 +20,13 @@
 //! the isolated node keeps scheduling on stale grants until the heal,
 //! when a full-state resync repairs it.
 
+// Callers drive the market with their own tenants, grants and faults: a
+// failure is an error, never an `unwrap`, `expect` or `panic!`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod market;
 pub mod net;
 pub mod node;

@@ -278,11 +278,6 @@ impl ClusterMarket {
         self.tenants.len()
     }
 
-    /// A tenant's cluster-level grant.
-    pub fn cluster_grant(&self, tenant: usize) -> u64 {
-        self.tenants[tenant].grant
-    }
-
     /// Looks a tenant up by name.
     pub fn find_tenant(&self, name: &str) -> Option<usize> {
         self.tenants.iter().position(|t| t.name == name)
@@ -313,11 +308,6 @@ impl ClusterMarket {
     pub fn set_round_period_us(&mut self, period_us: u64) {
         assert!(period_us > 0, "round period must be positive");
         self.round_period_us = period_us;
-    }
-
-    /// The reconciliation cadence, in simulated microseconds per round.
-    pub fn round_period_us(&self) -> u64 {
-        self.round_period_us
     }
 
     /// Grant moves performed so far.
@@ -538,10 +528,11 @@ impl ClusterMarket {
                         .iter()
                         .map(|&n| (n, self.alloc[tenant][n as usize]))
                         .collect();
-                    let i = draw_loser(&entries, &mut self.rng)
+                    // Two or more survivors always draw, so the first
+                    // survivor is a fallback no draw reaches.
+                    draw_loser(&entries, &mut self.rng)
                         .or_else(|_| draw_loser_uniform(&entries, &mut self.rng))
-                        .expect("two or more survivors");
-                    survivors[i]
+                        .map_or(survivors[0], |i| survivors[i])
                 };
                 self.alloc[tenant][to as usize] += take;
                 remaining -= take;

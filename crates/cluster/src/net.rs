@@ -100,7 +100,8 @@ impl SimNet {
     }
 
     /// Sets one link's latency, in reconciliation rounds.
-    pub fn set_latency(&mut self, node: u32, rounds: u32) {
+    #[cfg(test)]
+    fn set_latency(&mut self, node: u32, rounds: u32) {
         self.links[node as usize].latency = rounds;
     }
 
@@ -112,11 +113,6 @@ impl SimNet {
     /// Cuts (or restores) one node's link in both directions.
     pub fn set_partitioned(&mut self, node: u32, partitioned: bool) {
         self.links[node as usize].partitioned = partitioned;
-    }
-
-    /// Whether a node's link is currently cut.
-    pub fn is_partitioned(&self, node: u32) -> bool {
-        self.links[node as usize].partitioned
     }
 
     /// Messages discarded on a node's link so far.
@@ -199,11 +195,7 @@ impl SimNet {
         round: u32,
     ) -> Vec<(u32, Message)> {
         let mut out = Vec::new();
-        while let Some(head) = queue.front() {
-            if head.due > round {
-                break;
-            }
-            let flight = queue.pop_front().expect("checked front");
+        while let Some(flight) = queue.pop_front_if(|head| head.due <= round) {
             // A partition that falls while a message is in flight eats it.
             if links[flight.node as usize].partitioned {
                 links[flight.node as usize].dropped += 1;

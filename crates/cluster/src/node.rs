@@ -200,16 +200,13 @@ impl Node {
             // holds zero tickets; the slot idles rather than erroring.
             match self.disk.service_next(&mut self.rng) {
                 Ok(served) => {
-                    let tenant = self
-                        .disk_clients
-                        .iter()
-                        .position(|&c| c == served)
-                        .expect("served client is registered");
-                    self.broker.record_usage(
-                        self.tenants[tenant],
-                        Resource::Disk,
-                        DISK_REQUEST_SECTORS,
-                    );
+                    if let Some(tenant) = self.disk_clients.iter().position(|&c| c == served) {
+                        self.broker.record_usage(
+                            self.tenants[tenant],
+                            Resource::Disk,
+                            DISK_REQUEST_SECTORS,
+                        );
+                    }
                 }
                 Err(LotteryError::EmptyLottery) => break,
                 Err(e) => return Err(e),
@@ -222,13 +219,10 @@ impl Node {
             }
             match self.switch.forward(&mut self.rng) {
                 Ok((vc, _cell)) => {
-                    let tenant = self
-                        .circuits
-                        .iter()
-                        .position(|&c| c == vc)
-                        .expect("forwarded circuit is registered");
-                    self.broker
-                        .record_usage(self.tenants[tenant], Resource::Net, 1);
+                    if let Some(tenant) = self.circuits.iter().position(|&c| c == vc) {
+                        self.broker
+                            .record_usage(self.tenants[tenant], Resource::Net, 1);
+                    }
                 }
                 Err(LotteryError::EmptyLottery) => break,
                 Err(e) => return Err(e),

@@ -95,7 +95,7 @@ impl Ratio {
     }
 
     /// Checked multiplication by `amount / divisor`.
-    pub fn checked_mul_frac(self, amount: u64, divisor: u64) -> Result<Ratio> {
+    fn checked_mul_frac(self, amount: u64, divisor: u64) -> Result<Ratio> {
         assert!(divisor != 0, "zero divisor");
         // Cross-reduce before multiplying to keep terms small.
         let a = Ratio::new(u128::from(amount), u128::from(divisor));

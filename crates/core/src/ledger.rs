@@ -313,7 +313,7 @@ impl CompensationLedger {
 /// shard's* queue, so one worker's invalidation burst never forces
 /// another to walk notifications it cannot act on.
 #[derive(Debug)]
-pub struct ShardedDirtyQueue {
+struct ShardedDirtyQueue {
     /// Home shard per client slot; [`NO_SHARD`] routes to shard 0.
     owner: Vec<u32>,
     /// The shard whose queue holds the client's pending notification, or
@@ -339,7 +339,7 @@ impl Default for ShardedDirtyQueue {
 
 impl ShardedDirtyQueue {
     /// Creates a queue with `shards` partitions (at least one).
-    pub fn new(shards: usize) -> Self {
+    fn new(shards: usize) -> Self {
         Self {
             owner: Vec::new(),
             pending: Vec::new(),
@@ -350,7 +350,7 @@ impl ShardedDirtyQueue {
     }
 
     /// Number of shards.
-    pub fn shards(&self) -> usize {
+    fn shards(&self) -> usize {
         self.queues.len()
     }
 
@@ -366,7 +366,7 @@ impl ShardedDirtyQueue {
 
     /// The shard a client's notifications route to. Unassigned or
     /// out-of-range owners clamp into the valid shard range.
-    pub fn shard_of(&self, client: ClientId) -> u32 {
+    fn shard_of(&self, client: ClientId) -> u32 {
         let raw = self
             .owner
             .get(client.index() as usize)
@@ -377,27 +377,22 @@ impl ShardedDirtyQueue {
     }
 
     /// Pending notifications in one shard (0 for out-of-range shards).
-    pub fn depth(&self, shard: u32) -> usize {
+    fn depth(&self, shard: u32) -> usize {
         self.live.get(shard as usize).copied().unwrap_or(0)
     }
 
     /// Total pending notifications across all shards.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.live.iter().sum()
     }
 
-    /// Whether no notifications are pending anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.live.iter().all(|&n| n == 0)
-    }
-
     /// Times an already-assigned client changed shards.
-    pub fn reassignments(&self) -> u64 {
+    fn reassignments(&self) -> u64 {
         self.reassignments
     }
 
     /// Enqueues a notification on the client's home shard (idempotent).
-    pub fn insert(&mut self, client: ClientId) {
+    fn insert(&mut self, client: ClientId) {
         let shard = self.shard_of(client);
         let slot = self.ensure_slot(client);
         if self.pending[slot] == NO_SHARD {
@@ -409,7 +404,7 @@ impl ShardedDirtyQueue {
 
     /// Re-homes a client, migrating any pending notification with it so
     /// the new owner still hears about the earlier invalidation.
-    pub fn assign(&mut self, client: ClientId, shard: u32) {
+    fn assign(&mut self, client: ClientId, shard: u32) {
         let shard = shard.min(self.queues.len() as u32 - 1);
         let old = self.shard_of(client);
         let slot = self.ensure_slot(client);
@@ -428,7 +423,7 @@ impl ShardedDirtyQueue {
 
     /// Drops a client entirely: its pending notification and its home
     /// assignment (on destruction — it must never surface from a drain).
-    pub fn forget(&mut self, client: ClientId) {
+    fn forget(&mut self, client: ClientId) {
         let slot = self.ensure_slot(client);
         let pending = self.pending[slot];
         if pending != NO_SHARD {
@@ -440,7 +435,7 @@ impl ShardedDirtyQueue {
 
     /// Changes the shard count, re-routing pending notifications through
     /// the (clamped) owner map.
-    pub fn set_shards(&mut self, shards: usize) {
+    fn set_shards(&mut self, shards: usize) {
         let mut pending = Vec::new();
         self.drain_all_into(&mut pending);
         self.queues = vec![Vec::new(); shards.max(1)];
@@ -457,7 +452,7 @@ impl ShardedDirtyQueue {
     /// order: downstream structures patch weights (and decide when to
     /// rebuild) in this order, and record/replay requires it to be
     /// identical across runs.
-    pub fn drain_shard_into(&mut self, shard: u32, out: &mut Vec<ClientId>) {
+    fn drain_shard_into(&mut self, shard: u32, out: &mut Vec<ClientId>) {
         out.clear();
         self.drain_shard_append(shard, out);
         out.sort_unstable();
@@ -484,7 +479,7 @@ impl ShardedDirtyQueue {
     /// Within each shard the order is ascending client id (see
     /// [`ShardedDirtyQueue::drain_shard_into`]); shards drain in index
     /// order. Deterministic order is a replay invariant.
-    pub fn drain_all_into(&mut self, out: &mut Vec<ClientId>) {
+    fn drain_all_into(&mut self, out: &mut Vec<ClientId>) {
         out.clear();
         out.reserve(self.len());
         for shard in 0..self.queues.len() as u32 {
@@ -839,68 +834,6 @@ impl Ledger {
         Ok(())
     }
 
-    /// Splits a ticket into several of the same denomination and funding
-    /// target.
-    ///
-    /// Like breaking a monetary note (Section 3.1 likens tickets to notes
-    /// "issued in different denominations"): `parts` must be positive and
-    /// sum to the ticket's amount. The original ticket keeps the first
-    /// part; the returned tickets carry the rest, each funding the same
-    /// target with the same activation state. The total value anyone
-    /// derives from the currency is unchanged.
-    pub fn split_ticket(&mut self, id: TicketId, parts: &[u64]) -> Result<Vec<TicketId>> {
-        let (amount, currency, target) = {
-            let t = self.ticket(id)?;
-            (t.amount(), t.currency(), t.target())
-        };
-        if parts.is_empty() || parts.contains(&0) {
-            return Err(LotteryError::ZeroAmount);
-        }
-        let sum = parts
-            .iter()
-            .try_fold(0u64, |acc, &p| acc.checked_add(p))
-            .ok_or(LotteryError::AmountOverflow)?;
-        if sum != amount {
-            return Err(LotteryError::ZeroAmount);
-        }
-        self.set_amount(id, parts[0])?;
-        let mut rest = Vec::with_capacity(parts.len() - 1);
-        for &part in &parts[1..] {
-            let piece = self.issue_root(currency, part)?;
-            match target {
-                FundingTarget::Client(c) => self.fund_client(piece, c)?,
-                FundingTarget::Currency(c) => self.fund_currency(piece, c)?,
-                FundingTarget::Unfunded => {}
-            }
-            rest.push(piece);
-        }
-        Ok(rest)
-    }
-
-    /// Merges `other` into `ticket`: both must share a denomination and a
-    /// funding target; `other` is destroyed and its amount added.
-    pub fn merge_tickets(&mut self, ticket: TicketId, other: TicketId) -> Result<()> {
-        if ticket == other {
-            return Err(LotteryError::ZeroAmount);
-        }
-        let (a_amt, a_cur, a_target) = {
-            let t = self.ticket(ticket)?;
-            (t.amount(), t.currency(), t.target())
-        };
-        let (b_amt, b_cur, b_target) = {
-            let t = self.ticket(other)?;
-            (t.amount(), t.currency(), t.target())
-        };
-        if a_cur != b_cur || a_target != b_target {
-            return Err(LotteryError::NotTransferred);
-        }
-        let total = a_amt
-            .checked_add(b_amt)
-            .ok_or(LotteryError::AmountOverflow)?;
-        self.destroy_ticket(other)?;
-        self.set_amount(ticket, total)
-    }
-
     // ------------------------------------------------------------------
     // Funding.
     // ------------------------------------------------------------------
@@ -991,7 +924,7 @@ impl Ledger {
     ///
     /// Dependency edges run from a currency to the denominations of its
     /// backing tickets.
-    pub fn depends_on(&self, a: CurrencyId, b: CurrencyId) -> Result<bool> {
+    fn depends_on(&self, a: CurrencyId, b: CurrencyId) -> Result<bool> {
         if a == b {
             return Ok(true);
         }
@@ -1209,7 +1142,8 @@ impl Ledger {
 
     /// Compensation revocations (factor cleared back to 1) recorded since
     /// the ledger was created.
-    pub fn compensations_revoked(&self) -> u64 {
+    #[cfg(test)]
+    fn compensations_revoked(&self) -> u64 {
         self.cache.borrow().comp.revoked
     }
 
@@ -1354,7 +1288,8 @@ impl Ledger {
 
     /// Number of currently valid cached currency entries, counted over the
     /// table's slots (for tests and instrumentation).
-    pub fn cached_currency_entries(&self) -> usize {
+    #[cfg(test)]
+    fn cached_currency_entries(&self) -> usize {
         self.cache.borrow().currencies.len()
     }
 
@@ -2312,17 +2247,6 @@ mod live_list_tests {
         assert_live_lists(&l);
         let funding = |l: &Ledger, c: ClientId| l.client(c).unwrap().funding()[0];
 
-        // Split an active ticket and an inactive one; merge them back.
-        for c in [clients[0], clients[3]] {
-            let t = funding(&l, c);
-            let amount = l.ticket(t).unwrap().amount();
-            let pieces = l.split_ticket(t, &[amount - 5, 3, 2]).unwrap();
-            assert_live_lists(&l);
-            for piece in pieces {
-                l.merge_tickets(t, piece).unwrap();
-                assert_live_lists(&l);
-            }
-        }
         assert_eq!(l.currency(cur).unwrap().live().len(), 3);
 
         // An RPC: the blocked caller lends its worth to a server thread,
@@ -2357,86 +2281,6 @@ mod live_list_tests {
         assert!(l.currency(cur).unwrap().live().is_empty());
         assert!(l.currency(l.base()).unwrap().live().is_empty());
         assert_live_lists(&l);
-    }
-}
-
-#[cfg(test)]
-mod split_merge_tests {
-    use super::*;
-
-    fn funded_client(l: &mut Ledger, amount: u64) -> (ClientId, TicketId) {
-        let c = l.create_client("c");
-        let t = l.issue_root(l.base(), amount).unwrap();
-        l.fund_client(t, c).unwrap();
-        l.activate_client(c).unwrap();
-        (c, t)
-    }
-
-    #[test]
-    fn split_preserves_value_and_activation() {
-        let mut l = Ledger::new();
-        let (c, t) = funded_client(&mut l, 100);
-        let rest = l.split_ticket(t, &[60, 30, 10]).unwrap();
-        assert_eq!(rest.len(), 2);
-        assert_eq!(l.ticket(t).unwrap().amount(), 60);
-        assert_eq!(l.client(c).unwrap().funding().len(), 3);
-        for &piece in &rest {
-            assert!(l.ticket(piece).unwrap().is_active());
-        }
-        let mut v = Valuator::new(&l);
-        assert_eq!(v.client_value(c).unwrap(), 100.0);
-        assert_eq!(l.currency(l.base()).unwrap().active_amount(), 100);
-    }
-
-    #[test]
-    fn split_rejects_bad_parts() {
-        let mut l = Ledger::new();
-        let (_, t) = funded_client(&mut l, 100);
-        assert_eq!(l.split_ticket(t, &[]), Err(LotteryError::ZeroAmount));
-        assert_eq!(
-            l.split_ticket(t, &[50, 0, 50]),
-            Err(LotteryError::ZeroAmount)
-        );
-        assert_eq!(l.split_ticket(t, &[50, 40]), Err(LotteryError::ZeroAmount));
-        // Untouched on failure.
-        assert_eq!(l.ticket(t).unwrap().amount(), 100);
-    }
-
-    #[test]
-    fn split_unfunded_ticket_yields_unfunded_pieces() {
-        let mut l = Ledger::new();
-        let t = l.issue_root(l.base(), 10).unwrap();
-        let rest = l.split_ticket(t, &[4, 6]).unwrap();
-        assert_eq!(l.ticket(rest[0]).unwrap().target(), FundingTarget::Unfunded);
-        assert_eq!(l.currency(l.base()).unwrap().total_amount(), 10);
-    }
-
-    #[test]
-    fn merge_recombines() {
-        let mut l = Ledger::new();
-        let (c, t) = funded_client(&mut l, 100);
-        let rest = l.split_ticket(t, &[70, 30]).unwrap();
-        l.merge_tickets(t, rest[0]).unwrap();
-        assert_eq!(l.ticket(t).unwrap().amount(), 100);
-        assert!(l.ticket(rest[0]).is_err(), "merged ticket destroyed");
-        assert_eq!(l.client(c).unwrap().funding().len(), 1);
-        let mut v = Valuator::new(&l);
-        assert_eq!(v.client_value(c).unwrap(), 100.0);
-    }
-
-    #[test]
-    fn merge_rejects_mismatches() {
-        let mut l = Ledger::new();
-        let (_, t1) = funded_client(&mut l, 10);
-        let other_cur = l.create_currency("other").unwrap();
-        let t2 = l.issue_root(other_cur, 10).unwrap();
-        assert_eq!(l.merge_tickets(t1, t2), Err(LotteryError::NotTransferred));
-        assert_eq!(l.merge_tickets(t1, t1), Err(LotteryError::ZeroAmount));
-        // Same denomination, different targets.
-        let c2 = l.create_client("c2");
-        let t3 = l.issue_root(l.base(), 5).unwrap();
-        l.fund_client(t3, c2).unwrap();
-        assert_eq!(l.merge_tickets(t1, t3), Err(LotteryError::NotTransferred));
     }
 }
 

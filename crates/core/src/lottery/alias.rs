@@ -171,7 +171,8 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
     }
 
     /// Slots whose current weight differs from the snapshot.
-    pub fn stale_len(&self) -> usize {
+    #[cfg(test)]
+    fn stale_len(&self) -> usize {
         self.stale as usize
     }
 

@@ -64,11 +64,6 @@ impl<T, W: Weight> ListLottery<T, W> {
         }
     }
 
-    /// Whether move-to-front is enabled.
-    pub fn move_to_front(&self) -> bool {
-        self.move_to_front
-    }
-
     /// Average number of entries examined per `select`, for the ablation
     /// benches. Returns `None` before the first selection.
     pub fn mean_scan_length(&self) -> Option<f64> {

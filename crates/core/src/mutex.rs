@@ -86,7 +86,7 @@ impl TicketMutex {
     }
 
     /// Whether `client` is among the blocked waiters.
-    pub fn is_waiting(&self, client: ClientId) -> bool {
+    fn is_waiting(&self, client: ClientId) -> bool {
         self.waiters.iter().any(|w| w.client == client)
     }
 

@@ -26,24 +26,6 @@ pub enum FundingTarget {
     Unfunded,
 }
 
-impl FundingTarget {
-    /// Returns the funded currency, if any.
-    pub fn as_currency(self) -> Option<CurrencyId> {
-        match self {
-            Self::Currency(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Returns the funded client, if any.
-    pub fn as_client(self) -> Option<ClientId> {
-        match self {
-            Self::Client(c) => Some(c),
-            _ => None,
-        }
-    }
-}
-
 /// A lottery ticket: `amount` units denominated in `currency`, funding
 /// `target`.
 ///
@@ -174,14 +156,5 @@ mod tests {
              tickets are walked per scale set-up and two fit a cache line, \
              and a 40-byte ticket measured -4 % on scale_steady/par_contend"
         );
-    }
-
-    #[test]
-    fn funding_target_accessors() {
-        let c = dummy_currency();
-        assert_eq!(FundingTarget::Currency(c).as_currency(), Some(c));
-        assert_eq!(FundingTarget::Currency(c).as_client(), None);
-        assert_eq!(FundingTarget::Unfunded.as_currency(), None);
-        assert_eq!(FundingTarget::Unfunded.as_client(), None);
     }
 }

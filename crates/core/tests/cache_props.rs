@@ -85,15 +85,6 @@ enum Op {
     Unfund {
         t: usize,
     },
-    /// Split ticket `t` into two parts, the first `num/8` of its amount.
-    Split {
-        t: usize,
-        num: u64,
-    },
-    Merge {
-        a: usize,
-        b: usize,
-    },
     /// Compensation factor `1.0 + 0.5 * k`.
     SetCompensation {
         cl: usize,
@@ -148,8 +139,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..32usize).prop_map(|t| Op::DestroyTicket { t }),
         (0..32usize, 1..500u64).prop_map(|(t, amount)| Op::SetAmount { t, amount }),
         (0..32usize).prop_map(|t| Op::Unfund { t }),
-        (0..32usize, 1..8u64).prop_map(|(t, num)| Op::Split { t, num }),
-        (0..32usize, 0..32usize).prop_map(|(a, b)| Op::Merge { a, b }),
         (0..8usize, 0..4u64).prop_map(|(cl, k)| Op::SetCompensation { cl, k }),
         (0..8usize).prop_map(|cl| Op::DestroyClient { cl }),
         (0..8usize).prop_map(|cl| Op::RecreateClient { cl }),
@@ -311,34 +300,6 @@ impl World {
                 }
                 let t = self.tickets[t % self.tickets.len()];
                 self.ledger.unfund(t).unwrap();
-            }
-            Op::Split { t, num } => {
-                if self.tickets.is_empty() {
-                    return;
-                }
-                let t = self.tickets[t % self.tickets.len()];
-                let amount = self.ledger.ticket(t).unwrap().amount();
-                let first = (amount * num / 8).max(1);
-                if first >= amount {
-                    return;
-                }
-                let rest = self
-                    .ledger
-                    .split_ticket(t, &[first, amount - first])
-                    .unwrap();
-                self.tickets.extend(rest);
-            }
-            Op::Merge { a, b } => {
-                if self.tickets.len() < 2 {
-                    return;
-                }
-                let a = self.tickets[a % self.tickets.len()];
-                let b = self.tickets[b % self.tickets.len()];
-                match self.ledger.merge_tickets(a, b) {
-                    Ok(()) => self.tickets.retain(|&t| t != b),
-                    Err(LotteryError::NotTransferred | LotteryError::ZeroAmount) => {}
-                    Err(e) => panic!("unexpected error {e}"),
-                }
             }
             Op::SetCompensation { cl, k } => {
                 if let Some(&cl) = self.clients.get(cl % self.clients.len().max(1)) {

@@ -144,7 +144,7 @@ impl Session {
     }
 
     /// Creates a session acting as `principal`.
-    pub fn with_principal(principal: Principal) -> Self {
+    fn with_principal(principal: Principal) -> Self {
         let ledger = Ledger::new();
         let mut names = BTreeMap::new();
         names.insert("base".to_string(), ObjectRef::Currency(ledger.base()));

@@ -50,7 +50,6 @@ struct DiskClient {
     tickets: u64,
     queue: VecDeque<Request>,
     sectors_served: u64,
-    requests_served: u64,
     response_us: Summary,
 }
 
@@ -102,7 +101,7 @@ impl DiskScheduler {
 
     /// Creates a scheduler with explicit `seek` and `transfer` costs in
     /// hundredths of a microsecond per sector.
-    pub fn with_timing(policy: DiskPolicy, seek: u64, transfer: u64) -> Self {
+    fn with_timing(policy: DiskPolicy, seek: u64, transfer: u64) -> Self {
         Self {
             policy,
             clients: Vec::new(),
@@ -131,7 +130,6 @@ impl DiskScheduler {
             tickets,
             queue: VecDeque::new(),
             sectors_served: 0,
-            requests_served: 0,
             response_us: Summary::new(),
         });
         self.bus.emit(|| EventKind::ResourceGrant {
@@ -163,11 +161,6 @@ impl DiskScheduler {
     /// Sectors served for `client`.
     pub fn sectors_served(&self, client: DiskClientId) -> u64 {
         self.clients[client.0 as usize].sectors_served
-    }
-
-    /// Requests completed for `client`.
-    pub fn requests_served(&self, client: DiskClientId) -> u64 {
-        self.clients[client.0 as usize].requests_served
     }
 
     /// Response-time statistics for `client`, in microseconds.
@@ -271,7 +264,6 @@ impl DiskScheduler {
         self.head = request.sector + request.length;
         let c = &mut self.clients[chosen];
         c.sectors_served += request.length;
-        c.requests_served += 1;
         let response = self.clock_us - request.submitted_us;
         c.response_us.record(response as f64);
         self.bus.emit(|| EventKind::ResourceComplete {
@@ -478,7 +470,6 @@ mod tests {
         disk.service_next(&mut rng).unwrap();
         assert!(disk.clock_us() > 0);
         assert_eq!(disk.sectors_served(a), 16);
-        assert_eq!(disk.requests_served(a), 1);
         assert_eq!(disk.backlog(a), 0);
         assert_eq!(disk.name(a), "a");
         assert_eq!(a.index(), 0);

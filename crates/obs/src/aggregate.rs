@@ -190,7 +190,7 @@ impl Aggregator {
     }
 
     /// Cache hit rate in `[0, 1]`, or `None` before any lookup.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
+    fn cache_hit_rate(&self) -> Option<f64> {
         let total = self.cache_hits + self.cache_misses;
         (total > 0).then(|| self.cache_hits as f64 / total as f64)
     }

@@ -151,7 +151,7 @@ impl DominantShareMonitor {
     }
 
     /// Creates a monitor alarming when `|dominant - entitled| > tolerance`.
-    pub fn with_tolerance(tolerance: f64) -> Self {
+    fn with_tolerance(tolerance: f64) -> Self {
         Self {
             tenants: BTreeMap::new(),
             bind: BTreeMap::new(),

@@ -161,15 +161,6 @@ impl FairnessMonitor {
         self.clients.remove(&thread);
     }
 
-    /// Resets observed wins and CPU while keeping entitlements (e.g. after
-    /// a workload change re-levels entitled shares).
-    pub fn reset_observations(&mut self) {
-        for obs in self.clients.values_mut() {
-            obs.wins = 0;
-            obs.cpu_us = 0;
-        }
-    }
-
     /// Computes the drift report over everything observed so far.
     pub fn report(&self) -> FairnessReport {
         // Entitlement is computed from *compensated* weight: a client's

@@ -325,7 +325,7 @@ impl ParReport {
     /// Every thread id resident on or exited from any worker — the
     /// ownership partition (sorted; each id appears exactly once iff the
     /// partition invariant holds, which `assert_partition` checks).
-    pub fn owned_threads(&self) -> Vec<ThreadId> {
+    fn owned_threads(&self) -> Vec<ThreadId> {
         let mut all: Vec<ThreadId> = self
             .workers
             .iter()

@@ -8,7 +8,7 @@
 //! dispatch decisions to a pluggable [`sched::Policy`]; [`kernel::Kernel`]
 //! is its one-CPU case. The [`sched::lottery::LotteryPolicy`] implements the
 //! paper's mechanism in full (currencies, compensation tickets, ticket
-//! transfers, dynamic inflation); decay-usage timesharing, fixed-priority,
+//! transfers, dynamic inflation); decay-usage timesharing, fair-share,
 //! round-robin, and stride policies provide the baselines and ablations.
 //!
 //! ## Example: a 2:1 processor split
@@ -55,7 +55,6 @@ pub mod prelude {
     };
     pub use crate::sched::distributed::{DistributedLottery, ShardStats};
     pub use crate::sched::fairshare::{FairSharePolicy, UserId};
-    pub use crate::sched::fixed::FixedPriorityPolicy;
     pub use crate::sched::lottery::{FundingSpec, LotteryPolicy, SelectStructure};
     pub use crate::sched::rr::RoundRobinPolicy;
     pub use crate::sched::shard::{Draw, Shard};

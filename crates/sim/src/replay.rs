@@ -85,7 +85,7 @@ pub fn structure_name(structure: SelectStructure) -> &'static str {
 }
 
 /// Parses a replay-header structure name back to a [`SelectStructure`].
-pub fn parse_structure(name: &str) -> Option<SelectStructure> {
+fn parse_structure(name: &str) -> Option<SelectStructure> {
     match name {
         "list" => Some(SelectStructure::List),
         "tree" => Some(SelectStructure::Tree),
@@ -227,30 +227,6 @@ pub fn record(spec: TraceSpec, config: &CaptureConfig) -> Result<ReplayLog, Driv
     };
     let events = drive(&header)?;
     Ok(ReplayLog { header, events })
-}
-
-/// Loads a [`TraceSpec`] corpus from a JSONL trace file on disk (the
-/// [`TraceSpec::to_jsonl`] format: a `{"trace":1,...}` header line, one
-/// job per line).
-///
-/// # Errors
-///
-/// Reports I/O failures with the path, and parse failures with their
-/// line number.
-pub fn load_trace(path: &str) -> Result<TraceSpec, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    TraceSpec::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Captures a window driven by an external trace file: [`load_trace`]
-/// then [`record`]. External tools can generate workload corpora and
-/// have them stamped into replayable captures without touching Rust.
-///
-/// # Errors
-///
-/// Propagates [`load_trace`] and [`record`] failures, as text.
-pub fn record_trace_file(path: &str, config: &CaptureConfig) -> Result<ReplayLog, String> {
-    record(load_trace(path)?, config).map_err(|e| e.to_string())
 }
 
 /// The result of replaying a recorded window.
@@ -450,26 +426,6 @@ mod tests {
         log.header.shards = 4;
         let err = Replayer::new(log).run().unwrap_err();
         assert_eq!(err.to_string(), format!("4 shards: {LIST_ONE_SHARD}"));
-    }
-
-    #[test]
-    fn trace_file_drives_a_capture() {
-        let spec = demo_spec();
-        let path = std::env::temp_dir().join("lottery-sim-trace-corpus.jsonl");
-        std::fs::write(&path, spec.to_jsonl()).unwrap();
-        let config = demo_config(SelectStructure::Tree, 0);
-        let from_file = record_trace_file(path.to_str().unwrap(), &config).unwrap();
-        // The file path is a pure input channel: the capture is identical
-        // to recording the in-memory spec.
-        let direct = record(spec, &config).unwrap();
-        assert_eq!(from_file, direct);
-        assert!(Replayer::new(from_file).run().unwrap().bit_exact());
-    }
-
-    #[test]
-    fn trace_file_errors_carry_the_path() {
-        let err = load_trace("/nonexistent/trace.jsonl").unwrap_err();
-        assert!(err.contains("/nonexistent/trace.jsonl"), "{err}");
     }
 
     #[test]

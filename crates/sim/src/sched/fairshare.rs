@@ -74,7 +74,7 @@ impl FairSharePolicy {
     /// # Panics
     ///
     /// Panics on a zero quantum or tick, or a decay outside `(0, 1]`.
-    pub fn with_decay(quantum: SimDuration, tick: SimDuration, decay: f64) -> Self {
+    fn with_decay(quantum: SimDuration, tick: SimDuration, decay: f64) -> Self {
         assert!(!quantum.is_zero(), "quantum must be positive");
         assert!(!tick.is_zero(), "tick must be positive");
         assert!(decay > 0.0 && decay <= 1.0, "decay must be in (0, 1]");
@@ -106,7 +106,8 @@ impl FairSharePolicy {
     }
 
     /// A user's decayed usage, for tests and diagnostics.
-    pub fn user_usage(&self, user: UserId) -> f64 {
+    #[cfg(test)]
+    fn user_usage(&self, user: UserId) -> f64 {
         self.users[user.0 as usize].usage_us
     }
 

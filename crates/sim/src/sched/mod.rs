@@ -12,7 +12,6 @@
 //!   standing in for the stock Mach policy.
 //! * [`fairshare::FairSharePolicy`] — a classical two-level fair-share
 //!   scheduler (Section 7's [Hen84, Kay88] comparison point).
-//! * [`fixed::FixedPriorityPolicy`] — absolute priorities.
 //! * [`rr::RoundRobinPolicy`] — plain FIFO round-robin.
 //! * [`stride::StridePolicy`] — deterministic stride scheduling (the
 //!   authors' follow-up work), used as the de-randomization ablation.
@@ -55,7 +54,6 @@ pub mod comp;
 pub mod core;
 pub mod distributed;
 pub mod fairshare;
-pub mod fixed;
 pub mod lottery;
 pub mod rr;
 pub mod shard;

@@ -64,7 +64,7 @@ impl TimesharePolicy {
     }
 
     /// The effective priority level a thread would queue at.
-    pub fn effective_priority(&self, tid: ThreadId) -> usize {
+    fn effective_priority(&self, tid: ThreadId) -> usize {
         let ts = self.state[tid.index() as usize];
         (usize::from(ts.base) + (ts.usage_us / USAGE_SHIFT) as usize).min(LEVELS - 1)
     }

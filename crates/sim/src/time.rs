@@ -42,7 +42,8 @@ impl SimTime {
     }
 
     /// Whole milliseconds since the epoch (truncating).
-    pub const fn as_ms(self) -> u64 {
+    #[cfg(test)]
+    const fn as_ms(self) -> u64 {
         self.0 / 1_000
     }
 
@@ -93,11 +94,6 @@ impl SimDuration {
     /// Microseconds.
     pub const fn as_us(self) -> u64 {
         self.0
-    }
-
-    /// Whole milliseconds (truncating).
-    pub const fn as_ms(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Seconds, as a float.

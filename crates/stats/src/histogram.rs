@@ -61,7 +61,7 @@ impl Histogram {
     }
 
     /// The half-open value range covered by bucket `i`.
-    pub fn bucket_range(&self, i: usize) -> (f64, f64) {
+    fn bucket_range(&self, i: usize) -> (f64, f64) {
         let w = (self.hi - self.lo) / self.buckets.len() as f64;
         (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
     }

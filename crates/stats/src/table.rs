@@ -40,11 +40,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Appends a row of displayable values.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -117,13 +112,6 @@ mod tests {
         t.row(&["1".into()]);
         assert_eq!(t.len(), 1);
         assert!(t.render().lines().count() == 3);
-    }
-
-    #[test]
-    fn row_display_formats() {
-        let mut t = Table::new(&["x"]);
-        t.row_display(&[1.25]);
-        assert!(t.render().contains("1.25"));
     }
 
     #[test]

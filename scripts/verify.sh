@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, test (lottery-par ten times over), compile
-# benches, lint, format, the experiment-transcript golden gate and its
-# no-verdicts gate, end-to-end smokes, and the reference benchmark's build
-# and self-checks.
+# benches, lint, format, the uncalled-public-surface ceiling, the
+# experiment-transcript golden gate and its no-verdicts gate, end-to-end
+# smokes, and the reference benchmark's build and self-checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +42,17 @@ helps=$(grep -rn '# HELP {' crates src | wc -l)
 if [ "$helps" -ne 1 ]; then
   grep -rn '# HELP {' crates src >&2 || true
   echo "verify: expected one Prometheus HELP writer, found $helps" >&2; exit 1
+fi
+
+# The public surface is what the system uses: scripts/surface.sh lists the
+# `pub fn`s whose name no other source file mentions (integration tests
+# do not count as callers), and their count may not rise above the
+# ceiling. Lower the ceiling when a change lowers the count.
+surface_ceiling=34
+surface=$(scripts/surface.sh -q)
+if [ "$surface" -gt "$surface_ceiling" ]; then
+  scripts/surface.sh >&2
+  echo "verify: $surface uncalled public functions, above the ceiling of $surface_ceiling" >&2; exit 1
 fi
 
 # One bench, one summary, one claim: the `[[bench]]` targets of

@@ -51,10 +51,6 @@ fn all_policies_are_work_conserving() {
             let kernel = Kernel::new(RoundRobinPolicy::new(SimDuration::from_ms(100)));
             mixed_scenario(kernel, [(), (), (), ()])
         }),
-        ("fixed-priority", {
-            let kernel = Kernel::new(FixedPriorityPolicy::new(SimDuration::from_ms(100)));
-            mixed_scenario(kernel, [12, 12, 12, 12])
-        }),
         ("timeshare", {
             let kernel = Kernel::new(TimesharePolicy::new(SimDuration::from_ms(100)));
             mixed_scenario(kernel, [12, 12, 12, 12])
