@@ -10,6 +10,7 @@
 //! completed trials, so a freshly started task executes quickly and then
 //! tapers (Figure 6).
 
+use lottery_core::rng::{SchedRng, SplitMix64};
 use lottery_sim::prelude::*;
 use lottery_stats::ProgressSeries;
 
@@ -67,6 +68,38 @@ pub struct MonteCarloReport {
     pub totals: Vec<f64>,
     /// Final relative errors (`1/sqrt(trials)`).
     pub errors: Vec<f64>,
+}
+
+/// A real Monte-Carlo integration, for the computation itself (the
+/// simulator only needs the trial *counts*, but the experiment is named
+/// after \[Pre88\]'s actual numerical method — here estimating π by
+/// sampling the unit square).
+///
+/// Returns `(estimate, observed relative error)` after `trials` samples.
+///
+/// # Examples
+///
+/// ```
+/// use lottery_apps::montecarlo::estimate_pi;
+///
+/// let (pi, err) = estimate_pi(200_000, 7);
+/// assert!((pi - std::f64::consts::PI).abs() < 0.02, "{pi}");
+/// assert!(err < 0.01);
+/// ```
+pub fn estimate_pi(trials: u64, seed: u64) -> (f64, f64) {
+    assert!(trials > 0, "at least one trial is required");
+    let mut rng = SplitMix64::new(seed);
+    let mut hits = 0u64;
+    for _ in 0..trials {
+        let x = rng.next_f64();
+        let y = rng.next_f64();
+        if x * x + y * y <= 1.0 {
+            hits += 1;
+        }
+    }
+    let estimate = 4.0 * hits as f64 / trials as f64;
+    let observed_error = (estimate - std::f64::consts::PI).abs() / std::f64::consts::PI;
+    (estimate, observed_error)
 }
 
 /// The relative error of a task after `trials` trials.
@@ -140,6 +173,26 @@ pub fn run(config: &MonteCarloExperiment) -> MonteCarloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pi_estimate_converges_as_inverse_sqrt() {
+        // The whole premise of the error²-driven funding: error shrinks
+        // as 1/sqrt(trials). Check an order-of-magnitude improvement from
+        // 100x the trials (allowing sampling noise).
+        let (_, e_small) = estimate_pi(2_000, 11);
+        let (_, e_large) = estimate_pi(2_000_000, 11);
+        assert!(
+            e_large < e_small,
+            "more trials, smaller error: {e_small} vs {e_large}"
+        );
+        assert!(e_large < 0.005, "2M trials should be accurate: {e_large}");
+    }
+
+    #[test]
+    fn pi_estimate_is_deterministic_per_seed() {
+        assert_eq!(estimate_pi(10_000, 3), estimate_pi(10_000, 3));
+        assert_ne!(estimate_pi(10_000, 3).0, estimate_pi(10_000, 4).0);
+    }
 
     #[test]
     fn relative_error_basics() {

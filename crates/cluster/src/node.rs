@@ -12,7 +12,8 @@
 //! behaviourally identical to the standalone broker.
 
 use lottery_broker::{DemandTap, Resource, ResourceBroker, SplitPolicy, TenantId};
-use lottery_core::errors::{LotteryError, Result};
+use lottery_core::arena::RawHandle;
+use lottery_core::errors::{LotteryError, ObjectKind, Result};
 use lottery_core::rng::ParkMiller;
 use lottery_io::{DiskClientId, DiskPolicy, DiskScheduler};
 use lottery_net::{CircuitId, Switch};
@@ -200,13 +201,14 @@ impl Node {
             // holds zero tickets; the slot idles rather than erroring.
             match self.disk.service_next(&mut self.rng) {
                 Ok(served) => {
-                    if let Some(tenant) = self.disk_clients.iter().position(|&c| c == served) {
-                        self.broker.record_usage(
-                            self.tenants[tenant],
-                            Resource::Disk,
-                            DISK_REQUEST_SECTORS,
-                        );
-                    }
+                    let Some(tenant) = self.disk_clients.iter().position(|&c| c == served) else {
+                        return Err(unregistered(served.index()));
+                    };
+                    self.broker.record_usage(
+                        self.tenants[tenant],
+                        Resource::Disk,
+                        DISK_REQUEST_SECTORS,
+                    );
                 }
                 Err(LotteryError::EmptyLottery) => break,
                 Err(e) => return Err(e),
@@ -219,10 +221,11 @@ impl Node {
             }
             match self.switch.forward(&mut self.rng) {
                 Ok((vc, _cell)) => {
-                    if let Some(tenant) = self.circuits.iter().position(|&c| c == vc) {
-                        self.broker
-                            .record_usage(self.tenants[tenant], Resource::Net, 1);
-                    }
+                    let Some(tenant) = self.circuits.iter().position(|&c| c == vc) else {
+                        return Err(unregistered(vc.index()));
+                    };
+                    self.broker
+                        .record_usage(self.tenants[tenant], Resource::Net, 1);
                 }
                 Err(LotteryError::EmptyLottery) => break,
                 Err(e) => return Err(e),
@@ -257,6 +260,16 @@ impl Node {
             .zip(self.circuits.iter().copied())
             .collect();
         self.broker.apply_net(&mut self.switch, &net_bind);
+    }
+}
+
+/// The error for a disk client or circuit that served work but belongs to
+/// no tenant of this node: usage it cannot charge is a broken invariant,
+/// not a request to drop.
+fn unregistered(index: u32) -> LotteryError {
+    LotteryError::StaleHandle {
+        kind: ObjectKind::Client,
+        handle: RawHandle::new(index, 0),
     }
 }
 

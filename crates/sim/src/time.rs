@@ -41,12 +41,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole milliseconds since the epoch (truncating).
-    #[cfg(test)]
-    const fn as_ms(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since the epoch, as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
@@ -221,7 +215,6 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_ms(5).as_us(), 5_000);
-        assert_eq!(SimTime::from_secs(2).as_ms(), 2_000);
         assert_eq!(SimDuration::from_secs(1).as_us(), 1_000_000);
         assert!((SimTime::from_ms(1500).as_secs_f64() - 1.5).abs() < 1e-12);
     }

@@ -96,17 +96,6 @@ impl Summary {
         }
     }
 
-    /// Population variance (divides by `n`); zero for fewer than one
-    /// observation.
-    #[cfg(test)]
-    fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (divides by `n - 1`); zero for fewer than two
     /// observations.
     pub fn sample_variance(&self) -> f64 {
@@ -189,7 +178,6 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.stddev(), 0.0);
         assert_eq!(s.cv(), 0.0);
     }
@@ -227,7 +215,6 @@ mod tests {
     fn known_variance() {
         let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.population_variance(), 4.0);
         assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 
