@@ -124,11 +124,11 @@ pub fn run(config: &DbExperiment) -> DbReport {
             let m = kernel.metrics().thread(tid);
             match m {
                 Some(m) => DbClientReport {
-                    completed: completions(&m.responses),
+                    completed: completions(m.responses()),
                     mean_response_secs: m.response_us.mean() / 1e6,
                     stddev_response_secs: m.response_us.stddev() / 1e6,
                     queries: m.rpcs_completed(),
-                    responses: m.responses.clone(),
+                    responses: m.responses().to_vec(),
                 },
                 None => DbClientReport {
                     completed: ProgressSeries::new(),

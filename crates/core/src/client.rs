@@ -20,9 +20,22 @@ pub type ClientId = Handle<Client>;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Client {
     name: Box<str>,
-    funding: Vec<TicketId>,
+    funding: Funding,
     active: bool,
     compensation: f64,
+}
+
+/// A client's funding tickets, in the order they were added.
+///
+/// Nearly every client holds one ticket for its whole life, so up to one
+/// is kept inline and creating a client costs no heap block for it. A
+/// second ticket (an RPC server funded by its client's transfer) moves the
+/// list to the heap, where it stays: later transfers reuse the block, so a
+/// steady stream of RPCs allocates nothing.
+#[derive(Debug, Clone, PartialEq)]
+enum Funding {
+    Inline(Option<TicketId>),
+    Spilled(Vec<TicketId>),
 }
 
 impl Client {
@@ -30,7 +43,7 @@ impl Client {
     pub(crate) fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into().into_boxed_str(),
-            funding: Vec::new(),
+            funding: Funding::Inline(None),
             active: false,
             compensation: 1.0,
         }
@@ -43,7 +56,10 @@ impl Client {
 
     /// Tickets currently funding this client.
     pub fn funding(&self) -> &[TicketId] {
-        &self.funding
+        match &self.funding {
+            Funding::Inline(one) => one.as_slice(),
+            Funding::Spilled(many) => many,
+        }
     }
 
     /// Whether the client is actively competing (e.g. on the run queue).
@@ -75,12 +91,23 @@ impl Client {
     }
 
     pub(crate) fn add_funding(&mut self, ticket: TicketId) {
-        self.funding.push(ticket);
+        match &mut self.funding {
+            Funding::Inline(slot @ None) => *slot = Some(ticket),
+            Funding::Inline(Some(first)) => self.funding = Funding::Spilled(vec![*first, ticket]),
+            Funding::Spilled(many) => many.push(ticket),
+        }
     }
 
     pub(crate) fn remove_funding(&mut self, ticket: TicketId) {
-        if let Some(pos) = self.funding.iter().position(|&t| t == ticket) {
-            self.funding.remove(pos);
+        match &mut self.funding {
+            Funding::Inline(one) => {
+                one.take_if(|t| *t == ticket);
+            }
+            Funding::Spilled(many) => {
+                if let Some(pos) = many.iter().position(|&t| t == ticket) {
+                    many.remove(pos);
+                }
+            }
         }
     }
 }
@@ -96,6 +123,32 @@ mod tests {
         assert!(c.funding().is_empty());
         assert!(!c.is_active());
         assert_eq!(c.compensation(), 1.0);
+    }
+
+    #[test]
+    fn funding_keeps_order_inline_and_spilled() {
+        use crate::ledger::Ledger;
+
+        let mut ledger = Ledger::new();
+        let mut ticket = || ledger.issue_root(ledger.base(), 1).unwrap();
+        let (a, b, c) = (ticket(), ticket(), ticket());
+        let mut client = Client::new("server");
+        client.add_funding(a);
+        assert_eq!(client.funding(), &[a]);
+        assert!(matches!(client.funding, Funding::Inline(_)));
+        client.add_funding(b);
+        client.add_funding(c);
+        client.remove_funding(b);
+        assert_eq!(client.funding(), &[a, c]);
+        client.remove_funding(a);
+        client.remove_funding(c);
+        assert!(client.funding().is_empty());
+        client.remove_funding(c);
+        let mut one = Client::new("thread");
+        one.add_funding(a);
+        one.remove_funding(b);
+        one.remove_funding(a);
+        assert!(one.funding().is_empty());
     }
 
     #[test]

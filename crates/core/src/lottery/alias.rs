@@ -170,6 +170,28 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
         }
     }
 
+    /// A pool holding `entries` in slot order, its table snapshotted once:
+    /// the pool that inserting them one by one and then calling
+    /// [`Self::rebuild`] leaves, without the intermediate snapshots a
+    /// one-by-one load takes along the way. [`Self::rebuilds`] reads 1.
+    /// Items must be distinct.
+    pub fn from_entries(entries: impl IntoIterator<Item = (T, f64)>) -> Self {
+        let items: Vec<(T, f64)> = entries.into_iter().collect();
+        let mut index = I::with_capacity(items.len());
+        for (slot, (item, _)) in items.iter().enumerate() {
+            debug_assert!(index.get(item).is_none(), "an item entered twice");
+            index.set(item, slot);
+        }
+        let mut pool = Self {
+            sums: SumTree::from_leaves(items.iter().map(|&(_, w)| w)),
+            items,
+            index,
+            ..Self::with_index(0)
+        };
+        pool.rebuild();
+        pool
+    }
+
     /// Slots whose current weight differs from the snapshot.
     #[cfg(test)]
     fn stale_len(&self) -> usize {
@@ -457,6 +479,44 @@ mod tests {
                 "winning value {x}"
             );
         }
+    }
+
+    #[test]
+    fn bulk_load_is_the_one_by_one_load_without_its_snapshots() {
+        let weights: Vec<f64> = (0..1_000)
+            .map(|i| 0.1 + (i as f64).sin().abs() * 97.3)
+            .collect();
+        let mut one_by_one = AliasLottery::new();
+        for (i, &w) in weights.iter().enumerate() {
+            one_by_one.insert(i as u32, w);
+        }
+        one_by_one.rebuild();
+        let mut bulk = AliasLottery::from_entries((0u32..).zip(weights.iter().copied()));
+        assert!(one_by_one.rebuilds() > 1);
+        assert_eq!(bulk.rebuilds(), 1);
+        let bits = |pool: &AliasLottery<u32>| {
+            let sums = (pool.sums.total().to_bits(), pool.sums.depth());
+            let prefix = pool
+                .snap_prefix
+                .iter()
+                .map(|w| w.to_bits())
+                .collect::<Vec<_>>();
+            (pool.total().to_bits(), sums, prefix, pool.stale_len())
+        };
+        assert_eq!(bits(&bulk), bits(&one_by_one));
+        // The same mutations and draws from here on agree winner by winner,
+        // through the stale partial-sum descent and later rebuilds alike.
+        let (mut a, mut b) = (ParkMiller::new(9), ParkMiller::new(9));
+        for round in 0..2_000u32 {
+            let item = round * 7 % 1_000;
+            if round % 3 == 0 {
+                let w = 0.5 + f64::from(round % 13) * 3.7;
+                one_by_one.set_weight(&item, w);
+                bulk.set_weight(&item, w);
+            }
+            assert_eq!(one_by_one.draw(&mut a).ok(), bulk.draw(&mut b).ok());
+        }
+        assert_eq!(bits(&bulk), bits(&one_by_one));
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! swap-removal. The pools reach it through [`SlotIndex`]; the one
 //! implementation is [`DenseIndex`], which exploits that pool keys are
 //! already *arena indices* (thread ids, client handles, plain integers): a
-//! `Vec<usize>` keyed by [`SlotKey::slot_key`], so every insert, remove,
+//! `Vec<u32>` keyed by [`SlotKey::slot_key`], so every insert, remove,
 //! and weight update is a single array access. The schedulers'
 //! per-decision pool maintenance is exactly these operations, so the
 //! kernel's dispatch path carries no hashing at all.
 //!
 //! A dense index trades memory for time: its table spans the *key space*
 //! (the arena's high-water mark), not the live population. Arena indices
-//! are recycled densely, so the table never outgrows the peak population.
+//! are recycled densely, so the table never outgrows the peak population,
+//! and a position is a `u32`, as arena indices are: four bytes per key
+//! for each pool that mirrors a thread table.
 
 use crate::arena::Handle;
 
@@ -64,19 +66,19 @@ impl SlotKey for usize {
 }
 
 /// Vacant-slot sentinel in a [`DenseIndex`] table.
-const VACANT: usize = usize::MAX;
+const VACANT: u32 = u32::MAX;
 
 /// Dense vector index over [`SlotKey`] keys: O(1) array lookups with no
 /// hashing, sized by the key space's high-water mark.
 #[derive(Debug, Clone, Default)]
 pub struct DenseIndex {
-    slots: Vec<usize>,
+    slots: Vec<u32>,
 }
 
 impl DenseIndex {
     fn slot_at(&self, key: usize) -> Option<usize> {
         match self.slots.get(key) {
-            Some(&slot) if slot != VACANT => Some(slot),
+            Some(&slot) if slot != VACANT => Some(slot as usize),
             _ => None,
         }
     }
@@ -98,7 +100,8 @@ impl<T: SlotKey> SlotIndex<T> for DenseIndex {
         if key >= self.slots.len() {
             self.slots.resize(key + 1, VACANT);
         }
-        self.slots[key] = slot;
+        let slot = u32::try_from(slot).ok().filter(|&slot| slot != VACANT);
+        self.slots[key] = slot.expect("a pool holds fewer than u32::MAX entries");
     }
 
     fn remove(&mut self, item: &T) -> Option<usize> {

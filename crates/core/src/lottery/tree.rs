@@ -37,6 +37,22 @@ impl<W: Weight> SumTree<W> {
         }
     }
 
+    /// A tree over `weights`, slot by slot, with room for exactly as many
+    /// slots as setting each leaf in turn leaves: every sum is computed
+    /// once, from its children, as [`Self::set_leaf`] computes it, so the
+    /// two trees agree bit for bit.
+    pub(super) fn from_leaves(weights: impl ExactSizeIterator<Item = W>) -> Self {
+        let mut sums = Self::with_capacity(weights.len());
+        let capacity = sums.capacity;
+        for (leaf, w) in sums.tree[capacity..].iter_mut().zip(weights) {
+            *leaf = w;
+        }
+        for node in (1..capacity).rev() {
+            sums.tree[node] = sums.tree[2 * node].add(sums.tree[2 * node + 1]);
+        }
+        sums
+    }
+
     /// The depth of the tree: the number of comparisons per descent.
     pub(super) fn depth(&self) -> u32 {
         self.capacity.trailing_zeros()
@@ -254,6 +270,23 @@ mod tests {
             pool.insert(client, tickets);
         }
         pool
+    }
+
+    #[test]
+    fn leaves_loaded_at_once_sum_as_leaves_set_one_by_one() {
+        for n in [0usize, 1, 2, 5, 64, 1_000] {
+            let weights: Vec<f64> = (0..n)
+                .map(|i| 0.3 + (i as f64).cos().abs() * 41.7)
+                .collect();
+            let mut one_by_one = SumTree::with_capacity(0);
+            for (slot, &w) in weights.iter().enumerate() {
+                one_by_one.set_leaf(slot, w);
+            }
+            let bulk = SumTree::from_leaves(weights.iter().copied());
+            assert_eq!(bulk.capacity, one_by_one.capacity, "{n} leaves");
+            let bits = |t: &SumTree<f64>| t.tree.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&bulk), bits(&one_by_one), "{n} leaves");
+        }
     }
 
     /// The tree lottery must agree with Figure 1's list walk.

@@ -10,15 +10,19 @@
 //! dispatch records against the running thread two or three times, and
 //! thread ids are dense, so each record is an index, not a hash lookup.
 //! A thread's record holds only what something reads and nothing another
-//! field determines: the dispatch count is the wait summary's count, a
-//! preemption's wait is the total less the wakes', and the RPC log's length
-//! is the completion count. The response-time and lock-wait summaries,
-//! which only RPC clients and mutex waiters record, are a pointer until
-//! their first sample. The record is constant-space, so memory does not
-//! grow with the decisions a run makes; only the RPC log grows, one entry
-//! per completed RPC. Per-window CPU (Figure 5) is measured where the
-//! windows fall, by [`run_windows`], rather than recorded on every run
-//! segment.
+//! field determines: the dispatch count is the wait count, a preemption's
+//! wait is the total less the wakes', and the RPC log's length is the
+//! completion count. A wait is a count and an exact integer sum of
+//! microseconds, since its readers ask for nothing else. The response-time
+//! record (summary and log) and the lock-wait summary, which only RPC
+//! clients and mutex waiters fill, are a pointer until their first sample.
+//! The record is constant-space, 72 bytes, so memory does not grow with
+//! the decisions a run makes; only the RPC log grows, one entry per
+//! completed RPC. The CPU total is kept here and nowhere else. Per-window
+//! CPU (Figure 5) is measured where the windows fall, by [`run_windows`],
+//! rather than recorded on every run segment.
+
+use core::ops::Deref;
 
 use lottery_stats::{LazySummary, Summary};
 
@@ -27,23 +31,89 @@ use crate::sched::Policy;
 use crate::thread::ThreadId;
 use crate::time::{SimDuration, SimTime};
 
+/// Ready-queue waits: how many, and their exact sum in microseconds.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Waits {
+    count: u64,
+    sum_us: u64,
+}
+
+impl Waits {
+    fn record(&mut self, waited: SimDuration) {
+        self.count += 1;
+        self.sum_us += waited.as_us();
+    }
+
+    /// Waits recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Their total in microseconds, exact below 2⁵³ µs (285 years).
+    pub fn sum(&self) -> f64 {
+        self.sum_us as f64
+    }
+
+    /// The mean wait in microseconds; zero when none was recorded.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum() / self.count as f64
+        }
+    }
+}
+
+/// What every [`Responses`] reads as until its first completion.
+static NO_RESPONSES: Summary = Summary::new();
+
+/// A client's completed RPCs: the response-time summary, in microseconds,
+/// and the log of every completion. Boxed on the first completion, since
+/// only RPC clients complete any; reads as the summary.
+#[derive(Debug, Default)]
+pub struct Responses(Option<Box<ResponseLog>>);
+
+#[derive(Debug, Default)]
+struct ResponseLog {
+    summary: Summary,
+    /// `(completion time_us, response time_us)` per completed RPC.
+    log: Vec<(u64, f64)>,
+}
+
+impl Responses {
+    fn record(&mut self, at: SimTime, response: SimDuration) {
+        let record = self.0.get_or_insert_default();
+        let us = response.as_us() as f64;
+        record.summary.record(us);
+        record.log.push((at.as_us(), us));
+    }
+}
+
+impl Deref for Responses {
+    type Target = Summary;
+
+    fn deref(&self) -> &Summary {
+        self.0
+            .as_deref()
+            .map_or(&NO_RESPONSES, |record| &record.summary)
+    }
+}
+
 /// Per-thread accounting.
 #[derive(Debug, Default)]
 pub struct ThreadMetrics {
     /// Cumulative CPU time, as of the last run segment.
     cpu: SimDuration,
-    /// Ready-queue wait before each dispatch, in microseconds.
-    pub wait_us: Summary,
+    /// Ready-queue wait before each dispatch.
+    pub wait_us: Waits,
     /// Ready-queue wait for dispatches that followed a true wake (spawn
-    /// or sleep end), in microseconds. The rest of `wait_us` followed a
-    /// preemption (quantum expiry or yield): a preempted thread was never
-    /// asleep, so that part is pure scheduling latency.
-    pub wake_wait_us: Summary,
+    /// or sleep end). The rest of `wait_us` followed a preemption
+    /// (quantum expiry or yield): a preempted thread was never asleep, so
+    /// that part is pure scheduling latency.
+    pub wake_wait_us: Waits,
     /// RPC response times, in microseconds (request sent to reply
-    /// received).
-    pub response_us: LazySummary,
-    /// Every completed RPC: `(completion time_us, response time_us)`.
-    pub responses: Vec<(u64, f64)>,
+    /// received), and the log of every completed RPC.
+    pub response_us: Responses,
     /// Kernel-mutex waiting times, in microseconds (block to handoff).
     pub lock_wait_us: LazySummary,
     /// Times the thread blocked.
@@ -60,7 +130,15 @@ impl ThreadMetrics {
 
     /// Completed RPC count.
     pub fn rpcs_completed(&self) -> u64 {
-        self.responses.len() as u64
+        self.response_us.count()
+    }
+
+    /// Every completed RPC: `(completion time_us, response time_us)`.
+    pub fn responses(&self) -> &[(u64, f64)] {
+        self.response_us
+            .0
+            .as_deref()
+            .map_or(&[], |record| &record.log)
     }
 
     /// Cumulative CPU time in microseconds.
@@ -107,10 +185,9 @@ impl Metrics {
         self.threads.get(tid.index() as usize)?.as_ref()
     }
 
-    /// Records a run segment's end: `cpu_total` is `tid`'s lifetime CPU
-    /// after it.
-    pub fn record_run(&mut self, tid: ThreadId, cpu_total: SimDuration) {
-        self.thread_mut(tid).cpu = cpu_total;
+    /// Records a run segment: `tid` ran for `ran`.
+    pub(crate) fn record_run(&mut self, tid: ThreadId, ran: SimDuration) {
+        self.thread_mut(tid).cpu += ran;
     }
 
     /// Records a dispatch and its ready-queue wait, which followed a
@@ -128,7 +205,6 @@ impl Metrics {
             self.context_switches += 1;
         }
         let t = self.thread_mut(tid);
-        let waited = waited.as_us() as f64;
         t.wait_us.record(waited);
         if !preempted {
             t.wake_wait_us.record(waited);
@@ -137,9 +213,7 @@ impl Metrics {
 
     /// Records a completed RPC for the client.
     pub(crate) fn record_rpc(&mut self, client: ThreadId, now: SimTime, response: SimDuration) {
-        let t = self.thread_mut(client);
-        t.response_us.record(response.as_us() as f64);
-        t.responses.push((now.as_us(), response.as_us() as f64));
+        self.thread_mut(client).response_us.record(now, response);
     }
 
     /// CPU time consumed by `tid` in microseconds (zero if unknown).
@@ -201,7 +275,7 @@ mod tests {
         let mut m = Metrics::new();
         m.record_run(T0, SimDuration::from_ms(100));
         m.record_run(T0, SimDuration::from_ms(200));
-        assert_eq!(m.cpu_us(T0), 200_000);
+        assert_eq!(m.cpu_us(T0), 300_000);
         assert_eq!(m.cpu_us(T1), 0);
     }
 
@@ -230,14 +304,26 @@ mod tests {
     }
 
     #[test]
-    fn wait_extrema_are_the_recorded_waits() {
+    fn wait_sums_are_exact_integer_microsecond_sums() {
         let mut m = Metrics::new();
-        for ms in [7, 3, 5] {
-            m.record_dispatch(T0, SimDuration::from_ms(ms), false, false);
+        // 2⁵³ + 1 µs is not an `f64`, and a running mean of these waits
+        // would round at every step; the sum and count are exact.
+        let waits = [1u64 << 53, 1, 7, 3, 5];
+        for (i, &us) in waits.iter().enumerate() {
+            m.record_dispatch(T0, SimDuration::from_us(us), true, i % 2 == 1);
         }
         let t = m.thread(T0).unwrap();
-        assert_eq!(t.wait_us.min(), 3_000.0);
-        assert_eq!(t.wait_us.max(), 7_000.0);
+        assert_eq!(t.wait_us.count(), 5);
+        assert_eq!(t.wait_us.sum_us, (1 << 53) + 16);
+        assert_eq!(t.wake_wait_us.count(), 3);
+        assert_eq!(t.wake_wait_us.sum_us, (1 << 53) + 12);
+        let mut exact = Metrics::new();
+        for us in [3, 4, 4] {
+            exact.record_dispatch(T1, SimDuration::from_us(us), true, false);
+        }
+        let t = exact.thread(T1).unwrap();
+        assert_eq!((t.wait_us.sum(), t.wait_us.mean()), (11.0, 11.0 / 3.0));
+        assert_eq!(Waits::default().mean(), 0.0);
     }
 
     #[test]
@@ -248,6 +334,7 @@ mod tests {
         assert_eq!((t.response_us.count(), t.response_us.sum()), (0, 0.0));
         assert_eq!((t.lock_wait_us.count(), t.lock_wait_us.sum()), (0, 0.0));
         assert_eq!(t.response_us.min(), f64::INFINITY);
+        assert!(t.responses().is_empty());
     }
 
     #[test]
@@ -259,7 +346,7 @@ mod tests {
         assert_eq!(t.rpcs_completed(), 2);
         assert_eq!(t.response_us.mean(), 500_000.0);
         assert_eq!(
-            t.responses,
+            t.responses(),
             [(1_000_000, 250_000.0), (2_000_000, 750_000.0)]
         );
     }

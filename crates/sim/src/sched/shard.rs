@@ -225,8 +225,8 @@ impl Shard {
     /// Rebuilds the shard under `structure`, keeping the slot order and
     /// taking fresh weights from `value_of` (not consulted for a list),
     /// and reports it on `bus` as one `StructureRebuild`. An alias table
-    /// is snapshotted once at the end, so bulk-load churn collapses into
-    /// one definitive table and reports nothing of its own.
+    /// is loaded in bulk and snapshotted once, so it reports nothing of
+    /// its own.
     pub fn rebuild(
         &mut self,
         structure: SelectStructure,
@@ -235,17 +235,20 @@ impl Shard {
     ) {
         let start = Instant::now();
         let order: Vec<ThreadId> = self.iter().collect();
-        *self = Self::new(structure);
-        for tid in order {
-            let value = match structure {
-                SelectStructure::List => 0.0,
-                _ => value_of(tid),
-            };
-            self.insert(tid, value);
-        }
-        if let Pool::Alias(alias) = &mut self.0 {
-            alias.rebuild();
+        if structure == SelectStructure::Alias {
+            let entries = order.into_iter().map(|tid| (tid, value_of(tid)));
+            let mut alias = AliasLottery::from_entries(entries);
             alias.take_rebuild_events();
+            *self = Self(Pool::Alias(alias));
+        } else {
+            *self = Self::new(structure);
+            for tid in order {
+                let value = match structure {
+                    SelectStructure::List => 0.0,
+                    _ => value_of(tid),
+                };
+                self.insert(tid, value);
+            }
         }
         bus.emit(|| EventKind::StructureRebuild {
             structure: structure_name(structure),

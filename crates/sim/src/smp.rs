@@ -166,6 +166,11 @@ pub struct SmpKernel<P: Policy> {
     threads: Vec<Option<Thread>>,
     policy: P,
     ports: Vec<Port>,
+    /// The request each server thread has in service, by server: a few
+    /// entries at most, and none on a machine without RPC, so no thread
+    /// record carries room for one. Entries come and go in place, so a
+    /// steady stream of RPCs allocates nothing.
+    requests: Vec<(ThreadId, Message)>,
     /// The number of the first CPU; the rest follow it.
     first_cpu: u32,
     cpus: Vec<Cpu>,
@@ -217,6 +222,7 @@ impl<P: Policy> SmpKernel<P> {
             threads: Vec::new(),
             policy,
             ports: Vec::new(),
+            requests: Vec::new(),
             first_cpu,
             cpus: (0..cpus).map(|_| cpu()).collect(),
             posted: 0,
@@ -397,7 +403,7 @@ impl<P: Policy> SmpKernel<P> {
         let tid = ThreadId::from_index(self.threads.len() as u32);
         let mut thread = Thread::new(name, workload);
         thread.set_state(ThreadState::Blocked(BlockReason::Timer));
-        thread.blocked_since = Some(self.clock);
+        thread.since = self.clock;
         self.threads.push(Some(thread));
         self.policy.on_spawn(tid, spec);
         self.work.push(wake_at, Work::Wake(tid));
@@ -420,10 +426,10 @@ impl<P: Policy> SmpKernel<P> {
     }
 
     /// Adopts a ready `thread` under the id its owner chose — a fresh one,
-    /// or one [`SmpKernel::detach`]ed from another kernel, whose CPU time
-    /// and workload position carry on here. The policy sees an `on_spawn`
-    /// and an `enqueue`; ids need not be dense, and skipped ones stay
-    /// empty.
+    /// or one [`SmpKernel::detach`]ed from another kernel, whose workload
+    /// position carries on here (each kernel's metrics count the CPU time
+    /// the thread ran there). The policy sees an `on_spawn` and an
+    /// `enqueue`; ids need not be dense, and skipped ones stay empty.
     ///
     /// # Panics
     ///
@@ -448,14 +454,21 @@ impl<P: Policy> SmpKernel<P> {
     ///
     /// # Panics
     ///
-    /// Panics unless `tid` is in the table and ready.
+    /// Panics unless `tid` is in the table and ready, or when it is serving
+    /// a request: the request, its client and its port belong here.
     pub fn detach(&mut self, tid: ThreadId) -> Thread {
+        assert!(
+            self.serving(tid).is_none(),
+            "detach of {tid}, which is serving a request"
+        );
         let slot = self.threads.get_mut(tid.index() as usize);
-        let mut thread = slot
-            .and_then(|slot| slot.take_if(|t| t.state() == ThreadState::Ready))
-            .unwrap_or_else(|| panic!("detach of {tid}, which is not a ready thread here"));
-        thread.ready_since = None;
-        thread
+        slot.and_then(|slot| slot.take_if(|t| t.state() == ThreadState::Ready))
+            .unwrap_or_else(|| panic!("detach of {tid}, which is not a ready thread here"))
+    }
+
+    /// The request `server` has in service, if any.
+    fn serving(&self, server: ThreadId) -> Option<&Message> {
+        (self.requests.iter()).find_map(|(s, message)| (*s == server).then_some(message))
     }
 
     /// Terminates a thread from outside (the `thread_terminate` analogue).
@@ -498,6 +511,9 @@ impl<P: Policy> SmpKernel<P> {
             ThreadState::Ready | ThreadState::Blocked(_) => {}
         }
         self.policy.cancel_lock_waits(tid);
+        // A request in service dies with its server; its client stays
+        // blocked, as it would on a real kernel.
+        self.requests.retain(|(server, _)| *server != tid);
         self.thread_mut(tid).set_state(ThreadState::Exited);
         // `on_exit` drops the thread from the ready set and releases its
         // policy state (for the lottery policy: client and tickets).
@@ -626,10 +642,8 @@ impl<P: Policy> SmpKernel<P> {
         cpu.busy += ran;
         let thread = self.thread_mut(tid);
         thread.burst_remaining -= ran;
-        thread.cpu_time += ran;
         thread.quantum_used += ran;
-        let cpu_total = thread.cpu_time;
-        self.metrics.record_run(tid, cpu_total);
+        self.metrics.record_run(tid, ran);
     }
 
     /// Rule 3 at `deadline`: each segment straddling it is applied up to
@@ -687,7 +701,7 @@ impl<P: Policy> SmpKernel<P> {
     fn ready(&mut self, tid: ThreadId, at: SimTime, requeued: bool) {
         let thread = self.thread_mut(tid);
         thread.set_state(ThreadState::Ready);
-        thread.ready_since = Some(at);
+        thread.since = at;
         thread.requeued = requeued;
         self.policy.enqueue(tid, at);
         self.kick_idle_cpus(at.max(self.clock));
@@ -696,12 +710,12 @@ impl<P: Policy> SmpKernel<P> {
     /// Readies a blocked thread that woke at `when`.
     fn make_ready(&mut self, tid: ThreadId, when: SimTime) {
         let thread = self.thread_mut(tid);
-        let (state, since) = (thread.state(), thread.blocked_since.take());
+        let (state, since) = (thread.state(), thread.since);
         debug_assert!(
             matches!(state, ThreadState::Blocked(_)),
             "{tid} wakes {state:?}"
         );
-        if let (ThreadState::Blocked(BlockReason::External), Some(since)) = (state, since) {
+        if state == ThreadState::Blocked(BlockReason::External) {
             let waited = when.saturating_since(since).as_us() as f64;
             self.metrics.thread_mut(tid).lock_wait_us.record(waited);
         }
@@ -722,7 +736,7 @@ impl<P: Policy> SmpKernel<P> {
         self.metrics.switch_overhead += cost;
         let start = self.clock + cost;
         let thread = self.thread_mut(tid);
-        let since = thread.ready_since.take().unwrap_or(start);
+        let since = thread.since;
         thread.set_state(ThreadState::Running);
         thread.quantum_used = SimDuration::ZERO;
         let preempted = std::mem::take(&mut thread.requeued);
@@ -789,12 +803,11 @@ impl<P: Policy> SmpKernel<P> {
     /// returns why the quantum ends, or `None` to keep running.
     fn next_burst(&mut self, tid: ThreadId) -> Option<EndReason> {
         let now = self.clock;
-        let thread = self.thread_mut(tid);
         let ctx = WorkloadCtx {
             now,
-            cpu_time: thread.cpu_time,
-            current_request_service: thread.current_request.map(|m| m.service),
+            current_request_service: self.serving(tid).map(|m| m.service),
         };
+        let thread = self.thread_mut(tid);
         let reason = match thread.workload_mut().next(&ctx) {
             Burst::Run(d) if !d.is_zero() => {
                 thread.burst_remaining = d;
@@ -837,9 +850,10 @@ impl<P: Policy> SmpKernel<P> {
                 EndReason::Blocked
             }
             Burst::Reply => {
-                let Some(message) = thread.current_request.take() else {
+                let Some(at) = self.requests.iter().position(|(s, _)| *s == tid) else {
                     return Some(self.invalid(tid, "reply"));
                 };
+                let (_, message) = self.requests.swap_remove(at);
                 let client = message.client;
                 let (cid, server) = (client.index(), tid.index());
                 self.probe(now, || EventKind::RpcReply {
@@ -886,7 +900,11 @@ impl<P: Policy> SmpKernel<P> {
 
     /// Hands `message` to `server`, which its client's tickets now fund.
     fn serve(&mut self, message: Message, server: ThreadId) {
-        self.thread_mut(server).current_request = Some(message);
+        debug_assert!(
+            self.serving(server).is_none(),
+            "{server} serves two requests"
+        );
+        self.requests.push((server, message));
         self.policy.transfer(message.client, server);
         let (client, server) = (message.client.index(), server.index());
         self.probe(self.clock, || EventKind::RpcDeliver { client, server });
@@ -896,7 +914,7 @@ impl<P: Policy> SmpKernel<P> {
         let now = self.clock;
         let thread = self.thread_mut(tid);
         debug_assert_eq!(thread.state(), ThreadState::Running);
-        thread.blocked_since = Some(now);
+        thread.since = now;
         thread.set_state(ThreadState::Blocked(reason));
     }
 
@@ -1164,7 +1182,7 @@ mod tests {
         let (mut a, job, hog) = job_ready_hog_running();
         a.policy_mut().on_exit(job);
         let thread = a.detach(job);
-        assert_eq!(thread.cpu_time(), SimDuration::from_ms(100));
+        assert_eq!(a.metrics().cpu_us(job), 100_000);
         assert_eq!(thread.burst_remaining, SimDuration::from_ms(150));
         assert!(a.threads[job.index() as usize].is_none());
 
@@ -1173,13 +1191,13 @@ mod tests {
         b.attach(job, thread, ());
         b.run_until(SimTime::from_secs(1)).unwrap();
         // The rest of the one burst, then the exit: the budget was not
-        // issued again, and the lifetime CPU total came along.
+        // issued again. Each kernel counts the CPU the thread ran there.
         assert!(b.threads[job.index() as usize]
             .as_ref()
             .unwrap()
             .is_exited());
         assert_eq!(b.busy(5), SimDuration::from_ms(150));
-        assert_eq!(b.metrics().cpu_us(job), 250_000);
+        assert_eq!(b.metrics().cpu_us(job), 150_000);
         assert_eq!(b.metrics().thread(job).unwrap().dispatches(), 2);
 
         // The kernel it left runs on without it.

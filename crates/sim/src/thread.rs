@@ -1,12 +1,13 @@
 //! Thread control blocks.
 //!
 //! A simulated thread owns a [`crate::workload::Workload`], a scheduling
-//! state, and accounting fields. Scheduling *policy* state (tickets,
-//! priorities, strides) lives in the policy, keyed by [`ThreadId`].
+//! state, and what the kernel carries between its dispatches. Scheduling
+//! *policy* state (tickets, priorities, strides) lives in the policy, keyed
+//! by [`ThreadId`]; its accounting lives in [`crate::metrics::Metrics`].
 
 use core::fmt;
 
-use crate::ipc::{Message, PortId};
+use crate::ipc::PortId;
 use crate::time::{SimDuration, SimTime};
 use crate::workload::Workload;
 
@@ -80,21 +81,19 @@ pub enum ThreadState {
     Exited,
 }
 
-/// A thread control block.
+/// A thread control block: what the dispatch engine needs of a thread
+/// between its dispatches, 72 bytes. Its CPU total is accounted in
+/// [`crate::metrics::ThreadMetrics`], a server's request in service in
+/// the kernel's table of requests, its tickets in the policy.
 pub struct Thread {
     name: Box<str>,
     state: ThreadState,
     workload: Box<dyn Workload>,
     /// CPU time left in the burst the workload last issued.
     pub(crate) burst_remaining: SimDuration,
-    /// The request currently being served (server threads).
-    pub(crate) current_request: Option<Message>,
-    /// Total CPU time consumed.
-    pub(crate) cpu_time: SimDuration,
-    /// When the thread last became ready (for wait-time accounting).
-    pub(crate) ready_since: Option<SimTime>,
-    /// When the thread last blocked (for lock-wait accounting).
-    pub(crate) blocked_since: Option<SimTime>,
+    /// When the thread last became ready (for wait-time accounting) or
+    /// blocked (for lock-wait accounting): it is never both at once.
+    pub(crate) since: SimTime,
     /// CPU consumed in the current quantum, for compensation accounting.
     pub(crate) quantum_used: SimDuration,
     /// Whether the thread is ready after a preemption (quantum expiry or
@@ -110,10 +109,7 @@ impl Thread {
             state: ThreadState::Ready,
             workload,
             burst_remaining: SimDuration::ZERO,
-            current_request: None,
-            cpu_time: SimDuration::ZERO,
-            ready_since: None,
-            blocked_since: None,
+            since: SimTime::ZERO,
             quantum_used: SimDuration::ZERO,
             requeued: false,
         }
@@ -127,11 +123,6 @@ impl Thread {
     /// The thread's current scheduling state.
     pub fn state(&self) -> ThreadState {
         self.state
-    }
-
-    /// Total CPU time consumed so far.
-    pub fn cpu_time(&self) -> SimDuration {
-        self.cpu_time
     }
 
     /// Whether the thread has exited.
@@ -157,7 +148,6 @@ impl fmt::Debug for Thread {
         f.debug_struct("Thread")
             .field("name", &self.name)
             .field("state", &self.state)
-            .field("cpu_time", &self.cpu_time)
             .field("burst_remaining", &self.burst_remaining)
             .finish_non_exhaustive()
     }
@@ -172,7 +162,7 @@ mod tests {
     fn new_thread_is_ready() {
         let t = Thread::new("worker", Box::new(ComputeBound));
         assert_eq!(t.state(), ThreadState::Ready);
-        assert_eq!(t.cpu_time(), SimDuration::ZERO);
+        assert_eq!(t.burst_remaining, SimDuration::ZERO);
         assert!(!t.is_exited());
         assert_eq!(t.name(), "worker");
     }

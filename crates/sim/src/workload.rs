@@ -59,8 +59,6 @@ pub enum Burst {
 pub struct WorkloadCtx {
     /// The current simulated time.
     pub now: SimTime,
-    /// Total CPU time this thread has consumed so far.
-    pub cpu_time: SimDuration,
     /// Service time of the request the thread just received, when the
     /// previous burst was a [`Burst::Receive`] that completed.
     pub current_request_service: Option<SimDuration>,
@@ -109,10 +107,7 @@ impl FiniteJob {
 }
 
 impl Workload for FiniteJob {
-    fn next(&mut self, ctx: &WorkloadCtx) -> Burst {
-        // `ctx.cpu_time` counts all CPU consumed; rely on our own ledger
-        // instead so the job composes with other phases.
-        let _ = ctx;
+    fn next(&mut self, _ctx: &WorkloadCtx) -> Burst {
         if self.remaining.is_zero() {
             return Burst::Exit;
         }
@@ -379,7 +374,6 @@ mod tests {
     fn ctx() -> WorkloadCtx {
         WorkloadCtx {
             now: SimTime::ZERO,
-            cpu_time: SimDuration::ZERO,
             current_request_service: None,
         }
     }

@@ -2,11 +2,12 @@
 //!
 //! In the paper a process costs the scheduler one field: xv6's `struct
 //! proc` gains `int tickets`. Here a thread costs its control block, its
-//! name, a ledger client with a funding list, a funding ticket, a slot in
-//! the policy's tables and its accounting record. This file pins what that
-//! comes to on the heap at 10⁴ threads: the blocks spawning adds per
-//! thread, and the live bytes per thread once every thread has been
-//! dispatched (which is when its accounting record is first touched). It
+//! name, a ledger client, a funding ticket, a slot in the policy's tables
+//! and its accounting record. This file pins what that comes to on the
+//! heap at 10⁴ threads, on one CPU and on a mostly idle four-CPU machine:
+//! the blocks spawning adds per thread, and the live bytes per thread once
+//! every thread has been dispatched (which is when its accounting record
+//! is first touched). It
 //! is its own test binary so the counting allocator below sees nothing
 //! but the test; the counts are per thread, so the harness running the
 //! tests side by side does not mix them.
@@ -72,56 +73,117 @@ const CURRENCIES: u32 = 1_000;
 /// Blocks allowed for the kernel's and policy's growable tables.
 const TABLES: i64 = 32;
 
-/// Live heap bytes per thread after every thread has run, counted from
-/// the kernel with its currencies alone: the thread's slot in the
-/// kernel's and the metrics' tables (at the capacity doubling leaves),
-/// its name, its client, ticket and funding list, and the policy's slots.
-/// A change that moves it by more than a tenth either way restates it.
-const BYTES_PER_THREAD: f64 = 921.0;
+/// Live heap bytes per thread after every thread has run on one CPU under
+/// the alias table, counted from the kernel with its currencies alone: the
+/// thread's slot in the kernel's and the metrics' tables (at the capacity
+/// doubling leaves), its name, its client and ticket, and the policy's
+/// slots. A change that moves it by more than a tenth either way restates
+/// it. It read 921 while a thread record carried its CPU total, two
+/// timestamps and room for an RPC request, the accounting record two
+/// floating-point wait summaries and an RPC log, and a client a funding
+/// list on the heap.
+const BYTES_PER_THREAD: f64 = 691.0;
+
+/// The same count on four CPUs with a partial-sum tree per CPU, once
+/// every thread has run and gone to sleep: the shape of a large, mostly
+/// idle machine, where each thread also holds a pending wake and each of
+/// the four trees a position per thread id. It read 999 under the records
+/// that gave 921 above, and `usize` tree positions.
+const BYTES_PER_SLEEPER: f64 = 749.0;
 
 #[test]
 fn per_thread_records_stay_small() {
     let (metrics, thread) = (size_of::<ThreadMetrics>(), size_of::<Thread>());
-    assert!(metrics <= 144, "ThreadMetrics is {metrics} bytes");
-    assert!(thread <= 136, "Thread is {thread} bytes");
+    assert!(metrics <= 72, "ThreadMetrics is {metrics} bytes");
+    assert!(thread <= 72, "Thread is {thread} bytes");
+}
+
+/// Spawns `THREADS` threads funded round-robin from `currencies` and
+/// returns the heap blocks spawning added per thread, less those the
+/// currencies and growable tables account for.
+fn spawn_all<P: Policy<Spec = FundingSpec>>(
+    kernel: &mut SmpKernel<P>,
+    currencies: &[CurrencyId],
+    workload: impl Fn() -> Box<dyn Workload>,
+) -> f64 {
+    let blocks0 = live().1;
+    for i in 0..THREADS {
+        let funding = FundingSpec::new(currencies[(i % CURRENCIES) as usize], 100);
+        kernel.spawn(format!("t{i}"), workload(), funding);
+    }
+    // Per thread, the name and the workload. Besides those, the first ticket in a currency
+    // starts its issued and active ticket lists, and each table that grows
+    // by doubling is one block however large.
+    let per_currency = 2 * i64::from(CURRENCIES);
+    (live().1 - blocks0 - per_currency - TABLES) as f64 / f64::from(THREADS)
+}
+
+/// Runs `kernel` until every thread has been dispatched: thread ids are
+/// dense from zero, and a thread's accounting record exists once it has
+/// been dispatched.
+fn dispatch_all<P: Policy>(kernel: &mut SmpKernel<P>) {
+    let mut until = kernel.now();
+    while (0..THREADS).any(|i| kernel.metrics().thread(ThreadId::from_index(i)).is_none()) {
+        until += SimDuration::from_secs(100);
+        kernel.run_until(until).unwrap();
+    }
+}
+
+fn currencies(mut create: impl FnMut(&str) -> CurrencyId) -> Vec<CurrencyId> {
+    (0..CURRENCIES).map(|c| create(&format!("c{c}"))).collect()
+}
+
+fn assert_pinned(bytes0: i64, pinned: f64) {
+    let bytes = (live().0 - bytes0) as f64 / f64::from(THREADS);
+    assert!(
+        (bytes - pinned).abs() <= 0.1 * pinned,
+        "{bytes} live bytes per thread, pinned at {pinned}"
+    );
 }
 
 #[test]
-fn a_thread_costs_two_blocks_and_its_pinned_bytes() {
+fn a_thread_costs_one_block_and_its_pinned_bytes() {
     let mut policy = LotteryPolicy::new(1994);
     policy.set_structure(SelectStructure::Alias);
-    let currencies: Vec<CurrencyId> = (0..CURRENCIES)
-        .map(|c| policy.create_currency(&format!("c{c}"), 1_000).unwrap())
-        .collect();
+    let currencies = currencies(|name| policy.create_currency(name, 1_000).unwrap());
     let mut kernel = Kernel::new(policy);
-    let (bytes0, blocks0) = live();
+    let bytes0 = live().0;
+    let blocks = spawn_all(&mut kernel, &currencies, || Box::new(ComputeBound));
+    assert!(
+        blocks <= 1.0,
+        "spawning adds {blocks} heap blocks per thread"
+    );
+    dispatch_all(&mut kernel);
+    assert_pinned(bytes0, BYTES_PER_THREAD);
+}
 
-    for i in 0..THREADS {
-        let funding = FundingSpec::new(currencies[(i % CURRENCIES) as usize], 100);
-        kernel.spawn(format!("t{i}"), Box::new(ComputeBound), funding);
-    }
-    // Per thread, the name and the funding list. Besides those, the first
-    // ticket in a currency starts its issued and active ticket lists, and
-    // each table that grows by doubling is one block however large.
-    let per_currency = 2 * i64::from(CURRENCIES);
-    let blocks = (live().1 - blocks0 - per_currency - TABLES) as f64 / f64::from(THREADS);
+#[test]
+fn a_sleeping_thread_on_four_tree_shards_costs_its_pinned_bytes() {
+    let mut policy = DistributedLottery::new(1994, 4);
+    policy.set_structure(SelectStructure::Tree);
+    let currencies = currencies(|name| policy.create_currency(name, 1_000).unwrap());
+    let mut kernel = SmpKernel::new(policy, 4);
+    let bytes0 = live().0;
+    let sleeper = || -> Box<dyn Workload> {
+        let ms = SimDuration::from_ms;
+        Box::new(IoBound::new(ms(1), ms(1_000_000)))
+    };
+    // The name, and the box of a workload with state (a compute-bound
+    // one has none, so its box is no block).
+    let blocks = spawn_all(&mut kernel, &currencies, sleeper);
     assert!(
         blocks <= 2.0,
         "spawning adds {blocks} heap blocks per thread"
     );
-
-    // Thread ids are dense from zero, and a thread's accounting record
-    // exists once it has been dispatched.
-    let mut until = kernel.now();
-    while (0..THREADS).any(|i| kernel.metrics().thread(ThreadId::from_index(i)).is_none()) {
-        until += SimDuration::from_secs(100);
-        kernel.run_until(until);
-    }
-    let bytes = (live().0 - bytes0) as f64 / f64::from(THREADS);
+    dispatch_all(&mut kernel);
+    let asleep = kernel
+        .threads()
+        .filter(|(_, t)| t.state() != ThreadState::Ready);
     assert!(
-        (bytes - BYTES_PER_THREAD).abs() <= 0.1 * BYTES_PER_THREAD,
-        "{bytes} live bytes per thread, pinned at {BYTES_PER_THREAD}"
+        asleep.count() as u32 >= THREADS - 4,
+        "the machine is mostly idle"
     );
+    assert_pinned(bytes0, BYTES_PER_SLEEPER);
 }
 
 /// The counters count: a guard that always reads zero would pass above.

@@ -55,6 +55,22 @@ if [ "$surface" -gt "$surface_ceiling" ]; then
   echo "verify: $surface uncalled public functions, above the ceiling of $surface_ceiling" >&2; exit 1
 fi
 
+# The docs name what exists: every backticked snake_case or CamelCase
+# identifier in DESIGN.md, EXPERIMENTS.md and README.md must appear as a
+# word in some .rs file, so a renamed or deleted item cannot live on in
+# prose. The allow-list holds the names that are real but no word of ours:
+# a std type and a test file's stem.
+doc_names_allowed='RandomState event_props'
+rs_words=$(find . -name '*.rs' -not -path '*/target/*' -print0 \
+  | xargs -0 grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+stale_names=$(grep -ohE '`[^`]+`' DESIGN.md EXPERIMENTS.md README.md | tr -d '`' \
+  | grep -E '^([a-z][a-z0-9]*(_[a-z0-9]+)+|[A-Z][a-z0-9]+([A-Z][a-z0-9]*)+)$' | sort -u \
+  | comm -23 - <(echo "$rs_words") | grep -vxF -e "${doc_names_allowed// /$'\n'}" || true)
+if [ -n "$stale_names" ]; then
+  echo "$stale_names" >&2
+  echo "verify: DESIGN.md, EXPERIMENTS.md or README.md names an identifier no .rs file has" >&2; exit 1
+fi
+
 # One bench, one summary, one claim: the `[[bench]]` targets of
 # crates/bench, the BENCH_*.json files at the root and the summaries
 # tests/bench_schema.rs opens are one set, so a bench whose summary backs
