@@ -1,5 +1,6 @@
-//! Alias-cell lottery: O(1) expected draws over a snapshot prefix table,
-//! O(log n) draws and updates over partial sums whenever it is stale.
+//! Alias-cell lottery: O(1) expected draws over a snapshot prefix table
+//! while it is clean, O(log n) draws and updates over partial sums
+//! otherwise.
 //!
 //! Walker's classic alias method reaches O(1) draws by scrambling client
 //! intervals across table cells, which makes the winner a different
@@ -14,17 +15,18 @@
 //! K ≥ n cells.
 //!
 //! Weights mutate between rebuilds (compensation grants and revocations,
-//! funding changes, dispatch churn), so beside the snapshot the pool keeps
+//! funding changes, dispatch churn), so beside the table the pool keeps
 //! the paper's own "tree of partial ticket sums" (Section 4.2) over the
 //! *current* slot weights — the array [`super::tree::TreeLottery`] is
-//! built on — and a count of **stale** slots: those whose current weight
-//! differs bitwise from the snapshot. The contract is
+//! built on — and the table counts its **stale** slots: those whose
+//! current weight differs bitwise from the snapshot. The contract is
 //!
-//! * **clean snapshot** (`stale_len() == 0`): a draw is one guide-cell
-//!   lookup, O(1) expected;
-//! * **otherwise**: a draw descends the partial sums, O(log n);
-//! * **every mutation**: O(1) counter upkeep plus one O(log n) root-path
-//!   update per slot whose weight bits actually change.
+//! * **clean table** (stale count zero): a draw is one guide-cell lookup,
+//!   O(1) expected, and [`TicketPool::total`] is the snapshot's total;
+//! * **otherwise**: a draw descends the partial sums, O(log n), and the
+//!   total is their root — exactly what a tree pool draws;
+//! * **every mutation**: O(1) counter upkeep while a table is held, plus
+//!   one O(log n) root-path update per slot whose weight bits change.
 //!
 //! Which path a draw takes is observed, never an option. Both compare
 //! exactly the same running sums as the list walk, so winners are
@@ -35,41 +37,15 @@
 //! value (a compensation ticket revoked, a swap-removed equal-weight
 //! neighbour) is clean again, so steady-state dispatch over a uniform
 //! population keeps the count at zero and draws purely O(1).
-//! Rebuild policy follows power-of-two weight buckets: only slots whose
-//! weight *crossed a bucket boundary* (≥ 2x drift, which stretches cell
-//! geometry) count toward the stale fraction; a full rebuild triggers when
-//! crossings exceed 1/8 of the population or the stale count outgrows
-//! O(√n), amortized O(1) per mutation by a rebuild-spacing gate. No
-//! operation's cost depends on the stale count, so that cap is only a
-//! heuristic for when a re-snapshot is likely to win back O(1) draws.
-
-use std::time::Instant;
+//! Only [`AliasLottery::rebuild`] builds a table; no mutation re-snapshots.
+//! Once the stale count passes `max(64, 8√n)` the table is dropped and
+//! its memory released: under skewed dispatch churn a fresh snapshot goes
+//! stale one decision later, so from there on the pool is a tree pool
+//! until the caller rebuilds.
 
 use super::index::{DenseIndex, SlotIndex, SlotKey};
 use super::tree::SumTree;
 use super::TicketPool;
-
-/// What one full rebuild cost, for the probe bus and `lotteryctl`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebuildStats {
-    /// Entries snapshotted.
-    pub clients: u32,
-    /// Stale slots folded in.
-    pub stale: u32,
-    /// Wall-clock rebuild cost in nanoseconds.
-    pub rebuild_ns: u64,
-}
-
-/// Power-of-two weight bucket: the IEEE-754 exponent, with all
-/// non-positive weights in a sentinel bucket. A weight changes bucket only
-/// when it at least doubles or halves.
-fn bucket(w: f64) -> i32 {
-    if w <= 0.0 {
-        i32::MIN
-    } else {
-        ((w.to_bits() >> 52) & 0x7ff) as i32
-    }
-}
 
 /// One guide-table cell: the first slot whose snapshot interval
 /// intersects the cell, with that slot's interval bounds copied in
@@ -87,6 +63,100 @@ struct Cell {
     hi: f64,
 }
 
+/// The guide table over one snapshot of the slot weights.
+#[derive(Debug, Clone, Default)]
+struct Table {
+    /// Snapshot weight per slot.
+    snap_w: Vec<f64>,
+    /// Left-to-right prefix sums of `snap_w`; `snap_prefix[i]` is the
+    /// value-axis start of slot `i`'s snapshot interval.
+    snap_prefix: Vec<f64>,
+    /// Guide table: cell `c` names the first slot whose snapshot interval
+    /// intersects `[c·cell_width, (c+1)·cell_width)`.
+    cells: Vec<Cell>,
+    cell_width: f64,
+    /// Slots whose current weight differs (bitwise) from the snapshot.
+    stale: u32,
+}
+
+impl Table {
+    /// Snapshots `weights` in slot order and lays the guide cells over
+    /// them, reusing this table's buffers.
+    fn snapshot(&mut self, weights: impl Iterator<Item = f64>) {
+        self.snap_w.clear();
+        self.snap_w.extend(weights);
+        let n = self.snap_w.len();
+        self.snap_prefix.clear();
+        self.snap_prefix.reserve(n + 1);
+        self.snap_prefix.push(0.0);
+        let mut sum = 0.0;
+        for &w in &self.snap_w {
+            sum += w;
+            self.snap_prefix.push(sum);
+        }
+        self.stale = 0;
+        self.cells.clear();
+        self.cell_width = 0.0;
+        if sum > 0.0 {
+            let k = n.next_power_of_two();
+            self.cell_width = sum / k as f64;
+            self.cells.reserve(k);
+            let mut slot = 0usize;
+            for c in 0..k {
+                let bound = c as f64 * self.cell_width;
+                while slot < n && self.snap_prefix[slot + 1] <= bound {
+                    slot += 1;
+                }
+                self.cells.push(Cell {
+                    slot: slot as u32,
+                    lo: self.snap_prefix[slot],
+                    hi: self.snap_prefix[slot + 1],
+                });
+            }
+        }
+    }
+
+    /// The snapshot's total: the list walk's running sum over it.
+    fn total(&self) -> f64 {
+        self.snap_prefix[self.snap_w.len()]
+    }
+
+    /// Snapshot weight of `slot` (zero beyond the snapshot).
+    fn weight(&self, slot: usize) -> f64 {
+        self.snap_w.get(slot).copied().unwrap_or(0.0)
+    }
+
+    /// The guide-cell search: the first slot whose snapshot interval owns
+    /// `x`, adding each correction step to `probes`. The cell only
+    /// accelerates the start; forward/backward correction makes the result
+    /// exact whatever the cell geometry, so stretched cells cost extra
+    /// steps, never wrong answers. Never returns a zero-width slot.
+    fn guide(&self, x: f64, probes: &mut u32) -> Option<usize> {
+        let n = self.snap_w.len();
+        if !(0.0..self.total()).contains(&x) || self.cells.is_empty() {
+            return None;
+        }
+        let c = ((x / self.cell_width) as usize).min(self.cells.len() - 1);
+        let cell = self.cells[c];
+        let mut slot = cell.slot as usize;
+        // Fast path: the winning value lies inside the cell's first
+        // slot's own interval. The bounds are bit-copies of the prefix
+        // sums, so this is the same comparison the scans below make.
+        if cell.lo <= x && x < cell.hi {
+            return Some(slot);
+        }
+        while slot > 0 && self.snap_prefix[slot] > x {
+            slot -= 1;
+            *probes += 1;
+        }
+        while slot < n && self.snap_prefix[slot + 1] <= x {
+            slot += 1;
+            *probes += 1;
+        }
+        (slot < n).then_some(slot)
+    }
+}
+
 /// An alias-cell lottery pool over `f64` weights.
 ///
 /// Slot order mirrors the caller's scan order (the schedulers' ready
@@ -99,32 +169,14 @@ pub struct AliasLottery<T, I = DenseIndex> {
     items: Vec<(T, f64)>,
     /// Item -> slot.
     index: I,
-    /// Exact running total of current weights.
-    total: f64,
-
-    /// Snapshot weight per slot at the last rebuild.
-    snap_w: Vec<f64>,
-    /// Left-to-right prefix sums of `snap_w`; `snap_prefix[i]` is the
-    /// value-axis start of slot `i`'s snapshot interval.
-    snap_prefix: Vec<f64>,
-    /// Guide table: cell `c` names the first slot whose snapshot interval
-    /// intersects `[c·cell_width, (c+1)·cell_width)`.
-    cells: Vec<Cell>,
-    cell_width: f64,
-
+    /// The guide table over the last rebuild's snapshot: `None` before
+    /// the first rebuild and once the stale count passed its cap.
+    table: Option<Table>,
     /// Partial sums over the *current* weight of every slot (zero for
-    /// slots the pool does not occupy); descended whenever `stale > 0`.
+    /// slots the pool does not occupy); descended unless the table is
+    /// clean.
     sums: SumTree<f64>,
-    /// Slots whose current weight differs (bitwise) from the snapshot.
-    stale: u32,
-    /// Stale slots whose weight crossed a power-of-two bucket boundary.
-    crossed: u32,
-
-    /// Mutations since the last rebuild (the rebuild-spacing gate).
-    ops_since_rebuild: u64,
     rebuilds: u64,
-    /// Rebuild reports not yet drained by the caller (bounded).
-    pending: Vec<RebuildStats>,
     /// Search effort of the last `select` (cell scan or descent depth).
     last_probes: u32,
 }
@@ -155,26 +207,18 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
         Self {
             items: Vec::with_capacity(capacity),
             index: I::with_capacity(capacity),
-            total: 0.0,
-            snap_w: Vec::new(),
-            snap_prefix: vec![0.0],
-            cells: Vec::new(),
-            cell_width: 0.0,
+            table: None,
             sums: SumTree::with_capacity(capacity),
-            stale: 0,
-            crossed: 0,
-            ops_since_rebuild: 0,
             rebuilds: 0,
-            pending: Vec::new(),
             last_probes: 0,
         }
     }
 
     /// A pool holding `entries` in slot order, its table snapshotted once:
     /// the pool that inserting them one by one and then calling
-    /// [`Self::rebuild`] leaves, without the intermediate snapshots a
-    /// one-by-one load takes along the way. [`Self::rebuilds`] reads 1.
-    /// Items must be distinct.
+    /// [`Self::rebuild`] leaves, with the partial sums computed once
+    /// bottom-up instead of one root path per insert. [`Self::rebuilds`]
+    /// reads 1. Items must be distinct.
     pub fn from_entries(entries: impl IntoIterator<Item = (T, f64)>) -> Self {
         let items: Vec<(T, f64)> = entries.into_iter().collect();
         let mut index = I::with_capacity(items.len());
@@ -192,10 +236,11 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
         pool
     }
 
-    /// Slots whose current weight differs from the snapshot.
+    /// Slots whose current weight differs from the snapshot; `None` when
+    /// the pool holds no table.
     #[cfg(test)]
-    fn stale_len(&self) -> usize {
-        self.stale as usize
+    fn stale_len(&self) -> Option<usize> {
+        self.table.as_ref().map(|t| t.stale as usize)
     }
 
     /// Full rebuilds performed so far.
@@ -204,16 +249,9 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
     }
 
     /// Search effort of the last selection: 1 + guide-cell scan steps on
-    /// a clean snapshot, 1 + partial-sum descent depth on a stale one.
+    /// a clean table, 1 + partial-sum descent depth otherwise.
     pub fn last_probes(&self) -> u32 {
         self.last_probes
-    }
-
-    /// Drains the rebuild reports accumulated since the last drain (for
-    /// probe-event emission), in place: the buffer keeps its capacity, so a
-    /// steady state of rebuilds allocates nothing.
-    pub fn take_rebuild_events(&mut self) -> std::vec::Drain<'_, RebuildStats> {
-        self.pending.drain(..)
     }
 
     /// Iterates entries in current slot order.
@@ -231,135 +269,47 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
         self.index.get(item).is_some()
     }
 
-    /// Snapshot weight of `slot` (zero beyond the snapshot).
-    fn snap_weight(&self, slot: usize) -> f64 {
-        self.snap_w.get(slot).copied().unwrap_or(0.0)
+    /// The table, if one is held and no slot has left its snapshot weight.
+    fn clean_table(&self) -> Option<&Table> {
+        self.table.as_ref().filter(|t| t.stale == 0)
     }
 
     /// Records that `slot`'s current weight is `new_w`: O(1) upkeep of
-    /// the stale and crossed counts from the slot's previous and new
-    /// weight, then one root-path update of the partial sums. `new_w` is 0
-    /// for slots the pool no longer occupies (truncated snapshot tail).
+    /// the table's stale count from the slot's previous and new weight
+    /// (dropping the table once the count passes its cap), then one
+    /// root-path update of the partial sums. `new_w` is 0 for slots the
+    /// pool no longer occupies (truncated snapshot tail).
     fn patch(&mut self, slot: usize, new_w: f64) {
         let prev_w = self.sums.leaf(slot);
         if new_w.to_bits() == prev_w.to_bits() {
             // An equal-weight neighbour swapped in: nothing to update.
             return;
         }
-        let snap_w = self.snap_weight(slot);
-        self.stale -= u32::from(prev_w.to_bits() != snap_w.to_bits());
-        self.stale += u32::from(new_w.to_bits() != snap_w.to_bits());
-        self.crossed -= u32::from(bucket(prev_w) != bucket(snap_w));
-        self.crossed += u32::from(bucket(new_w) != bucket(snap_w));
+        if let Some(table) = &mut self.table {
+            let snap_w = table.weight(slot);
+            table.stale -= u32::from(prev_w.to_bits() != snap_w.to_bits());
+            table.stale += u32::from(new_w.to_bits() != snap_w.to_bits());
+            // The cap is at least 64: that test spares the sqrt.
+            if table.stale > 64 && table.stale as usize > self.stale_cap() {
+                self.table = None;
+            }
+        }
         self.sums.set_leaf(slot, new_w);
     }
 
-    /// Stale-count bound before a forced rebuild: O(√n). Nothing costs
-    /// O(stale) any more; past this many stale slots a re-snapshot is
-    /// simply likely to buy back the O(1) draw.
+    /// Stale-count bound before the table is dropped: O(√n). Past this
+    /// many stale slots the snapshot is unlikely to come clean again.
     fn stale_cap(&self) -> usize {
         64usize.max(8 * (self.items.len() as f64).sqrt() as usize)
     }
 
-    /// Rebuilds when bucket crossings exceed 1/8 of the population or the
-    /// stale count outgrows its cap — but no sooner than `max(16, len/4)`
-    /// mutations after the previous rebuild, which keeps bulk loading
-    /// amortized O(1) per insert.
-    fn maybe_rebuild(&mut self) {
-        self.ops_since_rebuild += 1;
-        let n = self.items.len().max(1);
-        let spaced = self.ops_since_rebuild >= 16.max(n as u64 / 4);
-        // `spaced` first: it is almost always false and spares the sqrt.
-        if spaced && ((self.crossed as usize) * 8 > n || self.stale as usize > self.stale_cap()) {
-            self.rebuild();
-        }
-    }
-
-    /// Snapshots the current weights, rebuilds the guide table, and zeroes
-    /// the stale counts. Also re-derives the running total exactly,
-    /// bounding any floating-point drift from incremental maintenance.
+    /// Snapshots the current weights and lays a clean guide table over
+    /// them, reusing the held table's buffers if there is one.
     pub fn rebuild(&mut self) {
-        let start = Instant::now();
-        let stale = self.stale;
-        let n = self.items.len();
-        self.snap_w.clear();
-        self.snap_w.extend(self.items.iter().map(|(_, w)| *w));
-        self.snap_prefix.clear();
-        self.snap_prefix.reserve(n + 1);
-        self.snap_prefix.push(0.0);
-        let mut sum = 0.0;
-        for &w in &self.snap_w {
-            sum += w;
-            self.snap_prefix.push(sum);
-        }
-        self.total = sum;
-        self.stale = 0;
-        self.crossed = 0;
-        self.ops_since_rebuild = 0;
-        if sum > 0.0 {
-            let k = n.next_power_of_two();
-            self.cell_width = sum / k as f64;
-            self.cells.clear();
-            self.cells.reserve(k);
-            let mut slot = 0usize;
-            for c in 0..k {
-                let bound = c as f64 * self.cell_width;
-                while slot < n && self.snap_prefix[slot + 1] <= bound {
-                    slot += 1;
-                }
-                self.cells.push(Cell {
-                    slot: slot as u32,
-                    lo: self.snap_prefix[slot],
-                    hi: self.snap_prefix[slot + 1],
-                });
-            }
-        } else {
-            self.cells.clear();
-            self.cell_width = 0.0;
-        }
+        let mut table = self.table.take().unwrap_or_default();
+        table.snapshot(self.items.iter().map(|(_, w)| *w));
+        self.table = Some(table);
         self.rebuilds += 1;
-        let stats = RebuildStats {
-            clients: n as u32,
-            stale,
-            rebuild_ns: start.elapsed().as_nanos() as u64,
-        };
-        // Bounded: callers that never drain (plain data-structure use)
-        // keep only the most recent reports.
-        if self.pending.len() >= 64 {
-            self.pending.remove(0);
-        }
-        self.pending.push(stats);
-    }
-
-    /// The guide-cell search: the first slot whose snapshot interval owns
-    /// `x`. The cell only accelerates the start; forward/backward
-    /// correction makes the result exact whatever the cell geometry, so
-    /// cells stretched by in-bucket weight drift cost extra steps, never
-    /// wrong answers. Never returns a zero-width slot.
-    fn guide(&mut self, x: f64) -> Option<usize> {
-        let n = self.snap_w.len();
-        let snap_total = self.snap_prefix[n];
-        if !(0.0..snap_total).contains(&x) || self.cells.is_empty() {
-            return None;
-        }
-        let c = ((x / self.cell_width) as usize).min(self.cells.len() - 1);
-        let cell = self.cells[c];
-        let mut slot = cell.slot as usize;
-        // Fast path: the winning value lies inside the cell's first
-        // slot's own interval. The bounds are bit-copies of the prefix
-        // sums, so this is the same comparison the scans below make.
-        if cell.lo <= x && x < cell.hi {
-            return Some(slot);
-        }
-        while slot > 0 && self.snap_prefix[slot] > x {
-            slot -= 1;
-            self.last_probes += 1;
-        }
-        while slot < n && self.snap_prefix[slot + 1] <= x {
-            slot += 1;
-            self.last_probes += 1;
-        }
-        (slot < n).then_some(slot)
     }
 }
 
@@ -368,8 +318,11 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
         self.items.len()
     }
 
+    /// The snapshot's total while the table is clean (the running sum the
+    /// guide compares against), the partial sums' root otherwise.
     fn total(&self) -> f64 {
-        self.total
+        self.clean_table()
+            .map_or_else(|| self.sums.total(), Table::total)
     }
 
     fn insert(&mut self, item: T, weight: f64) {
@@ -380,15 +333,12 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
         let slot = self.items.len();
         self.items.push((item, weight));
         self.index.set(&item, slot);
-        self.total += weight;
         self.patch(slot, weight);
-        self.maybe_rebuild();
     }
 
     fn remove(&mut self, item: &T) -> Option<f64> {
         let slot = self.index.remove(item)?;
         let (_, weight) = self.items.swap_remove(slot);
-        self.total -= weight;
         let end = self.items.len();
         if slot < end {
             // The displaced last entry now occupies `slot` — the same
@@ -400,7 +350,6 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
         // The vacated tail slot holds nothing; against a snapshot that
         // still covers it, that is a weight of zero.
         self.patch(end, 0.0);
-        self.maybe_rebuild();
         Some(weight)
     }
 
@@ -408,11 +357,8 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
         let Some(slot) = self.index.get(item) else {
             return false;
         };
-        let prev = self.items[slot].1;
         self.items[slot].1 = weight;
-        self.total = self.total - prev + weight;
         self.patch(slot, weight);
-        self.maybe_rebuild();
         true
     }
 
@@ -421,16 +367,19 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
     /// of zero, so current and snapshot coordinates agree), a partial-sum
     /// descent otherwise.
     fn select(&mut self, winner: f64) -> Option<&T> {
-        self.last_probes = 1;
-        let slot = if self.stale == 0 {
+        let mut probes = 1;
+        let slot = match self.clean_table() {
             // Floating-point top boundary (mirrors the tree's step-back):
             // fall back to the last slot with positive current weight.
-            self.guide(winner)
-                .or_else(|| self.items.iter().rposition(|(_, w)| *w > 0.0))
-        } else {
-            self.last_probes += self.sums.depth();
-            self.sums.select(winner)
+            Some(table) => table
+                .guide(winner, &mut probes)
+                .or_else(|| self.items.iter().rposition(|(_, w)| *w > 0.0)),
+            None => {
+                probes += self.sums.depth();
+                self.sums.select(winner)
+            }
         };
+        self.last_probes = probes;
         self.items.get(slot?).map(|(t, _)| t)
     }
 }
@@ -492,20 +441,21 @@ mod tests {
         }
         one_by_one.rebuild();
         let mut bulk = AliasLottery::from_entries((0u32..).zip(weights.iter().copied()));
-        assert!(one_by_one.rebuilds() > 1);
+        assert_eq!(one_by_one.rebuilds(), 1, "an insert took a snapshot");
         assert_eq!(bulk.rebuilds(), 1);
         let bits = |pool: &AliasLottery<u32>| {
             let sums = (pool.sums.total().to_bits(), pool.sums.depth());
-            let prefix = pool
-                .snap_prefix
-                .iter()
-                .map(|w| w.to_bits())
-                .collect::<Vec<_>>();
+            let prefix = pool.table.as_ref().map(|t| {
+                t.snap_prefix
+                    .iter()
+                    .map(|w| w.to_bits())
+                    .collect::<Vec<_>>()
+            });
             (pool.total().to_bits(), sums, prefix, pool.stale_len())
         };
         assert_eq!(bits(&bulk), bits(&one_by_one));
         // The same mutations and draws from here on agree winner by winner,
-        // through the stale partial-sum descent and later rebuilds alike.
+        // through the stale partial-sum descent and the table's drop alike.
         let (mut a, mut b) = (ParkMiller::new(9), ParkMiller::new(9));
         for round in 0..2_000u32 {
             let item = round * 7 % 1_000;
@@ -516,6 +466,7 @@ mod tests {
             }
             assert_eq!(one_by_one.draw(&mut a).ok(), bulk.draw(&mut b).ok());
         }
+        assert_eq!(bulk.stale_len(), None, "667 stale slots outlived the cap");
         assert_eq!(bits(&bulk), bits(&one_by_one));
     }
 
@@ -547,7 +498,7 @@ mod tests {
         weights[1] = 6.0;
         weights[3] = 0.0;
         assert_eq!(pool.rebuilds(), rebuilds, "patches must not rebuild");
-        assert!(pool.stale_len() >= 1);
+        assert!(pool.stale_len().is_some_and(|s| s >= 1));
         let total: f64 = weights.iter().sum();
         assert_eq!(pool.total(), total);
         for x in 0..(total as u64) {
@@ -568,9 +519,13 @@ mod tests {
         }
         pool.rebuild();
         pool.set_weight(&3, 200.0);
-        assert_eq!(pool.stale_len(), 1);
+        assert_eq!(pool.stale_len(), Some(1));
         pool.set_weight(&3, 100.0);
-        assert_eq!(pool.stale_len(), 0, "snapshot value retires the entry");
+        assert_eq!(
+            pool.stale_len(),
+            Some(0),
+            "snapshot value retires the entry"
+        );
     }
 
     #[test]
@@ -650,16 +605,18 @@ mod tests {
                 }
             }
         }
-        assert!(alias.rebuilds() > 0, "churn never triggered a rebuild");
+        assert_eq!(alias.rebuilds(), 0, "a mutation took a snapshot");
     }
 
     #[test]
     fn skewed_dispatch_churn_agrees_with_tree_and_list() {
         // The reference benchmark's regime: unequal tickets, every pick
-        // swap-removes the winner and re-appends it, so the snapshot is
-        // stale almost always. Every winner and total must match the
-        // partial-sum tree, the whole value axis must match the list
-        // walk, and the stale counter must equal a brute-force count.
+        // swap-removes the winner and re-appends it, so a snapshot is
+        // stale one decision after it is taken. No mutation re-snapshots:
+        // once the stale count passes its cap the table is dropped. Every
+        // winner and total must match the partial-sum tree bit for bit,
+        // the whole value axis must match the list walk, and while the
+        // table is held its stale counter must equal a brute-force count.
         use crate::lottery::tree::TreeLottery;
         const DECK: [f64; 7] = [10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0];
         let mut rng = ParkMiller::new(1994);
@@ -675,12 +632,14 @@ mod tests {
         for _ in 0..1 << 14 {
             fresh(&mut alias, &mut tree, deal(&mut rng));
         }
-        let mut draws = [0u32; 2]; // [stale, clean]
+        alias.rebuild();
+        let mut draws = [0u32; 2]; // [descent, guide]
+        let mut recounts = 0;
         for step in 0..50_000u32 {
             let x = rng.next_f64() * alias.total();
+            draws[usize::from(alias.stale_len() == Some(0))] += 1;
             let winner = *alias.select(x).unwrap();
             assert_eq!(Some(&winner), tree.select(x), "step {step}, value {x}");
-            draws[usize::from(alias.stale_len() == 0)] += 1;
             let w = alias.remove(&winner).unwrap();
             assert_eq!(tree.remove(&winner), Some(w));
             match step % 16 {
@@ -698,16 +657,26 @@ mod tests {
                 let w = deal(&mut rng);
                 assert!(alias.set_weight(&target, w) && tree.set_weight(&target, w));
             }
-            assert_eq!(alias.total(), tree.total(), "step {step}");
-            if step % 97 == 0 {
-                let slots = alias.items.len().max(alias.snap_w.len());
+            assert_eq!(
+                alias.total().to_bits(),
+                tree.total().to_bits(),
+                "step {step}"
+            );
+            assert_eq!(
+                alias.rebuilds(),
+                1,
+                "step {step}: a mutation took a snapshot"
+            );
+            if let Some(table) = alias.table.as_ref().filter(|_| step % 97 == 0) {
+                let slots = alias.items.len().max(table.snap_w.len());
                 let differing = (0..slots)
                     .filter(|&i| {
                         let now = alias.items.get(i).map_or(0.0, |(_, w)| *w);
-                        now.to_bits() != alias.snap_weight(i).to_bits()
+                        now.to_bits() != table.weight(i).to_bits()
                     })
                     .count();
-                assert_eq!(alias.stale_len(), differing, "step {step}");
+                assert_eq!(table.stale as usize, differing, "step {step}");
+                recounts += 1;
             }
             if step % 4096 == 0 {
                 // The list walk gives slot i exactly [lo, lo + w).
@@ -722,7 +691,9 @@ mod tests {
             }
         }
         assert!(draws.iter().all(|&d| d > 0), "both draw paths must run");
-        assert!(alias.rebuilds() > 0, "churn never triggered a rebuild");
+        assert!(recounts > 0, "the table never held a stale slot");
+        // Dropped, and with it the snapshot's memory.
+        assert!(alias.table.is_none(), "the table outlived skewed churn");
     }
 
     #[test]
@@ -759,33 +730,68 @@ mod tests {
         for _ in 0..2000 {
             let winner = *pool.draw(&mut rng).unwrap();
             pool.remove(&winner);
-            assert!(pool.stale_len() <= 1, "overlay grew under uniform churn");
+            assert!(
+                matches!(pool.stale_len(), Some(0 | 1)),
+                "overlay grew under uniform churn"
+            );
             pool.insert(winner, 100.0);
-            assert_eq!(pool.stale_len(), 0);
+            assert_eq!(pool.stale_len(), Some(0));
         }
         assert_eq!(pool.rebuilds(), rebuilds, "uniform churn forced a rebuild");
     }
 
     #[test]
-    fn bucket_crossings_trigger_threshold_rebuild() {
+    fn past_the_stale_cap_the_table_drops() {
+        // 256 entries: the cap is max(64, 8·16) = 128 stale slots. Up to it
+        // the table stays; one past it, the table is dropped without a
+        // rebuild and draws descend the partial sums.
         let mut pool = AliasLottery::new();
         for i in 0..256u32 {
             pool.insert(i, 100.0);
         }
         pool.rebuild();
-        pool.take_rebuild_events(); // discard build-phase reports
-        let before = pool.rebuilds();
-        // Doubling crosses a power-of-two bucket; past 1/8 of the
-        // population (and the spacing gate) the pool must rebuild.
         for i in 0..128u32 {
             pool.set_weight(&i, 200.0);
         }
-        assert!(pool.rebuilds() > before, "crossings never forced a rebuild");
-        assert!(pool.stale_len() < 128, "rebuild should fold the overlay in");
-        let events: Vec<_> = pool.take_rebuild_events().collect();
-        assert!(!events.is_empty());
-        assert!(events.iter().all(|e| e.clients == 256));
-        assert_eq!(pool.take_rebuild_events().len(), 0);
+        assert_eq!(pool.stale_len(), Some(128));
+        pool.set_weight(&128, 200.0);
+        assert_eq!(pool.stale_len(), None, "past the cap the table drops");
+        // Weights returning to their snapshot values bring no table back.
+        for i in 0..129u32 {
+            pool.set_weight(&i, 100.0);
+        }
+        assert_eq!((pool.stale_len(), pool.rebuilds()), (None, 1));
+        assert_eq!(pool.total(), 25_600.0);
+        assert_eq!(pool.select(150.0), Some(&1));
+        assert_eq!(pool.last_probes(), 1 + pool.sums.depth());
+    }
+
+    #[test]
+    fn a_rebuild_after_a_drop_restores_guide_draws() {
+        let mut weights: Vec<f64> = (0..300u32).map(|i| f64::from(1 + i % 17)).collect();
+        let mut pool = AliasLottery::new();
+        for (i, &w) in weights.iter().enumerate() {
+            pool.insert(i, w);
+        }
+        pool.rebuild();
+        // 150 stale slots against a cap of max(64, 8·17) = 136.
+        for (i, w) in weights.iter_mut().enumerate().step_by(2) {
+            *w *= 3.0;
+            pool.set_weight(&i, *w);
+        }
+        assert_eq!(pool.stale_len(), None);
+        pool.rebuild();
+        assert_eq!((pool.stale_len(), pool.rebuilds()), (Some(0), 2));
+        let total: f64 = weights.iter().sum();
+        assert_eq!(pool.total(), total);
+        for x in 0..total as u64 {
+            let x = x as f64;
+            assert_eq!(
+                pool.select(x).copied(),
+                list_winner(&weights, x),
+                "winning value {x}"
+            );
+        }
     }
 
     #[test]
@@ -796,14 +802,13 @@ mod tests {
         }
         pool.rebuild();
         let before = pool.rebuilds();
-        // +10% stays inside the weight's power-of-two bucket: exact via
-        // the overlay, never counted toward the rebuild threshold (the
-        // count stays under the O(√n) overlay cap).
+        // +10% on 100 of 256 slots: exact via the partial sums, and the
+        // stale count stays under the O(√n) cap, so the table is kept.
         for i in 0..100u32 {
             pool.set_weight(&i, 110.0);
         }
         assert_eq!(pool.rebuilds(), before, "in-bucket drift forced a rebuild");
-        assert_eq!(pool.stale_len(), 100);
+        assert_eq!(pool.stale_len(), Some(100));
         // Still exact: slot 0 now owns [0, 110).
         assert_eq!(pool.select(109.0), Some(&0));
         assert_eq!(pool.select(110.0), Some(&1));

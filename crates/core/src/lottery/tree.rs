@@ -11,7 +11,7 @@
 //! The arithmetic lives in [`SumTree`], which knows slots and weights but
 //! not clients; [`TreeLottery`] pairs it with an entry list and a reverse
 //! index, and [`super::alias::AliasLottery`] descends the same array
-//! whenever its snapshot is stale.
+//! whenever its snapshot is stale or dropped.
 
 use super::index::{DenseIndex, SlotIndex, SlotKey};
 use super::{TicketPool, Weight};

@@ -666,7 +666,6 @@ impl Session {
                     pool.insert(id, w);
                 }
                 pool.rebuild();
-                let _ = pool.take_rebuild_events();
                 pool.total()
             }
         };

@@ -408,8 +408,7 @@ impl<L: LedgerAccess> LotteryCore<L> {
     /// A CPU's lottery on shard `shard_id` (which the caller settled and
     /// found non-empty; `stolen` when it is not the CPU's own): the draw,
     /// staged for the kernel's decision probe, and the winner's dispatch —
-    /// the shard's rebuild reports go out and the hook revokes the
-    /// winner's compensation ticket, if it holds one.
+    /// the hook revokes the winner's compensation ticket, if it holds one.
     pub fn pick_from(&mut self, shard_id: u32, shard: &mut Shard, stolen: bool) -> ThreadId {
         self.lotteries += 1;
         // A list values every ready client via the incremental cache: a
@@ -421,7 +420,6 @@ impl<L: LedgerAccess> LotteryCore<L> {
             .draw(&mut self.rng, |tid| value_in(threads, &ledger.lock(), tid))
             .expect("the shard is not empty");
         self.bus.stage_draw(draw.record(shard_id, stolen));
-        shard.emit_rebuilds(&self.bus);
         let client = self.funding_info(draw.winner).client;
         self.comp
             .on_dispatch(&mut self.ledger.lock(), &self.bus, client);

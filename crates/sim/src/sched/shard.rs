@@ -225,8 +225,8 @@ impl Shard {
     /// Rebuilds the shard under `structure`, keeping the slot order and
     /// taking fresh weights from `value_of` (not consulted for a list),
     /// and reports it on `bus` as one `StructureRebuild`. An alias table
-    /// is loaded in bulk and snapshotted once, so it reports nothing of
-    /// its own.
+    /// is loaded in bulk and snapshotted once: the only snapshot it takes
+    /// until the next switch.
     pub fn rebuild(
         &mut self,
         structure: SelectStructure,
@@ -237,9 +237,7 @@ impl Shard {
         let order: Vec<ThreadId> = self.iter().collect();
         if structure == SelectStructure::Alias {
             let entries = order.into_iter().map(|tid| (tid, value_of(tid)));
-            let mut alias = AliasLottery::from_entries(entries);
-            alias.take_rebuild_events();
-            *self = Self(Pool::Alias(alias));
+            *self = Self(Pool::Alias(AliasLottery::from_entries(entries)));
         } else {
             *self = Self::new(structure);
             for tid in order {
@@ -256,22 +254,6 @@ impl Shard {
             stale: 0,
             rebuild_ns: start.elapsed().as_nanos() as u64,
         });
-    }
-
-    /// Forwards the rebuild reports an alias table accumulated since the
-    /// last call to `bus` (nothing, allocation free, when none are
-    /// pending or under the other structures).
-    pub fn emit_rebuilds(&mut self, bus: &ProbeBus) {
-        if let Pool::Alias(alias) = &mut self.0 {
-            for ev in alias.take_rebuild_events() {
-                bus.emit(|| EventKind::StructureRebuild {
-                    structure: "alias",
-                    clients: ev.clients,
-                    stale: ev.stale,
-                    rebuild_ns: ev.rebuild_ns,
-                });
-            }
-        }
     }
 
     /// Holds one lottery and removes the winner; `None` when nothing is
@@ -461,7 +443,6 @@ mod tests {
             if ALL[to] != SelectStructure::List {
                 assert_eq!(shard.total(), 2.0 * (200.0 + 300.0 + 400.0 + 500.0));
             }
-            shard.emit_rebuilds(&bus);
             let events: Vec<_> = flight.with(|f| f.events().cloned().collect());
             assert_eq!(events.len(), 1, "{:?} -> {:?}", ALL[from], ALL[to]);
             assert!(matches!(

@@ -5,7 +5,10 @@
 //! and alias × 2/4 shards) pin the decision stream. Replaying them through the current core must
 //! be bit-exact; any divergence is a behavioural change. They were last
 //! regenerated when the capture format became version 2 (one `decision`
-//! event per decision, deadline-exact windows).
+//! event per decision, deadline-exact windows), and the three alias
+//! captures once more when mutations stopped re-snapshotting the alias
+//! table (no in-run `structure-rebuild` events; the partial-sum root as
+//! the total of a stale shard).
 //!
 //! The `regenerate_goldens` test (ignored by default) rewrites the data
 //! files from whatever core is compiled — run it only to re-seed the
@@ -202,6 +205,29 @@ fn golden_captures_replay_bit_exact() {
             structure_name(structure),
             report.divergence
         );
+    }
+}
+
+/// An alias shard's table is taken once, at the switch, and serves draws
+/// only while no weight has left its snapshot; otherwise the shard
+/// descends the partial sums from their root total, as a tree shard does.
+/// On the golden workload, on 0, 2 and 4 shards, the alias capture is the
+/// tree capture event for event, but for the search effort (`levels`) a
+/// decision reports.
+#[test]
+fn alias_captures_are_tree_captures_but_for_levels() {
+    for shards in [0, 2, 4] {
+        let events = |structure| {
+            let mut log = record(golden_spec(), &golden_config(structure, shards)).unwrap();
+            for e in &mut log.events {
+                if let EventKind::Decision { levels, .. } = &mut e.kind {
+                    *levels = 0;
+                }
+            }
+            log.events
+        };
+        let alias = events(SelectStructure::Alias);
+        assert_eq!(alias, events(SelectStructure::Tree), "{shards} shards");
     }
 }
 

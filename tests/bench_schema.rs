@@ -158,8 +158,9 @@ fn smp_scaling_summary_covers_both_variants_at_every_width() {
 
 #[test]
 fn alias_scale_summary_covers_structures_up_to_a_million_clients() {
-    // DESIGN.md §2.2: "with unequal tickets the alias decision stays
-    // within 2× of the tree's at every population". Nothing is asserted
+    // DESIGN.md §2.2: with unequal tickets the alias shard drops its
+    // stale table and "its decision stays within 1.5× of the tree's at
+    // every population". Nothing is asserted
     // across populations: those ratios follow the host's memory latency.
     // `elements` records the population.
     let s = summary("alias_scale");
@@ -173,9 +174,9 @@ fn alias_scale_summary_covers_structures_up_to_a_million_clients() {
         decision("alias", n);
         let (alias, tree) = (decision("alias-skewed", n), decision("tree-skewed", n));
         assert!(
-            alias <= 2.0 * tree,
+            alias <= 1.5 * tree,
             "skewed-ticket alias decision at {n} clients costs {alias:.0} ns, \
-             over twice the tree's {tree:.0} ns"
+             over 1.5 times the tree's {tree:.0} ns"
         );
     }
 }
