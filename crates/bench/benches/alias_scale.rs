@@ -15,6 +15,11 @@
 //! and is dropped, and the alias sampler runs on its partial sums: it
 //! must stay within 1.5x of the tree.
 //!
+//! `alias-spawned` chooses the alias structure *before* the uniform spawn
+//! loop, as the replay driver does, so no switch snapshots it: n + 1
+//! unmeasured decisions descend its partial sums and pay for a snapshot,
+//! and it must then decide about as fast as the switched `alias` rows.
+//!
 //! `elements` records the population so BENCH_alias_scale.json carries
 //! the scale of each configuration alongside its per-decision cost.
 //!
@@ -49,15 +54,13 @@ fn ticket_deck() -> ListLottery<u64, u64> {
 
 fn bench_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("alias-scale");
-    // Population outermost: the rows a claim compares run back to back,
-    // in one phase of the host's memory latency.
-    for &n in &POPULATIONS {
-        for &(label, structure, skewed) in &[
-            ("tree", SelectStructure::Tree, false),
-            ("alias", SelectStructure::Alias, false),
-            ("tree-skewed", SelectStructure::Tree, true),
-            ("alias-skewed", SelectStructure::Alias, true),
-        ] {
+    for &(label, structure, skewed) in &[
+        ("tree", SelectStructure::Tree, false),
+        ("alias", SelectStructure::Alias, false),
+        ("tree-skewed", SelectStructure::Tree, true),
+        ("alias-skewed", SelectStructure::Alias, true),
+    ] {
+        for &n in &POPULATIONS {
             let mut policy = LotteryPolicy::new(1);
             let base = policy.base_currency();
             let mut deck = ticket_deck();
@@ -85,6 +88,27 @@ fn bench_scale(c: &mut Criterion) {
                 })
             });
         }
+    }
+    for &n in &POPULATIONS {
+        let mut policy = LotteryPolicy::new(1);
+        policy.set_structure(SelectStructure::Alias);
+        let base = policy.base_currency();
+        for i in 0..n {
+            let tid = ThreadId::from_index(i as u32);
+            policy.on_spawn(tid, FundingSpec::new(base, 100));
+            policy.enqueue(tid, SimTime::ZERO);
+        }
+        let quantum = SimDuration::from_ms(100);
+        let mut decide = || {
+            let w = policy.pick(SimTime::ZERO).unwrap();
+            policy.charge(w, quantum, quantum, EndReason::QuantumExpired);
+            policy.enqueue(w, SimTime::ZERO);
+        };
+        (0..=n).for_each(|_| decide());
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::new("alias-spawned", n), &n, |b, _| {
+            b.iter(&mut decide)
+        });
     }
     group.finish();
 }

@@ -22,9 +22,12 @@
 //! current weight differs bitwise from the snapshot. The contract is
 //!
 //! * **clean table** (stale count zero): a draw is one guide-cell lookup,
-//!   O(1) expected, and [`TicketPool::total`] is the snapshot's total;
-//! * **otherwise**: a draw descends the partial sums, O(log n), and the
-//!   total is their root — exactly what a tree pool draws;
+//!   O(1) expected;
+//! * **otherwise**: a draw descends the partial sums, O(log n);
+//! * **total**: while a table is held, a running total — the snapshot's,
+//!   moved by each insert, removal and weight change; without one, the
+//!   partial sums' root, so a pool without a table draws exactly what a
+//!   tree pool draws;
 //! * **every mutation**: O(1) counter upkeep while a table is held, plus
 //!   one O(log n) root-path update per slot whose weight bits change.
 //!
@@ -37,11 +40,20 @@
 //! value (a compensation ticket revoked, a swap-removed equal-weight
 //! neighbour) is clean again, so steady-state dispatch over a uniform
 //! population keeps the count at zero and draws purely O(1).
-//! Only [`AliasLottery::rebuild`] builds a table; no mutation re-snapshots.
-//! Once the stale count passes `max(64, 8√n)` the table is dropped and
-//! its memory released: under skewed dispatch churn a fresh snapshot goes
-//! stale one decision later, so from there on the pool is a tree pool
-//! until the caller rebuilds.
+//!
+//! Only [`AliasLottery::rebuild`] builds a table, and no mutation calls
+//! it. Stale slots that the change in population since the snapshot
+//! accounts for (entries appended past it, slots vacated below its end)
+//! are *growth*; the rest are *churn*. Once churn passes `max(64, 8√n)`
+//! slots the table is dropped and its memory released: under skewed
+//! dispatch churn a fresh snapshot goes stale one decision later, so the
+//! pool draws as a tree. A partial-sum descent re-takes the snapshot once
+//! as many descents as the pool has entries have paid for it, and only
+//! while a table is held or once the population moved by a quarter since
+//! the snapshot that was dropped. Churn at a fixed population drops the
+//! table long before n descents and never takes one back; a pool loaded
+//! between draws before any rebuild, or one that grew past a dropped
+//! table, takes a clean table back at amortized O(1) per draw.
 
 use super::index::{DenseIndex, SlotIndex, SlotKey};
 use super::tree::SumTree;
@@ -77,6 +89,9 @@ struct Table {
     cell_width: f64,
     /// Slots whose current weight differs (bitwise) from the snapshot.
     stale: u32,
+    /// Running total of the current weights: the snapshot's, then moved
+    /// by each insert, removal and weight change.
+    running: f64,
 }
 
 impl Table {
@@ -95,6 +110,7 @@ impl Table {
             self.snap_prefix.push(sum);
         }
         self.stale = 0;
+        self.running = sum;
         self.cells.clear();
         self.cell_width = 0.0;
         if sum > 0.0 {
@@ -176,6 +192,12 @@ pub struct AliasLottery<T, I = DenseIndex> {
     /// slots the pool does not occupy); descended unless the table is
     /// clean.
     sums: SumTree<f64>,
+    /// Entries the last snapshot covered (zero before the first rebuild);
+    /// kept when the table is dropped.
+    snapped: usize,
+    /// Draws the partial sums served since the last rebuild: what the
+    /// next rebuild is charged to.
+    descents: usize,
     rebuilds: u64,
     /// Search effort of the last `select` (cell scan or descent depth).
     last_probes: u32,
@@ -209,6 +231,8 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
             index: I::with_capacity(capacity),
             table: None,
             sums: SumTree::with_capacity(capacity),
+            snapped: 0,
+            descents: 0,
             rebuilds: 0,
             last_probes: 0,
         }
@@ -276,7 +300,7 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
 
     /// Records that `slot`'s current weight is `new_w`: O(1) upkeep of
     /// the table's stale count from the slot's previous and new weight
-    /// (dropping the table once the count passes its cap), then one
+    /// (dropping the table once its churn passes the cap), then one
     /// root-path update of the partial sums. `new_w` is 0 for slots the
     /// pool no longer occupies (truncated snapshot tail).
     fn patch(&mut self, slot: usize, new_w: f64) {
@@ -289,18 +313,32 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
             let snap_w = table.weight(slot);
             table.stale -= u32::from(prev_w.to_bits() != snap_w.to_bits());
             table.stale += u32::from(new_w.to_bits() != snap_w.to_bits());
+            let churn = (table.stale as usize).saturating_sub(self.moved());
             // The cap is at least 64: that test spares the sqrt.
-            if table.stale > 64 && table.stale as usize > self.stale_cap() {
+            if churn > 64 && churn > self.stale_cap() {
                 self.table = None;
             }
         }
         self.sums.set_leaf(slot, new_w);
     }
 
-    /// Stale-count bound before the table is dropped: O(√n). Past this
-    /// many stale slots the snapshot is unlikely to come clean again.
+    /// Churn bound before the table is dropped: O(√n). Past this many
+    /// churned slots the snapshot is unlikely to come clean again.
     fn stale_cap(&self) -> usize {
         64usize.max(8 * (self.items.len() as f64).sqrt() as usize)
+    }
+
+    /// Entries gained or lost since the last snapshot: each leaves one
+    /// slot stale however still the weights are.
+    fn moved(&self) -> usize {
+        self.items.len().abs_diff(self.snapped)
+    }
+
+    /// Whether a fresh snapshot may stay clean: a table is still held
+    /// (its churn is under the cap), or the population moved by a quarter
+    /// since the snapshot the churn dropped.
+    fn settled(&self) -> bool {
+        self.table.is_some() || 4 * self.moved() >= self.snapped.max(1)
     }
 
     /// Snapshots the current weights and lays a clean guide table over
@@ -309,6 +347,8 @@ impl<T, I: SlotIndex<T>> AliasLottery<T, I> {
         let mut table = self.table.take().unwrap_or_default();
         table.snapshot(self.items.iter().map(|(_, w)| *w));
         self.table = Some(table);
+        self.snapped = self.items.len();
+        self.descents = 0;
         self.rebuilds += 1;
     }
 }
@@ -318,11 +358,12 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
         self.items.len()
     }
 
-    /// The snapshot's total while the table is clean (the running sum the
-    /// guide compares against), the partial sums' root otherwise.
+    /// The running total while a table is held, the partial sums' root
+    /// otherwise.
     fn total(&self) -> f64 {
-        self.clean_table()
-            .map_or_else(|| self.sums.total(), Table::total)
+        self.table
+            .as_ref()
+            .map_or_else(|| self.sums.total(), |t| t.running)
     }
 
     fn insert(&mut self, item: T, weight: f64) {
@@ -331,6 +372,9 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
             return;
         }
         let slot = self.items.len();
+        if let Some(t) = &mut self.table {
+            t.running += weight;
+        }
         self.items.push((item, weight));
         self.index.set(&item, slot);
         self.patch(slot, weight);
@@ -339,6 +383,9 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
     fn remove(&mut self, item: &T) -> Option<f64> {
         let slot = self.index.remove(item)?;
         let (_, weight) = self.items.swap_remove(slot);
+        if let Some(t) = &mut self.table {
+            t.running -= weight;
+        }
         let end = self.items.len();
         if slot < end {
             // The displaced last entry now occupies `slot` — the same
@@ -357,6 +404,9 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
         let Some(slot) = self.index.get(item) else {
             return false;
         };
+        if let Some(t) = &mut self.table {
+            t.running = t.running - self.items[slot].1 + weight;
+        }
         self.items[slot].1 = weight;
         self.patch(slot, weight);
         true
@@ -365,19 +415,24 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
     /// Figure 1's running-sum search: one guide-cell lookup while every
     /// slot still holds its snapshot weight (unoccupied slots a snapshot
     /// of zero, so current and snapshot coordinates agree), a partial-sum
-    /// descent otherwise.
+    /// descent otherwise — after which the pool re-snapshots if enough
+    /// descents have paid for it and the weights look settled.
     fn select(&mut self, winner: f64) -> Option<&T> {
         let mut probes = 1;
-        let slot = match self.clean_table() {
+        let slot = if let Some(table) = self.clean_table() {
             // Floating-point top boundary (mirrors the tree's step-back):
             // fall back to the last slot with positive current weight.
-            Some(table) => table
+            table
                 .guide(winner, &mut probes)
-                .or_else(|| self.items.iter().rposition(|(_, w)| *w > 0.0)),
-            None => {
-                probes += self.sums.depth();
-                self.sums.select(winner)
+                .or_else(|| self.items.iter().rposition(|(_, w)| *w > 0.0))
+        } else {
+            probes += self.sums.depth();
+            self.descents += 1;
+            let slot = self.sums.select(winner);
+            if slot.is_some() && self.descents >= self.items.len() && self.settled() {
+                self.rebuild();
             }
+            slot
         };
         self.last_probes = probes;
         self.items.get(slot?).map(|(t, _)| t)
@@ -388,6 +443,7 @@ impl<T: Copy, I: SlotIndex<T>> TicketPool<T, f64> for AliasLottery<T, I> {
 mod tests {
     use super::*;
     use crate::lottery::list::ListLottery;
+    use crate::lottery::tree::TreeLottery;
     use crate::rng::{ParkMiller, SchedRng};
 
     /// Reference: the list walk's winner for integral weights.
@@ -605,7 +661,9 @@ mod tests {
                 }
             }
         }
-        assert_eq!(alias.rebuilds(), 0, "a mutation took a snapshot");
+        // The caller never rebuilds: every table came from descents that
+        // paid for it once the weights held still.
+        assert!(alias.rebuilds() > 0, "the pool never took a table back");
     }
 
     #[test]
@@ -613,11 +671,12 @@ mod tests {
         // The reference benchmark's regime: unequal tickets, every pick
         // swap-removes the winner and re-appends it, so a snapshot is
         // stale one decision after it is taken. No mutation re-snapshots:
-        // once the stale count passes its cap the table is dropped. Every
-        // winner and total must match the partial-sum tree bit for bit,
-        // the whole value axis must match the list walk, and while the
-        // table is held its stale counter must equal a brute-force count.
-        use crate::lottery::tree::TreeLottery;
+        // once the churn passes its cap the table is dropped, and with the
+        // population within a quarter of its size no descent takes one
+        // back. Every winner and total must match the partial-sum tree bit
+        // for bit, the whole value axis must match the list walk, and while
+        // the table is held its stale counter must equal a brute-force
+        // count.
         const DECK: [f64; 7] = [10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0];
         let mut rng = ParkMiller::new(1994);
         let deal = |rng: &mut ParkMiller| DECK[rng.below(7) as usize];
@@ -679,12 +738,13 @@ mod tests {
                 recounts += 1;
             }
             if step % 4096 == 0 {
-                // The list walk gives slot i exactly [lo, lo + w).
-                let entries: Vec<(u32, f64)> = alias.iter().map(|(t, w)| (*t, w)).collect();
+                // The list walk gives slot i exactly [lo, lo + w). Swept on
+                // a copy: its 3n descents would pay for a snapshot.
+                let mut copy = alias.clone();
                 let mut lo = 0.0;
-                for (t, w) in entries {
+                for (t, w) in alias.iter() {
                     for x in [lo, lo + w / 2.0, lo + w - 1.0] {
-                        assert_eq!(alias.select(x), Some(&t), "step {step}, value {x}");
+                        assert_eq!(copy.select(x), Some(t), "step {step}, value {x}");
                     }
                     lo += w;
                 }
@@ -792,6 +852,90 @@ mod tests {
                 "winning value {x}"
             );
         }
+    }
+
+    /// One dispatch on both pools — draw, swap-remove the winner, re-append
+    /// it — asserting the winner and the total's bits agree.
+    fn dispatch(
+        alias: &mut AliasLottery<u32>,
+        tree: &mut TreeLottery<u32, f64>,
+        rng: &mut ParkMiller,
+    ) {
+        let total = alias.total();
+        assert_eq!(total.to_bits(), tree.total().to_bits());
+        let x = rng.next_f64() * total;
+        let winner = *alias.select(x).unwrap();
+        assert_eq!(Some(&winner), tree.select(x), "value {x}");
+        let w = alias.remove(&winner).unwrap();
+        assert_eq!(tree.remove(&winner), Some(w));
+        alias.insert(winner, w);
+        tree.insert(winner, w);
+    }
+
+    #[test]
+    fn a_pool_loaded_between_draws_takes_a_clean_table() {
+        // The replay driver's order: the structure is chosen first and
+        // entries arrive between dispatches, so the caller never rebuilds.
+        // Descents pay for a snapshot each time the population doubles,
+        // and once it stops the last one stays clean under uniform churn.
+        const N: u32 = 4096;
+        let mut alias: AliasLottery<u32> = AliasLottery::new();
+        let mut tree: TreeLottery<u32, f64> = TreeLottery::new();
+        let mut rng = ParkMiller::new(5);
+        for i in 0..N {
+            alias.insert(i, 100.0);
+            tree.insert(i, 100.0);
+            dispatch(&mut alias, &mut tree, &mut rng);
+            dispatch(&mut alias, &mut tree, &mut rng);
+        }
+        let loaded = alias.rebuilds();
+        assert!(
+            (10..=14).contains(&loaded),
+            "{loaded} snapshots for {N} entries"
+        );
+        let mut probes = 0;
+        for _ in 0..2 * N {
+            dispatch(&mut alias, &mut tree, &mut rng);
+            probes += alias.last_probes();
+        }
+        assert_eq!(alias.stale_len(), Some(0));
+        assert!(alias.rebuilds() <= loaded + 1);
+        assert!(probes < 3 * N, "{probes} probes over {} draws", 2 * N);
+    }
+
+    #[test]
+    fn a_dropped_table_returns_once_the_population_grows_by_a_quarter() {
+        const DECK: [f64; 7] = [10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0];
+        let mut rng = ParkMiller::new(1994);
+        let entries = (0..1024u32).map(|i| (i, DECK[i as usize % 7]));
+        let mut alias: AliasLottery<u32> = AliasLottery::from_entries(entries.clone());
+        let mut tree: TreeLottery<u32, f64> = TreeLottery::new();
+        entries.for_each(|(i, w)| tree.insert(i, w));
+        for _ in 0..5_000 {
+            dispatch(&mut alias, &mut tree, &mut rng);
+        }
+        assert_eq!((alias.stale_len(), alias.rebuilds()), (None, 1));
+        // 255 newcomers are short of a quarter: no snapshot, however many
+        // descents there are.
+        for i in 1024..1279 {
+            alias.insert(i, 100.0);
+            tree.insert(i, 100.0);
+        }
+        for _ in 0..5_000 {
+            dispatch(&mut alias, &mut tree, &mut rng);
+        }
+        assert_eq!((alias.stale_len(), alias.rebuilds()), (None, 1));
+        // The 256th: the descents since the drop have long paid for a
+        // snapshot, so the next draw takes one, and draws that mutate
+        // nothing keep it clean.
+        alias.insert(1279, 100.0);
+        tree.insert(1279, 100.0);
+        for _ in 0..1_280 {
+            let x = rng.next_f64() * alias.total();
+            assert_eq!(alias.select(x), tree.select(x), "value {x}");
+        }
+        assert_eq!((alias.stale_len(), alias.rebuilds()), (Some(0), 2));
+        assert!(alias.last_probes() < 1 + alias.sums.depth());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   updates, suitable as the basis of a distributed lottery scheduler.
 //! * [`alias::AliasLottery`] — beyond the paper: an order-preserving
 //!   alias-cell table with O(1) expected draws on a clean snapshot and
-//!   O(log n) draws and updates over partial sums otherwise; weight churn
-//!   never re-snapshots, so it never pays an O(n) rebuild.
+//!   O(log n) draws and updates over partial sums otherwise; a mutation
+//!   never re-snapshots, and a draw re-snapshots only once n partial-sum
+//!   draws have paid for it.
 //!
 //! The list and tree are generic over the weight type: `u64` for exact
 //! ticket counts and `f64` for currency-valued pools (base-unit values are

@@ -76,18 +76,19 @@ pub enum SelectStructure {
     /// representable.
     Tree,
     /// An order-preserving alias-cell table: O(1) expected picks while
-    /// every weight holds its value at the switch, patched incrementally
-    /// from the same dirty-client queue the tree drains.
+    /// every weight holds its snapshot value, patched incrementally from
+    /// the same dirty-client queue the tree drains.
     ///
     /// Exact on the same terms as the tree: the table snapshots the ready
-    /// queue's prefix sums at the switch and falls back to partial sums
-    /// while any slot's compensated value differs from the snapshot,
-    /// comparing exactly the running sums the list walk compares — so for
-    /// a fixed seed, alias picks reproduce the list walk's winner sequence
-    /// whenever client values are exactly representable. Nothing
-    /// re-snapshots until the next switch; once more than
-    /// `max(64, 8√n)` slots are stale the table is dropped and the shard
-    /// draws as a tree.
+    /// queue's prefix sums (at the switch, and at a pick once as many
+    /// partial-sum picks as queued threads have paid for it) and falls
+    /// back to partial sums while any slot's compensated value differs
+    /// from the snapshot, comparing exactly the running sums the list walk
+    /// compares — so for a fixed seed, alias picks reproduce the list
+    /// walk's winner sequence whenever client values are exactly
+    /// representable. No mutation re-snapshots; once more than
+    /// `max(64, 8√n)` slots have churned the table is dropped and the
+    /// shard draws as a tree until its population moves by a quarter.
     Alias,
 }
 

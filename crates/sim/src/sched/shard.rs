@@ -225,8 +225,8 @@ impl Shard {
     /// Rebuilds the shard under `structure`, keeping the slot order and
     /// taking fresh weights from `value_of` (not consulted for a list),
     /// and reports it on `bus` as one `StructureRebuild`. An alias table
-    /// is loaded in bulk and snapshotted once: the only snapshot it takes
-    /// until the next switch.
+    /// is loaded in bulk and snapshotted once; later snapshots are its
+    /// own, paid for by its draws, and report nothing.
     pub fn rebuild(
         &mut self,
         structure: SelectStructure,

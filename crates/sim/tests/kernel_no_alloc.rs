@@ -3,8 +3,9 @@
 //! Once a machine of compute-bound threads, yielders and sleepers has run
 //! long enough for every kept buffer to reach its size, a decision — pick,
 //! dispatch, run segments, charge, requeue or block, timer wake — must not
-//! touch the allocator: per-thread accounting is constant-space, and every
-//! queue, drain buffer and rebuild report list is reused. This file is its
+//! touch the allocator: per-thread accounting is constant-space, every
+//! queue and drain buffer is reused, and an alias shard re-snapshots into
+//! its held table's buffers. This file is its
 //! own test binary so the counting allocator below sees nothing but the
 //! test; counts are per thread, so the harness running the tests side by
 //! side does not mix them.

@@ -202,9 +202,7 @@ fn heavy_tailed_trace_orders_tenants_by_funding() {
 /// A 60-job heavy-tailed window at a 6 ms mean gap, seed 1, captured for
 /// 1.5 s at a 1 ms quantum under list, tree and alias on one CPU and
 /// under the distributed lottery on 2 and 4 shards, replays from its
-/// header bit for bit (397, 397, 397, 403 and 409 events; the alias
-/// counts read 410 and 421 while mutations re-snapshotted the alias table,
-/// each snapshot a `structure-rebuild` event: 13 and 12 of them). The list
+/// header bit for bit (397, 397, 397, 403 and 409 events). The list
 /// capture also replays bit for bit after a JSONL round-trip, and
 /// changing the winner of its first decision a third of the way in
 /// (event 135) is flagged at exactly that index, a `decision` on both

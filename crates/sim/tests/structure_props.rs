@@ -23,6 +23,7 @@ use lottery_core::ledger::Ledger;
 use lottery_core::lottery::{alias::AliasLottery, tree::TreeLottery, TicketPool};
 use lottery_core::rng::{ParkMiller, SchedRng};
 use lottery_core::ticket::TicketId;
+use lottery_obs::EventKind;
 use lottery_sim::prelude::*;
 use proptest::prelude::*;
 
@@ -389,6 +390,45 @@ fn alias_probes_stay_flat_while_the_tree_deepens() {
         assert_eq!(alias.rebuilds(), built, "{n} clients");
         assert_eq!(tree.depth(), depth);
     }
+}
+
+/// The replay driver's order at scale: the alias structure is chosen
+/// before 4,096 equally funded compute-bound threads arrive, one per
+/// quantum, so no caller ever rebuilds the shard. Its draws pay for its
+/// snapshots, and once the arrivals stop the next one stays clean under
+/// dispatch churn: each of the last 4,096 decisions resolves in the guide
+/// table at `levels` 1 or 2, where the tree would descend 13 levels.
+#[test]
+fn alias_chosen_before_the_spawns_ends_on_its_guide_table() {
+    const THREADS: usize = 4_096;
+    let quantum = SimDuration::from_ms(1);
+    let mut policy = LotteryPolicy::with_quantum(7, quantum);
+    policy.set_structure(SelectStructure::Alias);
+    let base = policy.base_currency();
+    let mut kernel = Kernel::new(policy);
+    let flight = Shared::new(FlightRecorder::new(4 * THREADS));
+    let bus = ProbeBus::enabled();
+    bus.attach(flight.clone());
+    kernel.set_probe_bus(bus);
+    let mut until = SimTime::ZERO;
+    for i in 0..THREADS {
+        let funding = FundingSpec::new(base, 100);
+        kernel.spawn(format!("t{i}"), Box::new(ComputeBound), funding);
+        until += quantum;
+        kernel.run_until(until);
+    }
+    kernel.run_until(until + SimDuration::from_ms(2 * THREADS as u64));
+    let levels: Vec<u32> = flight.with(|f| {
+        f.events()
+            .filter_map(|e| match e.kind {
+                EventKind::Decision { levels, .. } => Some(levels),
+                _ => None,
+            })
+            .collect()
+    });
+    let last = &levels[levels.len() - THREADS..];
+    let deepest = last.iter().max().unwrap();
+    assert!(*deepest <= 2, "a decision searched {deepest} levels");
 }
 
 /// The alias structure driving dispatch holds a 2000:1000 split within

@@ -81,10 +81,8 @@ const TABLES: i64 = 32;
 /// it. It read 921 while a thread record carried its CPU total, two
 /// timestamps and room for an RPC request, the accounting record two
 /// floating-point wait summaries and an RPC log, and a client a funding
-/// list on the heap; 691 while the alias table was re-snapshotted on the
-/// mutation path and so kept its snapshot arrays, which dispatch churn now
-/// drops.
-const BYTES_PER_THREAD: f64 = 611.5;
+/// list on the heap.
+const BYTES_PER_THREAD: f64 = 691.0;
 
 /// The same count on four CPUs with a partial-sum tree per CPU, once
 /// every thread has run and gone to sleep: the shape of a large, mostly
