@@ -30,8 +30,9 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use lottery_obs::{Counter, ProbeBus};
+use lottery_obs::{Counter, Counters, ProbeBus};
 
 use crate::arena::{Arena, SideTable};
 use crate::client::{Client, ClientId};
@@ -52,9 +53,9 @@ pub struct Ledger {
     /// Work stack of the activation walk, kept between walks so a
     /// block/wake pair allocates nothing.
     activation_work: Vec<TicketId>,
-    /// Probe bus for cache/mutation counters (disabled by default: a count
-    /// through a disabled bus is a single branch).
-    bus: ProbeBus,
+    /// The counter block of the attached probe bus, which the ledger
+    /// alone writes (`None` by default: a count is then a single branch).
+    counters: Option<Arc<Counters>>,
 }
 
 /// Incrementally maintained currency/client values in base units.
@@ -128,7 +129,6 @@ pub struct CompensationLedger {
     /// clients homed there.
     resting: Vec<f64>,
     granted: u64,
-    revoked: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -160,7 +160,6 @@ impl CompensationLedger {
             extra: vec![0.0; shards.max(1)],
             resting: vec![0.0; shards.max(1)],
             granted: 0,
-            revoked: 0,
         }
     }
 
@@ -223,11 +222,11 @@ impl CompensationLedger {
     }
 
     /// Clears a client's compensation (factor back to 1); counts a
-    /// revocation when an entry actually existed.
-    fn clear(&mut self, client: ClientId) {
+    /// revocation on the probe bus when an entry actually existed.
+    fn clear(&mut self, client: ClientId, counters: Option<&Counters>) {
         if let Some(e) = self.entries.remove(client) {
             self.remove_entry(&e);
-            self.revoked += 1;
+            count(counters, Counter::CompensationRevoked);
         }
     }
 
@@ -585,21 +584,16 @@ impl Ledger {
             base,
             cache: RefCell::new(ValuationCache::default()),
             activation_work: Vec::new(),
-            bus: ProbeBus::disabled(),
+            counters: None,
         }
     }
 
-    /// Attaches a probe bus; subsequent mutations, cache invalidations and
-    /// valuation-cache lookups bump its counters (the ledger emits no
-    /// events). The default bus is disabled and costs one branch per probe
-    /// site.
+    /// Attaches a probe bus; subsequent mutations, cache invalidations,
+    /// revocations and valuation-cache lookups bump its counter block,
+    /// taken here once (the ledger emits no events). Without a bus, or
+    /// with a disabled one, a probe site is one branch.
     pub fn set_probe_bus(&mut self, bus: ProbeBus) {
-        self.bus = bus;
-    }
-
-    /// The ledger's current probe bus (cheap to clone; clones share state).
-    pub fn probe_bus(&self) -> &ProbeBus {
-        &self.bus
+        self.counters = bus.counters();
     }
 
     /// The conserved base currency.
@@ -665,7 +659,7 @@ impl Ledger {
         name: impl Into<String>,
         policy: IssuePolicy,
     ) -> Result<CurrencyId> {
-        self.bus.count(Counter::CreateCurrency);
+        count(self.counters.as_deref(), Counter::CreateCurrency);
         Ok(self.currencies.insert(Currency::new(name, policy)))
     }
 
@@ -702,7 +696,7 @@ impl Ledger {
         // An empty currency backs nothing, so removing its (necessarily
         // zero) cached value cannot strand dependents.
         self.cache.get_mut().currencies.remove(id);
-        self.bus.count(Counter::DestroyCurrency);
+        count(self.counters.as_deref(), Counter::DestroyCurrency);
         Ok(())
     }
 
@@ -712,7 +706,7 @@ impl Ledger {
 
     /// Creates an inactive client with no funding.
     pub fn create_client(&mut self, name: impl Into<String>) -> ClientId {
-        self.bus.count(Counter::CreateClient);
+        count(self.counters.as_deref(), Counter::CreateClient);
         self.clients.insert(Client::new(name))
     }
 
@@ -730,7 +724,7 @@ impl Ledger {
         cache.clients.remove(&id);
         cache.dirty.forget(id);
         cache.comp.forget(id);
-        self.bus.count(Counter::DestroyClient);
+        count(self.counters.as_deref(), Counter::DestroyClient);
         Ok(())
     }
 
@@ -774,7 +768,7 @@ impl Ledger {
             .get_mut(currency)
             .expect("checked above")
             .add_issued(id, amount);
-        self.bus.count(Counter::Issue);
+        count(self.counters.as_deref(), Counter::Issue);
         Ok(id)
     }
 
@@ -791,7 +785,7 @@ impl Ledger {
         if let Some(cur) = self.currencies.get_mut(ticket.currency()) {
             cur.remove_issued(id, ticket.amount());
         }
-        self.bus.count(Counter::DestroyTicket);
+        count(self.counters.as_deref(), Counter::DestroyTicket);
         Ok(())
     }
 
@@ -830,7 +824,7 @@ impl Ledger {
             // sibling's share) and the ticket's own face value changed.
             self.mark_ticket_change(currency, target);
         }
-        self.bus.count(Counter::SetAmount);
+        count(self.counters.as_deref(), Counter::SetAmount);
         Ok(())
     }
 
@@ -857,7 +851,7 @@ impl Ledger {
         if self.client(client)?.is_active() {
             self.activate_ticket(ticket);
         }
-        self.bus.count(Counter::FundClient);
+        count(self.counters.as_deref(), Counter::FundClient);
         Ok(())
     }
 
@@ -890,7 +884,7 @@ impl Ledger {
         if self.currency(currency)?.is_active() {
             self.activate_ticket(ticket);
         }
-        self.bus.count(Counter::FundCurrency);
+        count(self.counters.as_deref(), Counter::FundCurrency);
         Ok(())
     }
 
@@ -916,7 +910,7 @@ impl Ledger {
             .get_mut(ticket)
             .expect("checked above")
             .set_target(FundingTarget::Unfunded);
-        self.bus.count(Counter::Unfund);
+        count(self.counters.as_deref(), Counter::Unfund);
         Ok(())
     }
 
@@ -964,7 +958,7 @@ impl Ledger {
             .extend(client.funding().iter().rev().copied());
         self.propagate_activation(true);
         self.cache.get_mut().comp.set_resting(id, false);
-        self.bus.count(Counter::ActivateClient);
+        count(self.counters.as_deref(), Counter::ActivateClient);
         Ok(())
     }
 
@@ -983,7 +977,7 @@ impl Ledger {
             .extend(client.funding().iter().rev().copied());
         self.propagate_activation(false);
         self.cache.get_mut().comp.set_resting(id, true);
-        self.bus.count(Counter::DeactivateClient);
+        count(self.counters.as_deref(), Counter::DeactivateClient);
         Ok(())
     }
 
@@ -1090,14 +1084,15 @@ impl Ledger {
             let shard = cache.dirty.shard_of(id);
             cache.comp.record(id, factor, funded, shard, !active);
         } else {
-            self.cache.get_mut().comp.clear(id);
+            let counters = self.counters.as_deref();
+            self.cache.get_mut().comp.clear(id, counters);
         }
         let removed = mark_client(self.cache.get_mut(), id);
         if removed {
             let dirty_depth = self.cache.get_mut().dirty.len();
             self.note_invalidation(0, 1, dirty_depth);
         }
-        self.bus.count(Counter::SetCompensation);
+        count(self.counters.as_deref(), Counter::SetCompensation);
         Ok(())
     }
 
@@ -1140,11 +1135,12 @@ impl Ledger {
         self.cache.borrow().comp.granted
     }
 
-    /// Compensation revocations (factor cleared back to 1) recorded since
-    /// the ledger was created.
+    /// Compensation revocations (factor cleared back to 1) counted on
+    /// the attached bus.
     #[cfg(test)]
     fn compensations_revoked(&self) -> u64 {
-        self.cache.borrow().comp.revoked
+        let counters = self.counters.as_ref().expect("a bus is attached");
+        counters.snapshot()[Counter::CompensationRevoked as usize]
     }
 
     // ------------------------------------------------------------------
@@ -1183,13 +1179,11 @@ impl Ledger {
     /// Counts one invalidation on the probe bus: the cached entries it
     /// removed and the dirty-queue depth it left.
     fn note_invalidation(&self, currencies: u32, clients: u32, dirty_depth: usize) {
-        if self.bus.is_enabled() {
-            self.bus.count(Counter::Invalidations);
-            self.bus
-                .add(Counter::InvalidatedCurrencies, u64::from(currencies));
-            self.bus
-                .add(Counter::InvalidatedClients, u64::from(clients));
-            self.bus.add(Counter::DirtyDepth, dirty_depth as u64);
+        if let Some(counters) = &self.counters {
+            counters.bump(Counter::Invalidations, 1);
+            counters.bump(Counter::InvalidatedCurrencies, u64::from(currencies));
+            counters.bump(Counter::InvalidatedClients, u64::from(clients));
+            counters.bump(Counter::DirtyDepth, dirty_depth as u64);
         }
     }
 
@@ -1304,7 +1298,7 @@ impl Ledger {
     /// its active backing tickets' values. Every value it computes goes
     /// into `memo`, so a diamond graph is walked once.
     fn currency_value_in(&self, memo: &mut impl Memo, currency: CurrencyId) -> Result<f64> {
-        if let Some(v) = memo.get(currency, &self.bus) {
+        if let Some(v) = memo.get(currency, self.counters.as_deref()) {
             return Ok(v);
         }
         let v = if currency == self.base {
@@ -1353,10 +1347,10 @@ impl Ledger {
 
     fn compute_client_value(&self, cache: &mut ValuationCache, client: ClientId) -> Result<f64> {
         if let Some(&v) = cache.clients.get(&client) {
-            self.bus.count(Counter::ClientHit);
+            count(self.counters.as_deref(), Counter::ClientHit);
             return Ok(v);
         }
-        self.bus.count(Counter::ClientMiss);
+        count(self.counters.as_deref(), Counter::ClientMiss);
         let c = self.client(client)?;
         let comp = c.compensation();
         let sum = self.funded_value_in(cache, c)?;
@@ -1372,6 +1366,16 @@ impl Ledger {
     }
 }
 
+/// Adds one to `counter` on the attached bus's block, if there is one:
+/// a branch, then a load and a store (the ledger is the block's one
+/// writer).
+#[inline]
+fn count(counters: Option<&Counters>, counter: Counter) {
+    if let Some(counters) = counters {
+        counters.bump(counter, 1);
+    }
+}
+
 /// Where the valuation walk keeps the currency values it computes.
 ///
 /// The ledger has one walk and two memos for it. The incremental cache
@@ -1380,17 +1384,18 @@ impl Ledger {
 /// nothing from the cache, counts nothing, and trusts only the entries its
 /// own walk wrote.
 trait Memo {
-    fn get(&mut self, currency: CurrencyId, bus: &ProbeBus) -> Option<f64>;
+    fn get(&mut self, currency: CurrencyId, counters: Option<&Counters>) -> Option<f64>;
     fn insert(&mut self, currency: CurrencyId, value: f64);
 }
 
 impl Memo for ValuationCache {
-    fn get(&mut self, currency: CurrencyId, bus: &ProbeBus) -> Option<f64> {
+    fn get(&mut self, currency: CurrencyId, counters: Option<&Counters>) -> Option<f64> {
         let hit = self.currencies.get(currency).copied();
-        bus.count(match hit {
+        let counter = match hit {
             Some(_) => Counter::CurrencyHit,
             None => Counter::CurrencyMiss,
-        });
+        };
+        count(counters, counter);
         hit
     }
 
@@ -1407,7 +1412,7 @@ struct ScratchWalk<'s> {
 }
 
 impl Memo for ScratchWalk<'_> {
-    fn get(&mut self, currency: CurrencyId, _: &ProbeBus) -> Option<f64> {
+    fn get(&mut self, currency: CurrencyId, _: Option<&Counters>) -> Option<f64> {
         match self.memo.get(currency.index() as usize) {
             Some(&(walk, v)) if walk == self.walk => Some(v),
             _ => None,
@@ -2314,6 +2319,7 @@ mod comp_ledger_tests {
     #[test]
     fn clear_revokes_and_empties() {
         let mut l = Ledger::new();
+        l.set_probe_bus(ProbeBus::enabled());
         let c = active_client(&mut l, 400);
         l.set_compensation(c, 2.0).unwrap();
         l.set_compensation(c, 1.0).unwrap();
@@ -2378,6 +2384,7 @@ mod comp_ledger_tests {
     #[test]
     fn destroy_forgets_without_revocation() {
         let mut l = Ledger::new();
+        l.set_probe_bus(ProbeBus::enabled());
         let c = active_client(&mut l, 50);
         l.set_compensation(c, 2.0).unwrap();
         l.deactivate_client(c).unwrap();

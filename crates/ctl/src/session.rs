@@ -110,6 +110,8 @@ pub struct Session {
     /// Bounded event ring backing `dump`; only fed while tracing.
     flight: Shared<FlightRecorder>,
     tracing: bool,
+    /// The bus the ledger counts on and `structure` switches emit to.
+    bus: ProbeBus,
     /// Multi-resource broker, created on the first `broker` verb. It owns
     /// its own ledger: tenant grants live in the broker's funding graph,
     /// not the session's object environment.
@@ -155,6 +157,7 @@ impl Session {
             stats: Shared::new(Aggregator::new()),
             flight: Shared::new(FlightRecorder::new(FLIGHT_CAPACITY)),
             tracing: false,
+            bus: ProbeBus::disabled(),
             broker: None,
             structure: StructureKind::List,
             last_rebuild: None,
@@ -172,7 +175,8 @@ impl Session {
         if self.tracing {
             bus.attach(self.flight.clone());
         }
-        self.ledger.set_probe_bus(bus);
+        self.ledger.set_probe_bus(bus.clone());
+        self.bus = bus;
     }
 
     /// The underlying ledger (for embedding in a scheduler).
@@ -677,14 +681,12 @@ impl Session {
             rebuild_ns,
             tickets,
         });
-        self.ledger
-            .probe_bus()
-            .emit(|| EventKind::StructureRebuild {
-                structure: kind.name(),
-                clients,
-                stale,
-                rebuild_ns,
-            });
+        self.bus.emit(|| EventKind::StructureRebuild {
+            structure: kind.name(),
+            clients,
+            stale,
+            rebuild_ns,
+        });
         Ok(())
     }
 

@@ -474,8 +474,9 @@ mod tests {
             (Counter::FundClient, 2),
             (Counter::CompensationRevoked, 1),
         ];
+        let block = bus.counters().expect("an enabled bus");
         for (counter, n) in counts {
-            bus.add(counter, n);
+            block.bump(counter, n);
         }
         let a = stats.with(std::mem::take);
         assert_eq!(a.dispatches, 1);
@@ -515,9 +516,8 @@ mod tests {
         use crate::{ProbeBus, Shared};
 
         let bus = ProbeBus::enabled();
-        for _ in 0..10 {
-            bus.count(Counter::ClientMiss);
-        }
+        let block = bus.counters().expect("an enabled bus");
+        block.bump(Counter::ClientMiss, 10);
         let a = Shared::new(Aggregator::new());
         let b = Shared::new(Aggregator::new());
         bus.attach(a.clone());
@@ -530,9 +530,7 @@ mod tests {
             (Counter::CurrencyMiss, 4),
         ];
         for (counter, n) in counts {
-            for _ in 0..n {
-                bus.count(counter);
-            }
+            block.bump(counter, n);
         }
         let lookups = |a: &Aggregator| {
             use Counter::{ClientHit, ClientMiss, CurrencyHit, CurrencyMiss};
@@ -550,10 +548,11 @@ mod tests {
         // lotteryctl swaps its bus to toggle tracing: counts carry over,
         // and the old bus no longer feeds the aggregator.
         let next = ProbeBus::enabled();
-        next.count(Counter::CurrencyHit);
+        let next_block = next.counters().expect("an enabled bus");
+        next_block.bump(Counter::CurrencyHit, 1);
         next.attach(a.clone());
-        next.count(Counter::CurrencyMiss);
-        bus.count(Counter::ClientHit);
+        next_block.bump(Counter::CurrencyMiss, 1);
+        block.bump(Counter::ClientHit, 1);
         assert_eq!(read(&a), (5, 6, [3, 1, 2, 5]));
         assert_eq!(read(&b), (6, 5, [4, 1, 2, 4]));
     }
@@ -688,8 +687,9 @@ mod tests {
             (Counter::DirtyDepth, 5),
             (Counter::CompensationRevoked, 1),
         ];
+        let block = bus.counters().expect("an enabled bus");
         for (counter, n) in counts {
-            bus.add(counter, n);
+            block.bump(counter, n);
         }
         a.with(|a| a.prometheus_text())
     }

@@ -9,12 +9,12 @@
 //!
 //! The two tiers, and the rule that separates them: a probe whose payload
 //! is only a tag its consumer counts, or a number it only sums, is a
-//! **counter** — [`ProbeBus::count`] or [`ProbeBus::add`], one relaxed
-//! `fetch_add` on the bus's [`Counters`] block, no event, no lock, no
-//! recorder call; anything a replay or a timeline needs is an **event** —
-//! [`ProbeBus::emit`], delivered synchronously to every recorder. Counts
-//! are per bus; a recorder is handed the block at [`ProbeBus::attach`] and
-//! reads it at scrape.
+//! **counter** — a bump on the bus's [`Counters`] block, a relaxed load
+//! and store, no event, no lock, no recorder call; anything a replay or a
+//! timeline needs is an **event** — [`ProbeBus::emit`], delivered
+//! synchronously to every recorder. Counts are per bus; the one layer that
+//! counts (the ledger) takes the block once from [`ProbeBus::counters`], a
+//! recorder is handed it at [`ProbeBus::attach`] and reads it at scrape.
 //!
 //! One decision is one event. The policy that held the lottery does not
 //! emit it: it stages its [`DrawRecord`] on the bus
@@ -78,7 +78,8 @@ pub enum Counter {
     /// The dirty-queue depth after each invalidation (a sum; divided by
     /// [`Counter::Invalidations`] it is the mean depth).
     DirtyDepth,
-    /// A compensation ticket revoked when its holder was dispatched.
+    /// A compensation ticket revoked (its factor cleared back to one, as
+    /// when its holder is dispatched).
     CompensationRevoked,
 }
 
@@ -106,10 +107,25 @@ impl Counter {
 }
 
 /// The counter block of one enabled bus: totals since the bus was built.
+///
+/// **Single writer.** A bump is a relaxed load and store, not a
+/// read-modify-write, so the counts are exact only when the writes to one
+/// block are ordered: all from one thread, or all under one lock, as for a
+/// ledger behind a mutex (the way `lottery-par` shares one). The ledger is
+/// the block's one writer and bumps it under `&mut self` or its cache
+/// borrow, so that holds by construction. A reader on another thread sees
+/// a stale but untorn total.
 #[derive(Debug, Default)]
 pub struct Counters([AtomicU64; Counter::COUNT]);
 
 impl Counters {
+    /// Adds `n` to one counter: a relaxed load and store.
+    #[inline]
+    pub fn bump(&self, counter: Counter, n: u64) {
+        let total = &self.0[counter as usize];
+        total.store(total.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+
     /// The current totals, indexed by `Counter as usize`.
     pub fn snapshot(&self) -> [u64; Counter::COUNT] {
         // Relaxed: statistics that publish no other data.
@@ -245,19 +261,10 @@ impl ProbeBus {
             .map_or(0, |i| i.clock_us.load(Ordering::Relaxed))
     }
 
-    /// Bumps a counter-tier probe: one branch on a disabled bus, one
-    /// relaxed `fetch_add` on an enabled one.
-    #[inline]
-    pub fn count(&self, counter: Counter) {
-        self.add(counter, 1);
-    }
-
-    /// Adds `n` to a counter-tier probe, as [`ProbeBus::count`] adds one.
-    #[inline]
-    pub fn add(&self, counter: Counter, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.counters.0[counter as usize].fetch_add(n, Ordering::Relaxed);
-        }
+    /// The counter block of an enabled bus, for the layer that bumps it
+    /// ([`Counters::bump`]); `None` on a disabled bus.
+    pub fn counters(&self) -> Option<Arc<Counters>> {
+        self.inner.as_ref().map(|i| Arc::clone(&i.counters))
     }
 
     /// Leaves the draw that chose the next thread for the kernel's
@@ -396,8 +403,7 @@ mod tests {
         let bus = ProbeBus::disabled();
         let stats = Shared::new(Aggregator::new());
         assert!(!bus.attach(stats.clone()));
-        bus.count(Counter::ClientHit);
-        assert_eq!(stats.with(|a| a.cache_hits + a.cache_misses), 0);
+        assert!(bus.counters().is_none());
         bus.stage_draw(DrawRecord::default());
         bus.stage_grant(2.0);
         assert_eq!(bus.take_draw(), None);

@@ -10,9 +10,10 @@
 //!   disabled**: a disabled bus is a single `Option` check, and event
 //!   payloads are built lazily (via closure) only on an enabled bus. It
 //!   has two tiers: events ([`ProbeBus::emit`]) go to every recorder
-//!   synchronously; probes that are only ever counted
-//!   ([`ProbeBus::count`], a [`Counter`]) are one `fetch_add` on the
-//!   bus's [`Counters`] block, which recorders scrape when read.
+//!   synchronously; probes that are only ever counted (a [`Counter`])
+//!   are bumped on the bus's [`Counters`] block, which recorders scrape
+//!   when read. The block has one writer (the ledger), so a bump is a
+//!   relaxed load and store, not a locked read-modify-write.
 //! * [`Recorder`] — the sink trait. [`NopRecorder`] discards everything
 //!   (for measuring bus overhead), [`FlightRecorder`] keeps a bounded ring
 //!   of recent events, [`Aggregator`] folds events into counters and

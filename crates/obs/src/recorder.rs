@@ -4,8 +4,8 @@
 //! that also reports the bus's counter tier keeps the block
 //! [`Recorder::attached`] hands it and folds it into its own state in
 //! [`Recorder::refresh`], which [`Shared::with`] calls on behalf of every
-//! reader — so the counted probes cost the emitter one `fetch_add` and the
-//! reader four loads.
+//! reader — so a counted probe costs its one writer a load and a store
+//! and the reader a load per counter.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 

@@ -18,7 +18,7 @@
 use lottery_core::client::ClientId;
 use lottery_core::compensation;
 use lottery_core::ledger::Ledger;
-use lottery_obs::{Counter, ProbeBus};
+use lottery_obs::ProbeBus;
 
 use super::EndReason;
 use crate::time::SimDuration;
@@ -48,8 +48,10 @@ impl CompensationHook {
     }
 
     /// Dispatch side: the winner starts its quantum, so any compensation
-    /// ticket it held is revoked (counted as
-    /// [`Counter::CompensationRevoked`]).
+    /// ticket it held is revoked. The ledger counts the revocation
+    /// ([`lottery_obs::Counter::CompensationRevoked`]) where it clears
+    /// the entry, on the counter block it alone writes, so the hook
+    /// touches no bus.
     ///
     /// The client's tickets stay *active* while it runs — it is using
     /// them — which keeps mutex-handoff valuations live; they deactivate
@@ -58,9 +60,8 @@ impl CompensationHook {
     /// An uncompensated winner costs one lookup in the ledger's dense
     /// compensation book, which holds an entry exactly when the factor is
     /// above one; the client's own record is not touched.
-    pub fn on_dispatch(&self, ledger: &mut Ledger, bus: &ProbeBus, client: ClientId) {
+    pub fn on_dispatch(&self, ledger: &mut Ledger, client: ClientId) {
         if ledger.compensation_factor(client) > 1.0 {
-            bus.count(Counter::CompensationRevoked);
             compensation::clear(ledger, client).expect("client liveness");
         }
     }

@@ -421,8 +421,7 @@ impl<L: LedgerAccess> LotteryCore<L> {
             .expect("the shard is not empty");
         self.bus.stage_draw(draw.record(shard_id, stolen));
         let client = self.funding_info(draw.winner).client;
-        self.comp
-            .on_dispatch(&mut self.ledger.lock(), &self.bus, client);
+        self.comp.on_dispatch(&mut self.ledger.lock(), client);
         draw.winner
     }
 

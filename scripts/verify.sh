@@ -44,6 +44,14 @@ if [ "$helps" -ne 1 ]; then
   echo "verify: expected one Prometheus HELP writer, found $helps" >&2; exit 1
 fi
 
+# Single-writer counters: a bump on the bus's counter block is a relaxed
+# load and store, so the counter tier holds no atomic read-modify-write.
+rmws=$(grep -c 'fetch_add\|fetch_sub' crates/obs/src/bus.rs || true)
+if [ "$rmws" -ne 0 ]; then
+  grep -n 'fetch_add\|fetch_sub' crates/obs/src/bus.rs >&2 || true
+  echo "verify: the counter tier must be single-writer, found $rmws read-modify-writes in crates/obs/src/bus.rs" >&2; exit 1
+fi
+
 # The public surface is what the system uses: scripts/surface.sh lists the
 # `pub fn`s whose name no other source file mentions (integration tests
 # do not count as callers), and their count may not rise above the

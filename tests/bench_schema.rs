@@ -134,6 +134,25 @@ fn dispatch_lottery_flat_elements_record_population() {
 }
 
 #[test]
+fn dispatch_currency_depth_costs_nothing_once_values_are_cached() {
+    // EXPERIMENTS.md §5.6: "Currency depth costs nothing once values are
+    // cached: from 2 to 8 levels ... each within 1.25× in the same pass".
+    let s = summary("dispatch");
+    for structure in ["list", "tree", "alias"] {
+        let at = |depth: u32| {
+            s.fastest(&format!(
+                "dispatch/lottery-currency-depth/{structure}/{depth}"
+            ))
+        };
+        let (shallow, deep) = (at(2), at(8));
+        assert!(
+            deep <= 1.25 * shallow,
+            "{structure}: 8 levels read {deep:.0} ns against 2 levels' {shallow:.0} ns"
+        );
+    }
+}
+
+#[test]
 fn smp_scaling_summary_covers_both_variants_at_every_width() {
     // EXPERIMENTS.md, distributed lottery: "at 8 CPUs, per-CPU shards
     // make a simulated second's decisions at least 1.1× faster than one
