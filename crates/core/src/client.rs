@@ -16,10 +16,10 @@ use crate::ticket::TicketId;
 /// Handle naming a [`Client`] in a ledger.
 pub type ClientId = Handle<Client>;
 
-/// A schedulable client.
+/// A schedulable client, 40 bytes. Its name, if it has one, is kept by
+/// the ledger ([`crate::ledger::Ledger::client_name`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Client {
-    name: Box<str>,
     funding: Funding,
     active: bool,
     compensation: f64,
@@ -40,18 +40,12 @@ enum Funding {
 
 impl Client {
     /// Creates an inactive client with no funding.
-    pub(crate) fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            name: name.into().into_boxed_str(),
             funding: Funding::Inline(None),
             active: false,
             compensation: 1.0,
         }
-    }
-
-    /// The client's human-readable name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Tickets currently funding this client.
@@ -118,8 +112,7 @@ mod tests {
 
     #[test]
     fn new_client_defaults() {
-        let c = Client::new("worker");
-        assert_eq!(c.name(), "worker");
+        let c = Client::new();
         assert!(c.funding().is_empty());
         assert!(!c.is_active());
         assert_eq!(c.compensation(), 1.0);
@@ -132,7 +125,7 @@ mod tests {
         let mut ledger = Ledger::new();
         let mut ticket = || ledger.issue_root(ledger.base(), 1).unwrap();
         let (a, b, c) = (ticket(), ticket(), ticket());
-        let mut client = Client::new("server");
+        let mut client = Client::new();
         client.add_funding(a);
         assert_eq!(client.funding(), &[a]);
         assert!(matches!(client.funding, Funding::Inline(_)));
@@ -144,7 +137,7 @@ mod tests {
         client.remove_funding(c);
         assert!(client.funding().is_empty());
         client.remove_funding(c);
-        let mut one = Client::new("thread");
+        let mut one = Client::new();
         one.add_funding(a);
         one.remove_funding(b);
         one.remove_funding(a);
@@ -152,8 +145,32 @@ mod tests {
     }
 
     #[test]
+    fn a_client_is_at_most_40_bytes() {
+        let size = std::mem::size_of::<Client>();
+        assert!(size <= 40, "Client is {size} bytes");
+    }
+
+    #[test]
+    fn names_live_in_the_ledger_and_die_with_the_client() {
+        use crate::ledger::Ledger;
+
+        let mut ledger = Ledger::new();
+        let named = ledger.create_client("db:cpu:sink");
+        let nameless = ledger.create_client(String::new());
+        assert_eq!(ledger.client_name(named), "db:cpu:sink");
+        assert_eq!(ledger.client_name(nameless), "");
+        let ticket = ledger.issue_root(ledger.base(), 10).unwrap();
+        ledger.fund_client(ticket, named).unwrap();
+        ledger.destroy_client_and_funding(named).unwrap();
+        assert_eq!(ledger.client_name(named), "");
+        let successor = ledger.create_client("next");
+        assert_eq!(ledger.client_name(successor), "next");
+        assert_eq!(ledger.client_name(named), "");
+    }
+
+    #[test]
     fn compensation_round_trip() {
-        let mut c = Client::new("io-bound");
+        let mut c = Client::new();
         c.set_compensation(5.0);
         assert_eq!(c.compensation(), 5.0);
         c.set_compensation(1.0);

@@ -46,6 +46,11 @@ pub struct Ledger {
     tickets: Arena<Ticket>,
     currencies: Arena<Currency>,
     clients: Arena<Client>,
+    /// The names of the clients created with one (brokers' sinks, REPL
+    /// processes, the experiments' clients). A thread's client is
+    /// created nameless — its thread holds the name — so a client slot
+    /// carries no name field.
+    client_names: HashMap<ClientId, Box<str>>,
     base: CurrencyId,
     /// Incremental valuation cache (interior mutability so reads through
     /// `&Ledger` can memoize). See [`Ledger::cached_client_value`].
@@ -581,6 +586,7 @@ impl Ledger {
             tickets: Arena::with_capacity(clients),
             currencies,
             clients: Arena::with_capacity(clients),
+            client_names: HashMap::new(),
             base,
             cache: RefCell::new(ValuationCache::default()),
             activation_work: Vec::new(),
@@ -627,6 +633,12 @@ impl Ledger {
             kind: ObjectKind::Client,
             handle: id.raw(),
         })
+    }
+
+    /// A client's name: empty for a stale handle and for a client created
+    /// without one.
+    pub fn client_name(&self, id: ClientId) -> &str {
+        self.client_names.get(&id).map_or("", |name| name)
     }
 
     /// Iterates over all live currencies.
@@ -704,10 +716,16 @@ impl Ledger {
     // Client lifecycle.
     // ------------------------------------------------------------------
 
-    /// Creates an inactive client with no funding.
+    /// Creates an inactive client with no funding; an empty `name` is not
+    /// stored.
     pub fn create_client(&mut self, name: impl Into<String>) -> ClientId {
         count(self.counters.as_deref(), Counter::CreateClient);
-        self.clients.insert(Client::new(name))
+        let id = self.clients.insert(Client::new());
+        let name = name.into();
+        if !name.is_empty() {
+            self.client_names.insert(id, name.into_boxed_str());
+        }
+        id
     }
 
     /// Destroys a client with no funding.
@@ -717,6 +735,7 @@ impl Ledger {
             return Err(LotteryError::ClientInUse);
         }
         self.clients.remove(id);
+        self.client_names.remove(&id);
         // Purge the cached value, any pending dirty notification, and the
         // shard assignment: a destroyed client must never surface from the
         // drain hooks.

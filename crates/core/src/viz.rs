@@ -37,7 +37,7 @@ pub fn to_dot(ledger: &Ledger) -> String {
             "  cli{} [shape=ellipse, style={}, label=\"{}\\nvalue {:.0}\"];\n",
             id.index(),
             style,
-            escape(client.name()),
+            escape(ledger.client_name(id)),
             value,
         ));
     }

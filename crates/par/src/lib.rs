@@ -63,7 +63,7 @@ use lottery_sync::channel::{bounded, Sender};
 use lottery_sync::Mutex;
 
 pub use work::WorkSpec;
-pub use worker::WorkerReport;
+pub use worker::{LockCounts, WorkerReport};
 
 use worker::{Arrival, LockedShard, Msg, Shared, Worker};
 
@@ -270,16 +270,17 @@ impl ParKernel {
             handles.push(handle);
         }
         drop(txs);
-        let workers: Vec<WorkerReport> = handles
+        let (workers, locks) = handles
             .into_iter()
             .map(|h| match h.join() {
-                Ok(report) => report,
+                Ok(done) => done,
                 Err(payload) => std::panic::resume_unwind(payload),
             })
-            .collect();
+            .unzip();
         let shared = Arc::into_inner(self.shared).expect("all workers joined");
         ParReport {
             workers,
+            locks,
             ledger: shared.ledger.into_inner(),
         }
     }
@@ -290,6 +291,10 @@ impl ParKernel {
 pub struct ParReport {
     /// Per-worker outcomes, in worker order.
     pub workers: Vec<WorkerReport>,
+    /// How each worker took the shared ledger's lock, in worker order:
+    /// spawns before the run included. Beside the reports, not in them,
+    /// since code outside this crate builds `WorkerReport`s field by field.
+    pub locks: Vec<LockCounts>,
     /// The ledger at quiesce (every surviving client's funding intact).
     pub ledger: Ledger,
 }

@@ -34,13 +34,14 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lottery_core::client::ClientId;
 use lottery_core::ledger::Ledger;
 use lottery_obs::{EventKind, ProbeBus};
 use lottery_sim::prelude::{
     EndReason, FundingSpec, Policy, SelectStructure, Shard, SimDuration, SimTime, SmpKernel,
     Thread, ThreadId,
 };
-use lottery_sim::sched::core::{LedgerAccess, LotteryCore, ThreadFunding};
+use lottery_sim::sched::core::{LedgerAccess, LotteryCore};
 use lottery_sim::smp::{Dispatched, Step};
 use lottery_sync::channel::{Receiver, RecvTimeoutError, Sender, TrySendError};
 use lottery_sync::Mutex;
@@ -88,12 +89,12 @@ impl Drop for DoneGuard {
     }
 }
 
-/// A migrating thread: the control block with the funding record that
+/// A migrating thread: the control block with the ledger client that
 /// backs it. Only *ready* threads are stolen, so no pending wake event
 /// ever needs to travel with one.
 pub(crate) struct ParThread {
     pub tid: ThreadId,
-    pub funding: ThreadFunding,
+    pub client: ClientId,
     pub thread: Thread,
 }
 
@@ -117,17 +118,37 @@ pub(crate) enum Msg {
 pub(crate) enum Arrival {
     /// Spawned here, to be funded from the spec.
     Fresh(FundingSpec),
-    /// Migrated from another worker, with the funding it already has.
-    Migrant(ThreadFunding),
+    /// Migrated from another worker, with the funded client it already
+    /// has.
+    Migrant(ClientId),
+}
+
+/// How one worker took the shared ledger's lock: its critical sections,
+/// and those whose first try found the lock held, so that the worker had
+/// to wait for it. Counted without a clock, by the worker alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LockCounts {
+    /// Critical sections on the ledger's lock.
+    pub sections: u64,
+    /// Sections that found the lock held by another worker.
+    pub contended: u64,
 }
 
 /// The ledger every worker shares: each [`LedgerAccess::lock`] is one
-/// critical section on its mutex.
-pub(crate) struct SharedLedger(Arc<Shared>);
+/// critical section on its mutex, counted in this worker's tally.
+pub(crate) struct SharedLedger {
+    shared: Arc<Shared>,
+    counts: LockCounts,
+}
 
 impl LedgerAccess for SharedLedger {
     fn lock(&mut self) -> impl DerefMut<Target = Ledger> + '_ {
-        self.0.ledger.lock()
+        self.counts.sections += 1;
+        let ledger = &self.shared.ledger;
+        ledger.try_lock().unwrap_or_else(|| {
+            self.counts.contended += 1;
+            ledger.lock()
+        })
     }
 
     /// A bus is one worker's lane and the ledger is everyone's, so the
@@ -155,7 +176,14 @@ impl LockedShard {
     pub(crate) fn new(id: u32, shared: Arc<Shared>, quantum: SimDuration, seed: u32) -> Self {
         Self {
             id,
-            core: LotteryCore::with_ledger(SharedLedger(shared), seed, quantum),
+            core: LotteryCore::with_ledger(
+                SharedLedger {
+                    shared,
+                    counts: LockCounts::default(),
+                },
+                seed,
+                quantum,
+            ),
             shard: Shard::new(SelectStructure::Tree),
         }
     }
@@ -164,12 +192,12 @@ impl LockedShard {
     /// books for `thief`, whose dirty queue its invalidations go to now;
     /// invalidations already queued here drain here and skip the
     /// now-unmapped client.
-    fn release_tail(&mut self, thief: u32) -> (ThreadId, ThreadFunding) {
+    fn release_tail(&mut self, thief: u32) -> (ThreadId, ClientId) {
         let tid = self.shard.iter().next_back().expect("a ready thread");
         self.shard.remove(tid);
-        let funding = self.core.release(tid);
-        self.core.home(funding.client, thief);
-        (tid, funding)
+        let client = self.core.release(tid);
+        self.core.home(client, thief);
+        (tid, client)
     }
 }
 
@@ -182,7 +210,7 @@ impl Policy for LockedShard {
                 let client = self.core.spawn(tid, spec);
                 self.core.home(client, self.id);
             }
-            Arrival::Migrant(funding) => self.core.adopt(tid, funding),
+            Arrival::Migrant(client) => self.core.adopt(tid, client),
         }
     }
 
@@ -292,8 +320,9 @@ impl Worker {
         }
     }
 
-    /// Runs the window, then serves steal traffic until machine quiesce.
-    pub(crate) fn run(mut self) -> WorkerReport {
+    /// Runs the window, then serves steal traffic until machine quiesce;
+    /// returns the report and how the worker took the ledger's lock.
+    pub(crate) fn run(mut self) -> (WorkerReport, LockCounts) {
         let done = DoneGuard {
             shared: Arc::clone(&self.shared),
             peers: self.peers.iter().map(|(_, tx)| tx.clone()).collect(),
@@ -325,7 +354,7 @@ impl Worker {
             .map(|(tid, _)| tid)
             .partition(|&tid| self.kernel.thread(tid).is_exited());
         let policy = self.kernel.policy();
-        WorkerReport {
+        let report = WorkerReport {
             id: self.id,
             clock,
             busy: self.kernel.busy(self.id as usize),
@@ -337,7 +366,8 @@ impl Worker {
             ready_total: policy.shard.total(),
             winners: self.winners,
             exited,
-        }
+        };
+        (report, policy.core.access().counts)
     }
 
     /// Keeps what the report needs of one decision, then pays for it.
@@ -396,7 +426,7 @@ impl Worker {
                 // here and the thread queues at its current value, kicking
                 // the CPU if idle.
                 let migrant = *migrant;
-                let arrival = Arrival::Migrant(migrant.funding);
+                let arrival = Arrival::Migrant(migrant.client);
                 self.kernel.attach(migrant.tid, migrant.thread, arrival);
                 self.steals_in += 1;
             }
@@ -409,19 +439,17 @@ impl Worker {
     /// left behind. A thief that cannot take the message leaves the thread
     /// here, queued again at its current value.
     fn donate(&mut self, thief: u32) {
-        let (tid, funding) = self.kernel.policy_mut().release_tail(thief);
+        let (tid, client) = self.kernel.policy_mut().release_tail(thief);
         let thread = self.kernel.detach(tid);
         let migrant = ParThread {
             tid,
-            funding,
+            client,
             thread,
         };
         if let Err(Msg::Migrate(migrant)) = self.post(thief, Msg::Migrate(Box::new(migrant))) {
-            let ParThread {
-                funding, thread, ..
-            } = *migrant;
-            self.kernel.policy_mut().core.home(funding.client, self.id);
-            self.kernel.attach(tid, thread, Arrival::Migrant(funding));
+            let ParThread { client, thread, .. } = *migrant;
+            self.kernel.policy_mut().core.home(client, self.id);
+            self.kernel.attach(tid, thread, Arrival::Migrant(client));
             return;
         }
         self.steals_out += 1;
@@ -510,15 +538,13 @@ mod tests {
     }
 
     /// A base-funded, active client for one thread, homed on shard 0.
-    fn fund(shared: &Shared, amount: u64) -> ThreadFunding {
+    fn fund(shared: &Shared, amount: u64) -> ClientId {
         let mut ledger = shared.ledger.lock();
         let spec = FundingSpec::new(ledger.base(), amount);
-        let funding = fund_thread(&mut ledger, spec);
-        ledger.assign_dirty_shard(funding.client, 0);
-        ledger
-            .activate_client(funding.client)
-            .expect("fresh client");
-        funding
+        let client = fund_thread(&mut ledger, spec);
+        ledger.assign_dirty_shard(client, 0);
+        ledger.activate_client(client).expect("fresh client");
+        client
     }
 
     fn hog(tid: ThreadId) -> Thread {
@@ -569,7 +595,7 @@ mod tests {
         let (tx, report) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             // A test that already failed has dropped the receiver.
-            let _ = tx.send(worker.run());
+            let _ = tx.send(worker.run().0);
         });
         report
     }
@@ -605,10 +631,10 @@ mod tests {
         let report = launch(worker);
         rig.await_window_end();
         let tid = ThreadId::from_index(7);
-        let funding = fund(&rig.shared, 250);
+        let client = fund(&rig.shared, 250);
         let late = ParThread {
             tid,
-            funding,
+            client,
             thread: hog(tid),
         };
         rig.to_worker
@@ -623,7 +649,7 @@ mod tests {
         // The hog whose quantum ends on the deadline was requeued there.
         assert_eq!(report.ready_total, 550.0, "three hogs and the migrant");
         let ledger = rig.shared.ledger.lock();
-        assert_eq!(ledger.cached_client_value(funding.client), Ok(250.0));
+        assert_eq!(ledger.cached_client_value(client), Ok(250.0));
     }
 
     /// The mirror case: a steal request after the window is refused even

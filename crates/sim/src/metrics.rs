@@ -18,7 +18,11 @@
 //! clients and mutex waiters fill, are a pointer until their first sample.
 //! The record is constant-space, 72 bytes, so memory does not grow with
 //! the decisions a run makes; only the RPC log grows, one entry per
-//! completed RPC. The CPU total is kept here and nowhere else. Per-window
+//! completed RPC. The table holds the records themselves, 72 bytes a slot,
+//! not an `Option` of them: a slot that nothing touched yet holds nothing,
+//! and every touch leaves a field non-zero, so an empty record is the
+//! "never accounted" of [`Metrics::thread`]. The CPU total is kept here
+//! and nowhere else. Per-window
 //! CPU (Figure 5) is measured where the windows fall, by [`run_windows`],
 //! rather than recorded on every run segment.
 
@@ -145,6 +149,17 @@ impl ThreadMetrics {
     pub fn cpu_us(&self) -> u64 {
         self.cpu.as_us()
     }
+
+    /// Whether nothing was recorded here: every record leaves a count, a
+    /// CPU time or a box behind.
+    fn is_empty(&self) -> bool {
+        self.cpu.is_zero()
+            && self.wait_us.count == 0
+            && self.response_us.0.is_none()
+            && self.lock_wait_us.count() == 0
+            && self.blocks == 0
+            && self.yields == 0
+    }
 }
 
 /// Whole-kernel accounting.
@@ -152,8 +167,8 @@ impl ThreadMetrics {
 pub struct Metrics {
     /// Indexed by `ThreadId::index()` — thread ids are dense, and the
     /// kernels touch the running thread's slot several times per dispatch.
-    /// `None` until the thread is first accounted for.
-    threads: Vec<Option<ThreadMetrics>>,
+    /// Empty until the thread is first accounted for.
+    threads: Vec<ThreadMetrics>,
     /// Scheduling decisions made (one per dispatch).
     pub decisions: u64,
     /// Dispatches that switched to a different thread than last time.
@@ -175,14 +190,16 @@ impl Metrics {
     pub(crate) fn thread_mut(&mut self, tid: ThreadId) -> &mut ThreadMetrics {
         let slot = tid.index() as usize;
         if slot >= self.threads.len() {
-            self.threads.resize_with(slot + 1, || None);
+            self.threads.resize_with(slot + 1, ThreadMetrics::default);
         }
-        self.threads[slot].get_or_insert_with(ThreadMetrics::default)
+        &mut self.threads[slot]
     }
 
-    /// Read-only per-thread metrics; `None` if the thread never ran.
+    /// Read-only per-thread metrics; `None` if nothing was ever recorded
+    /// for the thread.
     pub fn thread(&self, tid: ThreadId) -> Option<&ThreadMetrics> {
-        self.threads.get(tid.index() as usize)?.as_ref()
+        let t = self.threads.get(tid.index() as usize)?;
+        (!t.is_empty()).then_some(t)
     }
 
     /// Records a run segment: `tid` ran for `ran`.

@@ -37,7 +37,7 @@ use std::ops::DerefMut;
 
 use lottery_core::client::ClientId;
 use lottery_core::currency::CurrencyId;
-use lottery_core::errors::Result;
+use lottery_core::errors::{LotteryError, ObjectKind, Result};
 use lottery_core::ledger::Ledger;
 use lottery_core::mutex::{TicketMutex, WaiterFunding};
 use lottery_core::rng::ParkMiller;
@@ -71,13 +71,17 @@ pub fn fund_currency(
 }
 
 /// Creates the ledger client behind a thread, funded by one fresh ticket
-/// of `spec`. The client is unnamed: the thread holds the name.
+/// of `spec`. That ticket stays the first of the client's funding for the
+/// client's whole life — RPC transfers and mutex inheritance only add
+/// tickets after it and take away their own — so the client alone is what
+/// a thread's books keep and what a migrating thread carries. The client
+/// is unnamed: the thread holds the name.
 ///
 /// # Panics
 ///
 /// Panics when the spec names a stale currency or a zero amount — both
 /// are harness configuration bugs.
-pub fn fund_thread(ledger: &mut Ledger, spec: FundingSpec) -> ThreadFunding {
+pub fn fund_thread(ledger: &mut Ledger, spec: FundingSpec) -> ClientId {
     let client = ledger.create_client(String::new());
     let ticket = ledger
         .issue_root(spec.currency, spec.amount)
@@ -85,24 +89,7 @@ pub fn fund_thread(ledger: &mut Ledger, spec: FundingSpec) -> ThreadFunding {
     ledger
         .fund_client(ticket, client)
         .expect("fresh client and ticket");
-    ThreadFunding {
-        client,
-        ticket,
-        currency: spec.currency,
-    }
-}
-
-/// What backs one thread in the ledger: its client and the one ticket
-/// that funds it. A thread that moves between real-thread workers carries
-/// this record with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadFunding {
-    /// The ledger client the thread's lotteries value.
-    pub client: ClientId,
-    /// The funding ticket.
-    pub ticket: TicketId,
-    /// The currency the funding ticket is denominated in.
-    pub currency: CurrencyId,
+    client
 }
 
 /// Where a [`LotteryCore`] keeps its ticket ledger.
@@ -133,8 +120,10 @@ pub struct LotteryCore<L = Ledger> {
     pub(super) ledger: L,
     pub(super) rng: ParkMiller,
     quantum: SimDuration,
-    /// Per-thread funding, indexed by thread id.
-    threads: Vec<Option<ThreadFunding>>,
+    /// The client behind each thread, indexed by thread id; the thread's
+    /// own ticket is the first of the client's funding (see
+    /// [`fund_thread`]).
+    threads: Vec<Option<ClientId>>,
     /// Reverse map from ledger clients to threads (flat, indexed by the
     /// client's arena slot), for routing the ledger's dirty-client
     /// notifications back to structure slots without hashing.
@@ -188,11 +177,20 @@ impl LotteryCore {
     ///
     /// Takes effect at the very next lottery: affected weights are
     /// refreshed from the ledger's dirty-client queue before the draw.
+    ///
+    /// # Errors
+    ///
+    /// Propagates ledger errors (zero amount); a stale-client error when
+    /// the thread's own ticket was destroyed behind the policy's back.
     pub fn set_funding(&mut self, tid: ThreadId, amount: u64) -> Result<()> {
-        let funding = self.funding_info(tid);
-        self.ledger.set_amount(funding.ticket, amount)?;
+        let client = self.client_of(tid);
+        let (ticket, ..) = own_ticket(&self.ledger, client).ok_or(LotteryError::StaleHandle {
+            kind: ObjectKind::Client,
+            handle: client.raw(),
+        })?;
+        self.ledger.set_amount(ticket, amount)?;
         self.bus.emit(|| EventKind::WeightChange {
-            client: funding.client.index(),
+            client: client.index(),
             tickets: amount,
             origin: "set-funding",
         });
@@ -201,7 +199,7 @@ impl LotteryCore {
 
     /// The face amount of a thread's funding ticket.
     pub fn funding(&self, tid: ThreadId) -> u64 {
-        face(&self.ledger, self.funding_info(tid))
+        own_ticket(&self.ledger, self.client_of(tid)).map_or(0, |(.., amount)| amount)
     }
 
     /// A thread's current value in base units (including compensation).
@@ -252,9 +250,23 @@ impl<L: LedgerAccess> LotteryCore<L> {
         self.bus = bus;
     }
 
+    /// Where the ledger lives, for what the access itself keeps — a shared
+    /// ledger's lock counts.
+    pub fn access(&self) -> &L {
+        &self.ledger
+    }
+
     /// The ledger client backing a thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tid` is not on these books.
     pub fn client_of(&self, tid: ThreadId) -> ClientId {
-        self.funding_info(tid).client
+        self.threads
+            .get(tid.index() as usize)
+            .copied()
+            .flatten()
+            .expect("thread not registered with the lottery policy")
     }
 
     /// Number of lotteries held so far.
@@ -289,56 +301,43 @@ impl<L: LedgerAccess> LotteryCore<L> {
             .flatten()
     }
 
-    /// What funds `tid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tid` is not on these books.
-    pub(super) fn funding_info(&self, tid: ThreadId) -> ThreadFunding {
-        self.threads
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .expect("thread not registered with the lottery policy")
-    }
-
     /// Puts an already funded thread on these books: a fresh spawn, or a
     /// thread [`release`](Self::release)d by another core.
-    pub fn adopt(&mut self, tid: ThreadId, funding: ThreadFunding) {
+    pub fn adopt(&mut self, tid: ThreadId, client: ClientId) {
         let idx = tid.index() as usize;
         if self.threads.len() <= idx {
             self.threads.resize(idx + 1, None);
         }
-        self.threads[idx] = Some(funding);
-        let slot = funding.client.index() as usize;
+        self.threads[idx] = Some(client);
+        let slot = client.index() as usize;
         if self.client_threads.len() <= slot {
             self.client_threads.resize(slot + 1, None);
         }
         self.client_threads[slot] = Some(tid);
     }
 
-    /// Takes `tid` off these books, its funding untouched: an exit's
-    /// first step, or a thread leaving for another core's books, where
-    /// [`adopt`](Self::adopt) takes the returned record. The caller
+    /// Takes `tid` off these books, its client and funding untouched: an
+    /// exit's first step, or a thread leaving for another core's books,
+    /// where [`adopt`](Self::adopt) takes the returned client. The caller
     /// already took it off its shard.
-    pub fn release(&mut self, tid: ThreadId) -> ThreadFunding {
-        let funding = self.threads[tid.index() as usize]
+    pub fn release(&mut self, tid: ThreadId) -> ClientId {
+        let client = self.threads[tid.index() as usize]
             .take()
             .expect("thread not registered with the lottery policy");
-        self.client_threads[funding.client.index() as usize] = None;
-        funding
+        self.client_threads[client.index() as usize] = None;
+        client
     }
 
     /// Registers a thread and funds its client.
     pub fn spawn(&mut self, tid: ThreadId, spec: FundingSpec) -> ClientId {
-        let funding = fund_thread(&mut self.ledger.lock(), spec);
-        self.adopt(tid, funding);
+        let client = fund_thread(&mut self.ledger.lock(), spec);
+        self.adopt(tid, client);
         self.bus.emit(|| EventKind::WeightChange {
-            client: funding.client.index(),
+            client: client.index(),
             tickets: spec.amount,
             origin: "spawn",
         });
-        funding.client
+        client
     }
 
     /// Sends `client`'s valuation invalidations to ledger dirty queue
@@ -351,7 +350,7 @@ impl<L: LedgerAccess> LotteryCore<L> {
     /// its client and funding.
     pub fn exit(&mut self, tid: ThreadId, shard: &mut Shard) {
         shard.remove(tid);
-        let client = self.release(tid).client;
+        let client = self.release(tid);
         let mut ledger = self.ledger.lock();
         ledger.deactivate_client(client).expect("client liveness");
         ledger
@@ -366,7 +365,7 @@ impl<L: LedgerAccess> LotteryCore<L> {
     /// shared-currency siblings refresh at their own shard's next pick. A
     /// list stores no weights and is not valued here.
     pub fn activate(&mut self, tid: ThreadId, shard: &mut Shard) {
-        let client = self.funding_info(tid).client;
+        let client = self.client_of(tid);
         let value = {
             let mut ledger = self.ledger.lock();
             ledger.activate_client(client).expect("client liveness");
@@ -420,7 +419,7 @@ impl<L: LedgerAccess> LotteryCore<L> {
             .draw(&mut self.rng, |tid| value_in(threads, &ledger.lock(), tid))
             .expect("the shard is not empty");
         self.bus.stage_draw(draw.record(shard_id, stolen));
-        let client = self.funding_info(draw.winner).client;
+        let client = self.client_of(draw.winner);
         self.comp.on_dispatch(&mut self.ledger.lock(), client);
         draw.winner
     }
@@ -436,7 +435,7 @@ impl<L: LedgerAccess> LotteryCore<L> {
         quantum: SimDuration,
         why: EndReason,
     ) {
-        let client = self.funding_info(tid).client;
+        let client = self.client_of(tid);
         self.comp.on_charge(
             &mut self.ledger.lock(),
             &self.bus,
@@ -459,16 +458,14 @@ impl<L: LedgerAccess> LotteryCore<L> {
     /// pick. The calling client is blocked and sits on no shard: nothing
     /// of it has to move.
     pub fn transfer(&mut self, from: ThreadId, to: ThreadId) {
-        let funding = self.funding_info(from);
-        let server = self.client_of(to);
+        let (client, server) = (self.client_of(from), self.client_of(to));
         let mut ledger = self.ledger.lock();
-        let amount = face(&ledger, funding);
-        if amount == 0 {
+        let Some((_, currency, amount)) = own_ticket(&ledger, client) else {
             return;
-        }
+        };
         let target = TransferTarget::Client(server);
-        let transfer = lend(&mut ledger, funding.currency, amount, target)
-            .expect("transfer endpoints are live");
+        let transfer =
+            lend(&mut ledger, currency, amount, target).expect("transfer endpoints are live");
         if let Some(stale) = self.transfers.insert((from, to), transfer) {
             // A client cannot have two outstanding calls to one server,
             // but unwind defensively rather than leak funding.
@@ -506,14 +503,13 @@ impl<L: LedgerAccess> LotteryCore<L> {
     /// currency. The holder's gained weight reaches its home shard through
     /// that shard's dirty queue, as a transfer's does.
     pub fn lock(&mut self, tid: ThreadId, lock: LockId) -> bool {
-        let funding = self.funding_info(tid);
+        let client = self.client_of(tid);
         let mut ledger = self.ledger.lock();
-        let waiter = WaiterFunding {
-            currency: funding.currency,
-            amount: face(&ledger, funding).max(1),
-        };
+        let (currency, amount) =
+            own_ticket(&ledger, client).map_or((ledger.base(), 1), |(_, c, a)| (c, a));
+        let waiter = WaiterFunding { currency, amount };
         self.locks[lock.index() as usize]
-            .acquire(&mut ledger, funding.client, waiter)
+            .acquire(&mut ledger, client, waiter)
             .expect("lock endpoints are live")
     }
 
@@ -543,16 +539,20 @@ impl<L: LedgerAccess> LotteryCore<L> {
     }
 }
 
-/// The face amount of the ticket behind `funding` (0 once destroyed).
-fn face(ledger: &Ledger, funding: ThreadFunding) -> u64 {
-    ledger.ticket(funding.ticket).map_or(0, |t| t.amount())
+/// The ticket a thread's `client` was funded with at spawn — the first of
+/// its funding (see [`fund_thread`]) — with its currency and face amount;
+/// `None` once it is destroyed.
+fn own_ticket(ledger: &Ledger, client: ClientId) -> Option<(TicketId, CurrencyId, u64)> {
+    let first = *ledger.client(client).ok()?.funding().first()?;
+    let ticket = ledger.ticket(first).ok()?;
+    Some((first, ticket.currency(), ticket.amount()))
 }
 
 /// A thread's current base-unit value through the valuation cache — free
 /// of `self` so a draw can price threads while the RNG is borrowed.
-fn value_in(threads: &[Option<ThreadFunding>], ledger: &Ledger, tid: ThreadId) -> f64 {
-    let funding = threads[tid.index() as usize].expect("thread is registered");
-    ledger.cached_client_value(funding.client).unwrap_or(0.0)
+fn value_in(threads: &[Option<ClientId>], ledger: &Ledger, tid: ThreadId) -> f64 {
+    let client = threads[tid.index() as usize].expect("thread is registered");
+    ledger.cached_client_value(client).unwrap_or(0.0)
 }
 
 #[cfg(test)]

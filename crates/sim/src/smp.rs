@@ -68,14 +68,19 @@ use crate::thread::{BlockReason, Thread, ThreadId, ThreadState};
 use crate::time::{SimDuration, SimTime};
 use crate::workload::{Burst, Workload, WorkloadCtx};
 
-/// Work that waits for a scheduling point.
-enum Work<S> {
+/// Work that waits for a scheduling point: 8 bytes, so a pending wake —
+/// one per sleeper — is no wider than its thread id and tag.
+#[derive(Clone, Copy)]
+enum Work {
     /// A sleeping thread's timer expires.
     Wake(ThreadId),
-    /// A scheduled arrival comes due: name, workload and spec of a thread
-    /// that does not exist, and costs nothing, until then.
-    Spawn(Box<(String, Box<dyn Workload>, S)>),
+    /// A scheduled arrival comes due: its slot in the kernel's arrivals.
+    Spawn(u32),
 }
+
+/// A thread that does not exist, and costs nothing but this, until its
+/// scheduled arrival: name, workload and spec.
+type Arrival<S> = (String, Box<dyn Workload>, S);
 
 /// What a CPU is doing.
 #[derive(Debug, Clone, Copy)]
@@ -178,7 +183,11 @@ pub struct SmpKernel<P: Policy> {
     posted: u64,
     /// Wakes and arrivals, delivered by the first pick at or after their
     /// time (rule 2).
-    work: EventQueue<Work<P::Spec>>,
+    work: EventQueue<Work>,
+    /// Scheduled arrivals by [`Work::Spawn`] slot; a delivered one leaves
+    /// its slot empty, and on `free_arrivals`, for the next.
+    arrivals: Vec<Option<Arrival<P::Spec>>>,
+    free_arrivals: Vec<u32>,
     metrics: Metrics,
     /// Charged (as wall time, to no thread) when a CPU switches threads.
     context_switch_cost: SimDuration,
@@ -227,6 +236,8 @@ impl<P: Policy> SmpKernel<P> {
             cpus: (0..cpus).map(|_| cpu()).collect(),
             posted: 0,
             work: EventQueue::new(),
+            arrivals: Vec::new(),
+            free_arrivals: Vec::new(),
             metrics: Metrics::new(),
             context_switch_cost: SimDuration::ZERO,
             dispatch_cost: SimDuration::ZERO,
@@ -402,6 +413,7 @@ impl<P: Policy> SmpKernel<P> {
     ) -> ThreadId {
         let tid = ThreadId::from_index(self.threads.len() as u32);
         let mut thread = Thread::new(name, workload);
+        thread.file_under(tid);
         thread.set_state(ThreadState::Blocked(BlockReason::Timer));
         thread.since = self.clock;
         self.threads.push(Some(thread));
@@ -421,8 +433,13 @@ impl<P: Policy> SmpKernel<P> {
         workload: Box<dyn Workload>,
         spec: P::Spec,
     ) {
-        self.work
-            .push(at, Work::Spawn(Box::new((name.into(), workload, spec))));
+        let arrival = Some((name.into(), workload, spec));
+        let slot = self.free_arrivals.pop().unwrap_or_else(|| {
+            self.arrivals.push(None);
+            self.arrivals.len() as u32 - 1
+        });
+        self.arrivals[slot as usize] = arrival;
+        self.work.push(at, Work::Spawn(slot));
     }
 
     /// Adopts a ready `thread` under the id its owner chose — a fresh one,
@@ -434,13 +451,14 @@ impl<P: Policy> SmpKernel<P> {
     /// # Panics
     ///
     /// Panics when `tid` is already in the table.
-    pub fn attach(&mut self, tid: ThreadId, thread: Thread, spec: P::Spec) {
+    pub fn attach(&mut self, tid: ThreadId, mut thread: Thread, spec: P::Spec) {
         let idx = tid.index() as usize;
         if self.threads.len() <= idx {
             self.threads.resize_with(idx + 1, || None);
         }
         assert!(self.threads[idx].is_none(), "{tid} is already attached");
         debug_assert_eq!(thread.state(), ThreadState::Ready);
+        thread.file_under(tid);
         self.threads[idx] = Some(thread);
         self.policy.on_spawn(tid, spec);
         self.ready(tid, self.clock, false);
@@ -677,7 +695,7 @@ impl<P: Policy> SmpKernel<P> {
         }
     }
 
-    fn deliver(&mut self, at: SimTime, work: Work<P::Spec>) {
+    fn deliver(&mut self, at: SimTime, work: Work) {
         match work {
             Work::Wake(tid) => {
                 // A killed or detached thread's wake falls on the floor.
@@ -689,8 +707,10 @@ impl<P: Policy> SmpKernel<P> {
                     self.make_ready(tid, at);
                 }
             }
-            Work::Spawn(arrival) => {
-                let (name, workload, spec) = *arrival;
+            Work::Spawn(slot) => {
+                let arrival = self.arrivals[slot as usize].take();
+                let (name, workload, spec) = arrival.expect("an arrival is delivered once");
+                self.free_arrivals.push(slot);
                 self.spawn(name, workload, spec);
             }
         }
@@ -981,6 +1001,33 @@ mod tests {
     use crate::sched::rr::RoundRobinPolicy;
     use crate::workload::{ComputeBound, FiniteJob, FractionalQuantum, IoBound};
     use lottery_obs::{FlightRecorder, Shared};
+
+    /// A pending wake, one per sleeper, is its time, sequence number and
+    /// thread: an arrival's payload waits in the kernel's slab.
+    #[test]
+    fn a_pending_wake_is_24_bytes() {
+        let entry = std::mem::size_of::<crate::event::Scheduled<Work>>();
+        assert!(entry <= 24, "a pending wake is {entry} bytes");
+    }
+
+    /// Arrivals come due in `(when, seq)` order whichever slab slot holds
+    /// them, and a delivered arrival's slot is reused.
+    #[test]
+    fn arrivals_spawn_in_order_through_reused_slots() {
+        let mut k = SmpKernel::new(RoundRobinPolicy::new(SimDuration::from_ms(100)), 1);
+        let job = || Box::new(FiniteJob::new(SimDuration::from_ms(1)));
+        for (ms, name) in [(30, "c"), (10, "a"), (20, "b"), (10, "a2")] {
+            k.schedule_spawn_at(SimTime::from_ms(ms), name, job(), ());
+        }
+        k.run_until(SimTime::from_ms(15)).unwrap();
+        assert_eq!(k.free_arrivals.len(), 2);
+        k.schedule_spawn_at(SimTime::from_ms(25), "late", job(), ());
+        k.run_until(SimTime::from_secs(1)).unwrap();
+        let names: Vec<_> = k.threads().map(|(_, t)| t.name().into_owned()).collect();
+        assert_eq!(names, ["a", "a2", "b", "late", "c"]);
+        assert_eq!(k.arrivals.len(), 4);
+        assert!(k.arrivals.iter().all(Option::is_none));
+    }
 
     #[test]
     fn two_cpus_run_two_threads_in_parallel() {

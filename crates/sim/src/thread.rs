@@ -5,7 +5,8 @@
 //! *policy* state (tickets, priorities, strides) lives in the policy, keyed
 //! by [`ThreadId`]; its accounting lives in [`crate::metrics::Metrics`].
 
-use core::fmt;
+use std::borrow::Cow;
+use std::fmt;
 
 use crate::ipc::PortId;
 use crate::time::{SimDuration, SimTime};
@@ -38,6 +39,15 @@ impl fmt::Display for ThreadId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}", self.0)
     }
+}
+
+/// Whether `name` is exactly `tid`'s display: `t` and the index in
+/// decimal, no sign and no leading zero — a string of the display's length
+/// that parses to the index is that string.
+fn is_display_of(name: &str, tid: ThreadId) -> bool {
+    let digits = tid.0.checked_ilog10().unwrap_or(0) as usize + 1;
+    name.strip_prefix('t')
+        .is_some_and(|n| n.len() == digits && n.parse() == Ok(tid.0))
 }
 
 /// Thread ids are dense arena indices, so lottery pools can mirror them
@@ -85,8 +95,16 @@ pub enum ThreadState {
 /// between its dispatches, 72 bytes. Its CPU total is accounted in
 /// [`crate::metrics::ThreadMetrics`], a server's request in service in
 /// the kernel's table of requests, its tickets in the policy.
+///
+/// A name that is the thread's own id ([`ThreadId`]'s display, as the
+/// harnesses name their threads) is not stored: [`Thread::name`] gives it
+/// back from the id, which sits in what would be padding.
 pub struct Thread {
-    name: Box<str>,
+    /// The name as given, unless it is `id`'s display.
+    name: Option<Box<str>>,
+    /// The id the thread was last filed under (meaningless while `name`
+    /// holds the name, before the first filing).
+    id: ThreadId,
     state: ThreadState,
     workload: Box<dyn Workload>,
     /// CPU time left in the burst the workload last issued.
@@ -105,7 +123,8 @@ impl Thread {
     /// Creates a ready thread running `workload`.
     pub fn new(name: impl Into<String>, workload: Box<dyn Workload>) -> Self {
         Self {
-            name: name.into().into_boxed_str(),
+            name: Some(name.into().into_boxed_str()),
+            id: ThreadId(0),
             state: ThreadState::Ready,
             workload,
             burst_remaining: SimDuration::ZERO,
@@ -116,8 +135,24 @@ impl Thread {
     }
 
     /// The thread's name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> Cow<'_, str> {
+        match &self.name {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(self.id.to_string()),
+        }
+    }
+
+    /// Files the thread under `tid` in a kernel's table, dropping a name
+    /// that `tid`'s display gives back — and restoring one that an earlier
+    /// id gave back, should the thread come back under another.
+    pub(crate) fn file_under(&mut self, tid: ThreadId) {
+        if self.name.is_none() && self.id != tid {
+            self.name = Some(self.id.to_string().into_boxed_str());
+        }
+        self.id = tid;
+        if self.name.as_deref().is_some_and(|n| is_display_of(n, tid)) {
+            self.name = None;
+        }
     }
 
     /// The thread's current scheduling state.
@@ -146,7 +181,7 @@ impl Thread {
 impl fmt::Debug for Thread {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Thread")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("state", &self.state)
             .field("burst_remaining", &self.burst_remaining)
             .finish_non_exhaustive()
@@ -194,6 +229,32 @@ mod tests {
     fn debug_impl_shows_name() {
         let t = Thread::new("dbg", Box::new(ComputeBound));
         assert!(format!("{t:?}").contains("dbg"));
+    }
+
+    #[test]
+    fn a_name_that_is_the_id_reads_back_from_the_id() {
+        for (index, name) in [(0, "t0"), (7, "t7"), (40, "t40"), (u32::MAX, "t4294967295")] {
+            let mut t = Thread::new(name, Box::new(ComputeBound));
+            t.file_under(ThreadId(index));
+            assert!(t.name.is_none(), "{name} is stored");
+            assert_eq!(t.name(), name);
+        }
+    }
+
+    #[test]
+    fn any_other_name_is_kept_as_given() {
+        // Another id's display, near misses of this one's, and names that
+        // are no id at all.
+        let tid = ThreadId(7);
+        for name in [
+            "t8", "t07", "t+7", "t7 ", "T7", "7", "t", "", "job7", "dhry7",
+        ] {
+            let mut t = Thread::new(name, Box::new(ComputeBound));
+            t.file_under(tid);
+            assert_eq!(t.name.as_deref(), Some(name));
+            assert_eq!(t.name(), name);
+        }
+        assert!(!is_display_of("t", ThreadId(0)));
     }
 
     #[test]

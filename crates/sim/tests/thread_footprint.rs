@@ -1,9 +1,10 @@
 //! Memory footprint of a thread.
 //!
 //! In the paper a process costs the scheduler one field: xv6's `struct
-//! proc` gains `int tickets`. Here a thread costs its control block, its
-//! name, a ledger client, a funding ticket, a slot in the policy's tables
-//! and its accounting record. This file pins what that comes to on the
+//! proc` gains `int tickets`. Here a thread costs its control block, a
+//! ledger client, a funding ticket, a slot in the policy's tables and its
+//! accounting record — and its name only when the name is not its id.
+//! This file pins what that comes to on the
 //! heap at 10⁴ threads, on one CPU and on a mostly idle four-CPU machine:
 //! the blocks spawning adds per thread, and the live bytes per thread once
 //! every thread has been dispatched (which is when its accounting record
@@ -76,25 +77,30 @@ const TABLES: i64 = 32;
 /// Live heap bytes per thread after every thread has run on one CPU under
 /// the alias table, counted from the kernel with its currencies alone: the
 /// thread's slot in the kernel's and the metrics' tables (at the capacity
-/// doubling leaves), its name, its client and ticket, and the policy's
-/// slots. A change that moves it by more than a tenth either way restates
-/// it. It read 921 while a thread record carried its CPU total, two
-/// timestamps and room for an RPC request, the accounting record two
-/// floating-point wait summaries and an RPC log, and a client a funding
-/// list on the heap.
-const BYTES_PER_THREAD: f64 = 691.0;
+/// doubling leaves), its client and ticket, and the policy's slots; its
+/// name, `t` and its id, is not stored. A change that moves it by more
+/// than a tenth either way restates it. It read 921 while a thread record
+/// carried its CPU total, two timestamps and room for an RPC request, the
+/// accounting record two floating-point wait summaries and an RPC log, and
+/// a client a funding list on the heap; 691 while the name was stored, a
+/// client carried an empty name, the policy a ticket and currency beside
+/// each client, and the metrics table an `Option` around each record.
+const BYTES_PER_THREAD: f64 = 612.0;
 
 /// The same count on four CPUs with a partial-sum tree per CPU, once
 /// every thread has run and gone to sleep: the shape of a large, mostly
 /// idle machine, where each thread also holds a pending wake and each of
 /// the four trees a position per thread id. It read 999 under the records
-/// that gave 921 above, and `usize` tree positions.
-const BYTES_PER_SLEEPER: f64 = 749.0;
+/// that gave 921 above, and `usize` tree positions; 749 under those that
+/// gave 691, and with a pending wake 32 bytes wide.
+const BYTES_PER_SLEEPER: f64 = 668.0;
 
+/// The records a thread holds one of: its control block, and its slot in
+/// the metrics table, which holds the record itself, not an `Option` of it.
 #[test]
 fn per_thread_records_stay_small() {
     let (metrics, thread) = (size_of::<ThreadMetrics>(), size_of::<Thread>());
-    assert!(metrics <= 72, "ThreadMetrics is {metrics} bytes");
+    assert!(metrics <= 72, "a metrics slot is {metrics} bytes");
     assert!(thread <= 72, "Thread is {thread} bytes");
 }
 
@@ -111,9 +117,10 @@ fn spawn_all<P: Policy<Spec = FundingSpec>>(
         let funding = FundingSpec::new(currencies[(i % CURRENCIES) as usize], 100);
         kernel.spawn(format!("t{i}"), workload(), funding);
     }
-    // Per thread, the name and the workload. Besides those, the first ticket in a currency
-    // starts its issued and active ticket lists, and each table that grows
-    // by doubling is one block however large.
+    // Per thread, its workload's box if the workload has state. Besides
+    // that, the first ticket in a currency starts its issued and active
+    // ticket lists, and each table that grows by doubling is one block
+    // however large.
     let per_currency = 2 * i64::from(CURRENCIES);
     (live().1 - blocks0 - per_currency - TABLES) as f64 / f64::from(THREADS)
 }
@@ -148,9 +155,11 @@ fn a_thread_costs_one_block_and_its_pinned_bytes() {
     let currencies = currencies(|name| policy.create_currency(name, 1_000).unwrap());
     let mut kernel = Kernel::new(policy);
     let bytes0 = live().0;
+    // A compute-bound workload has no state, so its box is no block, and
+    // a name that is the thread's id is not stored.
     let blocks = spawn_all(&mut kernel, &currencies, || Box::new(ComputeBound));
     assert!(
-        blocks <= 1.0,
+        blocks <= 0.0,
         "spawning adds {blocks} heap blocks per thread"
     );
     dispatch_all(&mut kernel);
@@ -168,11 +177,10 @@ fn a_sleeping_thread_on_four_tree_shards_costs_its_pinned_bytes() {
         let ms = SimDuration::from_ms;
         Box::new(IoBound::new(ms(1), ms(1_000_000)))
     };
-    // The name, and the box of a workload with state (a compute-bound
-    // one has none, so its box is no block).
+    // The box of a workload with state, and nothing else.
     let blocks = spawn_all(&mut kernel, &currencies, sleeper);
     assert!(
-        blocks <= 2.0,
+        blocks <= 1.0,
         "spawning adds {blocks} heap blocks per thread"
     );
     dispatch_all(&mut kernel);
@@ -184,6 +192,35 @@ fn a_sleeping_thread_on_four_tree_shards_costs_its_pinned_bytes() {
         "the machine is mostly idle"
     );
     assert_pinned(bytes0, BYTES_PER_SLEEPER);
+}
+
+/// Names other than the id's display are still stored, and read back as
+/// given, also after a thread moves between kernels; the id's display
+/// reads back from the id.
+#[test]
+fn a_name_reads_back_as_given() {
+    let mut kernel = Kernel::new(RoundRobinPolicy::new(SimDuration::from_ms(10)));
+    let names = ["t0", "t0", "job2", "t7", "dhry4", "task:thread", "t06"];
+    let tids: Vec<ThreadId> = (names.iter())
+        .map(|&name| kernel.spawn(name, Box::new(ComputeBound), ()))
+        .collect();
+    for (tid, name) in tids.iter().zip(names) {
+        assert_eq!(kernel.thread(*tid).name(), name);
+    }
+    // Each thread leaves and comes back under its own id, and thread 0,
+    // whose name is its id, under another id.
+    let mut other = Kernel::new(RoundRobinPolicy::new(SimDuration::from_ms(10)));
+    for (tid, name) in tids.iter().zip(names) {
+        kernel.policy_mut().on_exit(*tid);
+        let thread = kernel.detach(*tid);
+        let to = if tid.index() == 0 {
+            ThreadId::from_index(9)
+        } else {
+            *tid
+        };
+        other.attach(to, thread, ());
+        assert_eq!(other.thread(to).name(), name);
+    }
 }
 
 /// The counters count: a guard that always reads zero would pass above.

@@ -17,14 +17,17 @@
 # verdict of the choosing-metrics rule: "RESOLVED better" ("worse") when the
 # change wins (loses) at least nine tenths of all pairs run and the medians
 # differ by more than the parent's own quartile distance, otherwise
-# "unresolved". In place of the sim.checksum row, whether every run of both
-# sides made the same decisions. Exits 1 if any run of any workload
-# reports "correct": false or failed > 0. Build the binaries first, e.g.
+# "unresolved". For peak_rss_mb that distance is at least 2 % of the
+# parent's median: a rebuild alone shifts the heap's layout by more than
+# a run-to-run spread of a few pages. In place of the sim.checksum row,
+# whether every run of both sides made the same decisions. Exits 1 if any
+# run of any workload reports "correct": false or failed > 0. Build the
+# binaries first, e.g.
 #   CARGO_TARGET_DIR=/tmp/a cargo build --release --offline --manifest-path benchmark/Cargo.toml
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-  sed -n '2,23p' "$0" >&2
+  sed -n '2,27p' "$0" >&2
   exit 2
 fi
 bench="$(dirname "$0")/../BENCHMARK.json"
@@ -100,17 +103,22 @@ awk '
       }
       pm = quart("parent", m, 0.5); cm = quart("change", m, 0.5)
       iqr = quart("parent", m, 0.75) - quart("parent", m, 0.25)
+      # The distance the medians must exceed: the quartiles, and for peak
+      # RSS no less than 2 % of the median.
+      dist = iqr
+      if (m == "peak_rss_mb" && dist < 0.02 * pm) dist = 0.02 * pm
       gap = (m in higher) ? cm - pm : pm - cm
       verdict = "unresolved"
-      if (10 * wins >= 9 * ran && gap > iqr) verdict = "RESOLVED better"
-      if (10 * (decided - wins) >= 9 * ran && -gap > iqr) verdict = "RESOLVED worse"
+      if (10 * wins >= 9 * ran && gap > dist) verdict = "RESOLVED better"
+      if (10 * (decided - wins) >= 9 * ran && -gap > dist) verdict = "RESOLVED worse"
       printf "%-18s parent %.6g [%.6g %.6g]  change %.6g [%.6g %.6g]  ratio %s  change wins %d/%d\n", \
         m, pm, quart("parent", m, 0.25), quart("parent", m, 0.75), \
         cm, quart("change", m, 0.25), quart("change", m, 0.75), \
         pm != 0 ? sprintf("%.4f", cm / pm) : "n/a", wins, decided
       if (m in e2e)
-        printf "%-18s %s (won %d, lost %d of %d pairs; medians apart %.6g, parent q3-q1 %.6g)\n", \
-          "", verdict, wins, decided - wins, ran, gap < 0 ? -gap : gap, iqr
+        printf "%-18s %s (won %d, lost %d of %d pairs; medians apart %.6g, parent q3-q1 %.6g%s)\n", \
+          "", verdict, wins, decided - wins, ran, gap < 0 ? -gap : gap, iqr, \
+          (dist > iqr ? sprintf(", floor %.6g", dist) : "")
     }
   }
 ' "$bench" "$rows"

@@ -199,6 +199,23 @@ grep -q 'at most 1024' target/ctl_garbage.err \
 test "$(grep -c '^error: .*nesting deeper than' target/ctl_garbage.err)" -eq 2 \
   || { echo "verify: lotteryctl did not reject the deeply nested replay file twice" >&2; exit 1; }
 
+# The A/B verdict's RSS floor: scripts/ab.sh on two stub binaries that
+# print one fixed result line each. Their quartile distance is zero, so
+# only the floor (2 % of the parent's median) keeps a 0.7 % RSS shift
+# unresolved, and a 10 % shift must still resolve.
+ab_stub() {
+  printf '#!/usr/bin/env bash\necho %s\n' \
+    "'{\"correct\": true, \"failed\": 0, \"peak_rss_mb\": {\"value\": $2}}'" > "target/ab_$1.sh"
+  chmod +x "target/ab_$1.sh"
+}
+ab_stub parent 70.0; ab_stub shifted 70.49; ab_stub shrunk 63.0
+scripts/ab.sh target/ab_parent.sh target/ab_shifted.sh stub 10 1 2> /dev/null \
+  | grep -A1 '^peak_rss_mb' | grep -q ' unresolved ' \
+  || { echo "verify: ab.sh resolves a 0.7 % peak_rss_mb shift" >&2; exit 1; }
+scripts/ab.sh target/ab_parent.sh target/ab_shrunk.sh stub 10 1 2> /dev/null \
+  | grep -A1 '^peak_rss_mb' | grep -q ' RESOLVED better ' \
+  || { echo "verify: ab.sh does not resolve a 10 % peak_rss_mb shift" >&2; exit 1; }
+
 # The reference benchmark is a package of its own, outside the workspace:
 # build it, run its own tests (the only code that builds a `WorkerReport`
 # literally and reads `ThreadMetrics` the way the harness does) and its
