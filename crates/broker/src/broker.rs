@@ -22,22 +22,22 @@ use lottery_core::currency::CurrencyId;
 use lottery_core::errors::{LotteryError, Result};
 use lottery_core::ledger::Ledger;
 use lottery_core::ticket::TicketId;
-use lottery_io::{DiskClientId, DiskScheduler};
-use lottery_mem::{MemClientId, MemoryManager};
-use lottery_net::{CircuitId, Switch};
 use lottery_obs::{EventKind, ProbeBus};
 use lottery_sim::prelude::{DistributedLottery, ThreadId};
+
+use crate::mem::{MemClientId, MemoryManager};
+use crate::queue::{QueueClientId, ResourceQueue};
 
 /// The four brokered resource classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Resource {
     /// CPU quanta (driven through [`DistributedLottery`]).
     Cpu,
-    /// Disk bandwidth (driven through [`DiskScheduler`]).
+    /// Disk bandwidth (driven through [`crate::disk::DiskScheduler`]).
     Disk,
     /// Memory frames (driven through [`MemoryManager`]'s inverse lottery).
     Mem,
-    /// Network link slots (driven through [`Switch`]).
+    /// Network link slots (driven through [`crate::switch::Switch`]).
     Net,
 }
 
@@ -574,10 +574,16 @@ impl ResourceBroker {
         Ok(())
     }
 
-    /// Pushes per-tenant disk weights into a [`DiskScheduler`].
-    pub fn apply_disk(&self, disk: &mut DiskScheduler, bind: &[(TenantId, DiskClientId)]) {
+    /// Pushes per-tenant `resource` weights into the queue lottery that
+    /// serves it: the disk or the switch, both [`ResourceQueue`]s.
+    pub fn apply_queue<T>(
+        &self,
+        resource: Resource,
+        queue: &mut ResourceQueue<T>,
+        bind: &[(TenantId, QueueClientId)],
+    ) {
         for &(tenant, client) in bind {
-            disk.set_tickets(client, self.weight(tenant, Resource::Disk).round() as u64);
+            queue.set_tickets(client, self.weight(tenant, resource).round() as u64);
         }
     }
 
@@ -585,13 +591,6 @@ impl ResourceBroker {
     pub fn apply_mem(&self, mem: &mut MemoryManager, bind: &[(TenantId, MemClientId)]) {
         for &(tenant, client) in bind {
             mem.set_tickets(client, self.weight(tenant, Resource::Mem).round() as u64);
-        }
-    }
-
-    /// Pushes per-tenant network weights into a [`Switch`].
-    pub fn apply_net(&self, switch: &mut Switch, bind: &[(TenantId, CircuitId)]) {
-        for &(tenant, circuit) in bind {
-            switch.set_tickets(circuit, self.weight(tenant, Resource::Net).round() as u64);
         }
     }
 
@@ -670,8 +669,8 @@ impl ResourceBroker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::{DiskPolicy, DiskScheduler};
     use lottery_core::rng::ParkMiller;
-    use lottery_io::DiskPolicy;
 
     fn two_tenants(broker: &mut ResourceBroker) -> (TenantId, TenantId) {
         let gold = broker
@@ -794,7 +793,7 @@ mod tests {
         let mut disk = DiskScheduler::new(DiskPolicy::Lottery);
         let dg = disk.register("gold", 1);
         let ds = disk.register("silver", 1);
-        broker.apply_disk(&mut disk, &[(gold, dg), (silver, ds)]);
+        broker.apply_queue(Resource::Disk, &mut disk, &[(gold, dg), (silver, ds)]);
         let mut rng = ParkMiller::new(41);
         for i in 0..30_000u64 {
             for (k, &c) in [dg, ds].iter().enumerate() {
@@ -804,7 +803,7 @@ mod tests {
             }
             disk.service_next(&mut rng).unwrap();
         }
-        let ratio = disk.sectors_served(dg) as f64 / disk.sectors_served(ds) as f64;
+        let ratio = disk.served(dg) as f64 / disk.served(ds) as f64;
         assert!((ratio - 2.0).abs() < 0.2, "ratio {ratio}");
     }
 

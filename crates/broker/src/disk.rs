@@ -1,23 +1,21 @@
 //! The lottery-scheduled disk queue.
+//!
+//! The paper's abstract lists I/O bandwidth among the diverse resources
+//! lotteries can manage, and Section 5.3's footnote sketches the concrete
+//! case: "A disk-based database could use lotteries to schedule disk
+//! bandwidth." [`DiskScheduler`] implements that — a single-spindle disk
+//! whose next request is the [`ResourceQueue`] lottery's among the
+//! ticketed clients with pending work — alongside FCFS and
+//! shortest-seek-first baselines that expose the isolation/throughput
+//! trade-off.
 
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 use lottery_core::errors::{LotteryError, Result};
-use lottery_core::lottery;
 use lottery_core::rng::SchedRng;
-use lottery_obs::{EventKind, ProbeBus};
-use lottery_stats::Summary;
 
-/// Identifies a disk client within a scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DiskClientId(u32);
-
-impl DiskClientId {
-    /// The raw index.
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
+use crate::queue::{QueueClientId, ResourceQueue};
 
 /// One disk request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,26 +42,27 @@ pub enum DiskPolicy {
     ShortestSeek,
 }
 
-#[derive(Debug)]
-struct DiskClient {
-    name: String,
-    tickets: u64,
-    queue: VecDeque<Request>,
-    sectors_served: u64,
-    response_us: Summary,
-}
+/// Seek cost, in hundredths of a microsecond per sector of head travel
+/// (0.01 µs: a fast modern disk's magnitude).
+const SEEK_PER_SECTOR: u64 = 1;
+/// Transfer cost, in hundredths of a microsecond per sector (1 µs).
+const TRANSFER_PER_SECTOR: u64 = 100;
 
-/// A single-spindle disk scheduler with a linear seek-time model.
+/// A single-spindle disk scheduler with a linear seek-time model: a
+/// [`ResourceQueue`] of [`Request`]s tagged `"disk"` (it derefs to the
+/// queue for clients, tickets and accounting; served units are sectors
+/// and waits are response times in microseconds) plus the head, the disk
+/// clock and the policy.
 ///
-/// Service time of a request =
-/// `seek_us_per_sector * |head - sector| + transfer_us_per_sector * length`.
+/// Service time of a request, in hundredths of a microsecond, is
+/// `SEEK_PER_SECTOR * |head - sector| + TRANSFER_PER_SECTOR * length`.
 /// Time is tracked internally in microseconds of simulated disk time.
 ///
 /// # Examples
 ///
 /// ```
+/// use lottery_broker::disk::{DiskPolicy, DiskScheduler};
 /// use lottery_core::rng::ParkMiller;
-/// use lottery_io::disk::{DiskPolicy, DiskScheduler};
 ///
 /// let mut disk = DiskScheduler::new(DiskPolicy::Lottery);
 /// let a = disk.register("db", 300);
@@ -74,113 +73,62 @@ struct DiskClient {
 ///     disk.submit(b, i * 8, 8);
 /// }
 /// while disk.service_next(&mut rng).is_ok() {}
-/// assert_eq!(disk.sectors_served(a) + disk.sectors_served(b), 1600);
+/// assert_eq!(disk.served(a) + disk.served(b), 1600);
 /// ```
 #[derive(Debug)]
 pub struct DiskScheduler {
+    queue: ResourceQueue<Request>,
     policy: DiskPolicy,
-    clients: Vec<DiskClient>,
     head: u64,
     clock_us: u64,
-    seek_us_per_sector: u64,
-    transfer_us_per_sector: u64,
-    /// Arrival order for FCFS: (client, position in that client's queue
-    /// is always the head, so a global FIFO of client ids suffices). Kept
-    /// only under FCFS, the one policy that reads it.
-    arrivals: VecDeque<DiskClientId>,
+    /// Arrival order for FCFS: each client's queue is served from its
+    /// head, so a global FIFO of client ids suffices. Kept only under
+    /// FCFS, the one policy that reads it.
+    arrivals: VecDeque<QueueClientId>,
     seek_distance: u64,
-    bus: ProbeBus,
+}
+
+impl Deref for DiskScheduler {
+    type Target = ResourceQueue<Request>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.queue
+    }
+}
+
+impl DerefMut for DiskScheduler {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.queue
+    }
 }
 
 impl DiskScheduler {
-    /// Creates a scheduler with default timing (0.01 µs/sector seek,
-    /// 1 µs/sector transfer — a fast modern disk's magnitudes).
+    /// Creates an idle scheduler with its head at sector 0.
     pub fn new(policy: DiskPolicy) -> Self {
-        Self::with_timing(policy, 1, 100)
-    }
-
-    /// Creates a scheduler with explicit `seek` and `transfer` costs in
-    /// hundredths of a microsecond per sector.
-    fn with_timing(policy: DiskPolicy, seek: u64, transfer: u64) -> Self {
         Self {
+            queue: ResourceQueue::new("disk"),
             policy,
-            clients: Vec::new(),
             head: 0,
             clock_us: 0,
-            seek_us_per_sector: seek,
-            transfer_us_per_sector: transfer,
             arrivals: VecDeque::new(),
             seek_distance: 0,
-            bus: ProbeBus::disabled(),
         }
-    }
-
-    /// Attaches the probe bus. Grant, draw, and completion events carry
-    /// the `"disk"` resource tag; the bus clock stays owned by whoever
-    /// drives the simulation (this scheduler never calls `set_time_us`).
-    pub fn set_probe_bus(&mut self, bus: ProbeBus) {
-        self.bus = bus;
-    }
-
-    /// Registers a client holding `tickets` bandwidth tickets.
-    pub fn register(&mut self, name: impl Into<String>, tickets: u64) -> DiskClientId {
-        let id = DiskClientId(self.clients.len() as u32);
-        self.clients.push(DiskClient {
-            name: name.into(),
-            tickets,
-            queue: VecDeque::new(),
-            sectors_served: 0,
-            response_us: Summary::new(),
-        });
-        self.bus.emit(|| EventKind::ResourceGrant {
-            resource: "disk",
-            client: id.0,
-            tickets,
-        });
-        id
     }
 
     /// Submits a request.
-    pub fn submit(&mut self, client: DiskClientId, sector: u64, length: u64) {
+    pub fn submit(&mut self, client: QueueClientId, sector: u64, length: u64) {
         let submitted_us = self.clock_us;
-        self.clients[client.0 as usize].queue.push_back(Request {
-            sector,
-            length,
-            submitted_us,
-        });
+        self.queue.submit(
+            client,
+            Request {
+                sector,
+                length,
+                submitted_us,
+            },
+        );
         if self.policy == DiskPolicy::Fcfs {
             self.arrivals.push_back(client);
         }
-    }
-
-    /// Pending requests for `client`.
-    pub fn backlog(&self, client: DiskClientId) -> usize {
-        self.clients[client.0 as usize].queue.len()
-    }
-
-    /// Sectors served for `client`.
-    pub fn sectors_served(&self, client: DiskClientId) -> u64 {
-        self.clients[client.0 as usize].sectors_served
-    }
-
-    /// Response-time statistics for `client`, in microseconds.
-    pub fn response_us(&self, client: DiskClientId) -> &Summary {
-        &self.clients[client.0 as usize].response_us
-    }
-
-    /// The client's name.
-    pub fn name(&self, client: DiskClientId) -> &str {
-        &self.clients[client.0 as usize].name
-    }
-
-    /// Adjusts a client's tickets.
-    pub fn set_tickets(&mut self, client: DiskClientId, tickets: u64) {
-        self.clients[client.0 as usize].tickets = tickets;
-        self.bus.emit(|| EventKind::ResourceGrant {
-            resource: "disk",
-            client: client.0,
-            tickets,
-        });
     }
 
     /// Total simulated disk time elapsed, in microseconds.
@@ -195,11 +143,6 @@ impl DiskScheduler {
         self.seek_distance
     }
 
-    /// Pending requests across every client.
-    pub fn pending_requests(&self) -> usize {
-        self.clients.iter().map(|c| c.queue.len()).sum()
-    }
-
     /// Picks the next request per the policy, services it, and advances
     /// the disk clock.
     ///
@@ -208,71 +151,37 @@ impl DiskScheduler {
     /// [`LotteryError::EmptyLottery`] when no requests are pending, and
     /// [`LotteryError::AmountOverflow`] when the lottery's ticket total is
     /// past the draw's range.
-    pub fn service_next<R: SchedRng + ?Sized>(&mut self, rng: &mut R) -> Result<DiskClientId> {
-        let chosen = match self.policy {
-            DiskPolicy::Lottery => {
-                // A client without pending requests holds no interval.
-                let backlogged =
-                    self.clients
-                        .iter()
-                        .map(|c| if c.queue.is_empty() { 0 } else { c.tickets });
-                let (winner, entries, total) = lottery::draw(backlogged, rng)?;
-                self.bus.emit(|| EventKind::ResourceDraw {
-                    resource: "disk",
-                    client: winner as u32,
-                    entries: entries as u32,
-                    total,
-                });
-                winner
+    pub fn service_next<R: SchedRng + ?Sized>(&mut self, rng: &mut R) -> Result<QueueClientId> {
+        let (client, request) = match self.policy {
+            DiskPolicy::Lottery => self.queue.draw(rng)?,
+            // Every FCFS submission queued one arrival, so the oldest
+            // arrival's client holds the oldest request.
+            DiskPolicy::Fcfs => {
+                let front = self
+                    .arrivals
+                    .pop_front()
+                    .ok_or(LotteryError::EmptyLottery)?;
+                (front, self.queue.pop(front)?)
             }
-            DiskPolicy::Fcfs => loop {
-                let Some(front) = self.arrivals.pop_front() else {
-                    return Err(LotteryError::EmptyLottery);
-                };
-                // Arrivals may reference requests a different policy run
-                // already consumed; skip empties defensively.
-                if !self.clients[front.0 as usize].queue.is_empty() {
-                    break front.0 as usize;
-                }
-            },
             DiskPolicy::ShortestSeek => {
                 let head = self.head;
-                self.clients
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| !c.queue.is_empty())
-                    .min_by_key(|(_, c)| {
-                        c.queue
-                            .front()
-                            .map_or(u64::MAX, |r| r.sector.abs_diff(head))
-                    })
-                    .map(|(i, _)| i)
-                    .ok_or(LotteryError::EmptyLottery)?
+                let (nearest, _) = self
+                    .queue
+                    .heads()
+                    .min_by_key(|(_, r)| r.sector.abs_diff(head))
+                    .ok_or(LotteryError::EmptyLottery)?;
+                (nearest, self.queue.pop(nearest)?)
             }
         };
 
-        let request = self.clients[chosen]
-            .queue
-            .pop_front()
-            .expect("chosen client has a request");
         let seek = self.head.abs_diff(request.sector);
-        // Timing constants are in hundredths of a microsecond.
-        let service =
-            (seek * self.seek_us_per_sector + request.length * self.transfer_us_per_sector) / 100;
+        let service = (seek * SEEK_PER_SECTOR + request.length * TRANSFER_PER_SECTOR) / 100;
         self.clock_us += service.max(1);
         self.seek_distance += seek;
         self.head = request.sector + request.length;
-        let c = &mut self.clients[chosen];
-        c.sectors_served += request.length;
         let response = self.clock_us - request.submitted_us;
-        c.response_us.record(response as f64);
-        self.bus.emit(|| EventKind::ResourceComplete {
-            resource: "disk",
-            client: chosen as u32,
-            units: request.length,
-            wait: response,
-        });
-        Ok(DiskClientId(chosen as u32))
+        self.queue.complete(client, request.length, response);
+        Ok(client)
     }
 }
 
@@ -282,7 +191,7 @@ impl DiskScheduler {
 /// past idle disk time instead of polling.
 impl lottery_sim::event::EventSource for DiskScheduler {
     fn next_due(&self) -> Option<lottery_sim::time::SimTime> {
-        (self.pending_requests() > 0).then(|| lottery_sim::time::SimTime::from_us(self.clock_us))
+        (self.pending() > 0).then(|| lottery_sim::time::SimTime::from_us(self.clock_us))
     }
 }
 
@@ -291,7 +200,7 @@ mod tests {
     use super::*;
     use lottery_core::rng::ParkMiller;
 
-    fn keep_fed(disk: &mut DiskScheduler, clients: &[DiskClientId], i: u64) {
+    fn keep_fed(disk: &mut DiskScheduler, clients: &[QueueClientId], i: u64) {
         for (k, &c) in clients.iter().enumerate() {
             if disk.backlog(c) < 4 {
                 // Interleaved extents so seeks are non-trivial.
@@ -317,7 +226,7 @@ mod tests {
             keep_fed(&mut disk, &[a, b], i);
             disk.service_next(&mut rng).unwrap();
         }
-        let ratio = disk.sectors_served(a) as f64 / disk.sectors_served(b) as f64;
+        let ratio = disk.served(a) as f64 / disk.served(b) as f64;
         assert!((ratio - 3.0).abs() < 0.25, "ratio {ratio}");
     }
 
@@ -397,10 +306,10 @@ mod tests {
             disk.service_next(&mut rng).unwrap();
         }
         assert!(
-            disk.response_us(slow).mean() > disk.response_us(fast).mean() * 2.0,
+            disk.waits(slow).mean() > disk.waits(fast).mean() * 2.0,
             "slow {} vs fast {}",
-            disk.response_us(slow).mean(),
-            disk.response_us(fast).mean()
+            disk.waits(slow).mean(),
+            disk.waits(fast).mean()
         );
     }
 
@@ -415,7 +324,7 @@ mod tests {
             keep_fed(&mut disk, &[a, b], i);
             disk.service_next(&mut rng).unwrap();
         }
-        let ratio = disk.sectors_served(a) as f64 / disk.sectors_served(b) as f64;
+        let ratio = disk.served(a) as f64 / disk.served(b) as f64;
         assert!((ratio - 4.0).abs() < 0.4, "ratio {ratio}");
     }
 
@@ -439,7 +348,7 @@ mod tests {
         stats.with(|s| {
             assert_eq!(s.resource_draws.get("disk"), Some(&32));
             let units = s.resource_units.get("disk").copied().unwrap_or(0);
-            assert_eq!(units, disk.sectors_served(a) + disk.sectors_served(b));
+            assert_eq!(units, disk.served(a) + disk.served(b));
             assert!(s.resource_wait.contains_key("disk"));
         });
     }
@@ -458,7 +367,7 @@ mod tests {
             disk.service_next(&mut rng),
             Err(LotteryError::AmountOverflow)
         );
-        assert_eq!(disk.pending_requests(), 2);
+        assert_eq!(disk.pending(), 2);
     }
 
     #[test]
@@ -469,7 +378,7 @@ mod tests {
         let mut rng = ParkMiller::new(1);
         disk.service_next(&mut rng).unwrap();
         assert!(disk.clock_us() > 0);
-        assert_eq!(disk.sectors_served(a), 16);
+        assert_eq!(disk.served(a), 16);
         assert_eq!(disk.backlog(a), 0);
         assert_eq!(disk.name(a), "a");
         assert_eq!(a.index(), 0);

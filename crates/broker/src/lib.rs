@@ -1,4 +1,15 @@
-//! Multi-resource lottery broker: one grant funding four currencies.
+//! The resources beyond the CPU, and the broker that funds them all from
+//! one grant.
+//!
+//! Section 6 allocates by lottery "wherever queueing is necessary for
+//! resource access". [`queue::ResourceQueue`] is that queue lottery —
+//! ticketed clients, FIFO backlogs, Figure 1's draw among the backlogged —
+//! and two resources are built on it: the disk ([`disk::DiskScheduler`],
+//! with FCFS and shortest-seek baselines; the abstract's I/O bandwidth)
+//! and the virtual-circuit cell switch ([`switch::Switch`]). Memory is
+//! space-shared, so it revokes by inverse lottery instead (Section 6.2):
+//! [`mem::MemoryManager`] reclaims frames and [`paging::PagingSim`] adds
+//! the page level.
 //!
 //! The paper's pitch for currencies (Sections 3.2 and 6) is that tickets
 //! are a *uniform* abstraction across diverse resources: CPU quanta, disk
@@ -36,6 +47,11 @@
 
 pub mod broker;
 pub mod demand;
+pub mod disk;
+pub mod mem;
+pub mod paging;
+pub mod queue;
+pub mod switch;
 
 pub use broker::{
     BrokerReport, BrokerResourceRow, BrokerTenantRow, Resource, ResourceBroker, SplitPolicy,

@@ -1,4 +1,11 @@
-//! The inverse-lottery page-frame manager.
+//! The inverse-lottery page-frame manager — Section 6.2's proposal.
+//!
+//! Time-shared resources pick a lottery *winner*; finely divisible
+//! space-shared resources like memory instead pick a *loser* that must
+//! relinquish a unit it holds. When a page fault finds no free frame, the
+//! manager chooses a victim client "with probability proportional to both
+//! `[1/(n-1)](1 - t/T)` and the fraction of physical memory in use by that
+//! client", then reclaims one of the victim's frames.
 
 use lottery_core::errors::{LotteryError, Result};
 use lottery_core::inverse;
@@ -42,7 +49,7 @@ struct MemClient {
 ///
 /// ```
 /// use lottery_core::rng::ParkMiller;
-/// use lottery_mem::MemoryManager;
+/// use lottery_broker::mem::MemoryManager;
 ///
 /// let mut mm = MemoryManager::new(64);
 /// let big = mm.register("big", 300);

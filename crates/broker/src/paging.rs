@@ -1,6 +1,6 @@
 //! A page-level paging simulator over the inverse-lottery manager.
 //!
-//! [`crate::manager::MemoryManager`] decides *which client* loses a frame;
+//! [`crate::mem::MemoryManager`] decides *which client* loses a frame;
 //! this module adds the page level: clients reference virtual pages, a
 //! reference to a non-resident page faults, and the victim client evicts
 //! its oldest resident page (FIFO within the client — the global
@@ -9,7 +9,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use lottery_core::errors::Result;
+use lottery_core::errors::{LotteryError, Result};
 use lottery_core::inverse;
 use lottery_core::rng::SchedRng;
 
@@ -43,7 +43,7 @@ struct PagingClient {
 ///
 /// ```
 /// use lottery_core::rng::ParkMiller;
-/// use lottery_mem::paging::PagingSim;
+/// use lottery_broker::paging::PagingSim;
 ///
 /// let mut sim = PagingSim::new(8);
 /// let c = sim.register("proc", 100);
@@ -154,14 +154,16 @@ impl PagingSim {
 
         if self.total_resident() >= self.frames {
             // Section 6.2's composite inverse lottery, exactly as in
-            // [`crate::manager::MemoryManager`].
+            // [`crate::mem::MemoryManager`].
             let holdings = self
                 .clients
                 .iter()
                 .map(|c| (c.tickets, c.resident.len() as u64));
             let victim = inverse::draw_victim(holdings, rng)?;
             let v = &mut self.clients[victim];
-            let evicted = v.order.pop_front().expect("victim holds a page");
+            // The draw weighs a client by its resident pages, so the victim
+            // holds one.
+            let evicted = v.order.pop_front().ok_or(LotteryError::EmptyLottery)?;
             v.resident.remove(&evicted);
             v.evictions += 1;
         }

@@ -1,23 +1,18 @@
 //! The lottery-scheduled cell switch.
+//!
+//! Section 6 of the paper observes that "a lottery can be used to allocate
+//! resources wherever queueing is necessary for resource access" and
+//! proposes scheduling virtual circuits at ATM switches so congested
+//! channels divide bandwidth by ticket allocation. [`Switch`] implements
+//! that: an output port whose every forwarding slot is the
+//! [`ResourceQueue`] lottery's among backlogged circuits.
 
-use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 use lottery_core::errors::Result;
-use lottery_core::lottery;
 use lottery_core::rng::SchedRng;
-use lottery_obs::{EventKind, ProbeBus};
-use lottery_stats::Summary;
 
-/// Identifies a virtual circuit within a [`Switch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CircuitId(u32);
-
-impl CircuitId {
-    /// The raw index.
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
+use crate::queue::{QueueClientId, ResourceQueue};
 
 /// A cell queued on a circuit. The payload is opaque to the switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,17 +23,11 @@ pub struct Cell {
     pub enqueued_at: u64,
 }
 
-#[derive(Debug)]
-struct Circuit {
-    name: String,
-    tickets: u64,
-    queue: VecDeque<Cell>,
-    forwarded: u64,
-    delay_slots: Summary,
-}
-
 /// An output-port scheduler that picks the next cell to forward by
-/// lottery among backlogged circuits.
+/// lottery among backlogged circuits: a [`ResourceQueue`] of [`Cell`]s
+/// tagged `"net"` (it derefs to the queue, whose clients are the virtual
+/// circuits; served units are cells and waits are queueing delays in
+/// slots) plus the slot counter.
 ///
 /// Each forwarding slot is one lottery: a circuit holding `t` of the `T`
 /// tickets on backlogged circuits forwards with probability `t/T`, so
@@ -48,9 +37,8 @@ struct Circuit {
 /// discussion).
 #[derive(Debug)]
 pub struct Switch {
-    circuits: Vec<Circuit>,
+    queue: ResourceQueue<Cell>,
     slot: u64,
-    bus: ProbeBus,
 }
 
 impl Default for Switch {
@@ -59,78 +47,33 @@ impl Default for Switch {
     }
 }
 
+impl Deref for Switch {
+    type Target = ResourceQueue<Cell>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.queue
+    }
+}
+
+impl DerefMut for Switch {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.queue
+    }
+}
+
 impl Switch {
     /// Creates a switch with no circuits.
     pub fn new() -> Self {
         Self {
-            circuits: Vec::new(),
+            queue: ResourceQueue::new("net"),
             slot: 0,
-            bus: ProbeBus::disabled(),
         }
     }
 
-    /// Attaches the probe bus. Grant, draw, and completion events carry
-    /// the `"net"` resource tag; the bus clock stays owned by whoever
-    /// drives the simulation (this switch never calls `set_time_us`).
-    pub fn set_probe_bus(&mut self, bus: ProbeBus) {
-        self.bus = bus;
-    }
-
-    /// Opens a circuit holding `tickets` bandwidth tickets.
-    pub fn open_circuit(&mut self, name: impl Into<String>, tickets: u64) -> CircuitId {
-        let id = CircuitId(self.circuits.len() as u32);
-        self.circuits.push(Circuit {
-            name: name.into(),
-            tickets,
-            queue: VecDeque::new(),
-            forwarded: 0,
-            delay_slots: Summary::new(),
-        });
-        self.bus.emit(|| EventKind::ResourceGrant {
-            resource: "net",
-            client: id.0,
-            tickets,
-        });
-        id
-    }
-
-    /// Adjusts a circuit's ticket allocation.
-    pub fn set_tickets(&mut self, vc: CircuitId, tickets: u64) {
-        self.circuits[vc.0 as usize].tickets = tickets;
-        self.bus.emit(|| EventKind::ResourceGrant {
-            resource: "net",
-            client: vc.0,
-            tickets,
-        });
-    }
-
     /// Queues a cell on a circuit.
-    pub fn enqueue(&mut self, vc: CircuitId, id: u64) {
-        let slot = self.slot;
-        self.circuits[vc.0 as usize].queue.push_back(Cell {
-            id,
-            enqueued_at: slot,
-        });
-    }
-
-    /// Number of cells waiting on `vc`.
-    pub fn backlog(&self, vc: CircuitId) -> usize {
-        self.circuits[vc.0 as usize].queue.len()
-    }
-
-    /// Cells forwarded from `vc` so far.
-    pub fn forwarded(&self, vc: CircuitId) -> u64 {
-        self.circuits[vc.0 as usize].forwarded
-    }
-
-    /// Queueing delay (in slots) statistics for `vc`.
-    pub fn delay_slots(&self, vc: CircuitId) -> &Summary {
-        &self.circuits[vc.0 as usize].delay_slots
-    }
-
-    /// The circuit's name.
-    pub fn name(&self, vc: CircuitId) -> &str {
-        &self.circuits[vc.0 as usize].name
+    pub fn enqueue(&mut self, vc: QueueClientId, id: u64) {
+        let enqueued_at = self.slot;
+        self.queue.submit(vc, Cell { id, enqueued_at });
     }
 
     /// Slots elapsed (forwarding attempts, successful or idle).
@@ -139,7 +82,9 @@ impl Switch {
     }
 
     /// Runs one forwarding slot: picks a backlogged circuit by lottery and
-    /// dequeues its head cell.
+    /// dequeues its head cell. Circuit counts are small (a switch port
+    /// serves tens of VCs), so Figure 1's linear walk over the whole
+    /// circuit table is the right tool, as in the paper's prototype.
     ///
     /// # Errors
     ///
@@ -147,43 +92,11 @@ impl Switch {
     /// output port idles; the slot still elapses), and
     /// [`lottery_core::errors::LotteryError::AmountOverflow`] when the
     /// lottery's ticket total is past the draw's range.
-    pub fn forward<R: SchedRng + ?Sized>(&mut self, rng: &mut R) -> Result<(CircuitId, Cell)> {
+    pub fn forward<R: SchedRng + ?Sized>(&mut self, rng: &mut R) -> Result<(QueueClientId, Cell)> {
         self.slot += 1;
-        // Draw straight over the circuit table: circuit counts are small
-        // (a switch port serves tens of VCs), so Figure 1's linear walk is
-        // the right tool, as in the paper's prototype. An idle circuit
-        // holds no interval.
-        let backlogged = self
-            .circuits
-            .iter()
-            .map(|c| if c.queue.is_empty() { 0 } else { c.tickets });
-        let (index, entries, total) = lottery::draw(backlogged, rng)?;
-        self.bus.emit(|| EventKind::ResourceDraw {
-            resource: "net",
-            client: index as u32,
-            entries: entries as u32,
-            total,
-        });
-        let circuit = &mut self.circuits[index];
-        let cell = circuit
-            .queue
-            .pop_front()
-            .expect("backlogged circuit has a cell");
-        circuit.forwarded += 1;
-        let delay = self.slot - 1 - cell.enqueued_at;
-        circuit.delay_slots.record(delay as f64);
-        self.bus.emit(|| EventKind::ResourceComplete {
-            resource: "net",
-            client: index as u32,
-            units: 1,
-            wait: delay,
-        });
-        Ok((CircuitId(index as u32), cell))
-    }
-
-    /// Cells waiting across every circuit.
-    pub fn pending_cells(&self) -> usize {
-        self.circuits.iter().map(|c| c.queue.len()).sum()
+        let (vc, cell) = self.queue.draw(rng)?;
+        self.queue.complete(vc, 1, self.slot - 1 - cell.enqueued_at);
+        Ok((vc, cell))
     }
 }
 
@@ -193,7 +106,7 @@ impl Switch {
 /// empty switch schedules nothing, so a shared event loop skips it.
 impl lottery_sim::event::EventSource for Switch {
     fn next_due(&self) -> Option<lottery_sim::time::SimTime> {
-        (self.pending_cells() > 0).then(|| lottery_sim::time::SimTime::from_us(self.slot))
+        (self.pending() > 0).then(|| lottery_sim::time::SimTime::from_us(self.slot))
     }
 }
 
@@ -214,14 +127,14 @@ mod tests {
     #[test]
     fn single_circuit_fifo() {
         let mut sw = Switch::new();
-        let vc = sw.open_circuit("only", 10);
+        let vc = sw.register("only", 10);
         sw.enqueue(vc, 1);
         sw.enqueue(vc, 2);
         let mut rng = ParkMiller::new(1);
         assert_eq!(sw.forward(&mut rng).unwrap().1.id, 1);
         assert_eq!(sw.forward(&mut rng).unwrap().1.id, 2);
         assert_eq!(sw.backlog(vc), 0);
-        assert_eq!(sw.forwarded(vc), 2);
+        assert_eq!(sw.served(vc), 2);
     }
 
     #[test]
@@ -229,9 +142,9 @@ mod tests {
         // 3:2:1 tickets, always backlogged: forwarded cells converge to
         // 3:2:1 of the slots.
         let mut sw = Switch::new();
-        let a = sw.open_circuit("a", 300);
-        let b = sw.open_circuit("b", 200);
-        let c = sw.open_circuit("c", 100);
+        let a = sw.register("a", 300);
+        let b = sw.register("b", 200);
+        let c = sw.register("c", 100);
         let mut rng = ParkMiller::new(9);
         let slots = 30_000;
         for i in 0..slots {
@@ -243,9 +156,9 @@ mod tests {
             }
             sw.forward(&mut rng).unwrap();
         }
-        let fa = sw.forwarded(a) as f64 / slots as f64;
-        let fb = sw.forwarded(b) as f64 / slots as f64;
-        let fc = sw.forwarded(c) as f64 / slots as f64;
+        let fa = sw.served(a) as f64 / slots as f64;
+        let fb = sw.served(b) as f64 / slots as f64;
+        let fc = sw.served(c) as f64 / slots as f64;
         assert!((fa - 0.5).abs() < 0.02, "a share {fa}");
         assert!((fb - 1.0 / 3.0).abs() < 0.02, "b share {fb}");
         assert!((fc - 1.0 / 6.0).abs() < 0.02, "c share {fc}");
@@ -256,8 +169,8 @@ mod tests {
         // Work conservation: a backlogged low-ticket circuit gets the full
         // port when the heavy circuit is idle.
         let mut sw = Switch::new();
-        let _heavy = sw.open_circuit("heavy", 1_000_000);
-        let light = sw.open_circuit("light", 1);
+        let _heavy = sw.register("heavy", 1_000_000);
+        let light = sw.register("light", 1);
         for i in 0..100 {
             sw.enqueue(light, i);
         }
@@ -271,8 +184,8 @@ mod tests {
     #[test]
     fn zero_ticket_circuit_starves_under_contention() {
         let mut sw = Switch::new();
-        let a = sw.open_circuit("funded", 10);
-        let z = sw.open_circuit("zero", 0);
+        let a = sw.register("funded", 10);
+        let z = sw.register("zero", 0);
         sw.enqueue(z, 1);
         let mut rng = ParkMiller::new(2);
         for i in 0..50 {
@@ -287,8 +200,8 @@ mod tests {
     fn delay_tracks_ticket_share() {
         // Lower-share circuits see longer queueing delays.
         let mut sw = Switch::new();
-        let fast = sw.open_circuit("fast", 900);
-        let slow = sw.open_circuit("slow", 100);
+        let fast = sw.register("fast", 900);
+        let slow = sw.register("slow", 100);
         let mut rng = ParkMiller::new(33);
         for i in 0..20_000u64 {
             if sw.backlog(fast) < 4 {
@@ -300,10 +213,10 @@ mod tests {
             sw.forward(&mut rng).unwrap();
         }
         assert!(
-            sw.delay_slots(slow).mean() > sw.delay_slots(fast).mean() * 2.0,
+            sw.waits(slow).mean() > sw.waits(fast).mean() * 2.0,
             "slow {} vs fast {}",
-            sw.delay_slots(slow).mean(),
-            sw.delay_slots(fast).mean()
+            sw.waits(slow).mean(),
+            sw.waits(fast).mean()
         );
     }
 
@@ -316,8 +229,8 @@ mod tests {
         bus.attach(stats.clone());
         let mut sw = Switch::new();
         sw.set_probe_bus(bus);
-        let a = sw.open_circuit("a", 200);
-        let b = sw.open_circuit("b", 100);
+        let a = sw.register("a", 200);
+        let b = sw.register("b", 100);
         sw.set_tickets(b, 150);
         let mut rng = ParkMiller::new(21);
         for i in 0..40u64 {
@@ -338,8 +251,8 @@ mod tests {
     #[test]
     fn set_tickets_reapportions() {
         let mut sw = Switch::new();
-        let a = sw.open_circuit("a", 100);
-        let b = sw.open_circuit("b", 100);
+        let a = sw.register("a", 100);
+        let b = sw.register("b", 100);
         sw.set_tickets(a, 300);
         let mut rng = ParkMiller::new(4);
         let slots = 20_000;
@@ -351,7 +264,7 @@ mod tests {
             }
             sw.forward(&mut rng).unwrap();
         }
-        let ratio = sw.forwarded(a) as f64 / sw.forwarded(b) as f64;
+        let ratio = sw.served(a) as f64 / sw.served(b) as f64;
         assert!((ratio - 3.0).abs() < 0.25, "ratio {ratio}");
     }
 }

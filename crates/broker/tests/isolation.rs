@@ -9,11 +9,12 @@
 //! leak across tenants and the monitor alarms. Seed 1 throughout.
 
 use lottery_apps::montecarlo::relative_error;
+use lottery_broker::disk::{DiskPolicy, DiskScheduler};
+use lottery_broker::mem::MemoryManager;
+use lottery_broker::queue::QueueClientId;
+use lottery_broker::switch::Switch;
 use lottery_broker::{DemandTap, Resource, ResourceBroker, SplitPolicy, TenantId};
 use lottery_core::rng::ParkMiller;
-use lottery_io::{DiskClientId, DiskPolicy, DiskScheduler};
-use lottery_mem::MemoryManager;
-use lottery_net::{CircuitId, Switch};
 use lottery_sim::prelude::*;
 
 const SEED: u32 = 1;
@@ -28,7 +29,7 @@ fn two_tenants(broker: &mut ResourceBroker) -> (TenantId, TenantId) {
 /// requests.
 fn serve_disk(
     disk: &mut DiskScheduler,
-    bind: &[(TenantId, DiskClientId); 2],
+    bind: &[(TenantId, QueueClientId); 2],
     step: u64,
     n: u64,
     rng: &mut ParkMiller,
@@ -48,7 +49,7 @@ fn serve_disk(
 /// cells.
 fn serve_net(
     switch: &mut Switch,
-    bind: &[(TenantId, CircuitId); 2],
+    bind: &[(TenantId, QueueClientId); 2],
     step: u64,
     n: u64,
     rng: &mut ParkMiller,
@@ -99,7 +100,7 @@ fn mixed_run(raw: bool) -> ([f64; 4], bool) {
     let disk_bind = tenants.map(|(t, n)| (t, disk.register(n, 1)));
     let mut switch = Switch::new();
     switch.set_probe_bus(bus);
-    let net_bind = tenants.map(|(t, n)| (t, switch.open_circuit(n, 1)));
+    let net_bind = tenants.map(|(t, n)| (t, switch.register(n, 1)));
     let mut mem = MemoryManager::new(240);
     let mem_bind = tenants.map(|(t, n)| (t, mem.register(n, 1)));
     monitor.with(|m| {
@@ -132,8 +133,8 @@ fn mixed_run(raw: bool) -> ([f64; 4], bool) {
             broker.rebalance().unwrap();
         }
         broker.apply_cpu(kernel.policy_mut(), &cpu_bind).unwrap();
-        broker.apply_disk(&mut disk, &disk_bind);
-        broker.apply_net(&mut switch, &net_bind);
+        broker.apply_queue(Resource::Disk, &mut disk, &disk_bind);
+        broker.apply_queue(Resource::Net, &mut switch, &net_bind);
         broker.apply_mem(&mut mem, &mem_bind);
         if step == 100 {
             broker.issue_worker(gold, Resource::Disk, 1_500).unwrap();
@@ -158,8 +159,8 @@ fn mixed_run(raw: bool) -> ([f64; 4], bool) {
         if step == 100 {
             for slot in 0..2 {
                 cpu_base[slot] = cpu_us(&kernel, disk_bind[slot].0);
-                disk_base[slot] = disk.sectors_served(disk_bind[slot].1);
-                net_base[slot] = switch.forwarded(net_bind[slot].1);
+                disk_base[slot] = disk.served(disk_bind[slot].1);
+                net_base[slot] = switch.served(net_bind[slot].1);
             }
         }
         if step >= 100 {
@@ -177,8 +178,8 @@ fn mixed_run(raw: bool) -> ([f64; 4], bool) {
         monitor.with(|m| m.record_units(tenant.index(), "cpu", used));
         used
     });
-    let disk_used = [0, 1].map(|s| (disk.sectors_served(disk_bind[s].1) - disk_base[s]) as f64);
-    let net_used = [0, 1].map(|s| (switch.forwarded(net_bind[s].1) - net_base[s]) as f64);
+    let disk_used = [0, 1].map(|s| (disk.served(disk_bind[s].1) - disk_base[s]) as f64);
+    let net_used = [0, 1].map(|s| (switch.served(net_bind[s].1) - net_base[s]) as f64);
     let ratios = [
         cpu[0] / cpu[1],
         disk_used[0] / disk_used[1],
@@ -231,7 +232,7 @@ fn tapped_demand_reproduces_caller_reported_rebalancing() {
         let (gold, silver) = two_tenants(&mut broker);
         let tenants = [(gold, "db-gold"), (silver, "mc-silver")];
         let disk_bind = tenants.map(|(t, n)| (t, disk.register(n, 1)));
-        let net_bind = tenants.map(|(t, n)| (t, switch.open_circuit(n, 1)));
+        let net_bind = tenants.map(|(t, n)| (t, switch.register(n, 1)));
         tap.with(|t| {
             for (tenant, c) in disk_bind {
                 t.bind(Resource::Disk, c.index(), tenant);
@@ -255,11 +256,11 @@ fn tapped_demand_reproduces_caller_reported_rebalancing() {
                 }
             }
             broker.rebalance().unwrap();
-            broker.apply_disk(&mut disk, &disk_bind);
-            broker.apply_net(&mut switch, &net_bind);
+            broker.apply_queue(Resource::Disk, &mut disk, &disk_bind);
+            broker.apply_queue(Resource::Net, &mut switch, &net_bind);
         }
-        let sectors = disk_bind.map(|(_, c)| disk.sectors_served(c));
-        let cells = net_bind.map(|(_, vc)| switch.forwarded(vc));
+        let sectors = disk_bind.map(|(_, c)| disk.served(c));
+        let cells = net_bind.map(|(_, vc)| switch.served(vc));
         let weight = |t| {
             (
                 broker.weight(t, Resource::Disk),

@@ -11,12 +11,13 @@
 //! [`Node::report_rows`] — which is what makes a 1-node cluster
 //! behaviourally identical to the standalone broker.
 
+use lottery_broker::disk::{DiskPolicy, DiskScheduler};
+use lottery_broker::queue::QueueClientId;
+use lottery_broker::switch::Switch;
 use lottery_broker::{DemandTap, Resource, ResourceBroker, SplitPolicy, TenantId};
 use lottery_core::arena::RawHandle;
 use lottery_core::errors::{LotteryError, ObjectKind, Result};
 use lottery_core::rng::ParkMiller;
-use lottery_io::{DiskClientId, DiskPolicy, DiskScheduler};
-use lottery_net::{CircuitId, Switch};
 use lottery_obs::{ProbeBus, Shared};
 
 use crate::net::TenantReport;
@@ -33,8 +34,9 @@ pub struct Node {
     switch: Switch,
     tap: Shared<DemandTap>,
     tenants: Vec<TenantId>,
-    disk_clients: Vec<DiskClientId>,
-    circuits: Vec<CircuitId>,
+    /// Each tenant's client of the disk and of the switch: both queues
+    /// register the tenants in one order, so the two ids are one.
+    clients: Vec<QueueClientId>,
     rng: ParkMiller,
     alive: bool,
     /// Monotone cell id feeding the switch (also the deterministic disk
@@ -58,23 +60,21 @@ impl Node {
         disk.set_probe_bus(bus.clone());
         switch.set_probe_bus(bus.clone());
         let mut ids = Vec::with_capacity(tenants.len());
-        let mut disk_clients = Vec::with_capacity(tenants.len());
-        let mut circuits = Vec::with_capacity(tenants.len());
+        let mut clients = Vec::with_capacity(tenants.len());
         for (name, grant) in tenants {
             let tenant =
                 broker.register_tenant(name.clone(), (*grant).max(1), SplitPolicy::even())?;
             if *grant == 0 {
                 broker.set_grant(tenant, 0)?;
             }
-            let dc = disk.register(name.clone(), 1);
-            let vc = switch.open_circuit(name.clone(), 1);
+            let client = disk.register(name.clone(), 1);
+            switch.register(name.clone(), 1);
             tap.with(|t| {
-                t.bind(Resource::Disk, dc.index(), tenant);
-                t.bind(Resource::Net, vc.index(), tenant);
+                t.bind(Resource::Disk, client.index(), tenant);
+                t.bind(Resource::Net, client.index(), tenant);
             });
             ids.push(tenant);
-            disk_clients.push(dc);
-            circuits.push(vc);
+            clients.push(client);
         }
         let mut node = Node {
             id,
@@ -83,8 +83,7 @@ impl Node {
             switch,
             tap,
             tenants: ids,
-            disk_clients,
-            circuits,
+            clients,
             rng: ParkMiller::new(seed),
             alive: true,
             work_seq: 0,
@@ -145,28 +144,28 @@ impl Node {
         for _ in 0..disk_requests {
             let sector = (self.work_seq * 64) % 1_000_000;
             self.disk
-                .submit(self.disk_clients[tenant], sector, DISK_REQUEST_SECTORS);
+                .submit(self.clients[tenant], sector, DISK_REQUEST_SECTORS);
             self.work_seq += 1;
         }
         for _ in 0..cells {
-            self.switch.enqueue(self.circuits[tenant], self.work_seq);
+            self.switch.enqueue(self.clients[tenant], self.work_seq);
             self.work_seq += 1;
         }
     }
 
     /// A tenant's queued work: pending disk requests plus queued cells.
     pub fn backlog(&self, tenant: usize) -> u64 {
-        self.disk.backlog(self.disk_clients[tenant]) as u64
-            + self.switch.backlog(self.circuits[tenant]) as u64
+        self.disk.backlog(self.clients[tenant]) as u64
+            + self.switch.backlog(self.clients[tenant]) as u64
     }
 
     /// Cumulative serviced units per resource, canonical order.
     pub fn usage(&self, tenant: usize) -> [u64; 4] {
         [
             0,
-            self.disk.sectors_served(self.disk_clients[tenant]),
+            self.disk.served(self.clients[tenant]),
             0,
-            self.switch.forwarded(self.circuits[tenant]),
+            self.switch.served(self.clients[tenant]),
         ]
     }
 
@@ -179,12 +178,12 @@ impl Node {
         }
         self.broker.absorb_demand(&self.tap);
         for (i, &tenant) in self.tenants.iter().enumerate() {
-            let disk_backlog = self.disk.backlog(self.disk_clients[i]) as u64;
+            let disk_backlog = self.disk.backlog(self.clients[i]) as u64;
             if disk_backlog > 0 {
                 self.broker
                     .record_demand(tenant, Resource::Disk, disk_backlog);
             }
-            let net_backlog = self.switch.backlog(self.circuits[i]) as u64;
+            let net_backlog = self.switch.backlog(self.clients[i]) as u64;
             if net_backlog > 0 {
                 self.broker
                     .record_demand(tenant, Resource::Net, net_backlog);
@@ -193,15 +192,14 @@ impl Node {
         self.broker.rebalance()?;
         self.apply_weights();
         for _ in 0..services {
-            let busy = self.disk_clients.iter().any(|&c| self.disk.backlog(c) > 0);
-            if !busy {
+            if self.disk.pending() == 0 {
                 break;
             }
             // A backlogged tenant whose funding all moved to other nodes
             // holds zero tickets; the slot idles rather than erroring.
             match self.disk.service_next(&mut self.rng) {
                 Ok(served) => {
-                    let Some(tenant) = self.disk_clients.iter().position(|&c| c == served) else {
+                    let Some(tenant) = self.clients.iter().position(|&c| c == served) else {
                         return Err(unregistered(served.index()));
                     };
                     self.broker.record_usage(
@@ -215,13 +213,12 @@ impl Node {
             }
         }
         for _ in 0..services {
-            let busy = self.circuits.iter().any(|&c| self.switch.backlog(c) > 0);
-            if !busy {
+            if self.switch.pending() == 0 {
                 break;
             }
             match self.switch.forward(&mut self.rng) {
                 Ok((vc, _cell)) => {
-                    let Some(tenant) = self.circuits.iter().position(|&c| c == vc) else {
+                    let Some(tenant) = self.clients.iter().position(|&c| c == vc) else {
                         return Err(unregistered(vc.index()));
                     };
                     self.broker
@@ -246,20 +243,16 @@ impl Node {
     }
 
     fn apply_weights(&mut self) {
-        let disk_bind: Vec<(TenantId, DiskClientId)> = self
+        let bind: Vec<(TenantId, QueueClientId)> = self
             .tenants
             .iter()
             .copied()
-            .zip(self.disk_clients.iter().copied())
+            .zip(self.clients.iter().copied())
             .collect();
-        self.broker.apply_disk(&mut self.disk, &disk_bind);
-        let net_bind: Vec<(TenantId, CircuitId)> = self
-            .tenants
-            .iter()
-            .copied()
-            .zip(self.circuits.iter().copied())
-            .collect();
-        self.broker.apply_net(&mut self.switch, &net_bind);
+        self.broker
+            .apply_queue(Resource::Disk, &mut self.disk, &bind);
+        self.broker
+            .apply_queue(Resource::Net, &mut self.switch, &bind);
     }
 }
 

@@ -11,12 +11,11 @@
 //!
 //! The same check holds the composite law a memory manager revokes frames
 //! by, `P[i] = (T - t_i)·h_i / Σ_j (T - t_j)·h_j` for a client holding
-//! `h_i` frames, against [`draw_victim`] and against
-//! [`MemoryManager::fault`] itself.
+//! `h_i` frames, against [`draw_victim`]; the broker crate's `mem_props.rs`
+//! holds the memory manager itself to it.
 
 use lottery_core::inverse::{draw_loser, draw_victim, loss_probability};
 use lottery_core::rng::ParkMiller;
-use lottery_mem::{MemoryManager, ReclaimOutcome};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -114,43 +113,6 @@ proptest! {
         let mut counts = vec![0u64; holdings.len()];
         for _ in 0..4_000 {
             counts[draw_victim(holdings.iter().copied(), &mut rng).unwrap()] += 1;
-        }
-        within_five_sigma(&counts, |i| composite_loss(&holdings, i))?;
-    }
-
-    /// The memory manager revokes by the same law. The state is held
-    /// fixed between draws: client 0 faults on a full pool, evicting the
-    /// victim, gives the frame back, and the victim faults it back in.
-    #[test]
-    fn memory_manager_victims_follow_the_composite_law(
-        holdings in holdings(),
-        seed in 1u32..1_000_000,
-    ) {
-        let frames: u64 = holdings.iter().map(|&(_, h)| h).sum();
-        prop_assume!(frames > 0);
-        let mut mm = MemoryManager::new(frames);
-        let ids: Vec<_> = holdings
-            .iter()
-            .enumerate()
-            .map(|(i, &(t, _))| mm.register(format!("c{i}"), t))
-            .collect();
-        let mut rng = ParkMiller::new(seed);
-        for (&id, &(_, held)) in ids.iter().zip(&holdings) {
-            for _ in 0..held {
-                prop_assert_eq!(mm.fault(id, &mut rng), Ok(ReclaimOutcome::FreeFrame));
-            }
-        }
-        let mut counts = vec![0u64; holdings.len()];
-        for _ in 0..4_000 {
-            let Ok(ReclaimOutcome::Evicted { victim }) = mm.fault(ids[0], &mut rng) else {
-                return Err(TestCaseError::Fail("a full pool must evict".into()));
-            };
-            mm.release(ids[0]).unwrap();
-            prop_assert_eq!(mm.fault(victim, &mut rng), Ok(ReclaimOutcome::FreeFrame));
-            counts[victim.index() as usize] += 1;
-        }
-        for (&id, &(_, held)) in ids.iter().zip(&holdings) {
-            prop_assert_eq!(mm.resident(id), held, "state held fixed");
         }
         within_five_sigma(&counts, |i| composite_loss(&holdings, i))?;
     }

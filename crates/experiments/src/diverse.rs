@@ -1,10 +1,10 @@
 //! Section 6's diverse resources: memory and communication bandwidth.
 
+use lottery_broker::disk::{DiskPolicy, DiskScheduler};
+use lottery_broker::mem::MemoryManager;
+use lottery_broker::paging::{hot_cold_reference, PagingSim};
+use lottery_broker::switch::Switch;
 use lottery_core::prelude::*;
-use lottery_io::{DiskPolicy, DiskScheduler};
-use lottery_mem::paging::{hot_cold_reference, PagingSim};
-use lottery_mem::MemoryManager;
-use lottery_net::Switch;
 use lottery_stats::table::Table;
 
 /// Inverse-lottery page reclamation: two clients under equal fault
@@ -75,9 +75,9 @@ pub fn mem(seed: u32) {
 pub fn net(seed: u32) {
     let mut sw = Switch::new();
     let vcs = [
-        sw.open_circuit("vc-a", 300),
-        sw.open_circuit("vc-b", 200),
-        sw.open_circuit("vc-c", 100),
+        sw.register("vc-a", 300),
+        sw.register("vc-b", 200),
+        sw.register("vc-c", 100),
     ];
     let mut rng = ParkMiller::new(seed);
     let slots = 60_000u64;
@@ -101,9 +101,9 @@ pub fn net(seed: u32) {
         table.row(&[
             sw.name(vc).to_string(),
             tickets.to_string(),
-            sw.forwarded(vc).to_string(),
-            format!("{:.3}", sw.forwarded(vc) as f64 / slots as f64),
-            format!("{:.1}", sw.delay_slots(vc).mean()),
+            sw.served(vc).to_string(),
+            format!("{:.3}", sw.served(vc) as f64 / slots as f64),
+            format!("{:.1}", sw.waits(vc).mean()),
         ]);
     }
     print!("{}", table.render());
@@ -141,12 +141,9 @@ pub fn disk(seed: u32) {
         }
         table.row(&[
             label.to_string(),
-            d.sectors_served(a).to_string(),
-            d.sectors_served(b).to_string(),
-            format!(
-                "{:.2}:1",
-                d.sectors_served(a) as f64 / d.sectors_served(b) as f64
-            ),
+            d.served(a).to_string(),
+            d.served(b).to_string(),
+            format!("{:.2}:1", d.served(a) as f64 / d.served(b) as f64),
             format!("{:.1}", d.seek_distance() as f64 / 1e6),
         ]);
     }

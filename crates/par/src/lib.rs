@@ -33,15 +33,15 @@
 //!
 //! # The pace CPU model
 //!
-//! Schedulers are CPU-bound bookkeeping; on a single-CPU host, N spinning
-//! workers time-slice and show no wall-clock speedup. [`ParKernel::set_pace`]
-//! installs an explicit CPU model instead: each dispatch decision costs
-//! `pace` of wall time (a sleep), during which the worker's OS thread
-//! yields the processor. Paced workers overlap their decision costs, so
-//! machine decision throughput scales with worker count on *any* host —
-//! which is precisely the claim a parallel runtime must demonstrate, and
-//! one a serialized runtime (a global lock held across decisions) would
-//! fail. See `DESIGN.md` §10.
+//! The reference benchmark's `par_contend` runs four workers at pace 0 (no
+//! pace set): each decision is real work, and the workers contend for the
+//! one ledger lock for real. [`ParKernel::set_pace`] is a CPU model for a
+//! host with fewer CPUs than workers, where spinning workers only
+//! time-slice: each decision then costs `pace` of wall time (a sleep that
+//! yields the processor), so paced workers overlap their decision costs.
+//! A paced speedup shows that decisions are not serialized (a lock held
+//! across them would fail it), not how the backend scales on real CPUs.
+//! See `DESIGN.md` §10.
 //!
 //! [`SmpKernel`]: lottery_sim::smp::SmpKernel
 

@@ -14,9 +14,9 @@
 //!
 //! Run with: `cargo run --example multi_resource`
 
+use lottery_broker::disk::{DiskPolicy, DiskScheduler};
+use lottery_broker::switch::Switch;
 use lottery_core::prelude::*;
-use lottery_io::{DiskPolicy, DiskScheduler};
-use lottery_net::Switch;
 
 const BUDGET: u64 = 1000;
 const ROUNDS: usize = 12;
@@ -30,8 +30,8 @@ fn main() {
     let rival_disk = disk.register("rival", 600);
 
     let mut switch = Switch::new();
-    let app_vc = switch.open_circuit("app", BUDGET / 2);
-    let rival_vc = switch.open_circuit("rival", 150);
+    let app_vc = switch.register("app", BUDGET / 2);
+    let rival_vc = switch.register("rival", 150);
 
     let mut rng = ParkMiller::new(2026);
     // The app's split starts 50/50; the manager rebalances each round.
@@ -66,10 +66,10 @@ fn main() {
         }
 
         // Measure this round's per-stage rates for the app.
-        let disk_rate = disk.sectors_served(app_disk) - last_disk_sectors;
-        let net_rate = (switch.forwarded(app_vc) - last_net_cells) * 8; // sectors/cell
-        last_disk_sectors = disk.sectors_served(app_disk);
-        last_net_cells = switch.forwarded(app_vc);
+        let disk_rate = disk.served(app_disk) - last_disk_sectors;
+        let net_rate = (switch.served(app_vc) - last_net_cells) * 8; // sectors/cell
+        last_disk_sectors = disk.served(app_disk);
+        last_net_cells = switch.served(app_vc);
         let pipeline = disk_rate.min(net_rate);
         println!(
             "{:>5} {:>12} {:>12} {:>14} {:>14} {:>12}",

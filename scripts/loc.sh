@@ -41,17 +41,26 @@ crate_of() {
   esac
 }
 
+# Keeps the non-test sources of a path list on stdin: `src/` of the root
+# or of a crate, never its `tests/`, `benches/` or examples. Both sides
+# filter alike, so a directory row of the tree and of a revision count
+# the same files.
+src_only() {
+  grep -E '^(crates/[^/]+/)?src/.*\.rs$' || true
+}
+
 tree_counts() {
-  find ${dir:-crates/*/src src} -name '*.rs' | while read -r f; do
-    count_file "$(crate_of "$f")" < "$f"
-  done
+  find ${dir:-crates src} -name '*.rs' | sed 's|^\./||; s|//*|/|g' | src_only \
+    | while read -r f; do
+      count_file "$(crate_of "$f")" < "$f"
+    done
 }
 
 rev_counts() {
-  git ls-tree -r --name-only "$rev" -- ${dir:-crates src} \
-    | grep -E '^(crates/[^/]+/)?src/.*\.rs$' | while read -r f; do
-    git show "$rev:$f" | count_file "$(crate_of "$f")"
-  done
+  git ls-tree -r --name-only "$rev" -- ${dir:-crates src} | src_only \
+    | while read -r f; do
+      git show "$rev:$f" | count_file "$(crate_of "$f")"
+    done
 }
 
 {

@@ -24,23 +24,15 @@ pub use lottery_sim as sim;
 /// Lottery-scheduled mutexes (re-export of `lottery-sync`).
 pub use lottery_sync as sync;
 
-/// Inverse-lottery memory management (re-export of `lottery-mem`).
-pub use lottery_mem as mem;
-
-/// Lottery-scheduled communication (re-export of `lottery-net`).
-pub use lottery_net as net;
-
 /// The paper's evaluation workloads (re-export of `lottery-apps`).
 pub use lottery_apps as apps;
-
-/// Lottery-scheduled disk bandwidth (re-export of `lottery-io`).
-pub use lottery_io as io;
 
 /// The Section 4.7 command interface (re-export of `lottery-ctl`).
 pub use lottery_ctl as ctl;
 
-/// Multi-resource broker: one tenant grant funding cpu/disk/mem/net
-/// sub-currencies (re-export of `lottery-broker`).
+/// The disk, memory and network lotteries, and the multi-resource broker
+/// funding them and the CPU from one tenant grant (re-export of
+/// `lottery-broker`).
 pub use lottery_broker as broker;
 
 #[cfg(test)]

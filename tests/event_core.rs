@@ -4,10 +4,10 @@
 //! window's probe stream repeats bit for bit, and one loop services four
 //! heterogeneous [`EventSource`]s on a common clock.
 
+use lottery_broker::disk::{DiskPolicy, DiskScheduler};
+use lottery_broker::switch::Switch;
 use lottery_cluster::{BudgetPolicy, ClusterMarket};
 use lottery_core::rng::ParkMiller;
-use lottery_io::{DiskPolicy, DiskScheduler};
-use lottery_net::Switch;
 use lottery_sim::event::EventSource;
 use lottery_sim::prelude::*;
 
@@ -110,10 +110,7 @@ fn one_loop_services_four_event_sources_in_due_order() {
         disk.submit(scan, 10_000 + i * 512, 8);
     }
     let mut switch = Switch::new();
-    let (gold, bronze) = (
-        switch.open_circuit("gold", 300),
-        switch.open_circuit("bronze", 100),
-    );
+    let (gold, bronze) = (switch.register("gold", 300), switch.register("bronze", 100));
     for i in 0..40u64 {
         switch.enqueue(gold, i);
         switch.enqueue(bronze, i);
@@ -158,6 +155,6 @@ fn one_loop_services_four_event_sources_in_due_order() {
         serviced[which] += 1;
     }
     assert_eq!(serviced, [35, 48, 80, 4]);
-    assert_eq!(disk.pending_requests() + switch.pending_cells(), 0);
+    assert_eq!(disk.pending() + switch.pending(), 0);
     assert_eq!(kernel.live_threads(), 0);
 }

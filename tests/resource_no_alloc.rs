@@ -1,7 +1,7 @@
 //! Allocation guard for the disk's and the switch's lottery decisions.
 //!
-//! Both draw straight over their own client tables (`lottery::draw`), with
-//! no pool to build, so once every queue has reached its size a decision —
+//! Both draw straight over their queue's client table (`lottery::draw`),
+//! with no pool to build, so once every queue has reached its size a decision —
 //! refill the queues, hold the lottery, serve the winner — must not touch
 //! the allocator. This file is its own test binary so the counting
 //! allocator below sees nothing but the test; counts are per thread, so
@@ -10,9 +10,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use lottery_broker::disk::{DiskPolicy, DiskScheduler};
+use lottery_broker::switch::Switch;
 use lottery_core::rng::ParkMiller;
-use lottery_io::disk::{DiskPolicy, DiskScheduler};
-use lottery_net::Switch;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. A `const`
@@ -98,7 +98,7 @@ fn switch_lottery_decision_allocates_nothing() {
     let circuits: Vec<_> = TICKETS
         .iter()
         .enumerate()
-        .map(|(i, &t)| sw.open_circuit(format!("vc{i}"), t))
+        .map(|(i, &t)| sw.register(format!("vc{i}"), t))
         .collect();
     let mut rng = ParkMiller::new(1994);
     let allocated = steady_state(|step| {
